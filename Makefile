@@ -2,6 +2,10 @@
 #
 #   make test             - the tier-1 suite (see ROADMAP.md)
 #   make bench-smoke      - benchmark files with timing disabled (fast sanity)
+#   make bench-ledger-smoke - one short untraced repeat set of the perf
+#                           ledger's flood and deep_rounds workloads; exits
+#                           nonzero when the simulated statistics no longer
+#                           match bench/expected.json ("correct": false)
 #   make bench            - full benchmark run with timings (strict: no
 #                           timing-gate reruns), then a trajectory measurement
 #                           written to the next free BENCH_<n>.json
@@ -35,7 +39,7 @@ BENCH_ARGS ?=
 # was raised to 89 with the empirical-delay/e11 suite).
 COV_FLOOR ?= 89
 
-.PHONY: test bench-smoke bench bench-trajectory coverage lint examples-smoke search-smoke serve-smoke linkcheck
+.PHONY: test bench-smoke bench-ledger-smoke bench bench-trajectory coverage lint examples-smoke search-smoke serve-smoke linkcheck
 # Knobs for `make search-smoke` (see docs/adversary.md).
 SEARCH_BUDGET ?= 200
 SEARCH_TIME ?= 60
@@ -45,6 +49,12 @@ test:
 
 bench-smoke:
 	$(PY_RUN) -m pytest benchmarks -q --benchmark-disable
+
+# The ledger driver imports nothing of the program and sets up its children's
+# sys.path itself, hence no PY_RUN.
+bench-ledger-smoke:
+	$(PYTHON) bench/run.py --workload flood --seconds 1 --trace 0
+	$(PYTHON) bench/run.py --workload deep_rounds --seconds 1 --trace 0
 
 bench:
 	REPRO_BENCH_STRICT=1 $(PY_RUN) -m pytest benchmarks -q --benchmark-only

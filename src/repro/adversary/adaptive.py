@@ -330,9 +330,12 @@ class AdaptiveAdversary(Adversary):
         """Whether delivering ``event`` now would complete a pending wait.
 
         A pure probe: the receiver's wait predicate is evaluated against
-        its current mailbox and against a copy with this message appended;
-        neither call mutates anything (predicates are required to be pure
-        -- the kernel itself re-evaluates them freely).
+        its current mailbox and against a copy with this message appended.
+        Neither call changes any later answer: by the wait-predicate
+        contract (see :class:`~repro.sim.context.WaitEffect`) a result
+        depends only on the contents of the list it is given, so the copy
+        -- a different list object -- can never be served from, or leak
+        into, whatever a predicate memoises for the live mailbox.
         """
         proc = self._kernel.process(event.pid)
         if proc.paused or proc.state is not ProcessState.BLOCKED:

@@ -8,7 +8,7 @@ class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..cluster.topology import ClusterTopology
@@ -99,6 +99,9 @@ class ProcessEnvironment:
     memory: Optional[ClusterSharedMemory] = None
     local_coin: Optional[LocalCoin] = None
     common_coin: Optional[CommonCoin] = None
+    #: The process's :class:`~repro.core.pattern.InboxIndex`, created by its
+    #: first ``msg_exchange`` and shared by every later one (all tags).
+    _inbox: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.proposal = validate_proposal(self.proposal)

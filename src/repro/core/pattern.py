@@ -17,7 +17,7 @@ forever.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Sequence
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..adversary.faults import TamperedPayload
 from .base import BOT, DecideMessage, PhaseMessage, ProcessEnvironment
@@ -76,8 +76,12 @@ def scan_mailbox(
     The pure message-passing baselines pass ``False`` to attribute messages
     to their senders only.
 
-    This helper is exposed separately so that tests and the property-based
-    suite can exercise the attribution logic on hand-built mailboxes.
+    This is the pure reference implementation of the attribution logic: a
+    function of the list's contents only, exposed so that tests and the
+    property-based suite can exercise it on hand-built mailboxes.
+    :func:`msg_exchange` answers the same question incrementally (see
+    :class:`InboxIndex`) and falls back to this scan for any list that is
+    not the process's own mailbox.
     """
     topology = env.topology
     supporters: Dict[Any, set] = {}
@@ -120,6 +124,174 @@ def scan_mailbox(
     )
 
 
+class InboxIndex:
+    """Classify-once index over one process's append-only mailbox.
+
+    :func:`scan_mailbox` answers "what does this exchange see?" by reading
+    the whole mailbox; asked on every delivery, that is quadratic in the
+    messages a process receives.  The index reads each message once: a
+    cursor marks the classified prefix, and every newly appended message is
+    dropped (tampered, or not a protocol payload), recorded as its tag's
+    ``DECIDE`` value (first one wins, as in a front-to-back scan), or
+    appended to the bucket of its ``(tag, round, phase)`` in arrival order.
+    It stores references into the mailbox, never a copy of it.
+
+    The index is a memo keyed on the *identity* of one list -- the first a
+    wait predicate is evaluated on, which in a kernel run is the process's
+    own mailbox.  Any other list is none of its business (see
+    :class:`_ExchangeWait`).
+    """
+
+    __slots__ = ("mailbox", "cursor", "decided", "buckets")
+
+    def __init__(self) -> None:
+        self.mailbox: Optional[List[Any]] = None
+        self.cursor = 0
+        #: tag -> value of the first ``DECIDE`` classified for that tag.
+        self.decided: Dict[str, int] = {}
+        #: ``(tag, round, phase)`` -> that exchange's phase messages so far;
+        #: ``None`` once the exchange completed, so late messages for it are
+        #: dropped instead of accumulating.
+        self.buckets: Dict[Tuple[str, int, int], Optional[List[Any]]] = {}
+
+    def tracks(self, mailbox: Sequence[Any]) -> bool:
+        """Whether ``mailbox`` is the list this index memoises (the first it is shown)."""
+        if self.mailbox is None:
+            self.mailbox = mailbox
+        return mailbox is self.mailbox
+
+    def advance(self) -> None:
+        """Classify the messages appended since the previous call."""
+        mailbox = self.mailbox
+        end = len(mailbox)
+        if self.cursor == end:
+            return
+        buckets = self.buckets
+        for message in mailbox[self.cursor : end]:
+            payload = message.payload
+            # Same authentication modelling as scan_mailbox: a tampered
+            # payload fails its signature check and is discarded.
+            if isinstance(payload, TamperedPayload):
+                continue
+            if isinstance(payload, PhaseMessage):
+                key = (payload.tag, payload.round_number, payload.phase)
+                bucket = buckets.get(key)
+                if bucket is not None:
+                    bucket.append(message)
+                elif key not in buckets:
+                    buckets[key] = [message]
+            elif isinstance(payload, DecideMessage):
+                self.decided.setdefault(payload.tag, payload.value)
+        self.cursor = end
+
+    def open(self, key: Tuple[str, int, int]) -> Optional[List[Any]]:
+        """The live bucket of exchange ``key``; ``None`` if it already completed."""
+        return self.buckets.setdefault(key, [])
+
+    def close(self, key: Tuple[str, int, int]) -> None:
+        """Forget exchange ``key``: its bucket is freed and stays closed."""
+        self.buckets[key] = None
+
+
+class _ExchangeWait:
+    """The wait predicate of one ``msg_exchange`` call.
+
+    On the process's own mailbox it is incremental: it consumes only the
+    entries its bucket gained since the last evaluation and applies cluster
+    attribution to them in arrival order -- the very sequence of set
+    operations :func:`scan_mailbox` performs, so the outcome (iteration order
+    of its sets included) is the one a full scan would build.
+
+    It stays observationally pure, as the wait-predicate contract demands
+    (see :class:`~repro.sim.context.WaitEffect`): evaluated on any other
+    list -- the adaptive adversary probes ``list(mailbox) + [message]`` --
+    or after the exchange finished, it answers from a plain
+    :func:`scan_mailbox` of that list and touches no memoised state.
+    """
+
+    __slots__ = (
+        "env",
+        "key",
+        "expand_clusters",
+        "inbox",
+        "bucket",
+        "consumed",
+        "supporters",
+        "heard",
+        "values",
+    )
+
+    def __init__(
+        self, env: ProcessEnvironment, tag: str, round_number: int, phase: int, expand_clusters: bool
+    ) -> None:
+        inbox = env._inbox
+        if inbox is None:
+            inbox = env._inbox = InboxIndex()
+        self.env = env
+        self.key = (tag, round_number, phase)
+        self.expand_clusters = expand_clusters
+        self.inbox = inbox
+        # None for a key that was exchanged on before: its messages are no
+        # longer indexed, so a re-run answers from full scans.
+        self.bucket = inbox.open(self.key)
+        self.consumed = 0
+        self.supporters: Dict[Any, set] = {}
+        self.heard: set = set()
+        self.values: set = set()
+
+    def __call__(self, mailbox: Sequence[Any]) -> Optional[ExchangeOutcome]:
+        bucket = self.bucket
+        inbox = self.inbox
+        tag, round_number, phase = self.key
+        topology = self.env.topology
+        if bucket is None or not inbox.tracks(mailbox):
+            outcome = scan_mailbox(
+                mailbox, self.env, tag, round_number, phase, self.expand_clusters
+            )
+            if outcome.is_decide or topology.is_majority(len(outcome.heard)):
+                return outcome
+            return None
+        inbox.advance()
+        if tag in inbox.decided:
+            return ExchangeOutcome(
+                kind="decide",
+                round_number=round_number,
+                phase=phase,
+                decide_value=inbox.decided[tag],
+            )
+        heard = self.heard
+        if self.consumed < len(bucket):
+            supporters = self.supporters
+            values = self.values
+            expand_clusters = self.expand_clusters
+            for message in bucket[self.consumed :]:
+                est = message.payload.est
+                if expand_clusters:
+                    members = topology.cluster_of(message.sender)
+                else:
+                    members = frozenset((message.sender,))
+                supporters.setdefault(est, set()).update(members)
+                heard.update(members)
+                values.add(est)
+            self.consumed = len(bucket)
+        if not topology.is_majority(len(heard)):
+            return None
+        return ExchangeOutcome(
+            kind="supporters",
+            round_number=round_number,
+            phase=phase,
+            supporters={value: frozenset(pids) for value, pids in self.supporters.items()},
+            heard=frozenset(heard),
+            values_received=frozenset(self.values),
+        )
+
+    def finish(self) -> None:
+        """Release the exchange's index state once its wait has completed."""
+        if self.bucket is not None:
+            self.inbox.close(self.key)
+            self.bucket = None
+
+
 def msg_exchange(
     ctx,
     env: ProcessEnvironment,
@@ -135,20 +307,16 @@ def msg_exchange(
     message for this instance arrives or the processes heard from (with
     cluster attribution, unless ``expand_clusters`` is ``False``) form a
     strict majority.  Returns the corresponding :class:`ExchangeOutcome`.
+
+    The wait costs O(messages received): the predicate reads each mailbox
+    entry once through the process's :class:`InboxIndex` and returns exactly
+    what :func:`scan_mailbox` plus the majority test would.
     """
     if est not in (0, 1, BOT):
         raise ValueError(f"est must be 0, 1 or ⊥, got {est!r}")
     yield from ctx.broadcast(PhaseMessage(tag=tag, round_number=round_number, phase=phase, est=est))
 
-    topology = env.topology
-
-    def predicate(mailbox: Sequence[Any]) -> Optional[ExchangeOutcome]:
-        outcome = scan_mailbox(mailbox, env, tag, round_number, phase, expand_clusters)
-        if outcome.is_decide:
-            return outcome
-        if topology.is_majority(len(outcome.heard)):
-            return outcome
-        return None
-
-    outcome = yield from ctx.wait_until(predicate)
+    wait = _ExchangeWait(env, tag, round_number, phase, expand_clusters)
+    outcome = yield from ctx.wait_until(wait)
+    wait.finish()
     return outcome

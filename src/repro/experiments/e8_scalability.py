@@ -136,11 +136,16 @@ def run(
 #: not choking at n=1000, so the sweep reaches into the thousands.
 LARGE_SIZES = (256, 512, 1024, 2048)
 
-#: Largest n that still gets the multi-cluster layout.  Splitting n processes
-#: over m clusters multiplies the message volume and the per-mailbox wait
-#: scans, so multi-cluster points cost roughly an order of magnitude more
-#: wall clock than m=1 at equal n (measured: n=512/m=2 takes ~84s per run vs
-#: ~3s for n=512/m=1); above this bound only the single-cluster extreme runs.
+#: Largest n that still gets the multi-cluster layout; above this bound only
+#: the single-cluster extreme runs.  Splitting n processes over m clusters
+#: multiplies the message volume (the split layout needs 2-4 rounds where
+#: m=1 decides in one), and wall clock follows events: re-measured with the
+#: incremental inbox index of ``msg_exchange``, n=512/m=2 takes 16-29s per
+#: run (2.0-3.1M events) vs 5-6s for n=512/m=1 (0.8M events).  The bound was
+#: set when every delivery re-scanned the whole mailbox and the same point
+#: took 113-340s on the same host; it is kept because the e8l plan -- its
+#: fingerprint and the golden fixture -- is pinned to it, not because
+#: larger split points are unaffordable any more.
 LARGE_MULTI_CLUSTER_MAX_N = 256
 
 LARGE_PAPER_CLAIM = (

@@ -50,6 +50,22 @@ class WaitEffect(Effect):
     :class:`~repro.network.message.Message` objects, oldest first) and must
     return ``None`` while unsatisfied.  Its first non-``None`` return value
     becomes the result of the wait.
+
+    The predicate contract:
+
+    * The mailbox is **append-only**: the kernel hands every evaluation the
+      same list object, and only ever appends to it.
+    * The result must **depend only on the contents of the list it is
+      given**.  The kernel re-evaluates a predicate on every delivery to
+      the blocked process, and observers (the adaptive adversary's
+      ``delay-pivotal`` probe) evaluate it on *other* lists, such as
+      ``list(mailbox) + [message]``; no evaluation may change what a later
+      one returns.
+    * Within that, a predicate **may memoise on the identity of the list**
+      -- remember how far into one particular list object it has read and
+      pick up from there -- provided any other list is answered from its
+      contents alone.  ``msg_exchange`` does exactly this (see
+      :class:`repro.core.pattern.InboxIndex`).
     """
 
     __slots__ = ("predicate",)
@@ -200,7 +216,12 @@ class ProcessContext:
             yield effect
 
     def wait_until(self, predicate: Callable[[Sequence[Any]], Any]):
-        """Block until ``predicate(mailbox)`` is non-``None``; return it."""
+        """Block until ``predicate(mailbox)`` is non-``None``; return it.
+
+        ``predicate`` is bound by the contract on :class:`WaitEffect`: the
+        mailbox is append-only, the result depends only on the list's
+        contents, and memoising on the list's identity is allowed.
+        """
         self.stats.waits += 1
         result = yield WaitEffect(predicate=predicate)
         return result

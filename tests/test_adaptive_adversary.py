@@ -291,6 +291,36 @@ def test_delay_pivotal_intervenes_without_costing_safety_or_liveness():
     assert attacked.metrics.decision_time_max >= baseline.metrics.decision_time_max
 
 
+@pytest.mark.parametrize(
+    "algorithm, n, m, seed, intensity, pinned",
+    [
+        ("ben-or", 4, 2, 1, 0.5, (235, 112, 3, 1, "0x1.0a6fe897525e6p+6", 192)),
+        ("hybrid-local-coin", 6, 3, 2, 1.0, (391, 180, 2, 0, "0x1.457542a5e3872p+7", 768)),
+        ("mm-local-coin", 6, 3, 4, 0.5, (1266, 468, 6, 0, "0x1.089c5eed46250p+7", 864)),
+    ],
+)
+def test_delay_pivotal_runs_are_pinned(algorithm, n, m, seed, intensity, pinned):
+    """The probe sees a pure predicate: runs match the full-scan era bit for bit.
+
+    ``_is_pivotal`` evaluates ``msg_exchange``'s memoising wait predicate on
+    the live mailbox and on ``list(mailbox) + [message]``.  The values were
+    recorded when the predicate was a full ``scan_mailbox`` per call; a probe
+    that disturbed the memo, or a memo that answered a probe, would move them.
+    """
+    scenario = build_adaptive_scenario("delay-pivotal", n=n, intensity=intensity)
+    result, adversary = _run(scenario, seed=seed, algorithm=algorithm, n=n, m=m)
+    metrics = result.metrics
+    assert result.report.safety_ok and result.terminated
+    assert (
+        metrics.events_processed,
+        metrics.messages_sent,
+        metrics.rounds_max,
+        metrics.decided_value,
+        metrics.decision_time_max.hex(),
+        len(adversary.deferral_log),
+    ) == pinned
+
+
 def test_authenticated_tampering_keeps_safety_and_counts_corruptions():
     result, _ = _run(
         Scenario("tamper", (MessageCorruption(probability=0.6, authenticated=True),)), seed=0

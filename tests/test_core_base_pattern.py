@@ -5,6 +5,7 @@ import pytest
 from tests.helpers import make_message
 
 from repro.cluster.topology import ClusterTopology
+from repro.coins.local import DeterministicCoin
 from repro.core.base import (
     BOT,
     DecideMessage,
@@ -13,6 +14,7 @@ from repro.core.base import (
     validate_proposal,
 )
 from repro.core.pattern import ExchangeOutcome, scan_mailbox
+from repro.harness.runner import ExperimentConfig, prepare_consensus
 from repro.sharedmem.memory import ClusterSharedMemory
 
 
@@ -156,3 +158,52 @@ def test_exchange_outcome_helpers():
     assert outcome.supporters_of(0) == frozenset()
     decide = ExchangeOutcome(kind="decide", round_number=1, phase=1, decide_value=1)
     assert decide.is_decide
+
+
+# ------------------------------------------------------------- exchange cost
+class _CountingMailbox(list):
+    """A mailbox that counts every element a reader is handed."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+    def __getitem__(self, item):
+        found = super().__getitem__(item)
+        self.reads += len(found) if isinstance(item, slice) else 1
+        return found
+
+
+def _mailbox_reads(algorithm, n, rounds):
+    """Total mailbox element reads of one run pinned to ``rounds`` rounds."""
+
+    def scripted_coin(pid):
+        # Keeps the estimates split until the last round (bench/workloads.py).
+        return DeterministicCoin([pid % 2] * (rounds - 2) + [0, 0])
+
+    config = ExperimentConfig(
+        topology=ClusterTopology.singleton_clusters(n), algorithm=algorithm, proposals="split", seed=3
+    )
+    prepared = prepare_consensus(config, local_coin_factory=scripted_coin)
+    kernel = prepared.kernel
+    mailboxes = []
+    for pid in kernel.process_ids():
+        kernel.process(pid).mailbox = mailbox = _CountingMailbox()
+        mailboxes.append(mailbox)
+    result = prepared.finalize(kernel.run(), 0.0)
+    assert result.report.ok and result.metrics.rounds_max == rounds
+    return sum(mailbox.reads for mailbox in mailboxes)
+
+
+@pytest.mark.parametrize("algorithm", ["hybrid-local-coin", "ben-or"])
+def test_msg_exchange_reads_each_message_once(algorithm):
+    """Twice the rounds is twice the messages, and twice the mailbox reads.
+
+    A predicate that re-scans the mailbox on every delivery reads
+    O(rounds^2) elements (ratio ~4 here); the indexed one reads each once.
+    """
+    shallow = _mailbox_reads(algorithm, n=6, rounds=8)
+    deep = _mailbox_reads(algorithm, n=6, rounds=16)
+    assert deep <= 2.2 * shallow

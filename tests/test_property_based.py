@@ -2,15 +2,16 @@
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import SyncContext, drive, make_message
 
+from repro.adversary.faults import TamperedPayload
 from repro.cluster.failures import FailurePattern
 from repro.cluster.topology import ClusterTopology
-from repro.core.base import BOT, PhaseMessage, ProcessEnvironment
-from repro.core.pattern import scan_mailbox
+from repro.core.base import BOT, DecideMessage, PhaseMessage, ProcessEnvironment
+from repro.core.pattern import msg_exchange, scan_mailbox
 from repro.harness.runner import ExperimentConfig, run_consensus
 from repro.harness.stats import percentile, summarize
 from repro.sharedmem.consensus_object import CASConsensusObject, LLSCConsensusObject
@@ -149,6 +150,152 @@ def test_scan_mailbox_supporters_are_unions_of_clusters(clusters, raw_messages):
     # At most one binary value can hold a strict majority.
     majorities = [v for v in (0, 1) if topology.is_majority(len(outcome.supporters_of(v)))]
     assert len(majorities) <= 1
+
+
+# ------------------------------------------------- incremental msg_exchange wait
+class _PredicateCapture:
+    """A context whose ``wait_until`` hands the predicate to the test."""
+
+    def broadcast(self, payload):
+        return
+        yield  # pragma: no cover - makes this a generator function
+
+    def wait_until(self, predicate):
+        result = yield predicate
+        return result
+
+
+#: The exchanges one process runs, in protocol order, on tag ``"t"``.
+_EXCHANGES = [("t", r, ph) for r in (1, 2, 3) for ph in (1, 2)]
+#: What a delivery carries, relative to the exchange that is live when it
+#: arrives (weighted: mostly votes of the live, next and previous exchange).
+_KINDS = st.sampled_from(
+    ["live"] * 5
+    + ["early"] * 3
+    + ["late"] * 3
+    + ["foreign-tag", "foreign-decide", "tampered", "junk", "decide"]
+)
+_DELIVERY = st.tuples(st.integers(min_value=0, max_value=9), _KINDS, st.sampled_from([0, 1, BOT]))
+#: (delivery, probe before it?, the probe's extra message, quiet?) -- a quiet
+#: delivery lands while the process is not blocked, so the kernel evaluates
+#: nothing until a later one.
+_DELIVERIES = st.lists(st.tuples(_DELIVERY, st.booleans(), _DELIVERY, st.booleans()), max_size=40)
+
+
+def _payload(kind, est, position):
+    """The payload of a ``kind`` delivery while ``_EXCHANGES[position]`` is live."""
+    bit = est if est in (0, 1) else 0
+    if kind == "junk":
+        return "not a protocol payload"
+    if kind == "decide":
+        return DecideMessage(tag="t", value=bit)
+    if kind == "foreign-decide":
+        return DecideMessage(tag="other", value=bit)
+    if kind == "early":
+        position = min(position + 1, len(_EXCHANGES) - 1)
+    elif kind == "late":
+        position = max(position - 1, 0)
+    tag, round_number, phase = _EXCHANGES[position]
+    if kind == "foreign-tag":
+        tag = "other"
+    vote = PhaseMessage(tag=tag, round_number=round_number, phase=phase, est=est)
+    if kind == "tampered":
+        # A corrupted vote, or (on ⊥) a corrupted DECIDE: both must vanish.
+        original = vote if est is not BOT else DecideMessage(tag="t", value=1)
+        return TamperedPayload(original=original, mutated=original)
+    return vote
+
+
+def _assert_same_answer(got, expected):
+    """``==`` plus the iteration order of every set a caller could walk."""
+    assert got == expected
+    if expected is None:
+        return
+    assert list(got.supporters) == list(expected.supporters)
+    for value, pids in expected.supporters.items():
+        assert list(got.supporters[value]) == list(pids)
+    assert list(got.heard) == list(expected.heard)
+    assert list(got.values_received) == list(expected.values_received)
+
+
+@given(partitions(max_n=10), st.booleans(), _DELIVERIES)
+# Two messages landing between evaluations: the first DECIDE wins, and votes
+# are attributed in arrival order (the outcome's dict order shows it).
+@example(
+    [[0], [1], [2]],
+    True,
+    [((0, "decide", 0), False, (0, "junk", 0), True), ((1, "decide", 1), False, (0, "junk", 0), False)],
+)
+@example(
+    [[0], [1], [2]],
+    False,
+    [((0, "live", 1), False, (0, "junk", 0), True), ((1, "live", 0), True, (2, "live", 0), False)],
+)
+@settings(deadline=None)
+def test_incremental_exchange_wait_equals_full_scan_on_every_prefix(
+    clusters, expand_clusters, deliveries
+):
+    """The indexed predicate is ``scan_mailbox`` + majority test, observably.
+
+    One process runs its exchanges in protocol order over one growing
+    mailbox; after every append the kernel would evaluate it on, the live
+    predicate must answer what the reference answers for that prefix.
+    Probes in the adaptive adversary's style (a copy plus one message, an
+    unrelated list) and predicates of finished exchanges must match the
+    reference too, and -- checked by every later comparison -- leave the
+    memo undisturbed.
+    """
+    topology = ClusterTopology(clusters)
+    env = ProcessEnvironment(pid=0, proposal=0, topology=topology)
+    ctx = _PredicateCapture()
+    mailbox = []
+
+    def check(predicate, key, messages):
+        expected = scan_mailbox(messages, env, *key, expand_clusters)
+        if not (expected.is_decide or topology.is_majority(len(expected.heard))):
+            expected = None
+        _assert_same_answer(predicate(messages), expected)
+
+    def message(delivery, position):
+        sender, kind, est = delivery
+        return make_message(sender % topology.n, _payload(kind, est, position))
+
+    finished = []
+    pending = list(deliveries)
+    for position, key in enumerate(_EXCHANGES):
+        tag, round_number, phase = key
+        generator = msg_exchange(ctx, env, round_number, phase, 0, tag, expand_clusters)
+        predicate = next(generator)
+        while True:
+            # The kernel's evaluation: always on the process's own list.
+            check(predicate, key, mailbox)
+            outcome = predicate(mailbox)
+            if outcome is not None or not pending:
+                break
+            quiet = True
+            while quiet and pending:
+                delivery, probe, extra, quiet = pending.pop(0)
+                for old_predicate, old_key in finished:
+                    check(old_predicate, old_key, mailbox)
+                if probe:
+                    check(predicate, key, list(mailbox) + [message(extra, position)])
+                    check(predicate, key, mailbox[::2])
+                mailbox.append(message(delivery, position))
+        if outcome is None:
+            break
+        try:
+            generator.send(outcome)
+        except StopIteration as stop:
+            assert stop.value is outcome
+        else:
+            raise AssertionError("msg_exchange kept waiting after its predicate was satisfied")
+        finished.append((predicate, key))
+    # Nothing outlives its exchange: finished keys stay closed, and the index
+    # references mailbox entries without ever copying the list.
+    index = env._inbox
+    assert index.mailbox is mailbox
+    assert all(index.buckets[key] is None for _, key in finished)
+    assert sum(len(bucket) for bucket in index.buckets.values() if bucket) <= len(mailbox)
 
 
 # -------------------------------------------------------------- consensus objects
