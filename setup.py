@@ -34,8 +34,10 @@ setup(
         "Programming Language :: Python :: 3.12",
         "Topic :: System :: Distributed Computing",
     ],
-    # No hard runtime dependencies: numpy is optional (SeedSequence-based
-    # sketch priorities fall back to a SHA-256 derivation without it).
+    # No hard runtime dependencies.  numpy is optional and does one thing:
+    # it selects the SeedSequence backend for the sweep sketches' run
+    # priorities (a SHA-256 derivation without it).  The simulator's hot
+    # path does not import it.
     install_requires=[],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis", "numpy"],

@@ -14,8 +14,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List
 
-from ..sim.rng import random_block
-
 
 class DelayModel(ABC):
     """Samples per-message transit delays (virtual-time units)."""
@@ -33,7 +31,10 @@ class DelayModel(ABC):
         draws (the transport's delay cache relies on this).  The base
         implementation is the per-call loop; models whose draw recipe is a
         fixed arithmetic transform of ``rng.random()`` override it with a
-        vectorizable block (see :func:`repro.sim.rng.random_block`).
+        comprehension over the very ``rng.random()`` calls :meth:`sample`
+        makes, which drops the per-sample method frames and nothing else.
+        Each override keeps a ``type(self) is not X`` guard, so a subclass
+        that redefines :meth:`sample` gets the per-call loop back.
         """
         sample = self.sample
         return [sample(rng) for _ in range(k)]
@@ -80,16 +81,17 @@ class UniformDelay(DelayModel):
         return rng.uniform(self.low, self.high)
 
     def sample_batch(self, rng: random.Random, k: int) -> List[float]:
-        """Vectorized refill: ``uniform(a, b)`` is ``a + (b - a) * random()``.
+        """Inlined refill: ``uniform(a, b)`` is ``a + (b - a) * random()``.
 
-        The same affine transform CPython applies per call, applied to a
-        :func:`~repro.sim.rng.random_block`, so the sequence is bit-exact.
+        The same affine transform CPython applies per call, over the same
+        ``k`` ``rng.random()`` calls, so the sequence is bit-exact.
         """
         if type(self) is not UniformDelay:
             return super().sample_batch(rng, k)
         low = self.low
         span = self.high - self.low
-        return [low + span * u for u in random_block(rng, k)]
+        rand = rng.random
+        return [low + span * rand() for _ in range(k)]
 
 
 @dataclass(frozen=True)
@@ -108,19 +110,19 @@ class ExponentialDelay(DelayModel):
         return self.floor + rng.expovariate(1.0 / self.mean)
 
     def sample_batch(self, rng: random.Random, k: int) -> List[float]:
-        """Vectorized refill via the inverse-CDF recipe ``expovariate`` uses.
+        """Inlined refill via the inverse-CDF recipe ``expovariate`` uses.
 
         CPython's ``expovariate(lambd)`` is ``-log(1.0 - random()) / lambd``;
-        applying the identical expression (``math.log`` per element -- numpy's
-        ``log`` may differ in the last ulp) to a
-        :func:`~repro.sim.rng.random_block` keeps the sequence bit-exact.
+        the identical expression over the same ``k`` ``rng.random()`` calls
+        keeps the sequence bit-exact.
         """
         if type(self) is not ExponentialDelay:
             return super().sample_batch(rng, k)
         floor = self.floor
         lambd = 1.0 / self.mean
         log = math.log
-        return [floor + -log(1.0 - u) / lambd for u in random_block(rng, k)]
+        rand = rng.random
+        return [floor + -log(1.0 - rand()) / lambd for _ in range(k)]
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ class LogNormalDelay(DelayModel):
     Deliberately keeps the base per-call :meth:`DelayModel.sample_batch`
     loop: ``lognormvariate`` sits on CPython's rejection-sampled
     ``normalvariate``, which consumes a *variable* number of uniforms per
-    draw, so no fixed-size block can reproduce the stream exactly.
+    draw, so there is no fixed per-sample recipe to inline.
     """
 
     median: float = 1.0
@@ -175,25 +177,23 @@ class SpikeDelay(DelayModel):
         return rng.uniform(self.low, self.high)
 
     def sample_batch(self, rng: random.Random, k: int) -> List[float]:
-        """Vectorized refill: every sample consumes exactly two draws.
+        """Inlined refill: every sample consumes exactly two draws.
 
-        One uniform for the spike coin, one for the magnitude -- whichever
-        branch the coin picks -- so a block of ``2 * k`` draws maps onto
-        ``k`` samples in the per-call order, bit-exactly.
+        One uniform for the spike coin, then one for the magnitude --
+        whichever branch the coin picks -- in the per-call order, so ``k``
+        samples are ``2 * k`` ``rng.random()`` calls, bit-exactly.
         """
         if type(self) is not SpikeDelay:
             return super().sample_batch(rng, k)
-        block = random_block(rng, 2 * k)
         p = self.spike_probability
         low, span = self.low, self.high - self.low
         spike_low, spike_span = self.spike_low, self.spike_high - self.spike_low
-        out = []
-        for i in range(0, 2 * k, 2):
-            if block[i] < p:
-                out.append(spike_low + spike_span * block[i + 1])
-            else:
-                out.append(low + span * block[i + 1])
-        return out
+        rand = rng.random
+        # A conditional expression evaluates its condition (the coin) first.
+        return [
+            spike_low + spike_span * rand() if rand() < p else low + span * rand()
+            for _ in range(k)
+        ]
 
 
 _NAMED_MODELS = {

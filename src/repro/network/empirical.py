@@ -6,8 +6,7 @@ the loop to measured networks three ways:
 * :class:`EmpiricalDelay` -- inverse-transform sampling over an ECDF
   compressed to a fixed-resolution quantile grid fit from an RTT sample set
   (:meth:`EmpiricalDelay.fit`).  One uniform draw per sample, so the batched
-  refill is the same vectorizable arithmetic transform the synthetic models
-  use.
+  refill inlines the same arithmetic transform, as the synthetic models do.
 * :class:`ShiftedLogNormalDelay` -- a three-parameter shifted log-normal
   (the classic parametric fit for WAN RTTs: a propagation-delay floor plus a
   right-skewed queueing tail), fit by method of moments on the log scale
@@ -39,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
-from ..sim.rng import random_block
 from .delays import DelayModel, register_delay_model
 
 #: Default number of grid intervals an :meth:`EmpiricalDelay.fit` keeps.
@@ -187,21 +185,21 @@ class EmpiricalDelay(DelayModel):
         return low + (quantiles[index + 1] - low) * (position - index)
 
     def sample_batch(self, rng: random.Random, k: int) -> List[float]:
-        """Vectorized refill: the same interpolation over a uniform block.
+        """Inlined refill: the same interpolation, once per ``rng.random()``.
 
         One ``rng.random()`` per sample, transformed by the identical
-        expression :meth:`sample` uses, applied to a
-        :func:`~repro.sim.rng.random_block` -- bit-exact to ``k`` per-call
-        draws with the rng left in the identical state.
+        expression :meth:`sample` uses -- bit-exact to ``k`` per-call draws
+        with the rng left in the identical state.
         """
         if type(self) is not EmpiricalDelay:
             return super().sample_batch(rng, k)
         quantiles = self.quantiles
         span = len(quantiles) - 1
+        rand = rng.random
         out = []
         append = out.append
-        for u in random_block(rng, k):
-            position = u * span
+        for _ in range(k):
+            position = rand() * span
             index = int(position)
             low = quantiles[index]
             append(low + (quantiles[index + 1] - low) * (position - index))
@@ -225,7 +223,7 @@ class ShiftedLogNormalDelay(DelayModel):
     Like :class:`~repro.network.delays.LogNormalDelay` it keeps the base
     per-call ``sample_batch`` loop -- CPython's ``lognormvariate`` sits on
     rejection-sampled ``normalvariate``, which consumes a variable number of
-    uniforms per draw, so no fixed-size block can reproduce the stream.
+    uniforms per draw, so there is no fixed per-sample recipe to inline.
     """
 
     shift: float = 0.5

@@ -90,15 +90,14 @@ class Network:
         self.self_delay_factor = self_delay_factor
         self.stats = TrafficStats()
         self._next_msg_id = 0
-        # Refillable delay cache: sample_delay serves raw model draws from
-        # this FIFO block and refills it through DelayModel.sample_batch,
-        # amortizing the per-draw RNG overhead.  Because sample_batch is
+        # Refillable delay cache: transmit and sample_delay serve raw model
+        # draws from this block and refill it (see _refill) through
+        # DelayModel.sample_batch, which pays the model's method frames once
+        # per block instead of once per draw.  Because sample_batch is
         # exact-sequence and this network object is the delays stream's only
         # consumer, draw i of the run is the same float whether or not it
         # was prefetched.  The block starts small (many runs send only a
         # handful of messages) and doubles up to _MAX_BATCH under load.
-        # The refill block is stored reversed so the per-call fast path is a
-        # single list.pop() from the end (O(1), in C) in FIFO draw order.
         self._delay_cache: list = []
         self._batch = _MIN_BATCH
         # Payload-size memo, keyed by payload object identity and holding a
@@ -169,13 +168,7 @@ class Network:
         if kind is None:
             kind = _KIND_NAMES[type(payload)] = type(payload).__name__
         stats.sent_by_kind[kind] += 1
-        cache = self._delay_cache
-        if not cache:
-            cache = self.delay_model.sample_batch(self._rng, self._batch)
-            cache.reverse()
-            self._delay_cache = cache
-            if self._batch < _MAX_BATCH:
-                self._batch *= 2
+        cache = self._delay_cache or self._refill()
         delay = cache.pop()
         if sender == dest:
             delay *= self.self_delay_factor
@@ -183,17 +176,24 @@ class Network:
 
     def sample_delay(self, sender: int, dest: int) -> float:
         """Transit time for one message; self-addressed messages are faster."""
-        cache = self._delay_cache
-        if not cache:
-            cache = self.delay_model.sample_batch(self._rng, self._batch)
-            cache.reverse()
-            self._delay_cache = cache
-            if self._batch < _MAX_BATCH:
-                self._batch *= 2
+        cache = self._delay_cache or self._refill()
         delay = cache.pop()
         if sender == dest:
             delay *= self.self_delay_factor
         return delay
+
+    def _refill(self) -> list:
+        """Prefetch the next block of raw model draws; returns the new cache.
+
+        The cold path of :meth:`transmit` and :meth:`sample_delay` (once per
+        16-512 sends).  The block is stored reversed so serving a draw is a
+        ``list.pop()`` from the end, in draw order.
+        """
+        cache = self._delay_cache = self.delay_model.sample_batch(self._rng, self._batch)
+        cache.reverse()
+        if self._batch < _MAX_BATCH:
+            self._batch *= 2
+        return cache
 
     def record_delivery(self, message: Message) -> None:
         """Account for a delivery (called by the kernel)."""

@@ -11,15 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Tuple
-
-try:  # pragma: no cover - exercised via the public helpers
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional everywhere
-    _np = None
-
-#: Below this block size the numpy state round-trip costs more than it saves.
-_VECTORIZE_THRESHOLD = 8
+from typing import Dict, Tuple
 
 
 class RandomSource:
@@ -70,37 +62,3 @@ class RandomSource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RandomSource(seed={self._seed}, streams={len(self._streams)})"
-
-
-def random_block(rng: random.Random, k: int) -> List[float]:
-    """Draw ``k`` uniform [0, 1) floats from ``rng``, bit-identical to
-    calling ``rng.random()`` ``k`` times, leaving ``rng`` in the same state.
-
-    When numpy is available and the block is large enough to amortize the
-    state round-trip, the draws are produced by transplanting the Mersenne
-    Twister state into ``numpy.random.RandomState`` (both generators build
-    doubles with the identical genrand 53-bit recipe, so the streams agree
-    to the last bit) and transplanting the advanced state back.  Otherwise
-    this is a plain loop.  Callers batching draws through this helper
-    therefore consume the stream in exactly the per-call order -- the
-    exact-sequence guarantee the delay cache relies on.
-    """
-    if k <= 0:
-        return []
-    if _np is None or k < _VECTORIZE_THRESHOLD:
-        rand = rng.random
-        return [rand() for _ in range(k)]
-    version, internal, gauss_next = rng.getstate()
-    if version != 3:  # pragma: no cover - all supported CPythons use 3
-        rand = rng.random
-        return [rand() for _ in range(k)]
-    np_state = _np.random.RandomState()
-    # CPython keeps (624 key words, pos) flattened in one tuple; numpy keeps
-    # them separate.  Neither generator has pending gaussians here (we only
-    # ever draw uniforms), so has_gauss/cached_gaussian stay zeroed.
-    np_state.set_state(("MT19937", _np.array(internal[:-1], dtype=_np.uint32), internal[-1]))
-    block = np_state.random_sample(k)
-    _, keys, pos, _, _ = np_state.get_state()
-    # keys.tolist() converts the 624 state words to Python ints in C.
-    rng.setstate((version, tuple(keys.tolist()) + (pos,), gauss_next))
-    return block.tolist()

@@ -4,14 +4,18 @@ The transport's delay cache (PR 6) may prefetch any number of draws ahead of
 the kernel, so correctness of every experiment rests on one contract:
 ``DelayModel.sample_batch(rng, k)`` returns bit-identical floats to ``k``
 per-call ``sample(rng)`` draws and leaves ``rng`` in the identical state --
-with or without numpy, for every model, at any batch size.
+for every model, at any batch size.  Every refill is plain Python over the
+very ``rng.random()`` calls ``sample`` makes: the structural tests below
+fail if a refill ever reads or writes the generator's state instead.
 """
 
 import random
+from itertools import accumulate
 
 import pytest
 
-import repro.sim.rng as rng_module
+from repro.cluster.topology import ClusterTopology
+from repro.harness.runner import ExperimentConfig, prepare_consensus, run_consensus
 from repro.network.delays import (
     ConstantDelay,
     DelayModel,
@@ -28,7 +32,7 @@ from repro.network.empirical import (
     scale_to_unit_mean,
 )
 from repro.network.transport import Network
-from repro.sim.rng import RandomSource, random_block
+from repro.sim.rng import RandomSource
 
 _UNIT_RTT = scale_to_unit_mean(REFERENCE_RTT_MS)
 
@@ -56,7 +60,11 @@ MODELS = [
     TraceReplayDelay(_TRACE),
 ]
 
-BATCH_SIZES = [1, 7, 512]
+# The transport's refill sizes, pinned literally: how far a run over-draws
+# (and so where a ``TraceReplayDelay`` runs dry) is observable behaviour.
+_REFILL_SCHEDULE = [16, 32, 64, 128, 256, 512, 512, 512]
+
+BATCH_SIZES = [0, 1, 7, 16, 512]
 
 
 def _model_id(model):
@@ -65,20 +73,9 @@ def _model_id(model):
     return model.describe()
 
 
-@pytest.fixture(params=[True, False], ids=["numpy", "no-numpy"])
-def maybe_numpy(request, monkeypatch):
-    """Run the test body with the vectorized refill on and off."""
-    if request.param:
-        if rng_module._np is None:
-            pytest.skip("numpy not installed")
-    else:
-        monkeypatch.setattr(rng_module, "_np", None)
-    return request.param
-
-
 @pytest.mark.parametrize("k", BATCH_SIZES)
 @pytest.mark.parametrize("model", MODELS, ids=_model_id)
-def test_sample_batch_is_exact_sequence(model, k, maybe_numpy):
+def test_sample_batch_is_exact_sequence(model, k):
     """Batched draws equal per-call draws bit for bit, same end state."""
     seed = 12345
     batched_rng = random.Random(seed)
@@ -90,7 +87,7 @@ def test_sample_batch_is_exact_sequence(model, k, maybe_numpy):
 
 
 @pytest.mark.parametrize("model", MODELS, ids=_model_id)
-def test_interleaved_batches_continue_the_stream(model, maybe_numpy):
+def test_interleaved_batches_continue_the_stream(model):
     """Mixed batch sizes and per-call draws walk one uninterrupted stream."""
     seed = 777
     mixed_rng = random.Random(seed)
@@ -105,20 +102,58 @@ def test_interleaved_batches_continue_the_stream(model, maybe_numpy):
     assert mixed_rng.getstate() == percall_rng.getstate()
 
 
-def test_spike_delay_consumes_two_draws_per_sample(maybe_numpy):
-    """The SpikeDelay recipe: spike coin then magnitude, two uniforms each.
+class _NoTransplantRandom(random.Random):
+    """A generator that counts uniform draws and refuses state access.
 
-    Verified structurally (state advance) on top of the value equality the
-    other tests give: after ``k`` samples both the batched and the per-call
-    rng have consumed exactly ``2 * k`` uniforms.
+    A refill may only *call* ``random()`` (directly or through ``uniform``,
+    ``expovariate``, ... which call it): copying the Mersenne-Twister state
+    out to advance it in another library's generator and back costs ~150x
+    the 16 draws of a first refill, and raises here.
     """
-    model = SpikeDelay(spike_probability=0.5)
-    rng = random.Random(99)
-    counter_rng = random.Random(99)
-    model.sample_batch(rng, 25)
-    for _ in range(2 * 25):
-        counter_rng.random()
-    assert rng.getstate() == counter_rng.getstate()
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def getstate(self):
+        raise AssertionError("a delay refill read the generator state")
+
+    def setstate(self, state):
+        raise AssertionError("a delay refill wrote the generator state")
+
+
+def _uniforms_per_sample(model):
+    """Uniform draws one sample costs; ``None`` where CPython's recipe varies."""
+    if isinstance(model, (ConstantDelay, TraceReplayDelay)):
+        return 0
+    if isinstance(model, SpikeDelay):
+        return 2
+    if isinstance(model, (LogNormalDelay, ShiftedLogNormalDelay)):
+        return None  # rejection-sampled normalvariate
+    return 1
+
+
+@pytest.mark.parametrize("k", [16, 512])
+@pytest.mark.parametrize("model", MODELS, ids=_model_id)
+def test_sample_batch_draws_uniforms_and_never_touches_the_state(model, k):
+    """A batch costs exactly the ``random()`` calls of ``k`` samples.
+
+    ``k`` for the one-uniform recipes, ``2 * k`` for ``SpikeDelay`` (coin,
+    then magnitude), none for the constant and the trace replay -- and no
+    ``getstate``/``setstate`` round-trip at either refill size.
+    """
+    rng = _NoTransplantRandom(99)
+    percall_rng = _NoTransplantRandom(99)
+    batched = model.sample_batch(rng, k)
+    assert batched == [model.sample(percall_rng) for _ in range(k)]
+    assert rng.draws == percall_rng.draws
+    per_sample = _uniforms_per_sample(model)
+    if per_sample is not None:
+        assert rng.draws == per_sample * k
 
 
 def test_base_class_batch_is_the_percall_loop():
@@ -139,62 +174,44 @@ def test_base_class_batch_is_the_percall_loop():
     assert model.calls == 7
 
 
-def test_subclass_of_vectorized_model_falls_back_to_percall():
-    """A subclass overriding ``sample`` must not inherit the parent's refill."""
-
-    class DoubledUniform(UniformDelay):
-        def sample(self, rng):
-            return 2.0 * super().sample(rng)
-
-    model = DoubledUniform()
-    rng = random.Random(21)
-    reference = random.Random(21)
-    expected = [model.sample(reference) for _ in range(9)]
-    assert model.sample_batch(rng, 9) == expected
-
-
 @pytest.mark.parametrize(
-    "base", [EmpiricalDelay(quantiles=(0.5, 1.0, 2.0)), TraceReplayDelay(_TRACE)], ids=_model_id
+    "base",
+    [
+        ConstantDelay(),
+        UniformDelay(),
+        ExponentialDelay(),
+        SpikeDelay(),
+        EmpiricalDelay(quantiles=(0.5, 1.0, 2.0)),
+        TraceReplayDelay(_TRACE),
+    ],
+    ids=_model_id,
 )
-def test_subclass_of_trace_driven_model_falls_back_to_percall(base):
-    """The ``type(self) is not X`` guard also protects the new overrides."""
+def test_subclass_overriding_sample_gets_the_percall_loop(base):
+    """The ``type(self) is not X`` guard on every inlined refill.
+
+    The parent's ``sample_batch`` inlines the *parent's* recipe, so a
+    subclass that redefines ``sample`` must be routed to the base per-call
+    loop: ``k`` calls of its own ``sample``, values and end state included.
+    """
+    calls = []
 
     class Doubled(type(base)):
         def sample(self, rng):
+            calls.append(1)
             return 2.0 * super().sample(rng)
 
     model = Doubled(**{field: getattr(base, field) for field in base.__dataclass_fields__})
     rng = random.Random(23)
     reference = random.Random(23)
-    expected = [model.sample(reference) for _ in range(9)]
-    assert model.sample_batch(rng, 9) == expected
-    assert rng.getstate() == reference.getstate()
-
-
-@pytest.mark.parametrize("k", [0, 1, 7, 8, 512])
-def test_random_block_matches_percall_uniforms(k, maybe_numpy):
-    """The block primitive under every path: empty, loop and vectorized."""
-    rng = random.Random(31337)
-    reference = random.Random(31337)
-    block = random_block(rng, k)
-    assert block == [reference.random() for _ in range(k)]
+    batched = model.sample_batch(rng, 9)
+    assert len(calls) == 9
+    assert batched == [model.sample(reference) for _ in range(9)]
     assert rng.getstate() == reference.getstate()
 
 
 # ------------------------------------------------------------ transport seam
-@pytest.mark.parametrize(
-    "model",
-    [
-        UniformDelay(),
-        ExponentialDelay(),
-        SpikeDelay(),
-        EmpiricalDelay.fit(_UNIT_RTT),
-        ShiftedLogNormalDelay.fit(_UNIT_RTT),
-        TraceReplayDelay(_TRACE),
-    ],
-    ids=_model_id,
-)
-def test_network_delay_cache_serves_the_percall_stream(model, maybe_numpy):
+@pytest.mark.parametrize("model", MODELS, ids=_model_id)
+def test_network_delay_cache_serves_the_percall_stream(model):
     """``Network.sample_delay`` with the refill cache equals per-call draws.
 
     The reference stream is rebuilt from a fresh ``RandomSource`` with the
@@ -212,10 +229,11 @@ def test_network_delay_cache_serves_the_percall_stream(model, maybe_numpy):
         assert network.sample_delay(sender, dest) == expected, f"draw {i} diverged"
 
 
-def test_transmit_equals_prepare_plus_sample_delay():
+@pytest.mark.parametrize("model", MODELS, ids=_model_id)
+def test_transmit_equals_prepare_plus_sample_delay(model):
     """The combined hot-path seam is the two public methods, exactly."""
-    combined = Network(6, delay_model=UniformDelay(), rng=RandomSource(3))
-    split = Network(6, delay_model=UniformDelay(), rng=RandomSource(3))
+    combined = Network(6, delay_model=model, rng=RandomSource(3))
+    split = Network(6, delay_model=model, rng=RandomSource(3))
     payloads = [None, 0, 7, "text", (1, 2, 3), {"k": 1.5}, ["x", ("y",)]]
     for i in range(200):
         sender = i % 6
@@ -240,3 +258,79 @@ def test_transmit_validates_pids_like_prepare():
         network.transmit(0, 9, "payload", 0.0)
     with pytest.raises(ValueError):
         network.transmit(-1, 0, "payload", 0.0)
+
+
+class _RecordingModel(DelayModel):
+    """Uniform delays that log the size of every refill asked of them."""
+
+    def __init__(self):
+        self.refills = []
+        self._inner = UniformDelay()
+
+    def sample(self, rng):
+        return self._inner.sample(rng)
+
+    def sample_batch(self, rng, k):
+        self.refills.append(k)
+        return self._inner.sample_batch(rng, k)
+
+
+def _via_transmit(network, i):
+    network.transmit(i % 4, (i + 1) % 4, "x", 0.0)
+
+
+def _via_sample_delay(network, i):
+    network.sample_delay(i % 4, (i + 1) % 4)
+
+
+def _alternating(network, i):
+    (_via_transmit, _via_sample_delay)[i % 2](network, i)
+
+
+@pytest.mark.parametrize("send", [_via_transmit, _via_sample_delay, _alternating])
+def test_sample_delay_and_transmit_refill_on_the_same_schedule(send):
+    """Both entry points share one refill: 16, 32, ... 512, 512, 512.
+
+    The schedule must not depend on which of the two public paths the
+    sends took, nor on how they interleave.
+    """
+    model = _RecordingModel()
+    network = Network(4, delay_model=model, rng=RandomSource(11))
+    for i in range(sum(_REFILL_SCHEDULE[:-1])):
+        send(network, i)
+    assert model.refills == _REFILL_SCHEDULE[:-1]
+    send(network, -1)  # the first draw of the last block
+    assert model.refills == _REFILL_SCHEDULE
+
+
+@pytest.mark.parametrize(
+    "model", [UniformDelay(), SpikeDelay(), EmpiricalDelay.fit(_UNIT_RTT)], ids=_model_id
+)
+def test_full_run_draws_delays_without_touching_generator_state(model):
+    """A whole ``ben-or`` n=4 run on a state-guarded delays stream.
+
+    The guarded generator continues the run's own delays stream, so the run
+    must match an untouched one, and its uniform-draw count must be the
+    refill schedule's: the blocks needed to cover the messages sent.
+    """
+    config = ExperimentConfig(
+        topology=ClusterTopology.singleton_clusters(4),
+        algorithm="ben-or",
+        seed=5,
+        delay_model=model,
+    )
+    reference = run_consensus(config)
+
+    prepared = prepare_consensus(config)
+    network = prepared.network
+    guarded = _NoTransplantRandom(0)
+    random.Random.setstate(guarded, network._rng.getstate())
+    network._rng = guarded
+    result = prepared.finalize(prepared.kernel.run(), 0.0)
+
+    assert result.decided_value == reference.decided_value
+    assert result.sim_result.events_processed == reference.sim_result.events_processed
+    sent = result.metrics.messages_sent
+    assert sent == reference.metrics.messages_sent and sent > _REFILL_SCHEDULE[0]
+    drawn = next(total for total in accumulate(_REFILL_SCHEDULE) if total >= sent)
+    assert guarded.draws == drawn * _uniforms_per_sample(model)
