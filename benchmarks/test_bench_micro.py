@@ -53,19 +53,27 @@ def _flood(ctx):
     return 1
 
 
+def _build_flood(kernel_cls, network_cls):
+    """A wired, not yet stepped flood kernel (setup is never the timed part)."""
+    rng = RandomSource(42)
+    kernel = kernel_cls(config=SimConfig(), rng=rng)
+    kernel.attach_network(network_cls(FLOOD_N, rng=rng))
+    for pid in range(FLOOD_N):
+        kernel.add_process(pid, _flood)
+    return kernel
+
+
 def _run_flood(kernel_cls, network_cls):
     """One measured flood run: returns ``(events_processed, wall_seconds)``.
 
     Only ``kernel.run()`` is timed (setup allocates thousands of objects and
     is not the comparison target), with collection forced beforehand and the
     collector disabled inside the timed region so allocator churn from one
-    kernel's setup cannot be billed to the other's run.
+    kernel's setup cannot be billed to the other's run.  The current kernel
+    pauses the collector itself; the legacy reconstruction does not, so the
+    5x ratio needs both sides collector-off.
     """
-    rng = RandomSource(42)
-    kernel = kernel_cls(config=SimConfig(), rng=rng)
-    kernel.attach_network(network_cls(FLOOD_N, rng=rng))
-    for pid in range(FLOOD_N):
-        kernel.add_process(pid, _flood)
+    kernel = _build_flood(kernel_cls, network_cls)
     gc.collect()
     gc.disable()
     try:

@@ -6,11 +6,17 @@ see ``benchmarks/legacy_kernel.py``), the single-run micro benchmarks, and
 the E8 scalability sweep workload, and records one JSON object per
 benchmark::
 
-    {"<name>": {"events/sec": ..., "wall": ..., "python": ..., "platform": ...}}
+    {"<name>": {"events/sec": ..., "wall": ..., "gc_s": ...,
+                "gc_collections": [g0, g1, g2], "python": ..., "platform": ...}}
 
 ``events/sec`` is simulator events processed per wall-clock second (the
 kernel's throughput unit; see ``docs/performance.md``) and ``wall`` the
-best-of wall-clock seconds of the benchmark.  The output name is derived:
+best-of wall-clock seconds of the benchmark, both measured with the cyclic
+collector *off*.  ``gc_s`` and ``gc_collections`` come from one extra pass
+of the same work with the collector *on*: the seconds spent inside it and
+the passes per generation, counted by a ``gc.callbacks`` hook -- what the
+timed numbers leave out, and ``--compare`` prints them without ever gating
+on them.  The output name is derived:
 the next free ``BENCH_<n>.json`` in the repo root (override with ``--out``).
 With ``--compare`` the script also diffs events/sec against the
 highest-numbered previous ``BENCH_*.json``; the diff is warn-only unless
@@ -58,7 +64,12 @@ def next_bench_path():
 
 
 def _timed(fn):
-    """Run ``fn`` once with GC hygiene; return ``(value, wall_seconds)``."""
+    """Run ``fn`` once with GC hygiene; return ``(value, wall_seconds)``.
+
+    The collector stays off here although the current kernel pauses it by
+    itself: the legacy-kernel reconstruction does not, and every committed
+    ``BENCH_<n>.json`` was measured this way.
+    """
     gc.collect()
     gc.disable()
     try:
@@ -80,11 +91,35 @@ def _best_of(fn, rounds):
     return value, best
 
 
-def _entry(events, wall):
-    """One schema row: events/sec, wall and the measuring interpreter."""
+def _collector_pass(fn):
+    """Run ``fn`` once with the collector on; return its ``gc_*`` row fields."""
+    seconds = 0.0
+    started = 0.0
+    collections = [0, 0, 0]
+
+    def hook(phase, info):
+        nonlocal seconds, started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            seconds += time.perf_counter() - started
+            collections[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        fn()
+    finally:
+        gc.callbacks.remove(hook)
+    return {"gc_s": round(seconds, 4), "gc_collections": collections}
+
+
+def _entry(events, wall, collector):
+    """One schema row: events/sec, wall, collector pass, interpreter."""
     return {
         "events/sec": round(events / wall, 1) if events else None,
         "wall": round(wall, 4),
+        **collector,
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
@@ -93,7 +128,7 @@ def _entry(events, wall):
 def measure(rounds):
     """Run every trajectory benchmark; returns ``{name: entry}``."""
     from benchmarks.legacy_kernel import LegacyKernel, LegacyNetwork
-    from benchmarks.test_bench_micro import _run_flood
+    from benchmarks.test_bench_micro import _build_flood, _run_flood
     from repro.experiments import e8_scalability
     from repro.experiments.common import default_seeds
     from repro.harness.runner import run_consensus
@@ -118,8 +153,12 @@ def measure(rounds):
             n_events, wall = _run_flood(kernel_cls, network_cls)
             events[label] = n_events
             best[label] = min(best[label], wall)
-    results["kernel_flood_n64"] = _entry(events["new"], best["new"])
-    results["kernel_flood_n64_legacy"] = _entry(events["legacy"], best["legacy"])
+    results["kernel_flood_n64"] = _entry(
+        events["new"], best["new"], _collector_pass(_build_flood(SimulationKernel, Network).run)
+    )
+    results["kernel_flood_n64_legacy"] = _entry(
+        events["legacy"], best["legacy"], _collector_pass(_build_flood(LegacyKernel, LegacyNetwork).run)
+    )
     speedup = best["legacy"] / best["new"]
     print(f"kernel_flood_n64: {events['new'] / best['new']:,.0f} events/sec ({best['new']:.4f}s)")
     print(
@@ -135,7 +174,9 @@ def measure(rounds):
         config = ExperimentConfig(topology=topology, algorithm=algorithm, proposals="split", seed=5)
         result, wall = _best_of(lambda config=config: run_consensus(config), max(2, rounds // 2))
         n_events = result.sim_result.events_processed
-        results[f"micro_single_run_{algorithm}"] = _entry(n_events, wall)
+        results[f"micro_single_run_{algorithm}"] = _entry(
+            n_events, wall, _collector_pass(lambda config=config: run_consensus(config))
+        )
         print(f"micro_single_run_{algorithm}: {n_events / wall:,.0f} events/sec ({wall:.4f}s)")
 
     # The E8 sweep workload, run serially so events can be totalled.
@@ -149,7 +190,7 @@ def measure(rounds):
         return total
 
     total_events, wall = _timed(e8_serial)
-    results["e8_scalability_serial"] = _entry(total_events, wall)
+    results["e8_scalability_serial"] = _entry(total_events, wall, _collector_pass(e8_serial))
     print(f"e8_scalability_serial: {total_events / wall:,.0f} events/sec ({wall:.4f}s)")
 
     return results
@@ -171,13 +212,15 @@ def compare(current, previous_path, fail_tolerance=None):
     Every drop beyond :data:`REGRESSION_TOLERANCE` is flagged as a warning.
     ``fail_tolerance`` (a fraction, e.g. 0.25) arms the hard gate: the
     returned list holds the benchmarks that regressed beyond it, for the
-    caller to turn into a non-zero exit.
+    caller to turn into a non-zero exit.  The collector-on pass (``gc_s``,
+    ``gc_collections``) is printed next to each row and never gated on.
     """
     previous = json.loads(previous_path.read_text())
     failures = []
     print(f"\ntrajectory vs {previous_path.name}:")
     for name, entry in sorted(current.items()):
-        then = previous.get(name, {}).get("events/sec")
+        before = previous.get(name, {})
+        then = before.get("events/sec")
         now = entry.get("events/sec")
         if not then or not now:
             print(f"  {name}: no prior events/sec to compare")
@@ -190,6 +233,10 @@ def compare(current, previous_path, fail_tolerance=None):
         elif change < -REGRESSION_TOLERANCE:
             marker = "  <-- WARNING: regression"
         print(f"  {name}: {then:,.0f} -> {now:,.0f} events/sec ({change:+.1%}){marker}")
+        print(
+            f"    collector on: gc_s {before.get('gc_s', 'n/a')} -> {entry['gc_s']}, "
+            f"collections {before.get('gc_collections', 'n/a')} -> {entry['gc_collections']}"
+        )
     return failures
 
 

@@ -23,6 +23,7 @@ than one ``is None`` check per event.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -189,7 +190,8 @@ class Adversary:
                 f"scenario {self.scenario.name!r} targets process ids {unknown}, "
                 f"but this run only has processes {sorted(known)}"
             )
-        self._kernel = kernel
+        # Weak: the kernel owns its adversary, never the other way round.
+        self._kernel = weakref.proxy(kernel)
         for schedule in self._crash_recoveries:
             for outage in schedule.outages:
                 kernel.schedule_pause(outage.pid, outage.down_at, outage.up_at)

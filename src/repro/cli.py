@@ -341,12 +341,17 @@ def _telemetry_cell(snapshot: dict) -> str:
 
     The full snapshot (every counter, gauge and timer) is on the
     ``/workers`` endpoint of ``python -m repro serve``; the table keeps
-    the load-bearing digest: busy time, idleness, snapshot age.
+    the load-bearing digest: busy time, collector time, idleness,
+    snapshot age.
     """
     parts = []
-    timer = (snapshot.get("timers") or {}).get("point_seconds")
+    timers = snapshot.get("timers") or {}
+    timer = timers.get("point_seconds")
     if timer:
         parts.append(f"busy {timer['total']:.2f}s/{int(timer['count'])}pt")
+    timer = timers.get("gc_seconds")
+    if timer:
+        parts.append(f"gc {timer['total']:.2f}s/{int(timer['count'])}")
     idle = (snapshot.get("counters") or {}).get("idle_polls")
     if idle:
         parts.append(f"{int(idle)} idle polls")

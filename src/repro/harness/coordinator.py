@@ -1006,7 +1006,8 @@ def run_work_stealing(
     ``wait=True`` makes the worker idle (re-polling every ``poll_interval``
     seconds, default ``lease_ttl / 4``) when everything left is live-leased,
     instead of exiting -- so a fleet drains a sweep without a supervisor
-    re-launching stragglers.
+    re-launching stragglers.  For the whole call, every pass of the cyclic
+    collector is recorded under the worker's ``gc_seconds`` telemetry timer.
     """
     scheduler = WorkStealingScheduler(
         plan,
@@ -1017,7 +1018,8 @@ def run_work_stealing(
         wait=wait,
         poll_interval=poll_interval,
     )
-    return drive_claims(plan, scheduler, max_workers, exec_mode=exec_mode)
+    with scheduler.telemetry.time_collector():
+        return drive_claims(plan, scheduler, max_workers, exec_mode=exec_mode)
 
 
 # ------------------------------------------------------------------ status

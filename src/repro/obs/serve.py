@@ -283,6 +283,9 @@ def render_status_text(out_dir: Union[str, Path], plan: Optional[SweepPlan] = No
         counters = telemetry.get("counters") or {}
         if counters:
             shown = ", ".join(f"{name}={counters[name]:g}" for name in sorted(counters))
+            collector = (telemetry.get("timers") or {}).get("gc_seconds")
+            if collector:
+                shown += f", gc {collector['total']:.2f}s/{int(collector['count'])}"
             lines.append(f"fleet: {shown}")
         workers = monitor.workers()
         for row in workers.get("workers", []):

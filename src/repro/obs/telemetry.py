@@ -7,8 +7,8 @@ and manifest files:
 - **counters** -- monotonically increasing totals (``points_computed``,
   ``runs_executed``, ``points_stolen``);
 - **gauges** -- last-written point-in-time values (``last_checkpoint_at``);
-- **timers** -- wall-clock duration accumulators (``point_seconds``)
-  recording count / total / max per name.
+- **timers** -- wall-clock duration accumulators (``point_seconds``,
+  ``gc_seconds``) recording count / total / max per name.
 
 The registry is thread-safe: the work-stealing scheduler samples it from
 the lease-renewal daemon thread while the worker loop updates it.  Rates
@@ -25,6 +25,7 @@ keeps the freshest sample.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from contextlib import contextmanager
@@ -70,6 +71,40 @@ class Telemetry:
             yield
         finally:
             self.observe(name, self._clock() - start)
+
+    @contextmanager
+    def time_collector(self, name: str = "gc_seconds") -> Iterator[None]:
+        """Record every cyclic-collector pass under timer ``name`` in the block.
+
+        A ``gc.callbacks`` hook, registered on entry and removed on every
+        exit path.  The kernel drivers pause the collector while a run
+        executes (:func:`repro.sim.kernel.collector_paused`), so what this
+        timer shows is the collector's remaining bill: prepare, finalize,
+        reduction, checkpointing.  The hook never takes the registry lock --
+        a collection can start inside any allocation, including one made by
+        a thread that already holds it -- so the timer is created up front
+        and the hook (passes are serialized by the interpreter) updates it
+        in place.
+        """
+        with self._lock:
+            timer = self._timers.setdefault(name, {"count": 0, "total": 0.0, "max": 0.0})
+        started = self._clock()
+
+        def hook(phase: str, info: Dict[str, int]) -> None:
+            nonlocal started
+            if phase == "start":
+                started = self._clock()
+                return
+            elapsed = self._clock() - started
+            timer["count"] += 1
+            timer["total"] += elapsed
+            timer["max"] = max(timer["max"], elapsed)
+
+        gc.callbacks.append(hook)
+        try:
+            yield
+        finally:
+            gc.callbacks.remove(hook)
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-serializable copy of every instrument, stamped with now."""

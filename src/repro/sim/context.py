@@ -21,6 +21,7 @@ no per-instance dict exists.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 
@@ -167,13 +168,20 @@ class ProcessContext:
     the world exclusively through this object (plus the shared-memory and
     coin objects handed to them by the harness, whose primitive operations
     are always routed back through :meth:`sm_op`).
+
+    Ownership runs one way -- kernel -> processes -> contexts -- and the
+    context points back at its kernel *weakly*, so a finished run is acyclic
+    and frees itself by reference counting the moment the kernel is dropped.
+    A context is therefore valid only while its kernel is alive: every
+    method but the bare counters raises :class:`ReferenceError` afterwards.
+    :attr:`stats` is a plain object the run's result keeps alive by itself.
     """
 
     __slots__ = ("pid", "_kernel", "stats")
 
     def __init__(self, pid: int, kernel: "SimulationKernel") -> None:  # noqa: F821
         self.pid = pid
-        self._kernel = kernel
+        self._kernel = weakref.proxy(kernel)
         self.stats = ProcessStats()
 
     # ------------------------------------------------------------------ time

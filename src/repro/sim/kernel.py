@@ -19,17 +19,29 @@ the schedule further: when installed, it is consulted at message-send time
 (per-process slowdowns), and may schedule transient outages via
 :meth:`SimulationKernel.schedule_pause`.  With no adversary installed those
 hooks cost one ``is None`` check per event and nothing else.
+
+CPython's cyclic collector is not on the loop's bill either: the two
+outermost loop drivers -- :meth:`SimulationKernel.run` and
+:meth:`~repro.sim.multikernel.CooperativeScheduler.run` -- execute under
+:func:`collector_paused`, and a finished run needs no collector to go away.
+Ownership runs one way (kernel -> processes -> contexts, kernel ->
+adversary); contexts and the adversary point back at their kernel weakly and
+the dispatch tables of bound methods are built per ``run_batch`` call, never
+stored, so dropping the kernel frees mailboxes, queue tail and generators by
+reference counting, immediately.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 import heapq
 import math
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .context import (
     LocalEffect,
@@ -61,6 +73,33 @@ _RECOVER = int(EventKind.PROCESS_RECOVER)
 #: An adversary returning this from ``defer`` drops the delivery outright
 #: (an infinite deferral is an omission); only valid for delivery events.
 _INF = math.inf
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the body with CPython's cyclic collector off; restore on exit.
+
+    An event loop allocates two tracked containers per in-flight message
+    (the heap entry and the ``Message``), all acyclic and all freed by
+    reference counting the moment they are consumed -- yet every full
+    collection re-traverses the whole live population (about 40 % of the
+    wall on the ledger's ``wide_n`` workload; see "What the cyclic collector
+    cost" in ``docs/performance.md``).  The two outermost loop drivers,
+    :meth:`SimulationKernel.run` and
+    :meth:`~repro.sim.multikernel.CooperativeScheduler.run`, therefore run
+    under this pause.  It restores the state found on entry (a caller who
+    had the collector off keeps it off), on every exit path, so it nests.
+    It rests on two invariants ``tests/test_kernel_collector.py`` guards: a
+    run creates no cyclic garbage per event, and a finished run is itself
+    acyclic -- dropping the kernel frees its whole graph by refcount.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class RunStatus(enum.Enum):
@@ -175,11 +214,17 @@ class SimulationKernel:
         self.dropped_deliveries = 0
         self._sched_rng = self.rng.stream("kernel", "jitter")
         self._sched_random = self._sched_rng.random
-        # Kind-indexed dispatch: the run loop indexes this list directly with
-        # the entry's EventKind.  Built from the *current* class attributes at
-        # construction time, so tests may patch handler methods on the class
-        # before instantiating a kernel.
-        self._handlers: List[Callable[[int, Any], None]] = [
+
+    # The two dispatch tables are built from the instance on demand (once per
+    # ``run_batch`` call), never stored on it: ten bound methods of ``self``
+    # kept on ``self`` would make every finished kernel cyclic garbage that
+    # only the collector ``run`` pauses could reclaim.  Built from the
+    # *current* class attributes, so tests may patch handler methods on the
+    # class before (or after) instantiating a kernel.
+    @property
+    def _handlers(self) -> List[Callable[[int, Any], None]]:
+        """Kind-indexed dispatch: indexed directly with an entry's EventKind."""
+        return [
             self._handle_start,
             self._handle_resume,
             self._handle_delivery,
@@ -187,7 +232,11 @@ class SimulationKernel:
             self._handle_pause,
             self._handle_recover,
         ]
-        self._effect_handlers: Dict[type, Callable[[SimProcess, Any], None]] = {
+
+    @property
+    def _effect_handlers(self) -> Dict[type, Callable[[SimProcess, Any], None]]:
+        """Exact-type dispatch of yielded effects (subclasses: see below)."""
+        return {
             SendEffect: self._do_send,
             SharedMemEffect: self._do_sm_op,
             WaitEffect: self._do_wait,
@@ -352,8 +401,15 @@ class SimulationKernel:
         any sequence of ``run_batch`` calls is bit-identical to one ``run``
         call: the budget only decides *when* control returns, never what the
         kernel does with the next event.
+
+        The loop runs under :func:`collector_paused`; ``run_batch`` itself
+        never touches the collector (allocations keep counting into
+        generation 0 while it is off, so re-enabling at every batch boundary
+        would turn each boundary into a traversal of everything allocated so
+        far) -- whoever drives batches owns the pause.
         """
-        result = self.run_batch(-1)
+        with collector_paused():
+            result = self.run_batch(-1)
         if result is None:  # pragma: no cover - unlimited budgets always finish
             raise AssertionError("unbounded run_batch returned no result")
         return result
@@ -802,14 +858,13 @@ class SimulationKernel:
     def _resolve_effect_handler(self, effect: Any) -> Optional[Callable]:
         """Subclasses of the known effect types dispatch like their base.
 
-        The exact-type lookup misses them, so walk the MRO once and cache the
-        match in the table -- the hot path stays a single dict hit afterwards.
+        The exact-type lookup misses them, so walk the MRO; nothing but tests
+        subclasses an effect, so the match is not cached anywhere.
         """
         table = self._effect_handlers
         for base in type(effect).__mro__[1:]:
             handler = table.get(base)
             if handler is not None:
-                table[type(effect)] = handler
                 return handler
         return None
 

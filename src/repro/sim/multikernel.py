@@ -24,6 +24,19 @@ any run's streams either.  The consequence, enforced by
 is hosted alone, on 1 cooperative slot, or interleaved with K-1 neighbours
 in any interleave order.
 
+What hosting costs
+------------------
+A batch boundary costs one generator resume and nothing else.  In
+particular it costs no garbage collection: :meth:`CooperativeScheduler.run`
+holds CPython's cyclic collector off for the whole loop
+(:func:`~repro.sim.kernel.collector_paused`) and ``run_batch`` never touches
+it -- allocations keep counting while the collector is off, so re-enabling it
+per batch would make every boundary a traversal of everything the K live
+kernels hold.  Memory stays bounded by the ``width`` kernels in flight
+because a finished run is acyclic: overwriting its slot frees the kernel,
+its mailboxes and its undelivered queue tail by reference counting, in the
+scheduler's frame, before the next driver is prepared.
+
 The drivers this scheduler steps are plain generators: yield to hand the
 slot back, return (``StopIteration.value``) to deliver the final result.
 :func:`kernel_stepper` wraps a bare kernel; the harness wraps a full
@@ -34,7 +47,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterable, List, Optional, Sequence
 
-from .kernel import SimulationKernel, SimulationResult
+from .kernel import SimulationKernel, SimulationResult, collector_paused
 from .rng import RandomSource
 
 #: Events granted to a kernel per cooperative turn.  Large enough that the
@@ -112,7 +125,11 @@ class CooperativeScheduler:
         )
 
     def run(self, drivers: Iterable[Generator[None, None, Any]]) -> List[Any]:
-        """Step every driver to completion; results in input order."""
+        """Step every driver to completion; results in input order.
+
+        The loop runs under :func:`~repro.sim.kernel.collector_paused` (see
+        "What hosting costs" in the module docstring).
+        """
         pending = list(enumerate(drivers))
         results: List[Any] = [None] * len(pending)
         pending.reverse()  # pop() from the tail = input order
@@ -122,24 +139,25 @@ class CooperativeScheduler:
             slots.append(pending.pop())
         cursor = 0
         pick_random = self._pick_random
-        while slots:
-            if pick_random is not None:
-                cursor = pick_random(len(slots))
-            elif cursor >= len(slots):
-                cursor = 0
-            index, driver = slots[cursor]
-            try:
-                next(driver)
-            except StopIteration as stop:
-                results[index] = stop.value
-                if pending:
-                    slots[cursor] = pending.pop()
-                else:
-                    del slots[cursor]
-                # Keep the cursor in place: the backfilled (or shifted-in)
-                # driver runs next, so every slot still gets equal turns.
-                continue
-            cursor += 1
+        with collector_paused():
+            while slots:
+                if pick_random is not None:
+                    cursor = pick_random(len(slots))
+                elif cursor >= len(slots):
+                    cursor = 0
+                index, driver = slots[cursor]
+                try:
+                    next(driver)
+                except StopIteration as stop:
+                    results[index] = stop.value
+                    if pending:
+                        slots[cursor] = pending.pop()
+                    else:
+                        del slots[cursor]
+                    # Keep the cursor in place: the backfilled (or shifted-in)
+                    # driver runs next, so every slot still gets equal turns.
+                    continue
+                cursor += 1
         return results
 
 

@@ -202,6 +202,7 @@ def test_steal_status_shows_lease_counts(tmp_path, capsys):
     for word in ("stolen", "leased", "orphaned", "unclaimed"):
         assert word in out
     assert "w1" in out  # the per-worker table
+    assert "busy " in out and ", gc " in out  # the telemetry cell
 
 
 def test_steal_worker_reports_already_done_points(tmp_path, capsys):

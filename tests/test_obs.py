@@ -11,6 +11,7 @@ directory, including the incrementally folded partial aggregate; and
 leaving them behind.
 """
 
+import gc
 import json
 import shutil
 import threading
@@ -170,6 +171,53 @@ class TestTelemetry:
         assert merged["timers"]["point_seconds"] == {"count": 3, "total": 8.0, "max": 5.0}
         assert merged["sampled_at"] == 60.0
 
+    def test_time_collector_feeds_every_pass_and_unhooks(self):
+        telemetry = Telemetry()
+        hooks_before = list(gc.callbacks)
+        with telemetry.time_collector():
+            assert len(gc.callbacks) == len(hooks_before) + 1
+            assert telemetry.snapshot()["timers"]["gc_seconds"]["count"] == 0
+            gc.collect()
+            gc.collect()
+        assert gc.callbacks == hooks_before
+        gc.collect()  # after removal: not counted
+        timer = telemetry.snapshot()["timers"]["gc_seconds"]
+        assert timer["count"] == 2 and 0.0 < timer["max"] <= timer["total"]
+
+    def test_time_collector_unhooks_when_the_block_raises(self):
+        hooks_before = list(gc.callbacks)
+        with pytest.raises(KeyboardInterrupt):
+            with Telemetry().time_collector():
+                raise KeyboardInterrupt("simulated kill")
+        assert gc.callbacks == hooks_before
+
+    def test_time_collector_survives_a_pass_inside_the_registry_lock(self):
+        # A collection can start inside any allocation -- also one made while
+        # this thread holds the registry lock; the hook must not want it.
+        telemetry = Telemetry()
+        with telemetry.time_collector():
+            with telemetry._lock:
+                gc.collect()
+        assert telemetry.snapshot()["timers"]["gc_seconds"]["count"] == 1
+
+    def test_merge_snapshots_pools_collector_time_per_worker(self):
+        workers = []
+        for _ in range(2):
+            telemetry = Telemetry()
+            with telemetry.time_collector():
+                gc.collect()
+            telemetry.observe("point_seconds", 1.0)
+            workers.append(telemetry.snapshot())
+        merged = merge_snapshots(workers)["timers"]
+        assert merged["point_seconds"] == {"count": 2, "total": 2.0, "max": 1.0}
+        assert merged["gc_seconds"]["count"] == 2
+        assert merged["gc_seconds"]["total"] == sum(
+            snap["timers"]["gc_seconds"]["total"] for snap in workers
+        )
+        assert merged["gc_seconds"]["max"] == max(
+            snap["timers"]["gc_seconds"]["max"] for snap in workers
+        )
+
     def test_merge_snapshots_of_nothing_is_empty(self):
         merged = merge_snapshots([None, {}])
         assert merged == {"counters": {}, "gauges": {}, "timers": {}}
@@ -187,6 +235,32 @@ class TestTelemetryChannel:
         assert telemetry["counters"]["runs_executed"] == plan.total_runs
         assert telemetry["gauges"]["last_checkpoint_at"] <= time.time()
         assert telemetry["timers"]["point_seconds"]["count"] == len(plan.points)
+
+    def test_work_stealing_times_the_collector_for_exactly_its_lifetime(
+        self, tmp_path, monkeypatch
+    ):
+        plan = make_plan()
+        hooks_before = list(gc.callbacks)
+        hooked = []
+        real_execute = coordinator.execute_point
+
+        def collecting_execute(*args, **kwargs):
+            hooked.append(len(gc.callbacks) - len(hooks_before))
+            gc.collect()  # one pass per point, inside the worker's lifetime
+            return real_execute(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator, "execute_point", collecting_execute)
+        run_work_stealing(plan, tmp_path, worker="solo", max_workers=1)
+        assert hooked == [1] * len(plan.points)
+        assert gc.callbacks == hooks_before
+        timer = steal_status(tmp_path).workers[0]["telemetry"]["timers"]["gc_seconds"]
+        assert timer["count"] >= len(plan.points) and timer["total"] > 0.0
+
+        restore = kill_after(monkeypatch, 1)
+        with pytest.raises(KeyboardInterrupt):
+            run_work_stealing(plan, tmp_path / "killed", worker="victim", max_workers=1)
+        restore()
+        assert gc.callbacks == hooks_before
 
     def test_heartbeat_refreshes_lease_telemetry(self, tmp_path):
         plan = make_plan()
@@ -313,6 +387,8 @@ class TestServe:
         assert status["mode"] == "steal"
         assert status["done"] == 2 and status["points_total"] == 4
         assert status["telemetry"]["counters"]["points_computed"] == 2
+        assert status["telemetry"]["timers"]["gc_seconds"]["count"] >= 0
+        assert ", gc " in render_status_text(tmp_path, make_plan()).splitlines()[1]
 
         code, progress = get_json(port, "/progress")
         assert code == 200

@@ -101,21 +101,20 @@ def test_round_limit_exception_carries_details():
 
 
 def test_context_random_stream_is_per_process_and_deterministic():
-    kernel_a = build_kernel()
-    kernel_b = build_kernel()
-    values = {}
+    values = [{}, {}]  # one dict per kernel, by its position in the loop
 
-    def proc(ctx):
-        values.setdefault(id(ctx._kernel), {})[ctx.pid] = ctx.random().random()
-        yield from ctx.local_step()
-        return 1
+    for seen in values:
 
-    for kernel in (kernel_a, kernel_b):
+        def proc(ctx, seen=seen):
+            seen[ctx.pid] = ctx.random().random()
+            yield from ctx.local_step()
+            return 1
+
+        kernel = build_kernel()
         kernel.add_process(0, proc)
         kernel.add_process(1, proc)
         kernel.run()
-    a_vals = values[id(kernel_a)]
-    b_vals = values[id(kernel_b)]
+    a_vals, b_vals = values
     assert a_vals[0] != a_vals[1]  # different processes, independent streams
     assert a_vals == b_vals  # same seed, reproducible
 
