@@ -2,12 +2,13 @@
 #
 #   make test             - the tier-1 suite (see ROADMAP.md)
 #   make bench-smoke      - benchmark files with timing disabled (fast sanity)
-#   make bench-ledger-smoke - one short untraced repeat set of the perf
-#                           ledger's flood, deep_rounds, short_runs and
-#                           wide_n workloads (wide_n is the only digest over
-#                           exec_mode="coop" and n >= 192); exits nonzero
-#                           when the simulated statistics no longer match
-#                           bench/expected.json ("correct": false)
+#   make bench-ledger-smoke - one short untraced repeat set of all five of
+#                           the perf ledger's workloads: flood, deep_rounds,
+#                           short_runs, wide_n (the only digest over
+#                           exec_mode="coop" and n >= 192) and steal_e2e (the
+#                           only one through the e9 CLI, leases and merge);
+#                           exits nonzero when the simulated statistics no
+#                           longer match bench/expected.json ("correct": false)
 #   make bench            - full benchmark run with timings (strict: no
 #                           timing-gate reruns), then a trajectory measurement
 #                           written to the next free BENCH_<n>.json
@@ -59,6 +60,7 @@ bench-ledger-smoke:
 	$(PYTHON) bench/run.py --workload deep_rounds --seconds 1 --trace 0
 	$(PYTHON) bench/run.py --workload short_runs --seconds 1 --trace 0
 	$(PYTHON) bench/run.py --workload wide_n --seconds 1 --trace 0
+	$(PYTHON) bench/run.py --workload steal_e2e --seconds 1 --trace 0
 
 bench:
 	REPRO_BENCH_STRICT=1 $(PY_RUN) -m pytest benchmarks -q --benchmark-only

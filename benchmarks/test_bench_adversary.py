@@ -1,14 +1,17 @@
 """Benchmarks of the adversary subsystem and its no-adversary overhead gate.
 
-The fault-injection hooks (PR: adversary subsystem) touch the kernel's three
-hottest paths: the run loop (one ``is None`` check per event), message sends
-(one branch) and delivery/resume handling (one ``paused`` attribute check).
-The contract is that a kernel with *no* adversary installed regresses less
-than 2% against the pre-hook kernel.  Since the pre-hook code no longer
-exists, the gate reconstructs it: pre-hook versions of ``run``, ``_do_send``,
-``_handle_delivery`` and ``_handle_resume`` (verbatim copies of the current
-flat-tuple hot path minus the adversary/paused branches) are monkeypatched
-onto the kernel class and timed against the real ones on the same workload.
+The fault-injection hooks touch the kernel's three hottest paths: the run
+loop (one hoisted ``defers_events`` test per event), message sends (one
+hoisted ``faults_links`` test) and delivery/resume handling (one ``paused``
+attribute check).  Both flags are False with no adversary installed -- and
+with one whose scenario cannot fire the hook, which therefore runs the same
+code (``tests/test_adversary_hooks.py`` gates that by call counts).  The
+contract is that such a kernel regresses less than 2% against the pre-hook
+kernel.  Since the pre-hook code no longer exists, the gate reconstructs it:
+pre-hook versions of ``run_batch``, ``_do_send``, ``_handle_delivery`` and
+``_handle_resume`` (verbatim copies of the current flat-tuple hot path minus
+the adversary/paused branches) are monkeypatched onto the kernel class and
+timed against the real ones on the same workload.
 
 Like every timing gate in this repo, the hard assert is live only in
 dedicated benchmark runs (``make bench``, i.e. ``--benchmark-only``) with
@@ -25,7 +28,7 @@ from repro.adversary import build_scenario, scenario_names
 from repro.cluster.topology import ClusterTopology
 from repro.harness.runner import ExperimentConfig, run_consensus
 from repro.sim.context import RoundLimitExceeded, SendEffect, WaitEffect
-from repro.sim.events import EventKind, describe_entry
+from repro.sim.events import EVENT_KIND_NAMES, EventKind, describe_entry
 from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
 from repro.sim.process import ProcessState
 
@@ -41,24 +44,36 @@ _DELIVERY = int(EventKind.MESSAGE_DELIVERY)
 
 
 # --------------------------------------------------------------- pre-hook kernel
-def _prehook_run(self):
+def _prehook_run_batch(self, max_events=-1):
     """The mega-inlined event loop exactly as it would be without the hooks.
 
-    A verbatim copy of ``SimulationKernel.run`` minus the adversary
-    consultation block and the ``paused`` branches (which exist only for the
-    adversary's pause/recover faults).  Must be kept in sync with the real
-    loop: ``test_prehook_reconstruction_is_behaviourally_identical`` below
-    and the overhead gate are only meaningful while the two differ by
-    exactly those branches.
+    A verbatim copy of the body of ``SimulationKernel.run_batch`` minus the
+    hoisted capability flags, the ``defers_events`` consultation block, the
+    ``faults_links`` branch of the inlined send and the ``paused`` branches
+    (which exist only for the adversary's pause/recover faults).  Must be
+    kept in sync with the real loop:
+    ``test_prehook_reconstruction_is_behaviourally_identical`` below and the
+    overhead gate are only meaningful while the two differ by exactly those
+    branches.  It replaces ``run_batch`` rather than ``run`` so both sides
+    run under the same ``collector_paused`` driver.
     """
+    if max_events == 0 or max_events < -1:
+        raise ValueError(f"max_events must be positive or -1, got {max_events}")
     if not self._processes:
         raise RuntimeError("no processes registered")
+    budget = max_events
     queue = self._queue
     trace = self.trace
+    # Hoisted once per run: tracing cannot be toggled mid-run (and
+    # Trace.record self-guards anyway, so boundary paths stay correct).
     trace_enabled = trace.enabled
+    controller = self._schedule_controller
     handlers = self._handlers
     processes = self._processes
     if set(processes) == set(range(len(processes))):
+        # Dense pid range (the common case): a list subscript beats a
+        # dict lookup on the two inlined majority paths below.  Sparse
+        # pid sets keep the dict.
         processes = [processes[index] for index in range(len(processes))]
     network = self._network
     net_stats = network.stats if network is not None else None
@@ -74,7 +89,15 @@ def _prehook_run(self):
     processed = 0
     try:
         while queue:
-            time, sequence, kind, pid, payload = heappop(queue)
+            if processed == budget:
+                # Budget spent with work still queued: hand control back
+                # to the cooperative host (the ``finally`` flushes the
+                # counter); the next call resumes on the same queue.
+                return None
+            if controller is None:
+                time, sequence, kind, pid, payload = heappop(queue)
+            else:
+                time, sequence, kind, pid, payload = self._controlled_pop(controller)
             if time > max_time:
                 self.now = max_time
                 self.events_processed += processed
@@ -84,8 +107,17 @@ def _prehook_run(self):
                 self.now = time
             processed += 1
             if trace_enabled:
-                trace.record(self.now, "event", pid, describe_entry(kind, pid, payload))
+                trace.record(
+                    self.now,
+                    "event",
+                    pid,
+                    describe_entry(kind, pid, payload),
+                    {"event": EVENT_KIND_NAMES[kind]},
+                )
             if kind == _DELIVERY:
+                # Inlined _handle_delivery: deliveries are the majority
+                # event kind, and they can never settle a process, so the
+                # quiescence re-check below is skipped too.
                 proc = processes[pid]
                 state = proc.state
                 if state is crashed:
@@ -108,6 +140,8 @@ def _prehook_run(self):
                         heappush(queue, (time, self._sequence, _RESUME, pid, result))
                 continue
             if kind == _RESUME:
+                # Inlined _handle_resume, including the _advance body and
+                # the send/wait effect handlers.
                 proc = processes[pid]
                 state = proc.state
                 if state is not ready and state is not blocked:
@@ -145,7 +179,12 @@ def _prehook_run(self):
                     now = self.now
                     message, delay = network.transmit(pid, dest, effect.payload, now)
                     if trace_enabled:
-                        trace.record(now, "send", pid, f"to={dest} {effect.payload!r}")
+                        trace.record(
+                            now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest}
+                        )
+                    # One batched sequence bump covers both pushes; the
+                    # delivery keeps the lower number, exactly as two
+                    # bumps would assign.
                     sequence = self._sequence + 2
                     self._sequence = sequence
                     heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
@@ -182,6 +221,8 @@ def _prehook_run(self):
             if self._live == 0:
                 break
     finally:
+        # The counter is accumulated locally (one attribute store per
+        # run, not per event) and flushed on every exit path.
         self.events_processed += processed
     return self._result(self._final_status())
 
@@ -196,7 +237,7 @@ def _prehook_do_send(self, proc, effect):
     now = self.now
     message, delay = network.transmit(pid, dest, effect.payload, now)
     if self.trace.enabled:
-        self.trace.record(now, "send", pid, f"to={dest} {effect.payload!r}")
+        self.trace.record(now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest})
     self._sequence += 1
     heappush(self._queue, (now + delay, self._sequence, _DELIVERY, dest, message))
     config = self.config
@@ -239,16 +280,15 @@ def _prehook_handle_delivery(self, pid, payload):
 
 
 _PREHOOK_PATCHES = {
-    "run": _prehook_run,
+    "run_batch": _prehook_run_batch,
     "_do_send": _prehook_do_send,
     "_handle_resume": _prehook_handle_resume,
     "_handle_delivery": _prehook_handle_delivery,
 }
 
 
-# The per-instance handler tables are built in ``__init__`` from the current
-# class attributes, so patching the class before instantiating kernels (which
-# ``_workload`` does on every call) re-binds the dispatch tables too.
+# The dispatch tables are built per ``run_batch`` call from the current class
+# attributes, so patching the class re-binds them too.
 def _workload():
     """One deterministic consensus run dominated by kernel event handling."""
     config = ExperimentConfig(

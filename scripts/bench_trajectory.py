@@ -16,7 +16,13 @@ collector *off*.  ``gc_s`` and ``gc_collections`` come from one extra pass
 of the same work with the collector *on*: the seconds spent inside it and
 the passes per generation, counted by a ``gc.callbacks`` hook -- what the
 timed numbers leave out, and ``--compare`` prints them without ever gating
-on them.  The output name is derived:
+on them.  The three ``micro_single_run_hybrid-local-coin@<scenario>`` rows
+run the same consensus instance under an installed adversary whose scenario
+fires no kernel hook (``none``), the send hook only (``lossy-links``) or the
+dispatch hook only (``slow-minority``); each carries ``vs_no_scenario``, its
+event rate over that of the scenario-less run measured interleaved with it
+-- for ``@none`` the price of a dormant adversary on one real consensus run.
+Printed by ``--compare``, never gated.  The output name is derived:
 the next free ``BENCH_<n>.json`` in the repo root (override with ``--out``).
 With ``--compare`` the script also diffs events/sec against the
 highest-numbered previous ``BENCH_*.json``; the diff is warn-only unless
@@ -114,12 +120,13 @@ def _collector_pass(fn):
     return {"gc_s": round(seconds, 4), "gc_collections": collections}
 
 
-def _entry(events, wall, collector):
+def _entry(events, wall, collector, **extra):
     """One schema row: events/sec, wall, collector pass, interpreter."""
     return {
         "events/sec": round(events / wall, 1) if events else None,
         "wall": round(wall, 4),
         **collector,
+        **extra,
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
@@ -166,6 +173,9 @@ def measure(rounds):
         f"({best['legacy']:.4f}s, speedup {speedup:.2f}x)"
     )
 
+    from dataclasses import replace
+
+    from repro.adversary import build_scenario
     from repro.cluster.topology import ClusterTopology
     from repro.harness.runner import ExperimentConfig
 
@@ -178,6 +188,39 @@ def measure(rounds):
             n_events, wall, _collector_pass(lambda config=config: run_consensus(config))
         )
         print(f"micro_single_run_{algorithm}: {n_events / wall:,.0f} events/sec ({wall:.4f}s)")
+
+    # One real consensus run under an installed adversary: which kernel hooks
+    # a scenario can fire decides what it costs.  The scenario-less run is
+    # re-measured interleaved with the three so the ratio compares like with
+    # like; a run is ~1 ms, hence the many rounds.
+    base = ExperimentConfig(
+        topology=topology, algorithm="hybrid-local-coin", proposals="split", seed=5
+    )
+    scenarios = {
+        name: replace(base, scenario=build_scenario(name, topology.n, 0.3))
+        for name in ("none", "lossy-links", "slow-minority")
+    }
+    configs = {None: base, **scenarios}
+    best = dict.fromkeys(configs, float("inf"))
+    n_events = {}
+    for _ in range(rounds * 8):
+        for name, config in configs.items():
+            result, wall = _timed(lambda config=config: run_consensus(config))
+            n_events[name] = result.sim_result.events_processed
+            best[name] = min(best[name], wall)
+    base_rate = n_events[None] / best[None]
+    for name, config in scenarios.items():
+        rate = n_events[name] / best[name]
+        results[f"micro_single_run_hybrid-local-coin@{name}"] = _entry(
+            n_events[name],
+            best[name],
+            _collector_pass(lambda config=config: run_consensus(config)),
+            vs_no_scenario=round(rate / base_rate, 3),
+        )
+        print(
+            f"micro_single_run_hybrid-local-coin@{name}: {rate:,.0f} events/sec "
+            f"({best[name]:.4f}s, {rate / base_rate:.3f}x the scenario-less rate)"
+        )
 
     # The E8 sweep workload, run serially so events can be totalled.
     plan = e8_scalability.plan(seeds=default_seeds(4), sizes=(4, 8, 12))
@@ -224,19 +267,24 @@ def compare(current, previous_path, fail_tolerance=None):
         now = entry.get("events/sec")
         if not then or not now:
             print(f"  {name}: no prior events/sec to compare")
-            continue
-        change = (now - then) / then
-        marker = ""
-        if fail_tolerance is not None and change < -fail_tolerance:
-            marker = "  <-- FAILURE: regression beyond the hard gate"
-            failures.append(name)
-        elif change < -REGRESSION_TOLERANCE:
-            marker = "  <-- WARNING: regression"
-        print(f"  {name}: {then:,.0f} -> {now:,.0f} events/sec ({change:+.1%}){marker}")
-        print(
-            f"    collector on: gc_s {before.get('gc_s', 'n/a')} -> {entry['gc_s']}, "
-            f"collections {before.get('gc_collections', 'n/a')} -> {entry['gc_collections']}"
-        )
+        else:
+            change = (now - then) / then
+            marker = ""
+            if fail_tolerance is not None and change < -fail_tolerance:
+                marker = "  <-- FAILURE: regression beyond the hard gate"
+                failures.append(name)
+            elif change < -REGRESSION_TOLERANCE:
+                marker = "  <-- WARNING: regression"
+            print(f"  {name}: {then:,.0f} -> {now:,.0f} events/sec ({change:+.1%}){marker}")
+            print(
+                f"    collector on: gc_s {before.get('gc_s', 'n/a')} -> {entry['gc_s']}, "
+                f"collections {before.get('gc_collections', 'n/a')} -> {entry['gc_collections']}"
+            )
+        if "vs_no_scenario" in entry:
+            print(
+                f"    vs no scenario: {before.get('vs_no_scenario', 'n/a')} -> "
+                f"{entry['vs_no_scenario']}x the scenario-less event rate"
+            )
     return failures
 
 

@@ -209,10 +209,15 @@ class AdaptiveAdversary(Adversary):
         self._adaptive = bool(
             self._delay_pivotal or self._target_coins or self._split_rounds
         )
-        if self._adaptive:
-            # Force the kernel to offer every event to defer() even when no
-            # declarative slowdown is present.
-            self._defers_events = True
+        # This engine's defer() can fire for a strategy as well as for a
+        # declarative slowdown; with neither it answers 0.0 like the base,
+        # so only a further subclass replacing it forces consultation.  The
+        # kernel reads the flag once, in install_adversary.
+        self.defers_events = (
+            self._adaptive
+            or bool(self._slowdowns)
+            or self._overrides("defer", AdaptiveAdversary)
+        )
         #: id(event) -> times this delivery has been adaptively deferred.
         #: Safe to key on identity: the kernel's _deferred table pins the
         #: event object alive for exactly as long as our entry exists.
@@ -382,9 +387,13 @@ def build_adversary(scenario: Scenario, rng: random.Random) -> Adversary:
     """The engine factory: adaptive scenarios get the observing engine.
 
     Scenarios composed purely of declarative primitives keep the base
-    :class:`~.scenario.Adversary` (and its exact per-event cost); any
-    adaptive strategy in the composition selects
-    :class:`AdaptiveAdversary`, which handles both kinds side by side.
+    :class:`~.scenario.Adversary`; any adaptive strategy in the composition
+    selects :class:`AdaptiveAdversary`, which handles both kinds side by
+    side.  What either engine costs per event is decided by its capability
+    flags, not by its class: the kernel consults ``defer`` only under
+    :attr:`~.scenario.Adversary.defers_events` (always set by an adaptive
+    strategy) and ``deliveries`` only under
+    :attr:`~.scenario.Adversary.faults_links`.
     """
     if any(isinstance(fault, ADAPTIVE_FAULT_TYPES) for fault in scenario.faults):
         return AdaptiveAdversary(scenario, rng)

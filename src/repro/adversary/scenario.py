@@ -14,10 +14,17 @@ two narrow questions the simulation kernel asks:
 * :meth:`Adversary.defer` -- at event-dispatch time, should this event be
   postponed (per-process slowdowns)?
 
+Neither question is asked of an adversary whose scenario cannot answer it
+with anything but "unchanged": the engine declares once, at construction,
+which hooks it can ever fire (:attr:`Adversary.defers_events`,
+:attr:`Adversary.faults_links`, :attr:`Adversary.corrupts`) and the kernel
+hoists those flags into its loop -- see "What a scenario costs" in
+``docs/adversary.md``.
+
 Crash-recovery outages are not consulted per event; they are installed once
 as :class:`~repro.sim.events.ProcessPause` / ``ProcessRecover`` events in
 the kernel's queue.  A kernel with no adversary installed never pays more
-than one ``is None`` check per event.
+than one local boolean test per event and one per send.
 """
 
 from __future__ import annotations
@@ -161,9 +168,34 @@ class Adversary:
                 bucket.append(fault)
             elif not self._bucket_extra(fault):
                 raise ValueError(f"no adversary handling for fault {fault!r}")
-        self._defers_events = bool(self._slowdowns)
         #: Whether the kernel needs to consult :meth:`corrupt` per send.
         self.corrupts = bool(self._corruptions)
+        #: Whether the kernel needs to offer every dispatched event to
+        #: :meth:`defer`.  Fixed before the run starts: only a slowdown can
+        #: make the base verdict non-zero.  A subclass that replaces the
+        #: hook is always consulted -- the kernel cannot know what it does.
+        self.defers_events = bool(self._slowdowns) or self._overrides("defer", Adversary)
+        #: Whether the kernel needs to route every send through
+        #: :meth:`deliveries` (and, under :attr:`corrupts`, :meth:`corrupt`).
+        #: With every link-fault bucket empty the verdict is ``(delay,)``
+        #: before the random stream is touched, which is exactly what the
+        #: kernel's plain send schedules.
+        self.faults_links = bool(
+            self._partitions
+            or self._omissions
+            or self._reorderings
+            or self._duplications
+            or self._corruptions
+        ) or self._overrides("deliveries", Adversary)
+
+    def _overrides(self, hook: str, owner: type) -> bool:
+        """Whether this engine's class replaced ``owner``'s ``hook`` method.
+
+        Compared by attribute identity on the classes, so wrapping a hook in
+        place (``bench/spans.py`` patches ``Adversary.defer`` by name) is not
+        an override, while a subclass defining its own is.
+        """
+        return getattr(type(self), hook) is not getattr(owner, hook)
 
     def _bucket_extra(self, fault) -> bool:
         """Claim a fault primitive no base bucket handles (subclass seam).
@@ -206,7 +238,9 @@ class Adversary:
         faulted.  Faults are applied in a fixed order -- partitions, then
         omission, then reordering, then duplication -- and every random
         choice draws from the adversary's own stream, in deterministic
-        event order.
+        event order.  The kernel asks only under :attr:`faults_links`; asked
+        anyway, a scenario without link faults answers ``(delay,)`` and
+        draws nothing.
         """
         if sender == dest:
             return (delay,)
@@ -275,9 +309,10 @@ class Adversary:
         slowed process inside its window is postponed exactly once (the
         kernel re-queues it and offers it again; the second offer passes
         through), so a slowdown stretches the process's schedule without
-        ever starving it.
+        ever starving it.  The kernel asks only under :attr:`defers_events`;
+        asked anyway, a scenario without slowdowns answers 0.0.
         """
-        if not self._defers_events:
+        if not self._slowdowns:
             return 0.0
         key = id(event)
         if key in self._deferred_ids:

@@ -17,8 +17,11 @@ An explicit fault-injection adversary (:mod:`repro.adversary`) can sharpen
 the schedule further: when installed, it is consulted at message-send time
 (omission, duplication, reordering, partitions) and at event-dispatch time
 (per-process slowdowns), and may schedule transient outages via
-:meth:`SimulationKernel.schedule_pause`.  With no adversary installed those
-hooks cost one ``is None`` check per event and nothing else.
+:meth:`SimulationKernel.schedule_pause`.  Each hook is consulted only when the
+installed adversary's scenario can fire it -- the adversary declares that
+once, as capability flags the loop hoists into locals -- so a run with no
+adversary, or with one whose scenario holds no fault of that kind, pays one
+local boolean test per event and one per send.
 
 CPython's cyclic collector is not on the loop's bill either: the two
 outermost loop drivers -- :meth:`SimulationKernel.run` and
@@ -204,6 +207,12 @@ class SimulationKernel:
         self._live = 0
         self._network = None
         self._adversary = None
+        #: The installed adversary's capability flags, copied once by
+        #: :meth:`install_adversary` and read by the loop and by
+        #: :meth:`_do_send`: offer events to ``defer`` / route sends through
+        #: ``deliveries``.  Both False with no adversary installed.
+        self._adversary_defers = False
+        self._adversary_faults_links = False
         self._schedule_controller = None
         #: Adversary-deferred events, keyed by the re-queued entry's sequence
         #: number.  Keeps the *same* :class:`Event` object for the second
@@ -251,17 +260,22 @@ class SimulationKernel:
     def install_adversary(self, adversary) -> None:
         """Install a fault-injection adversary (see :mod:`repro.adversary`).
 
-        The adversary is consulted at message-send time (which delivery
+        The adversary may be consulted at message-send time (which delivery
         delays a send turns into) and at event-dispatch time (whether an
         event is deferred), and may schedule pause/recover events through
-        :meth:`schedule_pause`.  Must be called after every process is
-        registered; with no adversary installed the kernel pays nothing
-        beyond one ``is None`` check per event.
+        :meth:`schedule_pause`.  Which of the two consultations happen is
+        fixed here, from the adversary's ``faults_links`` and
+        ``defers_events`` flags: a hook its scenario can never fire is not
+        called at all, and costs what it costs with no adversary installed
+        -- one local boolean test per send, one per event.  Must be called
+        after every process is registered.
         """
         if self._adversary is not None:
             raise RuntimeError("an adversary is already installed")
         adversary.install(self)
         self._adversary = adversary
+        self._adversary_defers = adversary.defers_events
+        self._adversary_faults_links = adversary.faults_links
 
     @property
     def adversary(self):
@@ -444,6 +458,8 @@ class SimulationKernel:
         # Trace.record self-guards anyway, so boundary paths stay correct).
         trace_enabled = trace.enabled
         adversary = self._adversary
+        defers_events = self._adversary_defers
+        faults_links = self._adversary_faults_links
         controller = self._schedule_controller
         handlers = self._handlers
         processes: Any = self._processes
@@ -482,7 +498,7 @@ class SimulationKernel:
                     return self._result(RunStatus.TIMEOUT)
                 if time > self.now:
                     self.now = time
-                if adversary is not None:
+                if defers_events:
                     event = self._deferred.pop(sequence, None)
                     if event is None:
                         event = entry_event(kind, pid, payload)
@@ -596,7 +612,7 @@ class SimulationKernel:
                             trace.record(
                                 now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest}
                             )
-                        if adversary is None:
+                        if not faults_links:
                             # One batched sequence bump covers both pushes; the
                             # delivery keeps the lower number, exactly as two
                             # bumps would assign.
@@ -714,7 +730,7 @@ class SimulationKernel:
             if trace.enabled:
                 trace.record(now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest})
             queue = self._queue
-            if self._adversary is None:
+            if not self._adversary_faults_links:
                 # One batched sequence bump covers both pushes; the delivery
                 # keeps the lower number, exactly as two bumps would assign.
                 sequence = self._sequence + 2
@@ -878,7 +894,7 @@ class SimulationKernel:
         message, delay = network.transmit(pid, dest, effect.payload, now)
         if self.trace.enabled:
             self.trace.record(now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest})
-        if self._adversary is None:
+        if not self._adversary_faults_links:
             self._sequence += 1
             heappush(
                 self._queue, (now + delay, self._sequence, _DELIVERY, dest, message)
