@@ -196,13 +196,13 @@ class LegacyKernel(SimulationKernel):
         self._sequence += 1
         heapq.heappush(self._queue, ScheduledEvent(time=time, sequence=self._sequence, event=event))
 
-    def _jitter(self):
+    def _l_jitter(self):
         if self.config.scheduling_jitter <= 0:
             return 0.0
         return self._sched_rng.random() * self.config.scheduling_jitter
 
     def _l_resume_later(self, pid, value, delay):
-        self._l_schedule(self.now + delay + self._jitter(), StepResume(pid=pid, value=value))
+        self._l_schedule(self.now + delay + self._l_jitter(), StepResume(pid=pid, value=value))
 
     def run(self):
         if not self._processes:

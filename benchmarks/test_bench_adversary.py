@@ -1,17 +1,17 @@
 """Benchmarks of the adversary subsystem and its no-adversary overhead gate.
 
-The fault-injection hooks touch the kernel's three hottest paths: the run
-loop (one hoisted ``defers_events`` test per event), message sends (one
-hoisted ``faults_links`` test) and delivery/resume handling (one ``paused``
+The fault-injection hooks touch the kernel loop's three hottest places: event
+dispatch (one hoisted ``defers_events`` test per event), the send effect (one
+hoisted ``faults_links`` test) and deliveries and steps (one ``paused``
 attribute check).  Both flags are False with no adversary installed -- and
 with one whose scenario cannot fire the hook, which therefore runs the same
 code (``tests/test_adversary_hooks.py`` gates that by call counts).  The
 contract is that such a kernel regresses less than 2% against the pre-hook
 kernel.  Since the pre-hook code no longer exists, the gate reconstructs it:
-pre-hook versions of ``run_batch``, ``_do_send``, ``_handle_delivery`` and
-``_handle_resume`` (verbatim copies of the current flat-tuple hot path minus
-the adversary/paused branches) are monkeypatched onto the kernel class and
-timed against the real ones on the same workload.
+a pre-hook ``run_batch`` (a verbatim copy of the current loop, the one
+definition of every hot step, minus the adversary/paused branches) is
+monkeypatched onto the kernel class and timed against the real one on the
+same workload.
 
 Like every timing gate in this repo, the hard assert is live only in
 dedicated benchmark runs (``make bench``, i.e. ``--benchmark-only``) with
@@ -29,7 +29,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.harness.runner import ExperimentConfig, run_consensus
 from repro.sim.context import RoundLimitExceeded, SendEffect, WaitEffect
 from repro.sim.events import EVENT_KIND_NAMES, EventKind, describe_entry
-from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
+from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel, _effect_base
 from repro.sim.process import ProcessState
 
 TOPOLOGY = ClusterTopology.figure1_right()
@@ -39,17 +39,19 @@ ROUNDS = 9
 RUNS_PER_ROUND = 4
 OVERHEAD_LIMIT = 1.02
 
+_START = int(EventKind.PROCESS_START)
 _RESUME = int(EventKind.STEP_RESUME)
 _DELIVERY = int(EventKind.MESSAGE_DELIVERY)
+_CRASH = int(EventKind.PROCESS_CRASH)
 
 
 # --------------------------------------------------------------- pre-hook kernel
 def _prehook_run_batch(self, max_events=-1):
-    """The mega-inlined event loop exactly as it would be without the hooks.
+    """The event loop exactly as it would be without the hooks.
 
     A verbatim copy of the body of ``SimulationKernel.run_batch`` minus the
     hoisted capability flags, the ``defers_events`` consultation block, the
-    ``faults_links`` branch of the inlined send and the ``paused`` branches
+    ``faults_links`` branch of the send effect and the ``paused`` branches
     (which exist only for the adversary's pause/recover faults).  Must be
     kept in sync with the real loop:
     ``test_prehook_reconstruction_is_behaviourally_identical`` below and the
@@ -72,7 +74,7 @@ def _prehook_run_batch(self, max_events=-1):
     processes = self._processes
     if set(processes) == set(range(len(processes))):
         # Dense pid range (the common case): a list subscript beats a
-        # dict lookup on the two inlined majority paths below.  Sparse
+        # dict lookup on the delivery and step paths below.  Sparse
         # pid sets keep the dict.
         processes = [processes[index] for index in range(len(processes))]
     network = self._network
@@ -115,9 +117,9 @@ def _prehook_run_batch(self, max_events=-1):
                     {"event": EVENT_KIND_NAMES[kind]},
                 )
             if kind == _DELIVERY:
-                # Inlined _handle_delivery: deliveries are the majority
-                # event kind, and they can never settle a process, so the
-                # quiescence re-check below is skipped too.
+                # Deliveries are the majority event kind, and they can
+                # never settle a process, so the quiescence re-check
+                # below is skipped too.
                 proc = processes[pid]
                 state = proc.state
                 if state is crashed:
@@ -125,6 +127,8 @@ def _prehook_run_batch(self, max_events=-1):
                     continue
                 proc.mailbox.append(payload)
                 if net_stats is not None:
+                    # Network.record_delivery, inlined (it remains the public
+                    # seam); a delivery entry's pid is the message's dest.
                     net_stats.messages_delivered += 1
                     net_stats.delivered_to_process[pid] += 1
                 if state is blocked:
@@ -139,13 +143,20 @@ def _prehook_run_batch(self, max_events=-1):
                         self._sequence += 1
                         heappush(queue, (time, self._sequence, _RESUME, pid, result))
                 continue
-            if kind == _RESUME:
-                # Inlined _handle_resume, including the _advance body and
-                # the send/wait effect handlers.
+            if kind <= _RESUME:
+                # One process step: the first (PROCESS_START, payload
+                # None) or a resume carrying the previous effect's result.
                 proc = processes[pid]
                 state = proc.state
                 if state is not ready and state is not blocked:
+                    # A settled process takes no step.  Only a crashed one
+                    # drops a start: one that decided or halted has started,
+                    # so this raises as any second start does.
+                    if kind == _START and state is not crashed:
+                        proc.start()
                     continue
+                if kind == _START:
+                    proc.start()
                 proc.stats.steps += 1
                 try:
                     effect = proc.generator.send(payload)
@@ -172,52 +183,62 @@ def _prehook_run_batch(self, max_events=-1):
                         break
                     continue
                 cls = type(effect)
-                if cls is SendEffect:
-                    if network is None:
-                        raise RuntimeError("no network attached; cannot handle SendEffect")
-                    dest = effect.dest
-                    now = self.now
-                    message, delay = network.transmit(pid, dest, effect.payload, now)
-                    if trace_enabled:
-                        trace.record(
-                            now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest}
-                        )
-                    # One batched sequence bump covers both pushes; the
-                    # delivery keeps the lower number, exactly as two
-                    # bumps would assign.
-                    sequence = self._sequence + 2
-                    self._sequence = sequence
-                    heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
-                    if jitter > 0:
-                        time = now + local_step_delay + sched_random() * jitter
-                    else:
-                        time = now + local_step_delay
-                    heappush(queue, (time, sequence, _RESUME, pid, None))
-                elif cls is WaitEffect:
-                    result = effect.predicate(proc.mailbox)
-                    if result is not None:
-                        if jitter > 0:
-                            time = self.now + local_step_delay + sched_random() * jitter
-                        else:
-                            time = self.now + local_step_delay
-                        self._sequence += 1
-                        heappush(queue, (time, self._sequence, _RESUME, pid, result))
-                    else:
-                        proc.state = blocked
-                        proc.wait_predicate = effect.predicate
+                while True:
+                    # One pass; only an effect *subclass* comes round again,
+                    # as its base type (see the last branch).
+                    if cls is SendEffect:
+                        if network is None:
+                            raise RuntimeError("no network attached; cannot handle SendEffect")
+                        dest = effect.dest
+                        now = self.now
+                        message, delay = network.transmit(pid, dest, effect.payload, now)
                         if trace_enabled:
-                            trace.record(self.now, "block", pid, "waiting on messages")
-                else:
-                    handler = effect_handlers.get(cls) or self._resolve_effect_handler(effect)
-                    if handler is None:
-                        raise TypeError(
-                            f"process {pid} yielded {effect!r}, which is not a recognised effect"
-                        )
-                    handler(proc, effect)
-                    if self._live == 0:
-                        break
+                            trace.record(
+                                now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest}
+                            )
+                        # One batched sequence bump covers both pushes; the
+                        # delivery keeps the lower number, exactly as two
+                        # bumps would assign.
+                        sequence = self._sequence + 2
+                        self._sequence = sequence
+                        heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
+                        if jitter > 0:
+                            time = now + local_step_delay + sched_random() * jitter
+                        else:
+                            time = now + local_step_delay
+                        heappush(queue, (time, sequence, _RESUME, pid, None))
+                    elif cls is WaitEffect:
+                        result = effect.predicate(proc.mailbox)
+                        if result is not None:
+                            if jitter > 0:
+                                time = self.now + local_step_delay + sched_random() * jitter
+                            else:
+                                time = self.now + local_step_delay
+                            self._sequence += 1
+                            heappush(queue, (time, self._sequence, _RESUME, pid, result))
+                        else:
+                            proc.state = blocked
+                            proc.wait_predicate = effect.predicate
+                            if trace_enabled:
+                                trace.record(self.now, "block", pid, "waiting on messages")
+                    else:
+                        handler = effect_handlers.get(cls)
+                        if handler is None:
+                            # The exact-type tests above miss subclasses:
+                            # retry as the known base, so a subclass of any
+                            # of the four effects runs its base's code.
+                            cls = _effect_base(cls)
+                            if cls is None:
+                                raise TypeError(
+                                    f"process {pid} yielded {effect!r}, which is not a recognised effect"
+                                )
+                            continue
+                        # Neither handler can settle a process, and the one
+                        # stepping is still live: no quiescence re-check.
+                        handler(proc, effect)
+                    break
                 continue
-            handlers[kind](pid, payload)
+            handlers[kind - _CRASH](pid, payload)
             if self._live == 0:
                 break
     finally:
@@ -227,68 +248,6 @@ def _prehook_run_batch(self, max_events=-1):
     return self._result(self._final_status())
 
 
-def _prehook_do_send(self, proc, effect):
-    """The table-path message send without the adversary branch."""
-    network = self._network
-    if network is None:
-        raise RuntimeError("no network attached; cannot handle SendEffect")
-    pid = proc.pid
-    dest = effect.dest
-    now = self.now
-    message, delay = network.transmit(pid, dest, effect.payload, now)
-    if self.trace.enabled:
-        self.trace.record(now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest})
-    self._sequence += 1
-    heappush(self._queue, (now + delay, self._sequence, _DELIVERY, dest, message))
-    config = self.config
-    jitter = config.scheduling_jitter
-    if jitter > 0:
-        time = self.now + config.local_step_delay + self._sched_random() * jitter
-    else:
-        time = self.now + config.local_step_delay
-    self._sequence += 1
-    heappush(self._queue, (time, self._sequence, _RESUME, pid, None))
-
-
-def _prehook_handle_resume(self, pid, payload):
-    """The table-path step resume without the paused check."""
-    proc = self._processes[pid]
-    state = proc.state
-    if state is not ProcessState.READY and state is not ProcessState.BLOCKED:
-        return
-    self._advance(proc, payload)
-
-
-def _prehook_handle_delivery(self, pid, payload):
-    """The table-path message delivery without the paused check."""
-    proc = self._processes[pid]
-    if proc.state is ProcessState.CRASHED:
-        self.dropped_deliveries += 1
-        return
-    proc.mailbox.append(payload)
-    network = self._network
-    if network is not None:
-        stats = network.stats
-        stats.messages_delivered += 1
-        stats.delivered_to_process[pid] += 1
-    if proc.state is ProcessState.BLOCKED:
-        result = proc.wait_predicate(proc.mailbox)
-        if result is not None:
-            proc.wait_predicate = None
-            proc.state = ProcessState.READY
-            self._resume_later(pid, result, self.config.local_step_delay)
-
-
-_PREHOOK_PATCHES = {
-    "run_batch": _prehook_run_batch,
-    "_do_send": _prehook_do_send,
-    "_handle_resume": _prehook_handle_resume,
-    "_handle_delivery": _prehook_handle_delivery,
-}
-
-
-# The dispatch tables are built per ``run_batch`` call from the current class
-# attributes, so patching the class re-binds them too.
 def _workload():
     """One deterministic consensus run dominated by kernel event handling."""
     config = ExperimentConfig(
@@ -321,8 +280,7 @@ def test_no_adversary_hot_path_overhead_under_2_percent(strict_timing):
     for _ in range(ROUNDS if strict_timing else 1):
         hooked_times.append(_time_workload())
         with pytest.MonkeyPatch.context() as patcher:
-            for name, fn in _PREHOOK_PATCHES.items():
-                patcher.setattr(SimulationKernel, name, fn)
+            patcher.setattr(SimulationKernel, "run_batch", _prehook_run_batch)
             stripped_times.append(_time_workload())
 
     if not strict_timing:
@@ -343,8 +301,7 @@ def test_prehook_reconstruction_is_behaviourally_identical():
     """The stripped kernel must produce the same runs, or the gate is fiction."""
     hooked = _workload()
     with pytest.MonkeyPatch.context() as patcher:
-        for name, fn in _PREHOOK_PATCHES.items():
-            patcher.setattr(SimulationKernel, name, fn)
+        patcher.setattr(SimulationKernel, "run_batch", _prehook_run_batch)
         stripped = _workload()
     assert hooked.sim_result.decisions == stripped.sim_result.decisions
     assert hooked.sim_result.end_time == stripped.sim_result.end_time

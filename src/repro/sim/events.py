@@ -3,7 +3,7 @@
 The kernel's hot path keeps its priority queue as flat
 ``(time, sequence, kind, pid, payload)`` tuples (see :data:`EventKind` and
 the converters below): tuple comparison runs in C, nothing is allocated per
-queue entry beyond the tuple itself, and dispatch is a direct array index on
+queue entry beyond the tuple itself, and dispatch is an integer test on
 ``kind``.  The sequence number breaks ties deterministically, so executions
 are reproducible even when several events share a virtual timestamp (and,
 because sequences are unique, ``kind``/``pid``/``payload`` never take part
@@ -83,9 +83,10 @@ class ProcessRecover(Event):
 class EventKind(enum.IntEnum):
     """The dense dispatch index of each kernel event type.
 
-    The kernel keeps one handler per kind in a plain list, so dispatching an
-    event is ``handlers[kind](pid, payload)`` -- one C-level list index
-    instead of a type-keyed dict lookup or an isinstance chain.
+    The order is load-bearing: the kernel loop takes ``kind <= STEP_RESUME``
+    for a process step (first or resumed) and indexes its three fault
+    handlers with ``kind - PROCESS_CRASH`` -- integer tests instead of a
+    type-keyed dict lookup or an isinstance chain.
     """
 
     PROCESS_START = 0
@@ -95,9 +96,6 @@ class EventKind(enum.IntEnum):
     PROCESS_PAUSE = 4
     PROCESS_RECOVER = 5
 
-
-#: How many entries a kind-indexed handler table needs.
-N_EVENT_KINDS = len(EventKind)
 
 #: Lower-case kind names indexable by a flat entry's ``kind`` int; used for
 #: the structured ``data`` of ``event`` trace records without re-entering

@@ -7,11 +7,13 @@ order of messages are controlled entirely by the (seeded) event schedule, so
 the algorithms can assume nothing beyond what the paper's model grants them.
 
 The hot path is deliberately flat (see ``docs/performance.md``): the queue
-holds ``(time, sequence, kind, pid, payload)`` tuples, dispatch is a direct
-list index on :class:`~repro.sim.events.EventKind`, quiescence is a live
-counter instead of a per-event scan, and trace strings are only built when
-tracing is enabled.  The public :class:`~repro.sim.events.Event` dataclasses
-appear only at the boundary (adversary consultation, traces, backlogs).
+holds ``(time, sequence, kind, pid, payload)`` tuples, the loop body of
+:meth:`SimulationKernel.run_batch` is the one definition of a delivery, a
+process step (first or resumed) and the send and wait effects, quiescence is
+a live counter instead of a per-event scan, and trace strings are only built
+when tracing is enabled.  The public :class:`~repro.sim.events.Event`
+dataclasses appear only at the boundary (adversary consultation, traces,
+backlogs).
 
 An explicit fault-injection adversary (:mod:`repro.adversary`) can sharpen
 the schedule further: when installed, it is consulted at message-send time
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import gc
-import heapq
 import math
 from contextlib import contextmanager
 from heapq import heappop, heappush
@@ -76,6 +77,20 @@ _RECOVER = int(EventKind.PROCESS_RECOVER)
 #: An adversary returning this from ``defer`` drops the delivery outright
 #: (an infinite deferral is an omission); only valid for delivery events.
 _INF = math.inf
+
+_EFFECT_TYPES = (SendEffect, WaitEffect, SharedMemEffect, LocalEffect)
+
+
+def _effect_base(cls: type) -> Optional[type]:
+    """The effect type ``cls`` derives from, or ``None`` for a non-effect.
+
+    Subclasses of the known effect types dispatch like their base.  Nothing
+    but tests subclasses an effect, so the match is not cached anywhere.
+    """
+    for base in cls.__mro__[1:]:
+        if base in _EFFECT_TYPES:
+            return base
+    return None
 
 
 @contextmanager
@@ -208,9 +223,9 @@ class SimulationKernel:
         self._network = None
         self._adversary = None
         #: The installed adversary's capability flags, copied once by
-        #: :meth:`install_adversary` and read by the loop and by
-        #: :meth:`_do_send`: offer events to ``defer`` / route sends through
-        #: ``deliveries``.  Both False with no adversary installed.
+        #: :meth:`install_adversary` and hoisted by the loop: offer events to
+        #: ``defer`` / route sends through ``deliveries``.  Both False with
+        #: no adversary installed.
         self._adversary_defers = False
         self._adversary_faults_links = False
         self._schedule_controller = None
@@ -224,33 +239,21 @@ class SimulationKernel:
         self._sched_rng = self.rng.stream("kernel", "jitter")
         self._sched_random = self._sched_rng.random
 
-    # The two dispatch tables are built from the instance on demand (once per
-    # ``run_batch`` call), never stored on it: ten bound methods of ``self``
-    # kept on ``self`` would make every finished kernel cyclic garbage that
-    # only the collector ``run`` pauses could reclaim.  Built from the
-    # *current* class attributes, so tests may patch handler methods on the
-    # class before (or after) instantiating a kernel.
+    # The two dispatch tables (for what the loop body does not define itself)
+    # are built from the instance on demand, once per ``run_batch`` call, never
+    # stored on it: bound methods of ``self`` kept on ``self`` would make every
+    # finished kernel cyclic garbage that only the collector ``run`` pauses
+    # could reclaim.  Built from the *current* class attributes, so tests may
+    # patch handler methods on the class before (or after) instantiating one.
     @property
     def _handlers(self) -> List[Callable[[int, Any], None]]:
-        """Kind-indexed dispatch: indexed directly with an entry's EventKind."""
-        return [
-            self._handle_start,
-            self._handle_resume,
-            self._handle_delivery,
-            self._handle_crash,
-            self._handle_pause,
-            self._handle_recover,
-        ]
+        """The fault-event handlers, indexed with ``kind - PROCESS_CRASH``."""
+        return [self._handle_crash, self._handle_pause, self._handle_recover]
 
     @property
     def _effect_handlers(self) -> Dict[type, Callable[[SimProcess, Any], None]]:
-        """Exact-type dispatch of yielded effects (subclasses: see below)."""
-        return {
-            SendEffect: self._do_send,
-            SharedMemEffect: self._do_sm_op,
-            WaitEffect: self._do_wait,
-            LocalEffect: self._do_local,
-        }
+        """Exact-type dispatch of the two effects the loop does not inline."""
+        return {SharedMemEffect: self._do_sm_op, LocalEffect: self._do_local}
 
     # ----------------------------------------------------------------- setup
     def attach_network(self, network) -> None:
@@ -391,11 +394,6 @@ class SimulationKernel:
             heappush(queue, entry)
         return chosen
 
-    def _jitter(self) -> float:
-        if self.config.scheduling_jitter <= 0:
-            return 0.0
-        return self._sched_random() * self.config.scheduling_jitter
-
     def _resume_later(self, pid: int, value: Any, delay: float) -> None:
         jitter = self.config.scheduling_jitter
         if jitter > 0:
@@ -438,14 +436,14 @@ class SimulationKernel:
         (adversary-postponed) events do not count against the budget; only
         dispatched events do, matching :attr:`events_processed`.
 
-        The two majority event kinds -- message deliveries and step resumes
-        (including the resume's send/wait effect handling) -- are inlined
-        into the loop body so the whole hot chain runs on loop-hoisted
-        locals with no intervening call frames.  The ``_handle_*`` methods
-        remain as the dispatch seam for the remaining kinds and for any
-        entries handled through the table.  Everything here must stay
-        bit-identical to the out-of-line handlers (the golden tests compare
-        full e1-e9 summaries against a pre-refactor fixture).
+        Message deliveries and process steps -- the first
+        (``PROCESS_START``) and every resume, with the send and wait effects
+        a step can yield -- are defined in this loop body and nowhere else,
+        so the hot chain runs on loop-hoisted locals with no intervening call
+        frames; the recover replay re-queues its backlog and so comes back
+        through the same code.  Only the fault events and the shared-memory
+        and local-step effects are methods.  The golden tests pin what an
+        event does: full e1-e11 summaries against a pre-refactor fixture.
         """
         if max_events == 0 or max_events < -1:
             raise ValueError(f"max_events must be positive or -1, got {max_events}")
@@ -465,7 +463,7 @@ class SimulationKernel:
         processes: Any = self._processes
         if set(processes) == set(range(len(processes))):
             # Dense pid range (the common case): a list subscript beats a
-            # dict lookup on the two inlined majority paths below.  Sparse
+            # dict lookup on the delivery and step paths below.  Sparse
             # pid sets keep the dict.
             processes = [processes[index] for index in range(len(processes))]
         network = self._network
@@ -539,9 +537,9 @@ class SimulationKernel:
                         {"event": EVENT_KIND_NAMES[kind]},
                     )
                 if kind == _DELIVERY:
-                    # Inlined _handle_delivery: deliveries are the majority
-                    # event kind, and they can never settle a process, so the
-                    # quiescence re-check below is skipped too.
+                    # Deliveries are the majority event kind, and they can
+                    # never settle a process, so the quiescence re-check
+                    # below is skipped too.
                     proc = processes[pid]
                     state = proc.state
                     if state is crashed:
@@ -552,6 +550,8 @@ class SimulationKernel:
                         continue
                     proc.mailbox.append(payload)
                     if net_stats is not None:
+                        # Network.record_delivery, inlined (it remains the public
+                        # seam); a delivery entry's pid is the message's dest.
                         net_stats.messages_delivered += 1
                         net_stats.delivered_to_process[pid] += 1
                     if state is blocked:
@@ -566,16 +566,25 @@ class SimulationKernel:
                             self._sequence += 1
                             heappush(queue, (time, self._sequence, _RESUME, pid, result))
                     continue
-                if kind == _RESUME:
-                    # Inlined _handle_resume, including the _advance body and
-                    # the send/wait effect handlers.
+                if kind <= _RESUME:
+                    # One process step: the first (PROCESS_START, payload
+                    # None) or a resume carrying the previous effect's result.
                     proc = processes[pid]
                     state = proc.state
                     if state is not ready and state is not blocked:
+                        # A settled process takes no step.  Only a crashed one
+                        # drops a start: one that decided or halted has started,
+                        # so this raises as any second start does.
+                        if kind == _START and state is not crashed:
+                            proc.start()
                         continue
                     if proc.paused:
-                        proc.paused_backlog.append((_RESUME, pid, payload))
+                        # A down process must not execute, let alone send: the
+                        # step (a deferred start too) waits for the recover.
+                        proc.paused_backlog.append((kind, pid, payload))
                         continue
+                    if kind == _START:
+                        proc.start()
                     proc.stats.steps += 1
                     try:
                         effect = proc.generator.send(payload)
@@ -602,57 +611,67 @@ class SimulationKernel:
                             break
                         continue
                     cls = type(effect)
-                    if cls is SendEffect:
-                        if network is None:
-                            raise RuntimeError("no network attached; cannot handle SendEffect")
-                        dest = effect.dest
-                        now = self.now
-                        message, delay = network.transmit(pid, dest, effect.payload, now)
-                        if trace_enabled:
-                            trace.record(
-                                now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest}
-                            )
-                        if not faults_links:
-                            # One batched sequence bump covers both pushes; the
-                            # delivery keeps the lower number, exactly as two
-                            # bumps would assign.
-                            sequence = self._sequence + 2
-                            self._sequence = sequence
-                            heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
-                        else:
-                            self._adversarial_send(pid, dest, message, delay)
-                            sequence = self._sequence + 1
-                            self._sequence = sequence
-                        if jitter > 0:
-                            time = now + local_step_delay + sched_random() * jitter
-                        else:
-                            time = now + local_step_delay
-                        heappush(queue, (time, sequence, _RESUME, pid, None))
-                    elif cls is WaitEffect:
-                        result = effect.predicate(proc.mailbox)
-                        if result is not None:
-                            if jitter > 0:
-                                time = self.now + local_step_delay + sched_random() * jitter
-                            else:
-                                time = self.now + local_step_delay
-                            self._sequence += 1
-                            heappush(queue, (time, self._sequence, _RESUME, pid, result))
-                        else:
-                            proc.state = blocked
-                            proc.wait_predicate = effect.predicate
+                    while True:
+                        # One pass; only an effect *subclass* comes round again,
+                        # as its base type (see the last branch).
+                        if cls is SendEffect:
+                            if network is None:
+                                raise RuntimeError("no network attached; cannot handle SendEffect")
+                            dest = effect.dest
+                            now = self.now
+                            message, delay = network.transmit(pid, dest, effect.payload, now)
                             if trace_enabled:
-                                trace.record(self.now, "block", pid, "waiting on messages")
-                    else:
-                        handler = effect_handlers.get(cls) or self._resolve_effect_handler(effect)
-                        if handler is None:
-                            raise TypeError(
-                                f"process {pid} yielded {effect!r}, which is not a recognised effect"
-                            )
-                        handler(proc, effect)
-                        if self._live == 0:
-                            break
+                                trace.record(
+                                    now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest}
+                                )
+                            if not faults_links:
+                                # One batched sequence bump covers both pushes;
+                                # the delivery keeps the lower number, exactly
+                                # as two bumps would assign.
+                                sequence = self._sequence + 2
+                                self._sequence = sequence
+                                heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
+                            else:
+                                self._adversarial_send(pid, dest, message, delay)
+                                sequence = self._sequence + 1
+                                self._sequence = sequence
+                            if jitter > 0:
+                                time = now + local_step_delay + sched_random() * jitter
+                            else:
+                                time = now + local_step_delay
+                            heappush(queue, (time, sequence, _RESUME, pid, None))
+                        elif cls is WaitEffect:
+                            result = effect.predicate(proc.mailbox)
+                            if result is not None:
+                                if jitter > 0:
+                                    time = self.now + local_step_delay + sched_random() * jitter
+                                else:
+                                    time = self.now + local_step_delay
+                                self._sequence += 1
+                                heappush(queue, (time, self._sequence, _RESUME, pid, result))
+                            else:
+                                proc.state = blocked
+                                proc.wait_predicate = effect.predicate
+                                if trace_enabled:
+                                    trace.record(self.now, "block", pid, "waiting on messages")
+                        else:
+                            handler = effect_handlers.get(cls)
+                            if handler is None:
+                                # The exact-type tests above miss subclasses:
+                                # retry as the known base, so a subclass of any
+                                # of the four effects runs its base's code.
+                                cls = _effect_base(cls)
+                                if cls is None:
+                                    raise TypeError(
+                                        f"process {pid} yielded {effect!r}, which is not a recognised effect"
+                                    )
+                                continue
+                            # Neither handler can settle a process, and the one
+                            # stepping is still live: no quiescence re-check.
+                            handler(proc, effect)
+                        break
                     continue
-                handlers[kind](pid, payload)
+                handlers[kind - _CRASH](pid, payload)
                 if self._live == 0:
                     break
         finally:
@@ -661,132 +680,12 @@ class SimulationKernel:
             self.events_processed += processed
         return self._result(self._final_status())
 
-    def _all_settled(self) -> bool:
-        """Whether every registered process reached a terminal state."""
-        return self._live == 0
-
     def _settle(self, proc: SimProcess, state: ProcessState) -> None:
         """Move ``proc`` into terminal ``state``, maintaining the live count."""
         proc.state = state
         self._live -= 1
 
     # ---------------------------------------------------------- event handlers
-    def _handle_start(self, pid: int, payload: Any) -> None:
-        proc = self._processes[pid]
-        if proc.state is ProcessState.CRASHED:
-            return
-        if proc.paused:
-            # A deferred start racing into an outage waits it out like any
-            # other step: a down process must not execute, let alone send.
-            proc.paused_backlog.append((_START, pid, payload))
-            return
-        proc.start()
-        self._advance(proc, None)
-
-    def _handle_resume(self, pid: int, payload: Any) -> None:
-        proc = self._processes[pid]
-        state = proc.state
-        # Identity checks against the two non-terminal states; READY first
-        # because it is the overwhelmingly common case on the hot path.
-        if state is not ProcessState.READY and state is not ProcessState.BLOCKED:
-            return
-        if proc.paused:
-            proc.paused_backlog.append((_RESUME, pid, payload))
-            return
-        # The body of _advance (and the send/wait effect handlers) is inlined
-        # here: resume -> step -> send is the kernel's hottest chain, and the
-        # three call frames it would otherwise cross are pure overhead.
-        # Exact-type checks keep effect subclasses on the table path below,
-        # which matches _advance bit for bit.
-        proc.stats.steps += 1
-        try:
-            effect = proc.generator.send(payload)
-        except StopIteration as stop:
-            proc.decision = stop.value
-            proc.decision_time = self.now
-            self._settle(
-                proc, ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED
-            )
-            if stop.value is None:
-                proc.halt_reason = "returned None"
-            if self.trace.enabled:
-                self.trace.record(self.now, "decide", pid, repr(stop.value))
-            return
-        except RoundLimitExceeded as exceeded:
-            self._settle(proc, ProcessState.HALTED)
-            proc.halt_reason = str(exceeded)
-            if self.trace.enabled:
-                self.trace.record(self.now, "halt", pid, proc.halt_reason)
-            return
-        cls = type(effect)
-        if cls is SendEffect:
-            network = self._network
-            if network is None:
-                raise RuntimeError("no network attached; cannot handle SendEffect")
-            dest = effect.dest
-            now = self.now
-            message, delay = network.transmit(pid, dest, effect.payload, now)
-            trace = self.trace
-            if trace.enabled:
-                trace.record(now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest})
-            queue = self._queue
-            if not self._adversary_faults_links:
-                # One batched sequence bump covers both pushes; the delivery
-                # keeps the lower number, exactly as two bumps would assign.
-                sequence = self._sequence + 2
-                self._sequence = sequence
-                heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
-            else:
-                self._adversarial_send(pid, dest, message, delay)
-                sequence = self._sequence + 1
-                self._sequence = sequence
-            config = self.config
-            jitter = config.scheduling_jitter
-            if jitter > 0:
-                time = now + config.local_step_delay + self._sched_random() * jitter
-            else:
-                time = now + config.local_step_delay
-            heappush(queue, (time, sequence, _RESUME, pid, None))
-        elif cls is WaitEffect:
-            result = effect.predicate(proc.mailbox)
-            if result is not None:
-                self._resume_later(pid, result, self.config.local_step_delay)
-            else:
-                proc.state = ProcessState.BLOCKED
-                proc.wait_predicate = effect.predicate
-                if self.trace.enabled:
-                    self.trace.record(self.now, "block", pid, "waiting on messages")
-        else:
-            handler = self._effect_handlers.get(cls) or self._resolve_effect_handler(effect)
-            if handler is None:
-                raise TypeError(
-                    f"process {pid} yielded {effect!r}, which is not a recognised effect"
-                )
-            handler(proc, effect)
-
-    def _handle_delivery(self, pid: int, payload: Any) -> None:
-        proc = self._processes[pid]
-        if proc.state is ProcessState.CRASHED:
-            self.dropped_deliveries += 1
-            return
-        if proc.paused:
-            proc.paused_backlog.append((_DELIVERY, pid, payload))
-            return
-        proc.mailbox.append(payload)
-        network = self._network
-        if network is not None:
-            # Inlined Network.record_delivery (the method remains the public
-            # seam); a delivery entry's pid is always the message's dest.
-            stats = network.stats
-            stats.messages_delivered += 1
-            stats.delivered_to_process[pid] += 1
-        if proc.state is ProcessState.BLOCKED:
-            result = proc.wait_predicate(proc.mailbox)
-            if result is not None:
-                proc.wait_predicate = None
-                proc.state = ProcessState.READY
-                self._resume_later(pid, result, self.config.local_step_delay)
-
     def _handle_crash(self, pid: int, payload: Any) -> None:
         proc = self._processes[pid]
         if proc.state.is_terminal():
@@ -832,84 +731,6 @@ class SimulationKernel:
                 f"replaying {len(backlog)} buffered event(s)",
                 {"replayed": len(backlog)},
             )
-
-    # ----------------------------------------------------------- process steps
-    def _advance(self, proc: SimProcess, value: Any) -> None:
-        proc.stats.steps += 1
-        try:
-            effect = proc.generator.send(value)
-        except StopIteration as stop:
-            proc.decision = stop.value
-            proc.decision_time = self.now
-            self._settle(
-                proc, ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED
-            )
-            if stop.value is None:
-                proc.halt_reason = "returned None"
-            if self.trace.enabled:
-                self.trace.record(self.now, "decide", proc.pid, repr(stop.value))
-            return
-        except RoundLimitExceeded as exceeded:
-            self._settle(proc, ProcessState.HALTED)
-            proc.halt_reason = str(exceeded)
-            if self.trace.enabled:
-                self.trace.record(self.now, "halt", proc.pid, proc.halt_reason)
-            return
-        handler = self._effect_handlers.get(type(effect)) or self._resolve_effect_handler(effect)
-        if handler is None:
-            raise TypeError(
-                f"process {proc.pid} yielded {effect!r}, which is not a recognised effect"
-            )
-        handler(proc, effect)
-
-    def _handle_effect(self, proc: SimProcess, effect: Any) -> None:
-        """Dispatch one yielded effect (the public seam; `_advance` inlines it)."""
-        handler = self._effect_handlers.get(type(effect)) or self._resolve_effect_handler(effect)
-        if handler is None:
-            raise TypeError(
-                f"process {proc.pid} yielded {effect!r}, which is not a recognised effect"
-            )
-        handler(proc, effect)
-
-    def _resolve_effect_handler(self, effect: Any) -> Optional[Callable]:
-        """Subclasses of the known effect types dispatch like their base.
-
-        The exact-type lookup misses them, so walk the MRO; nothing but tests
-        subclasses an effect, so the match is not cached anywhere.
-        """
-        table = self._effect_handlers
-        for base in type(effect).__mro__[1:]:
-            handler = table.get(base)
-            if handler is not None:
-                return handler
-        return None
-
-    def _do_send(self, proc: SimProcess, effect: SendEffect) -> None:
-        network = self._network
-        if network is None:
-            raise RuntimeError("no network attached; cannot handle SendEffect")
-        pid = proc.pid
-        dest = effect.dest
-        now = self.now
-        message, delay = network.transmit(pid, dest, effect.payload, now)
-        if self.trace.enabled:
-            self.trace.record(now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest})
-        if not self._adversary_faults_links:
-            self._sequence += 1
-            heappush(
-                self._queue, (now + delay, self._sequence, _DELIVERY, dest, message)
-            )
-        else:
-            self._adversarial_send(pid, dest, message, delay)
-        # Inlined _resume_later (this is the hottest reschedule site).
-        config = self.config
-        jitter = config.scheduling_jitter
-        if jitter > 0:
-            time = self.now + config.local_step_delay + self._sched_random() * jitter
-        else:
-            time = self.now + config.local_step_delay
-        self._sequence += 1
-        heappush(self._queue, (time, self._sequence, _RESUME, pid, None))
 
     def _adversarial_send(self, sender: int, dest: int, message: Any, delay: float) -> None:
         """Turn one send into the adversary's delivery verdict (slow path).
@@ -962,16 +783,6 @@ class SimulationKernel:
                 {"op": op_name},
             )
         self._resume_later(proc.pid, result, self.config.sm_op_delay)
-
-    def _do_wait(self, proc: SimProcess, effect: WaitEffect) -> None:
-        result = effect.predicate(proc.mailbox)
-        if result is not None:
-            self._resume_later(proc.pid, result, self.config.local_step_delay)
-            return
-        proc.state = ProcessState.BLOCKED
-        proc.wait_predicate = effect.predicate
-        if self.trace.enabled:
-            self.trace.record(self.now, "block", proc.pid, "waiting on messages")
 
     def _do_local(self, proc: SimProcess, effect: LocalEffect) -> None:
         delay = effect.duration if effect.duration is not None else self.config.local_step_delay

@@ -193,12 +193,11 @@ def test_a_subclass_overriding_a_hook_is_still_consulted(engine, hook, monkeypat
     assert _summary(result) == _summary(plain)
 
 
-# ----------------------------------------------------------- both send twins
-# The inlined send serves replayed resumes; ``_do_send`` serves every
-# process's first step (``_handle_start`` -> ``_advance``), including a start
-# that a slowdown pushed into an outage and the recover replayed.
+# ------------------------------------------------- hoisted flags vs forced on
+# Outages make the recover replay steps, and a slowdown pushes pid 0's very
+# first step into one: every route into the loop's one send site is taken.
 _OUTAGES = CrashRecovery((Outage(0, 1.0, 6.0), Outage(1, 1.5, 4.0)))
-TWIN_SCENARIOS = [
+FLAG_SCENARIOS = [
     pytest.param(Scenario("crash-recovery", (_OUTAGES,)), False, False, id="outages"),
     pytest.param(
         Scenario("crash-recovery+lossy-links", (_OUTAGES, MessageOmission(probability=0.2))),
@@ -220,9 +219,9 @@ TWIN_SCENARIOS = [
 
 
 @pytest.mark.parametrize("algorithm", ["ben-or", "hybrid-local-coin"])
-@pytest.mark.parametrize("scenario, defers, faults_links", TWIN_SCENARIOS)
+@pytest.mark.parametrize("scenario, defers, faults_links", FLAG_SCENARIOS)
 def test_skipped_hooks_match_a_kernel_with_both_flags_forced_on(
-    scenario, defers, faults_links, algorithm, monkeypatch
+    scenario, defers, faults_links, algorithm, hook_calls
 ):
     config = _config(
         scenario,
@@ -230,17 +229,9 @@ def test_skipped_hooks_match_a_kernel_with_both_flags_forced_on(
         seed=11,
         sim=SimConfig(max_rounds=25, max_time=5e4, trace=True),
     )
-    twin_sends = []
-    do_send = kernel_module.SimulationKernel._do_send
-
-    def counting_do_send(self, proc, effect):
-        twin_sends.append(self._adversary_faults_links)
-        return do_send(self, proc, effect)
-
-    monkeypatch.setattr(kernel_module.SimulationKernel, "_do_send", counting_do_send)
 
     def run(force):
-        del twin_sends[:]
+        hook_calls.update(defer=0, deliveries=0)
         prepared = prepare_consensus(config)
         kernel = prepared.kernel
         assert (kernel._adversary_defers, kernel._adversary_faults_links) == (defers, faults_links)
@@ -248,18 +239,16 @@ def test_skipped_hooks_match_a_kernel_with_both_flags_forced_on(
             kernel._adversary_defers = kernel._adversary_faults_links = True
         result = prepared.finalize(kernel.run(), 0.0)
         trace = [(e.time, e.kind, e.pid, e.detail) for e in kernel.trace.entries]
-        return _summary(result), trace, list(twin_sends)
+        return _summary(result), trace, result.metrics.messages_sent, hook_calls["deliveries"]
 
-    hoisted, hoisted_trace, hoisted_sends = run(force=False)
-    forced, forced_trace, forced_sends = run(force=True)
+    hoisted, hoisted_trace, sent, hoisted_routed = run(force=False)
+    forced, forced_trace, forced_sent, forced_routed = run(force=True)
 
     assert hoisted == forced
     assert hoisted_trace == forced_trace
-    # The out-of-line twin ran on both sides, under the flag value it claims.
-    assert len(hoisted_sends) == len(forced_sends)
-    assert set(forced_sends) <= {True} and set(hoisted_sends) <= {faults_links}
-    if algorithm == "ben-or":
-        assert hoisted_sends, "ben-or's first step is a send: _do_send must have run"
+    # Every send is routed by the flag -- first steps too (ben-or's is a send).
+    assert sent == forced_sent == forced_routed > 0
+    assert hoisted_routed == (sent if faults_links else 0)
     if any(isinstance(fault, CrashRecovery) for fault in scenario.faults):
         replayed = [detail for _, kind, _, detail in hoisted_trace if kind == "recover"]
         assert any(not detail.startswith("replaying 0 ") for detail in replayed)

@@ -1,11 +1,15 @@
 """Unit tests of the discrete-event kernel: scheduling, effects, crashes."""
 
+import ast
+import inspect
+
 import pytest
 
+import repro.sim.kernel as kernel_module
 from repro.network.delays import ConstantDelay
 from repro.network.transport import Network
-from repro.sim.context import LocalEffect
-from repro.sim.events import ScheduledEvent, StepResume, describe
+from repro.sim.context import LocalEffect, SendEffect, SharedMemEffect, WaitEffect
+from repro.sim.events import EventKind, ProcessStart, ScheduledEvent, StepResume, describe
 from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
 from repro.sim.process import ProcessState
 from repro.sim.rng import RandomSource
@@ -207,24 +211,144 @@ def test_unknown_effect_raises_type_error():
         yield "this is not an effect"
 
     kernel.add_process(0, proc)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="process 0 yielded 'this is not an effect'"):
         kernel.run()
 
 
-def test_effect_subclass_dispatches_like_its_base():
-    class DebugLocalEffect(LocalEffect):
-        """An effect subclass, e.g. one carrying extra instrumentation."""
+def _inbox(mailbox):
+    return list(mailbox) or None
 
-    kernel, _ = make_kernel(n=1)
+
+_REGISTER = AtomicRegister("r", 10)
+#: Per known effect type, a builder of that effect as the given (sub)class.
+EFFECTS = {
+    SendEffect: lambda cls: cls(dest=0, payload="ping"),
+    WaitEffect: lambda cls: cls(predicate=_inbox),
+    SharedMemEffect: lambda cls: cls(operation=_REGISTER.read),
+    LocalEffect: lambda cls: cls(duration=0.5),
+}
+
+
+@pytest.mark.parametrize("base", list(EFFECTS), ids=lambda cls: cls.__name__)
+def test_effect_subclass_dispatches_like_its_base(base):
+    """A subclass, e.g. one carrying extra instrumentation, runs its base's code."""
+
+    def execution(effect_type):
+        kernel, network = make_kernel(n=2, trace=True)
+
+        def proc(ctx):
+            first = yield EFFECTS[base](effect_type)  # a first step: a wait blocks here
+            second = yield EFFECTS[base](effect_type)  # a resumed one: a wait returns at once
+            return repr((first, second))
+
+        def waker(ctx):
+            yield from ctx.send(0, "wake")
+            return "sent"
+
+        kernel.add_process(0, proc)
+        kernel.add_process(1, waker)
+        result = kernel.run()
+        trace = [(e.time, e.kind, e.pid, e.detail) for e in kernel.trace.entries]
+        return result.status, result.decisions, result.events_processed, network.stats.messages_sent, trace
+
+    subclass = type(f"Debug{base.__name__}", (base,), {})
+    expected = execution(base)
+    assert expected[0] is RunStatus.DECIDED
+    assert execution(subclass) == expected
+
+
+@pytest.mark.parametrize("outcome", ["running", "decided", "halted"])
+def test_second_start_raises_whatever_the_process_has_become(outcome):
+    kernel, _ = make_kernel(n=2)
 
     def proc(ctx):
-        yield DebugLocalEffect(duration=0.5)
-        return "done"
+        yield from ctx.local_step(1.0)
+        if outcome == "running":
+            yield from ctx.wait_until(_inbox)
+        return {"decided": "done", "halted": None}[outcome]
+
+    def bystander(ctx):  # keeps the run going past pid 0's settling
+        yield from ctx.local_step(10.0)
+        return "late"
 
     kernel.add_process(0, proc)
+    kernel.add_process(1, bystander)
+    kernel.schedule_event(5.0, ProcessStart(0))
+    with pytest.raises(RuntimeError, match="process 0 already started"):
+        kernel.run()
+    expected = {"running": ProcessState.BLOCKED, "decided": ProcessState.DECIDED, "halted": ProcessState.HALTED}
+    assert kernel.process(0).state is expected[outcome]
+
+
+class _FaultsFirst:
+    """Schedule controller: among tied entries, dispatch crash/pause first."""
+
+    def choose(self, now, time, entries):
+        for index, entry in enumerate(entries):
+            if entry[2] in (EventKind.PROCESS_CRASH, EventKind.PROCESS_PAUSE):
+                return index
+        return 0
+
+
+def test_start_reaching_a_crashed_process_is_dropped():
+    kernel, _ = make_kernel(n=2)
+    kernel.add_process(0, _idle)
+    kernel.add_process(1, _idle)
+    # The crash (time 0, like the start) must dispatch first: a controller
+    # puts the tie's fault event ahead of the start add_process queued.
+    kernel.install_schedule_controller(_FaultsFirst())
+    kernel.schedule_crash(0, 0.0)
     result = kernel.run()
-    assert result.status is RunStatus.DECIDED
+    assert result.crashed == {0} and result.decisions == {1: "idle"}
+    assert not kernel.process(0).started
+    assert kernel.process(0).stats.steps == 0
+
+
+def test_start_dispatched_into_an_outage_is_buffered_and_replayed_once():
+    def run(outage):
+        kernel, _ = make_kernel(n=1, trace=True)
+        first_step_at = []
+
+        def proc(ctx):
+            first_step_at.append(ctx.now())
+            yield from ctx.local_step(1.0)
+            return "done"
+
+        kernel.add_process(0, proc)
+        if outage:
+            kernel.install_schedule_controller(_FaultsFirst())
+            kernel.schedule_pause(0, 0.0, 4.0)
+        result = kernel.run()
+        starts = [e.time for e in kernel.trace.entries if e.kind == "event" and "ProcessStart" in e.detail]
+        return result, first_step_at, starts, kernel.process(0).stats.steps
+
+    result, first_step_at, starts, steps = run(outage=True)
     assert result.decisions == {0: "done"}
+    assert first_step_at == [4.0]  # one first step, taken at up_at
+    assert starts == [0.0, 4.0]  # dispatched into the outage, then replayed
+    # The buffered dispatch is not a step: as many as with no outage at all.
+    assert steps == run(outage=False)[3] == 2
+
+
+def _calls_of(tree, *attribute_chain):
+    """How many calls in ``tree`` are made on ``<...>.a.b(...)`` for chain (a, b)."""
+
+    def matches(node):
+        for name in reversed(attribute_chain):
+            if not (isinstance(node, ast.Attribute) and node.attr == name):
+                return False
+            node = node.value
+        return True
+
+    return sum(isinstance(node, ast.Call) and matches(node.func) for node in ast.walk(tree))
+
+
+def test_each_kernel_step_has_one_definition():
+    """A count, not a stopwatch: a second copy of a step cannot come back unnoticed."""
+    tree = ast.parse(inspect.getsource(kernel_module))
+    assert _calls_of(tree, "generator", "send") == 1  # the process step
+    assert _calls_of(tree, "transmit") == 1  # the send effect
+    assert _calls_of(tree, "mailbox", "append") == 1  # the delivery
 
 
 def test_round_limit_halts_process():
