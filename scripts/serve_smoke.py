@@ -25,7 +25,7 @@ from tempfile import TemporaryDirectory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.harness import distributed  # noqa: E402
+from repro.harness import parallel  # noqa: E402
 from repro.harness.coordinator import merge_stolen, run_work_stealing  # noqa: E402
 from repro.obs.serve import aggregate_to_json, make_server, render_status_text  # noqa: E402
 
@@ -46,7 +46,7 @@ def get_json(port, path):
 
 def run_killed_worker(plan, out_dir):
     """One worker that dies after ``KILL_AFTER_POINTS`` checkpointed points."""
-    real_run_many = distributed.run_many
+    real_run_many = parallel.run_many
     calls = {"count": 0}
 
     def dying(*args, **kwargs):
@@ -55,14 +55,14 @@ def run_killed_worker(plan, out_dir):
         calls["count"] += 1
         return real_run_many(*args, **kwargs)
 
-    distributed.run_many = dying
+    parallel.run_many = dying
     try:
         run_work_stealing(plan, out_dir, worker="victim", max_workers=1, lease_ttl=0.05)
         raise AssertionError("the victim worker should have been killed")
     except KeyboardInterrupt:
         pass
     finally:
-        distributed.run_many = real_run_many
+        parallel.run_many = real_run_many
 
 
 def main():

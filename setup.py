@@ -7,11 +7,19 @@ editable wheel.  Keeping a ``setup.py`` (and no ``[build-system]`` table in
 ``setup.py develop`` path, which works with a bare setuptools.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# One version string, read (not imported: the build may run before the
+# package is importable) from where ``repro.__version__`` is assigned.
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"$', _INIT.read_text(), re.MULTILINE).group(1)
 
 setup(
     name="repro",
-    version="1.1.0",
+    version=VERSION,
     description=(
         "Reproduction of 'One for All and All for One: Scalable Consensus in a "
         "Hybrid Communication Model' (Raynal & Cao, ICDCS 2019)"
@@ -34,10 +42,9 @@ setup(
         "Programming Language :: Python :: 3.12",
         "Topic :: System :: Distributed Computing",
     ],
-    # No hard runtime dependencies.  numpy is optional and does one thing:
-    # it selects the SeedSequence backend for the sweep sketches' run
-    # priorities (a SHA-256 derivation without it).  The simulator's hot
-    # path does not import it.
+    # No runtime dependencies: nothing under src/ imports numpy.  The test
+    # extra keeps it as the oracle that tests/test_aggregate.py holds the
+    # pure-Python SeedSequence port equal to; that test skips without it.
     install_requires=[],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis", "numpy"],

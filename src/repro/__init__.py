@@ -16,71 +16,32 @@ Quickstart::
     print(result.decided_value, result.metrics.rounds_max)
 """
 
-from .cluster import ClusterTopology, FailurePattern, TopologyError
-from .coins import CommonCoin, LocalCoin
-from .core import (
-    BOT,
-    CommonCoinConsensus,
-    ConsensusProcess,
-    ConsensusViolation,
-    LocalCoinConsensus,
-    ProcessEnvironment,
-    PropertyReport,
-    msg_exchange,
-    verify_run,
-)
-from .harness import (
-    ALGORITHMS,
-    ExperimentConfig,
-    RunMetrics,
-    RunResult,
-    run_consensus,
-    run_seeds,
-    termination_expected,
-)
-from .mm import MMConsensus, SharedMemoryDomain
-from .network import ConstantDelay, ExponentialDelay, LogNormalDelay, Network, SpikeDelay, UniformDelay
-from .sharedmem import CASConsensusObject, ClusterSharedMemory, build_cluster_memories
-from .sim import RunStatus, SimConfig, SimulationKernel, SimulationResult
+from ._lazy import lazy_exports
 
-__version__ = "1.0.0"
+#: The one version string; ``setup.py`` reads it from this file without importing it.
+__version__ = "1.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "BOT",
-    "CASConsensusObject",
-    "ClusterSharedMemory",
-    "ClusterTopology",
-    "CommonCoin",
-    "CommonCoinConsensus",
-    "ConsensusProcess",
-    "ConsensusViolation",
-    "ConstantDelay",
-    "ExperimentConfig",
-    "ExponentialDelay",
-    "FailurePattern",
-    "LocalCoin",
-    "LocalCoinConsensus",
-    "LogNormalDelay",
-    "MMConsensus",
-    "Network",
-    "ProcessEnvironment",
-    "PropertyReport",
-    "RunMetrics",
-    "RunResult",
-    "RunStatus",
-    "SharedMemoryDomain",
-    "SimConfig",
-    "SimulationKernel",
-    "SimulationResult",
-    "SpikeDelay",
-    "TopologyError",
-    "UniformDelay",
-    "__version__",
-    "build_cluster_memories",
-    "msg_exchange",
-    "run_consensus",
-    "run_seeds",
-    "termination_expected",
-    "verify_run",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "cluster": ["ClusterTopology", "FailurePattern", "TopologyError"],
+        "coins": ["CommonCoin", "LocalCoin"],
+        "core": [
+            "BOT", "CommonCoinConsensus", "ConsensusProcess", "ConsensusViolation",
+            "LocalCoinConsensus", "ProcessEnvironment", "PropertyReport", "msg_exchange",
+            "verify_run",
+        ],
+        "harness": [
+            "ALGORITHMS", "ExperimentConfig", "RunMetrics", "RunResult", "run_consensus",
+            "run_seeds", "termination_expected",
+        ],
+        "mm": ["MMConsensus", "SharedMemoryDomain"],
+        "network": [
+            "ConstantDelay", "ExponentialDelay", "LogNormalDelay", "Network", "SpikeDelay",
+            "UniformDelay",
+        ],
+        "sharedmem": ["CASConsensusObject", "ClusterSharedMemory", "build_cluster_memories"],
+        "sim": ["RunStatus", "SimConfig", "SimulationKernel", "SimulationResult"],
+    },
+)
+__all__.append("__version__")

@@ -26,59 +26,22 @@ single-host ones.  The named registry in
 in :mod:`~repro.adversary.adaptive` does the same for e10.
 """
 
-from .adaptive import (
-    ADAPTIVE_FAULT_TYPES,
-    AdaptiveAdversary,
-    DelayPivotal,
-    SplitRounds,
-    TargetCoin,
-    adaptive_scenario_names,
-    build_adaptive_scenario,
-    build_adversary,
-    register_adaptive_scenario,
-)
-from .faults import (
-    FAULT_TYPES,
-    CrashRecovery,
-    LinkFault,
-    MessageCorruption,
-    MessageDuplication,
-    MessageOmission,
-    MessageReordering,
-    Outage,
-    PartitionWindow,
-    ProcessSlowdown,
-    TamperedPayload,
-    register_fault_type,
-)
-from .library import build_scenario, register_scenario, scenario_names
-from .scenario import Adversary, Scenario
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ADAPTIVE_FAULT_TYPES",
-    "AdaptiveAdversary",
-    "Adversary",
-    "CrashRecovery",
-    "DelayPivotal",
-    "FAULT_TYPES",
-    "LinkFault",
-    "MessageCorruption",
-    "MessageDuplication",
-    "MessageOmission",
-    "MessageReordering",
-    "Outage",
-    "PartitionWindow",
-    "ProcessSlowdown",
-    "Scenario",
-    "SplitRounds",
-    "TamperedPayload",
-    "TargetCoin",
-    "adaptive_scenario_names",
-    "build_adaptive_scenario",
-    "build_adversary",
-    "build_scenario",
-    "register_adaptive_scenario",
-    "register_fault_type",
-    "register_scenario",
-    "scenario_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "adaptive": [
+            "ADAPTIVE_FAULT_TYPES", "AdaptiveAdversary", "DelayPivotal", "SplitRounds",
+            "TargetCoin", "adaptive_scenario_names", "build_adaptive_scenario",
+            "build_adversary", "register_adaptive_scenario",
+        ],
+        "faults": [
+            "FAULT_TYPES", "CrashRecovery", "LinkFault", "MessageCorruption",
+            "MessageDuplication", "MessageOmission", "MessageReordering", "Outage",
+            "PartitionWindow", "ProcessSlowdown", "TamperedPayload", "register_fault_type",
+        ],
+        "library": ["build_scenario", "register_scenario", "scenario_names"],
+        "scenario": ["Adversary", "Scenario"],
+    },
+)

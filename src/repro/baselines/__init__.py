@@ -1,11 +1,12 @@
 """Baseline consensus algorithms the paper builds on or compares against."""
 
-from .ben_or import BenOrConsensus
-from .mp_common_coin import MessagePassingCommonCoinConsensus
-from .shared_memory_only import SharedMemoryConsensus
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BenOrConsensus",
-    "MessagePassingCommonCoinConsensus",
-    "SharedMemoryConsensus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ben_or": ["BenOrConsensus"],
+        "mp_common_coin": ["MessagePassingCommonCoinConsensus"],
+        "shared_memory_only": ["SharedMemoryConsensus"],
+    },
+)

@@ -23,6 +23,16 @@ plan, which is why ``run`` exposes the experiment name and the seed count
 only -- both map deterministically to the plan; the seed list itself travels
 in the on-disk artifacts, so ``merge`` and ``status`` need nothing but the
 directory.
+
+Every invocation is a fresh interpreter, so this module imports per
+subcommand.  The top level holds what every command needs and what costs
+nothing to hold: the plan, manifest and lease layer, none of which imports
+the simulator.  ``run eN`` then loads driver N (and, through it, the
+simulator), ``merge`` the driver the directory recorded, ``status`` no
+driver at all; scenario registries, the search, the delay fitter and the
+HTTP server load inside the commands that use them.  A new top-level import
+here is a cost every command pays; ``tests/test_startup_imports.py`` holds
+each command's import graph.
 """
 
 from __future__ import annotations
@@ -34,11 +44,8 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from .adversary.adaptive import adaptive_scenario_names
-from .adversary.library import scenario_names
 from .experiments import ALL_EXPERIMENTS
 from .experiments.common import default_seeds, run_planned
-from .experiments.e11_resilience import resilience_scenario_names
 from .harness.coordinator import (
     DEFAULT_LEASE_TTL,
     is_steal_dir,
@@ -116,11 +123,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # declarative library.
         experiment = args.experiment.upper()
         if experiment == "E10":
-            known = adaptive_scenario_names()
+            from .adversary.adaptive import adaptive_scenario_names as known_names
         elif experiment == "E11":
-            known = resilience_scenario_names()
+            from .experiments.e11_resilience import resilience_scenario_names as known_names
         else:
-            known = scenario_names()
+            from .adversary.library import scenario_names as known_names
+        known = known_names()
         if args.scenario not in known:
             raise ShardError(
                 f"unknown scenario {args.scenario!r} for {args.experiment}; "

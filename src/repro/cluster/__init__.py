@@ -1,6 +1,11 @@
 """Cluster model: process partitions and crash-failure patterns."""
 
-from .failures import FailurePattern
-from .topology import ClusterTopology, TopologyError
+from .._lazy import lazy_exports
 
-__all__ = ["ClusterTopology", "FailurePattern", "TopologyError"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "failures": ["FailurePattern"],
+        "topology": ["ClusterTopology", "TopologyError"],
+    },
+)

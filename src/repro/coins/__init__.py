@@ -1,17 +1,14 @@
 """Local and common coins (plus adversarial variants for testing)."""
 
-from .adversarial import AdversarialCommonCoin, AlwaysOneCoin, AlwaysZeroCoin, OpposingCoins
-from .common import CommonCoin, FixedSequenceCommonCoin
-from .local import BiasedLocalCoin, DeterministicCoin, LocalCoin
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdversarialCommonCoin",
-    "AlwaysOneCoin",
-    "AlwaysZeroCoin",
-    "BiasedLocalCoin",
-    "CommonCoin",
-    "DeterministicCoin",
-    "FixedSequenceCommonCoin",
-    "LocalCoin",
-    "OpposingCoins",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "adversarial": [
+            "AdversarialCommonCoin", "AlwaysOneCoin", "AlwaysZeroCoin", "OpposingCoins",
+        ],
+        "common": ["CommonCoin", "FixedSequenceCommonCoin"],
+        "local": ["BiasedLocalCoin", "DeterministicCoin", "LocalCoin"],
+    },
+)

@@ -6,48 +6,21 @@
 * :class:`~repro.core.common_coin.CommonCoinConsensus` — Algorithm 3.
 """
 
-from .base import (
-    BINARY_VALUES,
-    BOT,
-    ConsensusProcess,
-    DecideMessage,
-    PhaseMessage,
-    ProcessEnvironment,
-    ProtocolInvariantError,
-    validate_proposal,
-)
-from .common_coin import CommonCoinConsensus
-from .local_coin import LocalCoinConsensus
-from .pattern import ExchangeOutcome, msg_exchange, scan_mailbox
-from .properties import (
-    ConsensusViolation,
-    PropertyReport,
-    check_agreement,
-    check_termination,
-    check_validity,
-    decisions_are_unanimous,
-    verify_run,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BINARY_VALUES",
-    "BOT",
-    "CommonCoinConsensus",
-    "ConsensusProcess",
-    "ConsensusViolation",
-    "DecideMessage",
-    "ExchangeOutcome",
-    "LocalCoinConsensus",
-    "PhaseMessage",
-    "ProcessEnvironment",
-    "PropertyReport",
-    "ProtocolInvariantError",
-    "check_agreement",
-    "check_termination",
-    "check_validity",
-    "decisions_are_unanimous",
-    "msg_exchange",
-    "scan_mailbox",
-    "validate_proposal",
-    "verify_run",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "base": [
+            "BINARY_VALUES", "BOT", "ConsensusProcess", "DecideMessage", "PhaseMessage",
+            "ProcessEnvironment", "ProtocolInvariantError", "validate_proposal",
+        ],
+        "common_coin": ["CommonCoinConsensus"],
+        "local_coin": ["LocalCoinConsensus"],
+        "pattern": ["ExchangeOutcome", "msg_exchange", "scan_mailbox"],
+        "properties": [
+            "ConsensusViolation", "PropertyReport", "check_agreement", "check_termination",
+            "check_validity", "decisions_are_unanimous", "verify_run",
+        ],
+    },
+)

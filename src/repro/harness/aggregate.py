@@ -12,11 +12,13 @@ Each run then costs O(1) bytes over the pipe instead of O(run size).
 Determinism
 -----------
 Folding order is always run-index order, and the percentile sketch is a
-*bottom-k* sample keyed by per-run priorities derived from the run index
-(via :func:`numpy.random.SeedSequence.spawn` semantics, with a SHA-256
-fallback when numpy is unavailable).  Priorities depend only on the run
-index, never on which worker executed the run or how the batch was chunked,
-so serial, parallel and chunked executions produce bit-identical aggregates.
+*bottom-k* sample keyed by per-run priorities derived from the run index:
+the first two state words of ``numpy.random.SeedSequence(entropy,
+spawn_key=(index,))``, computed here in pure Python (:func:`run_priority`),
+so no host needs numpy and every host derives the same value.  Priorities
+depend only on the run index, never on which worker executed the run or how
+the batch was chunked, so serial, parallel and chunked executions produce
+bit-identical aggregates.
 
 Accuracy
 --------
@@ -29,17 +31,11 @@ giving a rank error of roughly ``1/sqrt(capacity)``.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from .stats import SummaryStats, ci95_half_width, percentile
-
-try:  # pragma: no cover - exercised implicitly on numpy-equipped hosts
-    from numpy.random import SeedSequence as _SeedSequence
-except ImportError:  # pragma: no cover - exercised on numpy-free hosts
-    _SeedSequence = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .runner import RunResult
@@ -51,16 +47,75 @@ SKETCH_CAPACITY = 512
 
 
 # --------------------------------------------------------------- RNG streams
-def priority_backend() -> str:
-    """Which implementation backs :func:`run_priority` on this host.
+_MASK32 = 0xFFFFFFFF
+#: Words in ``SeedSequence``'s entropy pool (numpy's ``DEFAULT_POOL_SIZE``).
+_POOL_WORDS = 4
 
-    The two backends are individually deterministic but produce different
-    priorities for the same run index, so artifacts keyed by priorities
-    (sharded-sweep checkpoints) record the backend and refuse to mix --
-    merging numpy-host shards with numpy-free-host shards would otherwise
-    silently break bit-identity with the single-host sweep.
+
+def priority_backend() -> str:
+    """The name of the :func:`run_priority` derivation, as artifacts record it.
+
+    Sharded-sweep manifests, plan headers and ``SweepPlan.fingerprint()``
+    carry this name.  There is one derivation; the name is kept because
+    directories written by builds that fell back to a ``"sha256"``
+    derivation on numpy-free hosts hold different priorities, and are
+    refused by this name.
     """
-    return "numpy-seedsequence" if _SeedSequence is not None else "sha256"
+    return "numpy-seedsequence"
+
+
+def _uint32_words(value: int) -> List[int]:
+    """``value`` as little-endian 32-bit words (``[0]`` for zero)."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_sequence_state(entropy: int, index: int) -> Tuple[int, int]:
+    """``SeedSequence(entropy, spawn_key=(index,)).generate_state(2)``, ported.
+
+    numpy's ``mix_entropy`` then ``generate_state`` on Python integers, every
+    product and difference reduced ``& 0xFFFFFFFF`` where C wraps a
+    ``uint32_t``.  ``tests/test_aggregate.py`` holds it equal to numpy.
+    """
+    # A spawn key follows, so the entropy words are zero-padded to the pool.
+    words = _uint32_words(entropy)
+    words += [0] * (_POOL_WORDS - len(words))
+    words += _uint32_words(index)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in words[:_POOL_WORDS]]
+    # Mix all bits together so late words can affect earlier ones.
+    for source in range(_POOL_WORDS):
+        for target in range(_POOL_WORDS):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    for word in words[_POOL_WORDS:]:
+        for target in range(_POOL_WORDS):
+            pool[target] = mix(pool[target], hashmix(word))
+    hash_const = 0x8B51F9DD
+    state = []
+    for value in pool[:2]:
+        value ^= hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> 16))
+    return state[0], state[1]
 
 
 def run_priority(entropy: int, index: int) -> float:
@@ -70,15 +125,11 @@ def run_priority(entropy: int, index: int) -> float:
     independent stream derived by spawning the master ``entropy`` keyed by
     the *run index* (``SeedSequence(entropy, spawn_key=(index,))``), so the
     value is identical no matter which worker executes the run, how the
-    batch is chunked, or in which order runs complete.
+    batch is chunked, or in which order runs complete -- and, being computed
+    without numpy, no matter what the host has installed.
     """
-    if _SeedSequence is not None:
-        state = _SeedSequence(entropy, spawn_key=(index,)).generate_state(2)
-        bits = (int(state[0]) << 32) | int(state[1])
-    else:
-        digest = hashlib.sha256(repr((entropy, index)).encode("utf-8")).digest()
-        bits = int.from_bytes(digest[:8], "big")
-    return (bits >> 11) / float(1 << 53)
+    high, low = _seed_sequence_state(entropy, index)
+    return (((high << 32) | low) >> 11) / float(1 << 53)
 
 
 # ------------------------------------------------------------ streaming stats

@@ -96,7 +96,6 @@ from .distributed import (
     manifest_path,
 )
 from ..obs.telemetry import Telemetry
-from .parallel import worker_pool
 
 #: How long a lease stays live without a heartbeat before it can be stolen.
 #: Generous by default: a steal only pays off when the holder is minutes
@@ -521,17 +520,20 @@ def execute_point(
 ) -> List[RunSummary]:
     """Run one claimed point's configurations and summarize them.
 
-    Resolves ``run_many`` through the :mod:`~repro.harness.distributed`
-    module at call time, preserving the long-standing test seam that
-    monkeypatches ``distributed.run_many`` to simulate killed workers.
+    Imports ``run_many`` from :mod:`~repro.harness.parallel` at call time:
+    reading a run directory must not load the simulator, and the call-time
+    lookup is the test seam -- monkeypatching ``parallel.run_many``
+    simulates killed workers.
     ``exec_mode`` picks the engine (see :func:`~repro.harness.parallel.run_many`)
     and cannot change any summary — checkpoints merge bit-identically
     whichever mode computed them.
     """
+    from .parallel import run_many
+
     point = plan.points[task.point_index]
     configs = [point.config.with_seed(plan.seeds[si]) for si in task.positions]
     reducer = SummaryReducer(entropy=plan.entropy, start=task.start, step=task.step)
-    return distributed.run_many(
+    return run_many(
         configs,
         max_workers=max_workers,
         check=point.check,
@@ -554,6 +556,8 @@ def drive_claims(
     for checkpointing.  Static sharding is the degenerate case where every
     claim succeeds and nothing is ever stolen.
     """
+    from .parallel import worker_pool
+
     with worker_pool(max_workers if exec_mode != "coop" else 1):
         for task in scheduler.claims():
             with scheduler.hold(task):

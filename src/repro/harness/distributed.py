@@ -56,7 +56,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .aggregate import (
     SKETCH_CAPACITY,
@@ -65,9 +65,13 @@ from .aggregate import (
     SummaryReducer,
     priority_backend,
 )
-from .parallel import run_many, worker_pool
-from .runner import ExperimentConfig
-from .sweep import SweepPoint, SweepResult, grid_points, variation_points
+
+# The simulator (``.parallel``, ``.runner``, ``.sweep``) is imported inside the
+# functions that execute or enumerate runs: reading manifests, checkpoints
+# and leases -- ``python -m repro status`` -- must not load it.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .runner import ExperimentConfig
+    from .sweep import SweepResult
 
 #: Version stamped into every manifest and checkpoint this module writes.
 #: Readers reject any other version, so stale artifacts fail loudly instead
@@ -240,9 +244,9 @@ class SweepPlan:
         Covers the manifest version, the numbering scheme, the seeds, the
         sketch entropy/capacity, every point's label, ``check`` flag and
         full configuration ``repr`` (all the config components have stable,
-        value-only reprs), and this host's :func:`~.aggregate.priority_backend`
-        -- a numpy host and a numpy-free host derive different sketch
-        priorities for the same run index, so their shards must not merge.
+        value-only reprs), and the :func:`~.aggregate.priority_backend` name
+        -- shards written by a build that derived sketch priorities another
+        way hold different priorities, so they must not merge.
         Two plans with equal fingerprints produce interchangeable shards;
         everything this module writes or reads is checked against it.
         """
@@ -289,6 +293,8 @@ def plan_sweep(
     key: str = "sweep",
 ) -> SweepPlan:
     """A plan enumerating exactly what :func:`~repro.harness.sweep.sweep` runs."""
+    from .sweep import variation_points
+
     points = [
         PlanPoint(label=label, config=config, check=check, meta=overrides)
         for label, overrides, config in variation_points(base_config, variations)
@@ -305,6 +311,8 @@ def plan_grid(
     key: str = "grid",
 ) -> SweepPlan:
     """A plan enumerating exactly what :func:`~repro.harness.sweep.grid` runs."""
+    from .sweep import grid_points
+
     points = [
         PlanPoint(label=label, config=config, check=check, meta=overrides)
         for label, overrides, config in grid_points(base_config, axes, label_format=label_format)
@@ -330,6 +338,8 @@ def run_plan(
     never changes any aggregate — only how fast they arrive.  The shared
     worker pool is only warmed up when a point can actually use it.
     """
+    from .parallel import run_many, worker_pool
+
     aggregates: Dict[str, RunAggregate] = {}
     with worker_pool(max_workers if exec_mode != "coop" else 1):
         for point_index, point in enumerate(plan.points):
@@ -504,6 +514,8 @@ class MergedSweep:
 
     def sweep_result(self) -> SweepResult:
         """The merged aggregates as a :class:`~repro.harness.sweep.SweepResult`."""
+        from .sweep import SweepPoint, SweepResult
+
         result = SweepResult()
         for point in self.plan.points:
             result.points.append(
@@ -550,9 +562,9 @@ def check_merge_provenance(
 
     Shared by :func:`merge_shards` and the work-stealing
     :func:`~repro.harness.coordinator.merge_stolen`.  The named provenance
-    fields come first: a delay-model or scenario mismatch would also trip
-    the fingerprint check below, but with an anonymous digest -- the
-    named-field error says *what* differs.
+    fields come first: a delay-model, scenario or priority-derivation
+    mismatch would also trip the fingerprint check below, but with an
+    anonymous digest -- the named-field error says *what* differs.
     """
     for field_name, plan_value in (
         ("delay_models", plan.delay_models()),
@@ -566,20 +578,18 @@ def check_merge_provenance(
                 f"{plan_value}; {what} produced under different delay models or "
                 f"fault scenarios cannot be merged"
             )
+    recorded_backend = recorded.get("priority_backend")
+    if recorded_backend and recorded_backend != priority_backend():
+        raise ManifestError(
+            f"{what} in {out} record 'priority_backend' {recorded_backend!r} but this "
+            f"build derives run priorities as {priority_backend()!r}; their sketch "
+            f"priorities differ, so re-run the sweep with this build"
+        )
     if recorded["fingerprint"] != plan.fingerprint():
-        hint = ""
-        recorded_backend = recorded.get("priority_backend")
-        if recorded_backend and recorded_backend != priority_backend():
-            hint = (
-                f" (the {what} were produced with the {recorded_backend!r} run-priority "
-                f"backend but this host uses {priority_backend()!r}; numpy availability "
-                f"must match between the worker hosts and the merge host)"
-            )
         raise ManifestError(
             f"{what} in {out} were produced by a different plan (fingerprint "
             f"{recorded['fingerprint'][:12]}... != {plan.fingerprint()[:12]}...); "
             f"rebuild the merge plan with the same experiment, seeds and parameters"
-            + hint
         )
 
 

@@ -39,15 +39,18 @@ import math
 import os
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Generator, Iterable, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Iterator, List, Optional, Sequence
 
 from ..sim.multikernel import DEFAULT_BATCH_EVENTS, CooperativeScheduler
 from .aggregate import Reducer
 from .runner import ExperimentConfig, RunResult, prepare_consensus, run_consensus
+
+# ``concurrent.futures.process`` pulls in ``multiprocessing``; it is imported
+# where a pool is built, so a single-worker run loads neither.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures.process import ProcessPoolExecutor
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV_VAR = "REPRO_MAX_WORKERS"
@@ -226,6 +229,8 @@ def worker_pool(max_workers: Optional[int] = None) -> Iterator[None]:
     if workers == 1:
         yield
         return
+    from concurrent.futures.process import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers)
     _shared_pool, _shared_pool_workers = pool, workers
     try:
@@ -314,6 +319,8 @@ def _should_fall_back(error: BaseException) -> bool:
     ``OSError`` / ``EOFError`` whose message names pickling, which is what
     the string check distinguishes.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     if isinstance(error, (BrokenProcessPool, pickle.PicklingError)):
         return True
     return (
@@ -331,6 +338,8 @@ def _run_pool(
 ) -> Optional[List[Any]]:
     """Run configs through a process pool; ``None`` means 'fall back to serial'."""
     global _shared_pool, _shared_pool_workers
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     shared = _shared_pool
     pool_workers = _shared_pool_workers if shared is not None else workers
     if chunksize is None:

@@ -1,14 +1,12 @@
 """The m&m (messages-and-memories) model used for the Section III-C comparison."""
 
-from .consensus import MMConsensus
-from .domain import DomainError, SharedMemoryDomain
-from .memory import ProcessCentredMemory, build_mm_memories, memories_accessible_by
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DomainError",
-    "MMConsensus",
-    "ProcessCentredMemory",
-    "SharedMemoryDomain",
-    "build_mm_memories",
-    "memories_accessible_by",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "consensus": ["MMConsensus"],
+        "domain": ["DomainError", "SharedMemoryDomain"],
+        "memory": ["ProcessCentredMemory", "build_mm_memories", "memories_accessible_by"],
+    },
+)

@@ -1,47 +1,19 @@
 """Message-passing substrate: messages, delay models and the network."""
 
-from .delays import (
-    ConstantDelay,
-    DelayModel,
-    ExponentialDelay,
-    LogNormalDelay,
-    SpikeDelay,
-    UniformDelay,
-    delay_model_from_name,
-    register_delay_model,
-)
-from .empirical import (
-    REFERENCE_RTT_MS,
-    EmpiricalDelay,
-    ShiftedLogNormalDelay,
-    TraceExhausted,
-    TraceReplayDelay,
-    fit_delay_model,
-    load_rtt_samples,
-    scale_to_unit_mean,
-)
-from .message import Message, payload_size
-from .transport import Network, TrafficStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ConstantDelay",
-    "DelayModel",
-    "EmpiricalDelay",
-    "ExponentialDelay",
-    "LogNormalDelay",
-    "Message",
-    "Network",
-    "REFERENCE_RTT_MS",
-    "ShiftedLogNormalDelay",
-    "SpikeDelay",
-    "TraceExhausted",
-    "TraceReplayDelay",
-    "TrafficStats",
-    "UniformDelay",
-    "delay_model_from_name",
-    "fit_delay_model",
-    "load_rtt_samples",
-    "payload_size",
-    "register_delay_model",
-    "scale_to_unit_mean",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "delays": [
+            "ConstantDelay", "DelayModel", "ExponentialDelay", "LogNormalDelay", "SpikeDelay",
+            "UniformDelay", "delay_model_from_name", "register_delay_model",
+        ],
+        "empirical": [
+            "REFERENCE_RTT_MS", "EmpiricalDelay", "ShiftedLogNormalDelay", "TraceExhausted",
+            "TraceReplayDelay", "fit_delay_model", "load_rtt_samples", "scale_to_unit_mean",
+        ],
+        "message": ["Message", "payload_size"],
+        "transport": ["Network", "TrafficStats"],
+    },
+)

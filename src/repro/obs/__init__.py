@@ -17,24 +17,18 @@ workload instead of a batch job:
 Structured execution tracing (the JSONL trace schema and the kernel's
 ``trace_sink`` option) lives with the kernel in :mod:`repro.sim.trace`;
 ``docs/observability.md`` documents the whole layer.
+
+Like every package here the exports load on first use, so the coordinator
+importing :mod:`repro.obs.telemetry` pulls in neither the merger (which
+imports the coordinator back) nor ``serve`` and its ``http.server``.
 """
 
-from .telemetry import Telemetry, merge_snapshots
+from .._lazy import lazy_exports
 
-__all__ = ["IncrementalMerger", "Telemetry", "merge_snapshots"]
-
-
-def __getattr__(name: str):
-    """Lazily resolve the merge-layer export.
-
-    The harness coordinator imports :mod:`repro.obs.telemetry` while
-    :mod:`repro.obs.merge` imports the coordinator; loading ``merge``
-    eagerly here would close that loop during the coordinator's own
-    import.  Deferring it keeps ``from repro.obs import IncrementalMerger``
-    working without the cycle.
-    """
-    if name == "IncrementalMerger":
-        from .merge import IncrementalMerger
-
-        return IncrementalMerger
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "merge": ["IncrementalMerger"],
+        "telemetry": ["Telemetry", "merge_snapshots"],
+    },
+)

@@ -20,31 +20,15 @@ variant used to prove the search actually finds real disagreement;
 into systemic-failure findings.
 """
 
-from .explorer import (
-    ReplayController,
-    ScheduleResult,
-    SearchOutcome,
-    SearchSpec,
-    format_token,
-    parse_token,
-    replay_token,
-    run_schedule,
-    search,
-    search_all,
-)
-from .systemic import SystemicPattern, detect_systemic_failure
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ReplayController",
-    "ScheduleResult",
-    "SearchOutcome",
-    "SearchSpec",
-    "SystemicPattern",
-    "detect_systemic_failure",
-    "format_token",
-    "parse_token",
-    "replay_token",
-    "run_schedule",
-    "search",
-    "search_all",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "explorer": [
+            "ReplayController", "ScheduleResult", "SearchOutcome", "SearchSpec", "format_token",
+            "parse_token", "replay_token", "run_schedule", "search", "search_all",
+        ],
+        "systemic": ["SystemicPattern", "detect_systemic_failure"],
+    },
+)

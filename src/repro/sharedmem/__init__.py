@@ -6,62 +6,27 @@ operations of infinite consensus number, and the cluster-limited consensus
 objects the algorithms invoke at every round.
 """
 
-from .consensus_object import (
-    UNSET,
-    CASConsensusObject,
-    ConsensusObject,
-    ConsensusObjectStats,
-    LLSCConsensusObject,
-    TwoProcessTASConsensus,
-)
-from .memory import ClusterSharedMemory, build_cluster_memories
-from .register import AtomicRegister, MemoryAccessError, RegisterArray, RegisterStats
-from .rmw import (
-    CompareAndSwapRegister,
-    FetchAndAddRegister,
-    LLSCRegister,
-    SwapRegister,
-    TestAndSetRegister,
-)
-from .threaded import (
-    ThreadSafeCAS,
-    ThreadSafeFetchAndAdd,
-    ThreadSafeRegister,
-    ThreadedConsensusObject,
-    run_threaded_consensus,
-)
-from .universal import (
-    AppliedOperation,
-    UniversalObject,
-    append_log_transition,
-    counter_transition,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "UNSET",
-    "AppliedOperation",
-    "AtomicRegister",
-    "CASConsensusObject",
-    "ClusterSharedMemory",
-    "CompareAndSwapRegister",
-    "ConsensusObject",
-    "ConsensusObjectStats",
-    "FetchAndAddRegister",
-    "LLSCConsensusObject",
-    "LLSCRegister",
-    "MemoryAccessError",
-    "RegisterArray",
-    "RegisterStats",
-    "SwapRegister",
-    "TestAndSetRegister",
-    "ThreadSafeCAS",
-    "ThreadSafeFetchAndAdd",
-    "ThreadSafeRegister",
-    "ThreadedConsensusObject",
-    "TwoProcessTASConsensus",
-    "UniversalObject",
-    "append_log_transition",
-    "build_cluster_memories",
-    "counter_transition",
-    "run_threaded_consensus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "consensus_object": [
+            "UNSET", "CASConsensusObject", "ConsensusObject", "ConsensusObjectStats",
+            "LLSCConsensusObject", "TwoProcessTASConsensus",
+        ],
+        "memory": ["ClusterSharedMemory", "build_cluster_memories"],
+        "register": ["AtomicRegister", "MemoryAccessError", "RegisterArray", "RegisterStats"],
+        "rmw": [
+            "CompareAndSwapRegister", "FetchAndAddRegister", "LLSCRegister", "SwapRegister",
+            "TestAndSetRegister",
+        ],
+        "threaded": [
+            "ThreadSafeCAS", "ThreadSafeFetchAndAdd", "ThreadSafeRegister",
+            "ThreadedConsensusObject", "run_threaded_consensus",
+        ],
+        "universal": [
+            "AppliedOperation", "UniversalObject", "append_log_transition", "counter_transition",
+        ],
+    },
+)

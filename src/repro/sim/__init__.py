@@ -6,54 +6,25 @@ consensus algorithms of the paper run: a seeded event-driven kernel
 crash injection and execution tracing.
 """
 
-from .context import (
-    Effect,
-    LocalEffect,
-    ProcessContext,
-    ProcessStats,
-    RoundLimitExceeded,
-    SendEffect,
-    SharedMemEffect,
-    WaitEffect,
-)
-from .events import MessageDelivery, ProcessCrash, ProcessStart, ScheduledEvent, StepResume
-from .kernel import RunStatus, SimConfig, SimulationKernel, SimulationResult
-from .multikernel import (
-    DEFAULT_BATCH_EVENTS,
-    CooperativeScheduler,
-    kernel_stepper,
-    run_cooperative,
-    scheduler_rng,
-)
-from .process import ProcessState, SimProcess
-from .rng import RandomSource
-from .trace import Trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CooperativeScheduler",
-    "DEFAULT_BATCH_EVENTS",
-    "Effect",
-    "LocalEffect",
-    "MessageDelivery",
-    "ProcessCrash",
-    "ProcessContext",
-    "ProcessStart",
-    "ProcessState",
-    "ProcessStats",
-    "RandomSource",
-    "RoundLimitExceeded",
-    "RunStatus",
-    "ScheduledEvent",
-    "SendEffect",
-    "SharedMemEffect",
-    "SimConfig",
-    "SimProcess",
-    "SimulationKernel",
-    "SimulationResult",
-    "StepResume",
-    "Trace",
-    "WaitEffect",
-    "kernel_stepper",
-    "run_cooperative",
-    "scheduler_rng",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "context": [
+            "Effect", "LocalEffect", "ProcessContext", "ProcessStats", "RoundLimitExceeded",
+            "SendEffect", "SharedMemEffect", "WaitEffect",
+        ],
+        "events": [
+            "MessageDelivery", "ProcessCrash", "ProcessStart", "ScheduledEvent", "StepResume",
+        ],
+        "kernel": ["RunStatus", "SimConfig", "SimulationKernel", "SimulationResult"],
+        "multikernel": [
+            "DEFAULT_BATCH_EVENTS", "CooperativeScheduler", "kernel_stepper", "run_cooperative",
+            "scheduler_rng",
+        ],
+        "process": ["ProcessState", "SimProcess"],
+        "rng": ["RandomSource"],
+        "trace": ["Trace"],
+    },
+)

@@ -15,6 +15,7 @@ from repro.harness.aggregate import (
     RunSummary,
     StreamingStats,
     SummaryReducer,
+    _seed_sequence_state,
     run_priority,
 )
 from repro.harness.runner import ExperimentConfig, run_consensus
@@ -35,6 +36,60 @@ def test_run_priority_is_deterministic_and_uniform_range():
     assert all(0.0 <= priority < 1.0 for priority in priorities)
     assert len(set(priorities)) == 200  # no collisions across run indices
     assert run_priority(1, 3) != run_priority(0, 3)  # entropy matters
+
+
+#: ``run_priority(entropy, index).hex()`` as the numpy-backed parent commit
+#: printed it.  Needs no numpy: a host without it must derive the same bits.
+PINNED_PRIORITIES = [
+    (0, 0, "0x1.bfef6822f09bfp-1"),
+    (0, 1, "0x1.41053d7a1dffcp-3"),
+    (0, 47, "0x1.f79d921ea11d2p-2"),
+    (0, 815, "0x1.99ba08f58313ep-2"),
+    (0, 1 << 32, "0x1.aaebd3639d811p-1"),
+    (0, (1 << 64) - 1, "0x1.1239c5d5012d8p-4"),
+    (1, 0, "0x1.8757c981d40fap-2"),
+    (12345, 7, "0x1.c559f23d6f43ap-1"),
+    ((1 << 32) - 1, 3, "0x1.72b4d61a07338p-2"),
+    (1 << 32, 3, "0x1.33e3cb384feabp-1"),
+    ((1 << 64) + 5, 9, "0x1.06774336e2490p-2"),
+    ((1 << 128) - 1, 2, "0x1.aed8e37ceee6ep-1"),
+    (1 << 128, 2, "0x1.e4c2dee402b70p-3"),
+    ((1 << 200) + 17, (1 << 40) + 1, "0x1.3222ff4760780p-3"),
+]
+
+
+@pytest.mark.parametrize("entropy, index, expected", PINNED_PRIORITIES)
+def test_run_priority_known_answers(entropy, index, expected):
+    assert run_priority(entropy, index).hex() == expected
+
+
+def test_run_priority_rejects_negative_inputs_like_numpy():
+    for entropy, index in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            run_priority(entropy, index)
+
+
+#: Word-boundary entropy sizes: empty, sub-word, one word and its neighbours,
+#: a full four-word pool and the first size that spills past it.
+ENTROPY_BITS = (0, 1, 31, 32, 33, 64, 96, 128, 129, 256)
+
+
+@given(
+    # Exactly ``bits`` long (top bit set), so every boundary size is drawn.
+    entropy=st.sampled_from(ENTROPY_BITS).flatmap(
+        lambda bits: st.integers(min_value=(1 << bits) >> 1, max_value=(1 << bits) - 1)
+    ),
+    index=st.integers(min_value=0, max_value=1 << 64)
+    | st.sampled_from([(1 << 32) - 1, 1 << 32, (1 << 64) - 1, 1 << 64]),
+)
+@settings(max_examples=400, deadline=None)
+def test_seed_sequence_port_equals_numpy(entropy, index):
+    """The oracle: numpy's own ``SeedSequence``, where numpy is installed."""
+    numpy_random = pytest.importorskip("numpy.random")
+    state = numpy_random.SeedSequence(entropy, spawn_key=(index,)).generate_state(2)
+    assert _seed_sequence_state(entropy, index) == (int(state[0]), int(state[1]))
+    bits = (int(state[0]) << 32) | int(state[1])
+    assert run_priority(entropy, index) == (bits >> 11) / float(1 << 53)
 
 
 # ------------------------------------------------------------- streaming stats

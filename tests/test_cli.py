@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.harness import distributed
+from repro.harness import parallel
 from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds
 
@@ -67,7 +67,7 @@ def test_status_shows_progress(tmp_path, capsys):
 
 def test_status_of_killed_shard_shows_partial_points(tmp_path, capsys, monkeypatch):
     out_dir = str(tmp_path / "runs")
-    real_run_many = distributed.run_many
+    real_run_many = parallel.run_many
     calls = {"count": 0}
 
     def dies_after_one_point(*args, **kwargs):
@@ -76,10 +76,10 @@ def test_status_of_killed_shard_shows_partial_points(tmp_path, capsys, monkeypat
         calls["count"] += 1
         return real_run_many(*args, **kwargs)
 
-    monkeypatch.setattr(distributed, "run_many", dies_after_one_point)
+    monkeypatch.setattr(parallel, "run_many", dies_after_one_point)
     with pytest.raises(KeyboardInterrupt):
         main(["run", "e1", *E1_ARGS, "--shard", "1/1", "--out", out_dir])
-    monkeypatch.setattr(distributed, "run_many", real_run_many)
+    monkeypatch.setattr(parallel, "run_many", real_run_many)
     capsys.readouterr()
 
     code, out, _ = run_cli(capsys, "status", out_dir)

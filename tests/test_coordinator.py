@@ -16,7 +16,7 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.experiments import e1_figure1, e9_adversary
 from repro.experiments.common import default_seeds
-from repro.harness import coordinator, distributed
+from repro.harness import coordinator, parallel
 from repro.harness.coordinator import (
     Lease,
     LeaseError,
@@ -61,7 +61,7 @@ def make_plan():
 
 def kill_after(monkeypatch, points):
     """Make ``run_many`` die with KeyboardInterrupt after ``points`` calls."""
-    real_run_many = distributed.run_many
+    real_run_many = parallel.run_many
     calls = {"count": 0}
 
     def dying(*args, **kwargs):
@@ -70,8 +70,8 @@ def kill_after(monkeypatch, points):
         calls["count"] += 1
         return real_run_many(*args, **kwargs)
 
-    monkeypatch.setattr(distributed, "run_many", dying)
-    return lambda: monkeypatch.setattr(distributed, "run_many", real_run_many)
+    monkeypatch.setattr(parallel, "run_many", dying)
+    return lambda: monkeypatch.setattr(parallel, "run_many", real_run_many)
 
 
 # ------------------------------------------------------------------ leases

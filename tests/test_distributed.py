@@ -15,7 +15,7 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds
-from repro.harness import distributed
+from repro.harness import parallel
 from repro.harness.aggregate import SummaryReducer, run_priority
 from repro.harness.distributed import (
     MANIFEST_VERSION,
@@ -95,30 +95,27 @@ class TestPlanValidation:
         other_base = ExperimentConfig(topology=ClusterTopology.figure1_left())
         assert plan_a.fingerprint() != plan_sweep(other_base, VARIATIONS, SEEDS).fingerprint()
 
-    def test_fingerprint_pins_priority_backend(self, monkeypatch):
-        """Shards from numpy and numpy-free hosts must never merge silently.
+    def test_fingerprint_pins_priority_backend(self):
+        """The fingerprint is what every earlier build on a numpy host printed.
 
-        The two run_priority backends assign different sketch priorities to
-        the same run index, so the backend is part of the fingerprint.
+        Run priorities are numpy's ``SeedSequence`` words computed in pure
+        Python, so the derivation's name -- part of the fingerprint -- and
+        with it every committed directory's fingerprint stay valid.
         """
-        from repro.harness import aggregate
+        assert plan_sweep(BASE, VARIATIONS, SEEDS).fingerprint() == (
+            "c7248d665b36bdb7a6cf36b3cc313400cafb29da9e378a6b3f194baece71927d"
+        )
 
-        if aggregate._SeedSequence is None:
-            pytest.skip("numpy absent: only one priority backend exists on this host")
-        with_numpy = plan_sweep(BASE, VARIATIONS, SEEDS).fingerprint()
-        monkeypatch.setattr(aggregate, "_SeedSequence", None)
-        without_numpy = plan_sweep(BASE, VARIATIONS, SEEDS).fingerprint()
-        assert with_numpy != without_numpy
-
-    def test_merge_names_the_backend_on_cross_backend_merge(self, tmp_path, monkeypatch):
-        from repro.harness import aggregate
-
-        if aggregate._SeedSequence is None:
-            pytest.skip("numpy absent: only one priority backend exists on this host")
+    def test_merge_names_the_backend_on_cross_backend_merge(self, tmp_path):
+        """A directory whose priorities were derived another way is refused by name."""
         plan = plan_sweep(BASE, VARIATIONS, SEEDS)
         run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
-        monkeypatch.setattr(aggregate, "_SeedSequence", None)
-        with pytest.raises(ManifestError, match="numpy availability"):
+        path = manifest_path(tmp_path, ShardSpec(1, 1))
+        manifest = json.loads(path.read_text())
+        assert manifest["priority_backend"] == "numpy-seedsequence"
+        manifest["priority_backend"] = "sha256"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="'priority_backend' 'sha256'"):
             merge_shards(tmp_path, plan_sweep(BASE, VARIATIONS, SEEDS))
 
 
@@ -200,7 +197,7 @@ def test_rerun_resumes_every_checkpointed_point(tmp_path):
 
 def test_killed_shard_resumes_from_last_checkpoint(tmp_path, monkeypatch):
     plan = plan_sweep(BASE, VARIATIONS, SEEDS)
-    real_run_many = distributed.run_many
+    real_run_many = parallel.run_many
     calls = {"count": 0}
 
     def dies_after_one_point(*args, **kwargs):
@@ -209,10 +206,10 @@ def test_killed_shard_resumes_from_last_checkpoint(tmp_path, monkeypatch):
         calls["count"] += 1
         return real_run_many(*args, **kwargs)
 
-    monkeypatch.setattr(distributed, "run_many", dies_after_one_point)
+    monkeypatch.setattr(parallel, "run_many", dies_after_one_point)
     with pytest.raises(KeyboardInterrupt):
         run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
-    monkeypatch.setattr(distributed, "run_many", real_run_many)
+    monkeypatch.setattr(parallel, "run_many", real_run_many)
 
     # The killed invocation left a manifest and one checkpoint behind.
     assert manifest_path(tmp_path, ShardSpec(1, 1)).exists()
@@ -285,7 +282,7 @@ def test_merge_rejects_foreign_plan(tmp_path):
 
 def test_merge_rejects_incomplete_shard(tmp_path, monkeypatch):
     plan = plan_sweep(BASE, VARIATIONS, SEEDS)
-    real_run_many = distributed.run_many
+    real_run_many = parallel.run_many
     calls = {"count": 0}
 
     def dies_after_one_point(*args, **kwargs):
@@ -294,7 +291,7 @@ def test_merge_rejects_incomplete_shard(tmp_path, monkeypatch):
         calls["count"] += 1
         return real_run_many(*args, **kwargs)
 
-    monkeypatch.setattr(distributed, "run_many", dies_after_one_point)
+    monkeypatch.setattr(parallel, "run_many", dies_after_one_point)
     with pytest.raises(KeyboardInterrupt):
         run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
     # match on message text that cannot collide with tmp_path (which contains

@@ -225,17 +225,17 @@ def test_fallback_only_for_pickling_and_transport_errors():
 
 
 def test_worker_pool_shares_one_executor_and_matches_serial(monkeypatch):
-    import repro.harness.parallel as parallel_mod
+    import concurrent.futures.process as pool_mod
 
     created = []
-    real_pool = parallel_mod.ProcessPoolExecutor
+    real_pool = pool_mod.ProcessPoolExecutor
 
     class CountingPool(real_pool):
         def __init__(self, *args, **kwargs):
             created.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", CountingPool)
     configs = [_base_config().with_seed(seed) for seed in (0, 1)]
     serial = [_comparable(result) for result in run_many(configs, max_workers=1)]
     with worker_pool(2):
@@ -244,6 +244,24 @@ def test_worker_pool_shares_one_executor_and_matches_serial(monkeypatch):
     assert len(created) == 1, "both run_many calls should reuse the context's pool"
     assert [_comparable(result) for result in first] == serial
     assert [_comparable(result) for result in second] == serial
+
+
+def test_one_worker_builds_no_pool(monkeypatch, tmp_path):
+    """``max_workers=1`` runs a whole plan, or a whole steal worker, in-process."""
+    import concurrent.futures.process as pool_mod
+
+    from repro.harness.coordinator import merge_stolen, run_work_stealing
+    from repro.harness.distributed import plan_repeat, run_plan
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("max_workers=1 built a process pool")
+
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
+    plan = plan_repeat(_base_config(), seeds=[0, 1, 2])
+    aggregates = run_plan(plan, max_workers=1, exec_mode="process")
+    worker = run_work_stealing(plan, tmp_path, worker="solo", max_workers=1)
+    assert worker.runs_executed == aggregates["repeat"].count == 3
+    assert merge_stolen(tmp_path, plan).aggregates == aggregates
 
 
 def test_worker_pool_is_a_noop_for_one_worker():
