@@ -27,9 +27,17 @@ import pytest
 from repro.adversary import build_scenario, scenario_names
 from repro.cluster.topology import ClusterTopology
 from repro.harness.runner import ExperimentConfig, run_consensus
-from repro.sim.context import RoundLimitExceeded, SendEffect, WaitEffect
+from repro.network.message import Message
+from repro.sim.context import BroadcastEffect, RoundLimitExceeded, SendEffect, WaitEffect
 from repro.sim.events import EVENT_KIND_NAMES, EventKind, describe_entry
-from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel, _effect_base
+from repro.sim.kernel import (
+    _EFFECT_TYPES,
+    RunStatus,
+    SimConfig,
+    SimulationKernel,
+    _effect_base,
+    _tuple_new,
+)
 from repro.sim.process import ProcessState
 
 TOPOLOGY = ClusterTopology.figure1_right()
@@ -65,6 +73,7 @@ def _prehook_run_batch(self, max_events=-1):
         raise RuntimeError("no processes registered")
     budget = max_events
     queue = self._queue
+    inflight = self._inflight
     trace = self.trace
     # Hoisted once per run: tracing cannot be toggled mid-run (and
     # Trace.record self-guards anyway, so boundary paths stay correct).
@@ -90,16 +99,24 @@ def _prehook_run_batch(self, max_events=-1):
     crashed = ProcessState.CRASHED
     processed = 0
     try:
-        while queue:
+        while queue or inflight:
             if processed == budget:
                 # Budget spent with work still queued: hand control back
                 # to the cooperative host (the ``finally`` flushes the
-                # counter); the next call resumes on the same queue.
+                # counter); the next call resumes on the same heaps.
                 return None
-            if controller is None:
-                time, sequence, kind, pid, payload = heappop(queue)
-            else:
+            if controller is not None:
                 time, sequence, kind, pid, payload = self._controlled_pop(controller)
+            elif inflight and (not queue or inflight[0] < queue[0]):
+                # The delivery is due first.  ``(time, sequence)`` is
+                # unique across both heaps, so the tuple comparison never
+                # reaches the fields in which the two shapes differ.
+                time, sequence, pid, sender, payload, send_time, msg_id = heappop(inflight)
+                kind = _DELIVERY
+                # The one place a message in flight becomes a ``Message``.
+                payload = _tuple_new(Message, (sender, pid, payload, send_time, msg_id))
+            else:
+                time, sequence, kind, pid, payload = heappop(queue)
             if time > max_time:
                 self.now = max_time
                 self.events_processed += processed
@@ -117,9 +134,8 @@ def _prehook_run_batch(self, max_events=-1):
                     {"event": EVENT_KIND_NAMES[kind]},
                 )
             if kind == _DELIVERY:
-                # Deliveries are the majority event kind, and they can
-                # never settle a process, so the quiescence re-check
-                # below is skipped too.
+                # Deliveries can never settle a process, so the
+                # quiescence re-check below is skipped.
                 proc = processes[pid]
                 state = proc.state
                 if state is crashed:
@@ -157,56 +173,53 @@ def _prehook_run_batch(self, max_events=-1):
                     continue
                 if kind == _START:
                     proc.start()
-                proc.stats.steps += 1
-                try:
-                    effect = proc.generator.send(payload)
-                except StopIteration as stop:
-                    proc.decision = stop.value
-                    proc.decision_time = self.now
-                    self._settle(
-                        proc,
-                        ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED,
-                    )
-                    if stop.value is None:
-                        proc.halt_reason = "returned None"
-                    if trace_enabled:
-                        trace.record(self.now, "decide", pid, repr(stop.value))
-                    if self._live == 0:
-                        break
-                    continue
-                except RoundLimitExceeded as exceeded:
-                    self._settle(proc, ProcessState.HALTED)
-                    proc.halt_reason = str(exceeded)
-                    if trace_enabled:
-                        trace.record(self.now, "halt", pid, proc.halt_reason)
-                    if self._live == 0:
-                        break
-                    continue
-                cls = type(effect)
-                while True:
-                    # One pass; only an effect *subclass* comes round again,
-                    # as its base type (see the last branch).
-                    if cls is SendEffect:
-                        if network is None:
-                            raise RuntimeError("no network attached; cannot handle SendEffect")
-                        dest = effect.dest
-                        now = self.now
-                        message, delay = network.transmit(pid, dest, effect.payload, now)
+                stats = proc.stats
+                stats.steps += 1
+                broadcast = proc.broadcast
+                if broadcast is None:
+                    try:
+                        effect = proc.generator.send(payload)
+                    except StopIteration as stop:
+                        proc.decision = stop.value
+                        proc.decision_time = self.now
+                        self._settle(
+                            proc,
+                            ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED,
+                        )
+                        if stop.value is None:
+                            proc.halt_reason = "returned None"
                         if trace_enabled:
-                            trace.record(
-                                now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest}
+                            trace.record(self.now, "decide", pid, repr(stop.value))
+                        if self._live == 0:
+                            break
+                        continue
+                    except RoundLimitExceeded as exceeded:
+                        self._settle(proc, ProcessState.HALTED)
+                        proc.halt_reason = str(exceeded)
+                        if trace_enabled:
+                            trace.record(self.now, "halt", pid, proc.halt_reason)
+                        if self._live == 0:
+                            break
+                        continue
+                    cls = type(effect)
+                    if cls not in _EFFECT_TYPES:
+                        # A subclass of an effect runs its base's code.
+                        cls = _effect_base(cls)
+                        if cls is None:
+                            raise TypeError(
+                                f"process {pid} yielded {effect!r}, which is not a recognised effect"
                             )
-                        # One batched sequence bump covers both pushes; the
-                        # delivery keeps the lower number, exactly as two
-                        # bumps would assign.
-                        sequence = self._sequence + 2
-                        self._sequence = sequence
-                        heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
-                        if jitter > 0:
-                            time = now + local_step_delay + sched_random() * jitter
-                        else:
-                            time = now + local_step_delay
-                        heappush(queue, (time, sequence, _RESUME, pid, None))
+                    if cls is BroadcastEffect:
+                        dests = list(effect.dests)
+                        if not dests:
+                            raise ValueError(
+                                f"process {pid} yielded {effect!r}, which has no destination"
+                            )
+                        dests.reverse()
+                        broadcast = proc.broadcast = (dests, effect.payload)
+                    elif cls is SendEffect:
+                        dest = effect.dest
+                        payload = effect.payload
                     elif cls is WaitEffect:
                         result = effect.predicate(proc.mailbox)
                         if result is not None:
@@ -221,22 +234,40 @@ def _prehook_run_batch(self, max_events=-1):
                             proc.wait_predicate = effect.predicate
                             if trace_enabled:
                                 trace.record(self.now, "block", pid, "waiting on messages")
+                        continue
                     else:
-                        handler = effect_handlers.get(cls)
-                        if handler is None:
-                            # The exact-type tests above miss subclasses:
-                            # retry as the known base, so a subclass of any
-                            # of the four effects runs its base's code.
-                            cls = _effect_base(cls)
-                            if cls is None:
-                                raise TypeError(
-                                    f"process {pid} yielded {effect!r}, which is not a recognised effect"
-                                )
-                            continue
                         # Neither handler can settle a process, and the one
                         # stepping is still live: no quiescence re-check.
-                        handler(proc, effect)
-                    break
+                        effect_handlers[cls](proc, effect)
+                        continue
+                if broadcast is not None:
+                    # A broadcast in progress: this step is the send to its
+                    # next destination, accounted like a ``ctx.send``.  The
+                    # generator is resumed by the step after the last one.
+                    dests, payload = broadcast
+                    dest = dests.pop()
+                    if not dests:
+                        proc.broadcast = None
+                    stats.messages_sent += 1
+                # The one send: a SendEffect, or one destination of a
+                # BroadcastEffect.  The message stays flat while in flight.
+                if network is None:
+                    raise RuntimeError("no network attached; cannot handle SendEffect")
+                now = self.now
+                msg_id, delay = network.transmit(pid, dest, payload)
+                if trace_enabled:
+                    trace.record(now, "send", pid, f"to={dest} {payload!r}", {"dest": dest})
+                # One batched sequence bump covers both pushes;
+                # the delivery keeps the lower number, exactly
+                # as two bumps would assign.
+                sequence = self._sequence + 2
+                self._sequence = sequence
+                heappush(inflight, (now + delay, sequence - 1, dest, pid, payload, now, msg_id))
+                if jitter > 0:
+                    time = now + local_step_delay + sched_random() * jitter
+                else:
+                    time = now + local_step_delay
+                heappush(queue, (time, sequence, _RESUME, pid, None))
                 continue
             handlers[kind - _CRASH](pid, payload)
             if self._live == 0:

@@ -3,9 +3,13 @@
 The network connects every pair of processes with a reliable channel:
 messages are never lost, corrupted or duplicated, but transit for an
 arbitrary (randomly sampled) finite time, and are therefore not necessarily
-delivered in send order.  The kernel consults :meth:`Network.sample_delay`
-when it handles a send effect; this class also keeps the traffic counters
-used by the benchmark harness.
+delivered in send order.  The kernel calls :meth:`Network.transmit` once per
+send -- bounds check, traffic accounting and the delay draw -- and builds
+the :class:`~repro.network.message.Message` envelope itself, when the
+delivery is dispatched; :meth:`Network.prepare` and
+:meth:`Network.sample_delay` are the same two halves as separate public
+calls.  This class also keeps the traffic counters used by the benchmark
+harness.
 
 Reliability can be revoked deliberately: when a fault-injection adversary
 (:mod:`repro.adversary`) is installed in the kernel, sends it omits and
@@ -22,12 +26,6 @@ from typing import Dict, Optional
 from ..sim.rng import RandomSource
 from .delays import DelayModel, UniformDelay
 from .message import Message, payload_size
-
-#: Direct C-level constructor for the hot path: building the Message tuple
-#: through ``tuple.__new__`` skips the ``Message.__new__`` wrapper frame.
-#: Must stay equivalent to ``Message(sender, dest, payload, send_time,
-#: msg_id)``.
-_tuple_new = tuple.__new__
 
 #: Delay-cache refill sizing: first refill, and the cap the block doubles to.
 _MIN_BATCH = 16
@@ -102,77 +100,60 @@ class Network:
         self._batch = _MIN_BATCH
         # Payload-size memo, keyed by payload object identity and holding a
         # strong reference (so an id can't be recycled while its entry
-        # lives): a broadcast prepares the same payload object once per
+        # lives): a broadcast accounts the same payload object once per
         # destination, and those sends interleave with other processes', so
         # the recursive payload_size walk runs once per object instead of
         # once per destination.  Bounded to keep long sweeps from hoarding
         # dead payloads.
         self._size_memo: Dict[int, tuple] = {}
 
+    def _account(self, sender: int, dest: int, payload: object) -> int:
+        """Validate the endpoints, count the send, and return its ``msg_id``."""
+        n = self.n
+        if not (0 <= sender < n and 0 <= dest < n):
+            self._validate_pid(sender)
+            self._validate_pid(dest)
+        msg_id = self._next_msg_id = self._next_msg_id + 1
+        memo = self._size_memo
+        entry = memo.get(id(payload))
+        if entry is not None and entry[0] is payload:
+            size = entry[1]
+        else:
+            size = payload_size(payload)
+            if len(memo) >= _SIZE_MEMO_LIMIT:
+                memo.clear()
+            memo[id(payload)] = (payload, size)
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += size
+        stats.sent_by_process[sender] += 1
+        kind = _KIND_NAMES.get(type(payload))
+        if kind is None:
+            kind = _KIND_NAMES[type(payload)] = type(payload).__name__
+        stats.sent_by_kind[kind] += 1
+        return msg_id
+
     def prepare(self, sender: int, dest: int, payload: object, time: float) -> Message:
-        """Build the message envelope and account for the send."""
-        n = self.n
-        if not (0 <= sender < n and 0 <= dest < n):
-            self._validate_pid(sender)
-            self._validate_pid(dest)
-        msg_id = self._next_msg_id = self._next_msg_id + 1
-        message = Message(sender, dest, payload, time, msg_id)
-        memo = self._size_memo
-        entry = memo.get(id(payload))
-        if entry is not None and entry[0] is payload:
-            size = entry[1]
-        else:
-            size = payload_size(payload)
-            if len(memo) >= _SIZE_MEMO_LIMIT:
-                memo.clear()
-            memo[id(payload)] = (payload, size)
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-        stats.sent_by_process[sender] += 1
-        kind = _KIND_NAMES.get(type(payload))
-        if kind is None:
-            kind = _KIND_NAMES[type(payload)] = type(payload).__name__
-        stats.sent_by_kind[kind] += 1
-        return message
+        """Account for the send and build its message envelope."""
+        return Message(sender, dest, payload, time, self._account(sender, dest, payload))
 
-    def transmit(self, sender: int, dest: int, payload: object, time: float):
-        """:meth:`prepare` + :meth:`sample_delay` in one hot-path call.
+    def transmit(self, sender: int, dest: int, payload: object):
+        """Account for one send and draw its transit time, in one call.
 
-        Returns ``(message, delay)``.  The kernel's send path crosses the
-        network boundary once per message through this seam; the two
-        constituent methods remain the public API and this method must stay
-        behaviorally identical to calling them in sequence (enforced by the
-        delay-batching regression tests).
+        Returns ``(msg_id, delay)``: the accounting of :meth:`prepare` and
+        the draw of :meth:`sample_delay` (the delay-batching regression
+        tests hold the three to the same ids, delays and counters), without
+        the envelope.  The kernel's send path crosses the network boundary
+        once per message through this seam and keeps the message in flight
+        as flat fields; the :class:`~repro.network.message.Message` is built
+        when (and only if) the delivery is dispatched.
         """
-        n = self.n
-        if not (0 <= sender < n and 0 <= dest < n):
-            self._validate_pid(sender)
-            self._validate_pid(dest)
-        msg_id = self._next_msg_id = self._next_msg_id + 1
-        message = _tuple_new(Message, (sender, dest, payload, time, msg_id))
-        memo = self._size_memo
-        entry = memo.get(id(payload))
-        if entry is not None and entry[0] is payload:
-            size = entry[1]
-        else:
-            size = payload_size(payload)
-            if len(memo) >= _SIZE_MEMO_LIMIT:
-                memo.clear()
-            memo[id(payload)] = (payload, size)
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-        stats.sent_by_process[sender] += 1
-        kind = _KIND_NAMES.get(type(payload))
-        if kind is None:
-            kind = _KIND_NAMES[type(payload)] = type(payload).__name__
-        stats.sent_by_kind[kind] += 1
+        msg_id = self._account(sender, dest, payload)
         cache = self._delay_cache or self._refill()
         delay = cache.pop()
         if sender == dest:
             delay *= self.self_delay_factor
-        return message, delay
+        return msg_id, delay
 
     def sample_delay(self, sender: int, dest: int) -> float:
         """Transit time for one message; self-addressed messages are faster."""

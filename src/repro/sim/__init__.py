@@ -12,8 +12,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         "context": [
-            "Effect", "LocalEffect", "ProcessContext", "ProcessStats", "RoundLimitExceeded",
-            "SendEffect", "SharedMemEffect", "WaitEffect",
+            "BroadcastEffect", "Effect", "LocalEffect", "ProcessContext", "ProcessStats",
+            "RoundLimitExceeded", "SendEffect", "SharedMemEffect", "WaitEffect",
         ],
         "events": [
             "MessageDelivery", "ProcessCrash", "ProcessStart", "ScheduledEvent", "StepResume",

@@ -14,9 +14,9 @@ the appropriate virtual-time cost, and resumes the generator with the step's
 result.  This mirrors the paper's model of sequential processes executing
 atomic steps interleaved by an asynchronous adversary.
 
-Effects are allocated once per process step, so they are plain ``__slots__``
-classes rather than dataclasses: construction is a couple of slot stores and
-no per-instance dict exists.
+Effects are allocated on the kernel's hot path, so they are plain
+``__slots__`` classes rather than dataclasses: construction is a couple of
+slot stores and no per-instance dict exists.
 """
 
 from __future__ import annotations
@@ -42,6 +42,26 @@ class SendEffect(Effect):
 
     def __repr__(self) -> str:
         return f"SendEffect(dest={self.dest!r}, payload={self.payload!r})"
+
+
+class BroadcastEffect(Effect):
+    """Send ``payload`` to each process of ``dests``, in order.
+
+    Not atomic: the kernel turns it into one send per process step, exactly
+    as if the process had yielded one :class:`SendEffect` per destination,
+    and resumes the generator once, after the last one.  A crash (or a
+    transient outage) part-way therefore reaches a prefix of ``dests`` only.
+    ``dests`` must not be empty.
+    """
+
+    __slots__ = ("dests", "payload")
+
+    def __init__(self, dests: Sequence[int], payload: Any) -> None:
+        self.dests = dests
+        self.payload = payload
+
+    def __repr__(self) -> str:
+        return f"BroadcastEffect(dests={self.dests!r}, payload={self.payload!r})"
 
 
 class WaitEffect(Effect):
@@ -202,26 +222,19 @@ class ProcessContext:
     def broadcast(self, payload: Any, include_self: bool = True):
         """The paper's ``broadcast`` macro: send to every process in turn.
 
-        The macro is intentionally *not* atomic: it expands to one send per
-        destination, so a crash occurring part-way through delivers the
-        message to an arbitrary prefix of the destinations only -- exactly
-        the unreliable broadcast of Section II-A.  The body inlines
-        :meth:`send` (same accounting, same one effect per destination)
-        rather than delegating to a sub-generator per destination, and it
-        yields a *single reused* :class:`SendEffect` whose ``dest`` is
-        rewritten per destination: the kernel consumes each yielded effect
-        synchronously before resuming the generator, so the object is never
-        live across two yields.
+        The macro is intentionally *not* atomic: the one
+        :class:`BroadcastEffect` it yields is carried out by the kernel as
+        one send per destination, each its own process step with the
+        accounting of a :meth:`send`, so a crash occurring part-way through
+        delivers the message to an arbitrary prefix of the destinations only
+        -- exactly the unreliable broadcast of Section II-A.  The generator
+        is resumed once, after the last destination.
         """
-        stats = self.stats
-        pid = self.pid
-        effect = SendEffect(dest=pid, payload=payload)
-        for dest in self._kernel.process_ids():
-            if not include_self and dest == pid:
-                continue
-            stats.messages_sent += 1
-            effect.dest = dest
-            yield effect
+        dests = self._kernel.process_ids()
+        if not include_self:
+            dests.remove(self.pid)
+        if dests:
+            yield BroadcastEffect(dests, payload)
 
     def wait_until(self, predicate: Callable[[Sequence[Any]], Any]):
         """Block until ``predicate(mailbox)`` is non-``None``; return it.

@@ -1,13 +1,15 @@
 """Event types used by the discrete-event simulation kernel.
 
-The kernel's hot path keeps its priority queue as flat
-``(time, sequence, kind, pid, payload)`` tuples (see :data:`EventKind` and
-the converters below): tuple comparison runs in C, nothing is allocated per
-queue entry beyond the tuple itself, and dispatch is an integer test on
-``kind``.  The sequence number breaks ties deterministically, so executions
-are reproducible even when several events share a virtual timestamp (and,
-because sequences are unique, ``kind``/``pid``/``payload`` never take part
-in a heap comparison).
+The kernel's hot path keeps its pending work as flat tuples (see
+:data:`EventKind` and the converters below): process steps and faults as
+``(time, sequence, kind, pid, payload)``, messages in flight -- in a heap of
+their own -- as ``(time, sequence, dest, sender, payload, send_time,
+msg_id)``.  Tuple comparison runs in C, nothing is allocated per entry beyond
+the tuple itself, and dispatch is an integer test on ``kind``.  The sequence
+number, drawn from one counter for both heaps, breaks ties deterministically,
+so executions are reproducible even when several events share a virtual
+timestamp (and, because sequences are unique, no later field ever takes part
+in a comparison, within a heap or between the two heads).
 
 The :class:`Event` dataclasses remain the public, adversary-facing API:
 anything that inspects or defers events -- the fault-injection adversary,

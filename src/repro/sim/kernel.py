@@ -6,14 +6,23 @@ and the links to the message-passing and shared-memory substrates.  It is an
 order of messages are controlled entirely by the (seeded) event schedule, so
 the algorithms can assume nothing beyond what the paper's model grants them.
 
-The hot path is deliberately flat (see ``docs/performance.md``): the queue
-holds ``(time, sequence, kind, pid, payload)`` tuples, the loop body of
-:meth:`SimulationKernel.run_batch` is the one definition of a delivery, a
-process step (first or resumed) and the send and wait effects, quiescence is
-a live counter instead of a per-event scan, and trace strings are only built
-when tracing is enabled.  The public :class:`~repro.sim.events.Event`
-dataclasses appear only at the boundary (adversary consultation, traces,
-backlogs).
+The hot path is deliberately flat (see ``docs/performance.md``).  Pending
+work lives in two heaps that share one sequence counter: process steps and
+fault events as ``(time, sequence, kind, pid, payload)`` tuples -- never more
+than one step per live process plus the scheduled faults -- and messages in
+flight as ``(time, sequence, dest, sender, payload, send_time, msg_id)``
+tuples.  The loop dispatches whichever head is smaller under ``(time,
+sequence)``, which is unique, so the order is that of one merged queue.  A
+send therefore costs what is ever read of it: one flat tuple while in flight,
+and the :class:`~repro.network.message.Message` envelope only when the
+delivery is dispatched -- under the paper's "one for all" rule most messages
+of a large run are still in flight when everybody has decided.  The loop body
+of :meth:`SimulationKernel.run_batch` is the one definition of a delivery, a
+process step (first or resumed) and the send, broadcast and wait effects,
+quiescence is a live counter instead of a per-event scan, and trace strings
+are only built when tracing is enabled.  The public
+:class:`~repro.sim.events.Event` dataclasses appear only at the boundary
+(adversary consultation, traces, backlogs).
 
 An explicit fault-injection adversary (:mod:`repro.adversary`) can sharpen
 the schedule further: when installed, it is consulted at message-send time
@@ -32,8 +41,8 @@ outermost loop drivers -- :meth:`SimulationKernel.run` and
 Ownership runs one way (kernel -> processes -> contexts, kernel ->
 adversary); contexts and the adversary point back at their kernel weakly and
 the dispatch tables of bound methods are built per ``run_batch`` call, never
-stored, so dropping the kernel frees mailboxes, queue tail and generators by
-reference counting, immediately.
+stored, so dropping the kernel frees mailboxes, both heaps' tails, broadcasts
+in progress and generators by reference counting, immediately.
 """
 
 from __future__ import annotations
@@ -47,7 +56,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
+from ..network.message import Message
 from .context import (
+    BroadcastEffect,
     LocalEffect,
     ProcessContext,
     ProcessStats,
@@ -78,7 +89,14 @@ _RECOVER = int(EventKind.PROCESS_RECOVER)
 #: (an infinite deferral is an omission); only valid for delivery events.
 _INF = math.inf
 
-_EFFECT_TYPES = (SendEffect, WaitEffect, SharedMemEffect, LocalEffect)
+#: A set, not a tuple: the loop tests every yielded effect's exact type against
+#: it, and a hash probe beats up to five failed type comparisons.
+_EFFECT_TYPES = frozenset({SendEffect, BroadcastEffect, WaitEffect, SharedMemEffect, LocalEffect})
+
+#: The envelope of a dispatched delivery is built through ``tuple.__new__``,
+#: skipping the ``Message.__new__`` wrapper frame; equivalent to
+#: ``Message(sender, dest, payload, send_time, msg_id)``.
+_tuple_new = tuple.__new__
 
 
 def _effect_base(cls: type) -> Optional[type]:
@@ -97,12 +115,12 @@ def _effect_base(cls: type) -> Optional[type]:
 def collector_paused() -> Iterator[None]:
     """Run the body with CPython's cyclic collector off; restore on exit.
 
-    An event loop allocates two tracked containers per in-flight message
-    (the heap entry and the ``Message``), all acyclic and all freed by
-    reference counting the moment they are consumed -- yet every full
-    collection re-traverses the whole live population (about 40 % of the
-    wall on the ledger's ``wide_n`` workload; see "What the cyclic collector
-    cost" in ``docs/performance.md``).  The two outermost loop drivers,
+    An event loop allocates a tracked container per in-flight message (its
+    heap entry) and one more per delivery (the ``Message``), all acyclic and
+    all freed by reference counting the moment they are consumed -- yet every
+    full collection re-traverses the whole live population (about 40 % of
+    the wall on the ledger's ``wide_n`` workload; see "What the cyclic
+    collector cost" in ``docs/performance.md``).  The two outermost loop drivers,
     :meth:`SimulationKernel.run` and
     :meth:`~repro.sim.multikernel.CooperativeScheduler.run`, therefore run
     under this pause.  It restores the state found on entry (a caller who
@@ -212,8 +230,15 @@ class SimulationKernel:
             enabled=self.config.trace or self.trace_sink is not None,
             max_entries=self.config.trace_max_entries,
         )
-        #: Flat event queue: ``(time, sequence, kind, pid, payload)`` tuples.
+        #: Process steps and fault events, as flat ``(time, sequence, kind,
+        #: pid, payload)`` tuples: at most one step per live process plus the
+        #: scheduled faults, whatever the number of messages in flight.
         self._queue: List[Tuple[float, int, int, int, Any]] = []
+        #: Messages in flight, as flat ``(time, sequence, dest, sender,
+        #: payload, send_time, msg_id)`` tuples in a heap of their own.  Both
+        #: heaps draw their sequence numbers from the one counter, so
+        #: ``(time, sequence)`` orders the union (see :meth:`run_batch`).
+        self._inflight: List[Tuple[float, int, int, int, Any, float, int]] = []
         self._sequence = 0
         self._processes: Dict[int, SimProcess] = {}
         #: Registered processes that have not yet reached a terminal state;
@@ -288,14 +313,15 @@ class SimulationKernel:
     def install_schedule_controller(self, controller) -> None:
         """Install a dispatch-order controller (see :mod:`repro.search`).
 
-        At every point where the queue's head holds several entries with the
-        *same* virtual timestamp, the controller's
-        ``choose(now, time, entries)`` picks which entry (by index into the
-        sequence-ordered tie list) dispatches next; the rest are re-queued
-        untouched.  With no ties -- or no controller -- dispatch order is
-        the usual ``(time, sequence)`` order, so a controller that always
-        chooses index 0 reproduces the uncontrolled execution exactly.
-        Costs one ``is None`` check per event when uninstalled.
+        At every point where several entries -- steps, faults or deliveries,
+        from either heap -- share the earliest virtual timestamp, the
+        controller's ``choose(now, time, entries)`` picks which entry (by
+        index into the sequence-ordered tie list) dispatches next; the rest
+        are re-queued untouched.  With no ties -- or no controller --
+        dispatch order is the usual ``(time, sequence)`` order, so a
+        controller that always chooses index 0 reproduces the uncontrolled
+        execution exactly.  Costs one ``is None`` check per event when
+        uninstalled.
         """
         if self._schedule_controller is not None:
             raise RuntimeError("a schedule controller is already installed")
@@ -355,13 +381,28 @@ class SimulationKernel:
     # ------------------------------------------------------------- scheduling
     def _schedule(self, time: float, kind: int, pid: int, payload: Any) -> None:
         self._sequence += 1
-        heappush(self._queue, (time, self._sequence, kind, pid, payload))
+        self._push(time, self._sequence, kind, pid, payload)
+
+    def _push(self, time: float, sequence: int, kind: int, pid: int, payload: Any) -> None:
+        """Queue one ``(time, sequence, kind, pid, payload)`` entry by kind.
+
+        The boundary form of every entry is this 5-tuple; a delivery (whose
+        payload is the :class:`~repro.network.message.Message`) goes back to
+        the in-flight heap as flat fields.
+        """
+        if kind == _DELIVERY:
+            sender, _, content, send_time, msg_id = payload
+            heappush(self._inflight, (time, sequence, pid, sender, content, send_time, msg_id))
+        else:
+            heappush(self._queue, (time, sequence, kind, pid, payload))
 
     def schedule_event(self, time: float, event) -> None:
         """Schedule a public :class:`~repro.sim.events.Event` object.
 
         The boundary converter for callers holding event objects (tests,
-        tooling); the kernel's own paths schedule flat entries directly.
+        tooling); the kernel's own paths schedule flat entries directly.  A
+        :class:`~repro.sim.events.MessageDelivery` must carry a
+        :class:`~repro.network.message.Message`.
         """
         kind, pid, payload = event_entry_fields(event)
         self._schedule(time, kind, pid, payload)
@@ -369,21 +410,28 @@ class SimulationKernel:
     def _controlled_pop(self, controller) -> Tuple[float, int, int, int, Any]:
         """Pop the next entry, letting ``controller`` pick among head ties.
 
-        Entries sharing the head's virtual timestamp form the tie set (in
-        sequence order, i.e. the order the uncontrolled kernel would
-        dispatch them); the controller returns the index to dispatch now,
-        and the rest are pushed back with their original sequence numbers,
-        so they re-enter later tie sets unchanged.  A single-entry head is
-        never offered -- there is no scheduling freedom to exercise.
+        Entries of either heap sharing the earliest virtual timestamp form
+        the tie set, offered as ``(time, sequence, kind, pid, payload)``
+        tuples in sequence order (the order the uncontrolled kernel would
+        dispatch them; a delivery's payload is its ``Message``).  The
+        controller returns the index to dispatch now, and the rest are
+        pushed back with their original sequence numbers, so they re-enter
+        later tie sets unchanged.  A single-entry head is never offered --
+        there is no scheduling freedom to exercise.
         """
         queue = self._queue
-        first = heappop(queue)
-        time = first[0]
-        if not queue or queue[0][0] != time:
-            return first
-        ties = [first]
+        inflight = self._inflight
+        time = min(heap[0][0] for heap in (queue, inflight) if heap)
+        ties = []
         while queue and queue[0][0] == time:
             ties.append(heappop(queue))
+        while inflight and inflight[0][0] == time:
+            _, sequence, dest, sender, payload, send_time, msg_id = heappop(inflight)
+            message = Message(sender, dest, payload, send_time, msg_id)
+            ties.append((time, sequence, _DELIVERY, dest, message))
+        if len(ties) == 1:
+            return ties[0]
+        ties.sort()  # by sequence: unique, so no later field is ever compared
         index = controller.choose(self.now, time, ties)
         if not 0 <= index < len(ties):
             raise ValueError(
@@ -391,7 +439,7 @@ class SimulationKernel:
             )
         chosen = ties.pop(index)
         for entry in ties:
-            heappush(queue, entry)
+            self._push(*entry)
         return chosen
 
     def _resume_later(self, pid: int, value: Any, delay: float) -> None:
@@ -436,14 +484,22 @@ class SimulationKernel:
         (adversary-postponed) events do not count against the budget; only
         dispatched events do, matching :attr:`events_processed`.
 
+        Each iteration dispatches the smaller of the two heaps' heads under
+        ``(time, sequence)`` -- with ``scheduling_jitter=0`` a step and a
+        delivery tie on time and resolve by sequence -- and the run is over,
+        or out of budget with work queued, only with respect to *both*.
+
         Message deliveries and process steps -- the first
-        (``PROCESS_START``) and every resume, with the send and wait effects
-        a step can yield -- are defined in this loop body and nowhere else,
-        so the hot chain runs on loop-hoisted locals with no intervening call
-        frames; the recover replay re-queues its backlog and so comes back
-        through the same code.  Only the fault events and the shared-memory
+        (``PROCESS_START``) and every resume, with the send, broadcast and
+        wait effects a step can yield -- are defined in this loop body and
+        nowhere else, so the hot chain runs on loop-hoisted locals with no
+        intervening call frames; the recover replay re-queues its backlog and
+        so comes back through the same code.  A broadcast is walked here, one
+        destination per step through the one send site, and its generator is
+        resumed once at the end.  Only the fault events and the shared-memory
         and local-step effects are methods.  The golden tests pin what an
-        event does: full e1-e11 summaries against a pre-refactor fixture.
+        event does: full e1-e11 summaries against a pre-refactor fixture, and
+        whole traces against the digests of the single-heap loop.
         """
         if max_events == 0 or max_events < -1:
             raise ValueError(f"max_events must be positive or -1, got {max_events}")
@@ -451,6 +507,7 @@ class SimulationKernel:
             raise RuntimeError("no processes registered")
         budget = max_events
         queue = self._queue
+        inflight = self._inflight
         trace = self.trace
         # Hoisted once per run: tracing cannot be toggled mid-run (and
         # Trace.record self-guards anyway, so boundary paths stay correct).
@@ -479,16 +536,24 @@ class SimulationKernel:
         crashed = ProcessState.CRASHED
         processed = 0
         try:
-            while queue:
+            while queue or inflight:
                 if processed == budget:
                     # Budget spent with work still queued: hand control back
                     # to the cooperative host (the ``finally`` flushes the
-                    # counter); the next call resumes on the same queue.
+                    # counter); the next call resumes on the same heaps.
                     return None
-                if controller is None:
-                    time, sequence, kind, pid, payload = heappop(queue)
-                else:
+                if controller is not None:
                     time, sequence, kind, pid, payload = self._controlled_pop(controller)
+                elif inflight and (not queue or inflight[0] < queue[0]):
+                    # The delivery is due first.  ``(time, sequence)`` is
+                    # unique across both heaps, so the tuple comparison never
+                    # reaches the fields in which the two shapes differ.
+                    time, sequence, pid, sender, payload, send_time, msg_id = heappop(inflight)
+                    kind = _DELIVERY
+                    # The one place a message in flight becomes a ``Message``.
+                    payload = _tuple_new(Message, (sender, pid, payload, send_time, msg_id))
+                else:
+                    time, sequence, kind, pid, payload = heappop(queue)
                 if time > max_time:
                     self.now = max_time
                     self.events_processed += processed
@@ -500,6 +565,9 @@ class SimulationKernel:
                     event = self._deferred.pop(sequence, None)
                     if event is None:
                         event = entry_event(kind, pid, payload)
+                    elif kind == _DELIVERY:
+                        # Offered again: the same Event, and its own Message.
+                        payload = event.message
                     extra = adversary.defer(event, self.now)
                     if extra > 0.0:
                         if extra == _INF:
@@ -521,11 +589,8 @@ class SimulationKernel:
                                     {"at": "dispatch"},
                                 )
                             continue
-                        self._sequence += 1
+                        self._schedule(self.now + extra, kind, pid, payload)
                         self._deferred[self._sequence] = event
-                        heappush(
-                            queue, (self.now + extra, self._sequence, kind, pid, payload)
-                        )
                         continue
                 processed += 1
                 if trace_enabled:
@@ -537,9 +602,8 @@ class SimulationKernel:
                         {"event": EVENT_KIND_NAMES[kind]},
                     )
                 if kind == _DELIVERY:
-                    # Deliveries are the majority event kind, and they can
-                    # never settle a process, so the quiescence re-check
-                    # below is skipped too.
+                    # Deliveries can never settle a process, so the
+                    # quiescence re-check below is skipped.
                     proc = processes[pid]
                     state = proc.state
                     if state is crashed:
@@ -585,61 +649,53 @@ class SimulationKernel:
                         continue
                     if kind == _START:
                         proc.start()
-                    proc.stats.steps += 1
-                    try:
-                        effect = proc.generator.send(payload)
-                    except StopIteration as stop:
-                        proc.decision = stop.value
-                        proc.decision_time = self.now
-                        self._settle(
-                            proc,
-                            ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED,
-                        )
-                        if stop.value is None:
-                            proc.halt_reason = "returned None"
-                        if trace_enabled:
-                            trace.record(self.now, "decide", pid, repr(stop.value))
-                        if self._live == 0:
-                            break
-                        continue
-                    except RoundLimitExceeded as exceeded:
-                        self._settle(proc, ProcessState.HALTED)
-                        proc.halt_reason = str(exceeded)
-                        if trace_enabled:
-                            trace.record(self.now, "halt", pid, proc.halt_reason)
-                        if self._live == 0:
-                            break
-                        continue
-                    cls = type(effect)
-                    while True:
-                        # One pass; only an effect *subclass* comes round again,
-                        # as its base type (see the last branch).
-                        if cls is SendEffect:
-                            if network is None:
-                                raise RuntimeError("no network attached; cannot handle SendEffect")
-                            dest = effect.dest
-                            now = self.now
-                            message, delay = network.transmit(pid, dest, effect.payload, now)
+                    stats = proc.stats
+                    stats.steps += 1
+                    broadcast = proc.broadcast
+                    if broadcast is None:
+                        try:
+                            effect = proc.generator.send(payload)
+                        except StopIteration as stop:
+                            proc.decision = stop.value
+                            proc.decision_time = self.now
+                            self._settle(
+                                proc,
+                                ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED,
+                            )
+                            if stop.value is None:
+                                proc.halt_reason = "returned None"
                             if trace_enabled:
-                                trace.record(
-                                    now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest}
+                                trace.record(self.now, "decide", pid, repr(stop.value))
+                            if self._live == 0:
+                                break
+                            continue
+                        except RoundLimitExceeded as exceeded:
+                            self._settle(proc, ProcessState.HALTED)
+                            proc.halt_reason = str(exceeded)
+                            if trace_enabled:
+                                trace.record(self.now, "halt", pid, proc.halt_reason)
+                            if self._live == 0:
+                                break
+                            continue
+                        cls = type(effect)
+                        if cls not in _EFFECT_TYPES:
+                            # A subclass of an effect runs its base's code.
+                            cls = _effect_base(cls)
+                            if cls is None:
+                                raise TypeError(
+                                    f"process {pid} yielded {effect!r}, which is not a recognised effect"
                                 )
-                            if not faults_links:
-                                # One batched sequence bump covers both pushes;
-                                # the delivery keeps the lower number, exactly
-                                # as two bumps would assign.
-                                sequence = self._sequence + 2
-                                self._sequence = sequence
-                                heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
-                            else:
-                                self._adversarial_send(pid, dest, message, delay)
-                                sequence = self._sequence + 1
-                                self._sequence = sequence
-                            if jitter > 0:
-                                time = now + local_step_delay + sched_random() * jitter
-                            else:
-                                time = now + local_step_delay
-                            heappush(queue, (time, sequence, _RESUME, pid, None))
+                        if cls is BroadcastEffect:
+                            dests = list(effect.dests)
+                            if not dests:
+                                raise ValueError(
+                                    f"process {pid} yielded {effect!r}, which has no destination"
+                                )
+                            dests.reverse()
+                            broadcast = proc.broadcast = (dests, effect.payload)
+                        elif cls is SendEffect:
+                            dest = effect.dest
+                            payload = effect.payload
                         elif cls is WaitEffect:
                             result = effect.predicate(proc.mailbox)
                             if result is not None:
@@ -654,22 +710,45 @@ class SimulationKernel:
                                 proc.wait_predicate = effect.predicate
                                 if trace_enabled:
                                     trace.record(self.now, "block", pid, "waiting on messages")
+                            continue
                         else:
-                            handler = effect_handlers.get(cls)
-                            if handler is None:
-                                # The exact-type tests above miss subclasses:
-                                # retry as the known base, so a subclass of any
-                                # of the four effects runs its base's code.
-                                cls = _effect_base(cls)
-                                if cls is None:
-                                    raise TypeError(
-                                        f"process {pid} yielded {effect!r}, which is not a recognised effect"
-                                    )
-                                continue
                             # Neither handler can settle a process, and the one
                             # stepping is still live: no quiescence re-check.
-                            handler(proc, effect)
-                        break
+                            effect_handlers[cls](proc, effect)
+                            continue
+                    if broadcast is not None:
+                        # A broadcast in progress: this step is the send to its
+                        # next destination, accounted like a ``ctx.send``.  The
+                        # generator is resumed by the step after the last one.
+                        dests, payload = broadcast
+                        dest = dests.pop()
+                        if not dests:
+                            proc.broadcast = None
+                        stats.messages_sent += 1
+                    # The one send: a SendEffect, or one destination of a
+                    # BroadcastEffect.  The message stays flat while in flight.
+                    if network is None:
+                        raise RuntimeError("no network attached; cannot handle SendEffect")
+                    now = self.now
+                    msg_id, delay = network.transmit(pid, dest, payload)
+                    if trace_enabled:
+                        trace.record(now, "send", pid, f"to={dest} {payload!r}", {"dest": dest})
+                    if not faults_links:
+                        # One batched sequence bump covers both pushes;
+                        # the delivery keeps the lower number, exactly
+                        # as two bumps would assign.
+                        sequence = self._sequence + 2
+                        self._sequence = sequence
+                        heappush(inflight, (now + delay, sequence - 1, dest, pid, payload, now, msg_id))
+                    else:
+                        self._adversarial_send(pid, dest, payload, delay, msg_id)
+                        sequence = self._sequence + 1
+                        self._sequence = sequence
+                    if jitter > 0:
+                        time = now + local_step_delay + sched_random() * jitter
+                    else:
+                        time = now + local_step_delay
+                    heappush(queue, (time, sequence, _RESUME, pid, None))
                     continue
                 handlers[kind - _CRASH](pid, payload)
                 if self._live == 0:
@@ -732,19 +811,23 @@ class SimulationKernel:
                 {"replayed": len(backlog)},
             )
 
-    def _adversarial_send(self, sender: int, dest: int, message: Any, delay: float) -> None:
+    def _adversarial_send(
+        self, sender: int, dest: int, payload: Any, delay: float, msg_id: int
+    ) -> None:
         """Turn one send into the adversary's delivery verdict (slow path).
 
-        An empty verdict omits the message, extra entries are duplicates;
-        the network's fault counters account for both.
+        An empty verdict omits the message, extra entries are duplicates
+        (in-flight entries of their own, sharing the ``msg_id``); the
+        network's fault counters account for both.
         """
         adversary = self._adversary
-        delays = adversary.deliveries(sender, dest, self.now, delay)
+        now = self.now
+        delays = adversary.deliveries(sender, dest, now, delay)
         if not delays:
             self._network.record_fault("omitted")
             if self.trace.enabled:
                 self.trace.record(
-                    self.now,
+                    now,
                     "omit",
                     dest,
                     f"from={sender} dropped by adversary",
@@ -752,24 +835,26 @@ class SimulationKernel:
                 )
             return
         if adversary.corrupts:
-            mutated = adversary.corrupt(sender, dest, message.payload, self.now)
-            if mutated is not message.payload:
+            mutated = adversary.corrupt(sender, dest, payload, now)
+            if mutated is not payload:
                 self._network.record_fault("corrupted")
                 if self.trace.enabled:
                     self.trace.record(
-                        self.now,
+                        now,
                         "corrupt",
                         dest,
                         f"from={sender} payload tampered in transit",
                         {"from": sender},
                     )
-                message = type(message)(
-                    sender, dest, mutated, message.send_time, message.msg_id
-                )
+                payload = mutated
         for position, one_delay in enumerate(delays):
             if position:
                 self._network.record_fault("duplicated")
-            self._schedule(self.now + one_delay, _DELIVERY, dest, message)
+            self._sequence += 1
+            heappush(
+                self._inflight,
+                (now + one_delay, self._sequence, dest, sender, payload, now, msg_id),
+            )
 
     def _do_sm_op(self, proc: SimProcess, effect: SharedMemEffect) -> None:
         result = effect.operation(*effect.args)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from .context import ProcessContext
 
@@ -42,6 +42,7 @@ class SimProcess:
         "state",
         "mailbox",
         "wait_predicate",
+        "broadcast",
         "decision",
         "decision_time",
         "crash_time",
@@ -78,6 +79,11 @@ class SimProcess:
         self.state = state
         self.mailbox = [] if mailbox is None else mailbox
         self.wait_predicate = wait_predicate
+        #: The broadcast in progress, as ``(destinations still owed in
+        #: reverse order, payload)``, or ``None``: while set, each step of
+        #: the process is the send to the next destination (see
+        #: :class:`~repro.sim.context.BroadcastEffect`).
+        self.broadcast: Optional[Tuple[List[int], Any]] = None
         self.decision = decision
         self.decision_time = decision_time
         self.crash_time = crash_time

@@ -338,6 +338,45 @@ def test_crash_recovery_buffers_and_replays():
     assert 1 in result.correct and not result.crashed
 
 
+def test_outage_inside_a_broadcast_resumes_it_at_the_next_destination():
+    """A pause backlogs the step, not the broadcast: the recover picks it up."""
+    n = 6
+    rng = RandomSource(0)
+    kernel = SimulationKernel(
+        rng=rng, config=SimConfig(max_time=1e4, scheduling_jitter=0.0, trace=True)
+    )
+    network = Network(n, ConstantDelay(1.0), rng)
+    kernel.attach_network(network)
+
+    def sender(ctx):
+        yield from ctx.broadcast("ping")
+        return "sent"
+
+    def waiter(ctx):
+        message = yield from ctx.wait_until(lambda mailbox: mailbox[0] if mailbox else None)
+        return message.payload
+
+    kernel.add_process(0, sender)
+    for pid in range(1, n):
+        kernel.add_process(pid, waiter)
+    # Sends go out one local step (1e-4) apart from 0: three precede the outage.
+    outage = CrashRecovery((Outage(pid=0, down_at=2.5e-4, up_at=9.0),))
+    kernel.install_adversary(Adversary(Scenario("nap", (outage,)), rng.stream("adversary")))
+    result = kernel.run()
+
+    sends = [(entry.data["dest"], entry.time) for entry in kernel.trace.of_kind("send")]
+    assert [dest for dest, _ in sends] == list(range(n))  # each destination once, in order
+    assert all(time < 2.5e-4 for _, time in sends[:3])
+    assert sends[3][1] == 9.0 and all(time > 9.0 for _, time in sends[4:])
+    (recover,) = kernel.trace.of_kind("recover")
+    assert recover.data == {"replayed": 2}  # its own "ping" and the backlogged step
+    proc = kernel.process(0)
+    assert proc.broadcast is None and not proc.paused_backlog
+    assert proc.stats.messages_sent == network.stats.sent_by_process[0] == n
+    assert proc.stats.steps == n + 1  # the buffered dispatch is not a step
+    assert result.decisions == {0: "sent", **{pid: "ping" for pid in range(1, n)}}
+
+
 def test_adversary_install_rejects_unknown_pids():
     scenario = Scenario("oops", (ProcessSlowdown(pids=(5,), extra_delay=1.0),))
     with pytest.raises(ValueError, match=r"targets process ids \[5\]"):

@@ -22,6 +22,8 @@ from repro.adversary.adaptive import (
 from repro.adversary.faults import (
     CrashRecovery,
     LinkFault,
+    MessageCorruption,
+    MessageDuplication,
     MessageOmission,
     Outage,
     PartitionWindow,
@@ -29,10 +31,14 @@ from repro.adversary.faults import (
 )
 from repro.adversary.scenario import Adversary, Scenario
 from repro.cluster.topology import ClusterTopology
+from repro.core.base import PhaseMessage
 from repro.harness import runner
 from repro.harness.aggregate import RunSummary
 from repro.harness.runner import ExperimentConfig, prepare_consensus, run_consensus
-from repro.sim.kernel import SimConfig
+from repro.network.delays import ConstantDelay
+from repro.network.transport import Network
+from repro.sim.kernel import SimConfig, SimulationKernel
+from repro.sim.rng import RandomSource
 
 TOPOLOGY = ClusterTopology.even_split(6, 3)
 CAPPED = SimConfig(max_rounds=25, max_time=5e4)
@@ -125,6 +131,54 @@ def test_hooks_are_consulted_exactly_where_the_scenario_can_fire_them(
     else:
         assert hook_calls["defer"] == 0
     assert hook_calls["deliveries"] == (metrics.messages_sent if faults_links else 0)
+
+
+#: Link faults that fire on every cross message: (fault, omitted, duplicated, corrupted).
+BROADCAST_FAULTS = [
+    pytest.param(MessageOmission(probability=1.0), 1, 0, 0, id="omission"),
+    pytest.param(MessageDuplication(probability=1.0, copies=2), 0, 2, 0, id="duplication"),
+    pytest.param(MessageCorruption(probability=1.0, authenticated=False), 0, 0, 1, id="corruption"),
+]
+
+
+@pytest.mark.parametrize("fault, omitted, duplicated, corrupted", BROADCAST_FAULTS)
+def test_link_faults_fire_per_destination_inside_a_broadcast(
+    fault, omitted, duplicated, corrupted, hook_calls
+):
+    n = 5
+    rng = RandomSource(0)
+    kernel = SimulationKernel(rng=rng, config=SimConfig(max_time=1e4))
+    network = Network(n, ConstantDelay(1.0), rng)
+    kernel.attach_network(network)
+    sent = PhaseMessage(tag="t", round_number=1, phase=1, est=0)
+
+    def sender(ctx):
+        yield from ctx.broadcast(sent)
+        return "sent"
+
+    def quiet(ctx):
+        yield from ctx.local_step(5.0)
+        return [message.payload.est for message in kernel.process(ctx.pid).mailbox]
+
+    kernel.add_process(0, sender)
+    for pid in range(1, n):
+        kernel.add_process(pid, quiet)
+    kernel.install_adversary(Adversary(Scenario("every-link", (fault,)), rng.stream("adversary")))
+    result = kernel.run()
+
+    cross = n - 1  # self-addressed messages are exempt from link faults
+    stats = network.stats
+    # One broadcast, one effect -- and still one consultation per destination.
+    assert hook_calls["deliveries"] == stats.messages_sent == n
+    assert kernel.process(0).stats.messages_sent == n
+    assert stats.messages_omitted == omitted * cross
+    assert stats.messages_duplicated == duplicated * cross
+    assert stats.messages_corrupted == corrupted * cross
+    copies = 0 if omitted else 1 + duplicated
+    assert stats.messages_delivered == 1 + copies * cross
+    flipped = 1 if corrupted else 0
+    assert all(result.decisions[pid] == [flipped] * copies for pid in range(1, n))
+    assert kernel.process(0).mailbox[0].payload is sent  # the self-send is untouched
 
 
 def test_flags_follow_the_buckets():

@@ -31,6 +31,7 @@ from repro.network.empirical import (
     TraceReplayDelay,
     scale_to_unit_mean,
 )
+from repro.network.message import Message
 from repro.network.transport import Network
 from repro.sim.rng import RandomSource
 
@@ -231,7 +232,7 @@ def test_network_delay_cache_serves_the_percall_stream(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=_model_id)
 def test_transmit_equals_prepare_plus_sample_delay(model):
-    """The combined hot-path seam is the two public methods, exactly."""
+    """The hot-path seam is the two public methods minus the envelope, exactly."""
     combined = Network(6, delay_model=model, rng=RandomSource(3))
     split = Network(6, delay_model=model, rng=RandomSource(3))
     payloads = [None, 0, 7, "text", (1, 2, 3), {"k": 1.5}, ["x", ("y",)]]
@@ -239,25 +240,24 @@ def test_transmit_equals_prepare_plus_sample_delay(model):
         sender = i % 6
         dest = (i + 1 + i // 6) % 6
         payload = payloads[i % len(payloads)]
-        message, delay = combined.transmit(sender, dest, payload, float(i))
-        expected_message = split.prepare(sender, dest, payload, float(i))
-        expected_delay = split.sample_delay(sender, dest)
-        assert message == expected_message
-        assert type(message) is type(expected_message)
-        assert (message.sender, message.dest, message.payload) == (sender, dest, payload)
-        assert message.send_time == float(i)
-        assert message.msg_id == expected_message.msg_id
-        assert delay == expected_delay
+        msg_id, delay = combined.transmit(sender, dest, payload)
+        message = split.prepare(sender, dest, payload, float(i))
+        assert type(message) is Message
+        assert message == (sender, dest, payload, float(i), msg_id)
+        assert msg_id == i + 1
+        assert delay == split.sample_delay(sender, dest)
     assert combined.stats.as_dict() == split.stats.as_dict()
     assert dict(combined.stats.sent_by_process) == dict(split.stats.sent_by_process)
 
 
 def test_transmit_validates_pids_like_prepare():
     network = Network(4, rng=RandomSource(1))
-    with pytest.raises(ValueError):
-        network.transmit(0, 9, "payload", 0.0)
-    with pytest.raises(ValueError):
-        network.transmit(-1, 0, "payload", 0.0)
+    for sender, dest in ((0, 9), (-1, 0)):
+        with pytest.raises(ValueError):
+            network.transmit(sender, dest, "payload")
+        with pytest.raises(ValueError):
+            network.prepare(sender, dest, "payload", 0.0)
+    assert network.stats.messages_sent == 0
 
 
 class _RecordingModel(DelayModel):
@@ -276,7 +276,7 @@ class _RecordingModel(DelayModel):
 
 
 def _via_transmit(network, i):
-    network.transmit(i % 4, (i + 1) % 4, "x", 0.0)
+    network.transmit(i % 4, (i + 1) % 4, "x")
 
 
 def _via_sample_delay(network, i):

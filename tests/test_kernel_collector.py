@@ -114,13 +114,15 @@ def test_finished_consensus_run_is_freed_by_reference_counting(
 
 def test_finished_bare_kernel_is_freed_with_its_queue_tail(collector_off):
     kernel = _flood_kernel()
+    kernel.schedule_crash(7, 2.5e-4)  # three sends into its broadcast: the cursor stays behind
     kernel.run()
-    assert kernel._queue, "the early deciders must leave undelivered messages behind"
+    assert kernel._inflight, "the early deciders must leave undelivered messages behind"
     kernel_ref = weakref.ref(kernel)
     delivered = weakref.ref(kernel.process(0).mailbox[0].payload)
-    queued = weakref.ref(kernel._queue[-1][4].payload)
+    in_flight = weakref.ref(kernel._inflight[-1][4])
+    owed = weakref.ref(kernel.process(7).broadcast[1])
     del kernel
-    assert kernel_ref() is None and delivered() is None and queued() is None
+    assert kernel_ref() is None and delivered() is None and in_flight() is None and owed() is None
 
 
 def test_context_outliving_its_kernel_raises_reference_error(collector_off):

@@ -14,7 +14,10 @@ from repro.core.base import BOT, DecideMessage, PhaseMessage, ProcessEnvironment
 from repro.core.pattern import msg_exchange, scan_mailbox
 from repro.harness.runner import ExperimentConfig, run_consensus
 from repro.harness.stats import percentile, summarize
+from repro.network.message import Message
 from repro.sharedmem.consensus_object import CASConsensusObject, LLSCConsensusObject
+from repro.sim.events import EventKind
+from repro.sim.kernel import SimConfig, SimulationKernel
 from repro.sim.rng import RandomSource
 
 
@@ -351,6 +354,115 @@ def test_rng_streams_reproducible_for_any_seed_and_name(seed, name):
     a = RandomSource(seed).stream(name)
     b = RandomSource(seed).stream(name)
     assert [a.random() for _ in range(3)] == [b.random() for _ in range(3)]
+
+
+# ------------------------------------------------- the kernel's two heaps, one order
+_STEP, _DELIVERY = int(EventKind.STEP_RESUME), int(EventKind.MESSAGE_DELIVERY)
+_ABSORBERS = 3
+#: Push a step or a delivery at one of a few times (so ties are the rule), or
+#: dispatch up to ``count`` entries: ``(kind | "pop", time | count, pid)``.
+_QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from([_STEP, _DELIVERY]),
+            st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+            st.integers(min_value=0, max_value=_ABSORBERS - 1),
+        ),
+        st.tuples(st.just("pop"), st.integers(min_value=1, max_value=4), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+class _FirstOfTies:
+    """The index-0 schedule controller, recording every tie set it is offered."""
+
+    def __init__(self):
+        self.offered = []
+
+    def choose(self, now, time, entries):
+        self.offered.append(list(entries))
+        return 0
+
+
+def _entry_tag(entry):
+    """The tag of an offered ``(time, sequence, kind, pid, payload)`` tie entry."""
+    return entry[4].payload if entry[2] == _DELIVERY else entry[4]
+
+
+def _drive_queue(ops, controller=None):
+    """Apply ``ops`` to a kernel; return ``(dispatched, expected, expected_ties)``.
+
+    Every process blocks for ever and logs what reaches it -- a delivery
+    through its wait predicate, a step through the value it is resumed with
+    -- so ``dispatched`` is the kernel's dispatch order, as the pushes' tags.
+    The reference is one list, sorted by ``(time, push order)`` at every pop.
+    """
+    kernel = SimulationKernel(config=SimConfig(scheduling_jitter=0.0))
+    dispatched = []
+
+    def absorber(ctx):
+        seen = 0
+
+        def delivered(mailbox):
+            nonlocal seen
+            if len(mailbox) > seen:
+                seen = len(mailbox)
+                dispatched.append(mailbox[-1].payload)
+
+        while True:
+            dispatched.append((yield from ctx.wait_until(delivered)))
+
+    for pid in range(_ABSORBERS):
+        kernel.add_process(pid, absorber)
+    kernel.run_batch()  # the starts: everybody blocks on an empty mailbox
+    if controller is not None:
+        kernel.install_schedule_controller(controller)
+    pending, expected, expected_ties = [], [], []
+    for tag, (kind, value, pid) in enumerate(list(ops) + [("pop", len(ops) + 1, 0)]):  # drain
+        if kind == "pop":
+            for _ in range(min(value, len(pending))):
+                pending.sort()
+                ties = [entry[1] for entry in pending if entry[0] == pending[0][0]]
+                if len(ties) > 1:
+                    expected_ties.append(ties)
+                expected.append(pending.pop(0)[1])
+            kernel.run_batch(value)
+        else:
+            payload = Message(0, pid, tag, 0.0, tag) if kind == _DELIVERY else tag
+            kernel._schedule(value, kind, pid, payload)
+            pending.append((value, tag))
+    assert not kernel._queue and not kernel._inflight
+    return dispatched, expected, expected_ties
+
+
+@given(_QUEUE_OPS)
+@settings(max_examples=150, deadline=None)
+@example([(_DELIVERY, 1.0, 0), (_STEP, 1.0, 1), (_STEP, 0.0, 2), (_DELIVERY, 1.0, 2)])
+def test_two_heaps_dispatch_in_time_then_sequence_order(ops):
+    dispatched, expected, expected_ties = _drive_queue(ops)
+    assert dispatched == expected
+    if not any(kind == "pop" for kind, _, _ in ops):
+        pushes = [(time, tag) for tag, (_, time, _) in enumerate(ops)]
+        assert dispatched == [tag for _, tag in sorted(pushes)]
+
+    controller = _FirstOfTies()
+    assert _drive_queue(ops, controller)[0] == expected  # index 0 is the native order
+    assert [[_entry_tag(entry) for entry in ties] for ties in controller.offered] == expected_ties
+
+
+def test_controller_is_offered_ties_spanning_both_heaps():
+    controller = _FirstOfTies()
+    ops = [(_DELIVERY, 1.0, 0), (_STEP, 1.0, 1), (_DELIVERY, 1.0, 2), (_STEP, 2.0, 0)]
+    dispatched, expected, _ = _drive_queue(ops, controller)
+    assert dispatched == expected == [0, 1, 2, 3]
+    first, second = controller.offered
+    assert [entry[2] for entry in first] == [_DELIVERY, _STEP, _DELIVERY]
+    assert [entry[2] for entry in second] == [_STEP, _DELIVERY]  # the unchosen went back
+    for time, sequence, kind, pid, payload in first:
+        assert time == 1.0 and (type(payload) is Message) == (kind == _DELIVERY)
+    sequences = [entry[1] for entry in first]
+    assert sequences == sorted(sequences)
 
 
 # --------------------------------------------------------- end-to-end (sampled)

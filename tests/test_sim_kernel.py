@@ -8,7 +8,8 @@ import pytest
 import repro.sim.kernel as kernel_module
 from repro.network.delays import ConstantDelay
 from repro.network.transport import Network
-from repro.sim.context import LocalEffect, SendEffect, SharedMemEffect, WaitEffect
+from repro.network.message import Message
+from repro.sim.context import BroadcastEffect, LocalEffect, SendEffect, SharedMemEffect, WaitEffect
 from repro.sim.events import EventKind, ProcessStart, ScheduledEvent, StepResume, describe
 from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
 from repro.sim.process import ProcessState
@@ -223,6 +224,7 @@ _REGISTER = AtomicRegister("r", 10)
 #: Per known effect type, a builder of that effect as the given (sub)class.
 EFFECTS = {
     SendEffect: lambda cls: cls(dest=0, payload="ping"),
+    BroadcastEffect: lambda cls: cls(dests=(1, 0), payload="ping"),
     WaitEffect: lambda cls: cls(predicate=_inbox),
     SharedMemEffect: lambda cls: cls(operation=_REGISTER.read),
     LocalEffect: lambda cls: cls(duration=0.5),
@@ -343,12 +345,145 @@ def _calls_of(tree, *attribute_chain):
     return sum(isinstance(node, ast.Call) and matches(node.func) for node in ast.walk(tree))
 
 
+def _message_constructions(tree):
+    """Calls that build a ``Message``: ``Message(...)`` or ``<new>(Message, ...)``."""
+
+    def names_message(node):
+        return isinstance(node, ast.Name) and node.id == "Message"
+
+    return sum(
+        isinstance(node, ast.Call) and (names_message(node.func) or any(map(names_message, node.args)))
+        for node in ast.walk(tree)
+    )
+
+
 def test_each_kernel_step_has_one_definition():
     """A count, not a stopwatch: a second copy of a step cannot come back unnoticed."""
     tree = ast.parse(inspect.getsource(kernel_module))
     assert _calls_of(tree, "generator", "send") == 1  # the process step
-    assert _calls_of(tree, "transmit") == 1  # the send effect
+    assert _calls_of(tree, "transmit") == 1  # the send, of a SendEffect or of a broadcast
     assert _calls_of(tree, "mailbox", "append") == 1  # the delivery
+    (run_batch,) = [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "run_batch"
+    ]
+    assert _message_constructions(run_batch) == 1  # the envelope, built when dispatched
+
+
+# ------------------------------------------------ what a send costs, as counts
+def _early_decider(ctx):
+    """Broadcast, decide on the first two deliveries: leaves messages in flight."""
+    yield from ctx.broadcast(("hello", ctx.pid))
+    yield from ctx.wait_until(lambda mailbox: True if len(mailbox) >= 2 else None)
+    return 1
+
+
+def test_step_heap_holds_at_most_one_entry_per_process():
+    n = 24
+    kernel, network = make_kernel(n=n)
+
+    def proc(ctx):
+        yield from ctx.broadcast(ctx.pid)
+        yield from ctx.wait_until(lambda mailbox: True if len(mailbox) >= n else None)
+        return 1
+
+    for pid in range(n):
+        kernel.add_process(pid, proc)
+    batches = 0
+    while kernel.run_batch(64) is None:
+        batches += 1
+        assert len(kernel._queue) <= n, "messages in flight must not sit in the step heap"
+    assert batches >= 2 * n * n // 64 and network.stats.messages_delivered == n * n
+
+
+def test_messages_in_flight_are_flat_and_become_messages_when_delivered():
+    n = 8
+    kernel = SimulationKernel(seed=5)
+    network = Network(n, rng=kernel.rng)  # uniform delays: early deciders outrun slow messages
+    kernel.attach_network(network)
+    for pid in range(n):
+        kernel.add_process(pid, _early_decider)
+    assert kernel.run().status is RunStatus.DECIDED
+    stats = network.stats
+    assert len(kernel._inflight) == stats.messages_sent - stats.messages_delivered > 0
+    for entry in kernel._inflight:
+        assert len(entry) == 7 and not any(isinstance(field, Message) for field in entry)
+    mailboxes = [proc.mailbox for proc in kernel.processes.values()]
+    assert sum(map(len, mailboxes)) == stats.messages_delivered
+    assert all(type(message) is Message for mailbox in mailboxes for message in mailbox)
+
+
+class _CountingGenerator:
+    """Delegates to a generator, counting how often the kernel resumes it."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.sends = 0
+
+    def send(self, value):
+        self.sends += 1
+        return self.generator.send(value)
+
+
+def test_a_broadcast_resumes_its_generator_once():
+    n = 8
+    kernel, network = make_kernel(n=n)
+
+    def proc(ctx):
+        yield from ctx.broadcast("ping")
+        return "done"
+
+    kernel.add_process(0, lambda ctx: _CountingGenerator(proc(ctx)))
+    for pid in range(1, n):
+        kernel.add_process(pid, _idle)
+    result = kernel.run()
+    sender = kernel.process(0)
+    assert result.decisions[0] == "done"
+    # One send per destination, each its own step, then the step that returns.
+    assert sender.stats.steps == n + 1 and sender.stats.messages_sent == n
+    assert network.stats.sent_by_process[0] == n
+    # Resumed to yield the broadcast, and once more when it is exhausted.
+    assert sender.generator.sends == 2
+
+
+def test_broadcast_effect_without_destinations_is_refused():
+    kernel, _ = make_kernel(n=2)
+
+    def proc(ctx):
+        yield BroadcastEffect(dests=(), payload="ping")
+
+    kernel.add_process(0, _idle)
+    kernel.add_process(1, proc)
+    with pytest.raises(ValueError, match="process 1 yielded BroadcastEffect.*no destination"):
+        kernel.run()
+
+
+def test_crash_inside_a_broadcast_delivers_to_a_prefix_only():
+    n = 8
+    kernel, network = make_kernel(n=n, scheduling_jitter=0.0, trace=True)
+
+    def sender(ctx):
+        yield from ctx.broadcast("ping")
+        return "sent"
+
+    def receiver(ctx):
+        yield from ctx.wait_until(_inbox)
+        return "got"
+
+    kernel.add_process(0, sender)
+    for pid in range(1, n):
+        kernel.add_process(pid, receiver)
+    # Sends go out one local step (1e-4) apart, starting at 0: four precede the crash.
+    kernel.schedule_crash(0, 3.5e-4)
+    result = kernel.run()
+    prefix = [0, 1, 2, 3]
+    assert [entry.data["dest"] for entry in kernel.trace.of_kind("send")] == prefix
+    stats = kernel.process(0).stats
+    assert stats.messages_sent == network.stats.sent_by_process[0] == len(prefix)
+    assert network.stats.messages_sent == len(prefix)
+    # The sender's own copy reaches a crashed process; the rest of the prefix decides.
+    assert kernel.dropped_deliveries == 1
+    assert result.decisions == {1: "got", 2: "got", 3: "got"}
+    assert result.crashed == {0} and result.status is RunStatus.DEADLOCK
 
 
 def test_round_limit_halts_process():
