@@ -46,21 +46,8 @@ from typing import List, Optional, Sequence
 
 from .experiments import ALL_EXPERIMENTS
 from .experiments.common import default_seeds, run_planned
-from .harness.coordinator import (
-    DEFAULT_LEASE_TTL,
-    is_steal_dir,
-    merge_stolen,
-    read_plan_header,
-    run_work_stealing,
-    steal_status,
-)
-from .harness.distributed import (
-    ShardError,
-    ShardSpec,
-    merge_shards,
-    read_manifests,
-    run_shard,
-)
+from .harness.coordinator import DEFAULT_LEASE_TTL, RunDirectory, run_work_stealing
+from .harness.distributed import ShardError, ShardSpec, merge_directory, run_shard
 from .harness.report import format_aggregates, format_records
 
 
@@ -289,28 +276,19 @@ def _cmd_fit_delays(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recorded_provenance(out_dir: str):
-    """The plan provenance a run directory recorded (header or first manifest)."""
-    return (
-        read_plan_header(out_dir)
-        if is_steal_dir(out_dir)
-        else read_manifests(out_dir)[0]
-    )
-
-
 def _plan_from_artifacts(out_dir: str):
     """Rebuild ``(module, plan)`` from a directory's recorded provenance.
 
     Raises :class:`ShardError` when the artifacts were not produced by the
     CLI (no experiment name recorded), since the plan cannot be rebuilt.
     """
-    recorded = _recorded_provenance(out_dir)
+    recorded = RunDirectory(out_dir).recorded()
     experiment = recorded.get("experiment")
     if not experiment:
         raise ShardError(
             f"artifacts in {out_dir} were not produced by the CLI (no experiment "
-            f"recorded); merge them with repro.harness.distributed.merge_shards (or "
-            f"repro.harness.coordinator.merge_stolen) and the plan that produced them"
+            f"recorded); merge them with repro.harness.distributed.merge_directory "
+            f"and the plan that produced them"
         )
     return _build_plan(
         experiment,
@@ -323,19 +301,14 @@ def _plan_from_artifacts(out_dir: str):
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     module, plan = _plan_from_artifacts(args.out_dir)
-    if is_steal_dir(args.out_dir):
-        merged = merge_stolen(args.out_dir, plan)
-        source = f"{merged.shard_count} worker(s)"
-    else:
-        merged = merge_shards(args.out_dir, plan)
-        source = f"{merged.shard_count} shard(s)"
+    merged = merge_directory(args.out_dir, plan)
     if args.report:
         print(module.build_report(merged.plan, merged.aggregates).format())
         return 0
     print(
         format_aggregates(
             merged.aggregates,
-            title=f"{plan.key}: {source}, "
+            title=f"{plan.key}: {merged.shard_count} {merged.unit}(s), "
             f"{plan.total_runs} runs over {len(plan.points)} points",
         )
     )
@@ -380,8 +353,10 @@ def _cmd_status(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             pass
         return 0
-    if is_steal_dir(args.out_dir):
-        status = steal_status(args.out_dir)
+    directory = RunDirectory(args.out_dir)
+    recorded = directory.recorded()
+    if directory.layout == "steal":
+        status = directory.steal_status()
         print(
             f"{status.experiment or status.plan_key or '?'}: "
             f"{status.done}/{status.points_total} points done "
@@ -399,24 +374,15 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print()
             print(format_records(rows))
         return 0
-    rows = []
-    for manifest in read_manifests(args.out_dir):
-        points = manifest["points"]
-        complete = sum(
-            1 for record in points.values() if not record["runs"] or record.get("checkpoint")
-        )
-        # A killed shard's manifest has records only for the points it
-        # reached, so the denominator must be the whole plan (the labels
-        # list), not the records seen so far.
-        total_points = len(manifest.get("labels") or points)
-        rows.append(
-            {
-                "shard": f"{manifest['shard_index']}/{manifest['shard_count']}",
-                "experiment": manifest.get("experiment") or manifest.get("plan_key", "?"),
-                "points_done": f"{complete}/{total_points}",
-                "runs_done": f"{manifest.get('runs_done', '?')}/{manifest.get('runs_total', '?')}",
-            }
-        )
+    rows = [
+        {
+            "shard": row["shard"],
+            "experiment": recorded.get("experiment") or recorded.get("plan_key", "?"),
+            "points_done": f"{row['points_done']}/{row['points_total']}",
+            "runs_done": f"{row['runs_done']}/{row['runs_total']}",
+        }
+        for row in directory.shard_rows
+    ]
     print(format_records(rows))
     return 0
 

@@ -136,11 +136,6 @@ def _delay_catalog() -> Dict[str, DelayModel]:
     }
 
 
-def delay_names() -> List[str]:
-    """Every delay-catalog name, sorted."""
-    return sorted(_delay_catalog())
-
-
 def plan(
     seeds: Optional[Sequence[int]] = None,
     scenarios: Optional[Sequence[str]] = None,

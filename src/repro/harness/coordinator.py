@@ -1,4 +1,4 @@
-"""Dynamic work stealing for sweep plans: leases, heartbeats, theft, merge.
+"""Dynamic work stealing for sweep plans, and the one reader of a run directory.
 
 Static sharding (:mod:`~repro.harness.distributed`) fixes ownership up
 front: shard ``i/k`` owns every ``k``-th run, forever.  On a homogeneous
@@ -13,11 +13,12 @@ faster ones and a killed host's work is picked up automatically.
 The unit of claiming is one whole sweep point (every seed of one
 parameter combination).  Every run keeps the summary index -- and
 therefore the ``SeedSequence(entropy, spawn_key=(index,))`` sketch
-priority -- it would have had in the unsharded execution, so
-:func:`merge_stolen` re-folds per-point checkpoints in run-index order
-through the exact code path the single-host sweep uses, and the merged
-aggregates are *bit-identical* to :func:`~.distributed.run_plan` no
-matter how many workers ran, died, restarted or stole.
+priority -- it would have had in the unsharded execution, so the merge
+(:func:`~.distributed.merge_directory`, which :func:`merge_stolen` names)
+re-folds per-point checkpoints in run-index order through the exact code
+path the single-host sweep uses, and the merged aggregates are
+*bit-identical* to :func:`~.distributed.run_plan` no matter how many
+workers ran, died, restarted or stole.
 
 The claim protocol
 ------------------
@@ -60,6 +61,13 @@ Static sharding is the degenerate scheduler of the same claim loop:
 unconditionally and never steals, while :class:`WorkStealingScheduler`
 claims through leases.  Both feed :func:`drive_claims`, which is the
 single execute-and-checkpoint loop.
+
+Reading is single, too: :class:`RunDirectory` is the only code that knows
+both this layout and the static one (``shard-IofK.json`` manifests plus
+``shard-IofK-point-NNNN.pkl`` checkpoints).  It lives here because this
+module already holds or imports everything it reads -- leases, plan header,
+worker manifests, and :mod:`~repro.harness.distributed`'s shard manifests
+and file namings -- so nothing imports backwards to reach it.
 """
 
 from __future__ import annotations
@@ -73,27 +81,30 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
+from functools import cached_property
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from . import distributed
-from .aggregate import RunAggregate, RunSummary, SummaryReducer, priority_backend
+from .aggregate import RunSummary, SummaryReducer
 from .distributed import (
+    MANIFEST_FIELDS,
     MANIFEST_VERSION,
     ManifestError,
-    MergedSweep,
     ShardRunResult,
     ShardSpec,
     SweepPlan,
     _atomic_write_bytes,
     _load_checkpoint,
-    _load_manifest,
     _write_checkpoint,
     check_merge_provenance,
     checkpoint_path,
     find_manifests,
     manifest_path,
+    merge_directory,
+    plan_provenance,
+    read_artifact,
+    read_manifests,
 )
 from ..obs.telemetry import Telemetry
 
@@ -196,8 +207,8 @@ def write_plan_header(out_dir: Union[str, Path], plan: SweepPlan) -> Path:
     """Publish (or validate against) the shared plan header of ``out_dir``.
 
     The first worker creates ``plan.json`` atomically; every later worker
-    -- and :func:`steal_status` / :func:`merge_stolen`, which need nothing
-    but the directory -- validates against it.  A directory already holding
+    -- and :class:`RunDirectory`, which needs nothing but the directory --
+    validates against it.  A directory already holding
     static shard artifacts, or a header for a different plan, is refused.
     """
     out = Path(out_dir)
@@ -210,15 +221,7 @@ def write_plan_header(out_dir: Union[str, Path], plan: SweepPlan) -> Path:
         )
     path = plan_header_path(out)
     payload = {
-        "version": MANIFEST_VERSION,
-        "schedule": "steal",
-        "fingerprint": plan.fingerprint(),
-        "plan_key": plan.key,
-        "experiment": plan.experiment,
-        "indexing": plan.indexing,
-        "priority_backend": priority_backend(),
-        "delay_models": plan.delay_models(),
-        "scenarios": plan.scenario_names(),
+        **plan_provenance(plan, "steal"),
         "seeds": list(plan.seeds),
         "labels": [point.label for point in plan.points],
         "runs_total": plan.total_runs,
@@ -227,10 +230,10 @@ def write_plan_header(out_dir: Union[str, Path], plan: SweepPlan) -> Path:
     if not path.exists() and _atomic_create_bytes(path, encoded):
         return path
     existing = read_plan_header(out)
-    if existing["fingerprint"] != plan.fingerprint():
+    if existing["fingerprint"] != payload["fingerprint"]:
         raise ManifestError(
             f"{path} belongs to a different plan (fingerprint "
-            f"{existing['fingerprint'][:12]}... != {plan.fingerprint()[:12]}...); "
+            f"{existing['fingerprint'][:12]}... != {payload['fingerprint'][:12]}...); "
             f"every worker sharing an output directory must run the same "
             f"experiment with the same seeds -- merge or clear that directory "
             f"before reusing it"
@@ -240,23 +243,9 @@ def write_plan_header(out_dir: Union[str, Path], plan: SweepPlan) -> Path:
 
 def read_plan_header(out_dir: Union[str, Path]) -> Dict[str, Any]:
     """Load and structurally validate the plan header of ``out_dir``."""
-    path = plan_header_path(out_dir)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, ValueError) as error:
-        raise ManifestError(f"malformed plan header {path}: {error}") from error
-    if not isinstance(raw, dict) or "version" not in raw:
-        raise ManifestError(f"malformed plan header {path}: not a header object")
-    if raw["version"] != MANIFEST_VERSION:
-        raise ManifestError(
-            f"plan header {path} has version {raw['version']!r} but this build "
-            f"reads version {MANIFEST_VERSION}; re-run its workers with a "
-            f"matching build"
-        )
-    missing = [key for key in ("fingerprint", "seeds", "labels") if key not in raw]
-    if missing:
-        raise ManifestError(f"malformed plan header {path}: missing fields {missing}")
-    return raw
+    return read_artifact(
+        plan_header_path(out_dir), "plan header", ("fingerprint", "seeds", "labels")
+    )
 
 
 # ------------------------------------------------------------------ leases
@@ -588,9 +577,10 @@ class StaticShardScheduler:
                 f"directory is either statically sharded or work-stealing, never "
                 f"both -- merge or clear it before reusing it"
             )
-        fingerprint = plan.fingerprint()
+        self._provenance = plan_provenance(plan, self.schedule)
+        fingerprint = self._provenance["fingerprint"]
         for existing_path in find_manifests(self.out):
-            existing = _load_manifest(existing_path)
+            existing = read_artifact(existing_path, "manifest", MANIFEST_FIELDS)
             if existing["fingerprint"] != fingerprint:
                 raise ManifestError(
                     f"{existing_path} belongs to a different plan (fingerprint "
@@ -664,15 +654,7 @@ class StaticShardScheduler:
 
     def _write_manifest(self) -> None:
         payload = {
-            "version": MANIFEST_VERSION,
-            "schedule": self.schedule,
-            "fingerprint": self.plan.fingerprint(),
-            "plan_key": self.plan.key,
-            "experiment": self.plan.experiment,
-            "indexing": self.plan.indexing,
-            "priority_backend": priority_backend(),
-            "delay_models": self.plan.delay_models(),
-            "scenarios": self.plan.scenario_names(),
+            **self._provenance,
             "shard_index": self.shard.index,
             "shard_count": self.shard.count,
             "seeds": list(self.plan.seeds),
@@ -775,7 +757,10 @@ class WorkStealingScheduler:
             manifest=worker_manifest_path(self.out, self.worker),
             plan_header=header,
         )
-        self._fingerprint = plan.fingerprint()
+        #: The worker manifest records the plan, not its named-field lists.
+        self._provenance = plan_provenance(plan, self.schedule)
+        del self._provenance["delay_models"], self._provenance["scenarios"]
+        self._fingerprint = self._provenance["fingerprint"]
         self._recorded: Dict[int, str] = {}
         self._computed = 0
 
@@ -964,13 +949,7 @@ class WorkStealingScheduler:
             for point_index, outcome in sorted(self._recorded.items())
         }
         payload = {
-            "version": MANIFEST_VERSION,
-            "schedule": self.schedule,
-            "fingerprint": self._fingerprint,
-            "plan_key": self.plan.key,
-            "experiment": self.plan.experiment,
-            "indexing": self.plan.indexing,
-            "priority_backend": priority_backend(),
+            **self._provenance,
             "worker": self.worker,
             "lease_ttl": self.ttl,
             "points": outcomes,
@@ -1026,7 +1005,7 @@ def run_work_stealing(
         return drive_claims(plan, scheduler, max_workers, exec_mode=exec_mode)
 
 
-# ------------------------------------------------------------------ status
+# ------------------------------------------------------- reading a directory
 @dataclass
 class StealStatus:
     """Aggregate progress of a work-stealing run directory.
@@ -1050,96 +1029,216 @@ class StealStatus:
     workers: List[Dict[str, Any]] = field(default_factory=list)
 
 
+class RunDirectory:
+    """One read of a sweep directory: the only code that knows its two layouts.
+
+    Everything that consumes a run directory -- the merger, ``status``,
+    ``serve``, the CLI -- asks this class instead of the files: what
+    provenance was recorded, which checkpoint files together hold a point,
+    what state each point or shard is in, and why a pending point cannot be
+    merged yet.  Construction reads the plan header, or every shard manifest
+    through :func:`~.distributed.read_manifests` (so disagreeing, malformed
+    or wrong-version artifacts raise here, naming the file); a directory
+    nothing has been written to yet reads as ``layout is None``.  Leases,
+    worker manifests and the row views are read on first use and kept: an
+    instance is one snapshot, so build a new one to look again.
+    """
+
+    def __init__(self, out_dir: Union[str, Path]) -> None:
+        self.out = Path(out_dir)
+        #: ``"steal"``, ``"static"``, or ``None`` for nothing written (yet).
+        self.layout: Optional[str] = None
+        #: The recorded plan provenance: the plan header, or the first shard
+        #: manifest once all of them have been checked to agree.
+        self.provenance: Optional[Dict[str, Any]] = None
+        #: Every shard manifest, in shard order (static layout only).
+        self.manifests: List[Dict[str, Any]] = []
+        if is_steal_dir(self.out):
+            self.layout, self.provenance = "steal", read_plan_header(self.out)
+        elif self.out.is_dir() and find_manifests(self.out):
+            self.manifests = read_manifests(self.out)
+            self.layout, self.provenance = "static", self.manifests[0]
+        #: What ``shard_count`` counts, and what the artifacts are called.
+        self.unit = "worker" if self.layout == "steal" else "shard"
+        self.what = "work-stealing artifacts" if self.layout == "steal" else "shards"
+
+    # ------------------------------------------------------------ provenance
+    def recorded(self) -> Dict[str, Any]:
+        """The recorded provenance; a directory holding none is refused."""
+        # The strict manifest read words the refusal (not a directory / no
+        # shard manifests) -- or finds what landed since construction.
+        return self.provenance or read_manifests(self.out)[0]
+
+    def check(self, plan: SweepPlan) -> None:
+        """Refuse a ``plan`` the recorded provenance contradicts."""
+        check_merge_provenance(self.recorded(), plan, self.out, what=self.what)
+
+    @property
+    def shard_count(self) -> int:
+        """How many writers are on record: shards of the covering, or workers."""
+        if self.layout == "static":
+            return int(self.provenance["shard_count"])
+        return max(len(find_worker_manifests(self.out)), 1)
+
+    # --------------------------------------------------------------- sources
+    def sources(self, plan: SweepPlan, point_index: int) -> List[Tuple[ShardSpec, Path]]:
+        """The ``(shard, checkpoint file)`` pairs that together hold one point.
+
+        Work stealing checkpoints a point whole; static sharding spreads it
+        over every shard owning one of its runs.  A point is complete when
+        each file exists and ``_load_checkpoint`` accepts it for its shard.
+        """
+        if self.layout == "steal":
+            return [(_WHOLE, point_checkpoint_path(self.out, point_index))]
+        count = self.shard_count
+        shards = (ShardSpec(index, count) for index in range(1, count + 1))
+        return [
+            (shard, checkpoint_path(self.out, shard, point_index))
+            for shard in shards
+            if plan.owned_positions(point_index, shard)
+        ]
+
+    def refuse(self, plan: SweepPlan, pending: List[int]) -> None:
+        """Raise why the ``pending`` points cannot merge, if a file is missing.
+
+        Returns when every source file of every pending point exists: what
+        is wrong then is inside a checkpoint, which only loading it tells.
+        """
+        self.recorded()  # nothing written at all is refused here
+        absent = {
+            point_index: [
+                shard for shard, path in self.sources(plan, point_index) if not path.exists()
+            ]
+            for point_index in pending
+        }
+        if self.layout == "steal":
+            unfinished = [plan.points[pi].label for pi in pending if absent[pi]]
+            if unfinished:
+                status = self.steal_status()
+                raise ManifestError(
+                    f"work-stealing run in {self.out} is incomplete: points {unfinished} "
+                    f"have no checkpoint yet ({status.leased} leased, {status.orphaned} "
+                    f"orphaned, {status.unclaimed} unclaimed); run another worker over "
+                    f"this directory to finish them before merging"
+                )
+            return
+        count = self.shard_count
+        expected = range(1, count + 1)
+        missing = sorted(set(expected) - {manifest["shard_index"] for manifest in self.manifests})
+        if missing:
+            raise ManifestError(
+                f"{self.out} does not hold a complete 1..{count} shard covering: "
+                f"missing shards {missing}"
+            )
+        for shard in (ShardSpec(index, count) for index in expected):
+            incomplete = [plan.points[pi].label for pi in pending if shard in absent[pi]]
+            if incomplete:
+                raise ManifestError(
+                    f"shard {shard} is incomplete (points {incomplete} have no "
+                    f"checkpoint yet); resume it by re-running its original run "
+                    f"command before merging"
+                )
+
+    # ------------------------------------------------------------ state rows
+    @cached_property
+    def leases(self) -> List[Lease]:
+        """The live lease of every leased point (see :func:`live_leases`)."""
+        return live_leases(self.out)
+
+    @cached_property
+    def point_rows(self) -> List[Dict[str, Any]]:
+        """Work stealing: each point's index, label, state and live lease holder.
+
+        ``state`` is ``done`` (checkpointed), ``leased``, ``orphaned`` (lease
+        expired, no checkpoint) or ``unclaimed``; ``worker`` and
+        ``generation`` appear once the point has ever been leased.
+        """
+        leases = {lease.point_index: lease for lease in self.leases}
+        rows = []
+        for point_index, label in enumerate(self.provenance["labels"]):
+            lease = leases.get(point_index)
+            if point_checkpoint_path(self.out, point_index).exists():
+                state = "done"
+            elif lease is None:
+                state = "unclaimed"
+            elif lease.expired():
+                state = "orphaned"
+            else:
+                state = "leased"
+            row = {"index": point_index, "label": label, "state": state}
+            if lease is not None:
+                row.update(worker=lease.worker, generation=lease.generation)
+            rows.append(row)
+        return rows
+
+    @cached_property
+    def worker_rows(self) -> List[Dict[str, Any]]:
+        """Work stealing: one row of counts (and telemetry) per worker manifest."""
+        rows = []
+        for path in find_worker_manifests(self.out):
+            raw = read_artifact(path, "worker manifest", ())
+            row = {
+                "worker": raw.get("worker", "?"),
+                "computed": raw.get("points_computed", 0),
+                "stolen": raw.get("points_stolen", 0),
+                "lost": raw.get("points_lost", 0),
+                "runs_executed": raw.get("runs_executed", 0),
+            }
+            if isinstance(raw.get("telemetry"), dict):
+                row["telemetry"] = raw["telemetry"]
+            rows.append(row)
+        return rows
+
+    @cached_property
+    def shard_rows(self) -> List[Dict[str, Any]]:
+        """Static sharding: each shard's own record of its progress.
+
+        A killed shard's manifest has records only for the points it
+        reached, so the denominator is the whole plan (the labels list).
+        """
+        rows = []
+        for manifest in self.manifests:
+            points = manifest["points"]
+            rows.append(
+                {
+                    "shard": f"{manifest['shard_index']}/{manifest['shard_count']}",
+                    "points_done": sum(
+                        1
+                        for record in points.values()
+                        if not record["runs"] or record.get("checkpoint")
+                    ),
+                    "points_total": len(manifest.get("labels") or points),
+                    "runs_done": manifest.get("runs_done"),
+                    "runs_total": manifest.get("runs_total"),
+                }
+            )
+        return rows
+
+    def steal_status(self) -> StealStatus:
+        """The point-state counts and worker rows of a work-stealing run."""
+        if self.layout != "steal":
+            raise ManifestError(f"{self.out} holds no work-stealing run ({PLAN_HEADER_NAME})")
+        rows = self.point_rows
+        states = [row["state"] for row in rows]
+        return StealStatus(
+            points_total=len(rows),
+            done=states.count("done"),
+            leased=states.count("leased"),
+            orphaned=states.count("orphaned"),
+            unclaimed=states.count("unclaimed"),
+            stolen=sum(1 for row in rows if row.get("generation", 0) > 0),
+            runs_total=self.provenance.get("runs_total", 0),
+            experiment=self.provenance.get("experiment"),
+            plan_key=self.provenance.get("plan_key"),
+            workers=self.worker_rows,
+        )
+
+
 def steal_status(out_dir: Union[str, Path]) -> StealStatus:
     """Read a work-stealing directory's progress from its artifacts alone."""
-    out = Path(out_dir)
-    header = read_plan_header(out)
-    labels = header["labels"]
-    done = leased = orphaned = unclaimed = stolen = 0
-    leases = _lease_index(out)
-    for point_index in range(len(labels)):
-        entry = leases.get(point_index)
-        lease = (
-            _parse_lease(entry[1], point_index, entry[0], warn=False) if entry else None
-        )
-        if lease is not None and lease.generation > 0:
-            stolen += 1
-        if point_checkpoint_path(out, point_index).exists():
-            done += 1
-        elif lease is None:
-            unclaimed += 1
-        elif lease.expired():
-            orphaned += 1
-        else:
-            leased += 1
-    workers = []
-    for path in find_worker_manifests(out):
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, ValueError) as error:
-            raise ManifestError(f"malformed worker manifest {path}: {error}") from error
-        row = {
-            "worker": raw.get("worker", "?"),
-            "computed": raw.get("points_computed", 0),
-            "stolen": raw.get("points_stolen", 0),
-            "lost": raw.get("points_lost", 0),
-            "runs_executed": raw.get("runs_executed", 0),
-        }
-        telemetry = raw.get("telemetry")
-        if isinstance(telemetry, dict):
-            row["telemetry"] = telemetry
-        workers.append(row)
-    return StealStatus(
-        points_total=len(labels),
-        done=done,
-        leased=leased,
-        orphaned=orphaned,
-        unclaimed=unclaimed,
-        stolen=stolen,
-        runs_total=header.get("runs_total", 0),
-        experiment=header.get("experiment"),
-        plan_key=header.get("plan_key"),
-        workers=workers,
-    )
+    return RunDirectory(out_dir).steal_status()
 
 
-# ------------------------------------------------------------------- merge
-def merge_stolen(out_dir: Union[str, Path], plan: SweepPlan) -> MergedSweep:
-    """Fold a work-stealing run into the single-host aggregates.
-
-    Validates the plan header against ``plan`` (named-field provenance
-    errors first, then the fingerprint), requires every point's checkpoint,
-    and re-folds each point's summaries in run-index order -- the identical
-    code path and therefore identical bits to
-    :func:`~repro.harness.distributed.run_plan`, no matter which workers
-    computed, stole or recomputed which points.
-    """
-    out = Path(out_dir)
-    header = read_plan_header(out)
-    check_merge_provenance(header, plan, out, what="work-stealing artifacts")
-    if list(header["labels"]) != [point.label for point in plan.points]:
-        raise ManifestError(
-            f"plan header in {out} lists different point labels than the merge "
-            f"plan; rebuild the merge plan with the same experiment and parameters"
-        )
-    aggregates: Dict[str, RunAggregate] = {}
-    unfinished: List[str] = []
-    for point_index, point in enumerate(plan.points):
-        cpath = point_checkpoint_path(out, point_index)
-        if not cpath.exists():
-            unfinished.append(point.label)
-            continue
-        summaries = _load_checkpoint(cpath, plan, _WHOLE, point_index)
-        aggregates[point.label] = distributed.fold_point(
-            plan, point_index, ((summary.index, summary) for summary in summaries)
-        )
-    if unfinished:
-        status = steal_status(out)
-        raise ManifestError(
-            f"work-stealing run in {out} is incomplete: points {unfinished} have "
-            f"no checkpoint yet ({status.leased} leased, {status.orphaned} "
-            f"orphaned, {status.unclaimed} unclaimed); run another worker over "
-            f"this directory to finish them before merging"
-        )
-    worker_count = len(find_worker_manifests(out))
-    return MergedSweep(plan=plan, shard_count=max(worker_count, 1), aggregates=aggregates)
+#: The name work-stealing callers know the one merge by: leases, thefts and
+#: recomputation leave no trace in the checkpoints it folds.
+merge_stolen = merge_directory

@@ -6,9 +6,9 @@ deterministic enumeration of every run of a sweep (every point of the sweep
 under every seed).  Any host can execute one :class:`ShardSpec` worth of that
 plan with :func:`run_shard` -- writing a versioned JSON manifest plus one
 pickled checkpoint per completed sweep point, so a killed shard resumes from
-its last checkpoint instead of restarting -- and :func:`merge_shards` folds
-the per-shard outputs back into aggregates *bit-identical* to the single-host
-execution of the same plan.
+its last checkpoint instead of restarting -- and :func:`merge_directory`
+(:func:`merge_shards` is the same function) folds the per-shard outputs back
+into aggregates *bit-identical* to the single-host execution of the same plan.
 
 How bit-identity is achieved
 ----------------------------
@@ -20,7 +20,7 @@ Chan-style :meth:`~repro.harness.aggregate.StreamingStats.merge` (floating
 point makes a pairwise moment merge differ from a sequential fold in the last
 bits); instead the checkpoints carry the raw per-run
 :class:`~repro.harness.aggregate.RunSummary` objects (~1 KB each), and
-:func:`merge_shards` re-folds them in run-index order through the exact code
+the merge re-folds them in run-index order through the exact code
 path (:meth:`RunAggregate.from_summaries`) the single-host sweep uses.  The
 streaming ``merge`` remains the right tool for *approximate* online
 reduction; the checkpoint re-fold is what makes ``shard + merge == sweep``
@@ -42,8 +42,11 @@ On-disk layout (all under the ``--out`` directory)::
     shard-2of4-point-0003.pkl  checkpoint: RunSummary list for point 3
 
 Every artifact embeds :data:`MANIFEST_VERSION` and the plan's fingerprint;
-:func:`merge_shards` refuses mixed versions, mixed plans, missing shards and
-incomplete shards with errors that say which file is at fault.
+the merge refuses mixed versions, mixed plans, missing shards and incomplete
+shards with errors that say which file is at fault.  This module writes and
+names the files; the one place that *reads* a run directory -- this layout or
+the work-stealing one -- is :class:`~repro.harness.coordinator.RunDirectory`,
+and the one fold over it is :class:`~repro.obs.merge.IncrementalMerger`.
 """
 
 from __future__ import annotations
@@ -88,6 +91,9 @@ MANIFEST_VERSION = 3
 INDEXING_SCHEMES = ("per-point", "global")
 
 _MANIFEST_RE = re.compile(r"^shard-(\d+)of(\d+)\.json$")
+
+#: What a shard manifest must hold besides its version to be read at all.
+MANIFEST_FIELDS = ("fingerprint", "shard_index", "shard_count", "points", "seeds")
 
 
 class ShardError(ValueError):
@@ -205,7 +211,7 @@ class SweepPlan:
     def delay_models(self) -> List[str]:
         """Sorted unique delay-model descriptions across the plan's points.
 
-        Recorded in every shard manifest so :func:`merge_shards` can refuse
+        Recorded in every shard manifest so the merge can refuse
         shards produced under a different delay model with an error that
         names the field (the fingerprint would also catch it, but
         anonymously).
@@ -384,23 +390,42 @@ def checkpoint_path(out_dir: Union[str, Path], shard: ShardSpec, point_index: in
     return Path(out_dir) / f"shard-{shard.index}of{shard.count}-point-{point_index:04d}.pkl"
 
 
-def _load_manifest(path: Path) -> Dict[str, Any]:
-    """Read and structurally validate one manifest file."""
+def plan_provenance(plan: SweepPlan, schedule: str) -> Dict[str, Any]:
+    """The provenance block that opens every JSON artifact of a run directory.
+
+    Written by the plan header and both schedulers' manifests (the worker
+    manifest drops the two named-field lists) and read back, field by
+    field, by :func:`check_merge_provenance`.
+    """
+    return {
+        "version": MANIFEST_VERSION,
+        "schedule": schedule,
+        "fingerprint": plan.fingerprint(),
+        "plan_key": plan.key,
+        "experiment": plan.experiment,
+        "indexing": plan.indexing,
+        "priority_backend": priority_backend(),
+        "delay_models": plan.delay_models(),
+        "scenarios": plan.scenario_names(),
+    }
+
+
+def read_artifact(path: Path, noun: str, required: Sequence[str]) -> Dict[str, Any]:
+    """Read and structurally validate one JSON artifact (``noun`` names it)."""
     try:
         raw = json.loads(path.read_text())
     except (OSError, ValueError) as error:
-        raise ManifestError(f"malformed manifest {path}: {error}") from error
+        raise ManifestError(f"malformed {noun} {path}: {error}") from error
     if not isinstance(raw, dict) or "version" not in raw:
-        raise ManifestError(f"malformed manifest {path}: not a manifest object")
+        raise ManifestError(f"malformed {noun} {path}: not a {noun} object")
     if raw["version"] != MANIFEST_VERSION:
         raise ManifestError(
-            f"manifest {path} has version {raw['version']!r} but this build reads "
-            f"version {MANIFEST_VERSION}; re-run its shard with a matching build"
+            f"{noun} {path} has version {raw['version']!r} but this build reads "
+            f"version {MANIFEST_VERSION}; re-run what wrote it with a matching build"
         )
-    required = ("fingerprint", "shard_index", "shard_count", "points", "seeds")
     missing = [key for key in required if key not in raw]
     if missing:
-        raise ManifestError(f"malformed manifest {path}: missing fields {missing}")
+        raise ManifestError(f"malformed {noun} {path}: missing fields {missing}")
     return raw
 
 
@@ -409,7 +434,10 @@ def _load_checkpoint(path: Path, plan: SweepPlan, shard: ShardSpec, point_index:
     try:
         with open(path, "rb") as handle:
             raw = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError) as error:
+    except Exception as error:
+        # Not a narrower list: torn or foreign bytes make ``pickle.load`` raise
+        # Unpickling-, EOF-, Value-, Overflow-, Memory-, Type-, Attribute- or
+        # ImportError, and whichever it is, the file is unreadable.
         raise ManifestError(f"unreadable checkpoint {path}: {error}") from error
     if not isinstance(raw, dict):
         raise ManifestError(f"malformed checkpoint {path}: not a checkpoint object")
@@ -511,6 +539,8 @@ class MergedSweep:
     plan: SweepPlan
     shard_count: int
     aggregates: Dict[str, RunAggregate]
+    #: What ``shard_count`` counts: static shards or work-stealing workers.
+    unit: str = "shard"
 
     def sweep_result(self) -> SweepResult:
         """The merged aggregates as a :class:`~repro.harness.sweep.SweepResult`."""
@@ -542,7 +572,7 @@ def read_manifests(out_dir: Union[str, Path]) -> List[Dict[str, Any]]:
     paths = find_manifests(out_dir)
     if not paths:
         raise ManifestError(f"no shard manifests (shard-IofK.json) found in {Path(out_dir)}")
-    manifests = [_load_manifest(path) for path in paths]
+    manifests = [read_artifact(path, "manifest", MANIFEST_FIELDS) for path in paths]
     first = manifests[0]
     for manifest, path in zip(manifests, paths):
         for key in ("fingerprint", "shard_count", "experiment", "indexing", "delay_models", "scenarios"):
@@ -560,35 +590,32 @@ def check_merge_provenance(
 ) -> None:
     """Refuse merging artifacts whose recorded provenance contradicts ``plan``.
 
-    Shared by :func:`merge_shards` and the work-stealing
-    :func:`~repro.harness.coordinator.merge_stolen`.  The named provenance
-    fields come first: a delay-model, scenario or priority-derivation
-    mismatch would also trip the fingerprint check below, but with an
-    anonymous digest -- the named-field error says *what* differs.
+    Reads back what :func:`plan_provenance` wrote.  The named fields come
+    first: a delay-model, scenario or priority-derivation mismatch would
+    also trip the fingerprint check below, but with an anonymous digest --
+    the named-field error says *what* differs.
     """
-    for field_name, plan_value in (
-        ("delay_models", plan.delay_models()),
-        ("scenarios", plan.scenario_names()),
-    ):
+    expected = plan_provenance(plan, recorded.get("schedule"))
+    for field_name in ("delay_models", "scenarios"):
         value = recorded.get(field_name)
-        if value is not None and list(value) != plan_value:
+        if value is not None and list(value) != expected[field_name]:
             raise ManifestError(
                 f"{what} in {out} disagree with the merge plan on {field_name!r}: "
                 f"the {what} were produced under {value} but the plan has "
-                f"{plan_value}; {what} produced under different delay models or "
+                f"{expected[field_name]}; {what} produced under different delay models or "
                 f"fault scenarios cannot be merged"
             )
     recorded_backend = recorded.get("priority_backend")
-    if recorded_backend and recorded_backend != priority_backend():
+    if recorded_backend and recorded_backend != expected["priority_backend"]:
         raise ManifestError(
             f"{what} in {out} record 'priority_backend' {recorded_backend!r} but this "
-            f"build derives run priorities as {priority_backend()!r}; their sketch "
+            f"build derives run priorities as {expected['priority_backend']!r}; their sketch "
             f"priorities differ, so re-run the sweep with this build"
         )
-    if recorded["fingerprint"] != plan.fingerprint():
+    if recorded["fingerprint"] != expected["fingerprint"]:
         raise ManifestError(
             f"{what} in {out} were produced by a different plan (fingerprint "
-            f"{recorded['fingerprint'][:12]}... != {plan.fingerprint()[:12]}...); "
+            f"{recorded['fingerprint'][:12]}... != {expected['fingerprint'][:12]}...); "
             f"rebuild the merge plan with the same experiment, seeds and parameters"
         )
 
@@ -601,11 +628,10 @@ def fold_point(
     THE canonical per-point fold: sort by run index, require exactly the
     plan's indices for the point, and feed
     :meth:`~repro.harness.aggregate.RunAggregate.from_summaries` in that
-    order.  :func:`merge_shards`, the work-stealing
-    :func:`~repro.harness.coordinator.merge_stolen`, and the observability
-    layer's :class:`~repro.obs.merge.IncrementalMerger` all fold through
-    this one function, which is what makes their aggregates bit-identical
-    to :func:`run_plan` -- and to each other -- by construction.
+    order.  Its one caller is :class:`~repro.obs.merge.IncrementalMerger`,
+    which every merge -- batch or live, either layout -- runs through, so
+    their aggregates are bit-identical to :func:`run_plan` and to each
+    other by construction.
     """
     ordered = sorted(pairs, key=lambda pair: pair[0])
     indices = [index for index, _ in ordered]
@@ -619,63 +645,24 @@ def fold_point(
     )
 
 
-def merge_shards(out_dir: Union[str, Path], plan: SweepPlan) -> MergedSweep:
-    """Fold every shard under ``out_dir`` into the single-host aggregates.
+def merge_directory(out_dir: Union[str, Path], plan: SweepPlan) -> MergedSweep:
+    """Fold a finished run directory into the single-host aggregates.
 
-    Validates the full covering first -- consistent manifest versions and
-    fingerprints, shards 1..k all present and complete -- then re-folds each
-    point's summaries in run-index order, producing aggregates bit-identical
+    The batch merge of either layout is the incremental one drained once:
+    a single :meth:`~repro.obs.merge.IncrementalMerger.poll`, then
+    :meth:`~repro.obs.merge.IncrementalMerger.merged`, which raises what
+    keeps the directory from merging (provenance from another plan, a
+    missing or unfinished shard, unfinished points with their lease
+    counts, an unusable checkpoint) or returns aggregates bit-identical
     to :func:`run_plan` of the same plan on one host.
     """
-    out = Path(out_dir)
-    manifests = read_manifests(out)
-    first = manifests[0]
-    check_merge_provenance(first, plan, out)
-    count = first["shard_count"]
-    present = sorted(manifest["shard_index"] for manifest in manifests)
-    expected = list(range(1, count + 1))
-    if present != expected:
-        missing = sorted(set(expected) - set(present))
-        duplicated = sorted({index for index in present if present.count(index) > 1})
-        detail = []
-        if missing:
-            detail.append(f"missing shards {missing}")
-        if duplicated:
-            detail.append(f"duplicated shards {duplicated}")
-        raise ManifestError(
-            f"{out} does not hold a complete 1..{count} shard covering: {'; '.join(detail)}"
-        )
+    from ..obs.merge import IncrementalMerger
 
-    per_point: Dict[int, List[Tuple[int, RunSummary]]] = {
-        pi: [] for pi in range(len(plan.points))
-    }
-    for manifest in manifests:
-        shard = ShardSpec(index=manifest["shard_index"], count=count)
-        # Completeness is judged against the *plan*, not the manifest's own
-        # records: a killed shard's manifest simply lacks records for the
-        # points it never reached.
-        incomplete = [
-            plan.points[point_index].label
-            for point_index in range(len(plan.points))
-            if plan.owned_positions(point_index, shard)
-            and not manifest["points"].get(str(point_index), {}).get("checkpoint")
-        ]
-        if incomplete:
-            raise ManifestError(
-                f"shard {shard} is incomplete (points {incomplete} have no "
-                f"checkpoint yet); resume it by re-running its original run "
-                f"command before merging"
-            )
-        for point_index in range(len(plan.points)):
-            if not plan.owned_positions(point_index, shard):
-                continue
-            cpath = checkpoint_path(out, shard, point_index)
-            summaries = _load_checkpoint(cpath, plan, shard, point_index)
-            per_point[point_index].extend(
-                (summary.index, summary) for summary in summaries
-            )
+    merger = IncrementalMerger(out_dir, plan)
+    merger.poll()
+    return merger.merged()
 
-    aggregates: Dict[str, RunAggregate] = {}
-    for point_index, point in enumerate(plan.points):
-        aggregates[point.label] = fold_point(plan, point_index, per_point[point_index])
-    return MergedSweep(plan=plan, shard_count=count, aggregates=aggregates)
+
+#: The names static-shard and work-stealing callers know :func:`merge_directory`
+#: by (``coordinator.merge_stolen`` is this same binding).
+merge_shards = merge_stolen = merge_directory

@@ -10,7 +10,7 @@ numbers would only measure the simulator.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..sharedmem.memory import ClusterSharedMemory
 from ..sim.kernel import SimulationResult
@@ -186,11 +186,3 @@ def numeric_metric_values(metrics: RunMetrics) -> Dict[str, float]:
         values[name] = float(value)
     return values
 
-
-def metrics_field_names(numeric_only: bool = True) -> List[str]:
-    """Names of the metric fields (numeric ones by default), for aggregation."""
-    names: List[str] = []
-    for name, spec in RunMetrics.__dataclass_fields__.items():
-        if not numeric_only or spec.type in ("int", "float", "Optional[int]"):
-            names.append(name)
-    return names

@@ -1,47 +1,43 @@
-"""Incremental merging: fold per-point checkpoints as they land.
+"""The one merger: fold a run directory's checkpoints, as they land or at once.
 
-:func:`~repro.harness.distributed.merge_shards` and
-:func:`~repro.harness.coordinator.merge_stolen` are batch operations --
-they refuse to produce anything until every point of the plan is
-checkpointed.  :class:`IncrementalMerger` is their streaming counterpart
-for the observability layer: each :meth:`~IncrementalMerger.poll` scans
-the run directory, folds every *newly completed* point, and leaves the
-rest pending, so a live ``/aggregate`` endpoint can report the finished
-prefix of an hours-long sweep.
+:class:`IncrementalMerger` is the only fold over a run directory.  Each
+:meth:`~IncrementalMerger.poll` reads the directory through
+:class:`~repro.harness.coordinator.RunDirectory`, folds every *newly
+completed* point and leaves the rest pending, so a live ``/aggregate``
+endpoint can report the finished prefix of an hours-long sweep.  The batch
+merge (:func:`~repro.harness.distributed.merge_directory`, which
+``merge_shards`` and ``merge_stolen`` both name) is the same object polled
+once and then asked for :meth:`~IncrementalMerger.merged`; the two differ in
+*when* an unfinished directory is refused -- ``merged()`` raises, ``poll()``
+waits -- and in nothing else.
 
 **Bit-identity guarantee.** Every point is folded through
-:func:`~repro.harness.distributed.fold_point` -- the same run-index-
-ordered fold used by the batch mergers and by single-host
-:func:`~repro.harness.distributed.run_plan`.  A point's aggregate never
-depends on any other point, so the partial aggregates over any completed
-subset are bit-identical to what ``merge_shards`` / ``merge_stolen``
-produce for those points once the whole sweep finishes (the bit-identity
-test sweeps k in {1, 3, 7} over every completed prefix).
+:func:`~repro.harness.distributed.fold_point` -- the run-index-ordered fold
+single-host :func:`~repro.harness.distributed.run_plan` ends in -- at its
+one call site below.  A point's aggregate never depends on any other point,
+so the partial aggregates over any completed subset are the batch merge's
+aggregates for those points by construction (the tests still sweep k in
+{1, 3, 7} over every completed prefix).
 
-Both run-directory flavours are understood: work-stealing directories
-(``plan.json`` + whole-point ``point-NNNN.pkl`` checkpoints) and static
-shard directories (``shard-IofK.json`` manifests + per-shard point
-checkpoints, where a point completes when all shards owning runs of it
-have checkpointed it).
+The merger never looks at file names: which checkpoint files hold a point
+(one whole-point file under work stealing, one per owning shard under
+static sharding) is the reader's answer, and a point is complete when every
+one of them exists and ``_load_checkpoint`` accepts it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..harness import coordinator as _coord
 from ..harness.aggregate import RunAggregate, RunSummary
+from ..harness.coordinator import RunDirectory
 from ..harness.distributed import (
     ManifestError,
     MergedSweep,
-    ShardSpec,
+    PlanPoint,
     SweepPlan,
     _load_checkpoint,
-    _load_manifest,
-    check_merge_provenance,
-    checkpoint_path,
-    find_manifests,
     fold_point,
 )
 
@@ -53,9 +49,10 @@ class IncrementalMerger:
     poll on each request); it returns the labels folded *by that call*.
     Folded aggregates accumulate in :attr:`aggregates`; a point that has
     not finished -- or whose checkpoint is momentarily unreadable -- simply
-    stays pending until a later poll.  Provenance is enforced the same way
-    the batch mergers enforce it: artifacts from a different plan raise
-    :class:`~repro.harness.distributed.ManifestError` rather than fold.
+    stays pending until a later poll, and :meth:`merged` says why.
+    Artifacts that are malformed, disagree with each other or come from a
+    different plan raise :class:`~repro.harness.distributed.ManifestError`
+    from ``poll`` itself rather than fold.
     """
 
     def __init__(self, out_dir: Union[str, Path], plan: SweepPlan) -> None:
@@ -63,14 +60,12 @@ class IncrementalMerger:
         self.plan = plan
         #: Folded aggregates by point label, in completion order.
         self.aggregates: Dict[str, RunAggregate] = {}
-        self._done: Dict[int, bool] = {}
-        #: ``steal`` or ``static``, discovered from the directory's
-        #: artifacts on first poll (a not-yet-started directory has neither).
+        #: ``steal`` or ``static`` as of the last poll (a not-yet-started
+        #: directory has neither).
         self.mode: Optional[str] = None
-        self._shard_count: Optional[int] = None
-        #: Last per-point load failure, for diagnostics (a corrupt or torn
-        #: checkpoint leaves its point pending rather than raising).
-        self.last_error: Optional[str] = None
+        #: Why each loadable-looking pending point did not fold (a corrupt
+        #: or torn checkpoint leaves its point pending rather than raising).
+        self._errors: Dict[str, ManifestError] = {}
 
     # ---------------------------------------------------------------- state
     @property
@@ -78,103 +73,66 @@ class IncrementalMerger:
         """Whether every point of the plan has been folded."""
         return len(self.aggregates) == len(self.plan.points)
 
-    def pending(self) -> List[str]:
-        """Labels not folded yet, in plan order."""
+    @property
+    def last_error(self) -> Optional[str]:
+        """The latest per-point load failure still standing, for diagnostics."""
+        return str(next(reversed(self._errors.values()))) if self._errors else None
+
+    def _pending(self) -> List[Tuple[int, PlanPoint]]:
         return [
-            point.label for point in self.plan.points if point.label not in self.aggregates
+            (point_index, point)
+            for point_index, point in enumerate(self.plan.points)
+            if point.label not in self.aggregates
         ]
 
+    def pending(self) -> List[str]:
+        """Labels not folded yet, in plan order."""
+        return [point.label for _, point in self._pending()]
+
     def merged(self) -> MergedSweep:
-        """The fully merged sweep; raises until :attr:`complete`."""
+        """The fully merged sweep; until :attr:`complete`, raises what is missing.
+
+        The reader's refusal comes first (nothing written, a shard missing
+        from the covering, a shard or point without its checkpoint), then
+        the load error of a checkpoint that exists but cannot be used.
+        """
+        directory = RunDirectory(self.out)
         if not self.complete:
-            raise ManifestError(
+            directory.refuse(self.plan, [point_index for point_index, _ in self._pending()])
+            raise next(iter(self._errors.values()), None) or ManifestError(
                 f"run in {self.out} is incomplete: points {self.pending()} have "
                 f"not been folded yet; keep polling (or run more workers)"
             )
-        shard_count = self._shard_count if self._shard_count is not None else 1
         return MergedSweep(
             plan=self.plan,
-            shard_count=shard_count,
+            shard_count=directory.shard_count,
             aggregates={point.label: self.aggregates[point.label] for point in self.plan.points},
+            unit=directory.unit,
         )
 
-    # ---------------------------------------------------------------- polls
+    # ----------------------------------------------------------------- poll
     def poll(self) -> List[str]:
         """Fold every newly completed point; return their labels."""
-        if self.mode is None:
-            self._detect_mode()
-        if self.mode == "steal":
-            return self._poll_steal()
-        if self.mode == "static":
-            return self._poll_static()
-        return []
-
-    def _detect_mode(self) -> None:
-        if _coord.is_steal_dir(self.out):
-            header = _coord.read_plan_header(self.out)
-            check_merge_provenance(
-                header, self.plan, self.out, what="work-stealing artifacts"
-            )
-            self.mode = "steal"
-            return
-        if self.out.is_dir():
-            manifests = find_manifests(self.out)
-            if manifests:
-                manifest = _load_manifest(manifests[0])
-                check_merge_provenance(manifest, self.plan, self.out)
-                self._shard_count = int(manifest["shard_count"])
-                self.mode = "static"
-
-    def _poll_steal(self) -> List[str]:
+        directory = RunDirectory(self.out)
+        self.mode = directory.layout
+        if directory.layout is None:
+            return []
+        directory.check(self.plan)
         folded: List[str] = []
-        for point_index, point in enumerate(self.plan.points):
-            if self._done.get(point_index):
-                continue
-            cpath = _coord.point_checkpoint_path(self.out, point_index)
-            if not cpath.exists():
-                continue
-            try:
-                summaries = _load_checkpoint(cpath, self.plan, _coord._WHOLE, point_index)
-            except ManifestError as error:
-                self.last_error = str(error)
-                continue
-            self._fold(point_index, point.label, summaries, folded)
-        return folded
-
-    def _poll_static(self) -> List[str]:
-        count = self._shard_count
-        folded: List[str] = []
-        for point_index, point in enumerate(self.plan.points):
-            if self._done.get(point_index):
-                continue
-            shards = [
-                ShardSpec(index, count)
-                for index in range(1, count + 1)
-                if self.plan.owned_positions(point_index, ShardSpec(index, count))
-            ]
-            paths = [checkpoint_path(self.out, shard, point_index) for shard in shards]
-            if not all(path.exists() for path in paths):
+        for point_index, point in self._pending():
+            sources = directory.sources(self.plan, point_index)
+            if not all(path.exists() for _, path in sources):
                 continue
             summaries: List[RunSummary] = []
             try:
-                for shard, path in zip(shards, paths):
+                for shard, path in sources:
                     summaries.extend(_load_checkpoint(path, self.plan, shard, point_index))
             except ManifestError as error:
-                self.last_error = str(error)
+                self._errors[point.label] = error
                 continue
-            self._fold(point_index, point.label, summaries, folded)
+            self.aggregates[point.label] = fold_point(
+                self.plan, point_index, ((summary.index, summary) for summary in summaries)
+            )
+            self._errors.pop(point.label, None)
+            folded.append(point.label)
         return folded
-
-    def _fold(
-        self,
-        point_index: int,
-        label: str,
-        summaries: List[RunSummary],
-        folded: List[str],
-    ) -> None:
-        """Fold one completed point through the canonical shared fold."""
-        self.aggregates[label] = fold_point(
-            self.plan, point_index, ((summary.index, summary) for summary in summaries)
-        )
-        self._done[point_index] = True
-        folded.append(label)

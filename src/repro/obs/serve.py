@@ -3,9 +3,11 @@
 A sweep directory already contains everything an observer needs -- the
 plan header or shard manifests, the lease files with their heartbeat
 timestamps and piggybacked telemetry, and the per-point checkpoints.
-This module reads *only* those artifacts (it never joins the sweep), so
-it can watch a run it did not start, a run on a shared filesystem, or
-the wreckage of a run whose workers were killed.
+This module reads *only* those artifacts, and only through
+:class:`~repro.harness.coordinator.RunDirectory` (it never joins the
+sweep and never names a file), so it can watch a run it did not start, a
+run on a shared filesystem, or the wreckage of a run whose workers were
+killed.
 
 Three layers, smallest first:
 
@@ -35,9 +37,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Union
 
-from ..harness import coordinator as _coord
 from ..harness.aggregate import RunAggregate
-from ..harness.distributed import ManifestError, SweepPlan, read_manifests
+from ..harness.coordinator import RunDirectory
+from ..harness.distributed import ManifestError, SweepPlan
 from .merge import IncrementalMerger
 from .telemetry import merge_snapshots
 
@@ -88,16 +90,8 @@ class SweepMonitor:
         self._lock = threading.Lock()
 
     # -------------------------------------------------------------- raw views
-    def _mode(self) -> Optional[str]:
-        if _coord.is_steal_dir(self.out):
-            return "steal"
-        try:
-            read_manifests(self.out)
-        except ManifestError:
-            return None
-        return "static"
-
-    def _worker_snapshots(self) -> Dict[str, Dict[str, Any]]:
+    @staticmethod
+    def _worker_snapshots(directory: RunDirectory) -> Dict[str, Dict[str, Any]]:
         """Freshest telemetry snapshot per worker, manifests and leases pooled.
 
         A worker's manifest snapshot is rewritten per completed point while
@@ -114,18 +108,22 @@ class SweepMonitor:
             if held is None or snap.get("sampled_at", 0) >= held.get("sampled_at", 0):
                 freshest[worker] = snap
 
-        for row in _coord.steal_status(self.out).workers:
+        for row in directory.worker_rows:
             offer(row["worker"], row.get("telemetry"))
-        for lease in _coord.live_leases(self.out):
+        for lease in directory.leases:
             offer(lease.worker, lease.telemetry)
         return freshest
 
     # -------------------------------------------------------------- endpoints
     def status(self) -> Dict[str, Any]:
-        """The ``/status`` payload: counts, runs, and pooled fleet telemetry."""
-        mode = self._mode()
-        if mode == "steal":
-            status = _coord.steal_status(self.out)
+        """The ``/status`` payload: counts, runs, and pooled fleet telemetry.
+
+        A directory nothing was written to yet says so; a malformed or
+        wrong-version artifact raises the reader's error naming the file.
+        """
+        directory = RunDirectory(self.out)
+        if directory.layout == "steal":
+            status = directory.steal_status()
             return {
                 "mode": "steal",
                 "experiment": status.experiment,
@@ -138,81 +136,43 @@ class SweepMonitor:
                 "stolen": status.stolen,
                 "runs_total": status.runs_total,
                 "workers": len(status.workers),
-                "telemetry": merge_snapshots(self._worker_snapshots().values()),
+                "telemetry": merge_snapshots(self._worker_snapshots(directory).values()),
                 "sampled_at": time.time(),
             }
-        if mode == "static":
-            manifests = read_manifests(self.out)
-            shards = []
-            for manifest in manifests:
-                points = manifest["points"]
-                complete = sum(
-                    1
-                    for record in points.values()
-                    if not record["runs"] or record.get("checkpoint")
-                )
-                shards.append(
-                    {
-                        "shard": f"{manifest['shard_index']}/{manifest['shard_count']}",
-                        "points_done": complete,
-                        "points_total": len(manifest.get("labels") or points),
-                        "runs_done": manifest.get("runs_done"),
-                        "runs_total": manifest.get("runs_total"),
-                    }
-                )
-            first = manifests[0]
+        if directory.layout == "static":
             return {
                 "mode": "static",
-                "experiment": first.get("experiment"),
-                "plan_key": first.get("plan_key"),
-                "shards": shards,
+                "experiment": directory.provenance.get("experiment"),
+                "plan_key": directory.provenance.get("plan_key"),
+                "shards": directory.shard_rows,
                 "sampled_at": time.time(),
             }
         return {"mode": None, "error": f"{self.out} holds no sweep artifacts (yet)"}
 
     def progress(self) -> Dict[str, Any]:
         """The ``/progress`` payload: every point's current state."""
-        mode = self._mode()
-        if mode != "steal":
+        directory = RunDirectory(self.out)
+        if directory.layout != "steal":
             # Static shards have no per-point lease state; their progress
             # *is* the per-shard status rows.
             return self.status()
-        header = _coord.read_plan_header(self.out)
-        labels = header["labels"]
-        leases = {lease.point_index: lease for lease in _coord.live_leases(self.out)}
-        points: List[Dict[str, Any]] = []
-        done = 0
-        for point_index, label in enumerate(labels):
-            lease = leases.get(point_index)
-            entry: Dict[str, Any] = {"index": point_index, "label": label}
-            if _coord.point_checkpoint_path(self.out, point_index).exists():
-                entry["state"] = "done"
-                done += 1
-            elif lease is None:
-                entry["state"] = "unclaimed"
-            elif lease.expired():
-                entry["state"] = "orphaned"
-            else:
-                entry["state"] = "leased"
-            if lease is not None:
-                entry["worker"] = lease.worker
-                entry["generation"] = lease.generation
-            points.append(entry)
+        points = directory.point_rows
         return {
             "mode": "steal",
-            "experiment": header.get("experiment"),
-            "done": done,
-            "points_total": len(labels),
+            "experiment": directory.provenance.get("experiment"),
+            "done": sum(1 for row in points if row["state"] == "done"),
+            "points_total": len(points),
             "points": points,
             "sampled_at": time.time(),
         }
 
     def workers(self) -> Dict[str, Any]:
         """The ``/workers`` payload: manifest rows plus live lease heartbeats."""
-        mode = self._mode()
-        if mode != "steal":
+        directory = RunDirectory(self.out)
+        if directory.layout != "steal":
             return self.status()
         now = time.time()
+        unfinished = {row["index"] for row in directory.point_rows if row["state"] != "done"}
         leases = [
             {
                 "point_index": lease.point_index,
@@ -223,12 +183,12 @@ class SweepMonitor:
                 "expired": lease.expired(now),
                 "telemetry": lease.telemetry,
             }
-            for lease in _coord.live_leases(self.out)
-            if not _coord.point_checkpoint_path(self.out, lease.point_index).exists()
+            for lease in directory.leases
+            if lease.point_index in unfinished
         ]
         return {
             "mode": "steal",
-            "workers": _coord.steal_status(self.out).workers,
+            "workers": directory.worker_rows,
             "leases": leases,
             "sampled_at": now,
         }
@@ -238,9 +198,8 @@ class SweepMonitor:
 
         Each request folds newly landed checkpoints first, so the answer is
         as fresh as the directory; folded points never re-fold.  The partial
-        aggregates are bit-identical to what ``merge_shards`` /
-        ``merge_stolen`` will produce for those points (see
-        :mod:`repro.obs.merge`).
+        aggregates are what the batch merge will hold for those points: it
+        is this same merger, drained once (see :mod:`repro.obs.merge`).
         """
         if self._merger is None:
             return {

@@ -179,14 +179,3 @@ def run_cooperative(
         rng=rng,
     )
     return scheduler.run([kernel_stepper(kernel, batch_events) for kernel in kernels])
-
-
-def drive_to_completion(
-    driver: Generator[None, None, Any],
-) -> Any:
-    """Exhaust one driver generator and return its result (no interleaving)."""
-    while True:
-        try:
-            next(driver)
-        except StopIteration as stop:
-            return stop.value

@@ -18,7 +18,6 @@ from repro.experiments import e1_figure1, e9_adversary
 from repro.experiments.common import default_seeds
 from repro.harness import coordinator, parallel
 from repro.harness.coordinator import (
-    Lease,
     LeaseError,
     current_lease,
     lease_dir,

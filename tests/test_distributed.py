@@ -7,8 +7,10 @@ Plus the failure modes: interrupted shards resume from their checkpoints,
 and malformed / mismatched / incomplete artifacts fail with clear errors.
 """
 
+import ast
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds
 from repro.harness import parallel
 from repro.harness.aggregate import SummaryReducer, run_priority
+from repro.harness.coordinator import run_work_stealing
 from repro.harness.distributed import (
     MANIFEST_VERSION,
     ManifestError,
@@ -300,6 +303,23 @@ def test_merge_rejects_incomplete_shard(tmp_path, monkeypatch):
         merge_shards(tmp_path, plan)
 
 
+def test_checkpoint_that_landed_before_its_manifest_record_merges(tmp_path):
+    """Killed between the checkpoint write and the manifest write: nothing is lost.
+
+    Completeness is the file existing and passing ``_load_checkpoint`` -- the
+    evidence ``run_shard``'s own resume trusts -- not the manifest's record.
+    """
+    plan = plan_sweep(BASE, VARIATIONS, SEEDS)
+    for index in (1, 2):
+        run_shard(plan, ShardSpec(index, 2), tmp_path, max_workers=1)
+    path = manifest_path(tmp_path, ShardSpec(1, 2))
+    manifest = json.loads(path.read_text())
+    del manifest["points"]["0"]["checkpoint"]
+    path.write_text(json.dumps(manifest))
+    merged = merge_shards(tmp_path, plan_sweep(BASE, VARIATIONS, SEEDS))
+    assert merged.aggregates == run_plan(plan, max_workers=1)
+
+
 def test_merge_rejects_checkpoint_from_other_plan(tmp_path):
     plan = plan_sweep(BASE, VARIATIONS, SEEDS)
     shard = ShardSpec(1, 1)
@@ -315,3 +335,83 @@ def test_merge_rejects_checkpoint_from_other_plan(tmp_path):
 def test_merge_empty_directory_fails_clearly(tmp_path):
     with pytest.raises(ManifestError, match="no shard manifests"):
         merge_shards(tmp_path, plan_repeat(BASE, SEEDS))
+
+
+# ------------------------------------------- one reader, one merger, as counts
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _calls(path, *names):
+    """How many call sites in ``path`` name one of ``names`` (bare or dotted)."""
+    return sum(
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_a_run_directory_has_one_reader_and_one_fold():
+    """A count, not prose: a second merger or layout reader cannot come back unnoticed."""
+    sources = sorted(SRC.rglob("*.py"))
+    assert sum(_calls(path, "fold_point") for path in sources) == 1
+    # The merger, and the two schedulers' resume.
+    assert sum(_calls(path, "_load_checkpoint") for path in sources) == 3
+    for consumer in ("cli.py", "obs/merge.py", "obs/serve.py"):
+        assert _calls(
+            SRC / consumer,
+            "is_steal_dir", "read_manifests", "find_manifests", "read_plan_header",
+            "checkpoint_path", "point_checkpoint_path",
+        ) == 0, f"{consumer} reads the directory itself instead of asking RunDirectory"
+
+
+def _top_level_keys(path):
+    raw = pickle.loads(path.read_bytes()) if path.suffix == ".pkl" else json.loads(path.read_text())
+    return sorted(raw)
+
+
+def test_on_disk_format_is_pinned(tmp_path):
+    """File names and top-level key sets as commit a2fd03d wrote them; the version did not move."""
+    assert MANIFEST_VERSION == 3
+    plan = plan_sweep(BASE, VARIATIONS, default_seeds(2))
+    static, steal = tmp_path / "static", tmp_path / "steal"
+    for index in (1, 2):
+        run_shard(plan, ShardSpec(index, 2), static, max_workers=1)
+    run_work_stealing(plan, steal, worker="a", max_workers=1, max_points=1)
+    run_work_stealing(plan, steal, worker="b", max_workers=1)
+
+    def names(out):
+        return sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file())
+
+    assert names(static) == [
+        "shard-1of2-point-0000.pkl", "shard-1of2-point-0001.pkl", "shard-1of2.json",
+        "shard-2of2-point-0000.pkl", "shard-2of2-point-0001.pkl", "shard-2of2.json",
+    ]
+    assert names(steal) == [
+        "leases/point-0000-gen-0000.json", "leases/point-0001-gen-0000.json", "plan.json",
+        "point-0000.pkl", "point-0001.pkl", "steal-worker-a.json", "steal-worker-b.json",
+    ]
+    assert _top_level_keys(static / "shard-1of2.json") == [
+        "delay_models", "experiment", "fingerprint", "indexing", "labels", "plan_key", "points",
+        "priority_backend", "runs_done", "runs_total", "scenarios", "schedule", "seeds",
+        "shard_count", "shard_index", "version",
+    ]
+    assert _top_level_keys(steal / "plan.json") == [
+        "delay_models", "experiment", "fingerprint", "indexing", "labels", "plan_key",
+        "priority_backend", "runs_total", "scenarios", "schedule", "seeds", "version",
+    ]
+    assert _top_level_keys(steal / "steal-worker-a.json") == [
+        "experiment", "fingerprint", "indexing", "lease_ttl", "plan_key", "points",
+        "points_computed", "points_lost", "points_stolen", "priority_backend", "runs_executed",
+        "runs_reused", "schedule", "telemetry", "version", "worker",
+    ]
+    assert _top_level_keys(steal / "leases" / "point-0000-gen-0000.json") == [
+        "acquired_at", "fingerprint", "generation", "point_index", "renewed_at", "ttl",
+        "version", "worker",
+    ]
+    assert _top_level_keys(static / "shard-1of2-point-0000.pkl") == [
+        "fingerprint", "label", "point_index", "schedule", "shard", "summaries", "version",
+    ]
+    assert _top_level_keys(steal / "point-0000.pkl") == [
+        "fingerprint", "label", "lease_generation", "point_index", "schedule", "shard", "stolen",
+        "summaries", "version", "worker",
+    ]

@@ -16,6 +16,12 @@ _spec = importlib.util.spec_from_file_location(
 check_markdown_links = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_markdown_links)
 
+_spec = importlib.util.spec_from_file_location(
+    "check_unused_imports", REPO_ROOT / "scripts" / "check_unused_imports.py"
+)
+check_unused_imports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_unused_imports)
+
 
 def test_front_door_documents_exist():
     for relative in (
@@ -162,3 +168,23 @@ def test_documented_invocations_match_the_argparse_surface():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"{relative} documents a command the CLI rejects: {line}")
+
+
+def test_lint_fallback_finds_unused_imports_and_the_tree_has_none(tmp_path, capsys):
+    """``make lint`` without ruff still fails on an import nothing reads."""
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os, sys\n"
+        "import probe  # noqa: F401\n"
+        "from typing import TYPE_CHECKING, Dict, List\n"
+        "from pathlib import Path\n"
+        "if TYPE_CHECKING:\n"
+        "    from collections import OrderedDict\n"
+        "__all__ = ['Dict']\n"
+        "def main(where: 'Path') -> None:\n"
+        "    print(sys.argv)\n"
+    )
+    assert check_unused_imports.unused_imports(sample) == [(2, "json"), (3, "os"), (5, "List")]
+    assert check_unused_imports.main() == 0, capsys.readouterr().out

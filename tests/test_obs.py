@@ -36,6 +36,7 @@ from repro.harness.distributed import (
     ShardSpec,
     checkpoint_path,
     find_manifests,
+    manifest_path,
     merge_shards,
     plan_sweep,
     run_shard,
@@ -363,6 +364,54 @@ class TestIncrementalMerger:
         assert merger.poll() == []
         assert not merger.complete and merger.mode is None
 
+    def test_merged_counts_the_workers_like_merge_stolen(self, tmp_path):
+        run_work_stealing(make_plan(), tmp_path, worker="a", max_workers=1, max_points=2)
+        run_work_stealing(make_plan(), tmp_path, worker="b", max_workers=1)
+        merger = IncrementalMerger(tmp_path, make_plan())
+        merger.poll()
+        batch = merge_stolen(tmp_path, make_plan())
+        assert merger.merged().shard_count == batch.shard_count == 2
+        assert merger.merged() == batch
+
+    def test_poll_refuses_a_manifest_from_another_plan_like_merge_shards(self, tmp_path):
+        run_shard(make_plan(), ShardSpec(1, 2), tmp_path, max_workers=1)
+        foreign = json.loads(manifest_path(tmp_path, ShardSpec(1, 2)).read_text())
+        foreign.update(shard_index=2, fingerprint="0" * 64)
+        manifest_path(tmp_path, ShardSpec(2, 2)).write_text(json.dumps(foreign))
+        # Both name the file at fault and the field it disagrees on.
+        named = r"shard-2of2\.json disagrees.*'fingerprint'"
+        with pytest.raises(distributed.ManifestError, match=named):
+            IncrementalMerger(tmp_path, make_plan()).poll()
+        with pytest.raises(distributed.ManifestError, match=named):
+            merge_shards(tmp_path, make_plan())
+
+    def test_shards_that_have_not_started_are_waited_for_not_refused(self, tmp_path):
+        plan = make_plan()
+        run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
+        merger = IncrementalMerger(tmp_path, make_plan())
+        assert merger.poll() == [] and merger.mode == "static"  # live: shard 2 is just late
+        with pytest.raises(distributed.ManifestError, match=r"missing shards \[2\]"):
+            merger.merged()  # batch: the covering is checked here, never in poll()
+        run_shard(plan, ShardSpec(2, 2), tmp_path, max_workers=1)
+        assert merger.poll() == [point.label for point in plan.points]
+        assert merger.merged() == merge_shards(tmp_path, make_plan())
+
+    def test_unusable_checkpoint_stays_pending_and_merged_says_why(self, tmp_path):
+        plan = make_plan()
+        run_work_stealing(plan, tmp_path, worker="solo", max_workers=1)
+        good = point_checkpoint_path(tmp_path, 1).read_bytes()
+        point_checkpoint_path(tmp_path, 1).write_bytes(b"torn")
+        merger = IncrementalMerger(tmp_path, make_plan())
+        assert plan.points[1].label not in merger.poll()
+        assert "unreadable checkpoint" in merger.last_error
+        with pytest.raises(distributed.ManifestError, match="unreadable checkpoint.*point-0001"):
+            merger.merged()
+        point_checkpoint_path(tmp_path, 1).write_bytes(good)
+        assert merger.poll() == [plan.points[1].label]
+        assert merger.last_error is None and merger.merged().aggregates.keys() == {
+            point.label for point in plan.points
+        }
+
 
 # ------------------------------------------------------------- live service
 class TestServe:
@@ -439,6 +488,19 @@ class TestServe:
         port = server_factory(tmp_path / "fresh")
         code, status = get_json(port, "/status")
         assert code == 200 and status["mode"] is None
+
+    def test_torn_manifest_is_reported_not_hidden(self, tmp_path, server_factory):
+        torn = manifest_path(tmp_path, ShardSpec(1, 1))
+        torn.write_text("{ torn")
+        port = server_factory(tmp_path)
+        for endpoint in ("/status", "/progress", "/workers"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get_json(port, endpoint)
+            assert excinfo.value.code == 500
+            error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+            assert "malformed manifest" in error and torn.name in error
+        with pytest.raises(distributed.ManifestError, match="malformed manifest"):
+            render_status_text(tmp_path)
 
     def test_static_directory_is_served_too(self, tmp_path):
         plan = make_plan()

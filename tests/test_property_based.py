@@ -1,7 +1,12 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import random
+import re
+import shutil
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +17,20 @@ from repro.cluster.failures import FailurePattern
 from repro.cluster.topology import ClusterTopology
 from repro.core.base import BOT, DecideMessage, PhaseMessage, ProcessEnvironment
 from repro.core.pattern import msg_exchange, scan_mailbox
+from repro.experiments.common import default_seeds
+from repro.harness.coordinator import point_checkpoint_path, run_work_stealing
+from repro.harness.distributed import (
+    ManifestError,
+    ShardSpec,
+    checkpoint_path,
+    plan_sweep,
+    run_plan,
+    run_shard,
+)
 from repro.harness.runner import ExperimentConfig, run_consensus
 from repro.harness.stats import percentile, summarize
 from repro.network.message import Message
+from repro.obs.merge import IncrementalMerger
 from repro.sharedmem.consensus_object import CASConsensusObject, LLSCConsensusObject
 from repro.sim.events import EventKind
 from repro.sim.kernel import SimConfig, SimulationKernel
@@ -482,3 +498,105 @@ def test_random_small_configurations_satisfy_consensus(n, m, seed, algorithm):
     )
     result.report.raise_on_violation()
     assert result.decided_value in set(proposals.values())
+
+
+# ------------------------------------- the run-directory reader under damage
+_SHARDS = 3
+_READER_VARIATIONS = {
+    "local": {"algorithm": "hybrid-local-coin"},
+    "common": {"algorithm": "hybrid-common-coin"},
+    "local-v2": {"algorithm": "hybrid-local-coin", "tag": "v2"},
+}
+
+
+def _reader_plan():
+    base = ExperimentConfig(topology=ClusterTopology.figure1_right())
+    return plan_sweep(base, _READER_VARIATIONS, default_seeds(3))
+
+
+@pytest.fixture(scope="module")
+def run_directories(tmp_path_factory):
+    """One complete k=3 static directory, one two-worker steal directory, and the truth.
+
+    ``files[layout][point_index]`` maps each checkpoint file name of the point
+    to the shard that wrote it, by the *write* side's naming functions.
+    """
+    plan = _reader_plan()
+    static = tmp_path_factory.mktemp("static")
+    for index in range(1, _SHARDS + 1):
+        run_shard(plan, ShardSpec(index, _SHARDS), static, max_workers=1)
+    steal = tmp_path_factory.mktemp("steal")
+    run_work_stealing(plan, steal, worker="a", max_workers=1, max_points=1)
+    run_work_stealing(plan, steal, worker="b", max_workers=1)
+    files = {"static": [], "steal": []}
+    for point_index in range(len(plan.points)):
+        shards = [ShardSpec(index, _SHARDS) for index in range(1, _SHARDS + 1)]
+        files["static"].append(
+            {
+                checkpoint_path(static, shard, point_index).name: shard
+                for shard in shards
+                if plan.owned_positions(point_index, shard)
+            }
+        )
+        files["steal"].append({point_checkpoint_path(steal, point_index).name: None})
+    return {"static": static, "steal": steal}, files, run_plan(plan, max_workers=1)
+
+
+@given(
+    layout=st.sampled_from(["static", "steal"]),
+    damage=st.lists(st.sampled_from(["keep", "keep", "delete", "junk"]), min_size=9, max_size=9),
+    junk=st.binary(max_size=48),
+)
+@settings(max_examples=30, deadline=None)
+def test_reader_folds_exactly_what_survives_and_says_what_is_missing(
+    run_directories, layout, damage, junk
+):
+    masters, files, truth = run_directories
+    plan = _reader_plan()
+    labels = [point.label for point in plan.points]
+    fate = {}
+    for by_name in files[layout]:
+        for name in by_name:
+            fate[name] = damage[len(fate)]
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "run"
+        shutil.copytree(masters[layout], out)
+        for name, action in fate.items():
+            if action == "delete":
+                (out / name).unlink()
+            elif action == "junk":
+                (out / name).write_bytes(junk)
+        merger = IncrementalMerger(out, _reader_plan())
+        survivors = [
+            label
+            for label, by_name in zip(labels, files[layout])
+            if all(fate[name] == "keep" for name in by_name)
+        ]
+        assert merger.poll() == survivors
+        assert all(merger.aggregates[label] == truth[label] for label in survivors)
+        if len(survivors) < len(labels):
+            with pytest.raises(ManifestError) as refusal:
+                merger.merged()
+            message = str(refusal.value)
+            deleted = {name for name, action in fate.items() if action == "delete"}
+            if not deleted:
+                # Every file is there; what is wrong is inside one, and it is named.
+                (named,) = set(re.findall(r"[\w-]+\.pkl", message))
+                assert "checkpoint" in message and fate[named] == "junk"
+            elif layout == "steal":
+                lost = [label for label, by_name in zip(labels, files["steal"]) if set(by_name) & deleted]
+                assert f"points {lost} have no checkpoint yet" in message
+            else:
+                (index,) = re.findall(rf"shard (\d)/{_SHARDS} is incomplete", message)
+                lost = [
+                    label
+                    for label, by_name in zip(labels, files["static"])
+                    if any(name in deleted and shard.index == int(index) for name, shard in by_name.items())
+                ]
+                assert lost and f"points {lost} have no checkpoint yet" in message
+        # The files come back (a shard resumed, a worker recomputed): the *same*
+        # merger finishes, bit-identical to the single-host run.
+        for name in fate:
+            shutil.copy(masters[layout] / name, out / name)
+        merger.poll()
+        assert merger.merged().aggregates == truth
