@@ -22,9 +22,8 @@
 #                           pytest-cov is absent; the CI coverage job runs it)
 #   make lint             - ruff check; where ruff is absent, the unused-import
 #                           check of scripts/check_unused_imports.py instead
-#   make examples-smoke   - run the quickstart, adversary-tour, sharded-sweep,
-#                           work-stealing + empirical-resilience examples and
-#                           a fit-delays CLI round trip
+#   make examples-smoke   - run every example in examples/README.md's table
+#                           and a fit-delays CLI round trip
 #   make search-smoke     - bounded schedule search over every algorithm
 #                           (exits nonzero with a replay token on violation)
 #   make serve-smoke      - end-to-end smoke of the live sweep service:
@@ -90,6 +89,9 @@ lint:
 
 examples-smoke:
 	$(PY_RUN) examples/quickstart.py
+	$(PY_RUN) examples/majority_crash_survival.py
+	$(PY_RUN) examples/cluster_layout_tradeoffs.py
+	$(PY_RUN) examples/hybrid_vs_mm.py
 	$(PY_RUN) examples/adversary_tour.py
 	$(PY_RUN) examples/sharded_sweep.py
 	$(PY_RUN) examples/work_stealing.py

@@ -5,9 +5,10 @@ Two quantities, matching the acceptance criteria of the aggregation PR:
 * **bytes over the pipe** -- what a worker ships back per run: the pickled
   :class:`RunSummary` must be under 10% of the pickled full ``RunResult``
   at the paper-scale system size (n=64);
-* **wall clock** -- a >=200-repetition sweep in summary mode must produce
-  the *identical* aggregate a full-result sweep produces (the sketch is
-  exact below its capacity of 512) while never being slower.
+* **wall clock** -- a >=200-repetition ``run_many`` batch reduced in the
+  workers must produce the *identical* aggregate that reducing the full
+  results in the parent produces (the sketch is exact below its capacity of
+  512) while never being slower.
 
 Like the parallel-engine benchmark, the timing gate is live only in
 dedicated benchmark runs (``make bench``, i.e. ``--benchmark-only``) on
@@ -21,9 +22,8 @@ import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.harness.aggregate import RunAggregate, SummaryReducer
-from repro.harness.parallel import available_cpus
+from repro.harness.parallel import available_cpus, run_many
 from repro.harness.runner import ExperimentConfig, run_consensus
-from repro.harness.sweep import repeat
 
 #: The system size the bytes-over-pipe criterion is stated at.
 BYTES_N, BYTES_M = 64, 8
@@ -68,29 +68,25 @@ def test_bench_aggregate_sweep_throughput(benchmark, timed, strict_timing):
     n, m = (BYTES_N, BYTES_M) if strict_timing else (8, 2)
     samples = 2 if strict_timing else 1
     config = _config(n, m)
-    seeds = range(REPEATS)
+    configs = [config.with_seed(seed) for seed in range(REPEATS)]
 
-    full_results, full_seconds = benchmark.pedantic(
-        lambda: timed(
-            lambda: repeat(config, seeds, check=False, max_workers=PARALLEL_WORKERS, full_results=True)
-        ),
-        rounds=1,
-        iterations=1,
-        warmup_rounds=0,
+    def full():
+        return run_many(configs, max_workers=PARALLEL_WORKERS)
+
+    def summary():
+        summaries = run_many(configs, max_workers=PARALLEL_WORKERS, reducer=SummaryReducer())
+        return RunAggregate.from_summaries(summaries)
+
+    results, full_seconds = benchmark.pedantic(
+        lambda: timed(full), rounds=1, iterations=1, warmup_rounds=0
     )
     for _ in range(samples - 1):
-        _, seconds = timed(
-            lambda: repeat(config, seeds, check=False, max_workers=PARALLEL_WORKERS, full_results=True)
-        )
+        _, seconds = timed(full)
         full_seconds = min(full_seconds, seconds)
 
-    summary_aggregate, summary_seconds = timed(
-        lambda: repeat(config, seeds, check=False, max_workers=PARALLEL_WORKERS)
-    )
+    summary_aggregate, summary_seconds = timed(summary)
     for _ in range(samples - 1):
-        aggregate, seconds = timed(
-            lambda: repeat(config, seeds, check=False, max_workers=PARALLEL_WORKERS)
-        )
+        aggregate, seconds = timed(summary)
         summary_seconds = min(summary_seconds, seconds)
         assert aggregate == summary_aggregate  # scheduling-independent, always
 
@@ -107,7 +103,7 @@ def test_bench_aggregate_sweep_throughput(benchmark, timed, strict_timing):
     # parent-side from the full results.
     reducer = SummaryReducer()
     full_aggregate = RunAggregate.from_summaries(
-        reducer(result, index) for index, result in enumerate(full_results)
+        reducer(result, index) for index, result in enumerate(results)
     )
     assert summary_aggregate == full_aggregate
     assert len(summary_aggregate) == REPEATS

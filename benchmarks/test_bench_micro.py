@@ -19,7 +19,6 @@ from repro.core.base import PhaseMessage
 from repro.harness.runner import ExperimentConfig, run_consensus
 from repro.network.transport import Network
 from repro.sharedmem.consensus_object import CASConsensusObject
-from repro.sharedmem.threaded import run_threaded_consensus
 from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
 from repro.sim.rng import RandomSource
 
@@ -173,8 +172,3 @@ def test_bench_cas_consensus_object(benchmark):
     decisions = benchmark(one_instance)
     assert len(set(decisions)) == 1
 
-
-def test_bench_threaded_consensus(benchmark):
-    proposals = {pid: pid % 2 for pid in range(8)}
-    decisions = benchmark(lambda: run_threaded_consensus(proposals))
-    assert len(set(decisions.values())) == 1

@@ -1,6 +1,6 @@
-"""Benchmark the parallel sweep engine against the serial path.
+"""Benchmark the parallel engine (``run_many``) against the serial path.
 
-An E8-style scalability sweep (4 topology points x 5 seeds) is run twice:
+An E8-style scalability batch (4 topology points x 5 seeds) is run twice:
 once with ``max_workers=1`` (the serial path) and once with a worker pool.
 The two must produce identical results; on a machine with at least 4 cores
 the parallel sweep must also be at least 2x faster wall-clock.
@@ -8,11 +8,9 @@ the parallel sweep must also be at least 2x faster wall-clock.
 
 import pytest
 
-from repro.harness.parallel import available_cpus
-
 from repro.cluster.topology import ClusterTopology
+from repro.harness.parallel import available_cpus, run_many
 from repro.harness.runner import ExperimentConfig
-from repro.harness.sweep import grid
 
 SEEDS = [1000 + index for index in range(5)]
 SIZES = (4, 8, 12, 16)
@@ -20,15 +18,19 @@ PARALLEL_WORKERS = 4
 
 
 def _scalability_sweep(max_workers):
-    base = ExperimentConfig(
-        topology=ClusterTopology.even_split(4, 2),
-        algorithm="hybrid-local-coin",
-        proposals="split",
-    )
-    axes = {"topology": [ClusterTopology.even_split(n, 2) for n in SIZES]}
-    # full_results: this benchmark compares per-run results bit for bit; the
+    # Full results: this benchmark compares per-run results bit for bit; the
     # summary-mode pipeline has its own benchmark in test_bench_aggregate.py.
-    return grid(base, axes, seeds=SEEDS, max_workers=max_workers, full_results=True)
+    configs = [
+        ExperimentConfig(
+            topology=ClusterTopology.even_split(n, 2),
+            algorithm="hybrid-local-coin",
+            proposals="split",
+            seed=seed,
+        )
+        for n in SIZES
+        for seed in SEEDS
+    ]
+    return run_many(configs, max_workers=max_workers, check=True)
 
 
 # random_failure, not plain timing: the >=2x bar depends on pool spawn
@@ -61,17 +63,15 @@ def test_bench_parallel_sweep_throughput(benchmark, timed, strict_timing):
         f"{parallel_seconds:.3f}s  speedup: {speedup:.2f}x  cores: {available_cpus()}"
     )
 
-    # Identical sweep structure and bit-identical metrics (wall time aside).
-    assert serial.labels() == parallel.labels()
-    for serial_point, parallel_point in zip(serial.points, parallel.points):
-        assert len(serial_point.results) == len(SEEDS)
-        for left, right in zip(serial_point.results, parallel_point.results):
-            left_metrics = left.metrics.as_dict()
-            right_metrics = right.metrics.as_dict()
-            left_metrics.pop("wall_time_seconds")
-            right_metrics.pop("wall_time_seconds")
-            assert left_metrics == right_metrics
-            assert left.sim_result.decisions == right.sim_result.decisions
+    # Identical runs, in input order, with bit-identical metrics (wall time aside).
+    assert len(serial) == len(parallel) == len(SIZES) * len(SEEDS)
+    for left, right in zip(serial, parallel):
+        left_metrics = left.metrics.as_dict()
+        right_metrics = right.metrics.as_dict()
+        left_metrics.pop("wall_time_seconds")
+        right_metrics.pop("wall_time_seconds")
+        assert left_metrics == right_metrics
+        assert left.sim_result.decisions == right.sim_result.decisions
 
     if strict_timing:
         assert speedup >= 2.0, f"expected >=2x speedup on >=4 cores, got {speedup:.2f}x"

@@ -33,7 +33,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ],
         "harness": [
             "ALGORITHMS", "ExperimentConfig", "RunMetrics", "RunResult", "run_consensus",
-            "run_seeds", "termination_expected",
+            "termination_expected",
         ],
         "mm": ["MMConsensus", "SharedMemoryDomain"],
         "network": [

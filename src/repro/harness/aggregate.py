@@ -1,13 +1,14 @@
-"""Worker-side aggregation: mergeable streaming summaries of repeated runs.
+"""Worker-side aggregation: streaming summaries of repeated runs.
 
 The parallel engine used to ship one pickled :class:`~.runner.RunResult` per
 run back to the parent process -- memories, traces and per-process metrics
 included -- so IPC volume grew linearly with both the system size ``n`` and
 the repetition count, and dominated large sweeps.  This module provides the
 compact alternative: a :class:`Reducer` turns each ``RunResult`` into a tiny
-:class:`RunSummary` *inside the worker*, and the parent folds those summaries
-into mergeable :class:`RunAggregate` / :class:`StreamingStats` accumulators.
-Each run then costs O(1) bytes over the pipe instead of O(run size).
+:class:`RunSummary` *inside the worker*, and the parent folds those summaries,
+in run-index order, into :class:`RunAggregate` / :class:`StreamingStats`
+accumulators.  Each run then costs O(1) bytes over the pipe instead of O(run
+size).
 
 Determinism
 -----------
@@ -135,14 +136,14 @@ def run_priority(entropy: int, index: int) -> float:
 # ------------------------------------------------------------ streaming stats
 @dataclass
 class StreamingStats:
-    """Mergeable running statistics of one numeric quantity.
+    """Running statistics of one numeric quantity.
 
-    Maintains exact count/mean/M2/min/max (Welford / Chan updates) plus a
-    bottom-``capacity`` priority sample for percentile estimation.  Two
-    accumulators built from disjoint runs merge into exactly the accumulator
-    a single pass over the union would have built (the sketch is a set
-    union truncated by priority, and the moment merge is written in a
-    bit-commutative form, so ``merge(a, b) == merge(b, a)``).
+    Maintains exact count/mean/M2/min/max (Welford updates) plus a
+    bottom-``capacity`` priority sample for percentile estimation.  There
+    is deliberately no pairwise merge: a merge of floating-point moments
+    differs from a sequential fold in the last bits, so combining runs from
+    several workers or shards means folding their summaries in run-index
+    order (:meth:`RunAggregate.from_summaries`).
     """
 
     capacity: int = SKETCH_CAPACITY
@@ -164,10 +165,7 @@ class StreamingStats:
 
         ``priority`` keys the percentile sketch; the harness passes
         :func:`run_priority` of the run index.  When omitted, a priority is
-        derived from the accumulator's own observation count -- fine for a
-        single accumulator, but accumulators that are later merged should
-        use externally assigned priorities so the union stays a uniform
-        sample.
+        derived from the accumulator's own observation count.
         """
         value = float(value)
         if priority is None:
@@ -188,50 +186,6 @@ class StreamingStats:
         bisect.insort(self.sample, (priority, value))
         if len(self.sample) > self.capacity:
             self.sample.pop()
-
-    # --------------------------------------------------------------- merging
-    def merge(self, other: "StreamingStats") -> "StreamingStats":
-        """The statistics of the pooled sample, as a new accumulator.
-
-        Bit-commutative: every combined term is written symmetrically
-        (products and two-term sums), so swapping the operands yields the
-        identical float result, and the sketch union is order-free.
-        """
-        if self.capacity != other.capacity:
-            raise ValueError(
-                f"cannot merge sketches of different capacities "
-                f"({self.capacity} vs {other.capacity})"
-            )
-        if other.count == 0:
-            return self.copy()
-        if self.count == 0:
-            return other.copy()
-        count = self.count + other.count
-        mean = (self.count * self.mean + other.count * other.mean) / count
-        delta = other.mean - self.mean
-        m2 = (self.m2 + other.m2) + delta * delta * (self.count * other.count / count)
-        merged = StreamingStats(
-            capacity=self.capacity,
-            count=count,
-            mean=mean,
-            m2=m2,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-            sample=sorted(self.sample + other.sample)[: self.capacity],
-        )
-        return merged
-
-    def copy(self) -> "StreamingStats":
-        """An independent copy (the sketch list is not shared)."""
-        return StreamingStats(
-            capacity=self.capacity,
-            count=self.count,
-            mean=self.mean,
-            m2=self.m2,
-            minimum=self.minimum,
-            maximum=self.maximum,
-            sample=list(self.sample),
-        )
 
     # --------------------------------------------------------------- queries
     @property
@@ -361,11 +315,12 @@ class SummaryReducer:
 # -------------------------------------------------------------- run aggregate
 @dataclass
 class RunAggregate:
-    """Mergeable aggregate of many :class:`RunSummary` objects.
+    """Aggregate of many :class:`RunSummary` objects.
 
     One :class:`StreamingStats` per numeric metric, plus outcome counters.
-    This is what :func:`~.sweep.repeat` returns in summary mode and what a
-    :class:`~.sweep.SweepPoint` carries for each parameter combination.
+    :func:`~.distributed.run_plan` returns one per plan point, and every
+    merge of a run directory folds one per point through
+    :func:`~.distributed.fold_point`.
     """
 
     capacity: int = SKETCH_CAPACITY
@@ -398,31 +353,6 @@ class RunAggregate:
         for summary in summaries:
             aggregate.add(summary)
         return aggregate
-
-    def merge(self, other: "RunAggregate") -> "RunAggregate":
-        """The pooled aggregate of two disjoint batches, as a new object."""
-        if self.capacity != other.capacity:
-            raise ValueError(
-                f"cannot merge aggregates of different sketch capacities "
-                f"({self.capacity} vs {other.capacity})"
-            )
-        merged = RunAggregate(
-            capacity=self.capacity,
-            count=self.count + other.count,
-            terminated_count=self.terminated_count + other.terminated_count,
-            safe_count=self.safe_count + other.safe_count,
-            decided_count=self.decided_count + other.decided_count,
-        )
-        for name in {**self.stats, **other.stats}:
-            left = self.stats.get(name)
-            right = other.stats.get(name)
-            if left is None:
-                merged.stats[name] = right.copy()
-            elif right is None:
-                merged.stats[name] = left.copy()
-            else:
-                merged.stats[name] = left.merge(right)
-        return merged
 
     # --------------------------------------------------------------- queries
     def __len__(self) -> int:

@@ -545,9 +545,9 @@ def drive_claims(
     for checkpointing.  Static sharding is the degenerate case where every
     claim succeeds and nothing is ever stolen.
     """
-    from .parallel import worker_pool
+    from .parallel import plan_pool
 
-    with worker_pool(max_workers if exec_mode != "coop" else 1):
+    with plan_pool(plan, max_workers, exec_mode):
         for task in scheduler.claims():
             with scheduler.hold(task):
                 summaries = execute_point(plan, task, max_workers, exec_mode=exec_mode)

@@ -15,26 +15,19 @@ How bit-identity is achieved
 Shards split the plan round-robin by run index, and every run keeps the
 summary index (and therefore the ``SeedSequence(entropy, spawn_key=(index,))``
 sketch priority) it would have had in the unsharded execution -- shard
-boundaries never change any per-run value.  Merging does **not** use the
-Chan-style :meth:`~repro.harness.aggregate.StreamingStats.merge` (floating
-point makes a pairwise moment merge differ from a sequential fold in the last
-bits); instead the checkpoints carry the raw per-run
-:class:`~repro.harness.aggregate.RunSummary` objects (~1 KB each), and
-the merge re-folds them in run-index order through the exact code
-path (:meth:`RunAggregate.from_summaries`) the single-host sweep uses.  The
-streaming ``merge`` remains the right tool for *approximate* online
-reduction; the checkpoint re-fold is what makes ``shard + merge == sweep``
-an equality, not an approximation.
+boundaries never change any per-run value.  The checkpoints carry the raw
+per-run :class:`~repro.harness.aggregate.RunSummary` objects (~1 KB each),
+and the merge re-folds them in run-index order through the exact code path
+(:meth:`RunAggregate.from_summaries`) :func:`run_plan` uses, which is what
+makes ``shard + merge == run_plan`` an equality, not an approximation (a
+pairwise merge of floating-point moments would differ in the last bits).
 
 Index schemes
 -------------
-``indexing="per-point"`` numbers runs 0..len(seeds)-1 within each point --
-what :func:`~repro.harness.sweep.repeat` does, and what the experiment
-drivers build their plans with.  ``indexing="global"`` numbers runs across
-the whole batch -- what :func:`~repro.harness.sweep.sweep` and
-:func:`~repro.harness.sweep.grid` do.  Plans built by :func:`plan_repeat`,
-:func:`plan_sweep` and :func:`plan_grid` pick the scheme matching their
-single-host counterpart, so either route merges to the bit-identical result.
+``indexing="per-point"`` numbers runs 0..len(seeds)-1 within each point;
+:func:`plan_repeat` and the experiment drivers build their plans with it.
+``indexing="global"`` numbers runs across the whole batch, point-major;
+:func:`plan_sweep` and :func:`plan_grid` use it.
 
 On-disk layout (all under the ``--out`` directory)::
 
@@ -52,12 +45,13 @@ and the one fold over it is :class:`~repro.obs.merge.IncrementalMerger`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pickle
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -69,12 +63,11 @@ from .aggregate import (
     priority_backend,
 )
 
-# The simulator (``.parallel``, ``.runner``, ``.sweep``) is imported inside the
-# functions that execute or enumerate runs: reading manifests, checkpoints
-# and leases -- ``python -m repro status`` -- must not load it.
+# The simulator (``.parallel``, ``.runner``) is imported inside the functions
+# that execute runs: reading manifests, checkpoints and leases -- ``python -m
+# repro status`` -- must not load it.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runner import ExperimentConfig
-    from .sweep import SweepResult
 
 #: Version stamped into every manifest and checkpoint this module writes.
 #: Readers reject any other version, so stale artifacts fail loudly instead
@@ -282,13 +275,53 @@ def plan_repeat(
     check: bool = True,
     key: str = "repeat",
 ) -> SweepPlan:
-    """A single-point plan equivalent to :func:`~repro.harness.sweep.repeat`."""
+    """A single-point plan: ``config`` once per seed, runs numbered per point."""
     return SweepPlan(
         key=key,
         seeds=list(seeds),
         points=[PlanPoint(label=label, config=config, check=check)],
         indexing="per-point",
     )
+
+
+def variation_points(
+    base_config: ExperimentConfig,
+    variations: Mapping[str, Mapping[str, Any]],
+) -> List[Tuple[str, Dict[str, Any], ExperimentConfig]]:
+    """Expand named variations into ``(label, overrides, config)`` triples."""
+    return [
+        (label, dict(overrides), replace(base_config, **overrides))
+        for label, overrides in variations.items()
+    ]
+
+
+def grid_points(
+    base_config: ExperimentConfig,
+    axes: Mapping[str, Sequence[Any]],
+    label_format: Optional[Callable[[Dict[str, Any]], str]] = None,
+) -> List[Tuple[str, Dict[str, Any], ExperimentConfig]]:
+    """Expand a cartesian grid into ``(label, overrides, config)`` triples.
+
+    Labels default to ``field=value`` pairs joined by commas.
+    """
+    points = []
+    names = list(axes)
+    for combination in itertools.product(*(axes[name] for name in names)):
+        overrides = dict(zip(names, combination))
+        label = (
+            label_format(overrides)
+            if label_format is not None
+            else ", ".join(f"{name}={_short(value)}" for name, value in overrides.items())
+        )
+        points.append((label, overrides, replace(base_config, **overrides)))
+    return points
+
+
+def _short(value: Any) -> str:
+    text = getattr(value, "describe", None)
+    if callable(text):
+        return text()
+    return str(value)
 
 
 def plan_sweep(
@@ -298,9 +331,12 @@ def plan_sweep(
     check: bool = True,
     key: str = "sweep",
 ) -> SweepPlan:
-    """A plan enumerating exactly what :func:`~repro.harness.sweep.sweep` runs."""
-    from .sweep import variation_points
+    """A plan running every named variation of ``base_config`` under every seed.
 
+    ``variations`` maps a label to the :class:`~.runner.ExperimentConfig`
+    field overrides that define the point, e.g.
+    ``{"hybrid": {"algorithm": "hybrid-local-coin"}, "ben-or": {"algorithm": "ben-or"}}``.
+    """
     points = [
         PlanPoint(label=label, config=config, check=check, meta=overrides)
         for label, overrides, config in variation_points(base_config, variations)
@@ -316,9 +352,7 @@ def plan_grid(
     check: bool = True,
     key: str = "grid",
 ) -> SweepPlan:
-    """A plan enumerating exactly what :func:`~repro.harness.sweep.grid` runs."""
-    from .sweep import grid_points
-
+    """Cartesian-product plan: every combination of ``axes`` under every seed."""
     points = [
         PlanPoint(label=label, config=config, check=check, meta=overrides)
         for label, overrides, config in grid_points(base_config, axes, label_format=label_format)
@@ -334,20 +368,21 @@ def run_plan(
 ) -> Dict[str, RunAggregate]:
     """Execute the whole plan on this host, one aggregate per point label.
 
-    The single-host reference that sharded execution is measured against:
-    for a ``per-point`` plan this is bit-identical to calling
-    :func:`~repro.harness.sweep.repeat` per point, for a ``global`` plan to
-    the corresponding :func:`~repro.harness.sweep.sweep`/:func:`grid` call.
+    The single-host reference that sharded and work-stealing execution is
+    measured against: each point's runs go through
+    :func:`~repro.harness.parallel.run_many` with the summary indices of the
+    plan's scheme, and are folded in run-index order.
 
     ``exec_mode`` selects the per-point engine (process pool vs cooperative
     multi-kernel hosting; see :func:`~repro.harness.parallel.run_many`) and
     never changes any aggregate — only how fast they arrive.  The shared
-    worker pool is only warmed up when a point can actually use it.
+    worker pool is only built when a point will run on it
+    (:func:`~repro.harness.parallel.plan_pool`).
     """
-    from .parallel import run_many, worker_pool
+    from .parallel import plan_pool, run_many
 
     aggregates: Dict[str, RunAggregate] = {}
-    with worker_pool(max_workers if exec_mode != "coop" else 1):
+    with plan_pool(plan, max_workers, exec_mode):
         for point_index, point in enumerate(plan.points):
             configs = [point.config.with_seed(seed) for seed in plan.seeds]
             reducer = SummaryReducer(
@@ -541,21 +576,6 @@ class MergedSweep:
     aggregates: Dict[str, RunAggregate]
     #: What ``shard_count`` counts: static shards or work-stealing workers.
     unit: str = "shard"
-
-    def sweep_result(self) -> SweepResult:
-        """The merged aggregates as a :class:`~repro.harness.sweep.SweepResult`."""
-        from .sweep import SweepPoint, SweepResult
-
-        result = SweepResult()
-        for point in self.plan.points:
-            result.points.append(
-                SweepPoint(
-                    label=point.label,
-                    parameters=dict(point.meta),
-                    aggregate=self.aggregates[point.label],
-                )
-            )
-        return result
 
 
 def find_manifests(out_dir: Union[str, Path]) -> List[Path]:

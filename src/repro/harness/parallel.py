@@ -41,7 +41,9 @@ import pickle
 import warnings
 from contextlib import contextmanager
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Iterator, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, ContextManager, Generator, Iterable, Iterator, List, Optional, Sequence,
+)
 
 from ..sim.multikernel import DEFAULT_BATCH_EVENTS, CooperativeScheduler
 from .aggregate import Reducer
@@ -51,6 +53,8 @@ from .runner import ExperimentConfig, RunResult, prepare_consensus, run_consensu
 # where a pool is built, so a single-worker run loads neither.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures.process import ProcessPoolExecutor
+
+    from .distributed import SweepPlan
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV_VAR = "REPRO_MAX_WORKERS"
@@ -210,10 +214,10 @@ _shared_pool_workers: int = 0
 def worker_pool(max_workers: Optional[int] = None) -> Iterator[None]:
     """Share one process pool across every :func:`run_many` call inside.
 
-    Experiments with nested parameter loops call :func:`~.sweep.repeat` once
-    per point; without this context each of those calls would spawn and tear
-    down its own pool, and on spawn-based platforms the interpreter start-up
-    can dwarf the simulations themselves.  Inside the context, parallel
+    A plan runs one :func:`run_many` batch per point; without this context
+    each of those calls would spawn and tear down its own pool, and on
+    spawn-based platforms the interpreter start-up can dwarf the
+    simulations themselves.  Inside the context, parallel
     ``run_many`` calls reuse the shared executor (its worker count wins over
     per-call ``max_workers``, except that ``max_workers=1`` still forces the
     serial path).  Nested contexts reuse the outermost pool; ``max_workers=1``
@@ -238,6 +242,26 @@ def worker_pool(max_workers: Optional[int] = None) -> Iterator[None]:
     finally:
         _shared_pool, _shared_pool_workers = None, 0
         pool.shutdown()
+
+
+def plan_pool(
+    plan: SweepPlan, max_workers: Optional[int], exec_mode: Optional[str]
+) -> ContextManager[None]:
+    """The :func:`worker_pool` a plan's per-point batches can use.
+
+    A real pool only if some point resolves to ``"process"`` with more than
+    one worker under :func:`resolve_exec_mode` -- the rule :func:`run_many`
+    applies to each batch -- so a plan that runs coop (``REPRO_EXEC_MODE=coop``,
+    or ``"auto"`` with one worker or n >= :data:`COOP_AUTO_THRESHOLD`) never
+    builds a pool it would not submit to.  A claimed subset of a point's
+    seeds resolves to coop whenever the whole point does.
+    """
+    workers = resolve_workers(max_workers, len(plan.seeds))
+    pooled = workers > 1 and any(
+        resolve_exec_mode(exec_mode, [point.config], workers) == "process"
+        for point in plan.points
+    )
+    return worker_pool(max_workers if pooled else 1)
 
 
 def _run_serial(
@@ -334,7 +358,6 @@ def _run_pool(
     workers: int,
     reducer: Optional[Reducer] = None,
     check: bool = False,
-    chunksize: Optional[int] = None,
 ) -> Optional[List[Any]]:
     """Run configs through a process pool; ``None`` means 'fall back to serial'."""
     global _shared_pool, _shared_pool_workers
@@ -342,8 +365,7 @@ def _run_pool(
 
     shared = _shared_pool
     pool_workers = _shared_pool_workers if shared is not None else workers
-    if chunksize is None:
-        chunksize = default_chunksize(len(configs), pool_workers)
+    chunksize = default_chunksize(len(configs), pool_workers)
     if reducer is None:
         entry, tasks = _execute, list(configs)
     else:
@@ -379,7 +401,6 @@ def run_many(
     max_workers: Optional[int] = None,
     check: bool = False,
     reducer: Optional[Reducer] = None,
-    chunksize: Optional[int] = None,
     exec_mode: Optional[str] = None,
 ) -> List[Any]:
     """Run every configuration, in parallel when it pays, in input order.
@@ -395,8 +416,7 @@ def run_many(
     standard :class:`~.aggregate.SummaryReducer`) crosses the pipe instead
     of the full result; the returned list holds the reduced values, still
     in input order, and property checks happen inside the workers.
-    ``chunksize`` overrides the :func:`default_chunksize` heuristic for
-    batching task submission.
+    Submission is batched by :func:`default_chunksize`.
 
     ``exec_mode`` (``"process"``, ``"coop"`` or ``"auto"``; default from
     ``REPRO_EXEC_MODE``, else process) selects the engine — see the module
@@ -412,7 +432,7 @@ def run_many(
     if mode == "coop" and len(configs) > 1:
         return _run_coop(configs, workers, check=check, reducer=reducer)
     if mode != "coop" and workers > 1 and len(configs) > 1:
-        results = _run_pool(configs, workers, reducer=reducer, check=check, chunksize=chunksize)
+        results = _run_pool(configs, workers, reducer=reducer, check=check)
         if results is not None:
             if check and reducer is None:
                 for result in results:

@@ -1,4 +1,4 @@
-"""Plain-text reporting of experiment results (paper-style rows and series)."""
+"""Plain-text reporting of experiment results (paper-style tables)."""
 
 from __future__ import annotations
 
@@ -51,29 +51,6 @@ def format_records(
     return format_table(columns, rows, precision=precision, title=title)
 
 
-def format_series(
-    x_label: str,
-    y_label: str,
-    points: Sequence[tuple],
-    precision: int = 2,
-    title: Optional[str] = None,
-) -> str:
-    """Render an (x, y) series as two aligned columns (a text "figure")."""
-    rows = [(x, y) for x, y in points]
-    return format_table([x_label, y_label], rows, precision=precision, title=title)
-
-
-def comparison_rows(
-    label_to_metrics: Mapping[str, Mapping[str, Any]],
-    fields: Sequence[str],
-) -> List[List[Any]]:
-    """Rows of ``[label, field1, field2, ...]`` for :func:`format_table`."""
-    rows = []
-    for label, metrics in label_to_metrics.items():
-        rows.append([label] + [metrics.get(field) for field in fields])
-    return rows
-
-
 #: Metrics shown first (when present) by :func:`format_aggregates`.
 PREFERRED_METRICS = ("rounds_max", "messages_sent", "sm_ops", "decision_time_max")
 
@@ -85,7 +62,7 @@ def format_aggregates(
     title: Optional[str] = None,
     ci: bool = False,
 ) -> str:
-    """Render mergeable aggregates as a table, one row per label.
+    """Render aggregates as a table, one row per label.
 
     When ``metrics`` is omitted, the columns are the :data:`PREFERRED_METRICS`
     that every aggregate actually carries -- the right default for showing a
@@ -110,8 +87,6 @@ def aggregate_records(
     One record per label with the run count, the termination rate and the
     mean of each requested metric; with ``ci`` each metric also gets a
     ``<metric>_ci95`` column (the half-width of the mean's 95% interval).
-    Works on anything exposing the aggregate interface, so a
-    :class:`~repro.harness.sweep.SweepPoint` qualifies too.
     """
     records = []
     for label, aggregate in label_to_aggregate.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..adversary.adaptive import build_adversary
 from ..adversary.scenario import Scenario
@@ -314,26 +314,3 @@ def run_consensus(
     wall = _time.perf_counter() - started
     return prepared.finalize(sim_result, wall)
 
-
-def run_seeds(
-    config: ExperimentConfig,
-    seeds: Sequence[int],
-    check: bool = True,
-    max_workers: Optional[int] = None,
-    reducer: Optional[Callable[["RunResult", int], Any]] = None,
-    chunksize: Optional[int] = None,
-) -> List[Any]:
-    """Run the same configuration under several seeds.
-
-    With ``check`` (the default) every run's safety properties are asserted,
-    and termination is asserted whenever it is expected for the algorithm and
-    crash pattern.  Repetitions fan out over the parallel engine; results
-    come back in seed order, identical to a serial execution.  A ``reducer``
-    (see :mod:`~repro.harness.aggregate`) is applied worker-side, so only its
-    compact output crosses the process pipe — the returned list then holds
-    the reduced values instead of full :class:`RunResult` objects.
-    """
-    from .parallel import run_many  # imported late: parallel imports this module
-
-    configs = [config.with_seed(seed) for seed in seeds]
-    return run_many(configs, max_workers=max_workers, check=check, reducer=reducer, chunksize=chunksize)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -105,30 +105,3 @@ def summarize(values: Iterable[float]) -> SummaryStats:
         ci95_half_width=half_width,
     )
 
-
-def summarize_field(records: Sequence[Mapping[str, object]], field: str) -> SummaryStats:
-    """Summary of one numeric field across a list of record dictionaries."""
-    values = []
-    for record in records:
-        value = record.get(field)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            values.append(float(value))
-    return summarize(values)
-
-
-def proportion(flags: Iterable[bool]) -> float:
-    """Fraction of true values (0.0 for an empty sample)."""
-    data = list(flags)
-    if not data:
-        return 0.0
-    return sum(1 for flag in data if flag) / len(data)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of strictly positive values."""
-    data = [float(value) for value in values]
-    if not data:
-        raise ValueError("geometric mean of an empty sample")
-    if any(value <= 0 for value in data):
-        raise ValueError("geometric mean requires strictly positive values")
-    return math.exp(sum(math.log(value) for value in data) / len(data))

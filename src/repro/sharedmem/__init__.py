@@ -13,20 +13,13 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "consensus_object": [
             "UNSET", "CASConsensusObject", "ConsensusObject", "ConsensusObjectStats",
-            "LLSCConsensusObject", "TwoProcessTASConsensus",
+            "LLSCConsensusObject",
         ],
         "memory": ["ClusterSharedMemory", "build_cluster_memories"],
-        "register": ["AtomicRegister", "MemoryAccessError", "RegisterArray", "RegisterStats"],
+        "register": ["AtomicRegister", "MemoryAccessError", "RegisterStats"],
         "rmw": [
             "CompareAndSwapRegister", "FetchAndAddRegister", "LLSCRegister", "SwapRegister",
             "TestAndSetRegister",
-        ],
-        "threaded": [
-            "ThreadSafeCAS", "ThreadSafeFetchAndAdd", "ThreadSafeRegister",
-            "ThreadedConsensusObject", "run_threaded_consensus",
-        ],
-        "universal": [
-            "AppliedOperation", "UniversalObject", "append_log_transition", "counter_transition",
         ],
     },
 )

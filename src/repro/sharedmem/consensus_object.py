@@ -16,11 +16,10 @@ Algorithms invoke ``propose`` through the process context::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Optional, Set
 
 from .register import MemoryAccessError
-from .rmw import CompareAndSwapRegister, LLSCRegister, TestAndSetRegister
-from .register import AtomicRegister
+from .rmw import CompareAndSwapRegister, LLSCRegister
 
 
 class _Unset:
@@ -138,48 +137,3 @@ class LLSCConsensusObject(ConsensusObject):
     def decided_value(self) -> Any:
         return self._register.peek()
 
-
-class TwoProcessTASConsensus(ConsensusObject):
-    """Binary consensus for *two* processes from test&set plus registers.
-
-    Test&set has consensus number exactly 2 [Herlihy 1991]; this object
-    demonstrates the lower rung of the consensus hierarchy and is used only
-    by tests.  ``slots`` maps each of the two participating pids to 0 or 1.
-    """
-
-    def __init__(self, name: str, slots: Dict[int, int]) -> None:
-        super().__init__(name, set(slots))
-        if sorted(slots.values()) != [0, 1]:
-            raise ValueError("slots must map the two pids to 0 and 1")
-        self._slots = dict(slots)
-        self._proposals = [AtomicRegister(f"{name}.prop[0]", UNSET), AtomicRegister(f"{name}.prop[1]", UNSET)]
-        self._tas = TestAndSetRegister(f"{name}.tas")
-
-    def propose(self, ctx, value):
-        self._check_membership(ctx.pid)
-        self.stats.invocations += 1
-        self.stats.proposers.add(ctx.pid)
-        slot = self._slots[ctx.pid]
-        yield from ctx.sm_op(self._proposals[slot].write, value)
-        lost = yield from ctx.sm_op(self._tas.test_and_set)
-        if not lost:
-            self.stats.winners += 1
-            return value
-        other = yield from ctx.sm_op(self._proposals[1 - slot].read)
-        return other
-
-    def decided_value(self) -> Any:
-        if not self._tas.peek():
-            return UNSET
-        for slot, register in enumerate(self._proposals):
-            if register.peek() is not UNSET:
-                winner_slot = slot
-                break
-        else:  # pragma: no cover - unreachable once TAS won
-            return UNSET
-        # The winner is whoever completed test&set first; its proposal register
-        # was necessarily written before the test&set, so the first written
-        # proposal register of the winner is the decision.  Both registers may
-        # be written; decided value equals the winner's proposal, which tests
-        # recover through the propose() return values instead.
-        return self._proposals[winner_slot].peek()

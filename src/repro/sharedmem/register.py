@@ -2,15 +2,13 @@
 
 In the simulator every primitive operation is executed as one atomic kernel
 step (see :class:`~repro.sim.context.SharedMemEffect`), so these objects only
-need to implement the sequential semantics plus operation accounting.  The
-``threaded`` module provides lock-protected versions for use under real
-Python threads.
+need to implement the sequential semantics plus operation accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 
 class MemoryAccessError(RuntimeError):
@@ -65,25 +63,3 @@ class AtomicRegister:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, value={self._value!r})"
 
-
-class RegisterArray:
-    """A dynamically sized array of atomic registers with a common prefix name."""
-
-    def __init__(self, name: str = "array", initial: Any = None) -> None:
-        self.name = name
-        self.initial = initial
-        self._registers: Dict[Any, AtomicRegister] = {}
-
-    def __getitem__(self, index: Any) -> AtomicRegister:
-        if index not in self._registers:
-            self._registers[index] = AtomicRegister(f"{self.name}[{index!r}]", self.initial)
-        return self._registers[index]
-
-    def __len__(self) -> int:
-        return len(self._registers)
-
-    def allocated_indices(self) -> List[Any]:
-        return list(self._registers)
-
-    def total_operations(self) -> int:
-        return sum(register.stats.total for register in self._registers.values())

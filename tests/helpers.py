@@ -2,9 +2,9 @@
 
 ``SyncContext`` mimics the :class:`repro.sim.context.ProcessContext` API but
 executes every effect synchronously and immediately, which lets unit tests
-drive algorithm-level generators (consensus-object ``propose``, the universal
-construction, ...) without standing up a simulation kernel.  ``drive`` runs
-such a generator to completion and returns its value.
+drive algorithm-level generators (a consensus object's ``propose``) without
+standing up a simulation kernel.  ``drive`` runs such a generator to
+completion and returns its value.
 """
 
 from __future__ import annotations

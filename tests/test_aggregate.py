@@ -12,7 +12,6 @@ from repro.cluster.topology import ClusterTopology
 from repro.harness.aggregate import (
     SKETCH_CAPACITY,
     RunAggregate,
-    RunSummary,
     StreamingStats,
     SummaryReducer,
     _seed_sequence_state,
@@ -122,71 +121,10 @@ def test_streaming_stats_empty_and_singleton_edges():
     assert single.percentile(0.0) == single.percentile(100.0) == 7.5
     assert single.to_summary_stats().ci95_half_width == 0.0
 
-    # merging with an empty accumulator is the identity, both ways
-    assert empty.merge(single) == single
-    assert single.merge(empty) == single
-    assert empty.merge(StreamingStats()).count == 0
 
-
-def test_streaming_stats_rejects_bad_capacity_and_mixed_merges():
+def test_streaming_stats_rejects_bad_capacity():
     with pytest.raises(ValueError):
         StreamingStats(capacity=0)
-    with pytest.raises(ValueError):
-        _filled([1.0], capacity=4).merge(_filled([2.0], capacity=8))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    left=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
-    right=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
-)
-def test_merge_is_commutative_and_matches_pooled_moments(left, right):
-    """merge(a, b) == merge(b, a), and both equal the pooled sample's moments."""
-    a = _filled(left, base_index=0)
-    b = _filled(right, base_index=len(left))
-    ab = a.merge(b)
-    ba = b.merge(a)
-    # the merge formulas are written symmetrically, so this holds bit for bit
-    assert ab.count == ba.count
-    assert ab.mean == ba.mean
-    assert ab.m2 == ba.m2
-    assert ab.minimum == ba.minimum and ab.maximum == ba.maximum
-    assert ab.sample == ba.sample
-    pooled = summarize(left + right)
-    assert ab.mean == pytest.approx(pooled.mean, rel=1e-9, abs=1e-9)
-    assert ab.std == pytest.approx(pooled.std, rel=1e-6, abs=1e-9)
-    assert ab.minimum == pooled.minimum and ab.maximum == pooled.maximum
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    chunks=st.lists(
-        st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=20), min_size=3, max_size=3
-    )
-)
-def test_merge_is_associative_on_pooled_moments(chunks):
-    first, second, third = chunks
-    a = _filled(first, base_index=0)
-    b = _filled(second, base_index=len(first))
-    c = _filled(third, base_index=len(first) + len(second))
-    left_tree = a.merge(b).merge(c)
-    right_tree = a.merge(b.merge(c))
-    assert left_tree.count == right_tree.count
-    assert left_tree.mean == pytest.approx(right_tree.mean, rel=1e-9, abs=1e-9)
-    assert left_tree.m2 == pytest.approx(right_tree.m2, rel=1e-6, abs=1e-9)
-    assert left_tree.sample == right_tree.sample  # set semantics: exactly equal
-    incremental = _filled(first + second + third)
-    assert left_tree.mean == pytest.approx(incremental.mean, rel=1e-9, abs=1e-9)
-
-
-def test_merge_equals_single_pass_below_capacity():
-    """Merging disjoint batches reproduces the single-pass sketch exactly."""
-    values = [random.Random(7).uniform(0, 100) for _ in range(64)]
-    whole = _filled(values)
-    split = _filled(values[:20]).merge(_filled(values[20:], base_index=20))
-    assert split.sample == whole.sample
-    assert split.count == whole.count
-    assert split.percentile(90.0) == whole.percentile(90.0)
 
 
 # ------------------------------------------------------------ percentile sketch
@@ -251,22 +189,6 @@ def test_run_summary_contents_and_compactness():
     assert len(pickle.dumps(summary)) < len(pickle.dumps(full)) / 4
 
 
-def test_run_aggregate_folding_and_merge_agree():
-    summaries = _run_summaries(range(6))
-    folded = RunAggregate.from_summaries(summaries)
-    merged = RunAggregate.from_summaries(summaries[:2]).merge(
-        RunAggregate.from_summaries(summaries[2:])
-    )
-    assert len(folded) == len(merged) == 6
-    assert folded.termination_rate() == merged.termination_rate() == 1.0
-    assert folded.safety_rate() == merged.safety_rate() == 1.0
-    for metric in ("messages_sent", "rounds_max", "sm_ops"):
-        assert folded.mean(metric) == pytest.approx(merged.mean(metric), rel=1e-12)
-        assert folded.summary(metric).median == merged.summary(metric).median
-        assert folded.minimum(metric) == merged.minimum(metric)
-        assert folded.maximum(metric) == merged.maximum(metric)
-
-
 def test_run_aggregate_edges_and_errors():
     empty = RunAggregate()
     assert len(empty) == 0
@@ -275,34 +197,12 @@ def test_run_aggregate_edges_and_errors():
     assert empty.metric_names() == []
     with pytest.raises(KeyError, match="no aggregated metric"):
         empty.mean("messages_sent")
-    with pytest.raises(ValueError):
-        RunAggregate(capacity=8).merge(RunAggregate(capacity=16))
 
     (summary,) = _run_summaries([0])
     singleton = RunAggregate.from_summaries([summary])
     assert len(singleton) == 1
     assert singleton.std("messages_sent") == 0.0
     assert singleton.summary("messages_sent").ci95_half_width == 0.0
-    # merging with empty is the identity either way
-    assert empty.merge(singleton) == singleton
-    assert singleton.merge(RunAggregate()) == singleton
-
-
-def test_run_aggregate_merges_disjoint_metric_sets():
-    base = RunSummary(
-        seed=0, index=0, priority=run_priority(0, 0), algorithm="x",
-        terminated=True, safety_ok=True, decided=True, decided_value=1,
-        values={"only_left": 2.0},
-    )
-    other = RunSummary(
-        seed=1, index=1, priority=run_priority(0, 1), algorithm="x",
-        terminated=False, safety_ok=True, decided=False, decided_value=None,
-        values={"only_right": 5.0},
-    )
-    merged = RunAggregate.from_summaries([base]).merge(RunAggregate.from_summaries([other]))
-    assert merged.metric_names() == ["only_left", "only_right"]
-    assert merged.mean("only_left") == 2.0 and merged.mean("only_right") == 5.0
-    assert merged.termination_rate() == 0.5
 
 
 def test_summary_reducer_is_picklable():

@@ -18,7 +18,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds
 from repro.harness import parallel
-from repro.harness.aggregate import SummaryReducer, run_priority
+from repro.harness.aggregate import RunAggregate, SummaryReducer, run_priority
 from repro.harness.coordinator import run_work_stealing
 from repro.harness.distributed import (
     MANIFEST_VERSION,
@@ -28,6 +28,7 @@ from repro.harness.distributed import (
     ShardSpec,
     SweepPlan,
     checkpoint_path,
+    grid_points,
     manifest_path,
     merge_shards,
     plan_grid,
@@ -35,9 +36,10 @@ from repro.harness.distributed import (
     plan_sweep,
     run_plan,
     run_shard,
+    variation_points,
 )
 from repro.harness.runner import ExperimentConfig, run_consensus
-from repro.harness.sweep import grid, repeat, sweep
+from repro.network.delays import ConstantDelay
 
 SEEDS = default_seeds(5)
 BASE = ExperimentConfig(topology=ClusterTopology.figure1_right())
@@ -122,6 +124,68 @@ class TestPlanValidation:
             merge_shards(tmp_path, plan_sweep(BASE, VARIATIONS, SEEDS))
 
 
+class TestPlanPoints:
+    def test_variation_points_keep_order_and_copy_overrides(self):
+        variations = {label: dict(overrides) for label, overrides in VARIATIONS.items()}
+        points = variation_points(BASE, variations)
+        variations["local"]["algorithm"] = "ben-or"
+        assert [label for label, _, _ in points] == ["local", "common"]
+        assert [overrides for _, overrides, _ in points] == list(VARIATIONS.values())
+        assert [config.algorithm for _, _, config in points] == [
+            "hybrid-local-coin", "hybrid-common-coin",
+        ]
+        assert all(config.topology == BASE.topology for _, _, config in points)
+
+    def test_grid_points_are_the_product_with_the_last_axis_fastest(self):
+        axes = {"algorithm": ["ben-or", "hybrid-local-coin"], "proposals": ["split", "unanimous-0"]}
+        points = grid_points(BASE, axes)
+        assert [label for label, _, _ in points] == [
+            "algorithm=ben-or, proposals=split",
+            "algorithm=ben-or, proposals=unanimous-0",
+            "algorithm=hybrid-local-coin, proposals=split",
+            "algorithm=hybrid-local-coin, proposals=unanimous-0",
+        ]
+        for _, overrides, config in points:
+            assert (config.algorithm, config.proposals) == (
+                overrides["algorithm"], overrides["proposals"],
+            )
+
+    def test_grid_label_format_replaces_the_default(self):
+        axes = {"algorithm": ["ben-or", "hybrid-local-coin"]}
+        labels = [label for label, _, _ in grid_points(BASE, axes, lambda o: o["algorithm"][:3])]
+        assert labels == ["ben", "hyb"]
+        plan = plan_grid(BASE, axes, SEEDS, label_format=lambda o: o["algorithm"][:3])
+        assert [point.label for point in plan.points] == labels
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            pytest.param("topology", ClusterTopology.even_split(4, 2),
+                         "n=4, m=2: {0,1} | {2,3}", id="describe"),
+            pytest.param("delay_model", ConstantDelay(2.0), "ConstantDelay(value=2.0)",
+                         id="describe-default-repr"),
+            pytest.param("proposals", "split", "split", id="str"),
+            pytest.param("proposals", (0, 1, 1, 0), "(0, 1, 1, 0)", id="tuple"),
+            pytest.param("mm_domain", None, "None", id="none"),
+        ],
+    )
+    def test_grid_label_shows_each_value(self, field, value, shown):
+        ((label, overrides, config),) = grid_points(BASE, {field: [value]})
+        assert label == f"{field}={shown}"
+        assert overrides == {field: value}
+        assert getattr(config, field) == value
+
+    def test_plan_points_carry_overrides_and_check(self):
+        swept = plan_sweep(BASE, VARIATIONS, SEEDS, check=False)
+        assert [point.meta for point in swept.points] == list(VARIATIONS.values())
+        assert not any(point.check for point in swept.points)
+        gridded = plan_grid(BASE, {"algorithm": ["ben-or"]}, SEEDS)
+        assert [point.meta for point in gridded.points] == [{"algorithm": "ben-or"}]
+        assert all(point.check for point in gridded.points)
+        assert swept.indexing == gridded.indexing == "global"
+        assert plan_repeat(BASE, SEEDS).indexing == "per-point"
+
+
 def test_strided_reducer_restores_original_indices():
     result = run_consensus(BASE.with_seed(7))
     summary = SummaryReducer(start=5, step=3)(result, 2)
@@ -132,29 +196,23 @@ def test_strided_reducer_restores_original_indices():
 # ------------------------------------------------------------ bit-identity
 @pytest.mark.parametrize("shard_count", [1, 2, 3, 7, 16])
 def test_sharded_sweep_merges_bit_identical(tmp_path, shard_count):
-    single = sweep(BASE, VARIATIONS, SEEDS, max_workers=1)
+    single = run_plan(plan_sweep(BASE, VARIATIONS, SEEDS), max_workers=1)
     merged = shard_and_merge(plan_sweep(BASE, VARIATIONS, SEEDS), tmp_path, shard_count)
-    for point in single.points:
-        assert merged.aggregates[point.label] == point.aggregate
-
-    result = merged.sweep_result()
-    assert result.labels() == single.labels()
-    for label in single.labels():
-        assert result.point(label).aggregate == single.point(label).aggregate
+    assert list(merged.aggregates) == list(single) == list(VARIATIONS)
+    assert merged.aggregates == single
 
 
 def test_sharded_grid_merges_bit_identical(tmp_path):
     axes = {"algorithm": ["hybrid-local-coin", "hybrid-common-coin"], "proposals": ["split", "unanimous-1"]}
-    single = grid(BASE, axes, SEEDS, max_workers=1)
+    single = run_plan(plan_grid(BASE, axes, SEEDS), max_workers=1)
     merged = shard_and_merge(plan_grid(BASE, axes, SEEDS), tmp_path, 3)
-    for point in single.points:
-        assert merged.aggregates[point.label] == point.aggregate
+    assert merged.aggregates == single
 
 
 def test_sharded_repeat_merges_bit_identical(tmp_path):
-    single = repeat(BASE, SEEDS, max_workers=1)
+    single = run_plan(plan_repeat(BASE, SEEDS), max_workers=1)
     merged = shard_and_merge(plan_repeat(BASE, SEEDS), tmp_path, 2)
-    assert merged.aggregates["repeat"] == single
+    assert merged.aggregates == single
 
 
 def test_shard_order_and_grouping_is_irrelevant(tmp_path):
@@ -162,19 +220,49 @@ def test_shard_order_and_grouping_is_irrelevant(tmp_path):
     for index in (3, 1, 2):  # out of order, as independent hosts would finish
         run_shard(plan, ShardSpec(index, 3), tmp_path, max_workers=1)
     merged = merge_shards(tmp_path, plan_sweep(BASE, VARIATIONS, SEEDS))
-    single = sweep(BASE, VARIATIONS, SEEDS, max_workers=1)
-    for point in single.points:
-        assert merged.aggregates[point.label] == point.aggregate
+    assert merged.aggregates == run_plan(plan, max_workers=1)
+
+
+def _expected_global(configs, seeds):
+    """Per-point aggregates of one batch over every (point, seed), runs numbered across it."""
+    batch = [config.with_seed(seed) for config in configs for seed in seeds]
+    summaries = parallel.run_many(batch, max_workers=1, check=True, reducer=SummaryReducer())
+    return [
+        RunAggregate.from_summaries(summaries[start:start + len(seeds)])
+        for start in range(0, len(summaries), len(seeds))
+    ]
 
 
 def test_run_plan_matches_sweep_and_repeat():
-    single = sweep(BASE, VARIATIONS, SEEDS, max_workers=1)
+    """``run_plan`` against run indices derived here, not by the plan.
+
+    Global plans (``plan_sweep`` / ``plan_grid``) number runs across one
+    batch of every point under every seed; ``plan_repeat`` numbers them per
+    point.
+    """
     local = run_plan(plan_sweep(BASE, VARIATIONS, SEEDS), max_workers=1)
-    for point in single.points:
-        assert local[point.label] == point.aggregate
-    assert run_plan(plan_repeat(BASE, SEEDS), max_workers=1)["repeat"] == repeat(
-        BASE, SEEDS, max_workers=1
+    configs = [ExperimentConfig(BASE.topology, **overrides) for overrides in VARIATIONS.values()]
+    assert list(local.values()) == _expected_global(configs, SEEDS)
+
+    axes = {"algorithm": ["hybrid-local-coin", "ben-or"], "proposals": ["split", "unanimous-1"]}
+    gridded = run_plan(plan_grid(BASE, axes, SEEDS), max_workers=1)
+    configs = [
+        ExperimentConfig(BASE.topology, algorithm=algorithm, proposals=proposals)
+        for algorithm in axes["algorithm"]
+        for proposals in axes["proposals"]
+    ]
+    assert list(gridded) == [
+        f"algorithm={config.algorithm}, proposals={config.proposals}" for config in configs
+    ]
+    assert list(gridded.values()) == _expected_global(configs, SEEDS)
+
+    summaries = parallel.run_many(
+        [BASE.with_seed(seed) for seed in SEEDS], max_workers=1, check=True,
+        reducer=SummaryReducer(),
     )
+    assert run_plan(plan_repeat(BASE, SEEDS), max_workers=1) == {
+        "repeat": RunAggregate.from_summaries(summaries)
+    }
 
 
 def test_sharded_experiment_reproduces_driver_report(tmp_path):
@@ -221,9 +309,7 @@ def test_killed_shard_resumes_from_last_checkpoint(tmp_path, monkeypatch):
     assert len(resumed.executed) == len(plan.points) - 1
 
     merged = merge_shards(tmp_path, plan_sweep(BASE, VARIATIONS, SEEDS))
-    single = sweep(BASE, VARIATIONS, SEEDS, max_workers=1)
-    for point in single.points:
-        assert merged.aggregates[point.label] == point.aggregate
+    assert merged.aggregates == run_plan(plan, max_workers=1)
 
 
 def test_corrupt_checkpoint_is_recomputed_with_warning(tmp_path):
@@ -234,10 +320,7 @@ def test_corrupt_checkpoint_is_recomputed_with_warning(tmp_path):
     with pytest.warns(RuntimeWarning, match="recomputing"):
         again = run_shard(plan, shard, tmp_path, max_workers=1)
     assert len(again.executed) == 1 and len(again.resumed) == len(plan.points) - 1
-    merged = merge_shards(tmp_path, plan)
-    single = sweep(BASE, VARIATIONS, SEEDS, max_workers=1)
-    for point in single.points:
-        assert merged.aggregates[point.label] == point.aggregate
+    assert merge_shards(tmp_path, plan).aggregates == run_plan(plan, max_workers=1)
 
 
 def test_out_dir_of_a_different_plan_is_refused(tmp_path):
@@ -362,6 +445,30 @@ def test_a_run_directory_has_one_reader_and_one_fold():
             "is_steal_dir", "read_manifests", "find_manifests", "read_plan_header",
             "checkpoint_path", "point_checkpoint_path",
         ) == 0, f"{consumer} reads the directory itself instead of asking RunDirectory"
+
+
+def test_a_point_runs_in_two_places_and_folds_in_two():
+    """A count, not prose: a second single-host engine cannot come back unnoticed.
+
+    Runs execute in ``run_plan`` and ``execute_point``; they fold in
+    ``run_plan`` and ``fold_point``.
+    """
+    sources = sorted(SRC.rglob("*.py"))
+    assert sum(_calls(path, "run_many") for path in sources) == 2
+    assert sum(_calls(path, "SummaryReducer") for path in sources) == 2
+    assert sum(_calls(path, "from_summaries") for path in sources) == 2
+    distributed, coordinator = SRC / "harness" / "distributed.py", SRC / "harness" / "coordinator.py"
+    assert [_calls(distributed, name) for name in ("run_many", "SummaryReducer")] == [1, 1]
+    assert _calls(distributed, "from_summaries") == 2
+    assert [_calls(coordinator, name) for name in ("run_many", "SummaryReducer")] == [1, 1]
+    assert not (SRC / "harness" / "sweep.py").exists()
+    assigned = [
+        target
+        for node in ast.walk(ast.parse((SRC / "harness" / "__init__.py").read_text()))
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+    ]
+    assert not any(getattr(target, "attr", None) == "__class__" for target in assigned)
 
 
 def _top_level_keys(path):

@@ -1,4 +1,4 @@
-"""Tests of the harness: workloads, runner, metrics, sweeps, stats, reporting."""
+"""Tests of the harness: workloads, runner, metrics, stats, reporting."""
 
 import random
 
@@ -7,31 +7,10 @@ import pytest
 from repro.cluster.failures import FailurePattern
 from repro.cluster.topology import ClusterTopology
 from repro.harness.metrics import PHASES_PER_ROUND, RunMetrics
-from repro.harness.report import (
-    aggregate_records,
-    comparison_rows,
-    format_records,
-    format_series,
-    format_table,
-)
-from repro.harness.runner import (
-    ALGORITHMS,
-    ExperimentConfig,
-    run_consensus,
-    run_seeds,
-    termination_expected,
-)
-from repro.harness.stats import (
-    geometric_mean,
-    mean,
-    median,
-    percentile,
-    proportion,
-    sample_std,
-    summarize,
-    summarize_field,
-)
-from repro.harness.sweep import grid, repeat, sweep
+from repro.harness.distributed import plan_sweep, run_plan
+from repro.harness.report import aggregate_records, format_records, format_table
+from repro.harness.runner import ALGORITHMS, ExperimentConfig, run_consensus, termination_expected
+from repro.harness.stats import mean, median, percentile, sample_std, summarize
 from repro.harness.workloads import crash_scenarios, resolve_proposals, standard_topologies
 
 
@@ -121,14 +100,6 @@ def test_run_consensus_smoke_every_algorithm(algorithm):
     assert result.metrics.n == 4 and result.metrics.m == 2
 
 
-def test_run_seeds_checks_and_returns_all_runs():
-    topo = ClusterTopology.even_split(4, 2)
-    config = ExperimentConfig(topology=topo, algorithm="hybrid-local-coin", proposals="split")
-    results = run_seeds(config, seeds=[1, 2, 3])
-    assert len(results) == 3
-    assert {result.config.seed for result in results} == {1, 2, 3}
-
-
 # --------------------------------------------------------------------- metrics
 def test_metrics_fields_and_derived_quantities():
     topo = ClusterTopology.even_split(6, 3)
@@ -173,9 +144,6 @@ def test_basic_statistics():
     assert percentile(values, 100) == 4.0
     assert sample_std([5.0, 5.0, 5.0]) == 0.0
     assert sample_std([1.0]) == 0.0
-    assert proportion([True, False, True, True]) == 0.75
-    assert proportion([]) == 0.0
-    assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
 
 
 def test_statistics_error_cases():
@@ -187,13 +155,9 @@ def test_statistics_error_cases():
         percentile([1.0], 150)
     with pytest.raises(ValueError):
         summarize([])
-    with pytest.raises(ValueError):
-        geometric_mean([])
-    with pytest.raises(ValueError):
-        geometric_mean([0.0, 1.0])
 
 
-def test_summarize_and_summarize_field():
+def test_summarize():
     stats = summarize([2.0, 4.0, 6.0, 8.0])
     assert stats.count == 4
     assert stats.mean == 5.0
@@ -202,8 +166,6 @@ def test_summarize_and_summarize_field():
     low, high = stats.ci95
     assert low < stats.mean < high
     assert "±" in stats.format()
-    field_stats = summarize_field([{"x": 1, "y": "skip"}, {"x": 3}], "x")
-    assert field_stats.mean == 2.0
 
 
 def test_percentile_single_value_and_interpolation():
@@ -240,41 +202,11 @@ def test_percentile_exact_at_q_0_50_100():
     assert percentile(odd, 50) == 5.0
 
 
-# ----------------------------------------------------------------------- sweeps
-def test_repeat_and_sweep_and_grid():
-    topo = ClusterTopology.even_split(4, 2)
-    base = ExperimentConfig(topology=topo, algorithm="hybrid-local-coin", proposals="unanimous-1")
-    runs = repeat(base, seeds=[0, 1])
-    assert len(runs) == 2
-
-    swept = sweep(
-        base,
-        {
-            "local": {"algorithm": "hybrid-local-coin"},
-            "common": {"algorithm": "hybrid-common-coin"},
-        },
-        seeds=[0, 1],
-    )
-    assert swept.labels() == ["local", "common"]
-    point = swept.point("local")
-    assert point.termination_rate() == 1.0
-    assert point.summary("rounds_max").count == 2
-    assert point.mean("messages_sent") > 0
-    rows = swept.table(["rounds_max", "messages_sent"])
-    assert len(rows) == 2 and "rounds_max" in rows[0]
-    with pytest.raises(KeyError):
-        swept.point("missing")
-
-    gridded = grid(base, {"algorithm": ["hybrid-local-coin", "hybrid-common-coin"]}, seeds=[3])
-    assert len(gridded.points) == 2
-    assert all("algorithm=" in label for label in gridded.labels())
-
-
 # ------------------------------------------------------------------- reporting
 def test_aggregate_records_from_aggregates_and_sweep_points():
     topo = ClusterTopology.even_split(4, 2)
     base = ExperimentConfig(topology=topo, algorithm="hybrid-local-coin", proposals="split")
-    swept = sweep(
+    plan = plan_sweep(
         base,
         {
             "local": {"algorithm": "hybrid-local-coin"},
@@ -282,32 +214,22 @@ def test_aggregate_records_from_aggregates_and_sweep_points():
         },
         seeds=[0, 1, 2],
     )
-    # works on RunAggregate and on SweepPoint alike (same interface)
-    by_aggregate = aggregate_records(
-        {point.label: point.aggregate for point in swept.points},
-        ["messages_sent", "rounds_max"],
-        ci=True,
-    )
-    by_point = aggregate_records(
-        {point.label: point for point in swept.points}, ["messages_sent", "rounds_max"]
-    )
-    assert [record["label"] for record in by_aggregate] == ["local", "common"]
-    for full, bare in zip(by_aggregate, by_point):
-        assert full["runs"] == bare["runs"] == 3
-        assert full["termination_rate"] == bare["termination_rate"] == 1.0
-        assert full["messages_sent"] == bare["messages_sent"] > 0
+    aggregates = run_plan(plan, max_workers=1)
+    with_ci = aggregate_records(aggregates, ["messages_sent", "rounds_max"], ci=True)
+    bare = aggregate_records(aggregates, ["messages_sent", "rounds_max"])
+    assert [record["label"] for record in with_ci] == ["local", "common"]
+    for full, plain in zip(with_ci, bare):
+        assert full["runs"] == plain["runs"] == 3
+        assert full["termination_rate"] == plain["termination_rate"] == 1.0
+        assert full["messages_sent"] == plain["messages_sent"] > 0
         assert full["messages_sent_ci95"] >= 0.0
-        assert "messages_sent_ci95" not in bare
-    assert "rounds_max" in format_records(by_point)
+        assert "messages_sent_ci95" not in plain
+    assert "rounds_max" in format_records(bare)
 
 
-def test_format_table_and_records_and_series():
+def test_format_table_and_records():
     table = format_table(["a", "b"], [[1, 2.345], ["x", True]], precision=1, title="T")
     assert "T" in table and "2.3" in table and "yes" in table
     records = format_records([{"a": 1, "b": 2}, {"a": 3, "b": 4}])
     assert "a" in records and "3" in records
     assert format_records([], title="empty") == "empty"
-    series = format_series("n", "msgs", [(1, 10.0), (2, 20.0)], title="S")
-    assert "msgs" in series and "20.00" in series
-    rows = comparison_rows({"hybrid": {"x": 1}, "mm": {"x": 2}}, ["x"])
-    assert rows == [["hybrid", 1], ["mm", 2]]

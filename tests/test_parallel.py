@@ -4,6 +4,13 @@ import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.harness.aggregate import RunAggregate, SummaryReducer
+from repro.harness.distributed import (
+    plan_grid,
+    plan_repeat,
+    plan_sweep,
+    run_plan,
+    variation_points,
+)
 from repro.harness.parallel import (
     default_chunksize,
     default_workers,
@@ -13,7 +20,6 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import ExperimentConfig
 from repro.harness.stats import summarize
-from repro.harness.sweep import grid, repeat, sweep
 from repro.network.delays import ConstantDelay
 
 
@@ -81,35 +87,42 @@ def test_run_many_parallel_matches_serial_exactly():
         assert _comparable(left) == _comparable(right)
 
 
-def test_repeat_parallel_matches_serial_for_every_algorithm():
+def test_run_many_parallel_matches_serial_for_every_algorithm():
     for algorithm in ("hybrid-common-coin", "ben-or"):
-        config = _base_config(algorithm)
-        serial = repeat(config, seeds=[0, 1, 2], check=True, max_workers=1, full_results=True)
-        parallel = repeat(config, seeds=[0, 1, 2], check=True, max_workers=2, full_results=True)
+        configs = [_base_config(algorithm).with_seed(seed) for seed in (0, 1, 2)]
+        serial = run_many(configs, max_workers=1, check=True)
+        parallel = run_many(configs, max_workers=2, check=True)
         assert [_comparable(result) for result in serial] == [
             _comparable(result) for result in parallel
         ]
 
 
-def test_repeat_summary_mode_is_deterministic_across_scheduling():
+def test_summary_mode_is_deterministic_across_scheduling():
     """Regression: serial == parallel == chunked, bit for bit.
 
     Sketch priorities are spawned from the run index (never the worker), so
-    the aggregate a sweep produces must not depend on the worker count or on
-    how the batch was chunked for submission.
+    the aggregate a plan produces must not depend on the worker count or on
+    how the batch was chunked for submission.  16 runs at 2 workers are
+    submitted in chunks of 2.
     """
     config = _base_config()
-    seeds = list(range(8))
-    serial = repeat(config, seeds, check=True, max_workers=1)
-    parallel = repeat(config, seeds, check=True, max_workers=3)
-    chunked_summaries = run_many(
-        [config.with_seed(seed) for seed in seeds],
-        max_workers=2,
-        check=True,
-        reducer=SummaryReducer(),
-        chunksize=4,
-    )
-    chunked = RunAggregate.from_summaries(chunked_summaries)
+    seeds = list(range(16))
+    configs = [config.with_seed(seed) for seed in seeds]
+    assert default_chunksize(len(configs), 2) == 2
+
+    full_serial = run_many(configs, max_workers=1, check=True)
+    full_chunked = run_many(configs, max_workers=2, check=True)
+    assert [_comparable(result) for result in full_serial] == [
+        _comparable(result) for result in full_chunked
+    ]
+    reduced_serial = run_many(configs, max_workers=1, check=True, reducer=SummaryReducer())
+    reduced_chunked = run_many(configs, max_workers=2, check=True, reducer=SummaryReducer())
+    assert reduced_serial == reduced_chunked
+
+    chunked = RunAggregate.from_summaries(reduced_chunked)
+    plan = plan_repeat(config, seeds)
+    serial = run_plan(plan, max_workers=1)["repeat"]
+    parallel = run_plan(plan, max_workers=3)["repeat"]
     assert serial == parallel == chunked
     assert len(serial) == len(seeds)
     assert serial.termination_rate() == 1.0
@@ -118,8 +131,8 @@ def test_repeat_summary_mode_is_deterministic_across_scheduling():
 def test_summary_and_full_modes_agree_exactly_below_sketch_capacity():
     config = _base_config()
     seeds = list(range(6))
-    aggregate = repeat(config, seeds, check=True, max_workers=2)
-    results = repeat(config, seeds, check=True, max_workers=2, full_results=True)
+    aggregate = run_plan(plan_repeat(config, seeds), max_workers=2)["repeat"]
+    results = run_many([config.with_seed(seed) for seed in seeds], max_workers=2, check=True)
     for metric in ("messages_sent", "rounds_max", "sm_ops", "decision_time_max"):
         values = [getattr(result.metrics, metric) for result in results]
         exact = summarize(values)
@@ -132,43 +145,38 @@ def test_summary_and_full_modes_agree_exactly_below_sketch_capacity():
         assert sketched.p90 == exact.p90
 
 
+VARIATIONS = {
+    "local": {"algorithm": "hybrid-local-coin"},
+    "common": {"algorithm": "hybrid-common-coin"},
+}
+
+
 def test_sweep_and_grid_parallel_match_serial():
     base = _base_config()
-    variations = {
-        "local": {"algorithm": "hybrid-local-coin"},
-        "common": {"algorithm": "hybrid-common-coin"},
-    }
-    serial = sweep(base, variations, seeds=[0, 1], max_workers=1, full_results=True)
-    parallel = sweep(base, variations, seeds=[0, 1], max_workers=2, full_results=True)
-    assert serial.labels() == parallel.labels() == ["local", "common"]
-    for label in serial.labels():
-        left = [_comparable(result) for result in serial.point(label).results]
-        right = [_comparable(result) for result in parallel.point(label).results]
-        assert left == right
+    plan = plan_sweep(base, VARIATIONS, seeds=[0, 1])
+    serial = run_plan(plan, max_workers=1)
+    assert list(serial) == ["local", "common"]
+    assert run_plan(plan, max_workers=2) == serial
 
-    axes = {"algorithm": ["hybrid-local-coin", "hybrid-common-coin"]}
-    serial_grid = grid(base, axes, seeds=[3, 4], max_workers=1)
-    parallel_grid = grid(base, axes, seeds=[3, 4], max_workers=2)
-    assert serial_grid.labels() == parallel_grid.labels()
-    assert serial_grid.table(["rounds_max", "messages_sent"]) == parallel_grid.table(
-        ["rounds_max", "messages_sent"]
-    )
+    grid = plan_grid(base, {"algorithm": ["hybrid-local-coin", "hybrid-common-coin"]}, seeds=[3, 4])
+    assert run_plan(grid, max_workers=2) == run_plan(grid, max_workers=1)
 
 
 def test_sweep_summary_mode_matches_full_mode_aggregates():
+    """Reducing in the workers equals reducing the full results in the parent."""
     base = _base_config()
-    variations = {
-        "local": {"algorithm": "hybrid-local-coin"},
-        "common": {"algorithm": "hybrid-common-coin"},
-    }
-    summary_mode = sweep(base, variations, seeds=[0, 1, 2], max_workers=2)
-    full_mode = sweep(base, variations, seeds=[0, 1, 2], max_workers=1, full_results=True)
-    for label in summary_mode.labels():
-        assert summary_mode.point(label).aggregate == full_mode.point(label).aggregate
-        assert summary_mode.point(label).results is None
-        assert len(full_mode.point(label).results) == 3
-        with pytest.raises(ValueError, match="summary mode"):
-            summary_mode.point(label).metrics
+    seeds = [0, 1, 2]
+    summary_mode = run_plan(plan_sweep(base, VARIATIONS, seeds), max_workers=2)
+    configs = [
+        config.with_seed(seed) for _, _, config in variation_points(base, VARIATIONS)
+        for seed in seeds
+    ]
+    results = run_many(configs, max_workers=1, check=True)
+    summaries = [SummaryReducer()(result, index) for index, result in enumerate(results)]
+    for point, label in enumerate(VARIATIONS):
+        start = point * len(seeds)
+        full_mode = RunAggregate.from_summaries(summaries[start:start + len(seeds)])
+        assert summary_mode[label] == full_mode
 
 
 def test_summary_mode_check_raises_in_worker():
@@ -186,8 +194,8 @@ def test_summary_mode_check_raises_in_worker():
         sim=SimConfig(max_rounds=1, max_time=5e4),
     )
     with pytest.raises(ConsensusViolation):
-        repeat(config, seeds=[0, 1], check=True, max_workers=2)
-    aggregate = repeat(config, seeds=[0, 1], check=False, max_workers=2)
+        run_plan(plan_repeat(config, seeds=[0, 1], check=True), max_workers=2)
+    aggregate = run_plan(plan_repeat(config, seeds=[0, 1], check=False), max_workers=2)["repeat"]
     assert aggregate.safety_rate() == 1.0
     assert aggregate.termination_rate() == 0.0
 
@@ -251,7 +259,6 @@ def test_one_worker_builds_no_pool(monkeypatch, tmp_path):
     import concurrent.futures.process as pool_mod
 
     from repro.harness.coordinator import merge_stolen, run_work_stealing
-    from repro.harness.distributed import plan_repeat, run_plan
 
     def no_pool(*args, **kwargs):
         raise AssertionError("max_workers=1 built a process pool")
@@ -262,6 +269,90 @@ def test_one_worker_builds_no_pool(monkeypatch, tmp_path):
     worker = run_work_stealing(plan, tmp_path, worker="solo", max_workers=1)
     assert worker.runs_executed == aggregates["repeat"].count == 3
     assert merge_stolen(tmp_path, plan).aggregates == aggregates
+
+
+@pytest.mark.parametrize("how", ["env", "auto"])
+def test_a_plan_that_resolves_to_coop_builds_no_pool(monkeypatch, tmp_path, how):
+    """Coop decided by ``REPRO_EXEC_MODE`` or by ``"auto"``, not by the argument."""
+    import concurrent.futures.process as pool_mod
+
+    from repro.harness import parallel
+    from repro.harness.coordinator import merge_stolen, run_work_stealing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a coop run built a process pool")
+
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
+    if how == "env":
+        monkeypatch.setenv("REPRO_EXEC_MODE", "coop")
+        exec_mode = None
+    else:  # auto hosts large systems cooperatively; make n=6 large
+        monkeypatch.setattr(parallel, "COOP_AUTO_THRESHOLD", 6)
+        exec_mode = "auto"
+    plan = plan_repeat(_base_config(), seeds=[0, 1, 2])
+    aggregates = run_plan(plan, max_workers=2, exec_mode=exec_mode)
+    run_work_stealing(plan, tmp_path, worker="solo", max_workers=2, exec_mode=exec_mode)
+    assert merge_stolen(tmp_path, plan).aggregates == aggregates
+
+
+@pytest.mark.parametrize(
+    "exec_mode, env, max_workers, seeds, threshold, pooled",
+    [
+        pytest.param("process", {}, 2, 3, None, True, id="process"),
+        pytest.param("process", {}, 1, 3, None, False, id="process-one-worker"),
+        pytest.param("process", {}, 2, 1, None, False, id="process-one-seed"),
+        pytest.param(None, {}, 2, 3, None, True, id="default-is-process"),
+        pytest.param(None, {"REPRO_EXEC_MODE": "process"}, 2, 3, None, True, id="env-process"),
+        pytest.param(None, {"REPRO_EXEC_MODE": "coop"}, 2, 3, None, False, id="env-coop"),
+        pytest.param("process", {"REPRO_EXEC_MODE": "coop"}, 2, 3, None, True, id="argument-wins"),
+        pytest.param(None, {"REPRO_MAX_WORKERS": "1"}, None, 3, None, False, id="env-one-worker"),
+        pytest.param("coop", {}, 2, 3, None, False, id="coop"),
+        pytest.param("auto", {}, 2, 3, None, True, id="auto-small"),
+        pytest.param("auto", {}, 1, 3, None, False, id="auto-one-worker"),
+        pytest.param("auto", {}, 2, 3, 6, False, id="auto-large"),
+        pytest.param("auto", {}, 2, 3, 8, True, id="auto-mixed"),
+    ],
+)
+def test_plan_pool_opens_a_pool_only_when_a_point_resolves_to_process(
+    monkeypatch, exec_mode, env, max_workers, seeds, threshold, pooled
+):
+    """``plan_pool`` applies ``resolve_exec_mode`` per point, as ``run_many`` will.
+
+    The plan has an n=6 and an n=8 point; ``threshold`` is the ``auto``
+    cut-over, so 6 makes both points large and 8 only the second.
+    """
+    import concurrent.futures.process as pool_mod
+
+    from repro.harness import parallel
+
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", RecordingPool)
+    for name in ("REPRO_EXEC_MODE", "REPRO_MAX_WORKERS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if threshold is not None:
+        monkeypatch.setattr(parallel, "COOP_AUTO_THRESHOLD", threshold)
+    plan = plan_sweep(
+        _base_config(),
+        {
+            "n6": {"topology": ClusterTopology.even_split(6, 3)},
+            "n8": {"topology": ClusterTopology.even_split(8, 4)},
+        },
+        seeds=list(range(seeds)),
+    )
+    with parallel.plan_pool(plan, max_workers, exec_mode):
+        assert (parallel._shared_pool is not None) == pooled
+    assert created == ([max_workers] if pooled else [])
+    assert parallel._shared_pool is None
 
 
 def test_worker_pool_is_a_noop_for_one_worker():

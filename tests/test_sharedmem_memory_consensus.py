@@ -5,12 +5,7 @@ import pytest
 from tests.helpers import SyncContext, drive
 
 from repro.cluster.topology import ClusterTopology
-from repro.sharedmem.consensus_object import (
-    UNSET,
-    CASConsensusObject,
-    LLSCConsensusObject,
-    TwoProcessTASConsensus,
-)
+from repro.sharedmem.consensus_object import UNSET, CASConsensusObject, LLSCConsensusObject
 from repro.sharedmem.memory import ClusterSharedMemory, build_cluster_memories
 from repro.sharedmem.register import MemoryAccessError
 from repro.sharedmem.rmw import CompareAndSwapRegister
@@ -122,18 +117,3 @@ def test_unset_is_a_singleton_and_distinct_from_none():
     obj = CASConsensusObject("fresh")
     assert obj.decided_value() is UNSET
 
-
-def test_two_process_tas_consensus():
-    obj = TwoProcessTASConsensus("duel", slots={4: 0, 9: 1})
-    first = drive(obj.propose(SyncContext(pid=9), value=1))
-    second = drive(obj.propose(SyncContext(pid=4), value=0))
-    assert first == second == 1
-    with pytest.raises(MemoryAccessError):
-        drive(obj.propose(SyncContext(pid=2), value=0))
-    with pytest.raises(ValueError):
-        TwoProcessTASConsensus("bad", slots={1: 0, 2: 0})
-
-
-def test_two_process_tas_decided_value_unset_before_any_propose():
-    obj = TwoProcessTASConsensus("duel", slots={0: 0, 1: 1})
-    assert obj.decided_value() is UNSET

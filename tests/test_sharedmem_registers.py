@@ -1,7 +1,7 @@
 """Unit tests for atomic registers and RMW synchronization primitives."""
 
 
-from repro.sharedmem.register import AtomicRegister, RegisterArray
+from repro.sharedmem.register import AtomicRegister
 from repro.sharedmem.rmw import (
     CompareAndSwapRegister,
     FetchAndAddRegister,
@@ -26,20 +26,6 @@ def test_register_read_write_and_counts():
 
 def test_register_default_initial_is_none():
     assert AtomicRegister().read() is None
-
-
-def test_register_array_lazily_allocates():
-    array = RegisterArray("A", initial=0)
-    assert len(array) == 0
-    array[3].write(7)
-    array["key"].write(9)
-    assert array[3].read() == 7
-    assert array["key"].read() == 9
-    assert len(array) == 2
-    assert set(array.allocated_indices()) == {3, "key"}
-    assert array.total_operations() == 4
-    # Same index returns the same register object.
-    assert array[3] is array[3]
 
 
 # ------------------------------------------------------------------------- CAS

@@ -115,6 +115,19 @@ def test_in_process_sweep_never_loads_numpy_or_a_pool():
     assert loaded(modules, *NEVER_ON_THE_SWEEP_PATH, *POOL_MODULES) == []
 
 
+def test_coop_from_the_environment_loads_no_pool():
+    """Two workers, coop chosen by ``REPRO_EXEC_MODE``: nothing is pooled, so nothing loads."""
+    body = (
+        "import os\n"
+        "os.environ['REPRO_EXEC_MODE'] = 'coop'\n"
+        "from repro.cli import main\n"
+        "assert main(['run', 'e1', '--seeds', '2', '--max-workers', '2']) == 0"
+    )
+    report, _, modules = fresh_python(body)
+    assert "reproduction check: PASSED" in report
+    assert loaded(modules, *NEVER_ON_THE_SWEEP_PATH, *POOL_MODULES) == []
+
+
 def test_usage_error_exits_2_before_any_heavy_import():
     _, stderr, modules = cli("run", "e99", expect=2)
     assert stderr.startswith("error: unknown experiment 'e99'")
@@ -146,8 +159,7 @@ def test_exports_resolve_on_first_use(package):
     assert len(set(module.__all__)) == len(module.__all__) > 0
     for name in module.__all__:
         value = getattr(module, name)
-        # Only the drivers are exported as modules: ``harness.sweep`` is the
-        # function, although ``harness/sweep.py`` is loaded by now.
+        # Only the drivers are exported as modules.
         assert inspect.ismodule(value) == (f"{package}.{name}" in DRIVERS), name
         home = getattr(value, "__module__", None)
         if isinstance(home, str) and home.startswith("repro."):
