@@ -19,6 +19,7 @@ it outside the benchmarks.
 """
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
@@ -142,20 +143,32 @@ class LegacySimProcess:
 
 
 class LegacyNetwork(Network):
-    """Pre-refactor network: per-send validation, sizing and delay draws."""
+    """Pre-refactor network: per-send validation, sizing, tallies and delay draws."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._next_msg_id = 0
+        # The pre-refactor per-process and per-kind tallies, kept here so the
+        # baseline still pays for them on every send and delivery.
+        self.sent_by_process = defaultdict(int)
+        self.delivered_to_process = defaultdict(int)
+        self.sent_by_kind = defaultdict(int)
 
     def prepare(self, sender, dest, payload, time):
-        self._validate_pid(sender)
-        self._validate_pid(dest)
+        self.validate_endpoints(sender, dest)
         self._next_msg_id += 1
         message = LegacyMessage(
             sender=sender, dest=dest, payload=payload, send_time=time, msg_id=self._next_msg_id
         )
         self.stats.messages_sent += 1
         self.stats.bytes_sent += payload_size(payload)
-        self.stats.sent_by_process[sender] += 1
-        self.stats.sent_by_kind[type(payload).__name__] += 1
+        self.sent_by_process[sender] += 1
+        self.sent_by_kind[type(payload).__name__] += 1
         return message
+
+    def record_delivery(self, message):
+        self.stats.messages_delivered += 1
+        self.delivered_to_process[message.dest] += 1
 
     def sample_delay(self, sender, dest):
         delay = self.delay_model.sample(self._rng)

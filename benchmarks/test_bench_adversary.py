@@ -36,6 +36,7 @@ from repro.sim.kernel import (
     SimConfig,
     SimulationKernel,
     _effect_base,
+    _no_network,
     _tuple_new,
 )
 from repro.sim.process import ProcessState
@@ -87,7 +88,21 @@ def _prehook_run_batch(self, max_events=-1):
         # pid sets keep the dict.
         processes = [processes[index] for index in range(len(processes))]
     network = self._network
-    net_stats = network.stats if network is not None else None
+    if network is None:
+        net_stats = None
+        size_of = _no_network
+    else:
+        # The send path's handles into the network, hoisted like the
+        # counters: the delay cache is one list for the network's life
+        # (refilled in place), so its bound ``pop`` stays valid across
+        # refills, including those an adversary's ``sample_delay`` does.
+        net_stats = network.stats
+        net_n = network.n
+        delay_cache = network._delay_cache
+        pop_delay = delay_cache.pop
+        refill_delays = network._refill
+        self_delay_factor = network.self_delay_factor
+        size_of = network.payload_bytes
     sched_random = self._sched_random
     effect_handlers = self._effect_handlers
     config = self.config
@@ -144,9 +159,8 @@ def _prehook_run_batch(self, max_events=-1):
                 proc.mailbox.append(payload)
                 if net_stats is not None:
                     # Network.record_delivery, inlined (it remains the public
-                    # seam); a delivery entry's pid is the message's dest.
+                    # seam).
                     net_stats.messages_delivered += 1
-                    net_stats.delivered_to_process[pid] += 1
                 if state is blocked:
                     result = proc.wait_predicate(proc.mailbox)
                     if result is not None:
@@ -216,10 +230,14 @@ def _prehook_run_batch(self, max_events=-1):
                                 f"process {pid} yielded {effect!r}, which has no destination"
                             )
                         dests.reverse()
-                        broadcast = proc.broadcast = (dests, effect.payload)
+                        # The cursor carries the payload's byte charge,
+                        # sized once for every destination.
+                        payload = effect.payload
+                        broadcast = proc.broadcast = (dests, payload, size_of(payload))
                     elif cls is SendEffect:
                         dest = effect.dest
                         payload = effect.payload
+                        size = size_of(payload)
                     elif cls is WaitEffect:
                         result = effect.predicate(proc.mailbox)
                         if result is not None:
@@ -244,17 +262,28 @@ def _prehook_run_batch(self, max_events=-1):
                     # A broadcast in progress: this step is the send to its
                     # next destination, accounted like a ``ctx.send``.  The
                     # generator is resumed by the step after the last one.
-                    dests, payload = broadcast
+                    dests, payload, size = broadcast
                     dest = dests.pop()
                     if not dests:
                         proc.broadcast = None
                     stats.messages_sent += 1
                 # The one send: a SendEffect, or one destination of a
-                # BroadcastEffect.  The message stays flat while in flight.
-                if network is None:
-                    raise RuntimeError("no network attached; cannot handle SendEffect")
+                # BroadcastEffect.  Network.transmit, inlined (it remains
+                # the public seam and the reference): bounds check, the
+                # counter bump that is the msg_id, the byte charge and
+                # one draw from the delay cache.  The message stays flat
+                # while in flight.
+                if not (0 <= pid < net_n and 0 <= dest < net_n):
+                    network.validate_endpoints(pid, dest)
+                msg_id = net_stats.messages_sent + 1
+                net_stats.messages_sent = msg_id
+                net_stats.bytes_sent += size
+                if not delay_cache:
+                    refill_delays()
+                delay = pop_delay()
+                if pid == dest:
+                    delay *= self_delay_factor
                 now = self.now
-                msg_id, delay = network.transmit(pid, dest, payload)
                 if trace_enabled:
                     trace.record(now, "send", pid, f"to={dest} {payload!r}", {"dest": dest})
                 # One batched sequence bump covers both pushes;
@@ -337,6 +366,8 @@ def test_prehook_reconstruction_is_behaviourally_identical():
     assert hooked.sim_result.decisions == stripped.sim_result.decisions
     assert hooked.sim_result.end_time == stripped.sim_result.end_time
     assert hooked.metrics.events_processed == stripped.metrics.events_processed
+    assert hooked.metrics.messages_sent == stripped.metrics.messages_sent > 0
+    assert hooked.metrics.bytes_sent == stripped.metrics.bytes_sent > 0
 
 
 # --------------------------------------------------------------- scenario costs

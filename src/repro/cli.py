@@ -248,7 +248,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
             print(f"  replay token: {outcome.token}")
             print(f"  reproduce:    python -m repro search --replay '{outcome.token}'")
         else:
-            state = "space exhausted" if outcome.exhausted else "budget spent"
+            cut = outcome.alternatives_cut
+            if outcome.exhausted:
+                state = "space exhausted"
+            elif outcome.drained:
+                state = f"not exhausted: {cut} alternatives cut by the caps"
+            else:
+                state = f"budget spent, {cut} alternatives cut" if cut else "budget spent"
             print(f"{algorithm}: no violation in {outcome.runs} schedules ({state})")
     return exit_code
 

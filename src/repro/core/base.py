@@ -27,6 +27,12 @@ class ProtocolInvariantError(RuntimeError):
     """
 
 
+#: ``hash(BOT)``: the code point of ``⊥`` (U+22A5).  A constant, unlike the
+#: default identity hash, so a set or dict holding ⊥ iterates -- and prints
+#: -- in the same order in every interpreter, whatever ``PYTHONHASHSEED``.
+BOTTOM_HASH = 0x22A5
+
+
 class _Bottom:
     """The paper's default value ``⊥`` ("I champion no value")."""
 
@@ -39,6 +45,9 @@ class _Bottom:
 
     def __repr__(self) -> str:
         return "⊥"
+
+    def __hash__(self) -> int:
+        return BOTTOM_HASH
 
     def __reduce__(self):
         return (_Bottom, ())

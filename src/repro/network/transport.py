@@ -3,13 +3,16 @@
 The network connects every pair of processes with a reliable channel:
 messages are never lost, corrupted or duplicated, but transit for an
 arbitrary (randomly sampled) finite time, and are therefore not necessarily
-delivered in send order.  The kernel calls :meth:`Network.transmit` once per
-send -- bounds check, traffic accounting and the delay draw -- and builds
+delivered in send order.  A send is four things: a bounds check, one bump of
+:attr:`TrafficStats.messages_sent` (which is also the ``msg_id``), one
+``bytes_sent`` add and one draw from the delay cache.
+:meth:`Network.transmit` is that send as one public call, and
+:meth:`Network.prepare` / :meth:`Network.sample_delay` are its two halves;
+the kernel's loop does the same four steps inline on handles it hoists once
+per batch (the delay cache, refilled in place, and the counters), and builds
 the :class:`~repro.network.message.Message` envelope itself, when the
-delivery is dispatched; :meth:`Network.prepare` and
-:meth:`Network.sample_delay` are the same two halves as separate public
-calls.  This class also keeps the traffic counters used by the benchmark
-harness.
+delivery is dispatched.  ``tests/test_kernel_send.py`` holds the kernel to
+:meth:`Network.transmit`.
 
 Reliability can be revoked deliberately: when a fault-injection adversary
 (:mod:`repro.adversary`) is installed in the kernel, sends it omits and
@@ -19,8 +22,7 @@ copies it duplicates are accounted here through :meth:`Network.record_fault`
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..sim.rng import RandomSource
@@ -34,15 +36,17 @@ _MAX_BATCH = 512
 #: Payload-size memo cap; one entry per distinct payload object in flight.
 _SIZE_MEMO_LIMIT = 8192
 
-#: type -> __name__ memo for the sent_by_kind counter (process-wide; types
-#: are immortal here, and distinct payload types are few).
-_KIND_NAMES: dict = {}
-
 
 @dataclass
 class TrafficStats:
-    """Aggregate traffic counters for one run."""
+    """Aggregate traffic counters for one run.
 
+    Plain integers only: per-process send counts live in
+    :class:`~repro.sim.context.ProcessStats`.
+    """
+
+    #: Sends accounted so far; the ``msg_id`` of a send is this counter's
+    #: value just after it, so ids run 1, 2, ... in send order.
     messages_sent: int = 0
     messages_delivered: int = 0
     bytes_sent: int = 0
@@ -53,9 +57,6 @@ class TrafficStats:
     messages_omitted: int = 0
     messages_duplicated: int = 0
     messages_corrupted: int = 0
-    sent_by_process: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    delivered_to_process: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    sent_by_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
     def as_dict(self) -> Dict[str, object]:
         """The counters as one JSON-ready mapping (used by metrics)."""
@@ -66,7 +67,6 @@ class TrafficStats:
             "messages_omitted": self.messages_omitted,
             "messages_duplicated": self.messages_duplicated,
             "messages_corrupted": self.messages_corrupted,
-            "sent_by_kind": dict(self.sent_by_kind),
         }
 
 
@@ -87,50 +87,45 @@ class Network:
         self._rng = (rng or RandomSource(0)).stream("network", "delays")
         self.self_delay_factor = self_delay_factor
         self.stats = TrafficStats()
-        self._next_msg_id = 0
-        # Refillable delay cache: transmit and sample_delay serve raw model
-        # draws from this block and refill it (see _refill) through
+        # Refillable delay cache: every send serves its raw model draw from
+        # this block and refills it (see _refill) through
         # DelayModel.sample_batch, which pays the model's method frames once
         # per block instead of once per draw.  Because sample_batch is
         # exact-sequence and this network object is the delays stream's only
         # consumer, draw i of the run is the same float whether or not it
         # was prefetched.  The block starts small (many runs send only a
-        # handful of messages) and doubles up to _MAX_BATCH under load.
+        # handful of messages) and doubles up to _MAX_BATCH under load.  The
+        # list object never changes, so a caller may hoist its ``pop``.
         self._delay_cache: list = []
         self._batch = _MIN_BATCH
         # Payload-size memo, keyed by payload object identity and holding a
         # strong reference (so an id can't be recycled while its entry
-        # lives): a broadcast accounts the same payload object once per
-        # destination, and those sends interleave with other processes', so
-        # the recursive payload_size walk runs once per object instead of
-        # once per destination.  Bounded to keep long sweeps from hoarding
-        # dead payloads.
+        # lives): the kernel sizes a broadcast's payload once for all its
+        # destinations, and transmit/prepare callers often send one object
+        # to many, so the recursive payload_size walk runs once per object.
+        # Bounded to keep long sweeps from hoarding dead payloads.
         self._size_memo: Dict[int, tuple] = {}
+
+    def payload_bytes(self, payload: object) -> int:
+        """The ``bytes_sent`` charge of one send of ``payload`` (memoised)."""
+        memo = self._size_memo
+        entry = memo.get(id(payload))
+        if entry is not None and entry[0] is payload:
+            return entry[1]
+        size = payload_size(payload)
+        if len(memo) >= _SIZE_MEMO_LIMIT:
+            memo.clear()
+        memo[id(payload)] = (payload, size)
+        return size
 
     def _account(self, sender: int, dest: int, payload: object) -> int:
         """Validate the endpoints, count the send, and return its ``msg_id``."""
         n = self.n
         if not (0 <= sender < n and 0 <= dest < n):
-            self._validate_pid(sender)
-            self._validate_pid(dest)
-        msg_id = self._next_msg_id = self._next_msg_id + 1
-        memo = self._size_memo
-        entry = memo.get(id(payload))
-        if entry is not None and entry[0] is payload:
-            size = entry[1]
-        else:
-            size = payload_size(payload)
-            if len(memo) >= _SIZE_MEMO_LIMIT:
-                memo.clear()
-            memo[id(payload)] = (payload, size)
+            self.validate_endpoints(sender, dest)
         stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-        stats.sent_by_process[sender] += 1
-        kind = _KIND_NAMES.get(type(payload))
-        if kind is None:
-            kind = _KIND_NAMES[type(payload)] = type(payload).__name__
-        stats.sent_by_kind[kind] += 1
+        msg_id = stats.messages_sent = stats.messages_sent + 1
+        stats.bytes_sent += self.payload_bytes(payload)
         return msg_id
 
     def prepare(self, sender: int, dest: int, payload: object, time: float) -> Message:
@@ -141,45 +136,39 @@ class Network:
         """Account for one send and draw its transit time, in one call.
 
         Returns ``(msg_id, delay)``: the accounting of :meth:`prepare` and
-        the draw of :meth:`sample_delay` (the delay-batching regression
-        tests hold the three to the same ids, delays and counters), without
-        the envelope.  The kernel's send path crosses the network boundary
-        once per message through this seam and keeps the message in flight
-        as flat fields; the :class:`~repro.network.message.Message` is built
-        when (and only if) the delivery is dispatched.
+        the draw of :meth:`sample_delay`, without the envelope.  This is the
+        reference definition of a send; the kernel's loop performs the same
+        steps inline and is tested against it.
         """
-        msg_id = self._account(sender, dest, payload)
-        cache = self._delay_cache or self._refill()
-        delay = cache.pop()
-        if sender == dest:
-            delay *= self.self_delay_factor
-        return msg_id, delay
+        return self._account(sender, dest, payload), self.sample_delay(sender, dest)
 
     def sample_delay(self, sender: int, dest: int) -> float:
         """Transit time for one message; self-addressed messages are faster."""
-        cache = self._delay_cache or self._refill()
+        cache = self._delay_cache
+        if not cache:
+            self._refill()
         delay = cache.pop()
         if sender == dest:
             delay *= self.self_delay_factor
         return delay
 
-    def _refill(self) -> list:
-        """Prefetch the next block of raw model draws; returns the new cache.
+    def _refill(self) -> None:
+        """Prefetch the next block of raw model draws into the empty cache.
 
-        The cold path of :meth:`transmit` and :meth:`sample_delay` (once per
-        16-512 sends).  The block is stored reversed so serving a draw is a
-        ``list.pop()`` from the end, in draw order.
+        The cold path of every send (once per 16-512 sends).  The block is
+        stored reversed so serving a draw is a ``list.pop()`` from the end,
+        in draw order, and it is stored in place: the cache list is the same
+        object for the network's whole life.
         """
-        cache = self._delay_cache = self.delay_model.sample_batch(self._rng, self._batch)
-        cache.reverse()
+        block = self.delay_model.sample_batch(self._rng, self._batch)
+        block.reverse()
+        self._delay_cache[:] = block
         if self._batch < _MAX_BATCH:
             self._batch *= 2
-        return cache
 
     def record_delivery(self, message: Message) -> None:
-        """Account for a delivery (called by the kernel)."""
+        """Account for a delivery (the kernel does this inline)."""
         self.stats.messages_delivered += 1
-        self.stats.delivered_to_process[message.dest] += 1
 
     def record_fault(self, kind: str) -> None:
         """Account one adversary-injected channel fault (called by the kernel).
@@ -202,10 +191,14 @@ class Network:
                 f"unknown fault kind {kind!r}; expected 'omitted', 'duplicated' or 'corrupted'"
             )
 
-    def _validate_pid(self, pid: int) -> None:
-        """Raise ``ValueError`` when ``pid`` is outside ``0..n-1``."""
-        if not 0 <= pid < self.n:
-            raise ValueError(f"process id {pid} out of range 0..{self.n - 1}")
+    def validate_endpoints(self, sender: int, dest: int) -> None:
+        """Raise ``ValueError`` naming the first of the two outside ``0..n-1``.
+
+        The cold path of the bounds check every send makes.
+        """
+        for pid in (sender, dest):
+            if not 0 <= pid < self.n:
+                raise ValueError(f"process id {pid} out of range 0..{self.n - 1}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -159,11 +159,21 @@ class SearchOutcome:
     runs: int
     violation: Optional[str] = None
     token: Optional[str] = None
-    exhausted: bool = False
+    #: The frontier ran empty before the run or wall budget did.
+    drained: bool = False
+    #: Alternatives the DFS saw but never pushed: those past ``fanout_cap``
+    #: at a decision, and every alternative at a decision deeper than
+    #: ``max_decisions``.
+    alternatives_cut: int = 0
 
     @property
     def found(self) -> bool:
         return self.violation is not None
+
+    @property
+    def exhausted(self) -> bool:
+        """Every schedule of the space ran: drained, and nothing was cut."""
+        return self.drained and self.alternatives_cut == 0
 
 
 def format_token(spec: SearchSpec, choices: Sequence[int]) -> str:
@@ -270,8 +280,10 @@ def search(
     real time spent.  Every executed schedule expands the frontier with
     each untaken alternative at each decision beyond its own prefix
     (branch points are taken from the *executed* trail, so no schedule is
-    ever run twice).  Returns the first violation's token, or an
-    exhausted/budget-spent outcome with the run count.
+    ever run twice).  Returns the first violation's token, or a
+    budget-spent or drained-frontier outcome with the run count and the
+    number of alternatives the caps cut; the outcome is ``exhausted`` only
+    when the frontier drained with none cut.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -282,9 +294,10 @@ def search(
     deadline = None if wall_budget is None else _time.monotonic() + wall_budget
     stack: List[Tuple[int, ...]] = [()]
     runs = 0
+    cut = 0
     while stack:
         if runs >= budget or (deadline is not None and _time.monotonic() > deadline):
-            return SearchOutcome(spec=spec, runs=runs)
+            return SearchOutcome(spec=spec, runs=runs, alternatives_cut=cut)
         prefix = stack.pop()
         result = run_schedule(spec, prefix)
         runs += 1
@@ -294,17 +307,21 @@ def search(
                 runs=runs,
                 violation=result.violation,
                 token=result.token,
+                alternatives_cut=cut,
             )
         # Expand: one frontier node per untaken alternative at each decision
         # past this schedule's prefix.  Pushing deeper decisions first makes
-        # the pop order depth-first from the shallowest divergence.
+        # the pop order depth-first from the shallowest divergence.  What
+        # the caps keep out of the frontier is counted, never silently lost.
         limit = min(len(result.trail), max_decisions)
+        cut += sum(fanout - 1 for fanout in result.fanouts[max(limit, len(prefix)) :])
         for depth in range(limit - 1, len(prefix) - 1, -1):
             fanout = min(result.fanouts[depth], fanout_cap)
+            cut += result.fanouts[depth] - fanout
             base = result.trail[:depth]
             for choice in range(1, fanout):
                 stack.append(base + (choice,))
-    return SearchOutcome(spec=spec, runs=runs, exhausted=True)
+    return SearchOutcome(spec=spec, runs=runs, drained=True, alternatives_cut=cut)
 
 
 def search_all(

@@ -13,10 +13,14 @@ than one step per live process plus the scheduled faults -- and messages in
 flight as ``(time, sequence, dest, sender, payload, send_time, msg_id)``
 tuples.  The loop dispatches whichever head is smaller under ``(time,
 sequence)``, which is unique, so the order is that of one merged queue.  A
-send therefore costs what is ever read of it: one flat tuple while in flight,
-and the :class:`~repro.network.message.Message` envelope only when the
-delivery is dispatched -- under the paper's "one for all" rule most messages
-of a large run are still in flight when everybody has decided.  The loop body
+send therefore costs what is ever read of it: the network's accounting done
+inline, with no call into :class:`~repro.network.transport.Network` (a
+bounds check, one counter bump that is also the ``msg_id``, one byte-count
+add sized once per broadcast, and a pop from the network's delay cache), one
+flat tuple while in flight, and the
+:class:`~repro.network.message.Message` envelope only when the delivery is
+dispatched -- under the paper's "one for all" rule most messages of a large
+run are still in flight when everybody has decided.  The loop body
 of :meth:`SimulationKernel.run_batch` is the one definition of a delivery, a
 process step (first or resumed) and the send, broadcast and wait effects,
 quiescence is a live counter instead of a per-event scan, and trace strings
@@ -97,6 +101,11 @@ _EFFECT_TYPES = frozenset({SendEffect, BroadcastEffect, WaitEffect, SharedMemEff
 #: skipping the ``Message.__new__`` wrapper frame; equivalent to
 #: ``Message(sender, dest, payload, send_time, msg_id)``.
 _tuple_new = tuple.__new__
+
+
+def _no_network(payload: Any) -> int:
+    """The send path's payload sizer when no network is attached: refuse."""
+    raise RuntimeError("no network attached; cannot handle SendEffect")
 
 
 def _effect_base(cls: type) -> Optional[type]:
@@ -496,7 +505,10 @@ class SimulationKernel:
         intervening call frames; the recover replay re-queues its backlog and
         so comes back through the same code.  A broadcast is walked here, one
         destination per step through the one send site, and its generator is
-        resumed once at the end.  Only the fault events and the shared-memory
+        resumed once at the end.  That send site does the accounting of
+        :meth:`~repro.network.transport.Network.transmit` inline, and
+        ``tests/test_kernel_send.py`` holds the two to the same ids, delays,
+        counters and errors.  Only the fault events and the shared-memory
         and local-step effects are methods.  The golden tests pin what an
         event does: full e1-e11 summaries against a pre-refactor fixture, and
         whole traces against the digests of the single-heap loop.
@@ -524,7 +536,21 @@ class SimulationKernel:
             # pid sets keep the dict.
             processes = [processes[index] for index in range(len(processes))]
         network = self._network
-        net_stats = network.stats if network is not None else None
+        if network is None:
+            net_stats = None
+            size_of = _no_network
+        else:
+            # The send path's handles into the network, hoisted like the
+            # counters: the delay cache is one list for the network's life
+            # (refilled in place), so its bound ``pop`` stays valid across
+            # refills, including those an adversary's ``sample_delay`` does.
+            net_stats = network.stats
+            net_n = network.n
+            delay_cache = network._delay_cache
+            pop_delay = delay_cache.pop
+            refill_delays = network._refill
+            self_delay_factor = network.self_delay_factor
+            size_of = network.payload_bytes
         sched_random = self._sched_random
         effect_handlers = self._effect_handlers
         config = self.config
@@ -615,9 +641,8 @@ class SimulationKernel:
                     proc.mailbox.append(payload)
                     if net_stats is not None:
                         # Network.record_delivery, inlined (it remains the public
-                        # seam); a delivery entry's pid is the message's dest.
+                        # seam).
                         net_stats.messages_delivered += 1
-                        net_stats.delivered_to_process[pid] += 1
                     if state is blocked:
                         result = proc.wait_predicate(proc.mailbox)
                         if result is not None:
@@ -692,10 +717,14 @@ class SimulationKernel:
                                     f"process {pid} yielded {effect!r}, which has no destination"
                                 )
                             dests.reverse()
-                            broadcast = proc.broadcast = (dests, effect.payload)
+                            # The cursor carries the payload's byte charge,
+                            # sized once for every destination.
+                            payload = effect.payload
+                            broadcast = proc.broadcast = (dests, payload, size_of(payload))
                         elif cls is SendEffect:
                             dest = effect.dest
                             payload = effect.payload
+                            size = size_of(payload)
                         elif cls is WaitEffect:
                             result = effect.predicate(proc.mailbox)
                             if result is not None:
@@ -720,17 +749,28 @@ class SimulationKernel:
                         # A broadcast in progress: this step is the send to its
                         # next destination, accounted like a ``ctx.send``.  The
                         # generator is resumed by the step after the last one.
-                        dests, payload = broadcast
+                        dests, payload, size = broadcast
                         dest = dests.pop()
                         if not dests:
                             proc.broadcast = None
                         stats.messages_sent += 1
                     # The one send: a SendEffect, or one destination of a
-                    # BroadcastEffect.  The message stays flat while in flight.
-                    if network is None:
-                        raise RuntimeError("no network attached; cannot handle SendEffect")
+                    # BroadcastEffect.  Network.transmit, inlined (it remains
+                    # the public seam and the reference): bounds check, the
+                    # counter bump that is the msg_id, the byte charge and
+                    # one draw from the delay cache.  The message stays flat
+                    # while in flight.
+                    if not (0 <= pid < net_n and 0 <= dest < net_n):
+                        network.validate_endpoints(pid, dest)
+                    msg_id = net_stats.messages_sent + 1
+                    net_stats.messages_sent = msg_id
+                    net_stats.bytes_sent += size
+                    if not delay_cache:
+                        refill_delays()
+                    delay = pop_delay()
+                    if pid == dest:
+                        delay *= self_delay_factor
                     now = self.now
-                    msg_id, delay = network.transmit(pid, dest, payload)
                     if trace_enabled:
                         trace.record(now, "send", pid, f"to={dest} {payload!r}", {"dest": dest})
                     if not faults_links:

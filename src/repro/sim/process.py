@@ -80,10 +80,10 @@ class SimProcess:
         self.mailbox = [] if mailbox is None else mailbox
         self.wait_predicate = wait_predicate
         #: The broadcast in progress, as ``(destinations still owed in
-        #: reverse order, payload)``, or ``None``: while set, each step of
-        #: the process is the send to the next destination (see
-        #: :class:`~repro.sim.context.BroadcastEffect`).
-        self.broadcast: Optional[Tuple[List[int], Any]] = None
+        #: reverse order, payload, payload byte size)``, or ``None``: while
+        #: set, each step of the process is the send to the next destination
+        #: (see :class:`~repro.sim.context.BroadcastEffect`).
+        self.broadcast: Optional[Tuple[List[int], Any, int]] = None
         self.decision = decision
         self.decision_time = decision_time
         self.crash_time = crash_time

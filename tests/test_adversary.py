@@ -372,7 +372,8 @@ def test_outage_inside_a_broadcast_resumes_it_at_the_next_destination():
     assert recover.data == {"replayed": 2}  # its own "ping" and the backlogged step
     proc = kernel.process(0)
     assert proc.broadcast is None and not proc.paused_backlog
-    assert proc.stats.messages_sent == network.stats.sent_by_process[0] == n
+    assert proc.stats.messages_sent == network.stats.messages_sent == n
+    assert [len(kernel.process(pid).mailbox) for pid in range(1, n)] == [1] * (n - 1)
     assert proc.stats.steps == n + 1  # the buffered dispatch is not a step
     assert result.decisions == {0: "sent", **{pid: "ping" for pid in range(1, n)}}
 

@@ -313,6 +313,15 @@ def test_search_on_a_real_algorithm_is_clean(capsys):
     assert "no violation" in out
 
 
+def test_search_says_which_way_it_stopped(capsys):
+    args = ("search", "--algorithm", "shared-memory", "--n", "3", "--budget", "1000")
+    code, out, _ = run_cli(capsys, *args, "--fanout", "2")
+    assert code == 0
+    assert "no violation in 64 schedules (not exhausted: 21 alternatives cut by the caps)" in out
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and "no violation in 216 schedules (space exhausted)" in out
+
+
 def test_search_malformed_replay_token_is_an_error(capsys):
     code, _, err = run_cli(capsys, "search", "--replay", "not-a-token")
     assert code == 2

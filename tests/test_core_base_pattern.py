@@ -1,5 +1,10 @@
 """Unit tests for the core definitions and the msg_exchange scan logic."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from tests.helpers import make_message
@@ -8,6 +13,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.coins.local import DeterministicCoin
 from repro.core.base import (
     BOT,
+    BOTTOM_HASH,
     DecideMessage,
     PhaseMessage,
     ProcessEnvironment,
@@ -25,6 +31,28 @@ def test_bot_is_a_singleton_with_nice_repr():
     assert BOT is _Bottom()
     assert repr(BOT) == "⊥"
     assert BOT not in (0, 1)
+
+
+def test_bot_hashes_to_a_constant_in_every_interpreter():
+    """Two fresh interpreters, two hash seeds: one ``hash(BOT)``, one set order."""
+    repo_root = pathlib.Path(__file__).resolve().parent.parent
+    probe = (
+        "from repro.core.base import BOT\n"
+        "print(hash(BOT))\n"
+        "print(repr({0, BOT, 1, 8, 2, 24, 3, 40}))\n"
+        "print(repr({(0, BOT), (1, BOT), BOT, 5}))\n"
+    )
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = str(repo_root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].decode().splitlines()[0] == str(BOTTOM_HASH)
+    assert outputs[0] == outputs[1]
 
 
 def test_validate_proposal_accepts_only_bits():

@@ -118,14 +118,13 @@ def test_network_counts_traffic_and_assigns_ids():
     first = net.prepare(sender=0, dest=1, payload="abc", time=0.0)
     second = net.prepare(sender=1, dest=0, payload="d", time=1.0)
     assert first.msg_id != second.msg_id
+    # The counter is the id: ids run 1, 2, ... in send order.
+    assert (first.msg_id, second.msg_id) == (1, 2)
     assert net.stats.messages_sent == 2
     assert net.stats.bytes_sent == 4
-    assert net.stats.sent_by_process[0] == 1
     net.record_delivery(first)
     assert net.stats.messages_delivered == 1
-    assert net.stats.delivered_to_process[1] == 1
-    assert net.stats.sent_by_kind["str"] == 2
-    assert "messages_sent" in net.stats.as_dict()
+    assert net.stats.as_dict()["messages_sent"] == 2
 
 
 def test_self_messages_are_faster():

@@ -210,6 +210,20 @@ def test_search_respects_its_run_budget():
     assert not outcome.found
 
 
+def test_search_is_exhausted_only_when_nothing_was_cut():
+    """A drained frontier is exhaustion only if no cap kept an alternative out."""
+    spec = SearchSpec("shared-memory", n=3, seed=0)
+    capped = search(spec, budget=1000, fanout_cap=2)
+    assert (capped.runs, capped.drained, capped.exhausted) == (64, True, False)
+    assert capped.alternatives_cut > 0
+    shallow = search(spec, budget=1000, max_decisions=2)
+    assert shallow.drained and not shallow.exhausted and shallow.alternatives_cut > 0
+    full = search(spec, budget=1000, fanout_cap=4)
+    assert (full.runs, full.exhausted, full.alternatives_cut) == (216, True, 0)
+    spent = search(spec, budget=10)
+    assert (spent.runs, spent.drained, spent.exhausted) == (10, False, False)
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_real_algorithms_survive_the_search_budget(algorithm):
     outcome = search(SearchSpec(algorithm=algorithm), budget=60)

@@ -1,13 +1,14 @@
 """Unit tests of the discrete-event kernel: scheduling, effects, crashes."""
 
 import ast
+import dataclasses
 import inspect
 
 import pytest
 
 import repro.sim.kernel as kernel_module
 from repro.network.delays import ConstantDelay
-from repro.network.transport import Network
+from repro.network.transport import Network, TrafficStats
 from repro.network.message import Message
 from repro.sim.context import BroadcastEffect, LocalEffect, SendEffect, SharedMemEffect, WaitEffect
 from repro.sim.events import EventKind, ProcessStart, ScheduledEvent, StepResume, describe
@@ -357,16 +358,50 @@ def _message_constructions(tree):
     )
 
 
+def _calls_of_name(tree, name):
+    """How many calls in ``tree`` are made on the bare name ``name``."""
+    return sum(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+        for node in ast.walk(tree)
+    )
+
+
+def _stores_of(tree, owner, attribute):
+    """Assignments (plain or augmented) in ``tree`` to ``owner.attribute``."""
+
+    def is_target(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == attribute
+            and isinstance(node.value, ast.Name)
+            and node.value.id == owner
+        )
+
+    return sum(
+        (isinstance(node, ast.Assign) and any(map(is_target, node.targets)))
+        or (isinstance(node, ast.AugAssign) and is_target(node.target))
+        for node in ast.walk(tree)
+    )
+
+
 def test_each_kernel_step_has_one_definition():
     """A count, not a stopwatch: a second copy of a step cannot come back unnoticed."""
     tree = ast.parse(inspect.getsource(kernel_module))
     assert _calls_of(tree, "generator", "send") == 1  # the process step
-    assert _calls_of(tree, "transmit") == 1  # the send, of a SendEffect or of a broadcast
     assert _calls_of(tree, "mailbox", "append") == 1  # the delivery
     (run_batch,) = [
         node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "run_batch"
     ]
     assert _message_constructions(run_batch) == 1  # the envelope, built when dispatched
+    # The send, of a SendEffect or of a broadcast: accounted inline, with no
+    # per-send call into the network.
+    assert _calls_of(tree, "transmit") == 0
+    assert _calls_of_name(tree, "pop_delay") == 1  # the delay-cache pop
+    assert _stores_of(tree, "net_stats", "messages_sent") == 1  # the msg_id bump
+    assert _stores_of(tree, "net_stats", "bytes_sent") == 1
+    # What the send no longer maintains: per-process and per-kind tallies.
+    stats = TrafficStats()
+    assert [f.name for f in dataclasses.fields(stats) if isinstance(getattr(stats, f.name), dict)] == []
 
 
 # ------------------------------------------------ what a send costs, as counts
@@ -440,7 +475,9 @@ def test_a_broadcast_resumes_its_generator_once():
     assert result.decisions[0] == "done"
     # One send per destination, each its own step, then the step that returns.
     assert sender.stats.steps == n + 1 and sender.stats.messages_sent == n
-    assert network.stats.sent_by_process[0] == n
+    assert network.stats.messages_sent == n
+    # Everybody decided before the first delivery: one message per destination in flight.
+    assert sorted((entry[3], entry[2]) for entry in kernel._inflight) == [(0, pid) for pid in range(n)]
     # Resumed to yield the broadcast, and once more when it is exhausted.
     assert sender.generator.sends == 2
 
@@ -478,8 +515,8 @@ def test_crash_inside_a_broadcast_delivers_to_a_prefix_only():
     prefix = [0, 1, 2, 3]
     assert [entry.data["dest"] for entry in kernel.trace.of_kind("send")] == prefix
     stats = kernel.process(0).stats
-    assert stats.messages_sent == network.stats.sent_by_process[0] == len(prefix)
-    assert network.stats.messages_sent == len(prefix)
+    assert stats.messages_sent == network.stats.messages_sent == len(prefix)
+    assert [len(kernel.process(pid).mailbox) for pid in range(1, n)] == [1, 1, 1, 0, 0, 0, 0]
     # The sender's own copy reaches a crashed process; the rest of the prefix decides.
     assert kernel.dropped_deliveries == 1
     assert result.decisions == {1: "got", 2: "got", 3: "got"}
