@@ -17,12 +17,14 @@ acceptance evidence that the hot-path refactor changed no observable
 behaviour.  Regenerate the fixture only for a deliberate, understood
 behaviour change: ``python scripts/gen_golden_summaries.py``.
 
-The fixture holds summaries only, so three whole traces are pinned as well
+The fixture holds summaries only, so whole traces are pinned as well
 (``TRACE_DIGESTS``): every entry's time, kind, pid, detail and data, hashed.
-The literals are what the single-heap loop of commit ``10673c5`` printed --
-before messages in flight moved to a heap of their own and a broadcast became
-one effect -- so event order, every ``send``/``event``/``omit`` record and
-every timestamp are shown equal, not inferred from the totals.
+The three ``e9-*``/``flood`` literals are what the single-heap loop of commit
+``10673c5`` printed -- before messages in flight moved to a heap of their own
+and a broadcast became one effect -- so event order, every
+``send``/``event``/``omit`` record and every timestamp are shown equal, not
+inferred from the totals.  The four per-algorithm literals were taken before
+the six copied round loops became bindings of two shared round bodies.
 """
 
 import hashlib
@@ -81,14 +83,17 @@ def test_kernel_reproduces_prerefactor_summaries(golden_fixture, current_summari
 
 
 # ------------------------------------------------------------ whole traces
-def _e9_kernel(scenario, seed):
-    """One traced run of the e9 plan's configuration under ``scenario``@0.3."""
+def _e9_kernel(scenario, seed, algorithm="hybrid-local-coin"):
+    """One traced run of the e9 plan's configuration under ``scenario``@0.3.
+
+    ``scenario=None`` runs the same configuration fault-free.
+    """
     config = ExperimentConfig(
         topology=ClusterTopology.even_split(6, 3),
-        algorithm="hybrid-local-coin",
+        algorithm=algorithm,
         proposals="split",
         seed=seed,
-        scenario=build_scenario(scenario, n=6, intensity=0.3),
+        scenario=None if scenario is None else build_scenario(scenario, n=6, intensity=0.3),
         sim=SimConfig(max_rounds=30, max_time=5e4, trace=True),
     )
     kernel = prepare_consensus(config).kernel
@@ -115,7 +120,7 @@ def _flood_kernel(n=16, rounds=2):
     return kernel
 
 
-#: name -> (run, trace kinds it must exercise, entries, SHA-256 at 10673c5).
+#: name -> (run, trace kinds it must exercise, entries, SHA-256).
 TRACE_DIGESTS = {
     "e9-chaos": (
         lambda: _e9_kernel("chaos", seed=1),
@@ -130,6 +135,32 @@ TRACE_DIGESTS = {
         339,
         "204b683d5e805ba655e6d8ec33ab03fc61ce5408b51ae61f308fb42d609e6d3a",
     ),
+    # One fault-free run of each other message-passing algorithm, pinned
+    # before their rounds became bindings of the two shared round bodies.
+    "ben-or": (
+        lambda: _e9_kernel(None, seed=1, algorithm="ben-or"),
+        {"send", "event", "round", "block", "decide"},
+        1800,
+        "e131632b251aab144d8c3748bfd930c5c8bd46d0eb9ba47e3a3b4aed10b4828b",
+    ),
+    "mm-local-coin": (
+        lambda: _e9_kernel(None, seed=1, algorithm="mm-local-coin"),
+        {"send", "event", "round", "sm-op", "block", "decide"},
+        1788,
+        "ab9c0a69e923cf1b6d99a38ca82a9440be672003b8d7141c28e0b3765744988b",
+    ),
+    "mp-common-coin": (
+        lambda: _e9_kernel(None, seed=1, algorithm="mp-common-coin"),
+        {"send", "event", "round", "block", "decide"},
+        587,
+        "8319908ebb65ac981f6891aaf61ce6c7e8d230663b64ce02f4e1a28667797678",
+    ),
+    "hybrid-common-coin": (
+        lambda: _e9_kernel(None, seed=1, algorithm="hybrid-common-coin"),
+        {"send", "event", "round", "sm-op", "block", "decide"},
+        416,
+        "dc4ba86a8758349ea46c64871fa1f36ada4a6adaf8a505e5aa717bff49e1724a",
+    ),
     "flood-n16": (
         _flood_kernel,
         {"send", "event", "block", "decide"},
@@ -142,8 +173,9 @@ TRACE_DIGESTS = {
 def _set_reprs_sorted(detail):
     """``detail`` with every ``frozenset({...})`` written in sorted order.
 
-    ``⊥`` hashes by address, so the order a set repr lists it in is the one
-    thing in a trace that differs between two interpreters.
+    ``⊥`` hashes to the constant ``BOTTOM_HASH``, so a set repr already
+    prints the same in every interpreter; the sort stays because the pinned
+    literals were computed over sorted reprs.
     """
     return re.sub(
         r"frozenset\(\{([^{}]*)\}\)",
