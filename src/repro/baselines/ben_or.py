@@ -9,66 +9,10 @@ hybrid algorithm (with a majority cluster) can, and experiment E6 checks that
 Algorithm 2 with singleton clusters behaves like this baseline.
 """
 
-from __future__ import annotations
-
-from typing import Any, Optional
-
-from ..core.base import (
-    BOT,
-    ConsensusProcess,
-    ProcessEnvironment,
-    ProtocolInvariantError,
-    validate_proposal,
-)
-from ..core.pattern import msg_exchange
+from ..core.local_coin import LocalCoinRound
 
 
-class BenOrConsensus(ConsensusProcess):
-    """One process's instance of Ben-Or's algorithm."""
+class BenOrConsensus(LocalCoinRound):
+    """One process's instance of Ben-Or's algorithm: the local-coin round's defaults."""
 
     algorithm_name = "ben-or"
-
-    def __init__(self, env: ProcessEnvironment, tag: Optional[str] = None) -> None:
-        super().__init__(env, tag)
-        if env.local_coin is None:
-            raise ValueError("Ben-Or needs a local coin")
-
-    def run(self, ctx):
-        env = self.env
-        topology = env.topology
-        est1: Any = validate_proposal(env.proposal)
-        round_number = 0
-        while True:
-            round_number += 1
-            ctx.mark_round(round_number)
-
-            # Phase 1: try to identify a value supported by a majority of senders.
-            outcome = yield from msg_exchange(
-                ctx, env, round_number, 1, est1, self.tag, expand_clusters=False
-            )
-            if outcome.is_decide:
-                return (yield from self.broadcast_decide(ctx, outcome.decide_value))
-            majority_value = outcome.majority_value(topology)
-            est2: Any = majority_value if majority_value is not None else BOT
-
-            # Phase 2: decide, adopt or flip.
-            outcome = yield from msg_exchange(
-                ctx, env, round_number, 2, est2, self.tag, expand_clusters=False
-            )
-            if outcome.is_decide:
-                return (yield from self.broadcast_decide(ctx, outcome.decide_value))
-            received = set(outcome.values_received)
-            championed = received - {BOT}
-            if len(championed) > 1:
-                raise ProtocolInvariantError(
-                    f"round {round_number}: distinct championed values {championed} received; "
-                    "two strict majorities of senders cannot support different values"
-                )
-            if championed and BOT not in received:
-                value = championed.pop()
-                return (yield from self.broadcast_decide(ctx, value))
-            if championed:
-                est1 = next(iter(championed))
-            else:
-                ctx.count_coin_flip()
-                est1 = env.local_coin.flip()

@@ -10,48 +10,13 @@ Raynal (2005) -- the algorithm Algorithm 3 extends.  It requires a strict
 majority of correct processes.
 """
 
-from __future__ import annotations
-
-from typing import Any, Optional
-
-from ..core.base import ConsensusProcess, ProcessEnvironment, validate_proposal
-from ..core.pattern import msg_exchange
+from ..core.common_coin import CommonCoinRound
 
 
-class MessagePassingCommonCoinConsensus(ConsensusProcess):
-    """One process's instance of the pure message-passing common-coin algorithm."""
+class MessagePassingCommonCoinConsensus(CommonCoinRound):
+    """One process's instance of the pure message-passing common-coin algorithm.
+
+    The common-coin round's defaults: no pre-agreement, sender-only attribution.
+    """
 
     algorithm_name = "mp-common-coin"
-
-    SINGLE_PHASE = 1
-
-    def __init__(self, env: ProcessEnvironment, tag: Optional[str] = None) -> None:
-        super().__init__(env, tag)
-        if env.common_coin is None:
-            raise ValueError("the common-coin baseline needs a common coin")
-
-    def run(self, ctx):
-        env = self.env
-        topology = env.topology
-        est: Any = validate_proposal(env.proposal)
-        round_number = 0
-        while True:
-            round_number += 1
-            ctx.mark_round(round_number)
-
-            outcome = yield from msg_exchange(
-                ctx, env, round_number, self.SINGLE_PHASE, est, self.tag, expand_clusters=False
-            )
-            if outcome.is_decide:
-                return (yield from self.broadcast_decide(ctx, outcome.decide_value))
-
-            ctx.count_coin_flip()
-            coin_bit = env.common_coin.bit(round_number, ctx.pid)
-
-            majority_value = outcome.majority_value(topology)
-            if majority_value is not None:
-                est = majority_value
-                if coin_bit == majority_value:
-                    return (yield from self.broadcast_decide(ctx, majority_value))
-            else:
-                est = coin_bit

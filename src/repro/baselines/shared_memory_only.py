@@ -19,11 +19,15 @@ class SharedMemoryConsensus(ConsensusProcess):
     """Deterministic wait-free consensus through one cluster consensus object."""
 
     algorithm_name = "shared-memory"
+    shared_memory = "cluster"
+
+    @staticmethod
+    def termination_holds(topology, correct) -> bool:
+        """Wait-free: one correct process suffices."""
+        return True
 
     def __init__(self, env: ProcessEnvironment, tag: Optional[str] = None) -> None:
         super().__init__(env, tag)
-        if env.memory is None:
-            raise ValueError("the shared-memory baseline needs a cluster memory")
         if len(env.topology.cluster_of(env.pid)) != env.topology.n:
             raise ValueError(
                 "the shared-memory baseline only applies when all processes share one cluster (m=1)"

@@ -129,16 +129,49 @@ class ProcessEnvironment:
         return self.topology.cluster_of(self.pid)
 
 
+def majority_correct(topology: ClusterTopology, correct) -> bool:
+    """Message passing's termination condition: a strict majority of processes is correct."""
+    return topology.is_majority(len(correct))
+
+
+def cluster_condition(topology: ClusterTopology, correct) -> bool:
+    """The paper's termination condition: clusters with a correct member cover a majority."""
+    return topology.termination_condition_holds(correct)
+
+
 class ConsensusProcess:
     """Base class of all per-process consensus algorithm instances.
 
     Subclasses implement :meth:`run` as a generator driven by the simulation
-    kernel; the generator's return value is the decided value.
+    kernel; the generator's return value is the decided value.  They also
+    declare what the harness builds for them and when they must terminate,
+    in the class attributes below; the constructor refuses an environment
+    that lacks a declared substrate.
     """
 
     algorithm_name: str = "abstract"
+    #: Phases per round, which normalises the per-phase metrics.
+    phases_per_round: int = 1
+    #: The shared memory invoked: ``"cluster"`` (``env.memory``, one per
+    #: cluster), ``"centred"`` (the m&m process-centred memories, handed to
+    #: the constructor) or ``None``.
+    shared_memory: Optional[str] = None
+    #: The coin flipped: ``"local"`` (``env.local_coin``), ``"common"``
+    #: (``env.common_coin``) or ``None``.
+    coin: Optional[str] = None
+    #: ``termination_holds(topology, correct)``: whether every correct
+    #: process must decide when exactly ``correct`` (non-empty) never crash.
+    termination_holds = staticmethod(majority_correct)
 
     def __init__(self, env: ProcessEnvironment, tag: Optional[str] = None) -> None:
+        absent = {
+            "cluster memory": self.shared_memory == "cluster" and env.memory is None,
+            "local coin": self.coin == "local" and env.local_coin is None,
+            "common coin": self.coin == "common" and env.common_coin is None,
+        }
+        missing = [substrate for substrate, is_absent in absent.items() if is_absent]
+        if missing:
+            raise ValueError(f"{self.algorithm_name} needs a {' and a '.join(missing)}")
         self.env = env
         self.tag = tag if tag is not None else self.algorithm_name
 

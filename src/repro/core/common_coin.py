@@ -10,47 +10,44 @@ it is 2 -- the property checked by experiment E4.
 
 The algorithm is the hybrid-model extension of the crash-failure version of
 the Friedman–Mostéfaoui–Raynal common-coin consensus as presented in
-Raynal's 2018 book.
+Raynal's 2018 book.  The round is written once, in :class:`CommonCoinRound`,
+whose defaults are that message-passing algorithm's; Algorithm 3 binds it
+with ``CONS_x[r]`` as the pre-agreement step and cluster attribution.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from .base import ConsensusProcess, ProcessEnvironment, validate_proposal
+from .base import ConsensusProcess, cluster_condition, validate_proposal
 from .pattern import msg_exchange
 
 
-class CommonCoinConsensus(ConsensusProcess):
-    """One process's instance of the paper's Algorithm 3."""
+class CommonCoinRound(ConsensusProcess):
+    """The single-phase common-coin round, parameterised by its bindings.
 
-    algorithm_name = "hybrid-common-coin"
+    * ``pre_agree(ctx, round_number, est)`` returns a generator whose value
+      is what the round broadcasts; ``None`` broadcasts ``est``.
+    * ``expand_clusters`` is handed to :func:`msg_exchange`.
+    """
 
-    #: Phase label used in the (single-phase) communication pattern.
-    SINGLE_PHASE = 1
-
-    def __init__(self, env: ProcessEnvironment, tag: Optional[str] = None) -> None:
-        super().__init__(env, tag)
-        if env.memory is None:
-            raise ValueError("Algorithm 3 needs the cluster shared memory")
-        if env.common_coin is None:
-            raise ValueError("Algorithm 3 needs a common coin")
+    coin = "common"
+    pre_agree = None
+    expand_clusters = False
 
     def run(self, ctx):
         env = self.env
         topology = env.topology
+        pre_agree = self.pre_agree
         est: Any = validate_proposal(env.proposal)
         round_number = 0
         while True:
             round_number += 1
             ctx.mark_round(round_number)
 
-            # Agree inside the cluster (CONS_x[r]), then exchange across clusters.
-            cons = env.memory.consensus_object(self.tag, round_number)
-            est = yield from cons.propose(ctx, est)
-            outcome = yield from msg_exchange(
-                ctx, env, round_number, self.SINGLE_PHASE, est, self.tag
-            )
+            if pre_agree is not None:
+                est = yield from pre_agree(ctx, round_number, est)
+            outcome = yield from msg_exchange(ctx, env, round_number, 1, est, self.tag, self.expand_clusters)
             if outcome.is_decide:
                 return (yield from self.broadcast_decide(ctx, outcome.decide_value))
 
@@ -65,3 +62,16 @@ class CommonCoinConsensus(ConsensusProcess):
                     return (yield from self.broadcast_decide(ctx, majority_value))
             else:
                 est = coin_bit
+
+
+class CommonCoinConsensus(CommonCoinRound):
+    """One process's instance of the paper's Algorithm 3."""
+
+    algorithm_name = "hybrid-common-coin"
+    shared_memory = "cluster"
+    expand_clusters = True
+    termination_holds = staticmethod(cluster_condition)
+
+    def pre_agree(self, ctx, round_number: int, est: Any):
+        """Agree inside the cluster first: ``est`` proposed to ``CONS_x[r]``."""
+        return self.env.memory.consensus_object(self.tag, round_number).propose(ctx, est)

@@ -19,7 +19,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "plan_grid", "plan_repeat", "plan_sweep", "read_manifests", "run_plan", "run_shard",
             "variation_points",
         ],
-        "metrics": ["PHASES_PER_ROUND", "RunMetrics", "collect_metrics", "numeric_metric_values"],
+        "metrics": ["RunMetrics", "collect_metrics", "numeric_metric_values"],
         "parallel": [
             "WORKERS_ENV_VAR", "available_cpus", "default_chunksize", "default_workers",
             "resolve_workers", "run_many", "worker_pool",

@@ -16,17 +16,6 @@ from ..sharedmem.memory import ClusterSharedMemory
 from ..sim.kernel import SimulationResult
 
 
-#: Phases per round for each algorithm (used to normalise per-phase counts).
-PHASES_PER_ROUND = {
-    "hybrid-local-coin": 2,
-    "hybrid-common-coin": 1,
-    "ben-or": 2,
-    "mp-common-coin": 1,
-    "shared-memory": 1,
-    "mm-local-coin": 2,
-}
-
-
 @dataclass
 class RunMetrics:
     """Aggregate measurements of one consensus run."""
@@ -108,6 +97,7 @@ class RunMetrics:
 
 def collect_metrics(
     algorithm: str,
+    phases_per_round: int,
     seed: int,
     topology,
     result: SimulationResult,
@@ -139,7 +129,7 @@ def collect_metrics(
         correct_deciders=len([pid for pid in result.decisions if pid in result.correct]),
         rounds_max=max(participant_rounds + decider_rounds, default=0),
         rounds_mean=(sum(decider_rounds) / len(decider_rounds)) if decider_rounds else 0.0,
-        phases_per_round=PHASES_PER_ROUND.get(algorithm, 1),
+        phases_per_round=phases_per_round,
         messages_sent=network.stats.messages_sent,
         messages_delivered=network.stats.messages_delivered,
         bytes_sent=network.stats.bytes_sent,

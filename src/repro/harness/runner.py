@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Type
 
 from ..adversary.adaptive import build_adversary
 from ..adversary.scenario import Scenario
@@ -23,7 +23,7 @@ from ..cluster.failures import FailurePattern
 from ..cluster.topology import ClusterTopology
 from ..coins.common import CommonCoin
 from ..coins.local import LocalCoin
-from ..core.base import ProcessEnvironment
+from ..core.base import ConsensusProcess, ProcessEnvironment
 from ..core.common_coin import CommonCoinConsensus
 from ..core.local_coin import LocalCoinConsensus
 from ..core.properties import PropertyReport, verify_run
@@ -38,20 +38,15 @@ from ..sim.rng import RandomSource
 from .metrics import RunMetrics, collect_metrics
 from .workloads import ProposalSpec, resolve_proposals
 
-#: Algorithms runnable through the harness, with their requirements.
-ALGORITHMS = (
-    "hybrid-local-coin",
-    "hybrid-common-coin",
-    "ben-or",
-    "mp-common-coin",
-    "shared-memory",
-    "mm-local-coin",
-)
-
-#: Algorithms whose termination only needs the paper's cluster condition.
-_CLUSTER_CONDITION_ALGORITHMS = {"hybrid-local-coin", "hybrid-common-coin"}
-#: Algorithms that need a strict majority of correct processes.
-_MAJORITY_ALGORITHMS = {"ben-or", "mp-common-coin", "mm-local-coin"}
+#: name -> class of every algorithm runnable through the harness.  Each class
+#: declares what the harness builds for it (shared memory, coin) and its
+#: termination condition; see :class:`~repro.core.base.ConsensusProcess`.
+ALGORITHM_CLASSES: Dict[str, Type[ConsensusProcess]] = {
+    cls.algorithm_name: cls
+    for cls in (LocalCoinConsensus, CommonCoinConsensus, BenOrConsensus,
+                MessagePassingCommonCoinConsensus, SharedMemoryConsensus, MMConsensus)
+}
+ALGORITHMS = tuple(ALGORITHM_CLASSES)
 
 
 @dataclass
@@ -59,7 +54,7 @@ class ExperimentConfig:
     """Everything needed to reproduce one consensus run."""
 
     topology: ClusterTopology
-    algorithm: str = "hybrid-local-coin"
+    algorithm: str = LocalCoinConsensus.algorithm_name
     proposals: ProposalSpec = "split"
     failure_pattern: FailurePattern = field(default_factory=FailurePattern.none)
     seed: int = 0
@@ -112,6 +107,7 @@ def termination_expected(
 ) -> bool:
     """Whether the algorithm is *expected* to terminate under this pattern.
 
+    Each algorithm's class declares the condition (``termination_holds``).
     Hybrid algorithms need the paper's cluster condition; pure message-passing
     algorithms (and the m&m analogue) need a strict majority of correct
     processes; the single-cluster shared-memory baseline only needs one
@@ -122,55 +118,10 @@ def termination_expected(
     """
     if scenario is not None and not scenario.liveness_preserving:
         return False
+    if algorithm not in ALGORITHM_CLASSES:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     correct = failure_pattern.correct(topology.n)
-    if not correct:
-        return False
-    if algorithm in _CLUSTER_CONDITION_ALGORITHMS:
-        return topology.termination_condition_holds(correct)
-    if algorithm in _MAJORITY_ALGORITHMS:
-        return topology.is_majority(len(correct))
-    if algorithm == "shared-memory":
-        return True
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def _build_algorithm(
-    config: ExperimentConfig,
-    pid: int,
-    proposal: int,
-    memories: Sequence[ClusterSharedMemory],
-    mm_memories,
-    mm_domain,
-    local_coins: Mapping[int, LocalCoin],
-    common_coin: Optional[CommonCoin],
-):
-    topology = config.topology
-    cluster_memory = memories[topology.cluster_index_of(pid)] if memories else None
-    env = ProcessEnvironment(
-        pid=pid,
-        proposal=proposal,
-        topology=topology,
-        memory=cluster_memory,
-        local_coin=local_coins.get(pid),
-        common_coin=common_coin,
-    )
-    tag = config.tag
-    if config.algorithm == "hybrid-local-coin":
-        return LocalCoinConsensus(env, tag)
-    if config.algorithm == "hybrid-common-coin":
-        return CommonCoinConsensus(env, tag)
-    if config.algorithm == "ben-or":
-        env.memory = None
-        return BenOrConsensus(env, tag)
-    if config.algorithm == "mp-common-coin":
-        env.memory = None
-        return MessagePassingCommonCoinConsensus(env, tag)
-    if config.algorithm == "shared-memory":
-        return SharedMemoryConsensus(env, tag)
-    if config.algorithm == "mm-local-coin":
-        env.memory = None
-        return MMConsensus(env, mm_domain, mm_memories, tag)
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")  # pragma: no cover
+    return bool(correct) and ALGORITHM_CLASSES[algorithm].termination_holds(topology, correct)
 
 
 @dataclass
@@ -197,6 +148,7 @@ class PreparedRun:
         topology = config.topology
         metrics = collect_metrics(
             algorithm=config.algorithm,
+            phases_per_round=ALGORITHM_CLASSES[config.algorithm].phases_per_round,
             seed=config.seed,
             topology=topology,
             result=sim_result,
@@ -236,6 +188,7 @@ def prepare_consensus(
     part of :class:`ExperimentConfig` (they would not belong in a sweep-plan
     fingerprint).
     """
+    cls = ALGORITHM_CLASSES[config.algorithm]
     topology = config.topology
     rng = RandomSource(config.seed)
     kernel = SimulationKernel(config=config.sim, rng=rng)
@@ -244,53 +197,46 @@ def prepare_consensus(
 
     proposals = resolve_proposals(config.proposals, topology.n, rng.stream("proposals"))
 
-    needs_cluster_memory = config.algorithm in ("hybrid-local-coin", "hybrid-common-coin", "shared-memory")
-    memories: List[ClusterSharedMemory] = (
-        build_cluster_memories(topology, config.consensus_kind) if needs_cluster_memory else []
-    )
-
-    mm_domain = None
-    mm_memories = None
-    if config.algorithm == "mm-local-coin":
+    memories: List[ClusterSharedMemory] = []  # every memory the run touches, for its metrics
+    extra: tuple = ()  # the m&m constructor's domain and centred memories
+    if cls.shared_memory == "cluster":
+        memories = build_cluster_memories(topology, config.consensus_kind)
+    elif cls.shared_memory == "centred":
         mm_domain = config.mm_domain or SharedMemoryDomain.from_cluster_topology(topology)
         mm_memories = build_mm_memories(mm_domain, config.consensus_kind)
+        memories = list(mm_memories.values())
+        extra = (mm_domain, mm_memories)
 
-    needs_local_coin = config.algorithm in ("hybrid-local-coin", "ben-or", "mm-local-coin")
     local_coins: Dict[int, LocalCoin] = {}
-    if needs_local_coin:
-        if local_coin_factory is not None:
-            local_coins = {pid: local_coin_factory(pid) for pid in topology.process_ids()}
-        else:
-            local_coins = {
-                pid: LocalCoin(rng.stream("local-coin", pid)) for pid in topology.process_ids()
-            }
-
-    needs_common_coin = config.algorithm in ("hybrid-common-coin", "mp-common-coin")
-    if needs_common_coin and common_coin is None:
-        common_coin = CommonCoin(seed=config.seed)
-    if not needs_common_coin:
+    if cls.coin == "local":
+        factory = local_coin_factory or (lambda pid: LocalCoin(rng.stream("local-coin", pid)))
+        local_coins = {pid: factory(pid) for pid in topology.process_ids()}
+    if cls.coin != "common":
         common_coin = None
+    elif common_coin is None:
+        common_coin = CommonCoin(seed=config.seed)
 
     for pid in topology.process_ids():
-        algorithm = _build_algorithm(
-            config, pid, proposals[pid], memories, mm_memories, mm_domain, local_coins, common_coin
+        env = ProcessEnvironment(
+            pid=pid,
+            proposal=proposals[pid],
+            topology=topology,
+            memory=memories[topology.cluster_index_of(pid)] if cls.shared_memory == "cluster" else None,
+            local_coin=local_coins.get(pid),
+            common_coin=common_coin,
         )
-        kernel.add_process(pid, algorithm.run)
+        kernel.add_process(pid, cls(env, *extra, tag=config.tag).run)
 
     config.failure_pattern.install(kernel)
     if config.scenario is not None:
         kernel.install_adversary(build_adversary(config.scenario, rng.stream("adversary")))
-
-    all_memories: List[ClusterSharedMemory] = list(memories)
-    if mm_memories:
-        all_memories.extend(mm_memories.values())
 
     return PreparedRun(
         config=config,
         kernel=kernel,
         network=network,
         proposals=proposals,
-        memories=all_memories,
+        memories=memories,
     )
 
 

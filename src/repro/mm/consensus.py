@@ -10,10 +10,11 @@ its memories overlap.
 
 This module implements a structurally faithful analogue rather than a
 verbatim transcription of [1] (whose full pseudo-code is not in the paper
-under reproduction -- see the substitution table in DESIGN.md): a Ben-Or
-round structure in which, before broadcasting, every process invokes the
-round's consensus object in *each* of the ``α_i + 1`` centred memories it can
-access and adopts the value decided by its *own* centred memory.  Messages
+under reproduction -- see the substitution table in DESIGN.md): the Ben-Or
+round of :class:`~repro.core.local_coin.LocalCoinRound` in which, before
+broadcasting, every process invokes the round's consensus object in *each*
+of the ``α_i + 1`` centred memories it can access and adopts the value
+decided by its *own* centred memory.  Messages
 are attributed to their senders only.  The analogue preserves the invocation
 and object counts and the absence of cluster attribution, which is what
 experiment E5 measures, and it remains a correct consensus algorithm when a
@@ -25,22 +26,17 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..core.base import (
-    BOT,
-    ConsensusProcess,
-    ProcessEnvironment,
-    ProtocolInvariantError,
-    validate_proposal,
-)
-from ..core.pattern import msg_exchange
+from ..core.base import ProcessEnvironment
+from ..core.local_coin import LocalCoinRound
 from .domain import SharedMemoryDomain
 from .memory import ProcessCentredMemory, memories_accessible_by
 
 
-class MMConsensus(ConsensusProcess):
+class MMConsensus(LocalCoinRound):
     """One process's instance of the m&m-style local-coin consensus."""
 
     algorithm_name = "mm-local-coin"
+    shared_memory = "centred"
 
     def __init__(
         self,
@@ -50,14 +46,10 @@ class MMConsensus(ConsensusProcess):
         tag: Optional[str] = None,
     ) -> None:
         super().__init__(env, tag)
-        if env.local_coin is None:
-            raise ValueError("the m&m consensus needs a local coin")
-        self.domain = domain
-        self.memories = memories
         self._accessible = memories_accessible_by(env.pid, domain, memories)
         self._own_memory = memories[env.pid]
 
-    def _pre_agree(self, ctx, round_number: int, phase: int, value: Any):
+    def pre_agree(self, ctx, round_number: int, phase: int, value: Any):
         """Invoke the phase's consensus object in every accessible memory.
 
         Returns the value decided by the process's own centred memory, which
@@ -71,45 +63,3 @@ class MMConsensus(ConsensusProcess):
             if memory is self._own_memory:
                 adopted = decided
         return adopted
-
-    def run(self, ctx):
-        env = self.env
-        topology = env.topology
-        est1: Any = validate_proposal(env.proposal)
-        round_number = 0
-        while True:
-            round_number += 1
-            ctx.mark_round(round_number)
-
-            # Phase 1.
-            est1 = yield from self._pre_agree(ctx, round_number, 1, est1)
-            outcome = yield from msg_exchange(
-                ctx, env, round_number, 1, est1, self.tag, expand_clusters=False
-            )
-            if outcome.is_decide:
-                return (yield from self.broadcast_decide(ctx, outcome.decide_value))
-            majority_value = outcome.majority_value(topology)
-            est2: Any = majority_value if majority_value is not None else BOT
-
-            # Phase 2.
-            est2 = yield from self._pre_agree(ctx, round_number, 2, est2)
-            outcome = yield from msg_exchange(
-                ctx, env, round_number, 2, est2, self.tag, expand_clusters=False
-            )
-            if outcome.is_decide:
-                return (yield from self.broadcast_decide(ctx, outcome.decide_value))
-
-            received = set(outcome.values_received)
-            championed = received - {BOT}
-            if len(championed) > 1:
-                raise ProtocolInvariantError(
-                    f"round {round_number}: distinct championed values {championed} received"
-                )
-            if championed and BOT not in received:
-                value = championed.pop()
-                return (yield from self.broadcast_decide(ctx, value))
-            if championed:
-                est1 = next(iter(championed))
-            else:
-                ctx.count_coin_flip()
-                est1 = env.local_coin.flip()

@@ -22,12 +22,12 @@ is deliberately not registered with the experiment harness.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Tuple
 
 from ..cluster.topology import ClusterTopology
 from ..coins.local import LocalCoin
-from ..core.base import BOT, ConsensusProcess, ProcessEnvironment, validate_proposal
-from ..core.pattern import msg_exchange
+from ..core.base import BOT, ProcessEnvironment
+from ..core.local_coin import DECIDE_SILENTLY, FLIP, LocalCoinRound
 from ..harness.workloads import resolve_proposals
 from ..network.delays import ConstantDelay
 from ..network.transport import Network
@@ -35,50 +35,24 @@ from ..sim.kernel import SimulationKernel
 from ..sim.rng import RandomSource
 
 
-class PlantedBenOrConsensus(ConsensusProcess):
+class PlantedBenOrConsensus(LocalCoinRound):
     """Ben-Or with a premature phase-2 decision rule (agreement is broken)."""
 
     algorithm_name = "planted-ben-or"
 
-    def __init__(self, env: ProcessEnvironment, tag: Optional[str] = None) -> None:
-        super().__init__(env, tag)
-        if env.local_coin is None:
-            raise ValueError("the planted Ben-Or variant needs a local coin")
+    def phase2_rule(self, round_number: int, received: frozenset):
+        """THE PLANTED BUG (two faults in one).
 
-    def run(self, ctx):
-        env = self.env
-        topology = env.topology
-        est1: Any = validate_proposal(env.proposal)
-        round_number = 0
-        while True:
-            round_number += 1
-            ctx.mark_round(round_number)
-
-            outcome = yield from msg_exchange(
-                ctx, env, round_number, 1, est1, self.tag, expand_clusters=False
-            )
-            if outcome.is_decide:
-                return (yield from self.broadcast_decide(ctx, outcome.decide_value))
-            majority_value = outcome.majority_value(topology)
-            est2: Any = majority_value if majority_value is not None else BOT
-
-            outcome = yield from msg_exchange(
-                ctx, env, round_number, 2, est2, self.tag, expand_clusters=False
-            )
-            if outcome.is_decide:
-                return (yield from self.broadcast_decide(ctx, outcome.decide_value))
-            received = set(outcome.values_received)
-            championed = received - {BOT}
-            if championed:
-                # THE PLANTED BUG (two faults in one): decide although ⊥ was
-                # received alongside the championed value (the correct rule
-                # demands unanimity in the majority), and return without the
-                # DECIDE broadcast, so nobody learns about it.  Also skips
-                # the distinct-championed-values invariant check, letting a
-                # genuinely disagreeing schedule complete instead of raising.
-                return min(championed)
-            ctx.count_coin_flip()
-            est1 = env.local_coin.flip()
+        Decides although ``⊥`` was received alongside the championed value
+        (the correct rule demands unanimity in the majority), and decides
+        without the ``DECIDE`` broadcast, so nobody learns about it.  It also
+        skips the WA1 check, letting a genuinely disagreeing schedule
+        complete instead of raising.
+        """
+        championed = received - {BOT}
+        if championed:
+            return DECIDE_SILENTLY, min(championed)
+        return FLIP, None
 
 
 def prepare_planted(spec) -> Tuple[SimulationKernel, dict, ClusterTopology]:

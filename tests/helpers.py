@@ -9,7 +9,9 @@ completion and returns its value.
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.network.message import Message
@@ -76,6 +78,19 @@ def drive(generator) -> Any:
     except StopIteration as stop:
         return stop.value
     raise AssertionError("generator suspended; use the simulation kernel for this test")
+
+
+#: The package source, for the ``ast`` count gates.
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def count_calls(path: Path, *names: str) -> int:
+    """How many call sites in ``path`` name one of ``names`` (bare or dotted)."""
+    return sum(
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
 
 
 def make_message(sender: int, payload: Any, dest: int = 0, time: float = 0.0, msg_id: int = 0) -> Message:

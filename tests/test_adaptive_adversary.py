@@ -331,7 +331,11 @@ def test_authenticated_tampering_keeps_safety_and_counts_corruptions():
 
 def test_forged_payloads_break_the_protocol_without_authentication():
     """Authentication is load-bearing: believed mutations void the model."""
-    with pytest.raises(ProtocolInvariantError):
+    with pytest.raises(
+        ProtocolInvariantError,
+        match=r"^ben-or: process \d+ received the distinct championed values \[0, 1\] "
+        r"in phase 2 of round \d+, violating weak agreement WA1$",
+    ):
         _run(Scenario("forge", (MessageCorruption(probability=0.6, authenticated=False),)), seed=0)
 
 

@@ -18,23 +18,23 @@ MESSAGE_PASSING = ("ben-or", "mp-common-coin")
 # -------------------------------------------------------------- constructor checks
 def test_ben_or_requires_local_coin():
     topo = ClusterTopology.singleton_clusters(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ben-or needs a local coin$"):
         BenOrConsensus(ProcessEnvironment(pid=0, proposal=0, topology=topo))
 
 
 def test_mp_common_coin_requires_common_coin():
     topo = ClusterTopology.singleton_clusters(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mp-common-coin needs a common coin$"):
         MessagePassingCommonCoinConsensus(ProcessEnvironment(pid=0, proposal=0, topology=topo))
 
 
 def test_shared_memory_baseline_requires_memory_and_single_cluster():
     single = ClusterTopology.single_cluster(3)
     split = ClusterTopology.even_split(4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^shared-memory needs a cluster memory$"):
         SharedMemoryConsensus(ProcessEnvironment(pid=0, proposal=0, topology=single))
     memory = ClusterSharedMemory(0, split.cluster_members(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all processes share one cluster"):
         SharedMemoryConsensus(
             ProcessEnvironment(pid=0, proposal=0, topology=split, memory=memory)
         )

@@ -1,5 +1,7 @@
 """Behavioural tests of Algorithm 2 and Algorithm 3 through the harness."""
 
+import ast
+
 import pytest
 
 from repro.cluster.failures import FailurePattern
@@ -7,10 +9,11 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.base import ProcessEnvironment
 from repro.core.common_coin import CommonCoinConsensus
 from repro.core.local_coin import LocalCoinConsensus
-from repro.harness.runner import ExperimentConfig, run_consensus
+from repro.harness.runner import ALGORITHMS, ExperimentConfig, run_consensus
 from repro.network.delays import ExponentialDelay, SpikeDelay
 from repro.sharedmem.memory import ClusterSharedMemory
 from repro.sim.kernel import SimConfig
+from tests.helpers import SRC, count_calls
 
 HYBRID = ("hybrid-local-coin", "hybrid-common-coin")
 
@@ -20,20 +23,40 @@ def test_local_coin_consensus_requires_memory_and_coin():
     topo = ClusterTopology.single_cluster(2)
     memory = ClusterSharedMemory(0, [0, 1])
     env_no_memory = ProcessEnvironment(pid=0, proposal=0, topology=topo)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hybrid-local-coin needs a cluster memory and a local coin$"):
         LocalCoinConsensus(env_no_memory)
     env_no_coin = ProcessEnvironment(pid=0, proposal=0, topology=topo, memory=memory)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hybrid-local-coin needs a local coin$"):
         LocalCoinConsensus(env_no_coin)
 
 
 def test_common_coin_consensus_requires_memory_and_coin():
     topo = ClusterTopology.single_cluster(2)
     memory = ClusterSharedMemory(0, [0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hybrid-common-coin needs a cluster memory and a common coin$"):
         CommonCoinConsensus(ProcessEnvironment(pid=0, proposal=0, topology=topo))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hybrid-common-coin needs a common coin$"):
         CommonCoinConsensus(ProcessEnvironment(pid=0, proposal=0, topology=topo, memory=memory))
+
+
+def test_one_round_body_per_coin_kind():
+    """A count, not prose: a copied consensus round cannot come back unnoticed.
+
+    The local-coin round exchanges twice and the common-coin round once;
+    each flips its coin in one place, and the WA1 refusal has one raise site.
+    """
+    sources = sorted(SRC.rglob("*.py"))
+    assert sum(count_calls(path, "msg_exchange") for path in sources) == 3
+    assert sum(count_calls(path, "count_coin_flip") for path in sources) == 2
+    assert sum(count_calls(path, "ProtocolInvariantError") for path in sources) == 1
+    # The harness learns what an algorithm needs from its class, not its name.
+    for module in ("runner.py", "metrics.py"):
+        strings = {
+            node.value
+            for node in ast.walk(ast.parse((SRC / "harness" / module).read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert not strings & set(ALGORITHMS), f"harness/{module} names an algorithm"
 
 
 # ----------------------------------------------------------------- basic behaviour

@@ -10,7 +10,6 @@ and malformed / mismatched / incomplete artifacts fail with clear errors.
 import ast
 import json
 import pickle
-from pathlib import Path
 
 import pytest
 
@@ -40,6 +39,7 @@ from repro.harness.distributed import (
 )
 from repro.harness.runner import ExperimentConfig, run_consensus
 from repro.network.delays import ConstantDelay
+from tests.helpers import SRC, count_calls
 
 SEEDS = default_seeds(5)
 BASE = ExperimentConfig(topology=ClusterTopology.figure1_right())
@@ -421,26 +421,14 @@ def test_merge_empty_directory_fails_clearly(tmp_path):
 
 
 # ------------------------------------------- one reader, one merger, as counts
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-
-
-def _calls(path, *names):
-    """How many call sites in ``path`` name one of ``names`` (bare or dotted)."""
-    return sum(
-        isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
-        for node in ast.walk(ast.parse(path.read_text()))
-    )
-
-
 def test_a_run_directory_has_one_reader_and_one_fold():
     """A count, not prose: a second merger or layout reader cannot come back unnoticed."""
     sources = sorted(SRC.rglob("*.py"))
-    assert sum(_calls(path, "fold_point") for path in sources) == 1
+    assert sum(count_calls(path, "fold_point") for path in sources) == 1
     # The merger, and the two schedulers' resume.
-    assert sum(_calls(path, "_load_checkpoint") for path in sources) == 3
+    assert sum(count_calls(path, "_load_checkpoint") for path in sources) == 3
     for consumer in ("cli.py", "obs/merge.py", "obs/serve.py"):
-        assert _calls(
+        assert count_calls(
             SRC / consumer,
             "is_steal_dir", "read_manifests", "find_manifests", "read_plan_header",
             "checkpoint_path", "point_checkpoint_path",
@@ -454,13 +442,13 @@ def test_a_point_runs_in_two_places_and_folds_in_two():
     ``run_plan`` and ``fold_point``.
     """
     sources = sorted(SRC.rglob("*.py"))
-    assert sum(_calls(path, "run_many") for path in sources) == 2
-    assert sum(_calls(path, "SummaryReducer") for path in sources) == 2
-    assert sum(_calls(path, "from_summaries") for path in sources) == 2
+    assert sum(count_calls(path, "run_many") for path in sources) == 2
+    assert sum(count_calls(path, "SummaryReducer") for path in sources) == 2
+    assert sum(count_calls(path, "from_summaries") for path in sources) == 2
     distributed, coordinator = SRC / "harness" / "distributed.py", SRC / "harness" / "coordinator.py"
-    assert [_calls(distributed, name) for name in ("run_many", "SummaryReducer")] == [1, 1]
-    assert _calls(distributed, "from_summaries") == 2
-    assert [_calls(coordinator, name) for name in ("run_many", "SummaryReducer")] == [1, 1]
+    assert [count_calls(distributed, name) for name in ("run_many", "SummaryReducer")] == [1, 1]
+    assert count_calls(distributed, "from_summaries") == 2
+    assert [count_calls(coordinator, name) for name in ("run_many", "SummaryReducer")] == [1, 1]
     assert not (SRC / "harness" / "sweep.py").exists()
     assigned = [
         target
