@@ -30,6 +30,7 @@
 #                           kill a worker mid-sweep, drive every serve
 #                           endpoint over HTTP, finish, verify bit-identity
 #   make linkcheck        - verify relative links in README.md / docs / READMEs
+#                           and the *.md files that src/ docstrings name
 
 PYTHON ?= python
 # Every entry point (pytest, scripts, examples) runs through PY_RUN so local

@@ -8,19 +8,30 @@ outside the repository (GitHub-web-relative links like the CI badge's
 ``../../actions/...``) are skipped -- only claims about files in this repo
 are checked.
 
+Docstrings under ``src/`` are checked too: every ``*.md`` path a module,
+class or function docstring names (``docs/performance.md``) must exist,
+relative to the repo root or to the module's own directory.
+
 Run from anywhere inside the repo:  python scripts/check_markdown_links.py
 Exit status: 0 when every link resolves, 1 otherwise (broken links listed).
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 #: ``[text](target)`` -- good enough for the plain links these docs use.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A markdown file named in a docstring, e.g. ``docs/scaling.md``.
+DOCSTRING_MD_RE = re.compile(r"[\w./-]*\w\.md\b")
+
+#: The AST nodes that carry docstrings.
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Where documentation lives, relative to the repo root.
 DOC_GLOBS = ("*.md", "docs/**/*.md", "examples/**/*.md", "src/**/*.md", ".github/**/*.md")
@@ -59,17 +70,45 @@ def broken_links(root: Path) -> List[Tuple[Path, str]]:
     return broken
 
 
+def docstrings(source: Path) -> Iterator[str]:
+    """Every module, class and function docstring of one Python file."""
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, _DOCUMENTED):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring:
+                yield docstring
+
+
+def broken_docstring_references(root: Path) -> List[Tuple[Path, str]]:
+    """All ``(source, name)`` pairs where a ``src/`` docstring names a missing ``*.md``."""
+    broken = []
+    for source in sorted((root / "src").rglob("*.py")):
+        for docstring in docstrings(source):
+            for name in DOCSTRING_MD_RE.findall(docstring):
+                if name.startswith("/"):  # part of a URL or an absolute path
+                    continue
+                if not ((root / name).exists() or (source.parent / name).exists()):
+                    broken.append((source, name))
+    return broken
+
+
 def main() -> int:
     """Entry point; prints broken links and returns the exit status."""
     root = repo_root()
     broken = broken_links(root)
     for md_file, target in broken:
         print(f"{md_file.relative_to(root)}: broken link -> {target}")
+    dangling = broken_docstring_references(root)
+    for source, name in dangling:
+        print(f"{source.relative_to(root)}: docstring names missing {name}")
     checked = len(doc_files(root))
-    if broken:
-        print(f"{len(broken)} broken link(s) across {checked} markdown file(s)")
+    if broken or dangling:
+        print(
+            f"{len(broken)} broken link(s) across {checked} markdown file(s), "
+            f"{len(dangling)} dangling docstring reference(s) under src/"
+        )
         return 1
-    print(f"all relative links resolve across {checked} markdown file(s)")
+    print(f"all relative links resolve across {checked} markdown file(s) and src/ docstrings")
     return 0
 
 

@@ -243,7 +243,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             return 2
         if outcome.found:
             exit_code = 1
-            print(f"{algorithm}: VIOLATION after {outcome.runs} schedules")
+            print(f"{algorithm}: VIOLATION after {outcome.runs} schedules; {outcome.coverage}")
             print(f"  {outcome.violation}")
             print(f"  replay token: {outcome.token}")
             print(f"  reproduce:    python -m repro search --replay '{outcome.token}'")
@@ -255,7 +255,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 state = f"not exhausted: {cut} alternatives cut by the caps"
             else:
                 state = f"budget spent, {cut} alternatives cut" if cut else "budget spent"
-            print(f"{algorithm}: no violation in {outcome.runs} schedules ({state})")
+            print(
+                f"{algorithm}: no violation in {outcome.runs} schedules ({state}); "
+                f"{outcome.coverage}"
+            )
     return exit_code
 
 

@@ -43,6 +43,13 @@ class ClusterTopology:
         for index, members in enumerate(self._clusters):
             for pid in members:
                 self._cluster_of[pid] = index
+        self._attribution = {
+            True: (
+                tuple(self._cluster_of[pid] for pid in range(self._n)),
+                tuple(len(members) for members in self._clusters),
+            ),
+            False: (range(self._n), (1,) * self._n),
+        }
 
     # ------------------------------------------------------------- properties
     @property
@@ -79,7 +86,22 @@ class ClusterTopology:
 
     def cluster_of(self, pid: int) -> FrozenSet[int]:
         """The paper's ``cluster(i)``: the members of ``pid``'s cluster."""
-        return self._clusters[self.cluster_index_of(pid)]
+        try:
+            return self._clusters[self._cluster_of[pid]]
+        except KeyError:
+            raise KeyError(f"unknown process id {pid}") from None
+
+    def attribution(self, expand_clusters: bool) -> Tuple[Sequence[int], Sequence[int]]:
+        """``(unit_of, weight)``: how a message counts toward a majority.
+
+        A message from ``pid`` is attributed to the unit ``unit_of[pid]``,
+        which stands for ``weight[unit]`` processes: with
+        ``expand_clusters`` (the paper's rule) the unit is the sender's
+        cluster index and its weight the cluster's size, without it the
+        sender itself, weight 1.  Distinct units cover disjoint processes,
+        so the weights of the units heard sum to the size of the heard set.
+        """
+        return self._attribution[expand_clusters]
 
     def cluster_members(self, index: int) -> FrozenSet[int]:
         """Members of cluster ``index``."""

@@ -6,7 +6,8 @@ returns ``b_r``.  Real systems build common coins from secret sharing or
 threshold cryptography (the paper defers to textbooks); the abstraction the
 consensus algorithm needs is only "same unpredictable bit per round at every
 process", which a dealer-seeded pseudo-random sequence provides exactly.
-This substitution is recorded in DESIGN.md.
+This substitution is recorded under "Substitutions" in
+``docs/experiments.md``.
 """
 
 from __future__ import annotations

@@ -83,10 +83,7 @@ def scan_mailbox(
     :class:`InboxIndex`) and falls back to this scan for any list that is
     not the process's own mailbox.
     """
-    topology = env.topology
-    supporters: Dict[Any, set] = {}
-    heard: set = set()
-    values: set = set()
+    votes = []
     for message in mailbox:
         payload = message.payload
         # Authentication modelling: a payload a corruption fault mutated in
@@ -107,13 +104,36 @@ def scan_mailbox(
             continue
         if payload.tag != tag or payload.round_number != round_number or payload.phase != phase:
             continue
+        votes.append(message)
+    return _supporters_outcome(votes, env.topology, round_number, phase, expand_clusters)
+
+
+def _supporters_outcome(
+    votes: Sequence[Any], topology, round_number: int, phase: int, expand_clusters: bool
+) -> ExchangeOutcome:
+    """The ``"supporters"`` outcome of one exchange's phase messages, in arrival order.
+
+    The one place the outcome's sets are built: each vote's sender stands
+    for its whole cluster (or only itself without ``expand_clusters``), and
+    the sets are grown vote by vote, so their iteration order is a function
+    of the votes' order alone.
+    """
+    supporters: Dict[Any, set] = {}
+    heard: set = set()
+    values: set = set()
+    cluster_of = topology.cluster_of
+    for message in votes:
+        est = message.payload.est
         if expand_clusters:
-            members = topology.cluster_of(message.sender)
+            members = cluster_of(message.sender)
         else:
             members = frozenset((message.sender,))
-        supporters.setdefault(payload.est, set()).update(members)
+        pids = supporters.get(est)
+        if pids is None:
+            pids = supporters[est] = set()
+        pids.update(members)
         heard.update(members)
-        values.add(payload.est)
+        values.add(est)
     return ExchangeOutcome(
         kind="supporters",
         round_number=round_number,
@@ -130,16 +150,17 @@ class InboxIndex:
     :func:`scan_mailbox` answers "what does this exchange see?" by reading
     the whole mailbox; asked on every delivery, that is quadratic in the
     messages a process receives.  The index reads each message once: a
-    cursor marks the classified prefix, and every newly appended message is
+    cursor marks the classified prefix, and every message past it is
     dropped (tampered, or not a protocol payload), recorded as its tag's
     ``DECIDE`` value (first one wins, as in a front-to-back scan), or
     appended to the bucket of its ``(tag, round, phase)`` in arrival order.
+    The live exchange's wait moves the cursor and files its own votes
+    itself (see :class:`_ExchangeWait`); :meth:`classify` files the rest.
     It stores references into the mailbox, never a copy of it.
 
     The index is a memo keyed on the *identity* of one list -- the first a
     wait predicate is evaluated on, which in a kernel run is the process's
-    own mailbox.  Any other list is none of its business (see
-    :class:`_ExchangeWait`).
+    own mailbox.  Any other list is none of its business.
     """
 
     __slots__ = ("mailbox", "cursor", "decided", "buckets")
@@ -160,29 +181,23 @@ class InboxIndex:
             self.mailbox = mailbox
         return mailbox is self.mailbox
 
-    def advance(self) -> None:
-        """Classify the messages appended since the previous call."""
-        mailbox = self.mailbox
-        end = len(mailbox)
-        if self.cursor == end:
+    def classify(self, message: Any) -> None:
+        """File one mailbox entry: drop it, record its ``DECIDE``, or bucket it."""
+        payload = message.payload
+        # Same authentication modelling as scan_mailbox: a tampered payload
+        # fails its signature check and is discarded.
+        if isinstance(payload, TamperedPayload):
             return
-        buckets = self.buckets
-        for message in mailbox[self.cursor : end]:
-            payload = message.payload
-            # Same authentication modelling as scan_mailbox: a tampered
-            # payload fails its signature check and is discarded.
-            if isinstance(payload, TamperedPayload):
-                continue
-            if isinstance(payload, PhaseMessage):
-                key = (payload.tag, payload.round_number, payload.phase)
-                bucket = buckets.get(key)
-                if bucket is not None:
-                    bucket.append(message)
-                elif key not in buckets:
-                    buckets[key] = [message]
-            elif isinstance(payload, DecideMessage):
-                self.decided.setdefault(payload.tag, payload.value)
-        self.cursor = end
+        if isinstance(payload, PhaseMessage):
+            key = (payload.tag, payload.round_number, payload.phase)
+            buckets = self.buckets
+            bucket = buckets.get(key)
+            if bucket is not None:
+                bucket.append(message)
+            elif key not in buckets:
+                buckets[key] = [message]
+        elif isinstance(payload, DecideMessage):
+            self.decided.setdefault(payload.tag, payload.value)
 
     def open(self, key: Tuple[str, int, int]) -> Optional[List[Any]]:
         """The live bucket of exchange ``key``; ``None`` if it already completed."""
@@ -196,11 +211,19 @@ class InboxIndex:
 class _ExchangeWait:
     """The wait predicate of one ``msg_exchange`` call.
 
-    On the process's own mailbox it is incremental: it consumes only the
-    entries its bucket gained since the last evaluation and applies cluster
-    attribution to them in arrival order -- the very sequence of set
-    operations :func:`scan_mailbox` performs, so the outcome (iteration order
-    of its sets included) is the one a full scan would build.
+    On the process's own mailbox it counts: each vote of its exchange that
+    arrived since the last evaluation goes to the bucket, and the first
+    vote from a new attribution unit (the sender's cluster, or the sender
+    itself without ``expand_clusters``; see
+    :meth:`~repro.cluster.topology.ClusterTopology.attribution`) adds that
+    unit's weight to the number of processes heard.  Any other entry goes
+    to :meth:`InboxIndex.classify`.  Only once the count is a strict
+    majority are the outcome's sets built, from the bucket in arrival
+    order -- the very sequence of set operations :func:`scan_mailbox`
+    performs, so the outcome (iteration order of its sets included) is the
+    one a full scan would build.  A process blocks in one exchange at a
+    time and :func:`msg_exchange` finishes each wait before the next
+    begins, so the live wait is the only reader of its index's cursor.
 
     It stays observationally pure, as the wait-predicate contract demands
     (see :class:`~repro.sim.context.WaitEffect`): evaluated on any other
@@ -214,11 +237,13 @@ class _ExchangeWait:
         "key",
         "expand_clusters",
         "inbox",
+        "mailbox",
         "bucket",
-        "consumed",
-        "supporters",
+        "unit_of",
+        "weight",
+        "units",
         "heard",
-        "values",
+        "majority",
     )
 
     def __init__(
@@ -227,69 +252,88 @@ class _ExchangeWait:
         inbox = env._inbox
         if inbox is None:
             inbox = env._inbox = InboxIndex()
+        topology = env.topology
         self.env = env
         self.key = (tag, round_number, phase)
         self.expand_clusters = expand_clusters
         self.inbox = inbox
         # None for a key that was exchanged on before: its messages are no
         # longer indexed, so a re-run answers from full scans.
-        self.bucket = inbox.open(self.key)
-        self.consumed = 0
-        self.supporters: Dict[Any, set] = {}
-        self.heard: set = set()
-        self.values: set = set()
+        self.bucket = bucket = inbox.open(self.key)
+        #: The list the counting path reads: the index's, once known; None
+        #: when the exchange answers from scans only.
+        self.mailbox = inbox.mailbox if bucket is not None else None
+        self.unit_of, self.weight = topology.attribution(expand_clusters)
+        self.majority = topology.majority_threshold()
+        #: The attribution units heard from, and how many processes they
+        #: stand for.  Votes that arrived before this exchange started are
+        #: in the bucket already.
+        self.units: set = set()
+        self.heard = 0
+        if bucket:
+            self.units = {self.unit_of[message.sender] for message in bucket}
+            self.heard = sum(map(self.weight.__getitem__, self.units))
 
     def __call__(self, mailbox: Sequence[Any]) -> Optional[ExchangeOutcome]:
-        bucket = self.bucket
+        if mailbox is not self.mailbox:
+            if self.bucket is None or not self.inbox.tracks(mailbox):
+                return self._scan(mailbox)
+            self.mailbox = mailbox  # the first evaluation of the process's first exchange
         inbox = self.inbox
+        cursor = inbox.cursor
+        end = len(mailbox)
         tag, round_number, phase = self.key
-        topology = self.env.topology
-        if bucket is None or not inbox.tracks(mailbox):
-            outcome = scan_mailbox(
-                mailbox, self.env, tag, round_number, phase, self.expand_clusters
-            )
-            if outcome.is_decide or topology.is_majority(len(outcome.heard)):
-                return outcome
-            return None
-        inbox.advance()
-        if tag in inbox.decided:
+        if cursor < end:
+            inbox.cursor = end
+            bucket = self.bucket
+            unit_of = self.unit_of
+            units = self.units
+            heard = self.heard
+            while cursor < end:
+                message = mailbox[cursor]
+                cursor += 1
+                payload = message.payload
+                if (
+                    isinstance(payload, PhaseMessage)
+                    and payload.round_number == round_number
+                    and payload.phase == phase
+                    and payload.tag == tag
+                ):
+                    bucket.append(message)
+                    unit = unit_of[message.sender]
+                    if unit not in units:
+                        units.add(unit)
+                        heard += self.weight[unit]
+                else:
+                    inbox.classify(message)
+            self.heard = heard
+        decided = inbox.decided
+        if tag in decided:
             return ExchangeOutcome(
                 kind="decide",
                 round_number=round_number,
                 phase=phase,
-                decide_value=inbox.decided[tag],
+                decide_value=decided[tag],
             )
-        heard = self.heard
-        if self.consumed < len(bucket):
-            supporters = self.supporters
-            values = self.values
-            expand_clusters = self.expand_clusters
-            for message in bucket[self.consumed :]:
-                est = message.payload.est
-                if expand_clusters:
-                    members = topology.cluster_of(message.sender)
-                else:
-                    members = frozenset((message.sender,))
-                supporters.setdefault(est, set()).update(members)
-                heard.update(members)
-                values.add(est)
-            self.consumed = len(bucket)
-        if not topology.is_majority(len(heard)):
+        if self.heard < self.majority:
             return None
-        return ExchangeOutcome(
-            kind="supporters",
-            round_number=round_number,
-            phase=phase,
-            supporters={value: frozenset(pids) for value, pids in self.supporters.items()},
-            heard=frozenset(heard),
-            values_received=frozenset(self.values),
+        return _supporters_outcome(
+            self.bucket, self.env.topology, round_number, phase, self.expand_clusters
         )
+
+    def _scan(self, mailbox: Sequence[Any]) -> Optional[ExchangeOutcome]:
+        """The answer for any list but the index's: a full scan, majority-tested."""
+        outcome = scan_mailbox(mailbox, self.env, *self.key, self.expand_clusters)
+        if outcome.is_decide or self.env.topology.is_majority(len(outcome.heard)):
+            return outcome
+        return None
 
     def finish(self) -> None:
         """Release the exchange's index state once its wait has completed."""
         if self.bucket is not None:
             self.inbox.close(self.key)
             self.bucket = None
+            self.mailbox = None
 
 
 def msg_exchange(

@@ -1,15 +1,15 @@
 """Run metrics: the quantities the experiments measure and report.
 
-Following the calibration note in DESIGN.md, the measured quantities are
-*counts* (messages, shared-memory operations, consensus-object invocations,
-rounds, coin flips) and *virtual* latencies, not wall-clock durations -- the
-paper's claims are about these structural quantities, and Python wall-clock
-numbers would only measure the simulator.
+As "Substitutions" in ``docs/experiments.md`` records, the measured
+quantities are *counts* (messages, shared-memory operations,
+consensus-object invocations, rounds, coin flips) and *virtual* latencies,
+not wall-clock durations -- the paper's claims are about these structural
+quantities, and Python wall-clock numbers would only measure the simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Sequence
 
 from ..sharedmem.memory import ClusterSharedMemory
@@ -87,12 +87,21 @@ class RunMetrics:
         return self.messages_sent / self.rounds_max
 
     def as_dict(self) -> Dict[str, Any]:
-        """All fields plus the derived ratios, as a plain dictionary."""
-        data = asdict(self)
+        """All fields plus the derived ratios, as a plain dictionary.
+
+        A shallow walk in field order: every field holds a number, a string
+        or ``None``, so there is nothing for ``dataclasses.asdict``'s deep
+        copy to copy.
+        """
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
         data["consensus_objects_per_phase"] = self.consensus_objects_per_phase
         data["invocations_per_process_per_phase"] = self.invocations_per_process_per_phase
         data["messages_per_round"] = self.messages_per_round
         return data
+
+
+#: :class:`RunMetrics`' field names, in definition order.
+_FIELD_NAMES = tuple(metric.name for metric in fields(RunMetrics))
 
 
 def collect_metrics(

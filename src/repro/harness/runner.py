@@ -195,7 +195,7 @@ def prepare_consensus(
     network = Network(topology.n, delay_model=config.delay_model, rng=rng)
     kernel.attach_network(network)
 
-    proposals = resolve_proposals(config.proposals, topology.n, rng.stream("proposals"))
+    proposals = resolve_proposals(config.proposals, topology.n, rng.lazy_stream("proposals"))
 
     memories: List[ClusterSharedMemory] = []  # every memory the run touches, for its metrics
     extra: tuple = ()  # the m&m constructor's domain and centred memories
@@ -209,7 +209,7 @@ def prepare_consensus(
 
     local_coins: Dict[int, LocalCoin] = {}
     if cls.coin == "local":
-        factory = local_coin_factory or (lambda pid: LocalCoin(rng.stream("local-coin", pid)))
+        factory = local_coin_factory or (lambda pid: LocalCoin(rng.lazy_stream("local-coin", pid)))
         local_coins = {pid: factory(pid) for pid in topology.process_ids()}
     if cls.coin != "common":
         common_coin = None

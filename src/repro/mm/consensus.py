@@ -10,8 +10,8 @@ its memories overlap.
 
 This module implements a structurally faithful analogue rather than a
 verbatim transcription of [1] (whose full pseudo-code is not in the paper
-under reproduction -- see the substitution table in DESIGN.md): the Ben-Or
-round of :class:`~repro.core.local_coin.LocalCoinRound` in which, before
+under reproduction -- see "Substitutions" in ``docs/experiments.md``): the
+Ben-Or round of :class:`~repro.core.local_coin.LocalCoinRound` in which, before
 broadcasting, every process invokes the round's consensus object in *each*
 of the ``α_i + 1`` centred memories it can access and adopts the value
 decided by its *own* centred memory.  Messages

@@ -33,9 +33,6 @@ from .message import Message, payload_size
 _MIN_BATCH = 16
 _MAX_BATCH = 512
 
-#: Payload-size memo cap; one entry per distinct payload object in flight.
-_SIZE_MEMO_LIMIT = 8192
-
 
 @dataclass
 class TrafficStats:
@@ -98,25 +95,13 @@ class Network:
         # list object never changes, so a caller may hoist its ``pop``.
         self._delay_cache: list = []
         self._batch = _MIN_BATCH
-        # Payload-size memo, keyed by payload object identity and holding a
-        # strong reference (so an id can't be recycled while its entry
-        # lives): the kernel sizes a broadcast's payload once for all its
-        # destinations, and transmit/prepare callers often send one object
-        # to many, so the recursive payload_size walk runs once per object.
-        # Bounded to keep long sweeps from hoarding dead payloads.
-        self._size_memo: Dict[int, tuple] = {}
 
     def payload_bytes(self, payload: object) -> int:
-        """The ``bytes_sent`` charge of one send of ``payload`` (memoised)."""
-        memo = self._size_memo
-        entry = memo.get(id(payload))
-        if entry is not None and entry[0] is payload:
-            return entry[1]
-        size = payload_size(payload)
-        if len(memo) >= _SIZE_MEMO_LIMIT:
-            memo.clear()
-        memo[id(payload)] = (payload, size)
-        return size
+        """The ``bytes_sent`` charge of one send of ``payload``.
+
+        The kernel asks once per broadcast, for all its destinations.
+        """
+        return payload_size(payload)
 
     def _account(self, sender: int, dest: int, payload: object) -> int:
         """Validate the endpoints, count the send, and return its ``msg_id``."""

@@ -33,8 +33,9 @@ test.
 from __future__ import annotations
 
 import time as _time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterTopology
 from ..core.base import ProtocolInvariantError
@@ -165,10 +166,24 @@ class SearchOutcome:
     #: at a decision, and every alternative at a decision deeper than
     #: ``max_decisions``.
     alternatives_cut: int = 0
+    #: Executed schedules by depth: the number of tie decisions each made.
+    depth_histogram: Dict[int, int] = field(default_factory=dict)
+    #: The tie decisions of every executed schedule, by fanout: how many
+    #: entries shared the head's timestamp.
+    fanout_histogram: Dict[int, int] = field(default_factory=dict)
 
     @property
     def found(self) -> bool:
         return self.violation is not None
+
+    @property
+    def coverage(self) -> str:
+        """The two histograms as one line, e.g. ``depths 9:2 12:1; fanouts 2:21 3:4``."""
+
+        def row(histogram: Dict[int, int]) -> str:
+            return " ".join(f"{key}:{count}" for key, count in histogram.items()) or "-"
+
+        return f"depths {row(self.depth_histogram)}; fanouts {row(self.fanout_histogram)}"
 
     @property
     def exhausted(self) -> bool:
@@ -283,7 +298,8 @@ def search(
     ever run twice).  Returns the first violation's token, or a
     budget-spent or drained-frontier outcome with the run count and the
     number of alternatives the caps cut; the outcome is ``exhausted`` only
-    when the frontier drained with none cut.
+    when the frontier drained with none cut.  Every outcome carries the
+    depth and fanout histograms of the schedules it executed.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -295,20 +311,29 @@ def search(
     stack: List[Tuple[int, ...]] = [()]
     runs = 0
     cut = 0
+    depths: Counter = Counter()
+    fanouts: Counter = Counter()
+
+    def outcome(**ending: Any) -> SearchOutcome:
+        return SearchOutcome(
+            spec=spec,
+            runs=runs,
+            alternatives_cut=cut,
+            depth_histogram=dict(sorted(depths.items())),
+            fanout_histogram=dict(sorted(fanouts.items())),
+            **ending,
+        )
+
     while stack:
         if runs >= budget or (deadline is not None and _time.monotonic() > deadline):
-            return SearchOutcome(spec=spec, runs=runs, alternatives_cut=cut)
+            return outcome()
         prefix = stack.pop()
         result = run_schedule(spec, prefix)
         runs += 1
+        depths[len(result.trail)] += 1
+        fanouts.update(result.fanouts)
         if result.violation is not None:
-            return SearchOutcome(
-                spec=spec,
-                runs=runs,
-                violation=result.violation,
-                token=result.token,
-                alternatives_cut=cut,
-            )
+            return outcome(violation=result.violation, token=result.token)
         # Expand: one frontier node per untaken alternative at each decision
         # past this schedule's prefix.  Pushing deeper decisions first makes
         # the pop order depth-first from the shallowest divergence.  What
@@ -321,7 +346,7 @@ def search(
             base = result.trail[:depth]
             for choice in range(1, fanout):
                 stack.append(base + (choice,))
-    return SearchOutcome(spec=spec, runs=runs, drained=True, alternatives_cut=cut)
+    return outcome(drained=True)
 
 
 def search_all(

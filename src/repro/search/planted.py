@@ -68,14 +68,14 @@ def prepare_planted(spec) -> Tuple[SimulationKernel, dict, ClusterTopology]:
     kernel = SimulationKernel(config=spec.sim_config(), rng=rng)
     network = Network(topology.n, delay_model=ConstantDelay(spec.delay), rng=rng)
     kernel.attach_network(network)
-    proposals = resolve_proposals(spec.proposals, topology.n, rng.stream("proposals"))
+    proposals = resolve_proposals(spec.proposals, topology.n, rng.lazy_stream("proposals"))
     for pid in topology.process_ids():
         env = ProcessEnvironment(
             pid=pid,
             proposal=proposals[pid],
             topology=topology,
             memory=None,
-            local_coin=LocalCoin(rng.stream("local-coin", pid)),
+            local_coin=LocalCoin(rng.lazy_stream("local-coin", pid)),
         )
         algorithm = PlantedBenOrConsensus(env)
         kernel.add_process(pid, algorithm.run)

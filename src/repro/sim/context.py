@@ -163,7 +163,7 @@ class ProcessStats:
         self.coin_flips = coin_flips
 
     def __getstate__(self):
-        """Pickle support (full-results mode ships stats across shards)."""
+        """Pickle support: the counters by name (``__slots__`` has no ``__dict__``)."""
         return {name: getattr(self, name) for name in self.__slots__}
 
     def __setstate__(self, state) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 
 class RandomSource:
@@ -51,6 +51,22 @@ class RandomSource:
             self._streams[key] = random.Random(self._derive(key))
         return self._streams[key]
 
+    def lazy_stream(self, *name_parts: object) -> "LazyStream":
+        """The stream :meth:`stream` would return, derived on its first draw.
+
+        For consumers that may never draw -- a local coin that is never
+        flipped, a proposal pattern that is not ``random`` -- deriving a
+        stream (a SHA-256 and a Mersenne Twister seeding) would be wasted.
+        A stream's seed depends only on its name, so deriving it late
+        changes no draw.
+        """
+        return LazyStream(self, name_parts)
+
+    @property
+    def derived(self) -> Tuple[Tuple[str, ...], ...]:
+        """The names of the streams derived so far, in derivation order."""
+        return tuple(self._streams)
+
     def spawn(self, *name_parts: object) -> "RandomSource":
         """Create a child :class:`RandomSource` with an independent seed.
 
@@ -62,3 +78,29 @@ class RandomSource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RandomSource(seed={self._seed}, streams={len(self._streams)})"
+
+
+class LazyStream:
+    """Stands in for the :class:`random.Random` of one named stream.
+
+    The first attribute read that is not its own (``randrange``,
+    ``random``, ...) derives the stream from its :class:`RandomSource` and
+    forwards to it; later reads forward to the same generator.
+    """
+
+    __slots__ = ("_source", "_name_parts", "_stream")
+
+    def __init__(self, source: RandomSource, name_parts: Tuple[object, ...]) -> None:
+        self._source = source
+        self._name_parts = name_parts
+        self._stream: Optional[random.Random] = None
+
+    def __getattr__(self, attribute: str):
+        if attribute.startswith("_"):
+            # Private and special names are not the stream's to answer (and
+            # an unset slot must not recurse into this method).
+            raise AttributeError(attribute)
+        stream = self._stream
+        if stream is None:
+            stream = self._stream = self._source.stream(*self._name_parts)
+        return getattr(stream, attribute)

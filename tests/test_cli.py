@@ -317,9 +317,13 @@ def test_search_says_which_way_it_stopped(capsys):
     args = ("search", "--algorithm", "shared-memory", "--n", "3", "--budget", "1000")
     code, out, _ = run_cli(capsys, *args, "--fanout", "2")
     assert code == 0
-    assert "no violation in 64 schedules (not exhausted: 21 alternatives cut by the caps)" in out
+    assert (
+        "no violation in 64 schedules (not exhausted: 21 alternatives cut by the caps); "
+        "depths 6:64; fanouts 2:192 3:192" in out
+    )
     code, out, _ = run_cli(capsys, *args)
-    assert code == 0 and "no violation in 216 schedules (space exhausted)" in out
+    assert code == 0
+    assert "no violation in 216 schedules (space exhausted); depths 6:216; fanouts 2:648 3:648" in out
 
 
 def test_search_malformed_replay_token_is_an_error(capsys):

@@ -56,6 +56,24 @@ def test_all_relative_markdown_links_resolve():
     )
 
 
+def test_docstrings_under_src_name_only_existing_markdown(tmp_path):
+    assert check_markdown_links.broken_docstring_references(REPO_ROOT) == []
+    # A dangling name is caught; root-relative and module-relative names resolve.
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "real.md").write_text("# real\n")
+    (package / "NOTES.md").write_text("# notes\n")
+    (package / "mod.py").write_text(
+        '"""See docs/real.md and NOTES.md."""\n'
+        "def f():\n"
+        '    """Recorded in DESIGN.md (https://example.org/x.md is a URL)."""\n'
+    )
+    assert check_markdown_links.broken_docstring_references(tmp_path) == [
+        (package / "mod.py", "DESIGN.md")
+    ]
+
+
 def test_experiments_doc_covers_all_drivers():
     text = (REPO_ROOT / "docs" / "experiments.md").read_text()
     for experiment in (

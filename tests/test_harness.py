@@ -1,15 +1,26 @@
 """Tests of the harness: workloads, runner, metrics, stats, reporting."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
 
 from repro.cluster.failures import FailurePattern
 from repro.cluster.topology import ClusterTopology
+from repro.coins.local import LocalCoin
+from repro.harness.aggregate import RunSummary
 from repro.harness.metrics import RunMetrics
 from repro.harness.distributed import plan_sweep, run_plan
 from repro.harness.report import aggregate_records, format_records, format_table
-from repro.harness.runner import ALGORITHMS, ExperimentConfig, run_consensus, termination_expected
+from repro.harness.runner import (
+    ALGORITHMS,
+    ExperimentConfig,
+    prepare_consensus,
+    run_consensus,
+    termination_expected,
+)
+from repro.sim.rng import RandomSource
 from repro.harness.stats import mean, median, percentile, sample_std, summarize
 from repro.harness.workloads import crash_scenarios, resolve_proposals, standard_topologies
 
@@ -100,6 +111,54 @@ def test_run_consensus_smoke_every_algorithm(algorithm):
     assert result.metrics.n == 4 and result.metrics.m == 2
 
 
+def test_a_run_derives_only_the_streams_it_draws_from():
+    """Unanimous inputs flip no coin: no coin stream, no proposals stream."""
+    config = ExperimentConfig(
+        topology=ClusterTopology.even_split(6, 3), algorithm="hybrid-local-coin",
+        proposals="unanimous-0", seed=3,
+    )
+    prepared = prepare_consensus(config)
+    result = prepared.kernel.run()
+    assert result.status.terminated
+    assert all(stat.coin_flips == 0 for stat in result.process_stats.values())
+    assert set(prepared.kernel.rng.derived) == {("kernel", "jitter"), ("network", "delays")}
+
+
+@pytest.mark.parametrize("algorithm", ["hybrid-local-coin", "ben-or"])
+def test_lazily_derived_coins_equal_eager_ones(algorithm):
+    """Deriving a coin's stream on its first flip changes no flip and no summary."""
+    topology = ClusterTopology.even_split(5, 3)
+    flipped = 0
+    for seed in range(20):
+        config = ExperimentConfig(
+            topology=topology, algorithm=algorithm, proposals="split", seed=seed
+        )
+        coins = {"lazy": {}, "eager": {}}
+
+        def factory(kind):
+            def make(pid):
+                source = RandomSource(seed)
+                stream = source.lazy_stream if kind == "lazy" else source.stream
+                coin = coins[kind][pid] = LocalCoin(stream("local-coin", pid))
+                return coin
+
+            return make
+
+        summaries = [
+            pickle.dumps(RunSummary.from_result(result, seed, 0.0))
+            for result in (
+                run_consensus(config),
+                run_consensus(config, local_coin_factory=factory("lazy")),
+                run_consensus(config, local_coin_factory=factory("eager")),
+            )
+        ]
+        assert summaries[0] == summaries[1] == summaries[2]
+        histories = {kind: {pid: coin.history for pid, coin in made.items()} for kind, made in coins.items()}
+        assert histories["lazy"] == histories["eager"]
+        flipped += sum(len(history) for history in histories["eager"].values())
+    assert flipped > 0
+
+
 # --------------------------------------------------------------------- metrics
 def test_metrics_fields_and_derived_quantities():
     topo = ClusterTopology.even_split(6, 3)
@@ -120,6 +179,12 @@ def test_metrics_fields_and_derived_quantities():
     as_dict = metrics.as_dict()
     assert as_dict["algorithm"] == "hybrid-local-coin"
     assert "consensus_objects_per_phase" in as_dict
+    # The shallow walk is dataclasses.asdict plus the ratios, key order included.
+    reference = dataclasses.asdict(metrics)
+    assert list(as_dict.items())[: len(reference)] == list(reference.items())
+    assert list(as_dict)[len(reference):] == [
+        "consensus_objects_per_phase", "invocations_per_process_per_phase", "messages_per_round",
+    ]
 
 
 def test_metrics_handle_zero_round_runs():

@@ -41,6 +41,76 @@ def test_payload_size_handles_dataclasses():
     assert payload_size(PhaseMessage(tag="t", round_number=1, phase=1, est=0)) > 3
 
 
+def reference_payload_size(payload):
+    """The recursive ``isinstance`` walk ``payload_size`` replaced: the reference."""
+    if payload is None:
+        return 1
+    if isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return max(1, (payload.bit_length() + 7) // 8)
+    if isinstance(payload, float):
+        return 8
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8"))
+    if isinstance(payload, (tuple, list, set, frozenset)):
+        return 2 + sum(reference_payload_size(item) for item in payload)
+    if isinstance(payload, dict):
+        return 2 + sum(
+            reference_payload_size(key) + reference_payload_size(value)
+            for key, value in payload.items()
+        )
+    fields = getattr(payload, "__dataclass_fields__", None)
+    if fields is not None:
+        return 2 + sum(reference_payload_size(getattr(payload, name)) for name in fields)
+    return 16
+
+
+def _sized_payloads():
+    """Every kind of payload the algorithms and the adversary put on the wire."""
+    import dataclasses
+    import enum
+
+    from repro.adversary.faults import TamperedPayload, mutate_payload
+    from repro.core.base import BOT, DecideMessage, PhaseMessage
+
+    @dataclasses.dataclass(frozen=True)
+    class Annotated(PhaseMessage):
+        note: str = "é"
+
+    class Undecorated(DecideMessage):
+        pass
+
+    class Bit(enum.IntEnum):
+        ONE = 1
+
+    votes = [PhaseMessage(tag="hybrid-local-coin", round_number=r, phase=2, est=est)
+             for r in (1, 300, 70_000) for est in (0, 1, BOT)]
+    decide = DecideMessage(tag="mp-common-coin", value=1)
+    return votes + [
+        decide,
+        PhaseMessage(tag="t", round_number=True, phase=1, est=Bit.ONE),
+        TamperedPayload(original=votes[0], mutated=mutate_payload(votes[0])),
+        TamperedPayload(original=decide, mutated=mutate_payload(decide)),
+        mutate_payload(votes[1]),
+        mutate_payload(votes[2]),
+        mutate_payload(decide),
+        True, 2.5, None, 0, -(2**70), "ascii", "⊥⊥", BOT, object(),
+        (votes[0], [decide, {BOT}], {"k": (1.0, None)}),
+        frozenset({1, 2}),
+        Annotated(tag="t", round_number=2, phase=1, est=BOT),
+        Undecorated(tag="t", value=0),
+    ]
+
+
+def test_payload_size_equals_the_recursive_reference():
+    # Twice: a dataclass type's first instance is sized by the general rules
+    # and records its fields, later ones take the exact-type path.
+    for _ in range(2):
+        for payload in _sized_payloads():
+            assert payload_size(payload) == reference_payload_size(payload), payload
+
+
 # ---------------------------------------------------------------------- delays
 @pytest.mark.parametrize(
     "model",

@@ -250,6 +250,28 @@ def _assert_same_answer(got, expected):
     False,
     [((0, "live", 1), False, (0, "junk", 0), True), ((1, "live", 0), True, (2, "live", 0), False)],
 )
+# Two senders of one cluster: the cluster is counted once, and both votes
+# still reach the outcome's sets.
+@example(
+    [[0, 1], [2], [3]],
+    True,
+    [
+        ((0, "live", 0), False, (0, "junk", 0), False),
+        ((1, "live", 1), False, (0, "junk", 0), False),
+        ((2, "live", 0), False, (0, "junk", 0), False),
+    ],
+)
+# A DECIDE classified in the same evaluation whose votes push the count past
+# n/2: the DECIDE wins.
+@example(
+    [[0], [1], [2]],
+    True,
+    [
+        ((0, "live", 0), False, (0, "junk", 0), True),
+        ((1, "decide", 1), False, (0, "junk", 0), True),
+        ((2, "live", 0), False, (0, "junk", 0), False),
+    ],
+)
 @settings(deadline=None)
 def test_incremental_exchange_wait_equals_full_scan_on_every_prefix(
     clusters, expand_clusters, deliveries

@@ -224,6 +224,23 @@ def test_search_is_exhausted_only_when_nothing_was_cut():
     assert (spent.runs, spent.drained, spent.exhausted) == (10, False, False)
 
 
+def test_search_reports_depth_and_fanout_histograms_of_what_it_ran():
+    spec = SearchSpec("shared-memory", n=3, seed=0)
+    full = search(spec, budget=1000)
+    # Every schedule makes three binary and three ternary tie decisions, and
+    # the exhausted space is exactly their product: 2**3 * 3**3 = 216 runs.
+    assert full.depth_histogram == {6: 216}
+    assert full.fanout_histogram == {2: 648, 3: 648}
+    spent = search(spec, budget=10)
+    assert (spent.depth_histogram, spent.fanout_histogram) == ({6: 10}, {2: 30, 3: 30})
+    found = search(SearchSpec(algorithm="planted-ben-or", seed=11), budget=50)
+    assert sum(found.depth_histogram.values()) == found.runs == 2
+    assert sum(found.fanout_histogram.values()) == sum(
+        depth * count for depth, count in found.depth_histogram.items()
+    )
+    assert found.coverage.startswith("depths 47:1 199:1; fanouts 2:114 3:75")
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_real_algorithms_survive_the_search_budget(algorithm):
     outcome = search(SearchSpec(algorithm=algorithm), budget=60)

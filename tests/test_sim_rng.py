@@ -64,6 +64,21 @@ def test_spawn_creates_independent_namespace():
     assert parent.spawn("other").seed != child.seed
 
 
+def test_lazy_stream_is_derived_on_its_first_draw():
+    source = RandomSource(17)
+    lazy = source.lazy_stream("local-coin", 3)
+    source.stream("kernel", "jitter")
+    assert source.derived == (("kernel", "jitter"),)
+    draws = [lazy.randrange(2) for _ in range(8)] + [lazy.random()]
+    assert source.derived == (("kernel", "jitter"), ("local-coin", "3"))
+    eager = RandomSource(17).stream("local-coin", 3)
+    assert draws == [eager.randrange(2) for _ in range(8)] + [eager.random()]
+    # The derived stream is the source's own: both views share its state.
+    assert source.stream("local-coin", "3").getstate() == lazy.getstate()
+    with pytest.raises(AttributeError):
+        lazy._private
+
+
 def test_streams_return_standard_random_objects():
     assert isinstance(RandomSource(0).stream("x"), random.Random)
 
