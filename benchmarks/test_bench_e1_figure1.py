@@ -6,14 +6,17 @@ messages, shared-memory operations) and times one full report generation.
 """
 
 from repro.experiments import e1_figure1
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 
 SEEDS = default_seeds(5)
 
 
 def test_bench_e1_figure1(benchmark):
     report = benchmark.pedantic(
-        lambda: e1_figure1.run(seeds=SEEDS), rounds=1, iterations=1, warmup_rounds=0
+        lambda: run_planned(e1_figure1.plan(seeds=SEEDS), e1_figure1.build_report),
+        rounds=1,
+        iterations=1,
+        warmup_rounds=0,
     )
     print()
     print(report.format())

@@ -6,14 +6,17 @@ against the Ben-Or control (which stays safe but cannot terminate).
 """
 
 from repro.experiments import e2_majority_crash
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 
 SEEDS = default_seeds(5)
 
 
 def test_bench_e2_majority_crash(benchmark):
     report = benchmark.pedantic(
-        lambda: e2_majority_crash.run(seeds=SEEDS, sizes=(7, 11), control_round_cap=25),
+        lambda: run_planned(
+            e2_majority_crash.plan(seeds=SEEDS, sizes=(7, 11), control_round_cap=25),
+            e2_majority_crash.build_report,
+        ),
         rounds=1,
         iterations=1,
         warmup_rounds=0,

@@ -1,14 +1,16 @@
 """Benchmark E4 — expected rounds to decision for Algorithms 2 and 3."""
 
 from repro.experiments import e4_rounds
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 
 SEEDS = default_seeds(20)
 
 
 def test_bench_e4_rounds(benchmark):
     report = benchmark.pedantic(
-        lambda: e4_rounds.run(seeds=SEEDS, sizes=(6, 12), cluster_counts=(3,)),
+        lambda: run_planned(
+            e4_rounds.plan(seeds=SEEDS, sizes=(6, 12), cluster_counts=(3,)), e4_rounds.build_report
+        ),
         rounds=1,
         iterations=1,
         warmup_rounds=0,

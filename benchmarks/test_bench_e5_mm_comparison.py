@@ -1,14 +1,17 @@
 """Benchmark E5 — hybrid model vs m&m model: shared-memory cost per phase (Section III-C)."""
 
 from repro.experiments import e5_mm_comparison
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 
 SEEDS = default_seeds(4)
 
 
 def test_bench_e5_mm_comparison(benchmark):
     report = benchmark.pedantic(
-        lambda: e5_mm_comparison.run(seeds=SEEDS, sizes=(8, 12), cluster_counts=(2, 4)),
+        lambda: run_planned(
+            e5_mm_comparison.plan(seeds=SEEDS, sizes=(8, 12), cluster_counts=(2, 4)),
+            e5_mm_comparison.build_report,
+        ),
         rounds=1,
         iterations=1,
         warmup_rounds=0,

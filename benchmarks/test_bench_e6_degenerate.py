@@ -1,14 +1,17 @@
 """Benchmark E6 — degenerate configurations: m=n reduces to Ben-Or, m=1 to shared memory."""
 
 from repro.experiments import e6_degenerate
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 
 SEEDS = default_seeds(15)
 
 
 def test_bench_e6_degenerate(benchmark):
     report = benchmark.pedantic(
-        lambda: e6_degenerate.run(seeds=SEEDS, n=7), rounds=1, iterations=1, warmup_rounds=0
+        lambda: run_planned(e6_degenerate.plan(seeds=SEEDS, n=7), e6_degenerate.build_report),
+        rounds=1,
+        iterations=1,
+        warmup_rounds=0,
     )
     print()
     print(report.format())

@@ -1,14 +1,16 @@
 """Benchmark E8 — Figure 2 domain reconstruction and the scalability trade-off sweep."""
 
 from repro.experiments import e8_scalability
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 
 SEEDS = default_seeds(4)
 
 
 def test_bench_e8_scalability(benchmark):
     report = benchmark.pedantic(
-        lambda: e8_scalability.run(seeds=SEEDS, sizes=(4, 8, 12)),
+        lambda: run_planned(
+            e8_scalability.plan(seeds=SEEDS, sizes=(4, 8, 12)), e8_scalability.build_report
+        ),
         rounds=1,
         iterations=1,
         warmup_rounds=0,

@@ -131,10 +131,10 @@ def test_bench_e8l_n1024_smoke(benchmark):
     the timing harness) in bench-smoke too, so every CI push proves the
     large-n path stays alive, not just the nightly lane.
     """
-    from repro.experiments.e8_scalability import plan_large
+    from repro.experiments import e8l_large
     from repro.harness.distributed import run_plan
 
-    plan = plan_large(seeds=[1000], sizes=(1024,))
+    plan = e8l_large.plan(seeds=[1000], sizes=(1024,))
     assert [point.label for point in plan.points] == ["n=1024/m=1"]
     aggregates = benchmark.pedantic(
         lambda: run_plan(plan, exec_mode="coop"), rounds=1, iterations=1, warmup_rounds=0

@@ -20,10 +20,10 @@ right engine for a scenario.
 Scenarios are plain picklable data with stable reprs, so they ride inside
 :class:`~repro.harness.runner.ExperimentConfig`, enter sweep-plan
 fingerprints, and keep sharded adversarial sweeps bit-identical to
-single-host ones.  The named registry in
-:mod:`~repro.adversary.library` makes scenarios referencable from the CLI
-(``python -m repro run e9 --scenario lossy-links``); the adaptive registry
-in :mod:`~repro.adversary.adaptive` does the same for e10.
+single-host ones.  The named table in :mod:`~repro.adversary.library`
+makes scenarios referencable from the CLI
+(``python -m repro run e9 --scenario lossy-links``); the adaptive table in
+:mod:`~repro.adversary.adaptive` does the same for e10.
 """
 
 from .._lazy import lazy_exports
@@ -34,14 +34,14 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "adaptive": [
             "ADAPTIVE_FAULT_TYPES", "AdaptiveAdversary", "DelayPivotal", "SplitRounds",
             "TargetCoin", "adaptive_scenario_names", "build_adaptive_scenario",
-            "build_adversary", "register_adaptive_scenario",
+            "build_adversary",
         ],
         "faults": [
             "FAULT_TYPES", "CrashRecovery", "LinkFault", "MessageCorruption",
             "MessageDuplication", "MessageOmission", "MessageReordering", "Outage",
             "PartitionWindow", "ProcessSlowdown", "TamperedPayload", "register_fault_type",
         ],
-        "library": ["build_scenario", "register_scenario", "scenario_names"],
+        "library": ["build_scenario", "scenario_names"],
         "scenario": ["Adversary", "Scenario"],
     },
 )

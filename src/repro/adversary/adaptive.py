@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim.events import Event, MessageDelivery
 from ..sim.process import ProcessState
@@ -51,6 +51,7 @@ from .faults import (
     _normalised_pids,
     register_fault_type,
 )
+from .library import ScenarioBuilder, build_named, halves
 from .scenario import Adversary, Scenario
 
 _INF = math.inf
@@ -401,56 +402,25 @@ def build_adversary(scenario: Scenario, rng: random.Random) -> Adversary:
 
 
 # --------------------------------------------------------------------- library
-#: The adaptive scenario registry: ``builder(n, intensity) -> Scenario``.
-#: Deliberately separate from the declarative registry in
-#: :mod:`~repro.adversary.library` -- e9 sweeps that registry wholesale, so
-#: adding names there would silently change e9's sweep plan (and void its
-#: fingerprints).  Experiment e10 sweeps this one instead.
-_ADAPTIVE_REGISTRY: Dict[str, Callable[[int, float], Scenario]] = {}
-
-
-def register_adaptive_scenario(name: str, builder: Callable[[int, float], Scenario]) -> None:
-    """Add a named adaptive builder (refusing duplicate names)."""
-    if name in _ADAPTIVE_REGISTRY:
-        raise ValueError(f"adaptive scenario {name!r} is already registered")
-    _ADAPTIVE_REGISTRY[name] = builder
-
-
 def adaptive_scenario_names() -> List[str]:
-    """Every registered adaptive scenario name, sorted."""
-    return sorted(_ADAPTIVE_REGISTRY)
+    """Every adaptive scenario name, sorted."""
+    return sorted(ADAPTIVE_SCENARIOS)
 
 
 def build_adaptive_scenario(name: str, n: int, intensity: float = 0.2) -> Scenario:
     """Instantiate the named adaptive scenario for an ``n``-process system.
 
-    Mirrors :func:`~repro.adversary.library.build_scenario`: ``intensity``
-    in ``[0, 1]`` scales strategy aggressiveness (deferral magnitudes and
-    budgets, corruption probability), and 0 yields a behaviourally
-    fault-free scenario.
+    Checked like :func:`~repro.adversary.library.build_scenario`:
+    ``intensity`` in ``[0, 1]`` scales strategy aggressiveness (deferral
+    magnitudes and budgets, corruption probability), and 0 yields a
+    behaviourally fault-free scenario.
     """
-    try:
-        builder = _ADAPTIVE_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown adaptive scenario {name!r}; choose from {adaptive_scenario_names()}"
-        ) from None
-    if n < 2:
-        raise ValueError(f"adaptive scenarios need at least 2 processes, got n={n}")
-    if not 0.0 <= intensity <= 1.0:
-        raise ValueError(f"intensity must be in [0, 1], got {intensity}")
-    return builder(n, intensity)
+    return build_named(ADAPTIVE_SCENARIOS, name, n, intensity, kind="adaptive scenario")
 
 
 def _budget(intensity: float) -> int:
     """Deferral budget scaling: 1 at the mildest, 8 at full intensity."""
     return 1 + int(7 * intensity)
-
-
-def _split_halves(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Two non-empty contiguous groups (majority first), as in the library."""
-    cut = min(n - 1, n // 2 + 1)
-    return tuple(range(cut)), tuple(range(cut, n))
 
 
 def _delay_pivotal(n: int, intensity: float) -> Scenario:
@@ -491,7 +461,7 @@ def _split_rounds(n: int, intensity: float) -> Scenario:
         "split-rounds",
         (
             SplitRounds(
-                groups=_split_halves(n),
+                groups=halves(n),
                 extra_delay=5.0 * intensity,
                 max_deferrals=_budget(intensity),
             ),
@@ -515,14 +485,17 @@ def _byzantine_tamper(n: int, intensity: float) -> Scenario:
     )
 
 
-for _name, _builder in (
-    ("delay-pivotal", _delay_pivotal),
-    ("target-coin", _target_coin),
-    ("target-coin-omit", _target_coin_omit),
-    ("split-rounds", _split_rounds),
-    ("byzantine-tamper", _byzantine_tamper),
-):
-    register_adaptive_scenario(_name, _builder)
+#: Every adaptive scenario by name.  Deliberately apart from the declarative
+#: :data:`~repro.adversary.library.SCENARIOS`: e9 sweeps that table
+#: wholesale, so a name added there would change e9's plan (and void its
+#: fingerprints).  Experiment e10 sweeps this one instead.
+ADAPTIVE_SCENARIOS: Dict[str, ScenarioBuilder] = {
+    "delay-pivotal": _delay_pivotal,
+    "target-coin": _target_coin,
+    "target-coin-omit": _target_coin_omit,
+    "split-rounds": _split_rounds,
+    "byzantine-tamper": _byzantine_tamper,
+}
 
 
 __all__ = [
@@ -534,5 +507,4 @@ __all__ = [
     "adaptive_scenario_names",
     "build_adaptive_scenario",
     "build_adversary",
-    "register_adaptive_scenario",
 ]

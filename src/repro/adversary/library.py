@@ -1,9 +1,9 @@
-"""The named scenario registry: CLI-referencable, fingerprintable scenarios.
+"""The named scenario library: CLI-referencable, fingerprintable scenarios.
 
 Each entry is a builder ``(n, intensity) -> Scenario`` so the same name
 yields a concrete scenario for any system size, with one ``intensity`` knob
 in ``[0, 1]`` scaling how hard the adversary hits (drop probabilities,
-window lengths, slowdown magnitudes).  Experiment e9 sweeps the registry
+window lengths, slowdown magnitudes).  Experiment e9 sweeps the library
 over intensities; ``python -m repro run e9 --scenario <name>`` restricts it
 to one entry.
 
@@ -16,7 +16,7 @@ termination guarantee; the others are liveness-preserving.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from .faults import (
     CrashRecovery,
@@ -29,40 +29,45 @@ from .faults import (
 )
 from .scenario import Scenario
 
-#: A registry entry: ``builder(n, intensity) -> Scenario``.
+#: A table entry: ``builder(n, intensity) -> Scenario``.
 ScenarioBuilder = Callable[[int, float], Scenario]
-
-_REGISTRY: Dict[str, ScenarioBuilder] = {}
-
-
-def register_scenario(name: str, builder: ScenarioBuilder) -> None:
-    """Add a named builder to the registry (refusing duplicate names)."""
-    if name in _REGISTRY:
-        raise ValueError(f"scenario {name!r} is already registered")
-    _REGISTRY[name] = builder
 
 
 def scenario_names() -> List[str]:
-    """Every registered scenario name, sorted."""
-    return sorted(_REGISTRY)
+    """Every library scenario name, sorted."""
+    return sorted(SCENARIOS)
 
 
 def build_scenario(name: str, n: int, intensity: float = 0.2) -> Scenario:
-    """Instantiate the named scenario for an ``n``-process system.
+    """Instantiate the named library scenario for an ``n``-process system.
 
     ``intensity`` in ``[0, 1]`` scales the scenario's severity; 0 yields a
     scenario whose faults are as mild as the primitives allow (windows of
     minimal length, probabilities of 0), which for every library entry is
     behaviourally fault-free.
     """
+    return build_named(SCENARIOS, name, n, intensity)
+
+
+def build_named(
+    builders: Mapping[str, ScenarioBuilder],
+    name: str,
+    n: int,
+    intensity: float,
+    kind: str = "scenario",
+) -> Scenario:
+    """Look ``name`` up in ``builders`` and build it, checking the arguments.
+
+    The one lookup behind :func:`build_scenario` and
+    :func:`~repro.adversary.adaptive.build_adaptive_scenario`; ``kind``
+    names the table in the errors.
+    """
     try:
-        builder = _REGISTRY[name]
+        builder = builders[name]
     except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; choose from {scenario_names()}"
-        ) from None
+        raise ValueError(f"unknown {kind} {name!r}; choose from {sorted(builders)}") from None
     if n < 2:
-        raise ValueError(f"library scenarios need at least 2 processes, got n={n}")
+        raise ValueError(f"{kind}s need at least 2 processes, got n={n}")
     if not 0.0 <= intensity <= 1.0:
         raise ValueError(f"intensity must be in [0, 1], got {intensity}")
     return builder(n, intensity)
@@ -73,7 +78,7 @@ def _minority(n: int) -> List[int]:
     return list(range(n // 2))
 
 
-def _halves(n: int):
+def halves(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Split ``0..n-1`` into two non-empty contiguous groups (majority first)."""
     cut = min(n - 1, n // 2 + 1)
     return tuple(range(cut)), tuple(range(cut, n))
@@ -106,7 +111,7 @@ def _reorder_heavy(n: int, intensity: float) -> Scenario:
 def _partition_heal(n: int, intensity: float) -> Scenario:
     if intensity == 0.0:
         return Scenario("partition-heal", ())
-    left, right = _halves(n)
+    left, right = halves(n)
     window = PartitionWindow(
         groups=(left, right), start=1.0, end=1.0 + 30.0 * intensity, mode="heal"
     )
@@ -116,7 +121,7 @@ def _partition_heal(n: int, intensity: float) -> Scenario:
 def _partition_drop(n: int, intensity: float) -> Scenario:
     if intensity == 0.0:
         return Scenario("partition-drop", ())
-    left, right = _halves(n)
+    left, right = halves(n)
     window = PartitionWindow(
         groups=(left, right), start=1.0, end=1.0 + 30.0 * intensity, mode="drop"
     )
@@ -147,7 +152,7 @@ def _chaos(n: int, intensity: float) -> Scenario:
     """Everything at once (scaled down so runs still end quickly)."""
     if intensity == 0.0:
         return Scenario("chaos", ())
-    left, right = _halves(n)
+    left, right = halves(n)
     faults = [
         MessageReordering(probability=intensity / 2, inflation=5.0),
         PartitionWindow(groups=(left, right), start=2.0, end=2.0 + 10.0 * intensity),
@@ -162,15 +167,16 @@ def _chaos(n: int, intensity: float) -> Scenario:
     return Scenario("chaos", tuple(faults))
 
 
-for _name, _builder in (
-    ("none", _none),
-    ("lossy-links", _lossy_links),
-    ("duplication-storm", _duplication_storm),
-    ("reorder-heavy", _reorder_heavy),
-    ("partition-heal", _partition_heal),
-    ("partition-drop", _partition_drop),
-    ("slow-minority", _slow_minority),
-    ("crash-recovery", _crash_recovery),
-    ("chaos", _chaos),
-):
-    register_scenario(_name, _builder)
+#: Every library scenario by name.  e9 sweeps exactly these, so a new name
+#: here changes e9's default plan and its fingerprint.
+SCENARIOS: Dict[str, ScenarioBuilder] = {
+    "none": _none,
+    "lossy-links": _lossy_links,
+    "duplication-storm": _duplication_storm,
+    "reorder-heavy": _reorder_heavy,
+    "partition-heal": _partition_heal,
+    "partition-drop": _partition_drop,
+    "slow-minority": _slow_minority,
+    "crash-recovery": _crash_recovery,
+    "chaos": _chaos,
+}

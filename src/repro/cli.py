@@ -38,7 +38,6 @@ each command's import graph.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 import time
@@ -67,26 +66,31 @@ def _build_plan(
     scenarios: Optional[Sequence[str]] = None,
     require_scenarios: bool = True,
 ):
-    """Build the named experiment's plan, forwarding a scenario restriction.
+    """Build the named experiment's plan, restricted to ``scenarios``.
 
-    ``scenarios`` is forwarded to drivers whose ``plan`` accepts it (e9).
-    With ``require_scenarios`` a restriction the driver cannot honour is an
-    error; without it (the merge path, which replays whatever the manifests
-    recorded) it is silently ignored.
+    A driver that sweeps named fault scenarios exports them as
+    ``SCENARIOS``, and every restricting name must be one of them.  A driver
+    without ``SCENARIOS`` refuses a restriction when ``require_scenarios``
+    is set; the merge path clears it, since the manifests record a
+    scenario list (``["none"]``) for every experiment.
     """
     module = _resolve_experiment(experiment)
     if seeds is None and seed_count is not None:
         seeds = default_seeds(seed_count)
-    kwargs = {"seeds": seeds}
-    if scenarios is not None:
-        if "scenarios" in inspect.signature(module.plan).parameters:
-            kwargs["scenarios"] = tuple(scenarios)
-        elif require_scenarios:
+    known = getattr(module, "SCENARIOS", None)
+    if scenarios is None or (known is None and not require_scenarios):
+        return module, module.plan(seeds=seeds)
+    if known is None:
+        raise ShardError(
+            f"experiment {experiment!r} does not take --scenario "
+            f"(it sweeps no named fault scenarios)"
+        )
+    for name in scenarios:
+        if name not in known:
             raise ShardError(
-                f"experiment {experiment!r} does not take --scenario "
-                f"(only e9, e10 and e11 sweep fault scenarios)"
+                f"unknown scenario {name!r} for {experiment}; choose from: " + ", ".join(known)
             )
-    return module, module.plan(**kwargs)
+    return module, module.plan(seeds=seeds, scenarios=tuple(scenarios))
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -103,25 +107,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenarios = None
-    if args.scenario is not None:
-        # Each scenario-aware experiment validates against its own registry:
-        # e10 the adaptive strategies, e11 the resilience schedules, e9 the
-        # declarative library.
-        experiment = args.experiment.upper()
-        if experiment == "E10":
-            from .adversary.adaptive import adaptive_scenario_names as known_names
-        elif experiment == "E11":
-            from .experiments.e11_resilience import resilience_scenario_names as known_names
-        else:
-            from .adversary.library import scenario_names as known_names
-        known = known_names()
-        if args.scenario not in known:
-            raise ShardError(
-                f"unknown scenario {args.scenario!r} for {args.experiment}; "
-                "choose from: " + ", ".join(known)
-            )
-        scenarios = (args.scenario,)
+    scenarios = None if args.scenario is None else (args.scenario,)
     module, plan = _build_plan(args.experiment, args.seeds, scenarios=scenarios)
     if args.steal and args.shard is not None:
         raise ShardError(
@@ -439,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--scenario", default=None, metavar="NAME",
-        help="restrict e9/e10/e11 to one fault scenario from the experiment's "
-        "registry (e.g. lossy-links for e9, delay-pivotal for e10, "
-        "kill-during-recovery for e11)",
+        help="restrict an experiment that sweeps named fault scenarios to one of "
+        "them (e.g. lossy-links for e9, delay-pivotal for e10, "
+        "kill-during-recovery for e11); an unknown name lists the experiment's own",
     )
     run_parser.add_argument(
         "--shard", default=None, metavar="I/K",

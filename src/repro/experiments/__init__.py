@@ -2,9 +2,11 @@
 
 See ``docs/experiments.md`` for the experiment index (paper claim,
 parameters and sample invocations).  Every module exposes ``plan(...)``
-(the shardable run enumeration), ``build_report(plan, aggregates)``,
-``run(...)`` (used by the benchmark harness and the CLI) and ``main()``
-(prints the report).
+(the shardable run enumeration), ``build_report(plan, aggregates)`` and
+``PAPER_CLAIM``; e9, e10 and e11 also export ``SCENARIOS``.  Nothing else
+is a driver's surface: ``common.run_planned`` executes a plan on this host
+for the CLI, the benchmarks and the tests, and ``python -m repro run eN``
+prints its report.
 
 A driver module is imported when it is first looked up -- as an attribute
 of this package or as a key of :data:`ALL_EXPERIMENTS` -- so running one

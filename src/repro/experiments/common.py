@@ -1,6 +1,6 @@
-"""Shared plumbing for the experiment modules E1–E8.
+"""Shared plumbing for the experiment drivers E1–E11 and E8L.
 
-Each experiment module exposes three entry points:
+Each driver module is a plan and a report:
 
 * ``plan(...) -> SweepPlan`` — the deterministic enumeration of every run
   the experiment performs (pure data, runs nothing).  Because it is a
@@ -9,13 +9,14 @@ Each experiment module exposes three entry points:
 * ``build_report(plan, aggregates) -> ExperimentReport`` — turns the
   per-point :class:`~repro.harness.aggregate.RunAggregate` objects (from a
   local execution or a shard merge) into the experiment's report.
-* ``run(...) -> ExperimentReport`` — convenience single-host path:
-  ``build_report(plan(...), run_plan(plan(...)))``, plus a ``main()`` that
-  prints it.
 
-The benchmark files under ``benchmarks/`` call ``run`` with small
-parameters, and ``docs/experiments.md`` records the paper claim next to a
-sample invocation for each experiment.
+plus its ``PAPER_CLAIM``; a driver that sweeps named fault scenarios also
+exports ``SCENARIOS``, the names ``python -m repro run <exp> --scenario``
+accepts.  :func:`run_planned` is the one single-host executor: the CLI,
+the benchmark files and the tests all run a driver as
+``run_planned(driver.plan(...), driver.build_report)``.
+``docs/experiments.md`` records the paper claim next to a sample
+invocation for each experiment.
 """
 
 from __future__ import annotations
@@ -82,9 +83,8 @@ def run_planned(
 ) -> ExperimentReport:
     """Execute ``plan`` on this host and build its report.
 
-    The single-host path every driver's ``run()`` uses.  Executing the same
-    plan as shards and merging them yields bit-identical aggregates, so
-    ``build_report`` produces the identical report either way; likewise
+    Executing the same plan as shards and merging them yields bit-identical
+    aggregates, so ``build_report`` produces the identical report either way; likewise
     ``exec_mode`` (process pool vs cooperative multi-kernel hosting, see
     :func:`~repro.harness.parallel.run_many`) only changes how the runs are
     hosted, never what they compute.

@@ -27,7 +27,7 @@ from ..harness.distributed import PlanPoint, SweepPlan
 from ..harness.runner import ExperimentConfig
 from ..search.systemic import detect_systemic_failure
 from ..sim.kernel import SimConfig
-from .common import ExperimentReport, default_seeds, run_planned
+from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (
     "Indulgence is unconditional: even an adaptive adversary that observes the "
@@ -36,6 +36,10 @@ PAPER_CLAIM = (
     "termination, never make two processes decide differently nor make anybody decide "
     "an unproposed value."
 )
+
+#: The scenario names ``--scenario`` accepts: every adaptive strategy, which
+#: the default plan sweeps.
+SCENARIOS = tuple(adaptive_scenario_names())
 
 #: Strategy intensities swept per scenario.
 DEFAULT_INTENSITIES = (0.3, 0.7)
@@ -64,7 +68,7 @@ def plan(
     declarative sweeps.
     """
     seeds = list(seeds) if seeds is not None else default_seeds(10)
-    names = sorted(set(scenarios)) if scenarios is not None else adaptive_scenario_names()
+    names = sorted(set(scenarios if scenarios is not None else SCENARIOS))
     algorithm_names = tuple(sorted(set(algorithms)))
     topology = ClusterTopology.even_split(n, m)
     sim = SimConfig(max_rounds=round_cap, max_time=5e4)
@@ -139,40 +143,3 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
         finding.severity == "critical" for finding in findings
     )
     return report
-
-
-def run(
-    seeds: Optional[Sequence[int]] = None,
-    scenarios: Optional[Sequence[str]] = None,
-    intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    n: int = 6,
-    m: int = 3,
-    round_cap: int = 30,
-    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-    max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
-) -> ExperimentReport:
-    """Safety and liveness under adaptive, state-observing adversaries."""
-    return run_planned(
-        plan(
-            seeds=seeds,
-            scenarios=scenarios,
-            intensities=intensities,
-            n=n,
-            m=m,
-            round_cap=round_cap,
-            algorithms=algorithms,
-        ),
-        build_report,
-        max_workers,
-        exec_mode,
-    )
-
-
-def main() -> None:  # pragma: no cover
-    """Run the experiment with default parameters and print its report."""
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

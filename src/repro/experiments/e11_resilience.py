@@ -37,7 +37,7 @@ from ..network.empirical import (
     scale_to_unit_mean,
 )
 from ..sim.kernel import SimConfig
-from .common import ExperimentReport, default_seeds, run_planned
+from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (
     "Safety is unconditional and termination needs only a majority of correct "
@@ -96,23 +96,26 @@ def _replica_loss(k: int) -> Callable[[int], Scenario]:
 #: rungs above ``n // 2`` for the topology actually swept).
 MAX_REPLICA_LOSS = 3
 
-_SCENARIOS: Dict[str, Callable[[int], Scenario]] = {
+_BUILDERS: Dict[str, Callable[[int], Scenario]] = {
     "none": _none,
     "kill-during-recovery": _kill_during_recovery,
+    **{f"replica-loss-{k}": _replica_loss(k) for k in range(1, MAX_REPLICA_LOSS + 1)},
 }
-for _k in range(1, MAX_REPLICA_LOSS + 1):
-    _SCENARIOS[f"replica-loss-{_k}"] = _replica_loss(_k)
+
+#: The scenario names ``--scenario`` accepts, all of which the default plan
+#: sweeps.
+SCENARIOS = tuple(sorted(_BUILDERS))
 
 
 def resilience_scenario_names() -> List[str]:
-    """Every registered resilience scenario name, sorted."""
-    return sorted(_SCENARIOS)
+    """Every resilience scenario name, sorted."""
+    return list(SCENARIOS)
 
 
 def build_resilience_scenario(name: str, n: int) -> Scenario:
     """Build a named resilience scenario for an ``n``-process cluster."""
     try:
-        factory = _SCENARIOS[name]
+        factory = _BUILDERS[name]
     except KeyError:
         raise ValueError(
             f"unknown resilience scenario {name!r}; choose from {resilience_scenario_names()}"
@@ -154,7 +157,7 @@ def plan(
     samples, so the plan fingerprints like the synthetic sweeps.
     """
     seeds = list(seeds) if seeds is not None else default_seeds(10)
-    names = sorted(set(scenarios)) if scenarios is not None else resilience_scenario_names()
+    names = sorted(set(scenarios if scenarios is not None else SCENARIOS))
     catalog = _delay_catalog()
     delay_keys = sorted(set(delays)) if delays is not None else sorted(catalog)
     for key in delay_keys:
@@ -226,40 +229,3 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
         row["safety_rate"] == 1.0 and row["termination_rate"] == 1.0 for row in report.rows
     )
     return report
-
-
-def run(
-    seeds: Optional[Sequence[int]] = None,
-    scenarios: Optional[Sequence[str]] = None,
-    delays: Optional[Sequence[str]] = None,
-    n: int = 6,
-    m: int = 3,
-    round_cap: int = 30,
-    algorithm: str = "hybrid-local-coin",
-    max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
-) -> ExperimentReport:
-    """Resilience under measured-RTT delays and crash-recovery schedules."""
-    return run_planned(
-        plan(
-            seeds=seeds,
-            scenarios=scenarios,
-            delays=delays,
-            n=n,
-            m=m,
-            round_cap=round_cap,
-            algorithm=algorithm,
-        ),
-        build_report,
-        max_workers,
-        exec_mode,
-    )
-
-
-def main() -> None:  # pragma: no cover
-    """Run the experiment with default parameters and print its report."""
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,7 +16,7 @@ from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
 from ..harness.runner import ExperimentConfig
-from .common import ExperimentReport, default_seeds, run_planned
+from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (
     "Figure 1 shows two decompositions of 7 processes into 3 clusters; in the right one, "
@@ -85,24 +85,3 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
         and ClusterTopology.figure1_left().majority_cluster_index() is None
     )
     return report
-
-
-def run(
-    seeds: Optional[Sequence[int]] = None,
-    algorithms: Sequence[str] = ("hybrid-local-coin", "hybrid-common-coin"),
-    max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
-) -> ExperimentReport:
-    """Run both hybrid algorithms on both Figure 1 decompositions."""
-    return run_planned(
-        plan(seeds=seeds, algorithms=algorithms), build_report, max_workers, exec_mode
-    )
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    """Run the experiment with default parameters and print its report."""
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -19,7 +19,7 @@ from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
 from ..harness.runner import ExperimentConfig
 from ..sim.kernel import SimConfig
-from .common import ExperimentReport, default_seeds, run_planned
+from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (
     "If a cluster contains a strict majority of processes and at least one of its members "
@@ -121,28 +121,3 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
         "terminates under the same number of crashes but never violates safety (indulgence)."
     )
     return report
-
-
-def run(
-    seeds: Optional[Sequence[int]] = None,
-    sizes: Sequence[int] = (7, 11, 15),
-    control_round_cap: int = 40,
-    max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
-) -> ExperimentReport:
-    """Headline scenario for several ``n``; Ben-Or control with the same crash count."""
-    return run_planned(
-        plan(seeds=seeds, sizes=sizes, control_round_cap=control_round_cap),
-        build_report,
-        max_workers,
-        exec_mode,
-    )
-
-
-def main() -> None:  # pragma: no cover
-    """Run the experiment with default parameters and print its report."""
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -17,7 +17,7 @@ from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
 from ..harness.runner import ExperimentConfig
-from .common import ExperimentReport, default_seeds, run_planned
+from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (
     "If all processes of a cluster crash except one, the surviving process acts as if all the "
@@ -109,26 +109,3 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
             passed = False
     report.passed = passed
     return report
-
-
-def run(
-    seeds: Optional[Sequence[int]] = None,
-    n: int = 9,
-    m: int = 3,
-    algorithms: Sequence[str] = ("hybrid-local-coin", "hybrid-common-coin"),
-    max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
-) -> ExperimentReport:
-    """Compare failure-free runs with 'one survivor per cluster' runs."""
-    return run_planned(
-        plan(seeds=seeds, n=n, m=m, algorithms=algorithms), build_report, max_workers, exec_mode
-    )
-
-
-def main() -> None:  # pragma: no cover
-    """Run the experiment with default parameters and print its report."""
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

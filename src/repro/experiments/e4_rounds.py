@@ -16,7 +16,7 @@ from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
 from ..harness.runner import ExperimentConfig
-from .common import ExperimentReport, default_seeds, run_planned
+from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (
     "Algorithm 2 extends Ben-Or (expected constant rounds, 1 round on unanimous inputs); "
@@ -93,29 +93,3 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
         "geometric(1/2) distribution, i.e. 2; the measured mean should sit near that value."
     )
     return report
-
-
-def run(
-    seeds: Optional[Sequence[int]] = None,
-    sizes: Sequence[int] = (6, 12),
-    cluster_counts: Sequence[int] = (3,),
-    proposals: Sequence[str] = ("unanimous-1", "split"),
-    max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
-) -> ExperimentReport:
-    """Rounds-to-decide for both hybrid algorithms, by input pattern and size."""
-    return run_planned(
-        plan(seeds=seeds, sizes=sizes, cluster_counts=cluster_counts, proposals=proposals),
-        build_report,
-        max_workers,
-        exec_mode,
-    )
-
-
-def main() -> None:  # pragma: no cover
-    """Run the experiment with default parameters and print its report."""
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -24,7 +24,7 @@ from ..harness.distributed import PlanPoint, SweepPlan
 from ..harness.runner import ExperimentConfig
 from ..harness.stats import mean as _mean
 from ..mm.domain import SharedMemoryDomain
-from .common import ExperimentReport, default_seeds, run_planned
+from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (
     "Per phase of a round, the hybrid model touches m shared-memory consensus objects and each "
@@ -115,28 +115,3 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
                 passed = False
     report.passed = passed
     return report
-
-
-def run(
-    seeds: Optional[Sequence[int]] = None,
-    sizes: Sequence[int] = (8, 12),
-    cluster_counts: Sequence[int] = (2, 4),
-    max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
-) -> ExperimentReport:
-    """Hybrid vs m&m per-phase shared-memory cost on matched structures."""
-    return run_planned(
-        plan(seeds=seeds, sizes=sizes, cluster_counts=cluster_counts),
-        build_report,
-        max_workers,
-        exec_mode,
-    )
-
-
-def main() -> None:  # pragma: no cover
-    """Run the experiment with default parameters and print its report."""
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -17,7 +17,7 @@ from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
 from ..harness.runner import ExperimentConfig
-from .common import ExperimentReport, default_seeds, run_planned
+from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (
     "With one process per cluster the hybrid model is the classical message-passing model and "
@@ -102,22 +102,3 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
         "and the message exchange is pure overhead compared to the shared-memory baseline."
     )
     return report
-
-
-def run(
-    seeds: Optional[Sequence[int]] = None,
-    n: int = 7,
-    max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
-) -> ExperimentReport:
-    """Compare degenerate hybrid configurations with the corresponding baselines."""
-    return run_planned(plan(seeds=seeds, n=n), build_report, max_workers, exec_mode)
-
-
-def main() -> None:  # pragma: no cover
-    """Run the experiment with default parameters and print its report."""
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -20,7 +20,7 @@ from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
 from ..harness.runner import ExperimentConfig, termination_expected
 from ..sim.kernel import SimConfig
-from .common import ExperimentReport, default_seeds, run_planned
+from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (
     "If no set of clusters with a surviving member covers a strict majority, the algorithm may "
@@ -105,35 +105,3 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
         not row["termination_expected"] for row in report.rows
     )
     return report
-
-
-def run(
-    seeds: Optional[Sequence[int]] = None,
-    n: int = 8,
-    m: int = 4,
-    round_cap: int = 25,
-    algorithms: Sequence[str] = (
-        "hybrid-local-coin",
-        "hybrid-common-coin",
-        "ben-or",
-        "mp-common-coin",
-    ),
-    max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
-) -> ExperimentReport:
-    """Adversarial crash patterns that break the termination condition."""
-    return run_planned(
-        plan(seeds=seeds, n=n, m=m, round_cap=round_cap, algorithms=algorithms),
-        build_report,
-        max_workers,
-        exec_mode,
-    )
-
-
-def main() -> None:  # pragma: no cover
-    """Run the experiment with default parameters and print its report."""
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

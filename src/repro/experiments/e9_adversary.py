@@ -24,7 +24,7 @@ from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
 from ..harness.runner import ExperimentConfig
 from ..sim.kernel import SimConfig
-from .common import ExperimentReport, default_seeds, run_planned
+from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (
     "The algorithms are correct against any asynchronous adversary: whatever the message "
@@ -32,6 +32,10 @@ PAPER_CLAIM = (
     "processes ever decide differently and no process decides a value nobody proposed; "
     "only termination may be delayed or, when messages are lost, forfeited."
 )
+
+#: The scenario names ``--scenario`` accepts: the whole library, which the
+#: default plan sweeps.
+SCENARIOS = tuple(scenario_names())
 
 #: Fault intensities swept per scenario (the ``none`` baseline runs once at 0).
 DEFAULT_INTENSITIES = (0.1, 0.3)
@@ -54,7 +58,7 @@ def plan(
     zero-intensity point.
     """
     seeds = list(seeds) if seeds is not None else default_seeds(10)
-    names = sorted(set(scenarios)) if scenarios is not None else scenario_names()
+    names = sorted(set(scenarios if scenarios is not None else SCENARIOS))
     topology = ClusterTopology.even_split(n, m)
     sim = SimConfig(max_rounds=round_cap, max_time=5e4)
     points = []
@@ -119,40 +123,3 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
         and all(row["termination_rate"] == 1.0 for row in preserving_rows)
     )
     return report
-
-
-def run(
-    seeds: Optional[Sequence[int]] = None,
-    scenarios: Optional[Sequence[str]] = None,
-    intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    n: int = 6,
-    m: int = 3,
-    round_cap: int = 30,
-    algorithm: str = "hybrid-local-coin",
-    max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
-) -> ExperimentReport:
-    """Safety and liveness-degradation curves under the fault-scenario library."""
-    return run_planned(
-        plan(
-            seeds=seeds,
-            scenarios=scenarios,
-            intensities=intensities,
-            n=n,
-            m=m,
-            round_cap=round_cap,
-            algorithm=algorithm,
-        ),
-        build_report,
-        max_workers,
-        exec_mode,
-    )
-
-
-def main() -> None:  # pragma: no cover
-    """Run the experiment with default parameters and print its report."""
-    print(run().format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -32,7 +32,6 @@ from repro.adversary.adaptive import (
     adaptive_scenario_names,
     build_adaptive_scenario,
     build_adversary,
-    register_adaptive_scenario,
 )
 from repro.adversary.faults import (
     MessageCorruption,
@@ -45,7 +44,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.base import BOT, PhaseMessage, ProcessEnvironment, ProtocolInvariantError
 from repro.core.pattern import scan_mailbox
 from repro.experiments import e10_adaptive
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 from repro.harness.distributed import ShardSpec, merge_shards, run_plan, run_shard
 from repro.harness.runner import ExperimentConfig, prepare_consensus
 from repro.sim.events import MessageDelivery
@@ -346,11 +345,11 @@ def test_adaptive_registry_lists_sorted_names():
     assert {"delay-pivotal", "target-coin", "target-coin-omit", "split-rounds", "byzantine-tamper"} <= set(names)
 
 
-def test_adaptive_registry_refuses_unknown_and_duplicate_names():
+def test_adaptive_registry_refuses_unknown_names_and_names_each_entry():
     with pytest.raises(ValueError, match="unknown adaptive scenario"):
         build_adaptive_scenario("no-such-strategy", n=4)
-    with pytest.raises(ValueError, match="already registered"):
-        register_adaptive_scenario("delay-pivotal", lambda n, intensity: Scenario("dup", ()))
+    for name in adaptive_scenario_names():
+        assert build_adaptive_scenario(name, n=4, intensity=0.5).name == name
 
 
 def test_adaptive_builders_validate_parameters():
@@ -401,7 +400,7 @@ def test_e10_coop_execution_is_bit_identical_to_process_mode():
 
 
 def test_e10_sharded_report_reproduces_driver_report(tmp_path):
-    direct = e10_adaptive.run(max_workers=1, **E10_KWARGS)
+    direct = run_planned(e10_adaptive.plan(**E10_KWARGS), e10_adaptive.build_report, max_workers=1)
     merged = _shard_and_merge(e10_adaptive.plan(**E10_KWARGS), tmp_path, 3)
     report = e10_adaptive.build_report(merged.plan, merged.aggregates)
     assert report.format(precision=12) == direct.format(precision=12)

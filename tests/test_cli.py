@@ -10,7 +10,7 @@ import pytest
 from repro.cli import main
 from repro.harness import parallel
 from repro.experiments import e1_figure1
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 
 E1_ARGS = ["--seeds", "2", "--max-workers", "1"]
 
@@ -32,7 +32,9 @@ def test_list_names_every_experiment(capsys):
 def test_run_prints_the_driver_report(capsys):
     code, out, _ = run_cli(capsys, "run", "e1", *E1_ARGS)
     assert code == 0
-    direct = e1_figure1.run(seeds=default_seeds(2), max_workers=1)
+    direct = run_planned(
+        e1_figure1.plan(seeds=default_seeds(2)), e1_figure1.build_report, max_workers=1
+    )
     assert out.strip() == direct.format().strip()
 
 
@@ -106,8 +108,10 @@ def test_run_e9_with_scenario_restriction(capsys):
 
     code, out, _ = run_cli(capsys, "run", "e9", *E9_ARGS)
     assert code == 0
-    direct = e9_adversary.run(
-        seeds=default_seeds(2), scenarios=("lossy-links",), max_workers=1
+    direct = run_planned(
+        e9_adversary.plan(seeds=default_seeds(2), scenarios=("lossy-links",)),
+        e9_adversary.build_report,
+        max_workers=1,
     )
     assert out.strip() == direct.format().strip()
 
@@ -128,6 +132,31 @@ def test_scenario_on_non_e9_experiment_is_an_error(capsys):
     code, _, err = run_cli(capsys, "run", "e1", "--scenario", "lossy-links")
     assert code == 2
     assert "does not take --scenario" in err
+
+
+@pytest.mark.parametrize(
+    "experiment, scenario, error",
+    [
+        ("e1", "bogus", "experiment 'e1' does not take --scenario"),
+        ("e99", "bogus", "unknown experiment 'e99'"),
+        (
+            "e10",
+            "lossy-links",
+            "unknown scenario 'lossy-links' for e10; choose from: byzantine-tamper, "
+            "delay-pivotal, split-rounds, target-coin, target-coin-omit\n",
+        ),
+        (
+            "e11",
+            "lossy-links",
+            "unknown scenario 'lossy-links' for e11; choose from: kill-during-recovery, "
+            "none, replica-loss-1, replica-loss-2, replica-loss-3\n",
+        ),
+    ],
+)
+def test_scenario_is_checked_against_the_resolved_experiment(capsys, experiment, scenario, error):
+    code, _, err = run_cli(capsys, "run", experiment, "--scenario", scenario)
+    assert code == 2
+    assert err.startswith(f"error: {error}")
 
 
 def test_unknown_scenario_is_an_error(capsys):

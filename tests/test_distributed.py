@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.experiments import e1_figure1
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 from repro.harness import parallel
 from repro.harness.aggregate import RunAggregate, SummaryReducer, run_priority
 from repro.harness.coordinator import run_work_stealing
@@ -267,7 +267,7 @@ def test_run_plan_matches_sweep_and_repeat():
 
 def test_sharded_experiment_reproduces_driver_report(tmp_path):
     seeds = default_seeds(3)
-    direct = e1_figure1.run(seeds=seeds, max_workers=1)
+    direct = run_planned(e1_figure1.plan(seeds=seeds), e1_figure1.build_report, max_workers=1)
     merged = shard_and_merge(e1_figure1.plan(seeds=seeds), tmp_path, 2)
     report = e1_figure1.build_report(merged.plan, merged.aggregates)
     assert report.format(precision=12) == direct.format(precision=12)

@@ -3,12 +3,17 @@
 A plan's fingerprint is what every ``--shard`` / ``--steal`` directory
 records, so a driver change that moves one strands the directories already
 written.  The literals below are the default plans' fingerprints; a change
-that means to move one must say so here.
+that means to move one must say so here.  The ``ast`` gates below hold a
+driver to ``plan`` + ``build_report`` + ``PAPER_CLAIM``, executed by
+``common.run_planned`` alone.
 """
+
+import ast
 
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
+from tests.helpers import SRC, count_calls
 
 DEFAULT_FINGERPRINTS = {
     "E1": "bc481c997c74ad9ce394ac00b7f78c7c7f044416f2c891bf8b1cb7c55878cc21",
@@ -35,3 +40,63 @@ def test_default_plan_fingerprint_is_pinned(key):
     plan = ALL_EXPERIMENTS[key].plan()
     assert plan.key == key
     assert plan.fingerprint() == DEFAULT_FINGERPRINTS[key]
+
+
+# ------------------------------------------------------------ the surface
+EXPERIMENTS = SRC / "experiments"
+DRIVER_FILES = sorted(EXPERIMENTS.glob("e*.py"))
+
+
+def _top_level_names(path):
+    """Names a module binds at its top level: functions, classes, assignments."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def _has_main_block(path):
+    return any(
+        isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)
+        for node in ast.parse(path.read_text()).body
+    )
+
+
+@pytest.mark.parametrize("path", DRIVER_FILES, ids=lambda path: path.stem)
+def test_a_driver_is_a_plan_and_a_report(path):
+    """Each driver states its claim as ``plan`` + ``build_report``, and nothing runs it itself.
+
+    ``common.run_planned`` is the one executor; a ``run()`` or ``main()``
+    would restate ``plan``'s signature by hand.
+    """
+    names = _top_level_names(path)
+    assert {"plan", "build_report", "PAPER_CLAIM"} <= names
+    assert names.isdisjoint({"run", "run_large", "plan_large", "main"})
+    assert not _has_main_block(path)
+
+
+def test_one_executor_for_every_driver():
+    assert len(DRIVER_FILES) == len(ALL_EXPERIMENTS)
+    calls = {path.name: count_calls(path, "run_plan") for path in EXPERIMENTS.glob("*.py")}
+    assert {name: count for name, count in calls.items() if count} == {"common.py": 1}
+
+
+def test_the_cli_does_not_know_which_experiment_sweeps_what():
+    """``--scenario`` is checked against the resolved driver's ``SCENARIOS``."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "inspect" not in imported
+    keys = {
+        node.value.upper()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert keys.isdisjoint({"E9", "E10", "E11"})

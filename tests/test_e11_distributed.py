@@ -13,7 +13,7 @@ with an error naming the offending field.
 import pytest
 
 from repro.experiments import e11_resilience
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 from repro.harness.distributed import (
     ManifestError,
     ShardSpec,
@@ -62,7 +62,9 @@ def test_e11_coop_equals_process_run_summaries():
 
 
 def test_e11_sharded_report_reproduces_driver_report(tmp_path):
-    direct = e11_resilience.run(max_workers=1, **E11_KWARGS)
+    direct = run_planned(
+        e11_resilience.plan(**E11_KWARGS), e11_resilience.build_report, max_workers=1
+    )
     merged = _shard_and_merge(e11_resilience.plan(**E11_KWARGS), tmp_path, 3)
     report = e11_resilience.build_report(merged.plan, merged.aggregates)
     assert report.format(precision=12) == direct.format(precision=12)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.experiments import e9_adversary
-from repro.experiments.common import default_seeds
+from repro.experiments.common import default_seeds, run_planned
 from repro.harness.distributed import (
     ManifestError,
     ShardSpec,
@@ -46,7 +46,7 @@ def test_e9_shard_merge_is_bit_identical_to_single_host(tmp_path, shard_count):
 
 
 def test_e9_sharded_report_reproduces_driver_report(tmp_path):
-    direct = e9_adversary.run(max_workers=1, **E9_KWARGS)
+    direct = run_planned(e9_adversary.plan(**E9_KWARGS), e9_adversary.build_report, max_workers=1)
     merged = _shard_and_merge(e9_adversary.plan(**E9_KWARGS), tmp_path, 3)
     report = e9_adversary.build_report(merged.plan, merged.aggregates)
     assert report.format(precision=12) == direct.format(precision=12)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.common import ExperimentReport, default_seeds
+from repro.experiments.common import ExperimentReport, default_seeds, run_planned
 from repro.experiments import (
     e1_figure1,
     e2_majority_crash,
@@ -46,20 +46,22 @@ def test_registry_contains_all_experiments():
         ["E1", "E10", "E11"] + [f"E{i}" for i in range(2, 9)] + ["E8L", "E9"]
     )
     for module in ALL_EXPERIMENTS.values():
-        assert hasattr(module, "run") and hasattr(module, "main")
+        assert callable(module.plan) and callable(module.build_report)
         assert isinstance(module.PAPER_CLAIM, str) and module.PAPER_CLAIM
 
 
 # -------------------------------------------------------------- individual runs
 def test_e1_figure1_reproduces():
-    report = e1_figure1.run(seeds=SEEDS)
+    report = run_planned(e1_figure1.plan(seeds=SEEDS), e1_figure1.build_report)
     assert report.passed
     assert {row["decomposition"] for row in report.rows} == {"figure1-left", "figure1-right"}
     assert all(row["n"] == 7 and row["m"] == 3 for row in report.rows)
 
 
 def test_e2_majority_crash_reproduces():
-    report = e2_majority_crash.run(seeds=SEEDS, sizes=(7,))
+    report = run_planned(
+        e2_majority_crash.plan(seeds=SEEDS, sizes=(7,)), e2_majority_crash.build_report
+    )
     assert report.passed
     hybrid = report.row_where(algorithm="hybrid-local-coin", n=7)
     control = report.row_where(algorithm="ben-or (control)", n=7)
@@ -68,7 +70,7 @@ def test_e2_majority_crash_reproduces():
 
 
 def test_e3_one_for_all_reproduces():
-    report = e3_one_for_all.run(seeds=SEEDS, n=6, m=3)
+    report = run_planned(e3_one_for_all.plan(seeds=SEEDS, n=6, m=3), e3_one_for_all.build_report)
     assert report.passed
     lone = report.row_where(algorithm="hybrid-local-coin", scenario="one-survivor-per-cluster")
     assert lone["termination_rate"] == 1.0
@@ -76,14 +78,20 @@ def test_e3_one_for_all_reproduces():
 
 
 def test_e4_rounds_reproduces():
-    report = e4_rounds.run(seeds=default_seeds(10), sizes=(6,), cluster_counts=(3,))
+    report = run_planned(
+        e4_rounds.plan(seeds=default_seeds(10), sizes=(6,), cluster_counts=(3,)),
+        e4_rounds.build_report,
+    )
     assert report.passed
     unanimous = report.row_where(algorithm="hybrid-local-coin", proposals="unanimous-1", n=6)
     assert unanimous["max_rounds"] == 1
 
 
 def test_e5_mm_comparison_reproduces():
-    report = e5_mm_comparison.run(seeds=SEEDS, sizes=(8,), cluster_counts=(2,))
+    report = run_planned(
+        e5_mm_comparison.plan(seeds=SEEDS, sizes=(8,), cluster_counts=(2,)),
+        e5_mm_comparison.build_report,
+    )
     assert report.passed
     hybrid = report.row_where(model="hybrid-local-coin", n=8, m=2)
     mm = report.row_where(model="mm-local-coin", n=8, m=2)
@@ -93,22 +101,29 @@ def test_e5_mm_comparison_reproduces():
 
 
 def test_e6_degenerate_reproduces():
-    report = e6_degenerate.run(seeds=default_seeds(6), n=5)
+    report = run_planned(
+        e6_degenerate.plan(seeds=default_seeds(6), n=5), e6_degenerate.build_report
+    )
     assert report.passed
     shared = report.row_where(configuration="shared-memory baseline")
     assert shared["mean_messages"] == 0.0
 
 
 def test_e7_indulgence_reproduces():
-    report = e7_indulgence.run(seeds=SEEDS, n=6, m=3, round_cap=12)
+    report = run_planned(
+        e7_indulgence.plan(seeds=SEEDS, n=6, m=3, round_cap=12), e7_indulgence.build_report
+    )
     assert report.passed
     assert all(row["safety_rate"] == 1.0 for row in report.rows)
     assert all(not row["termination_expected"] for row in report.rows)
 
 
 def test_e9_adversary_reproduces():
-    report = e9_adversary.run(
-        seeds=SEEDS, scenarios=("none", "lossy-links", "partition-drop"), intensities=(0.3,)
+    report = run_planned(
+        e9_adversary.plan(
+            seeds=SEEDS, scenarios=("none", "lossy-links", "partition-drop"), intensities=(0.3,)
+        ),
+        e9_adversary.build_report,
     )
     assert report.passed
     assert all(row["safety_rate"] == 1.0 for row in report.rows)
@@ -118,7 +133,9 @@ def test_e9_adversary_reproduces():
 
 
 def test_e8_scalability_reproduces():
-    report = e8_scalability.run(seeds=default_seeds(2), sizes=(4, 8))
+    report = run_planned(
+        e8_scalability.plan(seeds=default_seeds(2), sizes=(4, 8)), e8_scalability.build_report
+    )
     assert report.passed
     assert e8_scalability.figure2_domain_matches()
     single = report.row_where(n=8, layout="m=1")

@@ -289,21 +289,26 @@ def test_every_experiment_plan_coop_equals_process(
 # ------------------------------------------------------------------ e8 large
 class TestE8Large:
     def test_plan_large_caps_multi_cluster_layouts(self):
-        from repro.experiments.e8_scalability import LARGE_MULTI_CLUSTER_MAX_N, plan_large
+        from repro.experiments.e8l_large import MULTI_CLUSTER_MAX_N, plan as plan_large
 
-        plan = plan_large(seeds=[1000], sizes=(8, LARGE_MULTI_CLUSTER_MAX_N, 2048))
+        plan = plan_large(seeds=[1000], sizes=(8, MULTI_CLUSTER_MAX_N, 2048))
         labels = [point.label for point in plan.points]
         assert "n=8/m=2" in labels
-        assert f"n={LARGE_MULTI_CLUSTER_MAX_N}/m=2" in labels
+        assert f"n={MULTI_CLUSTER_MAX_N}/m=2" in labels
         assert "n=2048/m=1" in labels
         assert "n=2048/m=2" not in labels
         assert plan.key == "E8L"
 
     def test_run_large_smoke_on_coop(self):
         """Smoke-scaled E8L: tiny sizes, coop mode, report checks hold."""
-        from repro.experiments.e8_scalability import run_large
+        from repro.experiments import e8l_large
+        from repro.experiments.common import run_planned
 
-        report = run_large(seeds=[1000, 1001], sizes=(8, 16), exec_mode="coop")
+        report = run_planned(
+            e8l_large.plan(seeds=[1000, 1001], sizes=(8, 16)),
+            e8l_large.build_report,
+            exec_mode="coop",
+        )
         assert report.passed is True
         single = [row for row in report.rows if row["layout"] == "m=1"]
         assert [row["n"] for row in single] == [8, 16]
@@ -316,7 +321,7 @@ class TestE8Large:
         from repro.experiments import e8l_large
 
         assert _resolve_experiment("e8l") is e8l_large
-        assert e8l_large.plan.__name__ == "plan_large"
+        assert _resolve_experiment("e8l").plan().key == "E8L"
 
 
 def test_cli_exec_mode_coop_smoke(capsys):

@@ -128,6 +128,13 @@ def test_coop_from_the_environment_loads_no_pool():
     assert loaded(modules, *NEVER_ON_THE_SWEEP_PATH, *POOL_MODULES) == []
 
 
+def test_large_n_driver_loads_alone():
+    """``run e8l`` resolves its own driver, which stands without e8's."""
+    _, stderr, modules = cli("run", "e8l", "--scenario", "none", expect=2)
+    assert stderr.startswith("error: experiment 'e8l' does not take --scenario")
+    assert loaded(modules, *DRIVERS) == ["repro.experiments.e8l_large"]
+
+
 def test_usage_error_exits_2_before_any_heavy_import():
     _, stderr, modules = cli("run", "e99", expect=2)
     assert stderr.startswith("error: unknown experiment 'e99'")
