@@ -225,11 +225,19 @@ def _payload(kind, est, position):
     return vote
 
 
-def _assert_same_answer(got, expected):
-    """``==`` plus the iteration order of every set a caller could walk."""
+def _assert_same_answer(got, expected, topology):
+    """``==``, ``repr``, the majority and the iteration order of every set.
+
+    A resume value's ``repr`` lands in traces, so it is pinned byte for byte;
+    the majority is recomputed from ``expected``'s sets, whatever ``got``
+    reads it from.
+    """
     assert got == expected
+    assert repr(got) == repr(expected)
     if expected is None:
         return
+    majorities = [v for v in (0, 1) if topology.is_majority(len(expected.supporters_of(v)))]
+    assert got.majority_value(topology) == (majorities[0] if majorities else None)
     assert list(got.supporters) == list(expected.supporters)
     for value, pids in expected.supporters.items():
         assert list(got.supporters[value]) == list(pids)
@@ -295,7 +303,7 @@ def test_incremental_exchange_wait_equals_full_scan_on_every_prefix(
         expected = scan_mailbox(messages, env, *key, expand_clusters)
         if not (expected.is_decide or topology.is_majority(len(expected.heard))):
             expected = None
-        _assert_same_answer(predicate(messages), expected)
+        _assert_same_answer(predicate(messages), expected, topology)
 
     def message(delivery, position):
         sender, kind, est = delivery
