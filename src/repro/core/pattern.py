@@ -12,33 +12,100 @@ two members of a cluster broadcast different values in the same phase
 The pattern also watches for ``DECIDE`` messages so that a process whose
 peers have already decided (and stopped sending phase messages) cannot block
 forever.
+
+An exchange costs its votes.  The wait reads each mailbox entry once (see
+:class:`InboxIndex`) and counts attribution units -- a cluster, or a sender
+-- instead of building sets of processes; a completed exchange counts, per
+value, the processes its votes stand for, which is everything the
+algorithms read.  The outcome's ``supporters`` and ``heard`` sets are built
+from the stored votes only if someone reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..adversary.faults import TamperedPayload
 from .base import BOT, DecideMessage, PhaseMessage, ProcessEnvironment
 
 
-@dataclass(frozen=True)
 class ExchangeOutcome:
     """Result of one ``msg_exchange`` invocation.
 
     ``kind`` is ``"supporters"`` for a normal completion (a majority of
     processes heard from) or ``"decide"`` when a ``DECIDE`` message
     short-circuited the wait.
+
+    An outcome is a value with the fields, constructor, ``==`` and ``repr``
+    of a frozen dataclass over ``(kind, round_number, phase, supporters,
+    heard, values_received, decide_value)``.  The exchange builds it from
+    counts (see :func:`_counted_outcome`): it keeps its votes and, per
+    value, how many processes support it, which is all
+    :meth:`majority_value` reads.  :attr:`supporters` and :attr:`heard` are
+    built from the votes the first time either is read, by the one
+    attribution code :func:`scan_mailbox` uses, so their contents and
+    iteration order do not depend on when (or whether) they are read.
     """
 
-    kind: str
-    round_number: int
-    phase: int
-    supporters: Dict[Any, FrozenSet[int]] = field(default_factory=dict)
-    heard: FrozenSet[int] = frozenset()
-    values_received: FrozenSet[Any] = frozenset()
-    decide_value: Optional[int] = None
+    __slots__ = (
+        "kind",
+        "round_number",
+        "phase",
+        "values_received",
+        "decide_value",
+        "_support",
+        "_heard_count",
+        "_votes",
+        "_topology",
+        "_expand_clusters",
+        "_supporters",
+        "_heard",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        round_number: int,
+        phase: int,
+        supporters: Optional[Dict[Any, FrozenSet[int]]] = None,
+        heard: FrozenSet[int] = frozenset(),
+        values_received: FrozenSet[Any] = frozenset(),
+        decide_value: Optional[int] = None,
+    ) -> None:
+        if supporters is None:
+            supporters = {}
+        self.kind = kind
+        self.round_number = round_number
+        self.phase = phase
+        self.values_received = values_received
+        self.decide_value = decide_value
+        #: value -> how many processes support it (the size of its set).
+        self._support = {value: len(pids) for value, pids in supporters.items()}
+        self._heard_count = len(heard)
+        self._votes = None
+        self._supporters = supporters
+        self._heard = heard
+
+    @property
+    def supporters(self) -> Dict[Any, FrozenSet[int]]:
+        """Value -> the processes (after cluster attribution) supporting it."""
+        if self._supporters is None:
+            self._attribute()
+        return self._supporters
+
+    @property
+    def heard(self) -> FrozenSet[int]:
+        """Every process heard from, directly or by cluster attribution."""
+        if self._supporters is None:
+            self._attribute()
+        return self._heard
+
+    def _attribute(self) -> None:
+        """Build :attr:`supporters` and :attr:`heard` from the stored votes."""
+        self._supporters, self._heard = _attributed_sets(
+            self._votes, self._topology, self._expand_clusters
+        )
+        self._votes = self._topology = None
 
     @property
     def is_decide(self) -> bool:
@@ -52,12 +119,40 @@ class ExchangeOutcome:
         """A binary value supported by a strict majority, if any.
 
         At most one such value can exist because two strict majorities always
-        intersect (weak agreement WA1 of the paper).
+        intersect (weak agreement WA1 of the paper).  Read from the counts:
+        no set is built.
         """
+        support = self._support
         for value in (0, 1):
-            if topology.is_majority(len(self.supporters_of(value))):
+            if topology.is_majority(support.get(value, 0)):
                 return value
         return None
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return (
+            self.kind,
+            self.round_number,
+            self.phase,
+            self.supporters,
+            self.heard,
+            self.values_received,
+            self.decide_value,
+        )
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        # A step's resume value is its outcome, and traces record it by
+        # repr: the dataclass's format, field for field.
+        return (
+            f"{self.__class__.__qualname__}(kind={self.kind!r}, "
+            f"round_number={self.round_number!r}, phase={self.phase!r}, "
+            f"supporters={self.supporters!r}, heard={self.heard!r}, "
+            f"values_received={self.values_received!r}, decide_value={self.decide_value!r})"
+        )
 
 
 def scan_mailbox(
@@ -81,7 +176,8 @@ def scan_mailbox(
     property-based suite can exercise it on hand-built mailboxes.
     :func:`msg_exchange` answers the same question incrementally (see
     :class:`InboxIndex`) and falls back to this scan for any list that is
-    not the process's own mailbox.
+    not the process's own mailbox.  Both build their ``"supporters"``
+    outcome with :func:`_counted_outcome`.
     """
     votes = []
     for message in mailbox:
@@ -105,13 +201,61 @@ def scan_mailbox(
         if payload.tag != tag or payload.round_number != round_number or payload.phase != phase:
             continue
         votes.append(message)
-    return _supporters_outcome(votes, env.topology, round_number, phase, expand_clusters)
+    return _counted_outcome(votes, env.topology, round_number, phase, expand_clusters)
 
 
-def _supporters_outcome(
+def _counted_outcome(
     votes: Sequence[Any], topology, round_number: int, phase: int, expand_clusters: bool
 ) -> ExchangeOutcome:
     """The ``"supporters"`` outcome of one exchange's phase messages, in arrival order.
+
+    One pass over the votes, counting: each vote stands for its sender's
+    attribution unit (see
+    :meth:`~repro.cluster.topology.ClusterTopology.attribution`), and a
+    value's support is the summed weight of the distinct units that voted
+    for it -- units are disjoint, so that is the size of its supporter set.
+    ``values_received`` gets each value as it is first voted for: adding a
+    value already present changes no set, so this is the set that adding
+    every vote's value in arrival order grows.  The votes are kept (as a
+    snapshot) for :func:`_attributed_sets`, which runs only if someone
+    reads the sets.
+    """
+    unit_of, weight = topology.attribution(expand_clusters)
+    units_by_value: Dict[Any, set] = {}
+    for message in votes:
+        est = message.payload.est
+        units = units_by_value.get(est)
+        if units is None:
+            units = units_by_value[est] = set()
+        units.add(unit_of[message.sender])
+    values: set = set()
+    support: Dict[Any, int] = {}
+    for value, units in units_by_value.items():
+        values.add(value)
+        support[value] = sum(map(weight.__getitem__, units))
+    if len(units_by_value) > 1:
+        heard = sum(map(weight.__getitem__, set().union(*units_by_value.values())))
+    else:
+        heard = sum(support.values())
+    outcome = ExchangeOutcome.__new__(ExchangeOutcome)
+    outcome.kind = "supporters"
+    outcome.round_number = round_number
+    outcome.phase = phase
+    outcome.values_received = frozenset(values)
+    outcome.decide_value = None
+    outcome._support = support
+    outcome._heard_count = heard
+    outcome._votes = tuple(votes)
+    outcome._topology = topology
+    outcome._expand_clusters = expand_clusters
+    outcome._supporters = outcome._heard = None
+    return outcome
+
+
+def _attributed_sets(
+    votes: Sequence[Any], topology, expand_clusters: bool
+) -> Tuple[Dict[Any, FrozenSet[int]], FrozenSet[int]]:
+    """``(supporters, heard)`` of one exchange's votes, in arrival order.
 
     The one place the outcome's sets are built: each vote's sender stands
     for its whole cluster (or only itself without ``expand_clusters``), and
@@ -120,7 +264,6 @@ def _supporters_outcome(
     """
     supporters: Dict[Any, set] = {}
     heard: set = set()
-    values: set = set()
     cluster_of = topology.cluster_of
     for message in votes:
         est = message.payload.est
@@ -133,15 +276,7 @@ def _supporters_outcome(
             pids = supporters[est] = set()
         pids.update(members)
         heard.update(members)
-        values.add(est)
-    return ExchangeOutcome(
-        kind="supporters",
-        round_number=round_number,
-        phase=phase,
-        supporters={value: frozenset(pids) for value, pids in supporters.items()},
-        heard=frozenset(heard),
-        values_received=frozenset(values),
-    )
+    return {value: frozenset(pids) for value, pids in supporters.items()}, frozenset(heard)
 
 
 class InboxIndex:
@@ -154,9 +289,9 @@ class InboxIndex:
     dropped (tampered, or not a protocol payload), recorded as its tag's
     ``DECIDE`` value (first one wins, as in a front-to-back scan), or
     appended to the bucket of its ``(tag, round, phase)`` in arrival order.
-    The live exchange's wait moves the cursor and files its own votes
-    itself (see :class:`_ExchangeWait`); :meth:`classify` files the rest.
-    It stores references into the mailbox, never a copy of it.
+    The live exchange's wait moves the cursor and files every message
+    itself (see :class:`_ExchangeWait`).  It stores references into the
+    mailbox, never a copy of it.
 
     The index is a memo keyed on the *identity* of one list -- the first a
     wait predicate is evaluated on, which in a kernel run is the process's
@@ -181,24 +316,6 @@ class InboxIndex:
             self.mailbox = mailbox
         return mailbox is self.mailbox
 
-    def classify(self, message: Any) -> None:
-        """File one mailbox entry: drop it, record its ``DECIDE``, or bucket it."""
-        payload = message.payload
-        # Same authentication modelling as scan_mailbox: a tampered payload
-        # fails its signature check and is discarded.
-        if isinstance(payload, TamperedPayload):
-            return
-        if isinstance(payload, PhaseMessage):
-            key = (payload.tag, payload.round_number, payload.phase)
-            buckets = self.buckets
-            bucket = buckets.get(key)
-            if bucket is not None:
-                bucket.append(message)
-            elif key not in buckets:
-                buckets[key] = [message]
-        elif isinstance(payload, DecideMessage):
-            self.decided.setdefault(payload.tag, payload.value)
-
     def open(self, key: Tuple[str, int, int]) -> Optional[List[Any]]:
         """The live bucket of exchange ``key``; ``None`` if it already completed."""
         return self.buckets.setdefault(key, [])
@@ -209,21 +326,22 @@ class InboxIndex:
 
 
 class _ExchangeWait:
-    """The wait predicate of one ``msg_exchange`` call.
+    """The state of one ``msg_exchange`` call's wait; :meth:`poll` is the predicate.
 
     On the process's own mailbox it counts: each vote of its exchange that
     arrived since the last evaluation goes to the bucket, and the first
     vote from a new attribution unit (the sender's cluster, or the sender
     itself without ``expand_clusters``; see
     :meth:`~repro.cluster.topology.ClusterTopology.attribution`) adds that
-    unit's weight to the number of processes heard.  Any other entry goes
-    to :meth:`InboxIndex.classify`.  Only once the count is a strict
-    majority are the outcome's sets built, from the bucket in arrival
-    order -- the very sequence of set operations :func:`scan_mailbox`
-    performs, so the outcome (iteration order of its sets included) is the
-    one a full scan would build.  A process blocks in one exchange at a
-    time and :func:`msg_exchange` finishes each wait before the next
-    begins, so the live wait is the only reader of its index's cursor.
+    unit's weight to the number of processes heard.  Every other entry is
+    filed in the same loop, as :class:`InboxIndex` describes.  Once the
+    count is a strict majority, the outcome is counted from the bucket in
+    arrival order by :func:`_counted_outcome` -- what :func:`scan_mailbox`
+    builds from a full scan, so its sets (iteration order included), when
+    read, are the ones a full scan would give.  A process blocks in one
+    exchange at a time and :func:`msg_exchange` finishes each wait before
+    the next begins, so the live wait is the only reader of its index's
+    cursor.
 
     It stays observationally pure, as the wait-predicate contract demands
     (see :class:`~repro.sim.context.WaitEffect`): evaluated on any other
@@ -274,7 +392,8 @@ class _ExchangeWait:
             self.units = {self.unit_of[message.sender] for message in bucket}
             self.heard = sum(map(self.weight.__getitem__, self.units))
 
-    def __call__(self, mailbox: Sequence[Any]) -> Optional[ExchangeOutcome]:
+    def poll(self, mailbox: Sequence[Any]) -> Optional[ExchangeOutcome]:
+        """The wait predicate: the outcome once the exchange is complete, else ``None``."""
         if mailbox is not self.mailbox:
             if self.bucket is None or not self.inbox.tracks(mailbox):
                 return self._scan(mailbox)
@@ -283,9 +402,11 @@ class _ExchangeWait:
         cursor = inbox.cursor
         end = len(mailbox)
         tag, round_number, phase = self.key
+        decided = inbox.decided
         if cursor < end:
             inbox.cursor = end
             bucket = self.bucket
+            buckets = inbox.buckets
             unit_of = self.unit_of
             units = self.units
             heard = self.heard
@@ -293,21 +414,32 @@ class _ExchangeWait:
                 message = mailbox[cursor]
                 cursor += 1
                 payload = message.payload
-                if (
-                    isinstance(payload, PhaseMessage)
-                    and payload.round_number == round_number
-                    and payload.phase == phase
-                    and payload.tag == tag
-                ):
-                    bucket.append(message)
-                    unit = unit_of[message.sender]
-                    if unit not in units:
-                        units.add(unit)
-                        heard += self.weight[unit]
-                else:
-                    inbox.classify(message)
+                if isinstance(payload, PhaseMessage):
+                    if (
+                        payload.round_number == round_number
+                        and payload.phase == phase
+                        and payload.tag == tag
+                    ):
+                        bucket.append(message)
+                        unit = unit_of[message.sender]
+                        if unit not in units:
+                            units.add(unit)
+                            heard += self.weight[unit]
+                    else:
+                        # Another exchange's vote: kept for it in arrival
+                        # order, or dropped if it already completed.
+                        key = (payload.tag, payload.round_number, payload.phase)
+                        other = buckets.get(key)
+                        if other is not None:
+                            other.append(message)
+                        elif key not in buckets:
+                            buckets[key] = [message]
+                elif isinstance(payload, DecideMessage):
+                    decided.setdefault(payload.tag, payload.value)
+                # Anything else -- a TamperedPayload (its signature check
+                # fails, as in scan_mailbox) or no protocol payload -- is
+                # dropped.
             self.heard = heard
-        decided = inbox.decided
         if tag in decided:
             return ExchangeOutcome(
                 kind="decide",
@@ -317,14 +449,14 @@ class _ExchangeWait:
             )
         if self.heard < self.majority:
             return None
-        return _supporters_outcome(
+        return _counted_outcome(
             self.bucket, self.env.topology, round_number, phase, self.expand_clusters
         )
 
     def _scan(self, mailbox: Sequence[Any]) -> Optional[ExchangeOutcome]:
         """The answer for any list but the index's: a full scan, majority-tested."""
         outcome = scan_mailbox(mailbox, self.env, *self.key, self.expand_clusters)
-        if outcome.is_decide or self.env.topology.is_majority(len(outcome.heard)):
+        if outcome.is_decide or self.env.topology.is_majority(outcome._heard_count):
             return outcome
         return None
 
@@ -361,6 +493,6 @@ def msg_exchange(
     yield from ctx.broadcast(PhaseMessage(tag=tag, round_number=round_number, phase=phase, est=est))
 
     wait = _ExchangeWait(env, tag, round_number, phase, expand_clusters)
-    outcome = yield from ctx.wait_until(wait)
+    outcome = yield from ctx.wait_until(wait.poll)
     wait.finish()
     return outcome

@@ -33,7 +33,7 @@ from ..mm.memory import build_mm_memories
 from ..network.delays import DelayModel, UniformDelay
 from ..network.transport import Network
 from ..sharedmem.memory import ClusterSharedMemory, build_cluster_memories
-from ..sim.kernel import SimConfig, SimulationKernel, SimulationResult
+from ..sim.kernel import SimConfig, SimulationKernel, SimulationResult, collector_paused
 from ..sim.rng import RandomSource
 from .metrics import RunMetrics, collect_metrics
 from .workloads import ProposalSpec, resolve_proposals
@@ -251,12 +251,21 @@ def run_consensus(
     wall-clock measurement (deliberately excluded from summaries, being the
     one nondeterministic metric) lives here.  See :func:`prepare_consensus`
     for the coin-override knobs.
+
+    The whole of it, the kernel's release included, runs under
+    :func:`~repro.sim.kernel.collector_paused`: a pause that ended with
+    ``kernel.run()`` would leave ``finalize``'s first allocations to start a
+    young collection over the finished kernel, which reference counting
+    frees anyway once ``prepared`` is dropped.
     """
-    prepared = prepare_consensus(
-        config, local_coin_factory=local_coin_factory, common_coin=common_coin
-    )
-    started = _time.perf_counter()
-    sim_result = prepared.kernel.run()
-    wall = _time.perf_counter() - started
-    return prepared.finalize(sim_result, wall)
+    with collector_paused():
+        prepared = prepare_consensus(
+            config, local_coin_factory=local_coin_factory, common_coin=common_coin
+        )
+        started = _time.perf_counter()
+        sim_result = prepared.kernel.run()
+        wall = _time.perf_counter() - started
+        result = prepared.finalize(sim_result, wall)
+        del prepared
+    return result
 

@@ -219,7 +219,7 @@ class ProcessContext:
         self.stats.messages_sent += 1
         yield SendEffect(dest=dest, payload=payload)
 
-    def broadcast(self, payload: Any, include_self: bool = True):
+    def broadcast(self, payload: Any):
         """The paper's ``broadcast`` macro: send to every process in turn.
 
         The macro is intentionally *not* atomic: the one
@@ -228,13 +228,11 @@ class ProcessContext:
         accounting of a :meth:`send`, so a crash occurring part-way through
         delivers the message to an arbitrary prefix of the destinations only
         -- exactly the unreliable broadcast of Section II-A.  The generator
-        is resumed once, after the last destination.
+        is resumed once, after the last destination.  The destinations are
+        the kernel's :attr:`~repro.sim.kernel.SimulationKernel.pid_order`
+        tuple itself, this process included; nothing is copied or sorted.
         """
-        dests = self._kernel.process_ids()
-        if not include_self:
-            dests.remove(self.pid)
-        if dests:
-            yield BroadcastEffect(dests, payload)
+        yield BroadcastEffect(self._kernel.pid_order, payload)
 
     def wait_until(self, predicate: Callable[[Sequence[Any]], Any]):
         """Block until ``predicate(mailbox)`` is non-``None``; return it.

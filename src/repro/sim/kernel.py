@@ -38,9 +38,10 @@ once, as capability flags the loop hoists into locals -- so a run with no
 adversary, or with one whose scenario holds no fault of that kind, pays one
 local boolean test per event and one per send.
 
-CPython's cyclic collector is not on the loop's bill either: the two
-outermost loop drivers -- :meth:`SimulationKernel.run` and
-:meth:`~repro.sim.multikernel.CooperativeScheduler.run` -- execute under
+CPython's cyclic collector is not on the loop's bill either: the outermost
+loop drivers -- :meth:`SimulationKernel.run`,
+:meth:`~repro.sim.multikernel.CooperativeScheduler.run` and
+:func:`~repro.harness.runner.run_consensus` -- execute under
 :func:`collector_paused`, and a finished run needs no collector to go away.
 Ownership runs one way (kernel -> processes -> contexts, kernel ->
 adversary); contexts and the adversary point back at their kernel weakly and
@@ -129,11 +130,15 @@ def collector_paused() -> Iterator[None]:
     all freed by reference counting the moment they are consumed -- yet every
     full collection re-traverses the whole live population (about 40 % of
     the wall on the ledger's ``wide_n`` workload; see "What the cyclic
-    collector cost" in ``docs/performance.md``).  The two outermost loop drivers,
-    :meth:`SimulationKernel.run` and
-    :meth:`~repro.sim.multikernel.CooperativeScheduler.run`, therefore run
-    under this pause.  It restores the state found on entry (a caller who
-    had the collector off keeps it off), on every exit path, so it nests.
+    collector cost" in ``docs/performance.md``).  The outermost loop drivers
+    therefore run under this pause: :meth:`SimulationKernel.run`,
+    :meth:`~repro.sim.multikernel.CooperativeScheduler.run` (whose drivers
+    prepare and finalize their runs inside it) and
+    :func:`~repro.harness.runner.run_consensus`, which holds it from
+    prepare through finalize until its kernel is dropped, so no collection
+    starts over a finished kernel that reference counting is about to free.
+    It restores the state found on entry (a caller who had the collector
+    off keeps it off), on every exit path, so it nests.
     It rests on two invariants ``tests/test_kernel_collector.py`` guards: a
     run creates no cyclic garbage per event, and a finished run is itself
     acyclic -- dropping the kernel frees its whole graph by refcount.
@@ -250,6 +255,8 @@ class SimulationKernel:
         self._inflight: List[Tuple[float, int, int, int, Any, float, int]] = []
         self._sequence = 0
         self._processes: Dict[int, SimProcess] = {}
+        #: :attr:`pid_order`, or None until it is read after a registration.
+        self._pid_order: Optional[Tuple[int, ...]] = None
         #: Registered processes that have not yet reached a terminal state;
         #: maintained by :meth:`_settle` so the run loop's quiescence check
         #: is one integer comparison instead of an O(n) scan per event.
@@ -353,6 +360,7 @@ class SimulationKernel:
         context = ProcessContext(pid, self)
         proc = SimProcess(pid=pid, context=context, factory=factory)
         self._processes[pid] = proc
+        self._pid_order = None
         self._live += 1
         self._schedule(0.0, _START, pid, None)
         return proc
@@ -373,6 +381,18 @@ class SimulationKernel:
             raise ValueError(f"need 0 <= down_at < up_at, got [{down_at}, {up_at})")
         self._schedule(down_at, _PAUSE, pid, None)
         self._schedule(up_at, _RECOVER, pid, None)
+
+    @property
+    def pid_order(self) -> Tuple[int, ...]:
+        """Every registered process id, ascending, as one tuple.
+
+        What every broadcast is addressed to: sorted once, on the first read
+        after a registration, and shared as is until the next one.
+        """
+        pid_order = self._pid_order
+        if pid_order is None:
+            pid_order = self._pid_order = tuple(sorted(self._processes))
+        return pid_order
 
     def process_ids(self) -> List[int]:
         """All registered process ids, in ascending order."""

@@ -42,7 +42,7 @@ class SyncContext:
         return
         yield  # pragma: no cover - makes this a generator function
 
-    def broadcast(self, payload: Any, include_self: bool = True):
+    def broadcast(self, payload: Any):
         yield from self.send(self.pid, payload)
 
     def wait_until(self, predicate: Callable[[Sequence[Any]], Any]):

@@ -19,9 +19,11 @@ from repro.core.base import (
     ProcessEnvironment,
     validate_proposal,
 )
+from repro.core import pattern
 from repro.core.pattern import ExchangeOutcome, scan_mailbox
-from repro.harness.runner import ExperimentConfig, prepare_consensus
+from repro.harness.runner import ALGORITHMS, ExperimentConfig, prepare_consensus, run_consensus
 from repro.sharedmem.memory import ClusterSharedMemory
+from repro.sim.kernel import SimulationKernel
 
 
 # ------------------------------------------------------------------------- base
@@ -235,3 +237,64 @@ def test_msg_exchange_reads_each_message_once(algorithm):
     shallow = _mailbox_reads(algorithm, n=6, rounds=8)
     deep = _mailbox_reads(algorithm, n=6, rounds=16)
     assert deep <= 2.2 * shallow
+
+
+# ---------------------------------------------------------- exchange hot path
+def _gate_config(algorithm):
+    # The shared-memory baseline only exists on one cluster.
+    if algorithm == "shared-memory":
+        topology = ClusterTopology.single_cluster(7)
+    else:
+        topology = ClusterTopology.even_split(7, 3)
+    return ExperimentConfig(topology=topology, algorithm=algorithm, seed=0)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_an_exchange_counts_its_votes_and_builds_no_set(monkeypatch, algorithm):
+    """A run decides from attribution counts; the sets wait for a reader.
+
+    The algorithms only ever ask an outcome for its majority and its
+    values, so no outcome's ``supporters``/``heard`` is built during a run,
+    and a broadcast reads the kernel's pid tuple instead of asking for a
+    sorted list (the only ``process_ids`` calls left are the failure
+    pattern's and the adversary's, at most one each).
+    """
+    builds, outcomes, pid_lists = [], [], []
+    real_sets = pattern._attributed_sets
+    real_counted = pattern._counted_outcome
+    real_process_ids = SimulationKernel.process_ids
+
+    def counting_sets(*args):
+        builds.append(args)
+        return real_sets(*args)
+
+    def keeping_outcome(*args):
+        outcome = real_counted(*args)
+        outcomes.append(outcome)
+        return outcome
+
+    def counting_process_ids(kernel):
+        pid_lists.append(kernel)
+        return real_process_ids(kernel)
+
+    monkeypatch.setattr(pattern, "_attributed_sets", counting_sets)
+    monkeypatch.setattr(pattern, "_counted_outcome", keeping_outcome)
+    monkeypatch.setattr(SimulationKernel, "process_ids", counting_process_ids)
+    config = _gate_config(algorithm)
+    result = run_consensus(config)
+    assert result.report.ok
+    assert builds == []
+    assert len(pid_lists) <= 2
+    if algorithm == "shared-memory":
+        assert outcomes == []
+        return
+    assert outcomes, "every message-passing algorithm completes exchanges"
+    outcome = outcomes[-1]
+    heard = outcome.heard
+    assert len(builds) == 1
+    assert outcome.supporters is outcome.supporters and outcome.heard is heard
+    assert len(builds) == 1, "the sets are built once, on first read"
+    topology = config.topology
+    majorities = [v for v in (0, 1) if topology.is_majority(len(outcome.supporters_of(v)))]
+    assert outcome.majority_value(topology) == (majorities[0] if majorities else None)
+    assert topology.is_majority(len(heard))

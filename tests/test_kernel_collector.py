@@ -284,3 +284,26 @@ def test_garbage_left_by_a_run_does_not_grow_with_its_length(collector_off):
     )
     _adversarial_run()
     assert abs(gc.collect() - garbage_short) <= GARBAGE_SLACK
+
+
+def test_run_consensus_starts_no_collection_and_restores_the_entry_state():
+    # The pause spans prepare -> run -> finalize -> drop: ended with
+    # kernel.run(), finalize's first allocations would start a young
+    # collection over the finished kernel.
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    for entry_state in ENTRY_STATES:
+        with _entered(entry_state):
+            gc.collect()
+            gc.callbacks.append(record)
+            try:
+                result = run_consensus(_config("ben-or", "no-scenario"))
+            finally:
+                gc.callbacks.remove(record)
+            assert result.report.ok
+            assert starts == []
+            assert gc.isenabled() is entry_state
