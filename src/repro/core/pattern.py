@@ -233,10 +233,7 @@ def _counted_outcome(
     for value, units in units_by_value.items():
         values.add(value)
         support[value] = sum(map(weight.__getitem__, units))
-    if len(units_by_value) > 1:
-        heard = sum(map(weight.__getitem__, set().union(*units_by_value.values())))
-    else:
-        heard = sum(support.values())
+    heard = sum(map(weight.__getitem__, set().union(*units_by_value.values())))
     outcome = ExchangeOutcome.__new__(ExchangeOutcome)
     outcome.kind = "supporters"
     outcome.round_number = round_number
