@@ -5,7 +5,7 @@
 #   make bench-ledger-smoke - one short untraced repeat set of all five of
 #                           the perf ledger's workloads: flood, deep_rounds,
 #                           short_runs, wide_n (the only digest over
-#                           exec_mode="coop" and n >= 192) and steal_e2e (the
+#                           n >= 192, on two workers) and steal_e2e (the
 #                           only one through the e9 CLI, leases and merge);
 #                           exits nonzero when the simulated statistics no
 #                           longer match bench/expected.json ("correct": false)

@@ -10,9 +10,10 @@ throughput bar is hard only under the shared ``strict_timing`` gate
 (dedicated ``make bench`` run, >=4 usable CPUs), mirroring the kernel
 hot-path gate in ``test_bench_micro.py``.
 
-``test_bench_e8l_n1024_smoke`` is the acceptance smoke point: the E8L
-n=1024 single-cluster run completes (and decides) under cooperative
-execution in the CI benchmark lanes.
+No harness path hosts runs cooperatively any more; the scheduler stays
+for the perf ledger's tracer, and this gate keeps it honest while it does.
+``test_bench_e8l_n1024_smoke`` is the large-n smoke point: the E8L n=1024
+single-cluster run completes (and decides) in the CI benchmark lanes.
 """
 
 import gc
@@ -125,7 +126,7 @@ def test_bench_coop_throughput_gate(strict_timing):
 
 
 def test_bench_e8l_n1024_smoke(benchmark):
-    """The E8L n=1024 acceptance point completes under cooperative hosting.
+    """The E8L n=1024 point completes and decides.
 
     One seed, single-cluster: ~3.2M events in one kernel.  Runs (without
     the timing harness) in bench-smoke too, so every CI push proves the
@@ -137,7 +138,7 @@ def test_bench_e8l_n1024_smoke(benchmark):
     plan = e8l_large.plan(seeds=[1000], sizes=(1024,))
     assert [point.label for point in plan.points] == ["n=1024/m=1"]
     aggregates = benchmark.pedantic(
-        lambda: run_plan(plan, exec_mode="coop"), rounds=1, iterations=1, warmup_rounds=0
+        lambda: run_plan(plan), rounds=1, iterations=1, warmup_rounds=0
     )
     aggregate = aggregates["n=1024/m=1"]
     assert aggregate.count == 1

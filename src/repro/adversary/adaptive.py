@@ -27,7 +27,7 @@ protocol is actually doing:
 All three are frozen dataclasses of plain values, registered through
 :func:`~.faults.register_fault_type`: they pickle, hash, and carry stable
 value-only ``repr``\\ s, so adaptive scenarios enter sweep-plan fingerprints
-and shard/steal/coop merges stay bit-identical -- the adaptive decisions
+and shard/steal merges stay bit-identical at any worker count -- the adaptive decisions
 themselves draw no randomness at all (they are pure functions of observed
 state), which makes that determinism trivial rather than delicate.
 

@@ -137,7 +137,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             lease_ttl=DEFAULT_LEASE_TTL if args.lease_ttl is None else args.lease_ttl,
             max_workers=args.max_workers,
             max_points=args.max_points,
-            exec_mode=args.exec_mode,
             wait=args.wait,
             poll_interval=args.poll_interval,
         )
@@ -164,9 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ShardError("--shard needs --out DIR to hold the manifest and checkpoints")
     if args.out is not None:
         shard = ShardSpec.parse(args.shard) if args.shard is not None else ShardSpec(1, 1)
-        result = run_shard(
-            plan, shard, args.out, max_workers=args.max_workers, exec_mode=args.exec_mode
-        )
+        result = run_shard(plan, shard, args.out, max_workers=args.max_workers)
         done = result.runs_executed + result.runs_resumed
         print(f"shard {shard} of {plan.key}: {done} runs "
               f"({result.runs_executed} executed, {result.runs_resumed} resumed from checkpoints)")
@@ -179,9 +176,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"manifest: {result.manifest}")
         print(f"when all {shard.count} shards are done:  python -m repro merge {result.out_dir} --report")
         return 0
-    report = run_planned(
-        plan, module.build_report, max_workers=args.max_workers, exec_mode=args.exec_mode
-    )
+    report = run_planned(plan, module.build_report, max_workers=args.max_workers)
     print(report.format())
     return 0
 
@@ -473,16 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--max-workers", type=int, default=None, metavar="W",
-        help="parallel worker processes on this host (default: usable CPUs); with "
-        "--exec-mode coop, how many kernels are co-hosted at once instead",
-    )
-    run_parser.add_argument(
-        "--exec-mode", default=None, choices=["process", "coop", "auto"],
-        help="execution engine: 'process' fans runs over a process pool, 'coop' hosts "
-        "them as cooperatively interleaved kernels in this process (bit-identical "
-        "results, no pickling or worker start-up; best for very large n), 'auto' "
-        "picks coop for single-worker hosts or n >= 512 sweeps "
-        "(default: $REPRO_EXEC_MODE, else process)",
+        help="processes in total, this one included (default: usable CPUs)",
     )
     run_parser.set_defaults(func=_cmd_run)
 

@@ -79,14 +79,12 @@ def run_planned(
     plan: SweepPlan,
     build_report: Callable[[SweepPlan, Dict[str, Any]], ExperimentReport],
     max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
 ) -> ExperimentReport:
     """Execute ``plan`` on this host and build its report.
 
     Executing the same plan as shards and merging them yields bit-identical
-    aggregates, so ``build_report`` produces the identical report either way; likewise
-    ``exec_mode`` (process pool vs cooperative multi-kernel hosting, see
-    :func:`~repro.harness.parallel.run_many`) only changes how the runs are
-    hosted, never what they compute.
+    aggregates, so ``build_report`` produces the identical report either way;
+    likewise ``max_workers`` only changes how many processes share the runs,
+    never what they compute.
     """
-    return build_report(plan, run_plan(plan, max_workers=max_workers, exec_mode=exec_mode))
+    return build_report(plan, run_plan(plan, max_workers=max_workers))

@@ -1,9 +1,9 @@
-"""E8L — large-n scalability on cooperative multi-kernel execution.
+"""E8L — large-n scalability.
 
-E8's scalability sweep pushed to n ∈ {256, 512, 1024, 2048}, the system
-sizes the cooperative execution mode (``--exec-mode coop``, see
-``docs/scaling.md``) exists for.  Only the layout extremes run: m=1 at
-every n, m=2 up to :data:`MULTI_CLUSTER_MAX_N`.
+E8's scalability sweep pushed to n ∈ {256, 512, 1024, 2048}, where one run
+holds millions of events and up to ~2.8 GB (see ``docs/scaling.md``); with
+``--max-workers K`` each of K processes holds one run at a time.  Only the
+layout extremes run: m=1 at every n, m=2 up to :data:`MULTI_CLUSTER_MAX_N`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def plan(
     sizes: Sequence[int] = DEFAULT_SIZES,
     algorithm: str = "hybrid-local-coin",
 ) -> SweepPlan:
-    """Enumerate the large-n scalability sweep (cooperative-execution flagship).
+    """Enumerate the large-n scalability sweep.
 
     Two repetitions per point by default (a run at n=2048 is millions of
     events; the curve's shape, not its error bars, is the deliverable) and
@@ -81,7 +81,7 @@ def build_report(plan: SweepPlan, aggregates: Mapping[str, RunAggregate]) -> Exp
     """Assemble the large-n report from per-point aggregates."""
     report = ExperimentReport(
         experiment_id="E8L",
-        title="Large-n scalability (cooperative multi-kernel execution)",
+        title="Large-n scalability",
         paper_claim=PAPER_CLAIM,
     )
     for point in plan.points:

@@ -505,7 +505,6 @@ def execute_point(
     plan: SweepPlan,
     task: PointTask,
     max_workers: Optional[int],
-    exec_mode: Optional[str] = None,
 ) -> List[RunSummary]:
     """Run one claimed point's configurations and summarize them.
 
@@ -513,29 +512,19 @@ def execute_point(
     reading a run directory must not load the simulator, and the call-time
     lookup is the test seam -- monkeypatching ``parallel.run_many``
     simulates killed workers.
-    ``exec_mode`` picks the engine (see :func:`~repro.harness.parallel.run_many`)
-    and cannot change any summary — checkpoints merge bit-identically
-    whichever mode computed them.
     """
     from .parallel import run_many
 
     point = plan.points[task.point_index]
     configs = [point.config.with_seed(plan.seeds[si]) for si in task.positions]
     reducer = SummaryReducer(entropy=plan.entropy, start=task.start, step=task.step)
-    return run_many(
-        configs,
-        max_workers=max_workers,
-        check=point.check,
-        reducer=reducer,
-        exec_mode=exec_mode,
-    )
+    return run_many(configs, max_workers=max_workers, check=point.check, reducer=reducer)
 
 
 def drive_claims(
     plan: SweepPlan,
     scheduler: Any,
     max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
 ) -> Any:
     """Run a scheduler's claim loop to completion and return its result.
 
@@ -547,10 +536,10 @@ def drive_claims(
     """
     from .parallel import plan_pool
 
-    with plan_pool(plan, max_workers, exec_mode):
+    with plan_pool(plan, max_workers):
         for task in scheduler.claims():
             with scheduler.hold(task):
-                summaries = execute_point(plan, task, max_workers, exec_mode=exec_mode)
+                summaries = execute_point(plan, task, max_workers)
             scheduler.complete(task, summaries)
     return scheduler.finish()
 
@@ -972,7 +961,6 @@ def run_work_stealing(
     lease_ttl: float = DEFAULT_LEASE_TTL,
     max_workers: Optional[int] = None,
     max_points: Optional[int] = None,
-    exec_mode: Optional[str] = None,
     wait: bool = False,
     poll_interval: Optional[float] = None,
 ) -> StealRunResult:
@@ -1002,7 +990,7 @@ def run_work_stealing(
         poll_interval=poll_interval,
     )
     with scheduler.telemetry.time_collector():
-        return drive_claims(plan, scheduler, max_workers, exec_mode=exec_mode)
+        return drive_claims(plan, scheduler, max_workers)
 
 
 # ------------------------------------------------------- reading a directory

@@ -373,27 +373,23 @@ def run_plan(
     :func:`~repro.harness.parallel.run_many` with the summary indices of the
     plan's scheme, and are folded in run-index order.
 
-    ``exec_mode`` selects the per-point engine (process pool vs cooperative
-    multi-kernel hosting; see :func:`~repro.harness.parallel.run_many`) and
-    never changes any aggregate — only how fast they arrive.  The shared
-    worker pool is only built when a point will run on it
-    (:func:`~repro.harness.parallel.plan_pool`).
+    ``max_workers`` counts processes in total, this one included; the
+    points share one pool of helpers, built only when a point can use it
+    (:func:`~repro.harness.parallel.plan_pool`).  ``exec_mode`` is
+    deprecated and has no effect; an unknown name still raises.
     """
-    from .parallel import plan_pool, run_many
+    from .parallel import check_exec_mode, plan_pool, run_many
 
+    check_exec_mode(exec_mode)
     aggregates: Dict[str, RunAggregate] = {}
-    with plan_pool(plan, max_workers, exec_mode):
+    with plan_pool(plan, max_workers):
         for point_index, point in enumerate(plan.points):
             configs = [point.config.with_seed(seed) for seed in plan.seeds]
             reducer = SummaryReducer(
                 entropy=plan.entropy, start=plan.run_index(point_index, 0), step=1
             )
             summaries = run_many(
-                configs,
-                max_workers=max_workers,
-                check=point.check,
-                reducer=reducer,
-                exec_mode=exec_mode,
+                configs, max_workers=max_workers, check=point.check, reducer=reducer
             )
             aggregates[point.label] = RunAggregate.from_summaries(
                 summaries, capacity=plan.capacity
@@ -544,7 +540,6 @@ def run_shard(
     shard: ShardSpec,
     out_dir: Union[str, Path],
     max_workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
 ) -> ShardRunResult:
     """Execute this shard's slice of the plan, checkpointing per sweep point.
 
@@ -563,7 +558,7 @@ def run_shard(
     from .coordinator import StaticShardScheduler, drive_claims
 
     scheduler = StaticShardScheduler(plan, shard, Path(out_dir))
-    return drive_claims(plan, scheduler, max_workers, exec_mode=exec_mode)
+    return drive_claims(plan, scheduler, max_workers)
 
 
 # ----------------------------------------------------------------- merging

@@ -128,9 +128,10 @@ def termination_expected(
 class PreparedRun:
     """A fully wired consensus run whose kernel has not been stepped yet.
 
-    The seam the cooperative multi-kernel host needs: *build* (network,
-    memories, coins, processes, failure pattern, adversary) is split from
-    *execute* so the host can drive :meth:`~repro.sim.kernel.SimulationKernel.run_batch`
+    The seam for callers that step a kernel themselves (the schedule
+    search, batch-by-batch stepping): *build* (network, memories, coins,
+    processes, failure pattern, adversary) is split from *execute* so the
+    caller can drive :meth:`~repro.sim.kernel.SimulationKernel.run_batch`
     itself, then hand the terminal result to :meth:`finalize` for the same
     metrics collection and property verification the serial path performs.
     ``prepare -> kernel.run() -> finalize`` is exactly :func:`run_consensus`.

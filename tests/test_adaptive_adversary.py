@@ -391,12 +391,13 @@ def test_e10_shard_merge_is_bit_identical_to_single_host(tmp_path, shard_count):
         assert merged.aggregates[label] == aggregate  # dataclass eq: bit-for-bit
 
 
-def test_e10_coop_execution_is_bit_identical_to_process_mode():
-    process_mode = run_plan(e10_adaptive.plan(**E10_KWARGS), max_workers=2)
-    coop_mode = run_plan(e10_adaptive.plan(**E10_KWARGS), max_workers=2, exec_mode="coop")
-    assert set(process_mode) == set(coop_mode)
-    for label, aggregate in process_mode.items():
-        assert coop_mode[label] == aggregate
+@pytest.mark.parametrize("max_workers", [2, 3])
+def test_e10_on_caller_plus_helpers_is_bit_identical_to_serial(max_workers):
+    serial = run_plan(e10_adaptive.plan(**E10_KWARGS), max_workers=1)
+    pooled = run_plan(e10_adaptive.plan(**E10_KWARGS), max_workers=max_workers)
+    assert set(serial) == set(pooled)
+    for label, aggregate in serial.items():
+        assert pooled[label] == aggregate
 
 
 def test_e10_sharded_report_reproduces_driver_report(tmp_path):

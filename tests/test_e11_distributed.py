@@ -1,9 +1,9 @@
-"""Sharded resilience sweeps: e11 bit-identity under both exec modes.
+"""Sharded resilience sweeps: e11 bit-identity at any worker count.
 
 The acceptance bar for the trace-driven delay models' harness integration:
 ``python -m repro run e11 --shard i/k`` + ``merge`` must reproduce the
-single-host sweep *bit for bit* for k in {1, 3, 7} -- under the process
-pool AND the cooperative multi-kernel engine -- because the fitted
+single-host sweep *bit for bit* for k in {1, 3, 7} -- with the shards run
+serially or on the caller plus helpers -- because the fitted
 :class:`EmpiricalDelay` / :class:`ShiftedLogNormalDelay` models enter the
 plan fingerprint through their value-only reprs exactly like the synthetic
 models.  Shards produced under a different delay catalogue must be refused
@@ -31,34 +31,32 @@ E11_KWARGS = dict(
 )
 
 
-def _shard_and_merge(plan, out_dir, shard_count, exec_mode=None):
+def _shard_and_merge(plan, out_dir, shard_count, max_workers=1):
     for index in range(1, shard_count + 1):
-        run_shard(
-            plan, ShardSpec(index, shard_count), out_dir, max_workers=1, exec_mode=exec_mode
-        )
+        run_shard(plan, ShardSpec(index, shard_count), out_dir, max_workers=max_workers)
     return merge_shards(out_dir, plan)
 
 
 @pytest.mark.parametrize("shard_count", [1, 3, 7])
-@pytest.mark.parametrize("exec_mode", ["process", "coop"])
-def test_e11_shard_merge_is_bit_identical_to_single_host(tmp_path, shard_count, exec_mode):
+@pytest.mark.parametrize("max_workers", [1, 2, 3])
+def test_e11_shard_merge_is_bit_identical_to_single_host(tmp_path, shard_count, max_workers):
     single = run_plan(e11_resilience.plan(**E11_KWARGS), max_workers=1)
     merged = _shard_and_merge(
-        e11_resilience.plan(**E11_KWARGS), tmp_path, shard_count, exec_mode=exec_mode
+        e11_resilience.plan(**E11_KWARGS), tmp_path, shard_count, max_workers=max_workers
     )
     assert set(merged.aggregates) == set(single)
     for label, aggregate in single.items():
         assert merged.aggregates[label] == aggregate  # dataclass eq: bit-for-bit
 
 
-def test_e11_coop_equals_process_run_summaries():
-    """The coop engine interleaves kernels without perturbing one draw:
-    the folded RunSummary streams match the process pool's exactly."""
-    reference = run_plan(e11_resilience.plan(**E11_KWARGS), max_workers=1, exec_mode="process")
-    coop = run_plan(e11_resilience.plan(**E11_KWARGS), max_workers=3, exec_mode="coop")
-    assert sorted(coop) == sorted(reference)
+def test_e11_on_three_workers_equals_serial_run_summaries():
+    """Spreading runs over the caller and two helpers perturbs no draw:
+    the folded RunSummary streams match the serial path's exactly."""
+    reference = run_plan(e11_resilience.plan(**E11_KWARGS), max_workers=1)
+    pooled = run_plan(e11_resilience.plan(**E11_KWARGS), max_workers=3)
+    assert sorted(pooled) == sorted(reference)
     for label, aggregate in reference.items():
-        assert coop[label] == aggregate
+        assert pooled[label] == aggregate
 
 
 def test_e11_sharded_report_reproduces_driver_report(tmp_path):

@@ -219,11 +219,13 @@ def test_run_cooperative_restores_exactly_once(enable_calls):
     assert enable_calls == [False] and gc.isenabled()
 
 
-def test_run_many_coop_restores_exactly_once(enable_calls):
+def test_run_many_restores_once_per_run_the_caller_hosts(enable_calls):
+    # At two workers a forked helper takes the first run and the caller the
+    # other two; each of the caller's runs pauses and restores exactly once.
     configs = [ExperimentConfig(topology=TOPOLOGY, seed=seed) for seed in range(3)]
-    results = run_many(configs, max_workers=2, exec_mode="coop")
+    results = run_many(configs, max_workers=2)
     assert len(results) == 3
-    assert enable_calls == [False] and gc.isenabled()
+    assert enable_calls == [False, False] and gc.isenabled()
 
 
 def test_inner_run_does_not_reenable_under_an_outer_driver(enable_calls):

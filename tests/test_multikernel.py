@@ -1,28 +1,16 @@
-"""Cooperative multi-kernel execution: stepping seam, scheduler, bit-identity.
+"""The kernel's stepping seam, the cooperative scheduler, and the e8l driver.
 
-The contract under test (see ``docs/scaling.md``): a logical run is
-**bit-identical** whether it executes serially, on a process pool, or
-interleaved with K-1 cooperative neighbours in one process, for any K and
-any interleave order.  The acceptance test sweeps *every* experiment's small
-golden plan (e1-e9) through ``exec_mode="coop"`` and compares aggregates
-against the process-path reference, and the K ∈ {1, 3, 7} sweeps compare raw
-``RunSummary`` streams -- frozen dataclasses, so ``==`` is exact, and their
-float fields were built from the same draws only if determinism held.
+No execution path of the harness uses :mod:`repro.sim.multikernel` any
+more (``run_many`` runs a batch on the caller plus forked helpers, see
+``tests/test_parallel.py``); the scheduler and ``run_batch``'s event budget
+stay because the perf ledger's tracer patches them.  What is tested here: a
+run stepped in batches, alone or interleaved with K-1 cooperative
+neighbours in any order, is bit-identical to the same run in one go.
 """
-
-import warnings
 
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.harness.aggregate import SummaryReducer
-from repro.harness.distributed import run_plan
-from repro.harness.parallel import (
-    COOP_AUTO_THRESHOLD,
-    EXEC_MODE_ENV_VAR,
-    resolve_exec_mode,
-    run_many,
-)
 from repro.harness.runner import ExperimentConfig, prepare_consensus, run_consensus
 from repro.sim.kernel import SimulationKernel
 from repro.sim.multikernel import (
@@ -32,34 +20,8 @@ from repro.sim.multikernel import (
     run_cooperative,
     scheduler_rng,
 )
-from tests.helpers import golden_plans
 
 TOPOLOGY = ClusterTopology.even_split(8, 2)
-
-
-def _adversarial_config(seed=0):
-    """An e9-style fault-injection config: the adversary's deferred-event
-    dict and duplicate-delivery paths must survive batch boundaries too."""
-    from repro.adversary.library import build_scenario
-
-    return ExperimentConfig(
-        topology=ClusterTopology.even_split(6, 3),
-        algorithm="hybrid-local-coin",
-        scenario=build_scenario("duplication-storm", n=6, intensity=0.4),
-        seed=seed,
-    )
-
-
-def _summaries(configs, exec_mode, max_workers=None):
-    """Run ``configs`` and reduce to RunSummary objects (entropy fixed)."""
-    reducer = SummaryReducer(entropy=7, start=0, step=1)
-    return run_many(
-        configs,
-        max_workers=max_workers,
-        check=False,
-        reducer=reducer,
-        exec_mode=exec_mode,
-    )
 
 
 # ----------------------------------------------------------- run_batch seam
@@ -176,116 +138,6 @@ class TestCooperativeScheduler:
             assert together.decision_times == alone.decision_times
 
 
-# ------------------------------------------------------------- exec modes
-class TestResolveExecMode:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(EXEC_MODE_ENV_VAR, "coop")
-        assert resolve_exec_mode("process", [], workers=4) == "process"
-
-    def test_env_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv(EXEC_MODE_ENV_VAR, "coop")
-        assert resolve_exec_mode(None, [], workers=4) == "coop"
-
-    def test_default_is_process(self, monkeypatch):
-        monkeypatch.delenv(EXEC_MODE_ENV_VAR, raising=False)
-        assert resolve_exec_mode(None, [], workers=4) == "process"
-
-    def test_invalid_env_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(EXEC_MODE_ENV_VAR, "threads")
-        with pytest.warns(RuntimeWarning, match="REPRO_EXEC_MODE"):
-            assert resolve_exec_mode(None, [], workers=4) == "process"
-
-    def test_invalid_argument_raises(self):
-        with pytest.raises(ValueError):
-            resolve_exec_mode("threads", [], workers=4)
-
-    def test_auto_picks_coop_for_single_worker(self):
-        configs = [ExperimentConfig(topology=TOPOLOGY, seed=0)]
-        assert resolve_exec_mode("auto", configs, workers=1) == "coop"
-
-    def test_auto_picks_coop_for_large_n(self):
-        large = ClusterTopology.single_cluster(COOP_AUTO_THRESHOLD)
-        configs = [ExperimentConfig(topology=large, seed=0)]
-        assert resolve_exec_mode("auto", configs, workers=8) == "coop"
-
-    def test_auto_picks_process_for_small_n_many_workers(self):
-        configs = [ExperimentConfig(topology=TOPOLOGY, seed=0)]
-        assert resolve_exec_mode("auto", configs, workers=8) == "process"
-
-
-# ------------------------------------------------------------ bit-identity
-class TestCoopBitIdentity:
-    #: K values from the acceptance criteria: degenerate (1), odd prime
-    #: neighbours (3), wider than some batches (7).
-    KS = (1, 3, 7)
-
-    @pytest.mark.parametrize("k", KS)
-    def test_plain_runs_bit_identical(self, k):
-        configs = [ExperimentConfig(topology=TOPOLOGY, seed=seed) for seed in range(8)]
-        reference = _summaries(configs, exec_mode="process", max_workers=1)
-        coop = _summaries(configs, exec_mode="coop", max_workers=k)
-        assert coop == reference
-
-    @pytest.mark.parametrize("k", KS)
-    def test_adversarial_runs_bit_identical(self, k):
-        configs = [_adversarial_config(seed) for seed in range(6)]
-        reference = _summaries(configs, exec_mode="process", max_workers=1)
-        coop = _summaries(configs, exec_mode="coop", max_workers=k)
-        assert coop == reference
-
-    def test_env_var_routes_run_many_through_coop(self, monkeypatch):
-        configs = [ExperimentConfig(topology=TOPOLOGY, seed=seed) for seed in range(3)]
-        reference = _summaries(configs, exec_mode="process", max_workers=1)
-        monkeypatch.setenv(EXEC_MODE_ENV_VAR, "coop")
-        assert _summaries(configs, exec_mode=None, max_workers=3) == reference
-
-    def test_coop_honours_check_flag(self):
-        # check=True flows through the coop driver (raise_on_violation runs
-        # per finished kernel); healthy runs pass it and match the serial path.
-        configs = [ExperimentConfig(topology=TOPOLOGY, seed=seed) for seed in range(3)]
-        checked = run_many(configs, max_workers=3, check=True, exec_mode="coop")
-        serial = run_many(configs, max_workers=1, check=True, exec_mode="process")
-        assert [r.sim_result.decisions for r in checked] == [
-            r.sim_result.decisions for r in serial
-        ]
-
-
-@pytest.fixture(scope="module")
-def golden_reference_aggregates():
-    """Process-path aggregates of every experiment's golden plan."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return {
-            exp_id: run_plan(plan, max_workers=1)
-            for exp_id, plan in golden_plans().items()
-        }
-
-
-@pytest.fixture(scope="module")
-def golden_coop_aggregates():
-    """Coop-path (K=3) aggregates of every experiment's golden plan."""
-    return {
-        exp_id: run_plan(plan, max_workers=3, exec_mode="coop")
-        for exp_id, plan in golden_plans().items()
-    }
-
-
-@pytest.mark.parametrize("experiment", [f"e{i}" for i in range(1, 10)] + ["e11"])
-def test_every_experiment_plan_coop_equals_process(
-    golden_reference_aggregates, golden_coop_aggregates, experiment
-):
-    """The acceptance gate: exec-mode coop == exec-mode process, per plan.
-
-    ``RunAggregate.__eq__`` compares the folded summaries field by field
-    (floats included), so any draw perturbed by the interleaving fails here.
-    """
-    reference = golden_reference_aggregates[experiment]
-    coop = golden_coop_aggregates[experiment]
-    assert sorted(coop) == sorted(reference)
-    for label, aggregate in reference.items():
-        assert coop[label] == aggregate, f"{experiment}/{label} diverged under coop"
-
-
 # ------------------------------------------------------------------ e8 large
 class TestE8Large:
     def test_plan_large_caps_multi_cluster_layouts(self):
@@ -299,15 +151,15 @@ class TestE8Large:
         assert "n=2048/m=2" not in labels
         assert plan.key == "E8L"
 
-    def test_run_large_smoke_on_coop(self):
-        """Smoke-scaled E8L: tiny sizes, coop mode, report checks hold."""
+    def test_run_large_smoke_on_two_workers(self):
+        """Smoke-scaled E8L: tiny sizes, caller plus one helper, report checks hold."""
         from repro.experiments import e8l_large
         from repro.experiments.common import run_planned
 
         report = run_planned(
             e8l_large.plan(seeds=[1000, 1001], sizes=(8, 16)),
             e8l_large.build_report,
-            exec_mode="coop",
+            max_workers=2,
         )
         assert report.passed is True
         single = [row for row in report.rows if row["layout"] == "m=1"]
@@ -324,14 +176,17 @@ class TestE8Large:
         assert _resolve_experiment("e8l").plan().key == "E8L"
 
 
-def test_cli_exec_mode_coop_smoke(capsys):
-    """``--exec-mode coop`` drives a whole experiment through the CLI."""
+def test_cli_runs_on_two_workers_and_has_no_exec_mode(capsys):
+    """``--max-workers 2`` drives a whole experiment; ``--exec-mode`` is gone."""
     from repro.cli import main
 
-    assert main(["run", "e1", "--seeds", "1", "--exec-mode", "coop"]) == 0
+    assert main(["run", "e1", "--seeds", "2", "--max-workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "E1" in out
     assert "reproduction check: PASSED" in out
+    with pytest.raises(SystemExit):
+        main(["run", "e1", "--seeds", "1", "--exec-mode", "coop"])
+    assert "unrecognized arguments: --exec-mode" in capsys.readouterr().err
 
 
 def test_default_batch_events_is_sane():

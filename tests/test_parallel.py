@@ -1,4 +1,14 @@
-"""Tests of the parallel execution engine (`repro.harness.parallel`)."""
+"""Tests of the parallel execution engine (`repro.harness.parallel`).
+
+A batch on K workers runs on the caller plus K-1 forked helpers; whichever
+process runs a configuration, the results must equal the serial path's in
+order and value.
+"""
+
+import os
+import signal
+import time
+import warnings
 
 import pytest
 
@@ -18,9 +28,12 @@ from repro.harness.parallel import (
     run_many,
     worker_pool,
 )
+from repro.core.properties import ConsensusViolation
 from repro.harness.runner import ExperimentConfig
 from repro.harness.stats import summarize
 from repro.network.delays import ConstantDelay
+from repro.sim.kernel import SimConfig
+from tests.helpers import golden_plans
 
 
 def _base_config(algorithm="hybrid-local-coin"):
@@ -180,9 +193,6 @@ def test_sweep_summary_mode_matches_full_mode_aggregates():
 
 
 def test_summary_mode_check_raises_in_worker():
-    from repro.core.properties import ConsensusViolation
-    from repro.sim.kernel import SimConfig
-
     # Failure-free Ben-Or is expected to terminate, but split proposals can
     # never produce a round-1 majority, so a one-round cap guarantees a
     # liveness violation.  check=True in summary mode must surface it from
@@ -198,6 +208,207 @@ def test_summary_mode_check_raises_in_worker():
     aggregate = run_plan(plan_repeat(config, seeds=[0, 1], check=False), max_workers=2)["repeat"]
     assert aggregate.safety_rate() == 1.0
     assert aggregate.termination_rate() == 0.0
+
+
+# ------------------------------------------------------- the caller is a worker
+class PidReducer:
+    """Reduce a run to the pid of the process that ran it and its summary."""
+
+    def __call__(self, result, index):
+        return os.getpid(), SummaryReducer()(result, index)
+
+
+@pytest.fixture
+def caller_runs(monkeypatch):
+    """Seeds of the runs executed in this process.
+
+    Forked helpers inherit the recording wrapper but append to their own
+    copy of the list, so only the caller's runs show up here.
+    """
+    from repro.harness import parallel
+
+    seen = []
+    real_run = parallel.run_consensus
+
+    def recording(config):
+        seen.append(config.seed)
+        return real_run(config)
+
+    monkeypatch.setattr(parallel, "run_consensus", recording)
+    return seen
+
+
+def _undecidable(n, seed):
+    """Ben-Or capped at one round: split proposals never decide, so ``check`` fails.
+
+    The violation names the n undecided processes, so two of these with
+    different n raise distinguishable errors.
+    """
+    return ExperimentConfig(
+        topology=ClusterTopology.even_split(n, 2),
+        algorithm="ben-or",
+        proposals="split",
+        sim=SimConfig(max_rounds=1, max_time=5e4),
+        seed=seed,
+    )
+
+
+def test_the_caller_runs_part_of_the_batch_next_to_a_helper(caller_runs):
+    configs = [_base_config().with_seed(seed) for seed in range(3)]
+    serial = run_many(configs, max_workers=1, reducer=PidReducer())
+    del caller_runs[:]
+    pooled = run_many(configs, max_workers=2, reducer=PidReducer())
+    assert [summary for _, summary in pooled] == [summary for _, summary in serial]
+    pids = {pid for pid, _ in pooled}
+    assert os.getpid() in pids, "the caller ran nothing"
+    assert len(pids) == 2, "no helper ran anything"
+    # The helper takes the first chunk, the caller the rest; nothing runs twice.
+    assert caller_runs == [1, 2]
+
+
+def test_full_results_from_caller_and_helper_equal_serial(caller_runs):
+    configs = [_base_config().with_seed(seed) for seed in range(3)]
+    serial = run_many(configs, max_workers=1, check=True)
+    del caller_runs[:]
+    pooled = run_many(configs, max_workers=2, check=True)
+    assert caller_runs == [1, 2]
+    assert [_comparable(result) for result in pooled] == [
+        _comparable(result) for result in serial
+    ]
+
+
+@pytest.mark.parametrize("reducer", [None, SummaryReducer()], ids=["full", "reduced"])
+def test_check_raises_the_lowest_failing_index_when_the_caller_fails_later(
+    caller_runs, reducer
+):
+    configs = [_undecidable(6, 0), _undecidable(8, 1)] + [
+        _base_config().with_seed(seed) for seed in (2, 3)
+    ]
+    first_error = r"correct processes \[0, 1, 2, 3, 4, 5\] "
+    with pytest.raises(ConsensusViolation, match=first_error):
+        run_many(configs, max_workers=1, check=True, reducer=reducer)
+    del caller_runs[:]
+    with pytest.raises(ConsensusViolation, match=first_error):
+        run_many(configs, max_workers=2, check=True, reducer=reducer)
+    # Index 0 failed in the helper, index 1 in the caller: the earlier one
+    # raised, and nothing after the caller's failure was started.
+    assert caller_runs == [1]
+
+
+@pytest.mark.parametrize("reducer", [None, SummaryReducer()], ids=["full", "reduced"])
+def test_a_killed_helper_costs_only_the_runs_it_had_not_returned(
+    caller_runs, monkeypatch, reducer
+):
+    """The helper dies on its second chunk; only the missing indices re-run, here."""
+    from repro.harness import parallel
+
+    caller = os.getpid()
+    recording = parallel.run_consensus
+    helper_runs = []
+
+    def dies_on_its_second_run(config):
+        if os.getpid() == caller:
+            time.sleep(0.1)  # the helper returns its first chunk meanwhile
+        else:
+            helper_runs.append(config.seed)  # the helper's own copy
+            if len(helper_runs) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return recording(config)
+
+    configs = [_base_config().with_seed(seed) for seed in range(6)]
+    serial = run_many(configs, max_workers=1, reducer=reducer)
+    del caller_runs[:]
+    monkeypatch.setattr(parallel, "run_consensus", dies_on_its_second_run)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pooled = run_many(configs, max_workers=2, reducer=reducer)
+    if reducer is None:
+        pooled, serial = map(_comparable, pooled), map(_comparable, serial)
+    assert list(pooled) == list(serial)
+    fallbacks = [warning for warning in caught if issubclass(warning.category, RuntimeWarning)]
+    assert len(fallbacks) == 1
+    assert "BrokenProcessPool" in str(fallbacks[0].message)
+    # Seed 0 came back from the helper before it died; every other run
+    # happened here exactly once, the lost one included.
+    assert sorted(caller_runs) == [1, 2, 3, 4, 5]
+
+
+# ------------------------------------------------------------------ bit-identity
+def _adversarial_config(seed=0):
+    """An e9-style fault-injection config: the adversary's deferred events
+    and duplicate deliveries must cross the pipe intact too."""
+    from repro.adversary.library import build_scenario
+
+    return ExperimentConfig(
+        topology=ClusterTopology.even_split(6, 3),
+        algorithm="hybrid-local-coin",
+        scenario=build_scenario("duplication-storm", n=6, intensity=0.4),
+        seed=seed,
+    )
+
+
+def _summaries(configs, max_workers, **kwargs):
+    """Run ``configs`` and reduce to RunSummary objects (entropy fixed)."""
+    return run_many(
+        configs, max_workers=max_workers, reducer=SummaryReducer(entropy=7), **kwargs
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "make", [lambda seed: _base_config().with_seed(seed), _adversarial_config],
+    ids=["plain", "adversarial"],
+)
+def test_caller_plus_helpers_equal_serial(k, make):
+    configs = [make(seed) for seed in range(8)]
+    assert _summaries(configs, k) == _summaries(configs, 1)
+
+
+@pytest.fixture(scope="module")
+def golden_aggregates():
+    """Every golden plan's aggregates, keyed by worker count (1, 2, 3)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return {
+            k: {exp_id: run_plan(plan, max_workers=k) for exp_id, plan in golden_plans().items()}
+            for k in (1, 2, 3)
+        }
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("experiment", [f"e{i}" for i in range(1, 10)] + ["e11"])
+def test_every_experiment_plan_on_k_workers_equals_serial(golden_aggregates, experiment, k):
+    """``RunAggregate.__eq__`` compares the folded summaries field by field
+    (floats included), so a perturbed draw anywhere fails here."""
+    serial, pooled = golden_aggregates[1][experiment], golden_aggregates[k][experiment]
+    assert sorted(pooled) == sorted(serial)
+    for label, aggregate in serial.items():
+        assert pooled[label] == aggregate, f"{experiment}/{label} diverged on {k} workers"
+
+
+# --------------------------------------------------------- the deprecated keyword
+@pytest.mark.parametrize("name", ["process", "coop"])
+def test_a_known_exec_mode_changes_nothing(name):
+    configs = [_base_config().with_seed(seed) for seed in range(3)]
+    assert _summaries(configs, 2, exec_mode=name) == _summaries(configs, 1)
+    plan = plan_repeat(_base_config(), seeds=[0, 1, 2])
+    assert run_plan(plan, max_workers=2, exec_mode=name) == run_plan(plan, max_workers=1)
+
+
+def test_an_unknown_exec_mode_raises_naming_the_choices():
+    with pytest.raises(ValueError, match=r"'auto'; choose from \('process', 'coop'\)"):
+        run_many([_base_config()], exec_mode="auto")
+    with pytest.raises(ValueError, match="choose from"):
+        run_plan(plan_repeat(_base_config(), seeds=[0]), exec_mode="threads")
+
+
+def test_the_environment_no_longer_selects_an_engine(monkeypatch):
+    configs = [_base_config().with_seed(seed) for seed in range(3)]
+    reference = _summaries(configs, 1)
+    monkeypatch.setenv("REPRO_EXEC_MODE", "threads")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _summaries(configs, 2) == reference
 
 
 # -------------------------------------------------------------------- fallbacks
@@ -265,62 +476,20 @@ def test_one_worker_builds_no_pool(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
     plan = plan_repeat(_base_config(), seeds=[0, 1, 2])
-    aggregates = run_plan(plan, max_workers=1, exec_mode="process")
+    aggregates = run_plan(plan, max_workers=1)
     worker = run_work_stealing(plan, tmp_path, worker="solo", max_workers=1)
     assert worker.runs_executed == aggregates["repeat"].count == 3
     assert merge_stolen(tmp_path, plan).aggregates == aggregates
 
 
-@pytest.mark.parametrize("how", ["env", "auto"])
-def test_a_plan_that_resolves_to_coop_builds_no_pool(monkeypatch, tmp_path, how):
-    """Coop decided by ``REPRO_EXEC_MODE`` or by ``"auto"``, not by the argument."""
-    import concurrent.futures.process as pool_mod
-
-    from repro.harness import parallel
-    from repro.harness.coordinator import merge_stolen, run_work_stealing
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a coop run built a process pool")
-
-    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
-    if how == "env":
-        monkeypatch.setenv("REPRO_EXEC_MODE", "coop")
-        exec_mode = None
-    else:  # auto hosts large systems cooperatively; make n=6 large
-        monkeypatch.setattr(parallel, "COOP_AUTO_THRESHOLD", 6)
-        exec_mode = "auto"
-    plan = plan_repeat(_base_config(), seeds=[0, 1, 2])
-    aggregates = run_plan(plan, max_workers=2, exec_mode=exec_mode)
-    run_work_stealing(plan, tmp_path, worker="solo", max_workers=2, exec_mode=exec_mode)
-    assert merge_stolen(tmp_path, plan).aggregates == aggregates
-
-
 @pytest.mark.parametrize(
-    "exec_mode, env, max_workers, seeds, threshold, pooled",
-    [
-        pytest.param("process", {}, 2, 3, None, True, id="process"),
-        pytest.param("process", {}, 1, 3, None, False, id="process-one-worker"),
-        pytest.param("process", {}, 2, 1, None, False, id="process-one-seed"),
-        pytest.param(None, {}, 2, 3, None, True, id="default-is-process"),
-        pytest.param(None, {"REPRO_EXEC_MODE": "process"}, 2, 3, None, True, id="env-process"),
-        pytest.param(None, {"REPRO_EXEC_MODE": "coop"}, 2, 3, None, False, id="env-coop"),
-        pytest.param("process", {"REPRO_EXEC_MODE": "coop"}, 2, 3, None, True, id="argument-wins"),
-        pytest.param(None, {"REPRO_MAX_WORKERS": "1"}, None, 3, None, False, id="env-one-worker"),
-        pytest.param("coop", {}, 2, 3, None, False, id="coop"),
-        pytest.param("auto", {}, 2, 3, None, True, id="auto-small"),
-        pytest.param("auto", {}, 1, 3, None, False, id="auto-one-worker"),
-        pytest.param("auto", {}, 2, 3, 6, False, id="auto-large"),
-        pytest.param("auto", {}, 2, 3, 8, True, id="auto-mixed"),
-    ],
+    "max_workers, seeds, helpers",
+    [(2, 3, 1), (3, 3, 2), (1, 3, None), (2, 1, None)],
 )
-def test_plan_pool_opens_a_pool_only_when_a_point_resolves_to_process(
-    monkeypatch, exec_mode, env, max_workers, seeds, threshold, pooled
+def test_plan_pool_forks_helpers_only_when_a_point_can_share(
+    monkeypatch, max_workers, seeds, helpers
 ):
-    """``plan_pool`` applies ``resolve_exec_mode`` per point, as ``run_many`` will.
-
-    The plan has an n=6 and an n=8 point; ``threshold`` is the ``auto``
-    cut-over, so 6 makes both points large and 8 only the second.
-    """
+    """K workers share K - 1 helpers; one worker, or one run per point, shares nothing."""
     import concurrent.futures.process as pool_mod
 
     from repro.harness import parallel
@@ -335,23 +504,10 @@ def test_plan_pool_opens_a_pool_only_when_a_point_resolves_to_process(
             pass
 
     monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", RecordingPool)
-    for name in ("REPRO_EXEC_MODE", "REPRO_MAX_WORKERS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    if threshold is not None:
-        monkeypatch.setattr(parallel, "COOP_AUTO_THRESHOLD", threshold)
-    plan = plan_sweep(
-        _base_config(),
-        {
-            "n6": {"topology": ClusterTopology.even_split(6, 3)},
-            "n8": {"topology": ClusterTopology.even_split(8, 4)},
-        },
-        seeds=list(range(seeds)),
-    )
-    with parallel.plan_pool(plan, max_workers, exec_mode):
-        assert (parallel._shared_pool is not None) == pooled
-    assert created == ([max_workers] if pooled else [])
+    plan = plan_repeat(_base_config(), seeds=list(range(seeds)))
+    with parallel.plan_pool(plan, max_workers):
+        assert (parallel._shared_pool is not None) == (helpers is not None)
+    assert created == ([] if helpers is None else [helpers])
     assert parallel._shared_pool is None
 
 

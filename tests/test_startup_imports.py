@@ -115,17 +115,14 @@ def test_in_process_sweep_never_loads_numpy_or_a_pool():
     assert loaded(modules, *NEVER_ON_THE_SWEEP_PATH, *POOL_MODULES) == []
 
 
-def test_coop_from_the_environment_loads_no_pool():
-    """Two workers, coop chosen by ``REPRO_EXEC_MODE``: nothing is pooled, so nothing loads."""
-    body = (
-        "import os\n"
-        "os.environ['REPRO_EXEC_MODE'] = 'coop'\n"
-        "from repro.cli import main\n"
-        "assert main(['run', 'e1', '--seeds', '2', '--max-workers', '2']) == 0"
-    )
-    report, _, modules = fresh_python(body)
+def test_one_run_per_point_loads_no_pool_at_two_workers():
+    """Two workers asked for, one seed per point: nothing to share, so nothing loads.
+
+    Nor does the cooperative scheduler, which no execution path uses.
+    """
+    report, _, modules = cli("run", "e1", "--seeds", "1", "--max-workers", "2")
     assert "reproduction check: PASSED" in report
-    assert loaded(modules, *NEVER_ON_THE_SWEEP_PATH, *POOL_MODULES) == []
+    assert loaded(modules, *NEVER_ON_THE_SWEEP_PATH, *POOL_MODULES, "repro.sim.multikernel") == []
 
 
 def test_large_n_driver_loads_alone():
