@@ -9,10 +9,10 @@ faster.
 
 How a batch runs on ``K > 1`` workers:
 
-* it is cut into contiguous chunks (:func:`default_chunksize`);
-* while more than one chunk is left, each idle helper is handed the next
-  one; the caller then runs the next chunk itself and afterwards collects
-  whatever the helpers finished, so no CPU the caller asked for sits idle;
+* it is cut into contiguous chunks (:func:`default_chunksize`), which the
+  caller and the helpers claim one at a time, in input order: a helper is
+  handed its next chunk the moment it returns one, and the caller runs
+  chunks itself until none is left, so no worker waits while work remains;
 * results land at their input indices; with ``check``, the lowest failing
   input index raises, exactly as on the serial path.
 
@@ -25,8 +25,8 @@ Fallbacks keep the engine safe to use unconditionally:
 * ``max_workers=1`` (or a single configuration) runs serially in-process
   and never imports :mod:`multiprocessing`;
 * configurations or results that cannot be pickled, and a helper that dies
-  (e.g. killed by the OS), stop the helpers for the rest of the batch: the
-  indices that have no result yet run serially in the caller, which
+  (e.g. killed by the OS), cost only the chunks they hit: that helper takes
+  no more chunks, the caller re-runs the lost ones serially, which
   reproduces any genuine error deterministically, and one
   ``RuntimeWarning`` says so.
 
@@ -39,11 +39,11 @@ deprecated: :func:`run_many` and
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import pickle
 import warnings
+from collections import deque
 from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING, Any, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence,
@@ -57,7 +57,6 @@ from .runner import ExperimentConfig, prepare_consensus, run_consensus  # noqa: 
 # ``concurrent.futures.process`` pulls in ``multiprocessing``; it is imported
 # where a pool is built, so a single-worker run loads neither.
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import Future
     from concurrent.futures.process import ProcessPoolExecutor
 
     from .distributed import SweepPlan
@@ -240,7 +239,7 @@ def _should_fall_back(error: BaseException) -> bool:
 
 
 def _give_up_helpers(error: BaseException, shared: Optional[ProcessPoolExecutor]) -> None:
-    """Warn that the rest of the batch runs in the caller; uninstall a dead shared pool."""
+    """Warn that the caller re-runs what the helpers lost; uninstall a dead shared pool."""
     global _shared_pool, _shared_pool_workers
     from concurrent.futures.process import BrokenProcessPool
 
@@ -265,68 +264,85 @@ def _run_pool(
     reducer: Optional[Reducer],
 ) -> List[Any]:
     """Run ``configs`` on the caller plus ``workers - 1`` helpers (see the module docstring)."""
-    from concurrent.futures import FIRST_COMPLETED, wait
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    import threading
+    from concurrent.futures import Future
+    from concurrent.futures.process import ProcessPoolExecutor
 
     shared = _shared_pool
     if shared is not None:
         workers = _shared_pool_workers
     size = default_chunksize(len(configs), workers)
-    todo = list(range(0, len(configs), size))  # chunk starts, a min-heap
-    outputs: Dict[int, List[Any]] = {}
-    failures: Dict[int, Exception] = {}
-    pending: Dict[Future, int] = {}
-    helpers_usable = True
+    todo = deque(range(0, len(configs), size))  # chunk starts, claimed in order
+    # Chunk start -> a helper's Future, or the caller's results or error.
+    chunks: Dict[int, Any] = {}
+    lock = threading.Lock()
     pool = shared if shared is not None else ProcessPoolExecutor(max_workers=workers - 1)
+
+    def feed(finished: Optional[Future] = None) -> None:
+        """Hand a helper the next chunk; called again as each of its chunks finishes."""
+        if finished is not None and (finished.cancelled() or finished.exception() is not None):
+            # A helper whose chunk failed takes no more.  The caller re-runs a
+            # chunk lost to pickling or a dead helper; after a genuine error
+            # later chunks cannot change what raises.
+            if not finished.cancelled() and not _should_fall_back(finished.exception()):
+                with lock:
+                    todo.clear()
+            return
+        with lock:
+            if not todo:
+                return
+            start = todo.popleft()
+            try:
+                future = pool.submit(_run_serial, configs[start:start + size], check, reducer, start)
+            except Exception as error:  # a broken or shut-down pool
+                future = Future()
+                future.set_exception(error)
+            chunks[start] = future
+        future.add_done_callback(feed)
+
     try:
-        while todo or pending:
-            while helpers_usable and len(todo) > 1 and len(pending) < workers - 1:
-                start = heapq.heappop(todo)
-                try:
-                    future = pool.submit(
-                        _run_serial, configs[start:start + size], check, reducer, start
-                    )
-                except BrokenProcessPool as error:
-                    heapq.heappush(todo, start)
-                    helpers_usable = False
-                    _give_up_helpers(error, shared)
-                else:
-                    pending[future] = start
-            if todo:
-                start = heapq.heappop(todo)
-                try:
-                    outputs[start] = _run_serial(configs[start:start + size], check, reducer, start)
-                except Exception as error:
-                    failures[start] = error
-                finished = [future for future in pending if future.done()]
-            else:
-                finished = wait(pending, return_when=FIRST_COMPLETED).done
-            for future in finished:
-                start = pending.pop(future)
-                error = future.exception()
+        for _ in range(workers - 1):
+            feed()
+        while True:
+            with lock:
+                if not todo:
+                    break
+                start = todo.popleft()
+            try:
+                chunks[start] = _run_serial(configs[start:start + size], check, reducer, start)
+            except Exception as error:
+                chunks[start] = error
+                with lock:
+                    todo.clear()  # later chunks cannot change what raises
+        # Every chunk below a failing one was claimed before it, so the
+        # first failure met in input order is the lowest failing index.
+        results: List[Any] = []
+        warned = False
+        for start in sorted(chunks):
+            outcome = chunks[start]
+            if isinstance(outcome, Future):
+                error = outcome.exception()
                 if error is None:
-                    outputs[start] = future.result()
+                    outcome = outcome.result()
                 elif _should_fall_back(error):
-                    heapq.heappush(todo, start)  # the caller re-runs it
-                    if helpers_usable:
-                        helpers_usable = False
+                    if not warned:
+                        warned = True
                         _give_up_helpers(error, shared)
+                    outcome = _run_serial(configs[start:start + size], check, reducer, start)
                 else:
-                    failures[start] = error
-            if failures:
-                # Chunks after the lowest failing one cannot change what raises.
-                first = min(failures)
-                todo = [start for start in todo if start < first]
-                heapq.heapify(todo)
-                for future in [future for future, start in pending.items() if start > first]:
-                    future.cancel()
-                    del pending[future]
+                    outcome = error
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.extend(outcome)
+        return results
     finally:
+        with lock:
+            todo.clear()
+        for outcome in chunks.values():
+            if isinstance(outcome, Future):
+                outcome.cancel()
         if shared is None:
-            pool.shutdown(cancel_futures=True)
-    if failures:
-        raise failures[min(failures)]
-    return [result for start in sorted(outputs) for result in outputs[start]]
+            pool.shutdown()
 
 
 def run_many(

@@ -7,6 +7,7 @@ order and value.
 
 import os
 import signal
+import sys
 import time
 import warnings
 
@@ -218,24 +219,42 @@ class PidReducer:
         return os.getpid(), SummaryReducer()(result, index)
 
 
-@pytest.fixture
-def caller_runs(monkeypatch):
-    """Seeds of the runs executed in this process.
+def _wait_for(path, timeout=30.0):
+    """Block until ``path`` exists: orders events across forked processes."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.001)
 
-    Forked helpers inherit the recording wrapper but append to their own
-    copy of the list, so only the caller's runs show up here.
+
+@pytest.fixture
+def record_caller(monkeypatch, tmp_path):
+    """Install a wrapper recording the seeds of the runs executed in this process.
+
+    Forked helpers inherit the wrapper but append to their own copy of the
+    list, so only the caller's runs show up in the returned list.  A helper
+    starts a run only once the caller has started one, so the caller always
+    claims the chunk after the helper's first, however fast the helper is.
     """
     from repro.harness import parallel
 
-    seen = []
-    real_run = parallel.run_consensus
+    def install():
+        caller, started = os.getpid(), tmp_path / "caller-started"
+        seen = []
+        inner = parallel.run_consensus
 
-    def recording(config):
-        seen.append(config.seed)
-        return real_run(config)
+        def recording(config):
+            if os.getpid() == caller:
+                seen.append(config.seed)
+                started.touch()
+            else:
+                _wait_for(started)
+            return inner(config)
 
-    monkeypatch.setattr(parallel, "run_consensus", recording)
-    return seen
+        monkeypatch.setattr(parallel, "run_consensus", recording)
+        return seen
+
+    return install
 
 
 def _undecidable(n, seed):
@@ -253,25 +272,25 @@ def _undecidable(n, seed):
     )
 
 
-def test_the_caller_runs_part_of_the_batch_next_to_a_helper(caller_runs):
+def test_the_caller_runs_part_of_the_batch_next_to_a_helper(record_caller):
     configs = [_base_config().with_seed(seed) for seed in range(3)]
     serial = run_many(configs, max_workers=1, reducer=PidReducer())
-    del caller_runs[:]
+    caller_runs = record_caller()
     pooled = run_many(configs, max_workers=2, reducer=PidReducer())
     assert [summary for _, summary in pooled] == [summary for _, summary in serial]
-    pids = {pid for pid, _ in pooled}
-    assert os.getpid() in pids, "the caller ran nothing"
-    assert len(pids) == 2, "no helper ran anything"
-    # The helper takes the first chunk, the caller the rest; nothing runs twice.
-    assert caller_runs == [1, 2]
+    pids = [pid for pid, _ in pooled]
+    # The helper is handed the first chunk and the caller claims the next.
+    assert pids[0] != os.getpid() and pids[1] == os.getpid()
+    # Nothing ran twice: the caller ran exactly the runs it reports.
+    assert caller_runs == [seed for seed, pid in enumerate(pids) if pid == os.getpid()]
 
 
-def test_full_results_from_caller_and_helper_equal_serial(caller_runs):
+def test_full_results_from_caller_and_helper_equal_serial(record_caller):
     configs = [_base_config().with_seed(seed) for seed in range(3)]
     serial = run_many(configs, max_workers=1, check=True)
-    del caller_runs[:]
+    caller_runs = record_caller()
     pooled = run_many(configs, max_workers=2, check=True)
-    assert caller_runs == [1, 2]
+    assert caller_runs[0] == 1 and 0 not in caller_runs
     assert [_comparable(result) for result in pooled] == [
         _comparable(result) for result in serial
     ]
@@ -279,7 +298,7 @@ def test_full_results_from_caller_and_helper_equal_serial(caller_runs):
 
 @pytest.mark.parametrize("reducer", [None, SummaryReducer()], ids=["full", "reduced"])
 def test_check_raises_the_lowest_failing_index_when_the_caller_fails_later(
-    caller_runs, reducer
+    record_caller, reducer
 ):
     configs = [_undecidable(6, 0), _undecidable(8, 1)] + [
         _base_config().with_seed(seed) for seed in (2, 3)
@@ -287,38 +306,44 @@ def test_check_raises_the_lowest_failing_index_when_the_caller_fails_later(
     first_error = r"correct processes \[0, 1, 2, 3, 4, 5\] "
     with pytest.raises(ConsensusViolation, match=first_error):
         run_many(configs, max_workers=1, check=True, reducer=reducer)
-    del caller_runs[:]
+    caller_runs = record_caller()
     with pytest.raises(ConsensusViolation, match=first_error):
         run_many(configs, max_workers=2, check=True, reducer=reducer)
     # Index 0 failed in the helper, index 1 in the caller: the earlier one
-    # raised, and nothing after the caller's failure was started.
+    # raised, and nothing after the failures was started.
     assert caller_runs == [1]
 
 
 @pytest.mark.parametrize("reducer", [None, SummaryReducer()], ids=["full", "reduced"])
 def test_a_killed_helper_costs_only_the_runs_it_had_not_returned(
-    caller_runs, monkeypatch, reducer
+    record_caller, monkeypatch, tmp_path, reducer
 ):
-    """The helper dies on its second chunk; only the missing indices re-run, here."""
+    """The helper dies on its second chunk; only the missing indices re-run, here.
+
+    The caller's first run waits until the helper has started its second, so
+    the helper returns seed 0, claims seed 2 and dies while the caller still
+    holds seed 1.
+    """
     from repro.harness import parallel
 
-    caller = os.getpid()
-    recording = parallel.run_consensus
+    configs = [_base_config().with_seed(seed) for seed in range(6)]
+    serial = run_many(configs, max_workers=1, reducer=reducer)
+    caller, second = os.getpid(), tmp_path / "helper-second-run"
+    real_run = parallel.run_consensus
     helper_runs = []
 
     def dies_on_its_second_run(config):
         if os.getpid() == caller:
-            time.sleep(0.1)  # the helper returns its first chunk meanwhile
+            _wait_for(second)
         else:
             helper_runs.append(config.seed)  # the helper's own copy
             if len(helper_runs) == 2:
+                second.touch()
                 os.kill(os.getpid(), signal.SIGKILL)
-        return recording(config)
+        return real_run(config)
 
-    configs = [_base_config().with_seed(seed) for seed in range(6)]
-    serial = run_many(configs, max_workers=1, reducer=reducer)
-    del caller_runs[:]
     monkeypatch.setattr(parallel, "run_consensus", dies_on_its_second_run)
+    caller_runs = record_caller()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pooled = run_many(configs, max_workers=2, reducer=reducer)
@@ -328,9 +353,61 @@ def test_a_killed_helper_costs_only_the_runs_it_had_not_returned(
     fallbacks = [warning for warning in caught if issubclass(warning.category, RuntimeWarning)]
     assert len(fallbacks) == 1
     assert "BrokenProcessPool" in str(fallbacks[0].message)
-    # Seed 0 came back from the helper before it died; every other run
-    # happened here exactly once, the lost one included.
-    assert sorted(caller_runs) == [1, 2, 3, 4, 5]
+    # Seed 0 came back from the helper before it died; the caller ran the
+    # rest once each and re-ran the lost seed 2 last.
+    assert caller_runs == [1, 3, 4, 5, 2]
+
+
+def test_a_helper_keeps_claiming_chunks_while_the_caller_is_busy(
+    record_caller, monkeypatch, tmp_path
+):
+    """The caller's first run lasts until the helper has started its third."""
+    from repro.harness import parallel
+
+    configs = [_base_config().with_seed(seed) for seed in range(6)]
+    serial = run_many(configs, max_workers=1, reducer=PidReducer())
+    caller, third = os.getpid(), tmp_path / "helper-third-run"
+    real_run = parallel.run_consensus
+    helper_runs = []
+
+    def slow_first_caller_run(config):
+        if os.getpid() == caller:
+            _wait_for(third)
+        else:
+            helper_runs.append(config.seed)  # the helper's own copy
+            if len(helper_runs) == 3:
+                third.touch()
+        return real_run(config)
+
+    monkeypatch.setattr(parallel, "run_consensus", slow_first_caller_run)
+    caller_runs = record_caller()
+    pooled = run_many(configs, max_workers=2, reducer=PidReducer())
+    assert [summary for _, summary in pooled] == [summary for _, summary in serial]
+    helper_seeds = [seed for seed, (pid, _) in enumerate(pooled) if pid != caller]
+    assert helper_seeds[:3] == [0, 2, 3] and caller_runs[0] == 1
+
+
+class IndexReducer:
+    """Reduce a run to its input index."""
+
+    def __call__(self, result, index):
+        return index
+
+
+def test_claims_survive_a_thread_switch_at_every_bytecode():
+    """The caller and the helpers' done-callbacks share one chunk queue.
+
+    More workers than this host's CPUs, two-run chunks and a tiny switch
+    interval: a lost or doubled claim would drop or repeat an index.
+    """
+    configs = [_base_config().with_seed(seed) for seed in range(48)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert run_many(configs, max_workers=6, reducer=IndexReducer()) == list(range(48))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ------------------------------------------------------------------ bit-identity
