@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Freeze the kernel's per-run summaries into the golden fixture.
 
-Runs the small e1-e9 + e11 configurations from ``tests.helpers.golden_plans``
+Runs the small e1-e11 configurations from ``tests.helpers.golden_plans``
 serially and writes every resulting :class:`RunSummary` (floats as exact
 ``float.hex()`` strings) to ``tests/golden/kernel_summaries.json``.
 

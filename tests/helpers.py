@@ -99,8 +99,8 @@ def make_message(sender: int, payload: Any, dest: int = 0, time: float = 0.0, ms
 
 
 # --------------------------------------------------------------------- golden
-# Small, fast configurations of every kernel-exercising experiment (e1-e9
-# plus the empirical-delay e11), used both by
+# Small, fast configurations of every kernel-exercising experiment (e1-e9,
+# the adaptive-adversary e10 and the empirical-delay e11), used both by
 # scripts/gen_golden_summaries.py (which froze the pre-refactor kernel's
 # summaries into tests/golden/kernel_summaries.json) and by
 # tests/test_golden_kernel.py (which asserts the current kernel still
@@ -108,7 +108,7 @@ def make_message(sender: int, payload: Any, dest: int = 0, time: float = 0.0, ms
 
 GOLDEN_SEEDS = [1000, 1001]
 
-GOLDEN_EXPERIMENTS = [f"e{i}" for i in range(1, 10)] + ["e11"]
+GOLDEN_EXPERIMENTS = [f"e{i}" for i in range(1, 12)]
 
 
 def golden_plans():
@@ -123,6 +123,7 @@ def golden_plans():
         e7_indulgence,
         e8_scalability,
         e9_adversary,
+        e10_adaptive,
         e11_resilience,
     )
 
@@ -142,6 +143,8 @@ def golden_plans():
             intensities=(0.4,),
             round_cap=15,
         ),
+        # Every adaptive strategy, observing engine and corruption included.
+        "e10": e10_adaptive.plan(seeds=seeds, intensities=(0.3, 0.7), round_cap=15),
         # One empirical-delay point pins the ECDF inverse-transform sampling
         # (and its batched refill) into the bit-identity fixture.
         "e11": e11_resilience.plan(

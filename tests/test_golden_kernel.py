@@ -5,14 +5,16 @@ small e1-e9 sweep plans (``tests.helpers.golden_plans``) as produced by the
 PRE-refactor kernel -- dataclass queue entries, per-call delay sampling, no
 ``__slots__``.  This test recomputes the same runs on the current kernel and
 asserts every summary matches exactly: floats are compared through their
-``float.hex()`` serialisation, so "close" is not good enough.  (The e11
-entry was appended later, regenerated against a green current kernel, to
-pin the empirical-delay sampling path the same way.)
+``float.hex()`` serialisation, so "close" is not good enough.  (The e11 and
+then the e10 entries were appended later, each generated against a green
+current kernel, to pin the empirical-delay sampling path and the adaptive
+adversary the same way.)
 
 The fixture spans every kernel-exercising experiment, including the
-adversarial scenarios (e9), the empirical-delay resilience runs (e11) and
-the shard/steal merge inputs (per-run summaries + priorities are
-exactly what the distributed coordinator merges), so a green run here is the
+adversarial scenarios (e9), the adaptive strategies (e10), the
+empirical-delay resilience runs (e11) and the shard/steal merge inputs
+(per-run summaries + priorities are exactly what the distributed
+coordinator merges), so a green run here is the
 acceptance evidence that the hot-path refactor changed no observable
 behaviour.  Regenerate the fixture only for a deliberate, understood
 behaviour change: ``python scripts/gen_golden_summaries.py``.
@@ -25,16 +27,21 @@ and a broadcast became one effect -- so event order, every
 ``send``/``event``/``omit`` record and every timestamp are shown equal, not
 inferred from the totals.  The four per-algorithm literals were taken before
 the six copied round loops became bindings of two shared round bodies.
+The ``e10-*`` literals, and the ``deferral_log`` tallies in
+``INTERVENTIONS``, were taken while the adaptive strategies still ran in a
+subclass of the adversary engine.
 """
 
 import hashlib
 import json
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
-from repro.adversary import build_scenario
+from repro.adversary import DelayPivotal, ProcessSlowdown, Scenario, build_scenario
+from repro.adversary.adaptive import build_adaptive_scenario
 from repro.cluster.topology import ClusterTopology
 from repro.harness.runner import ExperimentConfig, prepare_consensus
 from repro.network.transport import Network
@@ -65,7 +72,7 @@ def test_priority_backend_matches(golden_fixture, current_summaries):
     assert current_summaries["priority_backend"] == golden_fixture["priority_backend"]
 
 
-@pytest.mark.parametrize("experiment", [f"e{i}" for i in range(1, 10)] + ["e11"])
+@pytest.mark.parametrize("experiment", [f"e{i}" for i in range(1, 12)])
 def test_kernel_reproduces_prerefactor_summaries(golden_fixture, current_summaries, experiment):
     expected_points = golden_fixture["experiments"][experiment]
     actual_points = current_summaries["experiments"][experiment]
@@ -83,22 +90,41 @@ def test_kernel_reproduces_prerefactor_summaries(golden_fixture, current_summari
 
 
 # ------------------------------------------------------------ whole traces
-def _e9_kernel(scenario, seed, algorithm="hybrid-local-coin"):
-    """One traced run of the e9 plan's configuration under ``scenario``@0.3.
-
-    ``scenario=None`` runs the same configuration fault-free.
-    """
+def _traced_kernel(scenario, seed, algorithm):
+    """One traced run at n=6, m=3 under ``scenario`` (``None``: fault-free)."""
     config = ExperimentConfig(
         topology=ClusterTopology.even_split(6, 3),
         algorithm=algorithm,
         proposals="split",
         seed=seed,
-        scenario=None if scenario is None else build_scenario(scenario, n=6, intensity=0.3),
+        scenario=scenario,
         sim=SimConfig(max_rounds=30, max_time=5e4, trace=True),
     )
     kernel = prepare_consensus(config).kernel
     kernel.run()
     return kernel
+
+
+def _e9_kernel(scenario, seed, algorithm="hybrid-local-coin"):
+    """One traced run of the e9 plan's configuration under ``scenario``@0.3.
+
+    ``scenario=None`` runs the same configuration fault-free.
+    """
+    if scenario is not None:
+        scenario = build_scenario(scenario, n=6, intensity=0.3)
+    return _traced_kernel(scenario, seed, algorithm)
+
+
+def _e10_kernel(scenario, algorithm):
+    """One traced seed-1 run of the e10 configuration under ``scenario``@0.3."""
+    return _traced_kernel(build_adaptive_scenario(scenario, n=6, intensity=0.3), 1, algorithm)
+
+
+#: A slowdown and a strategy in one scenario: both halves of ``defer`` fire.
+MIXED = Scenario(
+    "slow-and-pivotal",
+    (ProcessSlowdown(pids=(0,), extra_delay=1.5), DelayPivotal(extra_delay=1.5, max_deferrals=3)),
+)
 
 
 def _flood_kernel(n=16, rounds=2):
@@ -167,6 +193,46 @@ TRACE_DIGESTS = {
         1632,
         "146812225c07e6b2d9fbb913458f5f5b08e64bd438338a9dec060f4dafdebefc",
     ),
+    # The adaptive strategies, each on the algorithm it bites hardest.
+    "e10-delay-pivotal": (
+        lambda: _e10_kernel("delay-pivotal", "hybrid-local-coin"),
+        {"send", "event", "round", "sm-op", "block", "decide"},
+        595,
+        "3be2d04a9e3c90a5268e8fb843949b504cf477e1064c291930b9a7b9eebd1b94",
+    ),
+    "e10-split-rounds": (
+        lambda: _e10_kernel("split-rounds", "ben-or"),
+        {"send", "event", "round", "block", "decide"},
+        1755,
+        "ca50b8af7a0e0b0378f9756e24c078c8c179379d4e3de1b8bd28dd4e27561b4e",
+    ),
+    "e10-target-coin-omit": (
+        lambda: _e10_kernel("target-coin-omit", "hybrid-local-coin"),
+        {"send", "event", "round", "sm-op", "block", "omit"},
+        174,
+        "054b903d24af478ad8b4a38cb7996bc3fea2d89b625a8892e2cf8b658a30e233",
+    ),
+    # Authenticated corruption: 37 of the entries are ``corrupt`` records.
+    "e10-byzantine-tamper": (
+        lambda: _e10_kernel("byzantine-tamper", "hybrid-local-coin"),
+        {"send", "event", "round", "sm-op", "corrupt", "block", "decide"},
+        700,
+        "a5a077ce79f59f9621da8bf383bf36958db19d3e7d0056f05f4fba2cc3ea2d93",
+    ),
+    "e10-slow-and-pivotal": (
+        lambda: _traced_kernel(MIXED, 1, "hybrid-local-coin"),
+        {"send", "event", "round", "sm-op", "block", "decide"},
+        657,
+        "963d22e3152bf630298f0e5579c4699501d65fefaf99dfde7102d34f79e8d5f8",
+    ),
+}
+
+#: Trace name -> the actions in that run's ``adversary.deferral_log``.
+INTERVENTIONS = {
+    "e10-delay-pivotal": {"defer": 210},
+    "e10-split-rounds": {"defer": 299},
+    "e10-target-coin-omit": {"omit": 24},
+    "e10-slow-and-pivotal": {"defer": 198},
 }
 
 
@@ -198,7 +264,11 @@ def _trace_digest(trace):
 @pytest.mark.parametrize("name", list(TRACE_DIGESTS))
 def test_whole_trace_matches_the_single_heap_loop(name):
     run, kinds, entries, digest = TRACE_DIGESTS[name]
-    trace = run().trace
+    kernel = run()
+    trace = kernel.trace
     assert trace.dropped == 0 and len(trace) == entries
     assert kinds <= {entry.kind for entry in trace.entries}
     assert _trace_digest(trace) == digest
+    if name in INTERVENTIONS:
+        log = kernel.adversary.deferral_log
+        assert Counter(action for _, _, action, _, _ in log) == INTERVENTIONS[name]

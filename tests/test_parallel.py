@@ -453,7 +453,7 @@ def golden_aggregates():
 
 
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("experiment", [f"e{i}" for i in range(1, 10)] + ["e11"])
+@pytest.mark.parametrize("experiment", [f"e{i}" for i in range(1, 12)])
 def test_every_experiment_plan_on_k_workers_equals_serial(golden_aggregates, experiment, k):
     """``RunAggregate.__eq__`` compares the folded summaries field by field
     (floats included), so a perturbed draw anywhere fails here."""
