@@ -2,20 +2,17 @@
 
 The paper proves its algorithms safe under *any* asynchronous adversary;
 this package lets the simulator actually play one.  A
-:class:`~repro.adversary.scenario.Scenario` composes declarative fault
-primitives -- message omission, duplication, reordering, corruption,
-partition windows, per-process slowdowns and crash-recovery outages -- and
-a per-run :class:`~repro.adversary.scenario.Adversary` injects them
+:class:`~repro.adversary.scenario.Scenario` composes fault primitives from
+one closed set (:data:`~repro.adversary.faults.FAULT_TYPES`) -- message
+omission, duplication, reordering, corruption, partition windows,
+per-process slowdowns, crash-recovery outages, and the adaptive strategies
+delay-pivotal, target-coin and split-rounds, which condition their
+decisions on the observed execution.  One per-run
+:class:`~repro.adversary.scenario.Adversary` injects them all
 deterministically through three narrow kernel hooks: message-send time
 (omission, duplication, reordering, partitions, corruption), event-dispatch
-time (slowdowns), and scheduled pause/recover events (crash-recovery
-outages).
-
-On top of the declarative primitives, :mod:`~repro.adversary.adaptive`
-adds *adaptive* strategies that condition their fault decisions on the
-observed execution (delay-pivotal, target-coin, split-rounds) through the
-same hooks; :func:`~repro.adversary.adaptive.build_adversary` picks the
-right engine for a scenario.
+time (slowdowns, then the adaptive strategies), and scheduled
+pause/recover events (crash-recovery outages).
 
 Scenarios are plain picklable data with stable reprs, so they ride inside
 :class:`~repro.harness.runner.ExperimentConfig`, enter sweep-plan
@@ -31,15 +28,11 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "adaptive": [
-            "ADAPTIVE_FAULT_TYPES", "AdaptiveAdversary", "DelayPivotal", "SplitRounds",
-            "TargetCoin", "adaptive_scenario_names", "build_adaptive_scenario",
-            "build_adversary",
-        ],
+        "adaptive": ["adaptive_scenario_names", "build_adaptive_scenario"],
         "faults": [
-            "FAULT_TYPES", "CrashRecovery", "LinkFault", "MessageCorruption",
+            "FAULT_TYPES", "CrashRecovery", "DelayPivotal", "LinkFault", "MessageCorruption",
             "MessageDuplication", "MessageOmission", "MessageReordering", "Outage",
-            "PartitionWindow", "ProcessSlowdown", "TamperedPayload", "register_fault_type",
+            "PartitionWindow", "ProcessSlowdown", "SplitRounds", "TamperedPayload", "TargetCoin",
         ],
         "library": ["build_scenario", "scenario_names"],
         "scenario": ["Adversary", "Scenario"],

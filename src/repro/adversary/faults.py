@@ -1,4 +1,4 @@
-"""Declarative fault primitives composed into adversarial scenarios.
+"""The fault primitives composed into adversarial scenarios.
 
 Every primitive is a frozen dataclass of plain values (probabilities, pid
 tuples, time windows), so primitives are picklable, hashable and have
@@ -12,7 +12,11 @@ specific execution is decided by the runtime
 :class:`~repro.adversary.scenario.Adversary`, which draws every random
 choice (per-message omission, duplication, reordering) from a dedicated
 seeded kernel stream, so two runs of the same configuration inject the
-identical faults.
+identical faults.  Seven primitives are declarative coin flips and
+windows; the three adaptive strategies (:class:`DelayPivotal`,
+:class:`TargetCoin`, :class:`SplitRounds`) draw nothing and decide from
+what the engine observes of the run.  :data:`FAULT_TYPES` is the closed
+set of all ten: a scenario holds these exact types and no subclass.
 
 Self-addressed messages are never faulted: a process's channel to itself is
 local, and the paper's ``broadcast`` macro relies on a process hearing its
@@ -47,16 +51,38 @@ def _normalised_pids(pids: object, what: str) -> Tuple[int, ...]:
     return values
 
 
+def _disjoint_groups(groups: Tuple[Tuple[int, ...], ...], what: str) -> Tuple[Tuple[int, ...], ...]:
+    """Validate two or more non-empty, disjoint pid groups; normalise each."""
+    if len(groups) < 2:
+        raise ValueError(f"a {what} needs at least two groups")
+    normalised = tuple(_normalised_pids(group, f"{what} group") for group in groups)
+    seen: set = set()
+    for group in normalised:
+        if not group:
+            raise ValueError(f"{what} groups must be non-empty")
+        overlap = seen.intersection(group)
+        if overlap:
+            raise ValueError(f"{what} groups must be disjoint; {sorted(overlap)} repeated")
+        seen.update(group)
+    return normalised
+
+
 def _check_probability(probability: float) -> None:
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {probability}")
 
 
 def _check_window(start: float, end: float) -> None:
-    if start < 0:
-        raise ValueError(f"window start must be >= 0, got {start}")
-    if end <= start:
+    if not (math.isfinite(start) and start >= 0):
+        raise ValueError(f"window start must be finite and >= 0, got {start}")
+    if not end > start:
         raise ValueError(f"window end must be > start, got [{start}, {end})")
+
+
+def _check_extra_delay(extra_delay: float) -> None:
+    # An infinite deferral is a drop in disguise, and NaN never compares.
+    if not (math.isfinite(extra_delay) and extra_delay > 0):
+        raise ValueError(f"extra_delay must be finite and > 0, got {extra_delay}")
 
 
 @dataclass(frozen=True)
@@ -171,18 +197,7 @@ class PartitionWindow:
         _check_window(self.start, self.end)
         if self.mode == "heal" and not math.isfinite(self.end):
             raise ValueError("a healing partition needs a finite end time")
-        if len(self.groups) < 2:
-            raise ValueError("a partition needs at least two groups")
-        groups = tuple(_normalised_pids(group, "partition group") for group in self.groups)
-        seen: set = set()
-        for group in groups:
-            if not group:
-                raise ValueError("partition groups must be non-empty")
-            overlap = seen.intersection(group)
-            if overlap:
-                raise ValueError(f"partition groups must be disjoint; {sorted(overlap)} repeated")
-            seen.update(group)
-        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "groups", _disjoint_groups(self.groups, "partition"))
 
     def _group_of(self, pid: int) -> int:
         for index, group in enumerate(self.groups):
@@ -230,8 +245,7 @@ class ProcessSlowdown:
         object.__setattr__(self, "pids", _normalised_pids(self.pids, "slowdown pids"))
         if not self.pids:
             raise ValueError("a slowdown needs at least one process id")
-        if self.extra_delay <= 0:
-            raise ValueError(f"extra_delay must be > 0, got {self.extra_delay}")
+        _check_extra_delay(self.extra_delay)
         _check_window(self.start, self.end)
 
     def defers(self, pid: int, time: float) -> bool:
@@ -386,10 +400,120 @@ class MessageCorruption(LinkFault):
         return self.probability == 0.0
 
 
-#: The primitive types a :class:`~repro.adversary.scenario.Scenario` accepts.
-#: Extended (never shrunk) by :func:`register_fault_type`; modules must read
-#: it through the ``faults`` module at validation time, not import the tuple
-#: by value, so later registrations (the adaptive primitives) are honoured.
+# ------------------------------------------------------------ adaptive strategies
+# The strategies below condition their verdicts on the observed execution
+# instead of on a coin: the engine watches every dispatched delivery and
+# asks them, in this order, whether to hold it back.  Each is still plain
+# data; the decisions live in :meth:`~repro.adversary.scenario.Adversary.defer`.
+
+
+def _check_strategy(extra_delay: float, max_deferrals: int) -> None:
+    _check_extra_delay(extra_delay)
+    if max_deferrals < 1:
+        raise ValueError(f"max_deferrals must be >= 1, got {max_deferrals}")
+
+
+@dataclass(frozen=True)
+class DelayPivotal:
+    """Defer the delivery that would complete the receiver's pending wait.
+
+    At each dispatch of a message delivery, the strategy probes the
+    receiver: if it is blocked and its wait predicate is unsatisfied by the
+    current mailbox but *would* be satisfied with this message appended,
+    the delivery is pivotal -- typically the vote that completes a
+    ``msg_exchange`` majority -- and is postponed by ``extra_delay``.  Each
+    delivery is deferred at most ``max_deferrals`` times and then released,
+    so every message still arrives: the strategy stretches every quorum to
+    its last possible moment without ever breaking liveness.
+    """
+
+    extra_delay: float = 2.0
+    max_deferrals: int = 8
+    start: float = 0.0
+    end: float = math.inf
+
+    def __post_init__(self) -> None:
+        _check_strategy(self.extra_delay, self.max_deferrals)
+        _check_window(self.start, self.end)
+
+    @property
+    def liveness_preserving(self) -> bool:
+        """Bounded deferrals only delay the quorum, never prevent it."""
+        return True
+
+
+#: The two TargetCoin attack modes.
+TARGET_COIN_MODES = ("delay", "omit")
+
+
+@dataclass(frozen=True)
+class TargetCoin:
+    """Attack the estimate exchange feeding the round's coin flip.
+
+    The coins of the paper (and of this reproduction) are local objects:
+    no process ever broadcasts its coin value, so an adversary cannot
+    literally intercept "the common-coin broadcast".  What it *can* do --
+    and what this strategy does -- is suppress the information the coin is
+    meant to complement: deliveries whose payload carries the currently
+    leading estimate of their ``(tag, round, phase)`` instance (the value
+    the exchange is converging on, as counted from deliveries observed so
+    far) are delayed by ``extra_delay`` in ``"delay"`` mode, or dropped in
+    ``"omit"`` mode.  Ties between estimates leave no unique leader and
+    nothing is faulted, so the strategy stays fully deterministic.
+    """
+
+    mode: str = "delay"
+    extra_delay: float = 2.0
+    max_deferrals: int = 8
+    start: float = 0.0
+    end: float = math.inf
+
+    def __post_init__(self) -> None:
+        if self.mode not in TARGET_COIN_MODES:
+            raise ValueError(
+                f"unknown TargetCoin mode {self.mode!r}; choose from {TARGET_COIN_MODES}"
+            )
+        _check_strategy(self.extra_delay, self.max_deferrals)
+        _check_window(self.start, self.end)
+
+    @property
+    def liveness_preserving(self) -> bool:
+        """Delaying preserves every delivery; omitting loses messages."""
+        return self.mode == "delay"
+
+
+@dataclass(frozen=True)
+class SplitRounds:
+    """Keep two process groups progressing about one round apart.
+
+    The strategy tracks, per group, the highest round number observed in
+    any delivered payload sent by a group member.  A delivery crossing
+    from the group that is *ahead* into a group that lags is deferred by
+    ``extra_delay`` (at most ``max_deferrals`` times), so the lagging
+    group keeps working its older round undisturbed -- the groups stay out
+    of phase without a single message being lost.
+    """
+
+    groups: Tuple[Tuple[int, ...], ...]
+    extra_delay: float = 2.0
+    max_deferrals: int = 8
+
+    def __post_init__(self) -> None:
+        _check_strategy(self.extra_delay, self.max_deferrals)
+        object.__setattr__(self, "groups", _disjoint_groups(self.groups, "split"))
+
+    def touched_pids(self) -> Tuple[int, ...]:
+        """Every pid named by the split groups."""
+        return tuple(pid for group in self.groups for pid in group)
+
+    @property
+    def liveness_preserving(self) -> bool:
+        """Bounded deferrals desynchronise the groups but starve nobody."""
+        return True
+
+
+#: Every primitive type a :class:`~repro.adversary.scenario.Scenario`
+#: accepts, by exact type: the runtime engine buckets on ``type(fault)``.
 FAULT_TYPES = (
     MessageOmission,
     MessageDuplication,
@@ -398,23 +522,7 @@ FAULT_TYPES = (
     PartitionWindow,
     ProcessSlowdown,
     CrashRecovery,
+    DelayPivotal,
+    TargetCoin,
+    SplitRounds,
 )
-
-
-def register_fault_type(fault_type: type) -> None:
-    """Admit ``fault_type`` into :data:`FAULT_TYPES` (idempotent).
-
-    The extension seam for fault primitives defined outside this module
-    (the adaptive strategies in :mod:`repro.adversary.adaptive`): a
-    registered type passes :class:`~repro.adversary.scenario.Scenario`
-    validation, and the runtime engine chosen by
-    :func:`~repro.adversary.adaptive.build_adversary` must know how to
-    bucket it.  Requirements match the built-ins: frozen dataclasses of
-    plain values with ``liveness_preserving`` and (when pids are named)
-    ``touched_pids``.
-    """
-    global FAULT_TYPES
-    if not isinstance(fault_type, type):
-        raise TypeError(f"fault types are classes, got {fault_type!r}")
-    if fault_type not in FAULT_TYPES:
-        FAULT_TYPES = FAULT_TYPES + (fault_type,)

@@ -1,18 +1,20 @@
 """The declarative :class:`Scenario` model and its runtime :class:`Adversary`.
 
 A :class:`Scenario` is pure data -- a named, ordered composition of the
-fault primitives from :mod:`~repro.adversary.faults`.  It travels inside an
+fault primitives from :mod:`~repro.adversary.faults`, each of an exact type
+in :data:`~repro.adversary.faults.FAULT_TYPES`.  It travels inside an
 :class:`~repro.harness.runner.ExperimentConfig` (pickled to workers, its
 ``repr`` hashed into sweep-plan fingerprints) and runs nothing by itself.
 
-The :class:`Adversary` is the per-run engine built from a scenario: it owns
-the seeded random stream the fault coin-flips draw from, and it answers the
-two narrow questions the simulation kernel asks:
+The :class:`Adversary` is the one per-run engine built from a scenario: it
+buckets the primitives by type, owns the seeded random stream the fault
+coin-flips draw from, observes the deliveries the adaptive strategies
+decide on, and answers the two narrow questions the simulation kernel asks:
 
 * :meth:`Adversary.deliveries` -- at message-send time, into which delivery
   delays (none = omitted, several = duplicated) does this send turn?
 * :meth:`Adversary.defer` -- at event-dispatch time, should this event be
-  postponed (per-process slowdowns)?
+  postponed (per-process slowdowns, then the adaptive strategies)?
 
 Neither question is asked of an adversary whose scenario cannot answer it
 with anything but "unchanged": the engine declares once, at construction,
@@ -29,10 +31,11 @@ than one local boolean test per event and one per send.
 
 from __future__ import annotations
 
+import math
 import random
 import weakref
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim.events import (
     Event,
@@ -42,19 +45,25 @@ from ..sim.events import (
     ProcessStart,
     StepResume,
 )
-from . import faults as _faults
+from ..sim.process import ProcessState
 from .faults import (
+    FAULT_TYPES,
     CrashRecovery,
+    DelayPivotal,
     MessageCorruption,
     MessageDuplication,
     MessageOmission,
     MessageReordering,
     PartitionWindow,
     ProcessSlowdown,
+    SplitRounds,
     TamperedPayload,
+    TargetCoin,
     check_outages_disjoint,
     mutate_payload,
 )
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -74,14 +83,11 @@ class Scenario:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"scenario name must be a non-empty string, got {self.name!r}")
         faults = tuple(self.faults)
-        # Read FAULT_TYPES through the module so primitives registered after
-        # this module was imported (register_fault_type) are accepted too.
-        known_types = _faults.FAULT_TYPES
         for fault in faults:
-            if not isinstance(fault, known_types):
+            if type(fault) not in FAULT_TYPES:
                 raise ValueError(
-                    f"unknown fault primitive {fault!r}; scenarios compose "
-                    f"{sorted(t.__name__ for t in known_types)}"
+                    f"unknown fault primitive {fault!r}; scenarios compose exactly "
+                    f"{sorted(t.__name__ for t in FAULT_TYPES)}"
                 )
         # Each CrashRecovery schedule validates itself; overlapping outages
         # *across* schedules would be just as silently mis-handled by the
@@ -137,44 +143,26 @@ class Adversary:
         self.scenario = scenario
         self._rng = rng
         self._kernel = None
-        self._omissions: List[MessageOmission] = []
-        self._duplications: List[MessageDuplication] = []
-        self._reorderings: List[MessageReordering] = []
-        self._corruptions: List[MessageCorruption] = []
-        self._partitions: List[PartitionWindow] = []
-        self._slowdowns: List[ProcessSlowdown] = []
-        self._crash_recoveries: List[CrashRecovery] = []
-        self._deferred_ids: set = set()
-        buckets = {
-            MessageOmission: self._omissions,
-            MessageDuplication: self._duplications,
-            MessageReordering: self._reorderings,
-            MessageCorruption: self._corruptions,
-            PartitionWindow: self._partitions,
-            ProcessSlowdown: self._slowdowns,
-            CrashRecovery: self._crash_recoveries,
-        }
+        buckets: Dict[type, list] = {fault_type: [] for fault_type in FAULT_TYPES}
         for fault in scenario.faults:
-            # Walk the MRO so user subclasses of the primitives (accepted by
-            # Scenario's isinstance validation) land in their base's bucket,
-            # mirroring how the kernel dispatches event subclasses.  The
-            # MessageCorruption check must precede the LinkFault walk because
-            # corruption subclasses LinkFault but needs its own bucket --
-            # which the exact-class-first MRO walk already guarantees.
-            bucket = next(
-                (buckets[base] for base in type(fault).__mro__ if base in buckets), None
-            )
-            if bucket is not None:
-                bucket.append(fault)
-            elif not self._bucket_extra(fault):
-                raise ValueError(f"no adversary handling for fault {fault!r}")
+            buckets[type(fault)].append(fault)
+        self._omissions: List[MessageOmission] = buckets[MessageOmission]
+        self._duplications: List[MessageDuplication] = buckets[MessageDuplication]
+        self._reorderings: List[MessageReordering] = buckets[MessageReordering]
+        self._corruptions: List[MessageCorruption] = buckets[MessageCorruption]
+        self._partitions: List[PartitionWindow] = buckets[PartitionWindow]
+        self._slowdowns: List[ProcessSlowdown] = buckets[ProcessSlowdown]
+        self._crash_recoveries: List[CrashRecovery] = buckets[CrashRecovery]
+        self._delay_pivotal: List[DelayPivotal] = buckets[DelayPivotal]
+        self._target_coins: List[TargetCoin] = buckets[TargetCoin]
+        self._split_rounds: List[SplitRounds] = buckets[SplitRounds]
+        self._adaptive = bool(self._delay_pivotal or self._target_coins or self._split_rounds)
         #: Whether the kernel needs to consult :meth:`corrupt` per send.
         self.corrupts = bool(self._corruptions)
         #: Whether the kernel needs to offer every dispatched event to
-        #: :meth:`defer`.  Fixed before the run starts: only a slowdown can
-        #: make the base verdict non-zero.  A subclass that replaces the
-        #: hook is always consulted -- the kernel cannot know what it does.
-        self.defers_events = bool(self._slowdowns) or self._overrides("defer", Adversary)
+        #: :meth:`defer`.  Fixed before the run starts: only a slowdown or
+        #: an adaptive strategy can make the verdict non-zero.
+        self.defers_events = bool(self._slowdowns) or self._adaptive
         #: Whether the kernel needs to route every send through
         #: :meth:`deliveries` (and, under :attr:`corrupts`, :meth:`corrupt`).
         #: With every link-fault bucket empty the verdict is ``(delay,)``
@@ -186,25 +174,26 @@ class Adversary:
             or self._reorderings
             or self._duplications
             or self._corruptions
-        ) or self._overrides("deliveries", Adversary)
-
-    def _overrides(self, hook: str, owner: type) -> bool:
-        """Whether this engine's class replaced ``owner``'s ``hook`` method.
-
-        Compared by attribute identity on the classes, so wrapping a hook in
-        place (``bench/spans.py`` patches ``Adversary.defer`` by name) is not
-        an override, while a subclass defining its own is.
-        """
-        return getattr(type(self), hook) is not getattr(owner, hook)
-
-    def _bucket_extra(self, fault) -> bool:
-        """Claim a fault primitive no base bucket handles (subclass seam).
-
-        :class:`~repro.adversary.adaptive.AdaptiveAdversary` overrides this
-        to take ownership of the adaptive strategy primitives; the base
-        engine handles only the declarative ones and returns ``False``.
-        """
-        return False
+        )
+        #: ids of the events a slowdown has postponed once already.
+        self._deferred_ids: set = set()
+        #: id(event) -> times this delivery has been adaptively deferred.
+        #: Safe to key on identity: the kernel's _deferred table pins the
+        #: event object alive for exactly as long as our entry exists.
+        self._defer_counts: Dict[int, int] = {}
+        #: (tag, round, phase) -> {est: observed deliveries carrying it}.
+        self._est_counts: Dict[tuple, Dict[object, int]] = {}
+        #: split-group index -> highest round number observed from it.
+        self._group_rounds: Dict[int, int] = {}
+        self._group_of: Dict[int, int] = {}
+        for split in self._split_rounds:
+            for index, group in enumerate(split.groups):
+                for pid in group:
+                    self._group_of[pid] = index
+        #: Every adaptive intervention, as ``(now, strategy, action,
+        #: sender, dest)`` tuples (action is "defer" or "omit") -- the
+        #: inspectable trace the strategy unit tests assert against.
+        self.deferral_log: List[Tuple[float, str, str, int, int]] = []
 
     # ------------------------------------------------------------ installation
     def install(self, kernel) -> None:
@@ -305,28 +294,161 @@ class Adversary:
     def defer(self, event: Event, now: float) -> float:
         """Extra delay to postpone ``event`` by at dispatch time (0.0 = none).
 
-        Implements per-process slowdowns: each step or delivery event of a
+        Per-process slowdowns answer first: each step or delivery event of a
         slowed process inside its window is postponed exactly once (the
         kernel re-queues it and offers it again; the second offer passes
         through), so a slowdown stretches the process's schedule without
-        ever starving it.  The kernel asks only under :attr:`defers_events`;
-        asked anyway, a scenario without slowdowns answers 0.0.
+        ever starving it.  A message delivery no slowdown postpones is then
+        observed (estimate counts per exchange instance, per-group round
+        progress) and offered to the adaptive strategies in a fixed order
+        -- delay-pivotal, target-coin, split-rounds -- and the first that
+        wants it wins.  A finite verdict re-queues the delivery (per-event
+        deferral counts bound how often); an infinite one drops it at
+        dispatch, which the kernel accounts as an omission.  No adaptive
+        decision draws randomness.  The kernel asks only under
+        :attr:`defers_events`; asked anyway, a scenario with neither
+        slowdowns nor strategies answers 0.0.
         """
-        if not self._slowdowns:
+        if self._slowdowns:
+            key = id(event)
+            if key in self._deferred_ids:
+                self._deferred_ids.discard(key)
+            elif isinstance(event, self._DEFERRABLE):
+                extra = 0.0
+                for slowdown in self._slowdowns:
+                    if slowdown.defers(event.pid, now):
+                        extra += slowdown.extra_delay
+                if extra > 0.0:
+                    self._deferred_ids.add(key)
+                    return extra
+        if not self._adaptive or type(event) is not MessageDelivery:
             return 0.0
+        message = event.message
+        payload = getattr(message, "payload", None)
+        counts = self._defer_counts
         key = id(event)
-        if key in self._deferred_ids:
-            self._deferred_ids.discard(key)
+        count = counts.get(key)
+        if count is None:
+            # First offer of this delivery: fold it into the observed state
+            # exactly once, no matter how often it is subsequently deferred.
+            count = 0
+            self._observe(message, payload)
+        verdict, strategy = self._strategy_verdict(event, message, payload, now, count)
+        if verdict == 0.0:
+            counts.pop(key, None)
             return 0.0
-        if not isinstance(event, self._DEFERRABLE):
-            return 0.0
-        extra = 0.0
-        for slowdown in self._slowdowns:
-            if slowdown.defers(event.pid, now):
-                extra += slowdown.extra_delay
-        if extra > 0.0:
-            self._deferred_ids.add(key)
-        return extra
+        sender = getattr(message, "sender", -1)
+        if verdict == _INF:
+            counts.pop(key, None)
+            self.deferral_log.append((now, strategy, "omit", sender, event.pid))
+            return verdict
+        counts[key] = count + 1
+        self.deferral_log.append((now, strategy, "defer", sender, event.pid))
+        return verdict
+
+    # ------------------------------------------------------------- observation
+    def _observe(self, message, payload) -> None:
+        """Fold one dispatched delivery into the observed protocol state.
+
+        Duck-typed over the algorithm payloads: anything carrying ``est``
+        (phase messages) feeds the estimate counts; anything carrying
+        ``round_number`` advances its sender's group round.  Foreign
+        payloads (including tampered wrappers) contribute nothing.
+        """
+        est = getattr(payload, "est", None)
+        if est is not None:
+            instance = (
+                getattr(payload, "tag", None),
+                getattr(payload, "round_number", 0),
+                getattr(payload, "phase", 0),
+            )
+            bucket = self._est_counts.setdefault(instance, {})
+            bucket[est] = bucket.get(est, 0) + 1
+        if self._group_of:
+            round_number = getattr(payload, "round_number", None)
+            if round_number is not None:
+                group = self._group_of.get(getattr(message, "sender", -1))
+                if group is not None and round_number > self._group_rounds.get(group, -1):
+                    self._group_rounds[group] = round_number
+
+    # -------------------------------------------------------------- strategies
+    def _strategy_verdict(
+        self, event, message, payload, now: float, count: int
+    ) -> Tuple[float, str]:
+        """The first adaptive strategy that wants this delivery, in order."""
+        for pivotal in self._delay_pivotal:
+            if (
+                pivotal.start <= now < pivotal.end
+                and count < pivotal.max_deferrals
+                and self._is_pivotal(event)
+            ):
+                return pivotal.extra_delay, "delay-pivotal"
+        for coin in self._target_coins:
+            if not coin.start <= now < coin.end:
+                continue
+            if not self._carries_leading_est(payload):
+                continue
+            if coin.mode == "omit":
+                return _INF, "target-coin"
+            if count < coin.max_deferrals:
+                return coin.extra_delay, "target-coin"
+        for split in self._split_rounds:
+            if count < split.max_deferrals and self._crosses_into_lagging_group(
+                message, event.pid
+            ):
+                return split.extra_delay, "split-rounds"
+        return 0.0, ""
+
+    def _is_pivotal(self, event) -> bool:
+        """Whether delivering ``event`` now would complete a pending wait.
+
+        A pure probe: the receiver's wait predicate is evaluated against
+        its current mailbox and against a copy with this message appended.
+        Neither call changes any later answer: by the wait-predicate
+        contract (see :class:`~repro.sim.context.WaitEffect`) a result
+        depends only on the contents of the list it is given, so the copy
+        -- a different list object -- can never be served from, or leak
+        into, whatever a predicate memoises for the live mailbox.
+        """
+        proc = self._kernel.process(event.pid)
+        if proc.paused or proc.state is not ProcessState.BLOCKED:
+            return False
+        predicate = proc.wait_predicate
+        if predicate is None:
+            return False
+        mailbox = proc.mailbox
+        if predicate(mailbox) is not None:
+            return False
+        return predicate(list(mailbox) + [event.message]) is not None
+
+    def _carries_leading_est(self, payload) -> bool:
+        """Whether ``payload`` carries the unique leading estimate so far."""
+        est = getattr(payload, "est", None)
+        if est not in (0, 1):
+            return False
+        instance = (
+            getattr(payload, "tag", None),
+            getattr(payload, "round_number", 0),
+            getattr(payload, "phase", 0),
+        )
+        bucket = self._est_counts.get(instance)
+        if not bucket:
+            return False
+        best = max(bucket.values())
+        leaders = [value for value, seen in bucket.items() if seen == best]
+        return len(leaders) == 1 and leaders[0] == est
+
+    def _crosses_into_lagging_group(self, message, dest: int) -> bool:
+        """Whether this delivery flows from a leading into a lagging group."""
+        groups = self._group_of
+        sender_group = groups.get(getattr(message, "sender", -1))
+        if sender_group is None:
+            return False
+        dest_group = groups.get(dest)
+        if dest_group is None or dest_group == sender_group:
+            return False
+        rounds = self._group_rounds
+        return rounds.get(sender_group, -1) > rounds.get(dest_group, -1)
 
 
 __all__ = ["Adversary", "ProcessPause", "ProcessRecover", "Scenario"]

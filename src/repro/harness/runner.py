@@ -14,8 +14,7 @@ import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Type
 
-from ..adversary.adaptive import build_adversary
-from ..adversary.scenario import Scenario
+from ..adversary.scenario import Adversary, Scenario
 from ..baselines.ben_or import BenOrConsensus
 from ..baselines.mp_common_coin import MessagePassingCommonCoinConsensus
 from ..baselines.shared_memory_only import SharedMemoryConsensus
@@ -230,7 +229,7 @@ def prepare_consensus(
 
     config.failure_pattern.install(kernel)
     if config.scenario is not None:
-        kernel.install_adversary(build_adversary(config.scenario, rng.stream("adversary")))
+        kernel.install_adversary(Adversary(config.scenario, rng.stream("adversary")))
 
     return PreparedRun(
         config=config,

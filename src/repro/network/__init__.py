@@ -7,7 +7,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "delays": [
             "ConstantDelay", "DelayModel", "ExponentialDelay", "LogNormalDelay", "SpikeDelay",
-            "UniformDelay", "delay_model_from_name", "register_delay_model",
+            "UniformDelay",
         ],
         "empirical": [
             "REFERENCE_RTT_MS", "EmpiricalDelay", "ShiftedLogNormalDelay", "TraceExhausted",

@@ -194,38 +194,3 @@ class SpikeDelay(DelayModel):
             spike_low + spike_span * rand() if rand() < p else low + span * rand()
             for _ in range(k)
         ]
-
-
-_NAMED_MODELS = {
-    "constant": ConstantDelay,
-    "uniform": UniformDelay,
-    "exponential": ExponentialDelay,
-    "lognormal": LogNormalDelay,
-    "spike": SpikeDelay,
-}
-
-
-def register_delay_model(name: str, factory) -> None:
-    """Register a model class under ``name`` for :func:`delay_model_from_name`.
-
-    The seam other modules (e.g. :mod:`repro.network.empirical`) use to join
-    the named catalogue without this module importing them.  Re-registering
-    the same factory under the same name is a no-op; registering a different
-    one is an error, since the name→model mapping feeds reproducibility.
-    """
-    key = name.lower()
-    existing = _NAMED_MODELS.get(key)
-    if existing is not None and existing is not factory:
-        raise ValueError(f"delay model name {name!r} already taken by {existing!r}")
-    _NAMED_MODELS[key] = factory
-
-
-def delay_model_from_name(name: str, **kwargs) -> DelayModel:
-    """Instantiate a delay model by name (``uniform``, ``exponential``, ...)."""
-    try:
-        factory = _NAMED_MODELS[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown delay model {name!r}; choose from {sorted(_NAMED_MODELS)}"
-        ) from None
-    return factory(**kwargs)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .delays import DelayModel, register_delay_model
+from .delays import DelayModel
 
 #: Default number of grid intervals an :meth:`EmpiricalDelay.fit` keeps.
 DEFAULT_RESOLUTION = 64
@@ -460,8 +460,3 @@ def fit_delay_model(
     if kind == "replay":
         return TraceReplayDelay(tuple(values))
     raise ValueError(f"unknown model kind {kind!r}; choose from {FIT_MODEL_KINDS}")
-
-
-register_delay_model("empirical", EmpiricalDelay)
-register_delay_model("shifted-lognormal", ShiftedLogNormalDelay)
-register_delay_model("trace-replay", TraceReplayDelay)

@@ -7,7 +7,7 @@ Four layers, mirroring the subsystem:
 * the authentication model -- ``MessageCorruption``'s liveness truth table
   and ``scan_mailbox`` dropping tampered-but-authenticated payloads while
   believing forged ones (which demonstrably breaks the protocol);
-* the :class:`AdaptiveAdversary` engine -- unit tests against hand-built
+* the strategies inside :class:`Adversary` -- unit tests against hand-built
   kernel state proving delay-pivotal defers exactly the quorum-completing
   delivery (and respects its deferral budget), plus end-to-end runs whose
   ``deferral_log`` shows the strategies actually intervene;
@@ -23,20 +23,14 @@ import pytest
 
 from tests.helpers import make_message
 
-from repro.adversary.adaptive import (
-    ADAPTIVE_FAULT_TYPES,
-    AdaptiveAdversary,
-    DelayPivotal,
-    SplitRounds,
-    TargetCoin,
-    adaptive_scenario_names,
-    build_adaptive_scenario,
-    build_adversary,
-)
+from repro.adversary.adaptive import adaptive_scenario_names, build_adaptive_scenario
 from repro.adversary.faults import (
+    DelayPivotal,
     MessageCorruption,
     MessageOmission,
+    SplitRounds,
     TamperedPayload,
+    TargetCoin,
     mutate_payload,
 )
 from repro.adversary.scenario import Adversary, Scenario
@@ -66,7 +60,7 @@ def test_adaptive_primitives_pickle_hash_and_repr():
         assert hash(clone) == hash(fault)
         assert repr(clone) == repr(fault)
         assert type(fault).__name__ in repr(fault)
-    assert set(type(f) for f in primitives) == set(ADAPTIVE_FAULT_TYPES)
+    assert set(type(f) for f in primitives) == {DelayPivotal, TargetCoin, SplitRounds}
 
 
 def test_adaptive_primitives_are_valid_scenario_members():
@@ -167,7 +161,7 @@ class _FakeProcess:
 
 
 class _FakeKernel:
-    """Just enough kernel for AdaptiveAdversary.defer(): pid -> process."""
+    """Just enough kernel for Adversary.defer(): pid -> process."""
 
     def __init__(self, processes):
         self._processes = processes
@@ -177,7 +171,7 @@ class _FakeKernel:
 
 
 def _adaptive(scenario, kernel):
-    adversary = AdaptiveAdversary(scenario, random.Random(0))
+    adversary = Adversary(scenario, random.Random(0))
     adversary._kernel = kernel
     return adversary
 
@@ -249,18 +243,6 @@ def test_split_rounds_defers_leading_to_lagging_crossings_only():
     assert adversary.deferral_log[-1] == (1.0, "split-rounds", "defer", 0, 2)
     behind = MessageDelivery(pid=0, message=_phase_msg(2, est=BOT, r=1))
     assert adversary.defer(behind, 2.0) == 0.0
-
-
-def test_build_adversary_selects_the_observing_engine_only_when_needed():
-    rng = random.Random(0)
-    declarative = build_adversary(Scenario("plain", (MessageOmission(probability=0.1),)), rng)
-    assert type(declarative) is Adversary
-    adaptive = build_adversary(Scenario("sharp", (DelayPivotal(),)), random.Random(0))
-    assert type(adaptive) is AdaptiveAdversary
-    mixed = build_adversary(
-        Scenario("both", (MessageOmission(probability=0.1), TargetCoin())), random.Random(0)
-    )
-    assert type(mixed) is AdaptiveAdversary
 
 
 # --------------------------------------------------------- end-to-end behaviour

@@ -13,8 +13,11 @@ import random
 import pytest
 
 from repro.adversary import (
+    FAULT_TYPES,
     Adversary,
     CrashRecovery,
+    DelayPivotal,
+    MessageCorruption,
     MessageDuplication,
     MessageOmission,
     MessageReordering,
@@ -22,6 +25,8 @@ from repro.adversary import (
     PartitionWindow,
     ProcessSlowdown,
     Scenario,
+    SplitRounds,
+    TargetCoin,
     build_scenario,
     scenario_names,
 )
@@ -92,6 +97,42 @@ class TestPrimitiveValidation:
         assert slow.pids == (0, 2)
         assert slow.defers(0, 4.9) and not slow.defers(0, 5.0) and not slow.defers(1, 1.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: ProcessSlowdown(pids=(0,), extra_delay=math.inf), id="slowdown-inf"),
+            pytest.param(lambda: ProcessSlowdown(pids=(0,), extra_delay=math.nan), id="slowdown-nan"),
+            pytest.param(lambda: DelayPivotal(extra_delay=math.inf), id="pivotal-inf"),
+            pytest.param(lambda: DelayPivotal(extra_delay=math.nan), id="pivotal-nan"),
+            pytest.param(lambda: TargetCoin(extra_delay=math.inf), id="coin-inf"),
+            pytest.param(lambda: TargetCoin(mode="omit", extra_delay=math.nan), id="coin-nan"),
+            pytest.param(lambda: SplitRounds(groups=((0,), (1,)), extra_delay=math.inf), id="split-inf"),
+            pytest.param(lambda: SplitRounds(groups=((0,), (1,)), extra_delay=math.nan), id="split-nan"),
+            pytest.param(lambda: MessageOmission(start=math.nan), id="omission-start-nan"),
+            pytest.param(lambda: MessageOmission(end=math.nan), id="omission-end-nan"),
+            pytest.param(lambda: MessageDuplication(start=math.nan), id="duplication-start-nan"),
+            pytest.param(lambda: MessageReordering(start=math.nan), id="reordering-start-nan"),
+            pytest.param(lambda: MessageCorruption(start=math.nan), id="corruption-start-nan"),
+            pytest.param(
+                lambda: PartitionWindow(groups=((0,), (1,)), start=math.nan, end=5.0),
+                id="partition-start-nan",
+            ),
+            pytest.param(lambda: ProcessSlowdown(pids=(0,), start=math.nan), id="slowdown-start-nan"),
+            pytest.param(lambda: DelayPivotal(start=math.nan), id="pivotal-start-nan"),
+            pytest.param(lambda: TargetCoin(start=math.nan), id="coin-start-nan"),
+            pytest.param(lambda: Outage(0, math.nan, 2.0), id="outage-start-nan"),
+        ],
+    )
+    def test_non_finite_delays_and_windows_are_refused(self, build):
+        """An infinite deferral is a drop, and NaN passes every ``<`` test.
+
+        Accepted, the first killed the run at its first deferred start and
+        let ``DelayPivotal`` drop messages while reporting liveness kept;
+        NaN silently disabled the primitive or its window.
+        """
+        with pytest.raises(ValueError, match="extra_delay|window|start|end"):
+            build()
+
     def test_crash_recovery_validation(self):
         with pytest.raises(ValueError):
             CrashRecovery(())
@@ -139,17 +180,17 @@ class TestScenarioModel:
             assert repr(clone) == repr(scenario)
             assert repr(scenario) == repr(build_scenario(name, n=6, intensity=0.3))
 
-    def test_subclassed_primitives_run_like_their_base(self):
-        """A user subclass of a primitive must bucket (and fire) as its base."""
+    def test_subclassed_primitives_are_refused(self):
+        """The engine buckets by exact type, so a scenario holds no subclass."""
 
         class TargetedOmission(MessageOmission):
             pass
 
-        scenario = Scenario("custom", (TargetedOmission(probability=1.0),))
-        kernel, network = _two_process_kernel(scenario)
-        result = kernel.run()
-        assert 1 not in result.decisions
-        assert network.stats.messages_omitted == 1
+        with pytest.raises(ValueError, match="TargetedOmission") as refused:
+            Scenario("custom", (TargetedOmission(probability=1.0),))
+        accepted = sorted(fault_type.__name__ for fault_type in FAULT_TYPES)
+        assert len(accepted) == 10
+        assert str(accepted) in str(refused.value)
 
     def test_describe_names_fault_kinds(self):
         assert "fault-free" in Scenario("none", ()).describe()

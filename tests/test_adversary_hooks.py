@@ -12,15 +12,10 @@ import pytest
 
 import repro.sim.kernel as kernel_module
 from repro.adversary import build_scenario, scenario_names
-from repro.adversary.adaptive import (
-    ADAPTIVE_FAULT_TYPES,
-    AdaptiveAdversary,
-    adaptive_scenario_names,
-    build_adaptive_scenario,
-    build_adversary,
-)
+from repro.adversary.adaptive import adaptive_scenario_names, build_adaptive_scenario
 from repro.adversary.faults import (
     CrashRecovery,
+    DelayPivotal,
     LinkFault,
     MessageCorruption,
     MessageDuplication,
@@ -28,11 +23,12 @@ from repro.adversary.faults import (
     Outage,
     PartitionWindow,
     ProcessSlowdown,
+    SplitRounds,
+    TargetCoin,
 )
 from repro.adversary.scenario import Adversary, Scenario
 from repro.cluster.topology import ClusterTopology
 from repro.core.base import PhaseMessage
-from repro.harness import runner
 from repro.harness.aggregate import RunSummary
 from repro.harness.runner import ExperimentConfig, prepare_consensus, run_consensus
 from repro.network.delays import ConstantDelay
@@ -74,7 +70,8 @@ def _summary(result):
 
 def _can_defer(scenario):
     return any(
-        isinstance(fault, (ProcessSlowdown,) + ADAPTIVE_FAULT_TYPES) for fault in scenario.faults
+        isinstance(fault, (ProcessSlowdown, DelayPivotal, TargetCoin, SplitRounds))
+        for fault in scenario.faults
     )
 
 
@@ -87,21 +84,17 @@ def hook_calls(monkeypatch):
     """Count the kernel's ``defer`` / ``deliveries`` consultations, in place."""
     calls = {"defer": 0, "deliveries": 0}
 
-    def count(owner, hook):
-        original = getattr(owner, hook)
+    def count(hook):
+        original = getattr(Adversary, hook)
 
         def wrapper(self, *args):
-            # AdaptiveAdversary.defer chains to Adversary.defer: an offer
-            # counts once, at the method the kernel itself called.
-            if getattr(type(self), hook) is wrapper:
-                calls[hook] += 1
+            calls[hook] += 1
             return original(self, *args)
 
-        monkeypatch.setattr(owner, hook, wrapper)
+        monkeypatch.setattr(Adversary, hook, wrapper)
 
-    count(Adversary, "defer")
-    count(AdaptiveAdversary, "defer")
-    count(Adversary, "deliveries")
+    count("defer")
+    count("deliveries")
     return calls
 
 
@@ -192,59 +185,11 @@ def test_flags_follow_the_buckets():
     assert slow.defers_events and not slow.faults_links
     lossy = Adversary(Scenario("lossy", (MessageOmission(probability=0.1),)), rng)
     assert lossy.faults_links and not lossy.defers_events
-    tamper = build_adversary(build_adaptive_scenario("byzantine-tamper", 6, 0.3), rng)
+    tamper = Adversary(build_adaptive_scenario("byzantine-tamper", 6, 0.3), rng)
     assert tamper.corrupts and tamper.faults_links and not tamper.defers_events
-    pivotal = build_adversary(build_adaptive_scenario("delay-pivotal", 6, 0.3), rng)
-    assert pivotal.defers_events and not pivotal.faults_links
-    idle = AdaptiveAdversary(Scenario("empty", ()), rng)
-    assert not idle.defers_events and not idle.faults_links
-
-
-class _NosyDefer(Adversary):
-    seen = 0
-
-    def defer(self, event, now):
-        self.seen += 1
-        return super().defer(event, now)
-
-
-class _NosyDeliveries(Adversary):
-    seen = 0
-
-    def deliveries(self, sender, dest, now, delay):
-        self.seen += 1
-        return super().deliveries(sender, dest, now, delay)
-
-
-class _NosyAdaptiveDefer(AdaptiveAdversary):
-    seen = 0
-
-    def defer(self, event, now):
-        self.seen += 1
-        return super().defer(event, now)
-
-
-@pytest.mark.parametrize(
-    "engine, hook", [(_NosyDefer, "defer"), (_NosyDeliveries, "deliveries"), (_NosyAdaptiveDefer, "defer")]
-)
-def test_a_subclass_overriding_a_hook_is_still_consulted(engine, hook, monkeypatch):
-    config = _config(Scenario("empty", ()))
-    plain = run_consensus(config)
-
-    monkeypatch.setattr(runner, "build_adversary", engine)
-    prepared = prepare_consensus(config)
-    adversary = prepared.kernel.adversary
-    assert isinstance(adversary, engine)
-    assert adversary.defers_events == (hook == "defer")
-    assert adversary.faults_links == (hook == "deliveries")
-    result = prepared.finalize(prepared.kernel.run(), 0.0)
-
-    # Nothing is ever deferred or dropped, so: once per event, once per send.
-    expected = (
-        result.metrics.events_processed if hook == "defer" else result.metrics.messages_sent
-    )
-    assert adversary.seen == expected > 0
-    assert _summary(result) == _summary(plain)
+    for name in ("delay-pivotal", "target-coin", "split-rounds"):
+        strategy = Adversary(build_adaptive_scenario(name, 6, 0.3), rng)
+        assert strategy.defers_events and not strategy.faults_links
 
 
 # ------------------------------------------------- hoisted flags vs forced on

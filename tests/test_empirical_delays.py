@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
-from repro.network.delays import delay_model_from_name
 from repro.network.empirical import (
     REFERENCE_RTT_MS,
     EmpiricalDelay,
@@ -276,14 +275,6 @@ def test_fit_delay_model_kinds():
     assert list(replay.trace) == unit
     with pytest.raises(ValueError, match="unknown model kind"):
         fit_delay_model(unit, "gaussian")
-
-
-def test_named_model_registry_covers_the_trace_driven_models():
-    assert delay_model_from_name("empirical", quantiles=(0.5, 1.0)) == EmpiricalDelay(
-        quantiles=(0.5, 1.0)
-    )
-    assert delay_model_from_name("shifted-lognormal") == ShiftedLogNormalDelay()
-    assert delay_model_from_name("trace-replay", trace=(1.0, 2.0)) == TraceReplayDelay((1.0, 2.0))
 
 
 def test_cli_fit_delays_prints_a_reusable_repr(capsys):

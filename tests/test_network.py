@@ -10,7 +10,6 @@ from repro.network.delays import (
     LogNormalDelay,
     SpikeDelay,
     UniformDelay,
-    delay_model_from_name,
 )
 from repro.network.message import Message, payload_size
 from repro.network.transport import Network
@@ -160,16 +159,6 @@ def test_delay_model_validation():
         LogNormalDelay(0.0, 1.0)
     with pytest.raises(ValueError):
         SpikeDelay(spike_probability=2.0)
-
-
-def test_delay_model_from_name():
-    assert isinstance(delay_model_from_name("uniform"), UniformDelay)
-    assert isinstance(delay_model_from_name("constant", value=2.0), ConstantDelay)
-    assert isinstance(delay_model_from_name("exponential"), ExponentialDelay)
-    assert isinstance(delay_model_from_name("lognormal"), LogNormalDelay)
-    assert isinstance(delay_model_from_name("spike"), SpikeDelay)
-    with pytest.raises(ValueError):
-        delay_model_from_name("carrier-pigeon")
 
 
 # --------------------------------------------------------------------- network
