@@ -4,7 +4,7 @@ The flat-hot-path refactor (see ``docs/performance.md``) rewrote the
 kernel's event loop in place, so the original code no longer exists in the
 tree to benchmark against.  This module rebuilds it verbatim from the
 pre-refactor sources -- dataclass events wrapped in ``order=True``
-``ScheduledEvent`` heap entries, frozen-dataclass effects and messages,
+``LegacyScheduledEvent`` heap entries, frozen-dataclass effects and messages,
 dict-based processes and contexts, type-keyed dict dispatch, a per-event
 ``all(...)`` quiescence scan, per-call ``DelayModel.sample`` draws and a
 recursive ``payload_size`` walk per send -- so that
@@ -18,6 +18,7 @@ This code is a measurement baseline: do not "optimise" it, and do not use
 it outside the benchmarks.
 """
 
+import dataclasses
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -26,16 +27,58 @@ from typing import Any, Callable, List, Optional
 from repro.network.message import payload_size
 from repro.network.transport import Network
 from repro.sim.context import ProcessContext
-from repro.sim.events import (
-    MessageDelivery,
-    ProcessStart,
-    ScheduledEvent,
-    StepResume,
-    describe,
-    entry_event,
-)
+from repro.sim.events import EventKind
 from repro.sim.kernel import RunStatus, SimulationKernel
 from repro.sim.process import ProcessState
+
+
+class LegacyEvent:
+    """The pre-refactor base class of the kernel's event objects."""
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class LegacyStepResume(LegacyEvent):
+    """The pre-refactor frozen-dataclass step event."""
+
+    pid: int
+    value: Any = None
+
+
+@dataclass(frozen=True)
+class LegacyMessageDelivery(LegacyEvent):
+    """The pre-refactor frozen-dataclass delivery event."""
+
+    pid: int
+    message: Any = None
+
+
+@dataclass(frozen=True)
+class LegacyProcessStart(LegacyEvent):
+    """The pre-refactor frozen-dataclass start event."""
+
+    pid: int
+
+
+@dataclass(order=True)
+class LegacyScheduledEvent:
+    """The pre-refactor heap entry: an event at a virtual time."""
+
+    time: float
+    sequence: int
+    event: LegacyEvent = field(compare=False)
+
+
+def legacy_describe(event):
+    """The pre-refactor trace text of an event object."""
+    parts = []
+    for f in dataclasses.fields(event):
+        value = getattr(event, f.name)
+        if f.name == "message":
+            value = getattr(value, "payload", value)
+        parts.append(f"{f.name}={value!r}")
+    return f"{type(event).__name__.replace('Legacy', '', 1)}({', '.join(parts)})"
 
 
 @dataclass(frozen=True)
@@ -178,14 +221,14 @@ class LegacyNetwork(Network):
 
 
 class LegacyKernel(SimulationKernel):
-    """Pre-refactor event loop: ScheduledEvent heap, dict dispatch, O(n) scan."""
+    """Pre-refactor event loop: event-object heap, dict dispatch, O(n) scan."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._event_handlers = {
-            ProcessStart: self._l_handle_start,
-            StepResume: self._l_handle_resume,
-            MessageDelivery: self._l_handle_delivery,
+            LegacyProcessStart: self._l_handle_start,
+            LegacyStepResume: self._l_handle_resume,
+            LegacyMessageDelivery: self._l_handle_delivery,
         }
         self._l_effect_handlers = {
             LegacySendEffect: self._l_do_send,
@@ -197,17 +240,25 @@ class LegacyKernel(SimulationKernel):
         proc = LegacySimProcess(pid=pid, context=context, factory=factory)
         self._processes[pid] = proc
         self._live += 1
-        self._l_schedule(0.0, ProcessStart(pid=pid))
+        self._l_schedule(0.0, LegacyProcessStart(pid=pid))
         return proc
 
     def _schedule(self, time, kind, pid, payload):
         # Route flat-entry scheduling from inherited plumbing back into
-        # ScheduledEvent entries so the queue stays homogeneous.
-        self._l_schedule(time, entry_event(kind, pid, payload))
+        # event-object entries so the queue stays homogeneous.
+        if kind == EventKind.STEP_RESUME:
+            event = LegacyStepResume(pid=pid, value=payload)
+        elif kind == EventKind.MESSAGE_DELIVERY:
+            event = LegacyMessageDelivery(pid=pid, message=payload)
+        elif kind == EventKind.PROCESS_START:
+            event = LegacyProcessStart(pid=pid)
+        else:
+            raise TypeError(f"the legacy kernel has no event of kind {EventKind(kind).name}")
+        self._l_schedule(time, event)
 
     def _l_schedule(self, time, event):
         self._sequence += 1
-        heapq.heappush(self._queue, ScheduledEvent(time=time, sequence=self._sequence, event=event))
+        heapq.heappush(self._queue, LegacyScheduledEvent(time=time, sequence=self._sequence, event=event))
 
     def _l_jitter(self):
         if self.config.scheduling_jitter <= 0:
@@ -215,7 +266,7 @@ class LegacyKernel(SimulationKernel):
         return self._sched_rng.random() * self.config.scheduling_jitter
 
     def _l_resume_later(self, pid, value, delay):
-        self._l_schedule(self.now + delay + self._l_jitter(), StepResume(pid=pid, value=value))
+        self._l_schedule(self.now + delay + self._l_jitter(), LegacyStepResume(pid=pid, value=value))
 
     def run(self):
         if not self._processes:
@@ -238,7 +289,7 @@ class LegacyKernel(SimulationKernel):
                     continue
             self.events_processed += 1
             if trace.enabled:
-                trace.record(self.now, "event", self._event_pid(entry.event), describe(entry.event))
+                trace.record(self.now, "event", self._event_pid(entry.event), legacy_describe(entry.event))
             self._dispatch(entry.event)
             if self._l_all_settled():
                 break
@@ -307,7 +358,7 @@ class LegacyKernel(SimulationKernel):
         delay = self._network.sample_delay(sender=proc.pid, dest=effect.dest)
         if self.trace.enabled:
             self.trace.record(self.now, "send", proc.pid, f"to={effect.dest} {effect.payload!r}")
-        self._l_schedule(self.now + delay, MessageDelivery(pid=effect.dest, message=message))
+        self._l_schedule(self.now + delay, LegacyMessageDelivery(pid=effect.dest, message=message))
         self._l_resume_later(proc.pid, None, self.config.local_step_delay)
 
     def _l_do_wait(self, proc, effect):

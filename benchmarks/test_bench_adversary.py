@@ -35,7 +35,6 @@ from repro.sim.kernel import (
     RunStatus,
     SimConfig,
     SimulationKernel,
-    _effect_base,
     _no_network,
     _tuple_new,
 )
@@ -217,12 +216,11 @@ def _prehook_run_batch(self, max_events=-1):
                         continue
                     cls = type(effect)
                     if cls not in _EFFECT_TYPES:
-                        # A subclass of an effect runs its base's code.
-                        cls = _effect_base(cls)
-                        if cls is None:
-                            raise TypeError(
-                                f"process {pid} yielded {effect!r}, which is not a recognised effect"
-                            )
+                        raise TypeError(
+                            f"process {pid} yielded {effect!r}, whose type "
+                            f"{cls.__qualname__} is not one of the effect types "
+                            f"{sorted(t.__name__ for t in _EFFECT_TYPES)}"
+                        )
                     if cls is BroadcastEffect:
                         dests = list(effect.dests)
                         if not dests:

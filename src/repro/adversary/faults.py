@@ -229,11 +229,10 @@ class PartitionWindow:
 class ProcessSlowdown:
     """Defer every kernel step of the targeted processes by ``extra_delay``.
 
-    Each :class:`~repro.sim.events.StepResume` (and delivery) dispatched to a
-    slowed process inside the window is postponed once by ``extra_delay``
-    virtual-time units -- the process still takes every step, just later,
-    which models a slow or overloaded replica without violating any model
-    assumption.
+    Each step (first or resumed) and delivery dispatched to a slowed process
+    inside the window is postponed once by ``extra_delay`` virtual-time
+    units -- the process still takes every step, just later, which models a
+    slow or overloaded replica without violating any model assumption.
     """
 
     pids: Tuple[int, ...]

@@ -24,9 +24,10 @@ hoists those flags into its loop -- see "What a scenario costs" in
 ``docs/adversary.md``.
 
 Crash-recovery outages are not consulted per event; they are installed once
-as :class:`~repro.sim.events.ProcessPause` / ``ProcessRecover`` events in
-the kernel's queue.  A kernel with no adversary installed never pays more
-than one local boolean test per event and one per send.
+as ``PROCESS_PAUSE`` / ``PROCESS_RECOVER`` entries
+(:class:`~repro.sim.events.EventKind`) in the kernel's queue.  A kernel
+with no adversary installed never pays more than one local boolean test per
+event and one per send.
 """
 
 from __future__ import annotations
@@ -37,14 +38,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..sim.events import (
-    Event,
-    MessageDelivery,
-    ProcessPause,
-    ProcessRecover,
-    ProcessStart,
-    StepResume,
-)
+from ..sim.events import EventKind
 from ..sim.process import ProcessState
 from .faults import (
     FAULT_TYPES,
@@ -64,6 +58,7 @@ from .faults import (
 )
 
 _INF = math.inf
+_DELIVERY = int(EventKind.MESSAGE_DELIVERY)
 
 
 @dataclass(frozen=True)
@@ -175,11 +170,9 @@ class Adversary:
             or self._duplications
             or self._corruptions
         )
-        #: ids of the events a slowdown has postponed once already.
-        self._deferred_ids: set = set()
-        #: id(event) -> times this delivery has been adaptively deferred.
-        #: Safe to key on identity: the kernel's _deferred table pins the
-        #: event object alive for exactly as long as our entry exists.
+        #: Keys of the events a slowdown has postponed once already.
+        self._slowed: set = set()
+        #: Delivery key -> times this delivery has been adaptively deferred.
         self._defer_counts: Dict[int, int] = {}
         #: (tag, round, phase) -> {est: observed deliveries carrying it}.
         self._est_counts: Dict[tuple, Dict[object, int]] = {}
@@ -283,16 +276,22 @@ class Adversary:
                 return mutated
         return payload
 
-    #: Event types a slowdown may postpone: the process's own steps and its
+    #: Event kinds a slowdown may postpone: the process's own steps and its
     #: deliveries.  Control events (crash, pause, recover) must never be
     #: deferred -- postponing a pause past its matching recover would strand
     #: the process paused forever, and deferring a crash would let a
     #: slowdown rewrite the failure pattern.
-    _DEFERRABLE = (StepResume, MessageDelivery, ProcessStart)
+    _DEFERRABLE = frozenset({EventKind.PROCESS_START, EventKind.STEP_RESUME, EventKind.MESSAGE_DELIVERY})
 
     # --------------------------------------------------- dispatch-time verdict
-    def defer(self, event: Event, now: float) -> float:
-        """Extra delay to postpone ``event`` by at dispatch time (0.0 = none).
+    def defer(self, kind: int, pid: int, payload, key: int, now: float) -> float:
+        """Extra delay to postpone one dispatched entry by (0.0 = none).
+
+        The entry is the kernel's flat ``(kind, pid, payload)``; a delivery's
+        payload is its :class:`~repro.network.message.Message`.  ``key`` is
+        the sequence number the entry was first queued under: the kernel
+        offers a re-queued entry again under the same key, which is how one
+        event is told apart from the next.
 
         Per-process slowdowns answer first: each step or delivery event of a
         slowed process inside its window is postponed exactly once (the
@@ -310,40 +309,38 @@ class Adversary:
         slowdowns nor strategies answers 0.0.
         """
         if self._slowdowns:
-            key = id(event)
-            if key in self._deferred_ids:
-                self._deferred_ids.discard(key)
-            elif isinstance(event, self._DEFERRABLE):
+            if key in self._slowed:
+                self._slowed.discard(key)
+            elif kind in self._DEFERRABLE:
                 extra = 0.0
                 for slowdown in self._slowdowns:
-                    if slowdown.defers(event.pid, now):
+                    if slowdown.defers(pid, now):
                         extra += slowdown.extra_delay
                 if extra > 0.0:
-                    self._deferred_ids.add(key)
+                    self._slowed.add(key)
                     return extra
-        if not self._adaptive or type(event) is not MessageDelivery:
+        if not self._adaptive or kind != _DELIVERY:
             return 0.0
-        message = event.message
+        message = payload
         payload = getattr(message, "payload", None)
         counts = self._defer_counts
-        key = id(event)
         count = counts.get(key)
         if count is None:
             # First offer of this delivery: fold it into the observed state
             # exactly once, no matter how often it is subsequently deferred.
             count = 0
             self._observe(message, payload)
-        verdict, strategy = self._strategy_verdict(event, message, payload, now, count)
+        verdict, strategy = self._strategy_verdict(pid, message, payload, now, count)
         if verdict == 0.0:
             counts.pop(key, None)
             return 0.0
         sender = getattr(message, "sender", -1)
         if verdict == _INF:
             counts.pop(key, None)
-            self.deferral_log.append((now, strategy, "omit", sender, event.pid))
+            self.deferral_log.append((now, strategy, "omit", sender, pid))
             return verdict
         counts[key] = count + 1
-        self.deferral_log.append((now, strategy, "defer", sender, event.pid))
+        self.deferral_log.append((now, strategy, "defer", sender, pid))
         return verdict
 
     # ------------------------------------------------------------- observation
@@ -373,14 +370,14 @@ class Adversary:
 
     # -------------------------------------------------------------- strategies
     def _strategy_verdict(
-        self, event, message, payload, now: float, count: int
+        self, dest: int, message, payload, now: float, count: int
     ) -> Tuple[float, str]:
         """The first adaptive strategy that wants this delivery, in order."""
         for pivotal in self._delay_pivotal:
             if (
                 pivotal.start <= now < pivotal.end
                 and count < pivotal.max_deferrals
-                and self._is_pivotal(event)
+                and self._is_pivotal(dest, message)
             ):
                 return pivotal.extra_delay, "delay-pivotal"
         for coin in self._target_coins:
@@ -394,13 +391,13 @@ class Adversary:
                 return coin.extra_delay, "target-coin"
         for split in self._split_rounds:
             if count < split.max_deferrals and self._crosses_into_lagging_group(
-                message, event.pid
+                message, dest
             ):
                 return split.extra_delay, "split-rounds"
         return 0.0, ""
 
-    def _is_pivotal(self, event) -> bool:
-        """Whether delivering ``event`` now would complete a pending wait.
+    def _is_pivotal(self, dest: int, message) -> bool:
+        """Whether delivering ``message`` to ``dest`` now would complete a wait.
 
         A pure probe: the receiver's wait predicate is evaluated against
         its current mailbox and against a copy with this message appended.
@@ -410,7 +407,7 @@ class Adversary:
         -- a different list object -- can never be served from, or leak
         into, whatever a predicate memoises for the live mailbox.
         """
-        proc = self._kernel.process(event.pid)
+        proc = self._kernel.process(dest)
         if proc.paused or proc.state is not ProcessState.BLOCKED:
             return False
         predicate = proc.wait_predicate
@@ -419,7 +416,7 @@ class Adversary:
         mailbox = proc.mailbox
         if predicate(mailbox) is not None:
             return False
-        return predicate(list(mailbox) + [event.message]) is not None
+        return predicate(list(mailbox) + [message]) is not None
 
     def _carries_leading_est(self, payload) -> bool:
         """Whether ``payload`` carries the unique leading estimate so far."""
@@ -451,4 +448,4 @@ class Adversary:
         return rounds.get(sender_group, -1) > rounds.get(dest_group, -1)
 
 
-__all__ = ["Adversary", "ProcessPause", "ProcessRecover", "Scenario"]
+__all__ = ["Adversary", "Scenario"]

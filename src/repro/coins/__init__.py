@@ -1,14 +1,11 @@
-"""Local and common coins (plus adversarial variants for testing)."""
+"""Local and common coins (plus scripted variants for testing)."""
 
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "adversarial": [
-            "AdversarialCommonCoin", "AlwaysOneCoin", "AlwaysZeroCoin", "OpposingCoins",
-        ],
-        "common": ["CommonCoin", "FixedSequenceCommonCoin"],
+        "common": ["AdversarialCommonCoin", "CommonCoin", "FixedSequenceCommonCoin"],
         "local": ["BiasedLocalCoin", "DeterministicCoin", "LocalCoin"],
     },
 )

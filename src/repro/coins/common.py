@@ -75,3 +75,36 @@ class FixedSequenceCommonCoin(CommonCoin):
 
     def __repr__(self) -> str:
         return f"FixedSequenceCommonCoin(sequence={self._sequence})"
+
+
+class AdversarialCommonCoin(CommonCoin):
+    """A common coin whose bits an "adversary" chooses per round.
+
+    Bits not explicitly set fall back to a seeded pseudo-random draw.  The
+    coin remains *common* (identical at all processes), as required by the
+    model; only its distribution is adversarial.
+    """
+
+    def __init__(self, forced_bits: Optional[Dict[int, int]] = None, seed: int = 0) -> None:
+        super().__init__(seed=seed)
+        self.forced_bits = dict(forced_bits or {})
+        for round_number, bit in self.forced_bits.items():
+            if round_number < 1 or bit not in (0, 1):
+                raise ValueError(f"invalid forced bit {bit!r} for round {round_number}")
+
+    def _ensure(self, round_number: int) -> None:
+        """Extend the bit sequence, honouring forced bits round by round."""
+        while len(self._bits) < round_number:
+            next_round = len(self._bits) + 1
+            if next_round in self.forced_bits:
+                self._bits.append(self.forced_bits[next_round])
+            else:
+                self._bits.append(self._rng.randrange(2))
+
+    def force(self, round_number: int, bit: int) -> None:
+        """Fix the bit of a not-yet-drawn round (tests only)."""
+        if round_number <= len(self._bits):
+            raise ValueError(f"round {round_number} has already been drawn")
+        if bit not in (0, 1):
+            raise ValueError("bit must be 0 or 1")
+        self.forced_bits[round_number] = bit

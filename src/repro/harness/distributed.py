@@ -182,11 +182,6 @@ class SweepPlan:
 
     # ---------------------------------------------------------- enumeration
     @property
-    def runs_per_point(self) -> int:
-        """How many runs (seeds) each point contributes."""
-        return len(self.seeds)
-
-    @property
     def total_runs(self) -> int:
         """The total number of runs in the whole plan."""
         return len(self.points) * len(self.seeds)

@@ -15,9 +15,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "BroadcastEffect", "Effect", "LocalEffect", "ProcessContext", "ProcessStats",
             "RoundLimitExceeded", "SendEffect", "SharedMemEffect", "WaitEffect",
         ],
-        "events": [
-            "MessageDelivery", "ProcessCrash", "ProcessStart", "ScheduledEvent", "StepResume",
-        ],
+        "events": ["EventKind"],
         "kernel": ["RunStatus", "SimConfig", "SimulationKernel", "SimulationResult"],
         "multikernel": [
             "DEFAULT_BATCH_EVENTS", "CooperativeScheduler", "kernel_stepper", "run_cooperative",

@@ -1,94 +1,45 @@
-"""Event types used by the discrete-event simulation kernel.
+"""The event kinds of the discrete-event simulation kernel.
 
-The kernel's hot path keeps its pending work as flat tuples (see
-:data:`EventKind` and the converters below): process steps and faults as
-``(time, sequence, kind, pid, payload)``, messages in flight -- in a heap of
-their own -- as ``(time, sequence, dest, sender, payload, send_time,
-msg_id)``.  Tuple comparison runs in C, nothing is allocated per entry beyond
-the tuple itself, and dispatch is an integer test on ``kind``.  The sequence
+The kernel keeps its pending work as flat tuples and has no other event
+form: process steps and faults as ``(time, sequence, kind, pid, payload)``,
+messages in flight -- in a heap of their own -- as ``(time, sequence, dest,
+sender, payload, send_time, msg_id)``.  Tuple comparison runs in C, nothing
+is allocated per entry beyond the tuple itself, and dispatch is an integer
+test on ``kind``, one of the :class:`EventKind` members.  The sequence
 number, drawn from one counter for both heaps, breaks ties deterministically,
 so executions are reproducible even when several events share a virtual
 timestamp (and, because sequences are unique, no later field ever takes part
 in a comparison, within a heap or between the two heads).
 
-The :class:`Event` dataclasses remain the public, adversary-facing API:
-anything that inspects or defers events -- the fault-injection adversary,
-traces, tests -- sees real :class:`Event` objects, built at the boundary by
-:func:`entry_event` and flattened back by :func:`event_entry_fields`.
+Whoever looks at a dispatched entry -- the fault-injection adversary, a
+schedule controller, the trace -- sees the same ``(kind, pid, payload)``
+fields: the payload is the value sent into a resumed step, the
+:class:`~repro.network.message.Message` of a delivery, and ``None`` for a
+start and the three fault events.  :func:`describe_entry` is their trace
+text.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
-
-
-class Event:
-    """Base class for all kernel events."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class StepResume(Event):
-    """Resume a process generator, sending ``value`` into it."""
-
-    pid: int
-    value: Any = None
-
-
-@dataclass(frozen=True)
-class MessageDelivery(Event):
-    """Deliver a message object into a process mailbox."""
-
-    pid: int
-    message: Any = None
-
-
-@dataclass(frozen=True)
-class ProcessCrash(Event):
-    """Crash a process: it takes no further step after this event."""
-
-    pid: int
-
-
-@dataclass(frozen=True)
-class ProcessStart(Event):
-    """Initial activation of a process generator."""
-
-    pid: int
-
-
-@dataclass(frozen=True)
-class ProcessPause(Event):
-    """Begin a transient outage: the process takes no steps until it recovers.
-
-    Unlike :class:`ProcessCrash`, the process's state (generator, mailbox,
-    pending wait) is preserved; steps and deliveries arriving while paused
-    are buffered and replayed at the matching :class:`ProcessRecover`.  Used
-    by the crash-recovery fault primitive
-    (:class:`~repro.adversary.faults.CrashRecovery`).
-    """
-
-    pid: int
-
-
-@dataclass(frozen=True)
-class ProcessRecover(Event):
-    """End a transient outage: replay the events buffered while paused."""
-
-    pid: int
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 
 class EventKind(enum.IntEnum):
-    """The dense dispatch index of each kernel event type.
+    """The dense dispatch index of each kernel event kind.
 
     The order is load-bearing: the kernel loop takes ``kind <= STEP_RESUME``
     for a process step (first or resumed) and indexes its three fault
     handlers with ``kind - PROCESS_CRASH`` -- integer tests instead of a
     type-keyed dict lookup or an isinstance chain.
+
+    ``PROCESS_PAUSE`` begins a transient outage: unlike ``PROCESS_CRASH``,
+    the process's state (generator, mailbox, pending wait) is preserved, and
+    the steps and deliveries that reach it while paused are buffered and
+    replayed at the matching ``PROCESS_RECOVER``.  Used by the
+    crash-recovery fault primitive
+    (:class:`~repro.adversary.faults.CrashRecovery`).
     """
 
     PROCESS_START = 0
@@ -104,106 +55,24 @@ class EventKind(enum.IntEnum):
 #: the enum machinery per traced event.
 EVENT_KIND_NAMES = tuple(kind.name.lower() for kind in EventKind)
 
-#: Exact-type mapping Event class -> kind.  Subclasses of the public event
-#: types are resolved (and cached) through their MRO by :func:`event_kind`,
-#: mirroring how the kernel dispatches effect subclasses.
-_KIND_BY_TYPE = {
-    ProcessStart: EventKind.PROCESS_START,
-    StepResume: EventKind.STEP_RESUME,
-    MessageDelivery: EventKind.MESSAGE_DELIVERY,
-    ProcessCrash: EventKind.PROCESS_CRASH,
-    ProcessPause: EventKind.PROCESS_PAUSE,
-    ProcessRecover: EventKind.PROCESS_RECOVER,
-}
-
-#: kind -> Event class, for boundary reconstruction.
-_TYPE_BY_KIND = (
-    ProcessStart,
-    StepResume,
-    MessageDelivery,
-    ProcessCrash,
-    ProcessPause,
-    ProcessRecover,
-)
-
-
-def event_kind(event_type: type) -> EventKind:
-    """The :class:`EventKind` of an event class (subclasses included).
-
-    The exact-type lookup misses subclasses of the public event types, so
-    walk the MRO once and cache the match -- the hot path stays a single
-    dict hit afterwards.
-    """
-    try:
-        return _KIND_BY_TYPE[event_type]
-    except KeyError:
-        for base in event_type.__mro__[1:]:
-            kind = _KIND_BY_TYPE.get(base)
-            if kind is not None:
-                _KIND_BY_TYPE[event_type] = kind
-                return kind
-        raise TypeError(f"unknown event type: {event_type!r}") from None
-
-
-def event_entry_fields(event: Event) -> Tuple[int, int, Any]:
-    """Flatten a public :class:`Event` object into ``(kind, pid, payload)``.
-
-    The payload slot carries :attr:`StepResume.value` /
-    :attr:`MessageDelivery.message` and is ``None`` for the payload-free
-    event types.
-    """
-    kind = event_kind(type(event))
-    if kind is EventKind.STEP_RESUME:
-        payload = event.value
-    elif kind is EventKind.MESSAGE_DELIVERY:
-        payload = event.message
-    else:
-        payload = None
-    return (int(kind), event.pid, payload)
-
-
-def entry_event(kind: int, pid: int, payload: Any) -> Event:
-    """Reconstruct the public :class:`Event` object of one flat queue entry."""
-    if kind == EventKind.STEP_RESUME:
-        return StepResume(pid=pid, value=payload)
-    if kind == EventKind.MESSAGE_DELIVERY:
-        return MessageDelivery(pid=pid, message=payload)
-    return _TYPE_BY_KIND[kind](pid=pid)
+#: The CamelCase name each kind carries in trace text (``ProcessStart``,
+#: ``StepResume``, ...), indexable by ``kind``.
+_TRACE_NAMES = tuple(name.title().replace("_", "") for name in EVENT_KIND_NAMES)
 
 
 def describe_entry(kind: int, pid: int, payload: Any) -> str:
-    """Human-readable description of one flat queue entry (for traces)."""
-    return describe(entry_event(kind, pid, payload))
+    """Human-readable description of one flat queue entry (for traces).
 
-
-@dataclass(order=True)
-class ScheduledEvent:
-    """A queue entry: an :class:`Event` scheduled at a virtual ``time``.
-
-    The kernel itself now queues flat tuples; this class remains as the
-    public representation of "an event at a time" for tests and tooling
-    (ordering semantics are identical to the kernel's tuples).
+    ``StepResume(pid=0, value=None)`` for a resumed step,
+    ``MessageDelivery(pid=1, message=<the message's payload>)`` for a
+    delivery and ``ProcessCrash(pid=2)`` for an entry without a payload.
     """
-
-    time: float
-    sequence: int
-    event: Event = field(compare=False)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ScheduledEvent(t={self.time:.6f}, seq={self.sequence}, {self.event!r})"
-
-
-def describe(event: Event) -> str:
-    """Return a short human-readable description of an event (for traces)."""
-    name = type(event).__name__
-    fields = dataclasses.fields(event) if dataclasses.is_dataclass(event) else ()
-    parts = []
-    for f in fields:
-        value = getattr(event, f.name)
-        if f.name == "message":
-            value = getattr(value, "payload", value)
-        parts.append(f"{f.name}={value!r}")
-    return f"{name}({', '.join(parts)})"
+    name = _TRACE_NAMES[kind]
+    if kind == EventKind.STEP_RESUME:
+        return f"{name}(pid={pid!r}, value={payload!r})"
+    if kind == EventKind.MESSAGE_DELIVERY:
+        return f"{name}(pid={pid!r}, message={getattr(payload, 'payload', payload)!r})"
+    return f"{name}(pid={pid!r})"
 
 
 @dataclass

@@ -24,9 +24,10 @@ run are still in flight when everybody has decided.  The loop body
 of :meth:`SimulationKernel.run_batch` is the one definition of a delivery, a
 process step (first or resumed) and the send, broadcast and wait effects,
 quiescence is a live counter instead of a per-event scan, and trace strings
-are only built when tracing is enabled.  The public
-:class:`~repro.sim.events.Event` dataclasses appear only at the boundary
-(adversary consultation, traces, backlogs).
+are only built when tracing is enabled.  The flat entry is the kernel's
+only event form: a deferring adversary, a schedule controller, a paused
+process's backlog and the trace all read its ``(kind, pid, payload)``
+fields (see :mod:`repro.sim.events`).
 
 An explicit fault-injection adversary (:mod:`repro.adversary`) can sharpen
 the schedule further: when installed, it is consulted at message-send time
@@ -72,13 +73,7 @@ from .context import (
     SharedMemEffect,
     WaitEffect,
 )
-from .events import (
-    EVENT_KIND_NAMES,
-    EventKind,
-    describe_entry,
-    entry_event,
-    event_entry_fields,
-)
+from .events import EVENT_KIND_NAMES, EventKind, describe_entry
 from .process import ProcessState, SimProcess
 from .rng import RandomSource
 from .trace import Trace
@@ -95,7 +90,8 @@ _RECOVER = int(EventKind.PROCESS_RECOVER)
 _INF = math.inf
 
 #: A set, not a tuple: the loop tests every yielded effect's exact type against
-#: it, and a hash probe beats up to five failed type comparisons.
+#: it, and a hash probe beats up to five failed type comparisons.  Exactly these
+#: types are effects; a subclass of one is refused like any other object.
 _EFFECT_TYPES = frozenset({SendEffect, BroadcastEffect, WaitEffect, SharedMemEffect, LocalEffect})
 
 #: The envelope of a dispatched delivery is built through ``tuple.__new__``,
@@ -107,18 +103,6 @@ _tuple_new = tuple.__new__
 def _no_network(payload: Any) -> int:
     """The send path's payload sizer when no network is attached: refuse."""
     raise RuntimeError("no network attached; cannot handle SendEffect")
-
-
-def _effect_base(cls: type) -> Optional[type]:
-    """The effect type ``cls`` derives from, or ``None`` for a non-effect.
-
-    Subclasses of the known effect types dispatch like their base.  Nothing
-    but tests subclasses an effect, so the match is not cached anywhere.
-    """
-    for base in cls.__mro__[1:]:
-        if base in _EFFECT_TYPES:
-            return base
-    return None
 
 
 @contextmanager
@@ -185,6 +169,20 @@ class SimConfig:
     trace: bool = False
     trace_max_entries: int = 100_000
 
+    def __post_init__(self) -> None:
+        # A negative delay queues steps behind the clock, a NaN one puts NaN
+        # keys in the heap, and a NaN time bound never times out: refuse them
+        # here, naming the field, rather than run a meaningless schedule.
+        for name in ("local_step_delay", "sm_op_delay", "scheduling_jitter"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"SimConfig.{name} must be finite and >= 0, got {value!r}")
+        if not self.max_time > 0:
+            raise ValueError(f"SimConfig.max_time must be > 0 (inf allowed), got {self.max_time!r}")
+        rounds = self.max_rounds
+        if rounds is not None and (type(rounds) is bool or not isinstance(rounds, int) or rounds < 1):
+            raise ValueError(f"SimConfig.max_rounds must be None or an int >= 1, got {rounds!r}")
+
 
 @dataclass
 class SimulationResult:
@@ -205,11 +203,6 @@ class SimulationResult:
     def decided_values(self) -> Set[Any]:
         """The set of distinct values decided by any process."""
         return {value for value in self.decisions.values()}
-
-    @property
-    def max_round(self) -> int:
-        """Largest round reached by any process (0 if none recorded)."""
-        return max(self.rounds.values(), default=0)
 
     def decision_of_correct(self) -> Optional[Any]:
         """The unique value decided by correct processes, if any decided."""
@@ -270,11 +263,12 @@ class SimulationKernel:
         self._adversary_defers = False
         self._adversary_faults_links = False
         self._schedule_controller = None
-        #: Adversary-deferred events, keyed by the re-queued entry's sequence
-        #: number.  Keeps the *same* :class:`Event` object for the second
-        #: offer, so the adversary's identity-based once-only bookkeeping
-        #: behaves exactly as it did when the queue held event objects.
-        self._deferred: Dict[int, Any] = {}
+        #: Adversary-deferred entries: the re-queued entry's sequence number
+        #: -> the sequence number the entry was first queued under.  That
+        #: first number is the key ``defer`` is offered on every offer, so
+        #: the adversary's once-only bookkeeping sees one event however
+        #: often it is re-queued.
+        self._deferred: Dict[int, int] = {}
         self.events_processed = 0
         self.dropped_deliveries = 0
         self._sched_rng = self.rng.stream("kernel", "jitter")
@@ -342,11 +336,6 @@ class SimulationKernel:
         if self._schedule_controller is not None:
             raise RuntimeError("a schedule controller is already installed")
         self._schedule_controller = controller
-
-    @property
-    def schedule_controller(self):
-        """The installed dispatch-order controller, or ``None``."""
-        return self._schedule_controller
 
     @property
     def network(self):
@@ -424,17 +413,6 @@ class SimulationKernel:
             heappush(self._inflight, (time, sequence, pid, sender, content, send_time, msg_id))
         else:
             heappush(self._queue, (time, sequence, kind, pid, payload))
-
-    def schedule_event(self, time: float, event) -> None:
-        """Schedule a public :class:`~repro.sim.events.Event` object.
-
-        The boundary converter for callers holding event objects (tests,
-        tooling); the kernel's own paths schedule flat entries directly.  A
-        :class:`~repro.sim.events.MessageDelivery` must carry a
-        :class:`~repro.network.message.Message`.
-        """
-        kind, pid, payload = event_entry_fields(event)
-        self._schedule(time, kind, pid, payload)
 
     def _controlled_pop(self, controller) -> Tuple[float, int, int, int, Any]:
         """Pop the next entry, letting ``controller`` pick among head ties.
@@ -608,13 +586,8 @@ class SimulationKernel:
                 if time > self.now:
                     self.now = time
                 if defers_events:
-                    event = self._deferred.pop(sequence, None)
-                    if event is None:
-                        event = entry_event(kind, pid, payload)
-                    elif kind == _DELIVERY:
-                        # Offered again: the same Event, and its own Message.
-                        payload = event.message
-                    extra = adversary.defer(event, self.now)
+                    key = self._deferred.pop(sequence, sequence)
+                    extra = adversary.defer(kind, pid, payload, key, self.now)
                     if extra > 0.0:
                         if extra == _INF:
                             # An infinite deferral is an omission: only
@@ -623,7 +596,7 @@ class SimulationKernel:
                             if kind != _DELIVERY:
                                 raise RuntimeError(
                                     f"adversary returned an infinite deferral for "
-                                    f"non-delivery event {event!r}"
+                                    f"non-delivery event {describe_entry(kind, pid, payload)}"
                                 )
                             self._network.record_fault("omitted")
                             if trace_enabled:
@@ -636,7 +609,7 @@ class SimulationKernel:
                                 )
                             continue
                         self._schedule(self.now + extra, kind, pid, payload)
-                        self._deferred[self._sequence] = event
+                        self._deferred[self._sequence] = key
                         continue
                 processed += 1
                 if trace_enabled:
@@ -724,12 +697,11 @@ class SimulationKernel:
                             continue
                         cls = type(effect)
                         if cls not in _EFFECT_TYPES:
-                            # A subclass of an effect runs its base's code.
-                            cls = _effect_base(cls)
-                            if cls is None:
-                                raise TypeError(
-                                    f"process {pid} yielded {effect!r}, which is not a recognised effect"
-                                )
+                            raise TypeError(
+                                f"process {pid} yielded {effect!r}, whose type "
+                                f"{cls.__qualname__} is not one of the effect types "
+                                f"{sorted(t.__name__ for t in _EFFECT_TYPES)}"
+                            )
                         if cls is BroadcastEffect:
                             dests = list(effect.dests)
                             if not dests:
@@ -839,7 +811,7 @@ class SimulationKernel:
         proc.wait_predicate = None
 
     def _handle_pause(self, pid: int, payload: Any) -> None:
-        """Begin a transient outage (see :class:`~repro.sim.events.ProcessPause`)."""
+        """Begin a transient outage (see :class:`~repro.sim.events.EventKind`)."""
         proc = self._processes[pid]
         if proc.state.is_terminal() or proc.paused:
             return

@@ -89,9 +89,10 @@ class SimProcess:
         self.crash_time = crash_time
         self.halt_reason = halt_reason
         self.started = started
-        #: Transient-outage flag (see :class:`~repro.sim.events.ProcessPause`):
-        #: while paused, step and delivery events are buffered in
-        #: ``paused_backlog`` and replayed at recovery.
+        #: Transient-outage flag (see :class:`~repro.sim.events.EventKind`):
+        #: while paused, step and delivery entries are buffered in
+        #: ``paused_backlog`` as ``(kind, pid, payload)`` and replayed at
+        #: recovery.
         self.paused = paused
         self.paused_backlog = [] if paused_backlog is None else paused_backlog
 

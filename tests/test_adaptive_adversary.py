@@ -41,7 +41,7 @@ from repro.experiments import e10_adaptive
 from repro.experiments.common import default_seeds, run_planned
 from repro.harness.distributed import ShardSpec, merge_shards, run_plan, run_shard
 from repro.harness.runner import ExperimentConfig, prepare_consensus
-from repro.sim.events import MessageDelivery
+from repro.sim.events import EventKind
 from repro.sim.kernel import SimConfig
 from repro.sim.process import ProcessState
 
@@ -152,6 +152,9 @@ def test_mutate_payload_flips_bits_and_ignores_bot():
 
 
 # ------------------------------------------------------- engine unit semantics
+_DELIVERY = int(EventKind.MESSAGE_DELIVERY)
+
+
 class _FakeProcess:
     def __init__(self, mailbox, predicate, state=ProcessState.BLOCKED, paused=False):
         self.mailbox = mailbox
@@ -180,6 +183,11 @@ def _quorum_of_two(mailbox):
     return "quorum" if len(mailbox) >= 2 else None
 
 
+def _deliver(adversary, dest, message, key, now):
+    """Offer one delivery to ``defer`` as the kernel does: flat fields plus its key."""
+    return adversary.defer(_DELIVERY, dest, message, key, now)
+
+
 def test_delay_pivotal_defers_exactly_the_quorum_completing_delivery():
     held = _phase_msg(0, est=1)
     receiver = _FakeProcess(mailbox=[held], predicate=_quorum_of_two)
@@ -187,22 +195,20 @@ def test_delay_pivotal_defers_exactly_the_quorum_completing_delivery():
         Scenario("t", (DelayPivotal(extra_delay=3.0, max_deferrals=8),)),
         _FakeKernel({1: receiver}),
     )
-    pivotal = MessageDelivery(pid=1, message=_phase_msg(2, est=1))
-    assert adversary.defer(pivotal, 0.0) == 3.0
+    assert _deliver(adversary, 1, _phase_msg(2, est=1), key=1, now=0.0) == 3.0
     assert adversary.deferral_log == [(0.0, "delay-pivotal", "defer", 2, 1)]
 
     # Once the quorum is already satisfied the same delivery is not pivotal.
     receiver.mailbox = [held, _phase_msg(3, est=0)]
-    extra = MessageDelivery(pid=1, message=_phase_msg(2, est=1))
-    assert adversary.defer(extra, 0.0) == 0.0
+    assert _deliver(adversary, 1, _phase_msg(2, est=1), key=2, now=0.0) == 0.0
 
     # Nor is any delivery to a non-blocked or paused receiver.
     receiver.mailbox = [held]
     receiver.state = ProcessState.READY
-    assert adversary.defer(MessageDelivery(pid=1, message=_phase_msg(2, est=1)), 0.0) == 0.0
+    assert _deliver(adversary, 1, _phase_msg(2, est=1), key=3, now=0.0) == 0.0
     receiver.state = ProcessState.BLOCKED
     receiver.paused = True
-    assert adversary.defer(MessageDelivery(pid=1, message=_phase_msg(2, est=1)), 0.0) == 0.0
+    assert _deliver(adversary, 1, _phase_msg(2, est=1), key=4, now=0.0) == 0.0
 
 
 def test_delay_pivotal_releases_after_its_deferral_budget():
@@ -211,23 +217,36 @@ def test_delay_pivotal_releases_after_its_deferral_budget():
         Scenario("t", (DelayPivotal(extra_delay=2.0, max_deferrals=2),)),
         _FakeKernel({1: receiver}),
     )
-    event = MessageDelivery(pid=1, message=_phase_msg(2, est=1))
-    assert adversary.defer(event, 0.0) == 2.0
-    assert adversary.defer(event, 2.0) == 2.0
+    message = _phase_msg(2, est=1)
+    assert _deliver(adversary, 1, message, key=7, now=0.0) == 2.0
+    assert _deliver(adversary, 1, message, key=7, now=2.0) == 2.0
     # Budget exhausted: the delivery is released, so liveness is preserved.
-    assert adversary.defer(event, 4.0) == 0.0
+    assert _deliver(adversary, 1, message, key=7, now=4.0) == 0.0
     assert [entry[2] for entry in adversary.deferral_log] == ["defer", "defer"]
+
+
+def test_a_delivery_offered_again_under_its_key_counts_once():
+    """Re-offers share the first offer's key, so the estimate tally sees one delivery."""
+    adversary = _adaptive(Scenario("t", (TargetCoin(mode="delay", extra_delay=2.5),)), _FakeKernel({}))
+    # est=0 is the unique leader after its first offer, and on every re-offer.
+    for now in (0.0, 2.5, 5.0):
+        assert _deliver(adversary, 1, _phase_msg(0, est=0), key=1, now=now) == 2.5
+    # One est=1 delivery ties the tally: no unique leader.
+    dissent = _phase_msg(1, est=1)
+    assert _deliver(adversary, 2, dissent, key=2, now=6.0) == 0.0
+    # The same message under a fresh key is a second delivery: est=1 now leads
+    # 2:1, which it would not (2:3) had every offer of key 1 been counted.
+    assert _deliver(adversary, 3, dissent, key=3, now=7.0) == 2.5
+    assert adversary._est_counts == {("t", 1, 1): {0: 1, 1: 2}}
 
 
 def test_target_coin_attacks_only_the_unique_leading_estimate():
     adversary = _adaptive(Scenario("t", (TargetCoin(mode="omit"),)), _FakeKernel({}))
-    first = MessageDelivery(pid=1, message=_phase_msg(0, est=0))
     # One observation makes est=0 the unique leader: omitted at dispatch.
-    assert adversary.defer(first, 0.0) == float("inf")
+    assert _deliver(adversary, 1, _phase_msg(0, est=0), key=1, now=0.0) == float("inf")
     assert adversary.deferral_log[-1] == (0.0, "target-coin", "omit", 0, 1)
     # est=1 ties the counts: no unique leader, nothing is faulted.
-    tied = MessageDelivery(pid=2, message=_phase_msg(0, est=1))
-    assert adversary.defer(tied, 1.0) == 0.0
+    assert _deliver(adversary, 2, _phase_msg(0, est=1), key=2, now=1.0) == 0.0
 
 
 def test_split_rounds_defers_leading_to_lagging_crossings_only():
@@ -235,14 +254,11 @@ def test_split_rounds_defers_leading_to_lagging_crossings_only():
     adversary = _adaptive(Scenario("t", (split,)), _FakeKernel({}))
     # Group 0 shows round 2 via an intra-group delivery (observed, not faulted
     # across groups since the payload carries no estimate leader yet).
-    intra = MessageDelivery(pid=1, message=_phase_msg(0, est=BOT, r=2))
-    assert adversary.defer(intra, 0.0) == 0.0
+    assert _deliver(adversary, 1, _phase_msg(0, est=BOT, r=2), key=1, now=0.0) == 0.0
     # Ahead -> lagging crossing is deferred; the reverse direction is not.
-    ahead = MessageDelivery(pid=2, message=_phase_msg(0, est=BOT, r=2))
-    assert adversary.defer(ahead, 1.0) == 4.0
+    assert _deliver(adversary, 2, _phase_msg(0, est=BOT, r=2), key=2, now=1.0) == 4.0
     assert adversary.deferral_log[-1] == (1.0, "split-rounds", "defer", 0, 2)
-    behind = MessageDelivery(pid=0, message=_phase_msg(2, est=BOT, r=1))
-    assert adversary.defer(behind, 2.0) == 0.0
+    assert _deliver(adversary, 0, _phase_msg(2, est=BOT, r=1), key=3, now=2.0) == 0.0
 
 
 # --------------------------------------------------------- end-to-end behaviour

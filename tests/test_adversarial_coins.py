@@ -3,8 +3,8 @@
 Randomized consensus is proved correct against an adversary that cannot
 predict coin flips -- but *safety* must hold for any coin behaviour
 whatsoever.  These tests run every algorithm the harness knows against the
-pathological coins from :mod:`repro.coins.adversarial` (stuck-at-0,
-stuck-at-1, and opposing coins engineered to disagree across processes),
+pathological coins -- stuck-at-0, stuck-at-1, and opposing coins engineered
+to disagree across processes, all scripted with ``DeterministicCoin`` --
 with round caps so liveness-hostile coins yield bounded non-termination
 instead of hangs, and assert agreement and validity always hold.
 """
@@ -12,13 +12,8 @@ instead of hangs, and assert agreement and validity always hold.
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.coins.adversarial import (
-    AdversarialCommonCoin,
-    AlwaysOneCoin,
-    AlwaysZeroCoin,
-    OpposingCoins,
-)
-from repro.coins.common import FixedSequenceCommonCoin
+from repro.coins.common import AdversarialCommonCoin, FixedSequenceCommonCoin
+from repro.coins.local import DeterministicCoin
 from repro.harness.runner import ALGORITHMS, ExperimentConfig, run_consensus
 from repro.sim.kernel import SimConfig
 
@@ -31,9 +26,11 @@ LOCAL_COIN_ALGORITHMS = ("hybrid-local-coin", "ben-or", "mm-local-coin")
 COMMON_COIN_ALGORITHMS = ("hybrid-common-coin", "mp-common-coin")
 
 LOCAL_COIN_FACTORIES = {
-    "always-zero": lambda pid: AlwaysZeroCoin(),
-    "always-one": lambda pid: AlwaysOneCoin(),
-    "opposing": OpposingCoins().coin_for,
+    "always-zero": lambda pid: DeterministicCoin([0]),
+    "always-one": lambda pid: DeterministicCoin([1]),
+    # Even pids always flip 0, odd pids 1: the worst case for Ben-Or-style
+    # convergence, which then rests on the majority-adoption path alone.
+    "opposing": lambda pid: DeterministicCoin([pid % 2]),
 }
 
 COMMON_COINS = {

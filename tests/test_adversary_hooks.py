@@ -10,7 +10,6 @@ skipped hook changes nothing a run reports.
 
 import pytest
 
-import repro.sim.kernel as kernel_module
 from repro.adversary import build_scenario, scenario_names
 from repro.adversary.adaptive import adaptive_scenario_names, build_adaptive_scenario
 from repro.adversary.faults import (
@@ -99,20 +98,11 @@ def hook_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario", CASES)
-def test_hooks_are_consulted_exactly_where_the_scenario_can_fire_them(
-    scenario, hook_calls, monkeypatch
-):
+def test_hooks_are_consulted_exactly_where_the_scenario_can_fire_them(scenario, hook_calls):
     config = _config(scenario)
     unwrapped = _summary(run_consensus(config))
 
     defers, faults_links = _can_defer(scenario), _can_fault_links(scenario)
-    if not defers:
-
-        def no_event_objects(kind, pid, payload):
-            raise AssertionError(f"event object built for non-deferring scenario {scenario!r}")
-
-        monkeypatch.setattr(kernel_module, "entry_event", no_event_objects)
-
     hook_calls.update(defer=0, deliveries=0)
     result = run_consensus(config)
 

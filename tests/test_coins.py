@@ -1,16 +1,10 @@
-"""Unit tests for local coins, common coins and their adversarial variants."""
+"""Unit tests for local coins, common coins and their scripted variants."""
 
 import random
 
 import pytest
 
-from repro.coins.adversarial import (
-    AdversarialCommonCoin,
-    AlwaysOneCoin,
-    AlwaysZeroCoin,
-    OpposingCoins,
-)
-from repro.coins.common import CommonCoin, FixedSequenceCommonCoin
+from repro.coins.common import AdversarialCommonCoin, CommonCoin, FixedSequenceCommonCoin
 from repro.coins.local import BiasedLocalCoin, DeterministicCoin, LocalCoin
 
 
@@ -101,15 +95,16 @@ def test_fixed_sequence_common_coin():
 
 # ------------------------------------------------------------ adversarial coins
 def test_always_coins():
-    assert all(AlwaysZeroCoin().flip() == 0 for _ in range(5))
-    assert all(AlwaysOneCoin().flip() == 1 for _ in range(5))
+    """A coin stuck at one bit is a one-bit ``DeterministicCoin``, accounting and all."""
+    for bit in (0, 1):
+        coin = DeterministicCoin([bit])
+        assert [coin.flip() for _ in range(5)] == [bit] * 5
+        assert coin.flips == 5 and coin.history == [bit] * 5
 
 
 def test_opposing_coins_assign_by_parity():
-    factory = OpposingCoins()
-    assert factory.coin_for(0).flip() == 0
-    assert factory.coin_for(1).flip() == 1
-    assert factory.coin_for(2).flip() == 0
+    coins = [DeterministicCoin([pid % 2]) for pid in range(4)]
+    assert [[coin.flip() for _ in range(3)] for coin in coins] == [[0] * 3, [1] * 3] * 2
 
 
 def test_adversarial_common_coin_forced_bits():
