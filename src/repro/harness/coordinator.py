@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import socket
@@ -303,12 +304,26 @@ def _lease_payload(lease: Lease, fingerprint: str) -> bytes:
     return json.dumps(payload, indent=2).encode("utf-8")
 
 
+def _check_seconds(name: str, value: float) -> None:
+    """Refuse a duration that is not a finite number of seconds above zero."""
+    if not (math.isfinite(value) and value > 0):
+        raise LeaseError(f"{name} must be a finite number of seconds > 0, got {value}")
+
+
 def _parse_lease(path: Path, point_index: int, generation: int, warn: bool = True) -> Lease:
-    """Read one lease file; corrupt files come back as expired, with a warning."""
+    """Read one lease file; corrupt files come back as expired, with a warning.
+
+    Corrupt means unparsable, not an object, missing a field, or holding
+    times no clock can pass: a ``ttl`` that is not finite and above zero,
+    or an ``acquired_at`` / ``renewed_at`` that is not finite.  Such a lease
+    would otherwise stay live forever and its point could never be stolen.
+    """
     try:
         raw = json.loads(path.read_text())
+        if not isinstance(raw, dict):
+            raise TypeError(f"a lease is a JSON object, not {type(raw).__name__}")
         telemetry = raw.get("telemetry")
-        return Lease(
+        lease = Lease(
             point_index=point_index,
             generation=generation,
             worker=str(raw["worker"]),
@@ -318,7 +333,11 @@ def _parse_lease(path: Path, point_index: int, generation: int, warn: bool = Tru
             path=path,
             telemetry=telemetry if isinstance(telemetry, dict) else None,
         )
-    except (OSError, ValueError, KeyError, TypeError) as error:
+        if not (math.isfinite(lease.acquired_at) and math.isfinite(lease.renewed_at)):
+            raise ValueError(f"lease times must be finite, got {lease.acquired_at}, {lease.renewed_at}")
+        _check_seconds("ttl", lease.ttl)
+        return lease
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as error:
         if warn:
             warnings.warn(
                 f"treating corrupt lease file {path.name} as expired: {error}",
@@ -429,8 +448,7 @@ def _try_acquire(
     ttl: float,
     generation: int,
 ) -> Optional[Lease]:
-    if ttl <= 0:
-        raise LeaseError(f"lease ttl must be positive, got {ttl}")
+    _check_seconds("lease ttl", ttl)
     if not 0 <= point_index < len(plan.points):
         raise LeaseError(
             f"point index {point_index} outside the plan's 0..{len(plan.points) - 1}"
@@ -718,12 +736,11 @@ class WorkStealingScheduler:
         wait: bool = False,
         poll_interval: Optional[float] = None,
     ) -> None:
-        if lease_ttl <= 0:
-            raise LeaseError(f"lease ttl must be positive, got {lease_ttl}")
+        _check_seconds("lease ttl", lease_ttl)
         if max_points is not None and max_points < 1:
             raise LeaseError(f"max_points must be >= 1, got {max_points}")
-        if poll_interval is not None and poll_interval <= 0:
-            raise LeaseError(f"poll interval must be positive, got {poll_interval}")
+        if poll_interval is not None:
+            _check_seconds("poll interval", poll_interval)
         self.plan = plan
         self.out = Path(out_dir)
         self.worker = (

@@ -290,6 +290,23 @@ def test_steal_flags_without_steal_are_an_error(capsys, tmp_path):
     assert "only apply with --steal" in err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--lease-ttl", "nan"], "lease ttl"),
+        (["--lease-ttl", "inf"], "lease ttl"),
+        (["--wait", "--poll-interval", "nan"], "poll interval"),
+        (["--wait", "--poll-interval", "inf"], "poll interval"),
+    ],
+)
+def test_steal_refuses_nonfinite_durations(tmp_path, capsys, flags, named):
+    out_dir = tmp_path / "runs"
+    code, _, err = run_cli(capsys, "run", "e1", *STEAL_ARGS, *flags, "--out", str(out_dir))
+    assert code == 2
+    assert f"{named} must be a finite number of seconds > 0" in err
+    assert not out_dir.exists()
+
+
 def test_steal_directory_refuses_static_shards(tmp_path, capsys):
     out_dir = str(tmp_path / "runs")
     run_cli(capsys, "run", "e1", *E1_ARGS, "--shard", "1/2", "--out", out_dir)

@@ -8,6 +8,7 @@ expiry by heartbeat silence, corrupt lease files treated as expired, and
 clear refusals for mixed or foreign directories.
 """
 
+import json
 import pickle
 import time
 
@@ -129,6 +130,55 @@ class TestLeaseProtocol:
     def test_nonpositive_ttl_is_refused(self, tmp_path):
         with pytest.raises(LeaseError, match="ttl"):
             try_claim(tmp_path, make_plan(), 0, "alpha", 0.0)
+
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf")])
+    def test_nonfinite_ttl_is_refused(self, tmp_path, ttl):
+        with pytest.raises(LeaseError, match="lease ttl must be a finite"):
+            try_claim(tmp_path, make_plan(), 0, "alpha", ttl)
+        with pytest.raises(LeaseError, match="lease ttl must be a finite"):
+            run_work_stealing(make_plan(), tmp_path, worker="w", lease_ttl=ttl, max_workers=1)
+
+    def test_nonfinite_poll_interval_is_refused(self, tmp_path):
+        with pytest.raises(LeaseError, match="poll interval must be a finite"):
+            run_work_stealing(
+                make_plan(), tmp_path, worker="w", wait=True, poll_interval=float("nan"),
+                max_workers=1,
+            )
+
+    @pytest.mark.parametrize("content", ["null", "3", "[1]", '"lease"'])
+    def test_non_object_lease_file_is_expired_with_warning(self, tmp_path, content):
+        plan = make_plan()
+        write_plan_header(tmp_path, plan)
+        lease_dir(tmp_path).mkdir()
+        (lease_dir(tmp_path) / "point-0000-gen-0000.json").write_text(content)
+        with pytest.warns(RuntimeWarning, match="corrupt lease file point-0000-gen-0000.json"):
+            lease = current_lease(tmp_path, 0)
+        assert lease.corrupt and lease.expired()
+        assert steal_status(tmp_path).orphaned == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ttl", float("nan")),
+            ("ttl", float("inf")),
+            ("ttl", 0.0),
+            ("ttl", -1.0),
+            ("renewed_at", float("nan")),
+            ("renewed_at", float("inf")),
+            ("acquired_at", float("nan")),
+        ],
+    )
+    def test_lease_with_times_no_clock_passes_is_expired(self, tmp_path, field, value):
+        """Left live, a NaN or infinite time would pin its point forever."""
+        plan = make_plan()
+        lease = try_claim(tmp_path, plan, 0, "alpha", 60.0)
+        raw = json.loads(lease.path.read_text())
+        raw[field] = value
+        lease.path.write_text(json.dumps(raw))
+        with pytest.warns(RuntimeWarning, match="corrupt lease"):
+            read = current_lease(tmp_path, 0)
+        assert read.corrupt and read.expired()
+        assert try_steal(tmp_path, plan, 0, "thief", 60.0, read) is not None
 
     def test_out_of_range_point_is_refused(self, tmp_path):
         with pytest.raises(LeaseError, match="point index"):
