@@ -53,18 +53,6 @@ _MASK32 = 0xFFFFFFFF
 _POOL_WORDS = 4
 
 
-def priority_backend() -> str:
-    """The name of the :func:`run_priority` derivation, as artifacts record it.
-
-    Sharded-sweep manifests, plan headers and ``SweepPlan.fingerprint()``
-    carry this name.  There is one derivation; the name is kept because
-    directories written by builds that fell back to a ``"sha256"``
-    derivation on numpy-free hosts hold different priorities, and are
-    refused by this name.
-    """
-    return "numpy-seedsequence"
-
-
 def _uint32_words(value: int) -> List[int]:
     """``value`` as little-endian 32-bit words (``[0]`` for zero)."""
     if value < 0:

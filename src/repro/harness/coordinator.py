@@ -38,9 +38,9 @@ the first):
 * **steal** -- when ``renewed_at + ttl`` has passed (the TTL recorded
   *in* the lease, so heterogeneous workers honour each other's), create
   generation ``g+1``.  Exactly one of any number of stealers wins.
-* **corrupt lease files** (torn writes, disk trouble) are treated as
-  expired, with a warning -- the point becomes stealable rather than
-  stuck.
+* **corrupt lease files** (torn writes, disk trouble, times no clock
+  passes) are treated as expired, with a warning -- the point becomes
+  stealable rather than stuck.
 
 Because every run of a plan is deterministic, the worst possible race
 outcome -- two workers computing the same point -- costs duplicated work
@@ -49,11 +49,11 @@ checkpoint write is atomic.  Correctness never depends on the clock;
 clock skew can only make theft early (duplicated work) or late (idle
 time).  See ``docs/distributed.md`` for the full failure-mode table.
 
-On-disk layout (all under the shared ``--out`` directory)::
+On-disk layout (all under the shared ``--out`` directory, all JSON)::
 
     plan.json                    header: version, fingerprint, seeds, labels
     leases/point-0003-gen-0001.json   lease provenance, one file per claim/steal
-    point-0003.pkl               checkpoint: every RunSummary of point 3
+    point-0003.json              checkpoint: every RunSummary of point 3
     steal-worker-<name>.json     per-worker manifest: outcomes, lease history
 
 Static sharding is the degenerate scheduler of the same claim loop:
@@ -64,7 +64,7 @@ single execute-and-checkpoint loop.
 
 Reading is single, too: :class:`RunDirectory` is the only code that knows
 both this layout and the static one (``shard-IofK.json`` manifests plus
-``shard-IofK-point-NNNN.pkl`` checkpoints).  It lives here because this
+``shard-IofK-point-NNNN.json`` checkpoints).  It lives here because this
 module already holds or imports everything it reads -- leases, plan header,
 worker manifests, and :mod:`~repro.harness.distributed`'s shard manifests
 and file namings -- so nothing imports backwards to reach it.
@@ -83,7 +83,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from functools import cached_property
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -146,7 +146,7 @@ def lease_dir(out_dir: Union[str, Path]) -> Path:
 
 def point_checkpoint_path(out_dir: Union[str, Path], point_index: int) -> Path:
     """Where the whole-point checkpoint of a work-stealing run lives."""
-    return Path(out_dir) / f"point-{point_index:04d}.pkl"
+    return Path(out_dir) / f"point-{point_index:04d}.json"
 
 
 def worker_manifest_path(out_dir: Union[str, Path], worker: str) -> Path:
@@ -185,24 +185,6 @@ def sanitize_worker_name(worker: str) -> str:
     return cleaned
 
 
-def _atomic_create_bytes(path: Path, payload: bytes) -> bool:
-    """Create ``path`` with ``payload`` all-or-nothing; False if it exists.
-
-    The temp-file + ``os.link`` dance makes creation atomic *including the
-    content*: a concurrent reader sees either no file or the whole file,
-    and of any number of racing creators exactly one wins.
-    """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    tmp.write_bytes(payload)
-    try:
-        os.link(tmp, path)
-    except FileExistsError:
-        return False
-    finally:
-        tmp.unlink(missing_ok=True)
-    return True
-
-
 # ------------------------------------------------------------- plan header
 def write_plan_header(out_dir: Union[str, Path], plan: SweepPlan) -> Path:
     """Publish (or validate against) the shared plan header of ``out_dir``.
@@ -228,18 +210,21 @@ def write_plan_header(out_dir: Union[str, Path], plan: SweepPlan) -> Path:
         "runs_total": plan.total_runs,
     }
     encoded = json.dumps(payload, indent=2).encode("utf-8")
-    if not path.exists() and _atomic_create_bytes(path, encoded):
+    if not path.exists() and _atomic_write_bytes(path, encoded, exclusive=True):
         return path
-    existing = read_plan_header(out)
-    if existing["fingerprint"] != payload["fingerprint"]:
+    _refuse_foreign(path, read_plan_header(out)["fingerprint"], payload["fingerprint"], "worker")
+    return path
+
+
+def _refuse_foreign(path: Path, recorded: Any, fingerprint: str, writer: str) -> None:
+    """Refuse joining a directory whose artifact ``path`` records another plan."""
+    if recorded != fingerprint:
         raise ManifestError(
-            f"{path} belongs to a different plan (fingerprint "
-            f"{existing['fingerprint'][:12]}... != {payload['fingerprint'][:12]}...); "
-            f"every worker sharing an output directory must run the same "
-            f"experiment with the same seeds -- merge or clear that directory "
+            f"{path} belongs to a different plan (fingerprint {str(recorded)[:12]}... != "
+            f"{fingerprint[:12]}...); every {writer} sharing an output directory must run "
+            f"the same experiment with the same seeds -- merge or clear that directory "
             f"before reusing it"
         )
-    return path
 
 
 def read_plan_header(out_dir: Union[str, Path]) -> Dict[str, Any]:
@@ -313,15 +298,11 @@ def _check_seconds(name: str, value: float) -> None:
 def _parse_lease(path: Path, point_index: int, generation: int, warn: bool = True) -> Lease:
     """Read one lease file; corrupt files come back as expired, with a warning.
 
-    Corrupt means unparsable, not an object, missing a field, or holding
-    times no clock can pass: a ``ttl`` that is not finite and above zero,
-    or an ``acquired_at`` / ``renewed_at`` that is not finite.  Such a lease
-    would otherwise stay live forever and its point could never be stolen.
+    Corrupt is what :func:`~.distributed.read_artifact` refuses, a field of
+    the wrong type, or times no clock passes (which would pin the point).
     """
     try:
-        raw = json.loads(path.read_text())
-        if not isinstance(raw, dict):
-            raise TypeError(f"a lease is a JSON object, not {type(raw).__name__}")
+        raw = read_artifact(path, "lease", ("worker", "acquired_at", "renewed_at", "ttl"))
         telemetry = raw.get("telemetry")
         lease = Lease(
             point_index=point_index,
@@ -334,25 +315,16 @@ def _parse_lease(path: Path, point_index: int, generation: int, warn: bool = Tru
             telemetry=telemetry if isinstance(telemetry, dict) else None,
         )
         if not (math.isfinite(lease.acquired_at) and math.isfinite(lease.renewed_at)):
-            raise ValueError(f"lease times must be finite, got {lease.acquired_at}, {lease.renewed_at}")
+            raise ValueError(f"times must be finite, got {lease.acquired_at}, {lease.renewed_at}")
         _check_seconds("ttl", lease.ttl)
         return lease
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as error:
+    except (ValueError, TypeError, OverflowError) as error:
         if warn:
             warnings.warn(
                 f"treating corrupt lease file {path.name} as expired: {error}",
                 RuntimeWarning,
             )
-        return Lease(
-            point_index=point_index,
-            generation=generation,
-            worker="?",
-            acquired_at=0.0,
-            renewed_at=0.0,
-            ttl=0.0,
-            path=path,
-            corrupt=True,
-        )
+        return Lease(point_index, generation, "?", 0.0, 0.0, 0.0, path, corrupt=True)
 
 
 def _lease_index(out_dir: Union[str, Path]) -> Dict[int, Tuple[int, Path]]:
@@ -464,7 +436,9 @@ def _try_acquire(
         ttl=float(ttl),
         path=_lease_path(out_dir, point_index, generation),
     )
-    if not _atomic_create_bytes(lease.path, _lease_payload(lease, plan.fingerprint())):
+    if not _atomic_write_bytes(
+        lease.path, _lease_payload(lease, plan.fingerprint()), exclusive=True
+    ):
         return None
     return lease
 
@@ -481,14 +455,9 @@ def renew_lease(
     ``telemetry`` (a :meth:`~repro.obs.telemetry.Telemetry.snapshot`)
     piggybacks on the heartbeat so worker metrics cost no extra file.
     """
-    renewed = Lease(
-        point_index=lease.point_index,
-        generation=lease.generation,
-        worker=lease.worker,
-        acquired_at=lease.acquired_at,
+    renewed = replace(
+        lease,
         renewed_at=time.time(),
-        ttl=lease.ttl,
-        path=lease.path,
         telemetry=telemetry if telemetry is not None else lease.telemetry,
     )
     _atomic_write_bytes(lease.path, _lease_payload(renewed, fingerprint))
@@ -586,16 +555,9 @@ class StaticShardScheduler:
             )
         self._provenance = plan_provenance(plan, self.schedule)
         fingerprint = self._provenance["fingerprint"]
-        for existing_path in find_manifests(self.out):
-            existing = read_artifact(existing_path, "manifest", MANIFEST_FIELDS)
-            if existing["fingerprint"] != fingerprint:
-                raise ManifestError(
-                    f"{existing_path} belongs to a different plan (fingerprint "
-                    f"{existing['fingerprint'][:12]}... != {fingerprint[:12]}...); "
-                    f"every shard sharing an output directory must run the same "
-                    f"experiment with the same seeds -- merge or clear that "
-                    f"directory before reusing it"
-                )
+        for existing in find_manifests(self.out):
+            recorded = read_artifact(existing, "manifest", MANIFEST_FIELDS)["fingerprint"]
+            _refuse_foreign(existing, recorded, fingerprint, "shard")
         self.result = ShardRunResult(
             shard=shard, out_dir=self.out, manifest=manifest_path(self.out, shard)
         )

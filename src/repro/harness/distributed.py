@@ -5,7 +5,7 @@
 deterministic enumeration of every run of a sweep (every point of the sweep
 under every seed).  Any host can execute one :class:`ShardSpec` worth of that
 plan with :func:`run_shard` -- writing a versioned JSON manifest plus one
-pickled checkpoint per completed sweep point, so a killed shard resumes from
+JSON checkpoint per completed sweep point, so a killed shard resumes from
 its last checkpoint instead of restarting -- and :func:`merge_directory`
 (:func:`merge_shards` is the same function) folds the per-shard outputs back
 into aggregates *bit-identical* to the single-host execution of the same plan.
@@ -31,15 +31,17 @@ Index schemes
 
 On-disk layout (all under the ``--out`` directory)::
 
-    shard-2of4.json            manifest: version, plan fingerprint, progress
-    shard-2of4-point-0003.pkl  checkpoint: RunSummary list for point 3
+    shard-2of4.json             manifest: version, plan fingerprint, progress
+    shard-2of4-point-0003.json  checkpoint: RunSummary list for point 3
 
-Every artifact embeds :data:`MANIFEST_VERSION` and the plan's fingerprint;
-the merge refuses mixed versions, mixed plans, missing shards and incomplete
-shards with errors that say which file is at fault.  This module writes and
-names the files; the one place that *reads* a run directory -- this layout or
-the work-stealing one -- is :class:`~repro.harness.coordinator.RunDirectory`,
-and the one fold over it is :class:`~repro.obs.merge.IncrementalMerger`.
+Every artifact is JSON that embeds :data:`MANIFEST_VERSION` and the plan's
+fingerprint, written by :func:`_atomic_write_bytes`; nothing is unpickled.
+The merge refuses mixed versions, mixed plans, missing shards, incomplete
+shards and bad summary fields with errors naming the file (and field).
+This module writes and names the files; the one place that *reads* a run
+directory -- this layout or the work-stealing one -- is
+:class:`~repro.harness.coordinator.RunDirectory`, and the one fold over it
+is :class:`~repro.obs.merge.IncrementalMerger`.
 """
 
 from __future__ import annotations
@@ -48,20 +50,13 @@ import hashlib
 import itertools
 import json
 import os
-import pickle
 import re
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .aggregate import (
-    SKETCH_CAPACITY,
-    RunAggregate,
-    RunSummary,
-    SummaryReducer,
-    priority_backend,
-)
+from .aggregate import SKETCH_CAPACITY, RunAggregate, RunSummary, SummaryReducer
 
 # The simulator (``.parallel``, ``.runner``) is imported inside the functions
 # that execute runs: reading manifests, checkpoints and leases -- ``python -m
@@ -69,16 +64,11 @@ from .aggregate import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runner import ExperimentConfig
 
-#: Version stamped into every manifest and checkpoint this module writes.
-#: Readers reject any other version, so stale artifacts fail loudly instead
-#: of merging garbage.  Version 2 added the ``delay_models`` / ``scenarios``
-#: provenance fields (and configs grew the fault-injection ``scenario``
-#: field, changing every fingerprint), so version-1 artifacts cannot merge
-#: with version-2 ones anyway.  Version 3 added the work-stealing scheduler
-#: (:mod:`~repro.harness.coordinator`): manifests and checkpoints record
-#: schedule/worker/lease provenance, and steal directories gained the
-#: ``plan.json`` header and per-point lease files.
-MANIFEST_VERSION = 3
+#: Version stamped into every artifact of a run directory.  Readers reject any
+#: other version, so stale artifacts fail loudly instead of merging garbage;
+#: ``docs/distributed.md`` tables what each version changed (4: checkpoints
+#: became JSON and the priority-backend field went).
+MANIFEST_VERSION = 4
 
 #: The two run-numbering schemes a plan can use (see the module docstring).
 INDEXING_SCHEMES = ("per-point", "global")
@@ -236,13 +226,11 @@ class SweepPlan:
         """A digest pinning everything that affects sharded results.
 
         Covers the manifest version, the numbering scheme, the seeds, the
-        sketch entropy/capacity, every point's label, ``check`` flag and
+        sketch entropy/capacity, and every point's label, ``check`` flag and
         full configuration ``repr`` (all the config components have stable,
-        value-only reprs), and the :func:`~.aggregate.priority_backend` name
-        -- shards written by a build that derived sketch priorities another
-        way hold different priorities, so they must not merge.
-        Two plans with equal fingerprints produce interchangeable shards;
-        everything this module writes or reads is checked against it.
+        value-only reprs).  Two plans with equal fingerprints produce
+        interchangeable shards; everything this module writes or reads is
+        checked against it.
         """
         payload = json.dumps(
             {
@@ -252,7 +240,6 @@ class SweepPlan:
                 "indexing": self.indexing,
                 "entropy": self.entropy,
                 "capacity": self.capacity,
-                "priority_backend": priority_backend(),
                 "seeds": list(self.seeds),
                 "points": [
                     [point.label, point.check, repr(point.config)] for point in self.points
@@ -393,17 +380,29 @@ def run_plan(
 
 
 # ------------------------------------------------------------- artifact IO
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``path`` via a same-directory temp file + rename, never partially.
+def _atomic_write_bytes(path: Path, payload: bytes, exclusive: bool = False) -> bool:
+    """Write ``path`` via a same-directory temp file, never partially.
 
-    The temp name embeds the writer's pid and thread id: concurrent writers
-    of the *same* path (two work-stealing workers racing to checkpoint a
-    stolen point with bit-identical bytes) then each rename their own whole
-    file, so readers see one complete version or the other, never a tear.
+    The one writer that publishes a file.  The temp name embeds the
+    writer's pid and thread id: concurrent writers of the *same* path (two
+    work-stealing workers racing to checkpoint a stolen point with
+    bit-identical bytes) then each rename their own whole file, so readers
+    see one complete version or the other, never a tear.  ``exclusive``
+    links instead of renaming, so of any number of racing creators (a lease
+    generation, the plan header) exactly one wins; the rest get ``False``.
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        if exclusive:
+            os.link(tmp, path)
+        else:
+            os.replace(tmp, path)
+    except FileExistsError:
+        return False
+    finally:
+        tmp.unlink(missing_ok=True)
+    return True
 
 
 def manifest_path(out_dir: Union[str, Path], shard: ShardSpec) -> Path:
@@ -413,7 +412,7 @@ def manifest_path(out_dir: Union[str, Path], shard: ShardSpec) -> Path:
 
 def checkpoint_path(out_dir: Union[str, Path], shard: ShardSpec, point_index: int) -> Path:
     """Where the checkpoint of one completed sweep point lives."""
-    return Path(out_dir) / f"shard-{shard.index}of{shard.count}-point-{point_index:04d}.pkl"
+    return Path(out_dir) / f"shard-{shard.index}of{shard.count}-point-{point_index:04d}.json"
 
 
 def plan_provenance(plan: SweepPlan, schedule: str) -> Dict[str, Any]:
@@ -430,7 +429,6 @@ def plan_provenance(plan: SweepPlan, schedule: str) -> Dict[str, Any]:
         "plan_key": plan.key,
         "experiment": plan.experiment,
         "indexing": plan.indexing,
-        "priority_backend": priority_backend(),
         "delay_models": plan.delay_models(),
         "scenarios": plan.scenario_names(),
     }
@@ -455,36 +453,77 @@ def read_artifact(path: Path, noun: str, required: Sequence[str]) -> Dict[str, A
     return raw
 
 
+def summary_to_json(summary: RunSummary) -> Dict[str, Any]:
+    """One :class:`RunSummary` as a checkpoint holds it, floats as ``float.hex()``.
+
+    A shallow copy of the fields; ``float.hex()`` (the golden fixture's
+    convention) reads back to the last bit, ``nan`` and ``-0.0`` included.
+    """
+    return {
+        **vars(summary),
+        "priority": float(summary.priority).hex(),
+        "values": {name: float(value).hex() for name, value in summary.values.items()},
+    }
+
+
+#: The JSON type each checkpointed summary field must hold, exactly (a bool
+#: is no int here); ``priority`` and the ``values`` entries are hex strings.
+_SUMMARY_TYPES: Dict[str, Tuple[type, ...]] = {
+    "seed": (int,), "index": (int,), "priority": (str,), "algorithm": (str,),
+    "terminated": (bool,), "safety_ok": (bool,), "decided": (bool,),
+    "decided_value": (int, type(None)), "values": (dict,),
+}
+
+
+def _from_hex(text: Any) -> float:
+    if type(text) is not str:
+        raise TypeError(f"expected a float.hex() string, got {text!r}")
+    return float.fromhex(text)
+
+
+def _summary_from_json(raw: Any, path: Path, position: int) -> RunSummary:
+    """Rebuild one checkpointed summary; a bad field is named, with its file and position."""
+    where = f"malformed checkpoint {path}: summary {position}"
+    if type(raw) is not dict:
+        raise ManifestError(f"{where} is not an object")
+    fields = {}
+    for name, kinds in _SUMMARY_TYPES.items():
+        if name not in raw:
+            raise ManifestError(f"{where} has no field {name!r}")
+        value = raw[name]
+        try:
+            if type(value) not in kinds:
+                raise TypeError(f"expected {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
+            if name == "priority":
+                value = _from_hex(value)
+            elif name == "values":
+                value = {key: _from_hex(text) for key, text in value.items()}
+        except (TypeError, ValueError) as error:
+            raise ManifestError(f"{where} field {name!r}: {error}") from None
+        fields[name] = value
+    return RunSummary(**fields)
+
+
 def _load_checkpoint(path: Path, plan: SweepPlan, shard: ShardSpec, point_index: int) -> List[RunSummary]:
     """Read one checkpoint and verify it belongs to ``plan``/``shard``/point."""
-    try:
-        with open(path, "rb") as handle:
-            raw = pickle.load(handle)
-    except Exception as error:
-        # Not a narrower list: torn or foreign bytes make ``pickle.load`` raise
-        # Unpickling-, EOF-, Value-, Overflow-, Memory-, Type-, Attribute- or
-        # ImportError, and whichever it is, the file is unreadable.
-        raise ManifestError(f"unreadable checkpoint {path}: {error}") from error
-    if not isinstance(raw, dict):
-        raise ManifestError(f"malformed checkpoint {path}: not a checkpoint object")
-    if raw.get("version") != MANIFEST_VERSION:
-        raise ManifestError(
-            f"checkpoint {path} has version {raw.get('version')!r} but this build "
-            f"reads version {MANIFEST_VERSION}"
-        )
-    if raw.get("fingerprint") != plan.fingerprint():
+    raw = read_artifact(path, "checkpoint", ("fingerprint", "point_index", "label", "summaries"))
+    if raw["fingerprint"] != plan.fingerprint():
         raise ManifestError(
             f"checkpoint {path} belongs to a different plan "
-            f"(fingerprint {raw.get('fingerprint')!r})"
+            f"(fingerprint {raw['fingerprint']!r})"
         )
+    if type(raw["summaries"]) is not list:
+        raise ManifestError(f"malformed checkpoint {path}: 'summaries' is not a list")
+    summaries = [
+        _summary_from_json(entry, path, position)
+        for position, entry in enumerate(raw["summaries"])
+    ]
     expected_indices = [
         plan.run_index(point_index, si) for si in plan.owned_positions(point_index, shard)
     ]
-    summaries = raw.get("summaries")
     if (
-        raw.get("point_index") != point_index
-        or raw.get("label") != plan.points[point_index].label
-        or not isinstance(summaries, list)
+        raw["point_index"] != point_index
+        or raw["label"] != plan.points[point_index].label
         or [summary.index for summary in summaries] != expected_indices
     ):
         raise ManifestError(
@@ -508,11 +547,10 @@ def _write_checkpoint(
         "shard": str(shard),
         "point_index": point_index,
         "label": plan.points[point_index].label,
-        "summaries": summaries,
+        **(provenance or {}),
+        "summaries": [summary_to_json(summary) for summary in summaries],
     }
-    if provenance:
-        payload.update(provenance)
-    _atomic_write_bytes(path, pickle.dumps(payload))
+    _atomic_write_bytes(path, json.dumps(payload).encode("utf-8"))
 
 
 # ------------------------------------------------------------ shard running
@@ -601,9 +639,9 @@ def check_merge_provenance(
     """Refuse merging artifacts whose recorded provenance contradicts ``plan``.
 
     Reads back what :func:`plan_provenance` wrote.  The named fields come
-    first: a delay-model, scenario or priority-derivation mismatch would
-    also trip the fingerprint check below, but with an anonymous digest --
-    the named-field error says *what* differs.
+    first: a delay-model or scenario mismatch would also trip the
+    fingerprint check below, but with an anonymous digest -- the
+    named-field error says *what* differs.
     """
     expected = plan_provenance(plan, recorded.get("schedule"))
     for field_name in ("delay_models", "scenarios"):
@@ -615,13 +653,6 @@ def check_merge_provenance(
                 f"{expected[field_name]}; {what} produced under different delay models or "
                 f"fault scenarios cannot be merged"
             )
-    recorded_backend = recorded.get("priority_backend")
-    if recorded_backend and recorded_backend != expected["priority_backend"]:
-        raise ManifestError(
-            f"{what} in {out} record 'priority_backend' {recorded_backend!r} but this "
-            f"build derives run priorities as {expected['priority_backend']!r}; their sketch "
-            f"priorities differ, so re-run the sweep with this build"
-        )
     if recorded["fingerprint"] != expected["fingerprint"]:
         raise ManifestError(
             f"{what} in {out} were produced by a different plan (fingerprint "

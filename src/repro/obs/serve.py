@@ -53,7 +53,7 @@ def aggregate_to_json(aggregate: RunAggregate) -> Dict[str, Any]:
     """One :class:`~repro.harness.aggregate.RunAggregate` as plain JSON.
 
     Counters plus count/mean/std/min/max per metric -- the digest a
-    dashboard needs; percentile sketches stay in the pickled artifacts.
+    dashboard needs; percentile sketches stay in the checkpoints.
     """
     return {
         "count": aggregate.count,

@@ -21,7 +21,6 @@ one branch per traced site (bench-gated in ``benchmarks/test_bench_obs.py``).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
@@ -115,9 +114,10 @@ class Trace:
             {"meta": {"entries": len(self.entries), "dropped": self.dropped}},
             separators=(",", ":"),
         ) + "\n"
-        tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, target)
+        # Imported at call time: importing the simulator must not load the sweep layer.
+        from ..harness.distributed import _atomic_write_bytes
+
+        _atomic_write_bytes(target, payload.encode("utf-8"))
         return target
 
     def __len__(self) -> int:

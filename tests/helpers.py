@@ -159,10 +159,13 @@ def golden_plans():
 def compute_golden_summaries():
     """Run every golden plan serially and return its summaries, JSON-shaped.
 
-    Floats are serialized with ``float.hex()`` so the fixture comparison is
-    exact to the last bit, not merely approximate.
+    Each run is encoded the way a checkpoint holds it
+    (:func:`~repro.harness.distributed.summary_to_json`): floats as
+    ``float.hex()``, so the fixture comparison is exact to the last bit, not
+    merely approximate, and it pins the checkpoint encoding as well.
     """
-    from repro.harness.aggregate import RunSummary, priority_backend, run_priority
+    from repro.harness.aggregate import RunSummary, run_priority
+    from repro.harness.distributed import summary_to_json
     from repro.harness.runner import run_consensus
 
     experiments = {}
@@ -176,27 +179,11 @@ def compute_golden_summaries():
                 summary = RunSummary.from_result(
                     result, index, run_priority(plan.entropy, index)
                 )
-                runs.append(
-                    {
-                        "seed": summary.seed,
-                        "index": summary.index,
-                        "priority": float(summary.priority).hex(),
-                        "algorithm": summary.algorithm,
-                        "terminated": summary.terminated,
-                        "safety_ok": summary.safety_ok,
-                        "decided": summary.decided,
-                        "decided_value": summary.decided_value,
-                        "values": {
-                            name: float(value).hex()
-                            for name, value in sorted(summary.values.items())
-                        },
-                    }
-                )
+                runs.append(summary_to_json(summary))
             points.append({"label": point.label, "runs": runs})
         experiments[exp_id] = points
     return {
         "format": 1,
-        "priority_backend": priority_backend(),
         "seeds": list(GOLDEN_SEEDS),
         "experiments": experiments,
     }

@@ -30,6 +30,7 @@ from repro.harness.coordinator import (
     current_lease,
     lease_dir,
     plan_header_path,
+    point_checkpoint_path,
     read_plan_header,
     run_work_stealing,
     worker_manifest_path,
@@ -38,6 +39,8 @@ from repro.harness.distributed import (
     MANIFEST_FIELDS,
     ManifestError,
     ShardSpec,
+    _load_checkpoint,
+    checkpoint_path,
     manifest_path,
     plan_repeat,
     read_artifact,
@@ -77,6 +80,16 @@ READERS = {
         "steal",
         lambda out: worker_manifest_path(out, "w"),
         lambda out: read_artifact(worker_manifest_path(out, "w"), "worker manifest", ()),
+    ),
+    "shard-checkpoint": (
+        "static",
+        lambda out: checkpoint_path(out, SHARD, 0),
+        lambda out: _load_checkpoint(checkpoint_path(out, SHARD, 0), _plan(), SHARD, 0),
+    ),
+    "point-checkpoint": (
+        "steal",
+        lambda out: point_checkpoint_path(out, 0),
+        lambda out: _load_checkpoint(point_checkpoint_path(out, 0), _plan(), ShardSpec(1, 1), 0),
     ),
 }
 

@@ -9,7 +9,6 @@ clear refusals for mixed or foreign directories.
 """
 
 import json
-import pickle
 import time
 
 import pytest
@@ -303,7 +302,7 @@ def test_corrupt_lease_blocking_a_point_is_stolen_with_warning(tmp_path):
 def test_corrupt_checkpoint_is_recomputed_after_lease_expiry(tmp_path):
     plan = make_plan()
     run_work_stealing(plan, tmp_path, worker="first", lease_ttl=TTL, max_workers=1)
-    point_checkpoint_path(tmp_path, 0).write_bytes(b"not a pickle")
+    point_checkpoint_path(tmp_path, 0).write_bytes(b"{ torn write")
     time.sleep(EXPIRE)
     with pytest.warns(RuntimeWarning, match="recomputing"):
         again = run_work_stealing(
@@ -334,10 +333,10 @@ def test_checkpoints_record_lease_provenance(tmp_path):
     try_claim(tmp_path, plan, 0, "mayfly", TTL)
     time.sleep(EXPIRE)
     run_work_stealing(make_plan(), tmp_path, worker="prov", lease_ttl=TTL, max_workers=1)
-    stolen = pickle.loads(point_checkpoint_path(tmp_path, 0).read_bytes())
+    stolen = json.loads(point_checkpoint_path(tmp_path, 0).read_text(encoding="utf-8"))
     assert stolen["schedule"] == "steal" and stolen["worker"] == "prov"
     assert stolen["stolen"] is True and stolen["lease_generation"] == 1
-    fresh = pickle.loads(point_checkpoint_path(tmp_path, 1).read_bytes())
+    fresh = json.loads(point_checkpoint_path(tmp_path, 1).read_text(encoding="utf-8"))
     assert fresh["stolen"] is False and fresh["lease_generation"] == 0
 
 

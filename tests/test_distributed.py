@@ -9,7 +9,7 @@ and malformed / mismatched / incomplete artifacts fail with clear errors.
 
 import ast
 import json
-import pickle
+import math
 
 import pytest
 
@@ -17,7 +17,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds, run_planned
 from repro.harness import parallel
-from repro.harness.aggregate import RunAggregate, SummaryReducer, run_priority
+from repro.harness.aggregate import RunAggregate, RunSummary, SummaryReducer, run_priority
 from repro.harness.coordinator import run_work_stealing
 from repro.harness.distributed import (
     MANIFEST_VERSION,
@@ -26,6 +26,8 @@ from repro.harness.distributed import (
     ShardError,
     ShardSpec,
     SweepPlan,
+    _load_checkpoint,
+    _write_checkpoint,
     checkpoint_path,
     grid_points,
     manifest_path,
@@ -100,27 +102,21 @@ class TestPlanValidation:
         other_base = ExperimentConfig(topology=ClusterTopology.figure1_left())
         assert plan_a.fingerprint() != plan_sweep(other_base, VARIATIONS, SEEDS).fingerprint()
 
-    def test_fingerprint_pins_priority_backend(self):
-        """The fingerprint is what every earlier build on a numpy host printed.
-
-        Run priorities are numpy's ``SeedSequence`` words computed in pure
-        Python, so the derivation's name -- part of the fingerprint -- and
-        with it every committed directory's fingerprint stay valid.
-        """
+    def test_fingerprint_is_pinned(self):
+        """The fingerprint moves only with the version (3 -> 4 moved every one)."""
         assert plan_sweep(BASE, VARIATIONS, SEEDS).fingerprint() == (
-            "c7248d665b36bdb7a6cf36b3cc313400cafb29da9e378a6b3f194baece71927d"
+            "999fdbe1a844a6b025a9c7319ce5c0cdbfdb8737bc218c8aec47694967108a10"
         )
 
-    def test_merge_names_the_backend_on_cross_backend_merge(self, tmp_path):
-        """A directory whose priorities were derived another way is refused by name."""
+    def test_a_version_3_directory_is_refused_by_version(self, tmp_path):
+        """Pickled checkpoints and the priority-backend field are version 3: refused, by file."""
         plan = plan_sweep(BASE, VARIATIONS, SEEDS)
         run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
         path = manifest_path(tmp_path, ShardSpec(1, 1))
         manifest = json.loads(path.read_text())
-        assert manifest["priority_backend"] == "numpy-seedsequence"
-        manifest["priority_backend"] = "sha256"
+        manifest.update(version=3, priority_backend="numpy-seedsequence")
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ManifestError, match="'priority_backend' 'sha256'"):
+        with pytest.raises(ManifestError, match=rf"manifest {path} has version 3 but this build reads version 4"):
             merge_shards(tmp_path, plan_sweep(BASE, VARIATIONS, SEEDS))
 
 
@@ -316,7 +312,7 @@ def test_corrupt_checkpoint_is_recomputed_with_warning(tmp_path):
     plan = plan_sweep(BASE, VARIATIONS, SEEDS)
     shard = ShardSpec(1, 1)
     run_shard(plan, shard, tmp_path, max_workers=1)
-    checkpoint_path(tmp_path, shard, 0).write_bytes(b"not a pickle")
+    checkpoint_path(tmp_path, shard, 0).write_bytes(b"{ torn write")
     with pytest.warns(RuntimeWarning, match="recomputing"):
         again = run_shard(plan, shard, tmp_path, max_workers=1)
     assert len(again.executed) == 1 and len(again.resumed) == len(plan.points) - 1
@@ -408,9 +404,9 @@ def test_merge_rejects_checkpoint_from_other_plan(tmp_path):
     shard = ShardSpec(1, 1)
     run_shard(plan, shard, tmp_path, max_workers=1)
     cpath = checkpoint_path(tmp_path, shard, 0)
-    payload = pickle.loads(cpath.read_bytes())
+    payload = json.loads(cpath.read_text())
     payload["fingerprint"] = "0" * 64
-    cpath.write_bytes(pickle.dumps(payload))
+    cpath.write_text(json.dumps(payload))
     with pytest.raises(ManifestError, match="different plan"):
         merge_shards(tmp_path, plan)
 
@@ -460,13 +456,12 @@ def test_a_point_runs_in_two_places_and_folds_in_two():
 
 
 def _top_level_keys(path):
-    raw = pickle.loads(path.read_bytes()) if path.suffix == ".pkl" else json.loads(path.read_text())
-    return sorted(raw)
+    return sorted(json.loads(path.read_text(encoding="utf-8")))
 
 
 def test_on_disk_format_is_pinned(tmp_path):
-    """File names and top-level key sets as commit a2fd03d wrote them; the version did not move."""
-    assert MANIFEST_VERSION == 3
+    """File names and key sets as version 4 writes them: every file is JSON."""
+    assert MANIFEST_VERSION == 4
     plan = plan_sweep(BASE, VARIATIONS, default_seeds(2))
     static, steal = tmp_path / "static", tmp_path / "steal"
     for index in (1, 2):
@@ -478,35 +473,153 @@ def test_on_disk_format_is_pinned(tmp_path):
         return sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file())
 
     assert names(static) == [
-        "shard-1of2-point-0000.pkl", "shard-1of2-point-0001.pkl", "shard-1of2.json",
-        "shard-2of2-point-0000.pkl", "shard-2of2-point-0001.pkl", "shard-2of2.json",
+        "shard-1of2-point-0000.json", "shard-1of2-point-0001.json", "shard-1of2.json",
+        "shard-2of2-point-0000.json", "shard-2of2-point-0001.json", "shard-2of2.json",
     ]
     assert names(steal) == [
         "leases/point-0000-gen-0000.json", "leases/point-0001-gen-0000.json", "plan.json",
-        "point-0000.pkl", "point-0001.pkl", "steal-worker-a.json", "steal-worker-b.json",
+        "point-0000.json", "point-0001.json", "steal-worker-a.json", "steal-worker-b.json",
     ]
     assert _top_level_keys(static / "shard-1of2.json") == [
         "delay_models", "experiment", "fingerprint", "indexing", "labels", "plan_key", "points",
-        "priority_backend", "runs_done", "runs_total", "scenarios", "schedule", "seeds",
-        "shard_count", "shard_index", "version",
+        "runs_done", "runs_total", "scenarios", "schedule", "seeds", "shard_count",
+        "shard_index", "version",
     ]
     assert _top_level_keys(steal / "plan.json") == [
         "delay_models", "experiment", "fingerprint", "indexing", "labels", "plan_key",
-        "priority_backend", "runs_total", "scenarios", "schedule", "seeds", "version",
+        "runs_total", "scenarios", "schedule", "seeds", "version",
     ]
     assert _top_level_keys(steal / "steal-worker-a.json") == [
         "experiment", "fingerprint", "indexing", "lease_ttl", "plan_key", "points",
-        "points_computed", "points_lost", "points_stolen", "priority_backend", "runs_executed",
-        "runs_reused", "schedule", "telemetry", "version", "worker",
+        "points_computed", "points_lost", "points_stolen", "runs_executed", "runs_reused",
+        "schedule", "telemetry", "version", "worker",
     ]
     assert _top_level_keys(steal / "leases" / "point-0000-gen-0000.json") == [
         "acquired_at", "fingerprint", "generation", "point_index", "renewed_at", "ttl",
         "version", "worker",
     ]
-    assert _top_level_keys(static / "shard-1of2-point-0000.pkl") == [
+    assert _top_level_keys(static / "shard-1of2-point-0000.json") == [
         "fingerprint", "label", "point_index", "schedule", "shard", "summaries", "version",
     ]
-    assert _top_level_keys(steal / "point-0000.pkl") == [
+    assert _top_level_keys(steal / "point-0000.json") == [
         "fingerprint", "label", "lease_generation", "point_index", "schedule", "shard", "stolen",
         "summaries", "version", "worker",
     ]
+    (summary, *_) = json.loads((steal / "point-0000.json").read_text(encoding="utf-8"))["summaries"]
+    assert sorted(summary) == [
+        "algorithm", "decided", "decided_value", "index", "priority", "safety_ok", "seed",
+        "terminated", "values",
+    ]
+    assert float.fromhex(summary["priority"]) == run_priority(0, summary["index"])
+    assert all(isinstance(value, str) for value in summary["values"].values())
+
+
+# ------------------------------------------------------------- checkpoints
+EDGE_FLOATS = [
+    -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, math.nan, math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("decided_value", [None, 0, 1])
+def test_checkpoint_round_trips_every_float_to_the_bit(tmp_path, decided_value):
+    plan = plan_repeat(BASE, [2**31 - 1, 2**31 - 2], label="edge")
+    summaries = [
+        RunSummary(
+            seed=seed,
+            index=index,
+            priority=EDGE_FLOATS[index],
+            algorithm="hybrid-local-coin",
+            terminated=True,
+            safety_ok=index == 0,
+            decided=decided_value is not None,
+            decided_value=decided_value,
+            values={f"metric_{position}": value for position, value in enumerate(EDGE_FLOATS)},
+        )
+        for index, seed in enumerate(plan.seeds)
+    ]
+    path = checkpoint_path(tmp_path, ShardSpec(1, 1), 0)
+    _write_checkpoint(path, plan, ShardSpec(1, 1), 0, summaries)
+    back = _load_checkpoint(path, plan, ShardSpec(1, 1), 0)
+
+    def exact(summary):
+        return (
+            {name: getattr(summary, name) for name in ("seed", "index", "algorithm", "terminated",
+                                                        "safety_ok", "decided", "decided_value")},
+            summary.priority.hex(),
+            [(name, value.hex()) for name, value in summary.values.items()],
+        )
+
+    assert [exact(summary) for summary in back] == [exact(summary) for summary in summaries]
+    assert [type(summary.decided_value) for summary in back] == [type(decided_value)] * 2
+
+
+@pytest.mark.parametrize(
+    "field, value, why",
+    [
+        ("seed", "7", "expected int"),
+        ("index", True, "expected int"),
+        ("priority", 0.5, "expected str"),
+        ("priority", "0xzz", "invalid hexadecimal"),
+        ("terminated", 1, "expected bool"),
+        ("decided_value", 1.0, "expected int or NoneType"),
+        ("values", {"rounds": 2.0}, r"expected a float\.hex\(\) string"),
+        ("values", [], "expected dict"),
+    ],
+)
+def test_a_bad_summary_field_is_refused_by_file_position_and_name(tmp_path, field, value, why):
+    plan = plan_sweep(BASE, VARIATIONS, default_seeds(2))
+    run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
+    path = checkpoint_path(tmp_path, ShardSpec(1, 1), 1)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["summaries"][1][field] = value
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ManifestError, match=rf"{path}: summary 1 field '{field}': {why}"):
+        _load_checkpoint(path, plan, ShardSpec(1, 1), 1)
+    del raw["summaries"][1][field]
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ManifestError, match=rf"{path}: summary 1 has no field '{field}'"):
+        _load_checkpoint(path, plan, ShardSpec(1, 1), 1)
+
+
+def _calls_in(tree):
+    """``(enclosing function, dotted callee)`` for every ``module.name(...)`` call."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                owner = child.func.value
+                if isinstance(owner, ast.Name):
+                    found.append((function, f"{owner.id}.{child.func.attr}"))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_nothing_unpickles_and_one_function_publishes_files():
+    """A gate, not prose: no reader runs code from a file, and one writer renames or links.
+
+    A ``pickle.load`` would let any host that can write the shared directory
+    run code in every merger; a second ``os.replace`` or ``os.link`` would be
+    a second temp-name rule to keep in step.
+    """
+    unpickling = {"pickle.load", "pickle.loads", "pickle.Unpickler"}
+    publishing = {"os.link", "os.replace"}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = str(path.relative_to(SRC))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("os", "pickle"):
+                named = {f"{node.module}.{alias.name}" for alias in node.names}
+                offenders += [(where, name) for name in sorted(named & (unpickling | publishing))]
+        for function, callee in _calls_in(tree):
+            if callee in unpickling:
+                offenders.append((where, callee))
+            elif callee in publishing and (where, function) != ("harness/distributed.py", "_atomic_write_bytes"):
+                offenders.append((where, f"{callee} in {function}"))
+    assert offenders == []

@@ -16,18 +16,18 @@ from repro.experiments import ALL_EXPERIMENTS
 from tests.helpers import SRC, count_calls
 
 DEFAULT_FINGERPRINTS = {
-    "E1": "bc481c997c74ad9ce394ac00b7f78c7c7f044416f2c891bf8b1cb7c55878cc21",
-    "E2": "4fa45fb0c0d640b65d551703dc526ddf917d2d81295e6a829d7accfc03a01671",
-    "E3": "891765cd6bc8534f8df933554f10be462a1cfe59f1930051679a423edc0e3fd2",
-    "E4": "f99fbe1792d6065667b59dbe585f27e9b896134f5877a9994aba95a8857ef4a0",
-    "E5": "8c9fed6ad090e9f47350f95ce5aa51574bb51eda94f132eb61a89289401a851f",
-    "E6": "2c8495cb37f352ec60c77dd5b39bffd3ef75afc5fd4020e2209830668916ebec",
-    "E7": "c2934f9babee8653ddb789f699923c8c35ee1ad3d5b9263636f8bf5cc9e1fa67",
-    "E8": "7d29819c51ffbaa860e6ded4abe5e7b46553debbfec5d8537b71e42b1b61ff1d",
-    "E8L": "05290022b15ce5a7356f0e669b8d01e0da01385392f10c267ab1921dfec391c9",
-    "E9": "5f18ef04e7a53f6a4d2c08e6eec017b3365b6daee876fe8a0e2408484cdf85cf",
-    "E10": "6be99b9da580fd2408145bc673538e473c9907f698599eb7a12bdf5d06ce46f7",
-    "E11": "d8b91cbcf2c03e517bbe85c1e44a80023c1fdd9b385231fe022abd28061a3902",
+    "E1": "44d772647b46c28548f4660d7c7fcb815627fc0f44f5cff2c7c9c174c70fc36c",
+    "E2": "51e9dcae4593c10f5823084a201d9d6aa4c315373157ac43f2fdd5f3bfaf554b",
+    "E3": "8a0281efaef6c7a6ddf8c841802132c56332ac730b5891cef405da86c38f1908",
+    "E4": "63cac1bdf29ac50509fa6f6e53234fefcee703362a2451741725b2e5bcd89cc4",
+    "E5": "329bf9cceb066c2ee668a2db2a4ea58754958efac82273236c9af30c444414ec",
+    "E6": "93a95a93a6e75c1858cbc399cc24a523996965a574bc85d2c00e142f5798ac1d",
+    "E7": "b69b839b6a82d8bc5a160602b8f2c1af37739679b459f46e1b2dacf3a52ef697",
+    "E8": "e6ed16dce2ad802d4668aca8d88965a851bb5b611e300159a7a13c559952993a",
+    "E8L": "db58699d911683216a8d0d46dbb671a238fe3f82cf2972705a327152730d08e2",
+    "E9": "e74965c43d1791c811902e3f001ea1b0b4634b6c97b9e725e589795e84be1513",
+    "E10": "e5d9412ce6049c9a9756dcc7540ee940d574f4ddad13ee6f9d8614815d7e9672",
+    "E11": "caeaa18a8ea3d828a0267fc8354055bc06c3801544c84869af9b0c3940864d64",
 }
 
 

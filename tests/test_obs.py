@@ -403,8 +403,8 @@ class TestIncrementalMerger:
         point_checkpoint_path(tmp_path, 1).write_bytes(b"torn")
         merger = IncrementalMerger(tmp_path, make_plan())
         assert plan.points[1].label not in merger.poll()
-        assert "unreadable checkpoint" in merger.last_error
-        with pytest.raises(distributed.ManifestError, match="unreadable checkpoint.*point-0001"):
+        assert "malformed checkpoint" in merger.last_error
+        with pytest.raises(distributed.ManifestError, match="malformed checkpoint.*point-0001"):
             merger.merged()
         point_checkpoint_path(tmp_path, 1).write_bytes(good)
         assert merger.poll() == [plan.points[1].label]

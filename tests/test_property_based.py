@@ -611,7 +611,7 @@ def test_reader_folds_exactly_what_survives_and_says_what_is_missing(
             deleted = {name for name, action in fate.items() if action == "delete"}
             if not deleted:
                 # Every file is there; what is wrong is inside one, and it is named.
-                (named,) = set(re.findall(r"[\w-]+\.pkl", message))
+                (named,) = set(re.findall(r"[\w-]+\.json", message))
                 assert "checkpoint" in message and fate[named] == "junk"
             elif layout == "steal":
                 lost = [label for label, by_name in zip(labels, files["steal"]) if set(by_name) & deleted]
