@@ -495,7 +495,7 @@ def _summary_from_json(raw: Any, path: Path, position: int) -> RunSummary:
             if type(value) not in kinds:
                 raise TypeError(f"expected {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
             if name == "priority":
-                value = _from_hex(value)
+                value = float.fromhex(value)
             elif name == "values":
                 value = {key: _from_hex(text) for key, text in value.items()}
         except (TypeError, ValueError) as error:

@@ -5,7 +5,7 @@ readers: :func:`~repro.harness.coordinator.read_plan_header`,
 :func:`~repro.harness.distributed.read_artifact` (shard and worker
 manifests), :func:`~repro.harness.distributed._load_checkpoint` and
 :func:`~repro.harness.coordinator.current_lease`.  Each is fed a valid
-artifact cut short at every length, changed in any one byte, replaced by
+artifact cut short at any length, changed in any one byte, replaced by
 any JSON value, or (for the JSON artifacts) holding any JSON value in one
 of its fields.  The three artifact readers either return or raise
 :class:`~repro.harness.distributed.ManifestError` naming the file; the
