@@ -32,6 +32,8 @@ from repro.sim.context import BroadcastEffect, RoundLimitExceeded, SendEffect, W
 from repro.sim.events import EVENT_KIND_NAMES, EventKind, describe_entry
 from repro.sim.kernel import (
     _EFFECT_TYPES,
+    _MSG_ID_MASK,
+    _SEQUENCE_STEP,
     RunStatus,
     SimConfig,
     SimulationKernel,
@@ -106,6 +108,9 @@ def _prehook_run_batch(self, max_events=-1):
     effect_handlers = self._effect_handlers
     config = self.config
     max_time = config.max_time
+    # Hoisted like the rest: a module global costs a dict probe per send.
+    step = _SEQUENCE_STEP
+    msg_id_mask = _MSG_ID_MASK
     local_step_delay = config.local_step_delay
     jitter = config.scheduling_jitter
     ready = ProcessState.READY
@@ -123,12 +128,15 @@ def _prehook_run_batch(self, max_events=-1):
                 time, sequence, kind, pid, payload = self._controlled_pop(controller)
             elif inflight and (not queue or inflight[0] < queue[0]):
                 # The delivery is due first.  ``(time, sequence)`` is
-                # unique across both heaps, so the tuple comparison never
-                # reaches the fields in which the two shapes differ.
-                time, sequence, pid, sender, payload, send_time, msg_id = heappop(inflight)
+                # unique across both heaps (a delivery's sequence is its
+                # key), so the tuple comparison never reaches the fields
+                # in which the two shapes differ.
+                time, sequence, pid, origin, send_time = heappop(inflight)
                 kind = _DELIVERY
-                # The one place a message in flight becomes a ``Message``.
-                payload = _tuple_new(Message, (sender, pid, payload, send_time, msg_id))
+                sender, payload = origin
+                # The one place a message in flight becomes a ``Message``
+                # (``_in_flight_message``, inlined).
+                payload = _tuple_new(Message, (sender, pid, payload, send_time, sequence & msg_id_mask))
             else:
                 time, sequence, kind, pid, payload = heappop(queue)
             if time > max_time:
@@ -169,7 +177,7 @@ def _prehook_run_batch(self, max_events=-1):
                             time = self.now + local_step_delay + sched_random() * jitter
                         else:
                             time = self.now + local_step_delay
-                        self._sequence += 1
+                        self._sequence += step
                         heappush(queue, (time, self._sequence, _RESUME, pid, result))
                 continue
             if kind <= _RESUME:
@@ -228,13 +236,15 @@ def _prehook_run_batch(self, max_events=-1):
                                 f"process {pid} yielded {effect!r}, which has no destination"
                             )
                         dests.reverse()
-                        # The cursor carries the payload's byte charge,
-                        # sized once for every destination.
+                        # The cursor carries the origin every destination's
+                        # message in flight shares, and the payload's byte
+                        # charge, sized once for all of them.
                         payload = effect.payload
-                        broadcast = proc.broadcast = (dests, payload, size_of(payload))
+                        broadcast = proc.broadcast = (dests, (pid, payload), size_of(payload))
                     elif cls is SendEffect:
                         dest = effect.dest
                         payload = effect.payload
+                        origin = (pid, payload)
                         size = size_of(payload)
                     elif cls is WaitEffect:
                         result = effect.predicate(proc.mailbox)
@@ -243,7 +253,7 @@ def _prehook_run_batch(self, max_events=-1):
                                 time = self.now + local_step_delay + sched_random() * jitter
                             else:
                                 time = self.now + local_step_delay
-                            self._sequence += 1
+                            self._sequence += step
                             heappush(queue, (time, self._sequence, _RESUME, pid, result))
                         else:
                             proc.state = blocked
@@ -260,7 +270,7 @@ def _prehook_run_batch(self, max_events=-1):
                     # A broadcast in progress: this step is the send to its
                     # next destination, accounted like a ``ctx.send``.  The
                     # generator is resumed by the step after the last one.
-                    dests, payload, size = broadcast
+                    dests, origin, size = broadcast
                     dest = dests.pop()
                     if not dests:
                         proc.broadcast = None
@@ -268,12 +278,14 @@ def _prehook_run_batch(self, max_events=-1):
                 # The one send: a SendEffect, or one destination of a
                 # BroadcastEffect.  Network.transmit, inlined (it remains
                 # the public seam and the reference): bounds check, the
-                # counter bump that is the msg_id, the byte charge and
-                # one draw from the delay cache.  The message stays flat
-                # while in flight.
+                # counter bump that is the msg_id (refused at its cap),
+                # the byte charge and one draw from the delay cache.
+                # The message stays five fields while in flight.
                 if not (0 <= pid < net_n and 0 <= dest < net_n):
                     network.validate_endpoints(pid, dest)
                 msg_id = net_stats.messages_sent + 1
+                if msg_id > msg_id_mask:
+                    network.refuse_msg_id(msg_id)
                 net_stats.messages_sent = msg_id
                 net_stats.bytes_sent += size
                 if not delay_cache:
@@ -283,13 +295,16 @@ def _prehook_run_batch(self, max_events=-1):
                     delay *= self_delay_factor
                 now = self.now
                 if trace_enabled:
-                    trace.record(now, "send", pid, f"to={dest} {payload!r}", {"dest": dest})
-                # One batched sequence bump covers both pushes;
-                # the delivery keeps the lower number, exactly
-                # as two bumps would assign.
-                sequence = self._sequence + 2
+                    trace.record(now, "send", pid, f"to={dest} {origin[1]!r}", {"dest": dest})
+                # One sequence store covers both pushes; the
+                # delivery takes the lower number, exactly as two
+                # bumps would assign.  ``|``, not ``+``: CPython
+                # allocates a sum one digit wider than its operands
+                # and keeps that digit.
+                sequence = self._sequence + step
+                heappush(inflight, (now + delay, sequence | msg_id, dest, origin, now))
+                sequence += step
                 self._sequence = sequence
-                heappush(inflight, (now + delay, sequence - 1, dest, pid, payload, now, msg_id))
                 if jitter > 0:
                     time = now + local_step_delay + sched_random() * jitter
                 else:

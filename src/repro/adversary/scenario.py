@@ -289,7 +289,7 @@ class Adversary:
 
         The entry is the kernel's flat ``(kind, pid, payload)``; a delivery's
         payload is its :class:`~repro.network.message.Message`.  ``key`` is
-        the sequence number the entry was first queued under: the kernel
+        the heap key the entry was first queued under: the kernel
         offers a re-queued entry again under the same key, which is how one
         event is told apart from the next.
 

@@ -25,8 +25,10 @@ class FailurePattern:
 
     def __post_init__(self) -> None:
         for pid, time in self.crashes.items():
-            if time < 0:
-                raise ValueError(f"crash time for process {pid} must be >= 0, got {time}")
+            if not time >= 0:
+                raise ValueError(
+                    f"crash time for process {pid} must be >= 0 and not NaN, got {time!r}"
+                )
 
     # ---------------------------------------------------------------- queries
     @property

@@ -15,6 +15,18 @@ from dataclasses import dataclass
 from typing import List
 
 
+def _require_finite(model: "DelayModel", *names: str) -> None:
+    """Refuse a NaN or infinite parameter, naming the model class and the field.
+
+    A NaN delay puts NaN keys in the kernel's heaps and an infinite one a
+    message that never arrives; neither is a delay the paper's model grants.
+    """
+    for name in names:
+        value = getattr(model, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(model).__name__}.{name} must be finite, got {value!r}")
+
+
 class DelayModel(ABC):
     """Samples per-message transit delays (virtual-time units)."""
 
@@ -51,6 +63,7 @@ class ConstantDelay(DelayModel):
     value: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "value")
         if self.value <= 0:
             raise ValueError("delay must be positive")
 
@@ -73,6 +86,7 @@ class UniformDelay(DelayModel):
     high: float = 1.5
 
     def __post_init__(self) -> None:
+        _require_finite(self, "low", "high")
         if self.low <= 0 or self.high < self.low:
             raise ValueError("need 0 < low <= high")
 
@@ -102,6 +116,7 @@ class ExponentialDelay(DelayModel):
     floor: float = 1e-3
 
     def __post_init__(self) -> None:
+        _require_finite(self, "mean", "floor")
         if self.mean <= 0 or self.floor < 0:
             raise ValueError("mean must be positive and floor non-negative")
 
@@ -139,6 +154,7 @@ class LogNormalDelay(DelayModel):
     sigma: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self, "median", "sigma")
         if self.median <= 0 or self.sigma <= 0:
             raise ValueError("median and sigma must be positive")
 
@@ -163,6 +179,7 @@ class SpikeDelay(DelayModel):
     spike_high: float = 30.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "low", "high", "spike_low", "spike_high")
         if not 0 <= self.spike_probability <= 1:
             raise ValueError("spike_probability must be in [0, 1]")
         if self.low <= 0 or self.high < self.low:

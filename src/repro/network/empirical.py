@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .delays import DelayModel
+from .delays import DelayModel, _require_finite
 
 #: Default number of grid intervals an :meth:`EmpiricalDelay.fit` keeps.
 DEFAULT_RESOLUTION = 64
@@ -233,6 +233,7 @@ class ShiftedLogNormalDelay(DelayModel):
     def __post_init__(self) -> None:
         if self.shift < 0 or not math.isfinite(self.shift):
             raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
+        _require_finite(self, "median", "sigma")
         if self.median <= 0 or self.sigma <= 0:
             raise ValueError("median and sigma must be positive")
 

@@ -5,7 +5,11 @@ messages are never lost, corrupted or duplicated, but transit for an
 arbitrary (randomly sampled) finite time, and are therefore not necessarily
 delivered in send order.  A send is four things: a bounds check, one bump of
 :attr:`TrafficStats.messages_sent` (which is also the ``msg_id``), one
-``bytes_sent`` add and one draw from the delay cache.
+``bytes_sent`` add and one draw from the delay cache.  The ``msg_id`` runs
+from 1 and stays below :data:`MSG_ID_CAP` (``2**32``): the kernel carries it
+in the low 32 bits of a message in flight's heap key, so the send that would
+reach the cap -- the 4,294,967,296th of a run -- raises ``OverflowError``
+instead.
 :meth:`Network.transmit` is that send as one public call, and
 :meth:`Network.prepare` / :meth:`Network.sample_delay` are its two halves;
 the kernel's loop does the same four steps inline on handles it hoists once
@@ -28,6 +32,10 @@ from typing import Dict, Optional
 from ..sim.rng import RandomSource
 from .delays import DelayModel, UniformDelay
 from .message import Message, payload_size
+
+#: The bound ``msg_id`` stays below: one run makes at most ``MSG_ID_CAP - 1``
+#: sends (see the module docstring).
+MSG_ID_CAP = 1 << 32
 
 #: Delay-cache refill sizing: first refill, and the cap the block doubles to.
 _MIN_BATCH = 16
@@ -109,7 +117,10 @@ class Network:
         if not (0 <= sender < n and 0 <= dest < n):
             self.validate_endpoints(sender, dest)
         stats = self.stats
-        msg_id = stats.messages_sent = stats.messages_sent + 1
+        msg_id = stats.messages_sent + 1
+        if msg_id >= MSG_ID_CAP:
+            self.refuse_msg_id(msg_id)
+        stats.messages_sent = msg_id
         stats.bytes_sent += self.payload_bytes(payload)
         return msg_id
 
@@ -184,6 +195,16 @@ class Network:
         for pid in (sender, dest):
             if not 0 <= pid < self.n:
                 raise ValueError(f"process id {pid} out of range 0..{self.n - 1}")
+
+    def refuse_msg_id(self, msg_id: int) -> None:
+        """Raise ``OverflowError``: ``msg_id`` reached :data:`MSG_ID_CAP`.
+
+        The cold path of the cap check every send makes, before it counts.
+        """
+        raise OverflowError(
+            f"send #{msg_id:,} reaches the msg_id cap: one run makes fewer than "
+            f"{MSG_ID_CAP:,} sends"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

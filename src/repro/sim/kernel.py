@@ -7,24 +7,28 @@ order of messages are controlled entirely by the (seeded) event schedule, so
 the algorithms can assume nothing beyond what the paper's model grants them.
 
 The hot path is deliberately flat (see ``docs/performance.md``).  Pending
-work lives in two heaps that share one sequence counter: process steps and
-fault events as ``(time, sequence, kind, pid, payload)`` tuples -- never more
-than one step per live process plus the scheduled faults -- and messages in
-flight as ``(time, sequence, dest, sender, payload, send_time, msg_id)``
-tuples.  The loop dispatches whichever head is smaller under ``(time,
-sequence)``, which is unique, so the order is that of one merged queue.  A
+work lives in two heaps that share one sequence counter, which steps by
+``2**32``: process steps and fault events as ``(time, sequence, kind, pid,
+payload)`` tuples -- never more than one step per live process plus the
+scheduled faults -- and messages in flight as ``(time, key, dest, origin,
+send_time)`` tuples.  A message's ``key`` is its sequence number ``|`` its
+``msg_id`` (which the network caps below ``2**32``), and its ``origin`` is
+the ``(sender, payload)`` pair, built once per send effect and shared by
+every destination of a broadcast.  Keys order exactly as the bare sequence
+numbers do, so the loop dispatches whichever head is smaller under ``(time,
+sequence)``, which is unique, and the order is that of one merged queue.  A
 send therefore costs what is ever read of it: the network's accounting done
 inline, with no call into :class:`~repro.network.transport.Network` (a
-bounds check, one counter bump that is also the ``msg_id``, one byte-count
-add sized once per broadcast, and a pop from the network's delay cache), one
-flat tuple while in flight, and the
-:class:`~repro.network.message.Message` envelope only when the delivery is
-dispatched -- under the paper's "one for all" rule most messages of a large
-run are still in flight when everybody has decided.  The loop body
-of :meth:`SimulationKernel.run_batch` is the one definition of a delivery, a
-process step (first or resumed) and the send, broadcast and wait effects,
-quiescence is a live counter instead of a per-event scan, and trace strings
-are only built when tracing is enabled.  The flat entry is the kernel's
+bounds check, one counter bump that is also the ``msg_id`` and is compared
+with its cap, one byte-count add sized once per broadcast, and a pop from
+the network's delay cache), one five-field tuple with a new due-time float
+and key while in flight, and the :class:`~repro.network.message.Message`
+envelope only when the delivery is dispatched -- under the paper's "one for
+all" rule most messages of a large run are still in flight when everybody
+has decided.  The loop body of :meth:`SimulationKernel.run_batch` is the
+one definition of a delivery, a process step (first or resumed) and the
+send, broadcast and wait effects, quiescence is a live counter instead of a
+per-event scan, and trace strings are only built when tracing is enabled.  The flat entry is the kernel's
 only event form: a deferring adversary, a schedule controller, a paused
 process's backlog and the trace all read its ``(kind, pid, payload)``
 fields (see :mod:`repro.sim.events`).
@@ -63,6 +67,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..network.message import Message
+from ..network.transport import MSG_ID_CAP
 from .context import (
     BroadcastEffect,
     LocalEffect,
@@ -94,10 +99,29 @@ _INF = math.inf
 #: types are effects; a subclass of one is refused like any other object.
 _EFFECT_TYPES = frozenset({SendEffect, BroadcastEffect, WaitEffect, SharedMemEffect, LocalEffect})
 
+#: What the sequence counter steps by: the ``msg_id`` cap, so a message in
+#: flight carries its id in the low bits of its key (``sequence | msg_id``)
+#: and keys of both heaps order as the bare sequence numbers would.
+#: ``run_batch`` hoists it, and the mask, into locals.
+_SEQUENCE_STEP = MSG_ID_CAP
+#: ``key & _MSG_ID_MASK`` is a message in flight's ``msg_id``.
+_MSG_ID_MASK = MSG_ID_CAP - 1
+
 #: The envelope of a dispatched delivery is built through ``tuple.__new__``,
 #: skipping the ``Message.__new__`` wrapper frame; equivalent to
 #: ``Message(sender, dest, payload, send_time, msg_id)``.
 _tuple_new = tuple.__new__
+
+
+def _in_flight_message(entry: Tuple[float, int, int, Tuple[int, Any], float]) -> Message:
+    """The :class:`Message` an in-flight entry becomes when it is dispatched.
+
+    The entry is ``(time, key, dest, origin, send_time)``.  The loop of
+    :meth:`SimulationKernel.run_batch` inlines this; the controlled pop calls
+    it.
+    """
+    _, key, dest, (sender, payload), send_time = entry
+    return Message(sender, dest, payload, send_time, key & _MSG_ID_MASK)
 
 
 def _no_network(payload: Any) -> int:
@@ -241,11 +265,12 @@ class SimulationKernel:
         #: pid, payload)`` tuples: at most one step per live process plus the
         #: scheduled faults, whatever the number of messages in flight.
         self._queue: List[Tuple[float, int, int, int, Any]] = []
-        #: Messages in flight, as flat ``(time, sequence, dest, sender,
-        #: payload, send_time, msg_id)`` tuples in a heap of their own.  Both
-        #: heaps draw their sequence numbers from the one counter, so
-        #: ``(time, sequence)`` orders the union (see :meth:`run_batch`).
-        self._inflight: List[Tuple[float, int, int, int, Any, float, int]] = []
+        #: Messages in flight, as ``(time, sequence | msg_id, dest, (sender,
+        #: payload), send_time)`` tuples in a heap of their own.  Both heaps
+        #: draw their sequence numbers from the one counter, which steps by
+        #: ``_SEQUENCE_STEP``, so ``(time, key)`` orders the union (see
+        #: :meth:`run_batch`).
+        self._inflight: List[Tuple[float, int, int, Tuple[int, Any], float]] = []
         self._sequence = 0
         self._processes: Dict[int, SimProcess] = {}
         #: :attr:`pid_order`, or None until it is read after a registration.
@@ -263,9 +288,9 @@ class SimulationKernel:
         self._adversary_defers = False
         self._adversary_faults_links = False
         self._schedule_controller = None
-        #: Adversary-deferred entries: the re-queued entry's sequence number
-        #: -> the sequence number the entry was first queued under.  That
-        #: first number is the key ``defer`` is offered on every offer, so
+        #: Adversary-deferred entries: the re-queued entry's key -> the key
+        #: the entry was first queued under.  That first key is the one
+        #: ``defer`` is offered on every offer, so
         #: the adversary's once-only bookkeeping sees one event however
         #: often it is re-queued.
         self._deferred: Dict[int, int] = {}
@@ -355,19 +380,26 @@ class SimulationKernel:
         return proc
 
     def schedule_crash(self, pid: int, time: float) -> None:
-        """Schedule process ``pid`` to crash at virtual ``time``."""
+        """Schedule process ``pid`` to crash at virtual ``time`` (``inf``: never)."""
         if pid not in self._processes:
             raise KeyError(f"unknown process id {pid}")
-        if time < 0:
-            raise ValueError("crash time must be non-negative")
+        if not time >= 0:
+            raise ValueError(f"crash time for process {pid} must be >= 0 and not NaN, got {time!r}")
         self._schedule(time, _CRASH, pid, None)
 
     def schedule_pause(self, pid: int, down_at: float, up_at: float) -> None:
-        """Schedule a transient outage of ``pid`` during ``[down_at, up_at)``."""
+        """Schedule a transient outage of ``pid`` during ``[down_at, up_at)``.
+
+        ``up_at`` may be ``inf`` (the process never recovers); neither bound
+        may be NaN.
+        """
         if pid not in self._processes:
             raise KeyError(f"unknown process id {pid}")
-        if down_at < 0 or up_at <= down_at:
-            raise ValueError(f"need 0 <= down_at < up_at, got [{down_at}, {up_at})")
+        if not 0 <= down_at < up_at:
+            raise ValueError(
+                f"outage of process {pid} needs 0 <= down_at < up_at, neither NaN, "
+                f"got [{down_at!r}, {up_at!r})"
+            )
         self._schedule(down_at, _PAUSE, pid, None)
         self._schedule(up_at, _RECOVER, pid, None)
 
@@ -397,34 +429,42 @@ class SimulationKernel:
         return dict(self._processes)
 
     # ------------------------------------------------------------- scheduling
-    def _schedule(self, time: float, kind: int, pid: int, payload: Any) -> None:
-        self._sequence += 1
-        self._push(time, self._sequence, kind, pid, payload)
+    def _schedule(self, time: float, kind: int, pid: int, payload: Any) -> int:
+        """Queue an entry under the next sequence number; return its key.
 
-    def _push(self, time: float, sequence: int, kind: int, pid: int, payload: Any) -> None:
-        """Queue one ``(time, sequence, kind, pid, payload)`` entry by kind.
+        A delivery's key also carries its message's ``msg_id``.
+        """
+        self._sequence = key = self._sequence + _SEQUENCE_STEP
+        if kind == _DELIVERY:
+            key |= payload.msg_id
+        self._push(time, key, kind, pid, payload)
+        return key
+
+    def _push(self, time: float, key: int, kind: int, pid: int, payload: Any) -> None:
+        """Queue one ``(time, key, kind, pid, payload)`` entry by kind.
 
         The boundary form of every entry is this 5-tuple; a delivery (whose
-        payload is the :class:`~repro.network.message.Message`) goes back to
-        the in-flight heap as flat fields.
+        payload is the :class:`~repro.network.message.Message` and whose key
+        already carries its ``msg_id``) goes back to the in-flight heap as
+        ``(time, key, dest, origin, send_time)``.
         """
         if kind == _DELIVERY:
-            sender, _, content, send_time, msg_id = payload
-            heappush(self._inflight, (time, sequence, pid, sender, content, send_time, msg_id))
+            sender, _, content, send_time, _ = payload
+            heappush(self._inflight, (time, key, pid, (sender, content), send_time))
         else:
-            heappush(self._queue, (time, sequence, kind, pid, payload))
+            heappush(self._queue, (time, key, kind, pid, payload))
 
     def _controlled_pop(self, controller) -> Tuple[float, int, int, int, Any]:
         """Pop the next entry, letting ``controller`` pick among head ties.
 
         Entries of either heap sharing the earliest virtual timestamp form
-        the tie set, offered as ``(time, sequence, kind, pid, payload)``
-        tuples in sequence order (the order the uncontrolled kernel would
-        dispatch them; a delivery's payload is its ``Message``).  The
-        controller returns the index to dispatch now, and the rest are
-        pushed back with their original sequence numbers, so they re-enter
-        later tie sets unchanged.  A single-entry head is never offered --
-        there is no scheduling freedom to exercise.
+        the tie set, offered as ``(time, key, kind, pid, payload)`` tuples
+        in key order (the order the uncontrolled kernel would dispatch them;
+        a delivery's payload is its ``Message``).  The controller returns
+        the index to dispatch now, and the rest are pushed back with their
+        original keys, so they re-enter later tie sets unchanged.  A
+        single-entry head is never offered -- there is no scheduling freedom
+        to exercise.
         """
         queue = self._queue
         inflight = self._inflight
@@ -433,12 +473,11 @@ class SimulationKernel:
         while queue and queue[0][0] == time:
             ties.append(heappop(queue))
         while inflight and inflight[0][0] == time:
-            _, sequence, dest, sender, payload, send_time, msg_id = heappop(inflight)
-            message = Message(sender, dest, payload, send_time, msg_id)
-            ties.append((time, sequence, _DELIVERY, dest, message))
+            entry = heappop(inflight)
+            ties.append((time, entry[1], _DELIVERY, entry[2], _in_flight_message(entry)))
         if len(ties) == 1:
             return ties[0]
-        ties.sort()  # by sequence: unique, so no later field is ever compared
+        ties.sort()  # by key: unique, so no later field is ever compared
         index = controller.choose(self.now, time, ties)
         if not 0 <= index < len(ties):
             raise ValueError(
@@ -455,7 +494,7 @@ class SimulationKernel:
             time = self.now + delay + self._sched_random() * jitter
         else:
             time = self.now + delay
-        self._sequence += 1
+        self._sequence += _SEQUENCE_STEP
         heappush(self._queue, (time, self._sequence, _RESUME, pid, value))
 
     # -------------------------------------------------------------- main loop
@@ -506,10 +545,11 @@ class SimulationKernel:
         resumed once at the end.  That send site does the accounting of
         :meth:`~repro.network.transport.Network.transmit` inline, and
         ``tests/test_kernel_send.py`` holds the two to the same ids, delays,
-        counters and errors.  Only the fault events and the shared-memory
-        and local-step effects are methods.  The golden tests pin what an
-        event does: full e1-e11 summaries against a pre-refactor fixture, and
-        whole traces against the digests of the single-heap loop.
+        counters and errors, the ``msg_id`` cap's included.  Only the fault
+        events and the shared-memory and local-step effects are methods.  The
+        golden tests pin what an event does: full e1-e11 summaries against a
+        pre-refactor fixture, and whole traces against the digests of the
+        single-heap loop.
         """
         if max_events == 0 or max_events < -1:
             raise ValueError(f"max_events must be positive or -1, got {max_events}")
@@ -553,6 +593,9 @@ class SimulationKernel:
         effect_handlers = self._effect_handlers
         config = self.config
         max_time = config.max_time
+        # Hoisted like the rest: a module global costs a dict probe per send.
+        step = _SEQUENCE_STEP
+        msg_id_mask = _MSG_ID_MASK
         local_step_delay = config.local_step_delay
         jitter = config.scheduling_jitter
         ready = ProcessState.READY
@@ -570,12 +613,15 @@ class SimulationKernel:
                     time, sequence, kind, pid, payload = self._controlled_pop(controller)
                 elif inflight and (not queue or inflight[0] < queue[0]):
                     # The delivery is due first.  ``(time, sequence)`` is
-                    # unique across both heaps, so the tuple comparison never
-                    # reaches the fields in which the two shapes differ.
-                    time, sequence, pid, sender, payload, send_time, msg_id = heappop(inflight)
+                    # unique across both heaps (a delivery's sequence is its
+                    # key), so the tuple comparison never reaches the fields
+                    # in which the two shapes differ.
+                    time, sequence, pid, origin, send_time = heappop(inflight)
                     kind = _DELIVERY
-                    # The one place a message in flight becomes a ``Message``.
-                    payload = _tuple_new(Message, (sender, pid, payload, send_time, msg_id))
+                    sender, payload = origin
+                    # The one place a message in flight becomes a ``Message``
+                    # (``_in_flight_message``, inlined).
+                    payload = _tuple_new(Message, (sender, pid, payload, send_time, sequence & msg_id_mask))
                 else:
                     time, sequence, kind, pid, payload = heappop(queue)
                 if time > max_time:
@@ -608,8 +654,7 @@ class SimulationKernel:
                                     {"at": "dispatch"},
                                 )
                             continue
-                        self._schedule(self.now + extra, kind, pid, payload)
-                        self._deferred[self._sequence] = key
+                        self._deferred[self._schedule(self.now + extra, kind, pid, payload)] = key
                         continue
                 processed += 1
                 if trace_enabled:
@@ -645,7 +690,7 @@ class SimulationKernel:
                                 time = self.now + local_step_delay + sched_random() * jitter
                             else:
                                 time = self.now + local_step_delay
-                            self._sequence += 1
+                            self._sequence += step
                             heappush(queue, (time, self._sequence, _RESUME, pid, result))
                     continue
                 if kind <= _RESUME:
@@ -709,13 +754,15 @@ class SimulationKernel:
                                     f"process {pid} yielded {effect!r}, which has no destination"
                                 )
                             dests.reverse()
-                            # The cursor carries the payload's byte charge,
-                            # sized once for every destination.
+                            # The cursor carries the origin every destination's
+                            # message in flight shares, and the payload's byte
+                            # charge, sized once for all of them.
                             payload = effect.payload
-                            broadcast = proc.broadcast = (dests, payload, size_of(payload))
+                            broadcast = proc.broadcast = (dests, (pid, payload), size_of(payload))
                         elif cls is SendEffect:
                             dest = effect.dest
                             payload = effect.payload
+                            origin = (pid, payload)
                             size = size_of(payload)
                         elif cls is WaitEffect:
                             result = effect.predicate(proc.mailbox)
@@ -724,7 +771,7 @@ class SimulationKernel:
                                     time = self.now + local_step_delay + sched_random() * jitter
                                 else:
                                     time = self.now + local_step_delay
-                                self._sequence += 1
+                                self._sequence += step
                                 heappush(queue, (time, self._sequence, _RESUME, pid, result))
                             else:
                                 proc.state = blocked
@@ -741,7 +788,7 @@ class SimulationKernel:
                         # A broadcast in progress: this step is the send to its
                         # next destination, accounted like a ``ctx.send``.  The
                         # generator is resumed by the step after the last one.
-                        dests, payload, size = broadcast
+                        dests, origin, size = broadcast
                         dest = dests.pop()
                         if not dests:
                             proc.broadcast = None
@@ -749,12 +796,14 @@ class SimulationKernel:
                     # The one send: a SendEffect, or one destination of a
                     # BroadcastEffect.  Network.transmit, inlined (it remains
                     # the public seam and the reference): bounds check, the
-                    # counter bump that is the msg_id, the byte charge and
-                    # one draw from the delay cache.  The message stays flat
-                    # while in flight.
+                    # counter bump that is the msg_id (refused at its cap),
+                    # the byte charge and one draw from the delay cache.
+                    # The message stays five fields while in flight.
                     if not (0 <= pid < net_n and 0 <= dest < net_n):
                         network.validate_endpoints(pid, dest)
                     msg_id = net_stats.messages_sent + 1
+                    if msg_id > msg_id_mask:
+                        network.refuse_msg_id(msg_id)
                     net_stats.messages_sent = msg_id
                     net_stats.bytes_sent += size
                     if not delay_cache:
@@ -764,18 +813,20 @@ class SimulationKernel:
                         delay *= self_delay_factor
                     now = self.now
                     if trace_enabled:
-                        trace.record(now, "send", pid, f"to={dest} {payload!r}", {"dest": dest})
+                        trace.record(now, "send", pid, f"to={dest} {origin[1]!r}", {"dest": dest})
                     if not faults_links:
-                        # One batched sequence bump covers both pushes;
-                        # the delivery keeps the lower number, exactly
-                        # as two bumps would assign.
-                        sequence = self._sequence + 2
-                        self._sequence = sequence
-                        heappush(inflight, (now + delay, sequence - 1, dest, pid, payload, now, msg_id))
+                        # One sequence store covers both pushes; the
+                        # delivery takes the lower number, exactly as two
+                        # bumps would assign.  ``|``, not ``+``: CPython
+                        # allocates a sum one digit wider than its operands
+                        # and keeps that digit.
+                        sequence = self._sequence + step
+                        heappush(inflight, (now + delay, sequence | msg_id, dest, origin, now))
                     else:
-                        self._adversarial_send(pid, dest, payload, delay, msg_id)
-                        sequence = self._sequence + 1
-                        self._sequence = sequence
+                        self._adversarial_send(dest, origin, delay, msg_id)
+                        sequence = self._sequence
+                    sequence += step
+                    self._sequence = sequence
                     if jitter > 0:
                         time = now + local_step_delay + sched_random() * jitter
                     else:
@@ -844,14 +895,16 @@ class SimulationKernel:
             )
 
     def _adversarial_send(
-        self, sender: int, dest: int, payload: Any, delay: float, msg_id: int
+        self, dest: int, origin: Tuple[int, Any], delay: float, msg_id: int
     ) -> None:
         """Turn one send into the adversary's delivery verdict (slow path).
 
         An empty verdict omits the message, extra entries are duplicates
-        (in-flight entries of their own, sharing the ``msg_id``); the
-        network's fault counters account for both.
+        (in-flight entries of their own, sharing the ``msg_id`` and the
+        ``origin``); the network's fault counters account for both.  A
+        corrupted payload gets an origin of its own.
         """
+        sender, payload = origin
         adversary = self._adversary
         now = self.now
         delays = adversary.deliveries(sender, dest, now, delay)
@@ -878,15 +931,12 @@ class SimulationKernel:
                         f"from={sender} payload tampered in transit",
                         {"from": sender},
                     )
-                payload = mutated
+                origin = (sender, mutated)
         for position, one_delay in enumerate(delays):
             if position:
                 self._network.record_fault("duplicated")
-            self._sequence += 1
-            heappush(
-                self._inflight,
-                (now + one_delay, self._sequence, dest, sender, payload, now, msg_id),
-            )
+            self._sequence += _SEQUENCE_STEP
+            heappush(self._inflight, (now + one_delay, self._sequence | msg_id, dest, origin, now))
 
     def _do_sm_op(self, proc: SimProcess, effect: SharedMemEffect) -> None:
         result = effect.operation(*effect.args)

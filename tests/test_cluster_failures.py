@@ -1,5 +1,6 @@
 """Unit tests for failure patterns and adversarial crash scenarios."""
 
+import math
 import random
 
 import pytest
@@ -19,6 +20,17 @@ def test_none_pattern_has_no_crashes():
 def test_negative_crash_time_rejected():
     with pytest.raises(ValueError):
         FailurePattern({0: -1.0})
+
+
+@pytest.mark.parametrize("time", [math.nan, -math.nan, -1e-9, -math.inf])
+def test_a_nan_or_negative_crash_time_is_refused_naming_the_pid_and_value(time):
+    with pytest.raises(ValueError, match=rf"process 3 must be >= 0 and not NaN, got {time!r}"):
+        FailurePattern({0: 1.0, 3: time})
+
+
+@pytest.mark.parametrize("time", [0.0, 2.5, math.inf])
+def test_finite_and_infinite_crash_times_stay_legal(time):
+    assert FailurePattern({3: time}).crashes == {3: time}
 
 
 def test_crash_set_and_correct():

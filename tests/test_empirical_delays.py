@@ -152,6 +152,13 @@ def test_shifted_lognormal_validates_parameters():
         ShiftedLogNormalDelay(sigma=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["median", "sigma"])
+def test_shifted_lognormal_refuses_non_finite_parameters_naming_the_field(field, bad):
+    with pytest.raises(ValueError, match=rf"^ShiftedLogNormalDelay\.{field} must be finite, got {bad!r}$"):
+        ShiftedLogNormalDelay(**{field: bad})
+
+
 # ------------------------------------------------------------- trace replay
 def test_trace_replay_is_deterministic_and_seed_independent():
     """Draw i is trace[i] for every rng; the rng is never consumed."""

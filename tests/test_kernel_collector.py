@@ -26,7 +26,7 @@ from repro.coins.local import DeterministicCoin
 from repro.harness.parallel import run_many
 from repro.harness.runner import ALGORITHMS, ExperimentConfig, prepare_consensus, run_consensus
 from repro.network.transport import Network
-from repro.sim.kernel import SimulationKernel
+from repro.sim.kernel import SimulationKernel, _in_flight_message
 from repro.sim.multikernel import CooperativeScheduler, kernel_stepper, run_cooperative
 
 TOPOLOGY = ClusterTopology.figure1_right()
@@ -119,8 +119,10 @@ def test_finished_bare_kernel_is_freed_with_its_queue_tail(collector_off):
     assert kernel._inflight, "the early deciders must leave undelivered messages behind"
     kernel_ref = weakref.ref(kernel)
     delivered = weakref.ref(kernel.process(0).mailbox[0].payload)
-    in_flight = weakref.ref(kernel._inflight[-1][4])
-    owed = weakref.ref(kernel.process(7).broadcast[1])
+    # The origin ``(sender, payload)`` is a tuple, which cannot be weakly
+    # referenced; its payload stands for it.
+    in_flight = weakref.ref(_in_flight_message(kernel._inflight[-1]).payload)
+    owed = weakref.ref(kernel.process(7).broadcast[1][1])
     del kernel
     assert kernel_ref() is None and delivered() is None and in_flight() is None and owed() is None
 

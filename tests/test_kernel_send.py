@@ -13,9 +13,9 @@ destination must fail the same way at the same send.
 
 Delays are at least 1.0 (0.1 for a self-send) and a process step costs
 about 1e-4, so every program here ends before its first delivery: each send
-is still an in-flight entry ``(time, sequence, dest, sender, payload,
-send_time, msg_id)`` when the run returns, whose ``time`` is exactly
-``send_time + delay``.
+is still an in-flight entry when the run returns, read back as its due
+``time`` and the ``Message`` it would be delivered as, and ``time`` is
+exactly ``send_time + delay``.
 """
 
 import pytest
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.network.delays import DelayModel, UniformDelay
 from repro.network.transport import Network
 from repro.sim.context import BroadcastEffect
-from repro.sim.kernel import SimulationKernel
+from repro.sim.kernel import SimulationKernel, _in_flight_message
 from repro.sim.rng import RandomSource
 
 #: Shared payload objects (the size memo sees each many times) and one shape
@@ -91,7 +91,10 @@ def _run(programs, seed):
     except ValueError as raised:
         error = raised
     assert network.stats.messages_delivered == 0, "a delivery would hide its delay"
-    sends = sorted(kernel._inflight, key=lambda entry: entry[6])
+    sends = sorted(
+        ((entry[0], _in_flight_message(entry)) for entry in kernel._inflight),
+        key=lambda sent: sent[1].msg_id,
+    )
     return kernel, network, model, sends, samples, error
 
 
@@ -106,7 +109,7 @@ def _replay(n, seed, sends, samples):
             _, sender, dest, delay = pending.pop(0)
             assert reference.sample_delay(sender, dest) == delay
 
-    for count, (time, _, dest, sender, payload, send_time, msg_id) in enumerate(sends):
+    for count, (time, (sender, dest, payload, send_time, msg_id)) in enumerate(sends):
         draw_samples_up_to(count)
         ref_id, delay = reference.transmit(sender, dest, payload)
         assert msg_id == ref_id == count + 1
@@ -162,7 +165,7 @@ def test_kernel_send_equals_transmit(programs, seed):
     refills = len(model.refills)
     assert model.refills == REFILLS[:refills] + [REFILLS[-1]] * (refills - len(REFILLS))
     for pid in range(len(programs)):
-        sent = sum(1 for entry in sends if entry[3] == pid)
+        sent = sum(1 for _, message in sends if message.sender == pid)
         assert kernel.process(pid).stats.messages_sent == sent
 
 
@@ -209,4 +212,4 @@ def test_out_of_range_destination_fails_like_transmit(
     # The failing send is the bad op's: every send of the process before it
     # went out, and nothing after it did.
     before = sum(_send_count(op) for op in ops[:position]) + len(lead)
-    assert sum(1 for entry in sends if entry[3] == sender) == before
+    assert sum(1 for _, message in sends if message.sender == sender) == before

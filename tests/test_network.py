@@ -1,5 +1,6 @@
 """Unit tests for messages, delay models and the network transport."""
 
+import math
 import random
 
 import pytest
@@ -159,6 +160,28 @@ def test_delay_model_validation():
         LogNormalDelay(0.0, 1.0)
     with pytest.raises(ValueError):
         SpikeDelay(spike_probability=2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, field, kwargs",
+    [
+        (ConstantDelay, "value", {}),
+        (UniformDelay, "low", {"high": 2.0}),
+        (UniformDelay, "high", {"low": 1.0}),
+        (ExponentialDelay, "mean", {}),
+        (ExponentialDelay, "floor", {"mean": 1.0}),
+        (LogNormalDelay, "median", {"sigma": 0.5}),
+        (LogNormalDelay, "sigma", {"median": 1.0}),
+        (SpikeDelay, "low", {}),
+        (SpikeDelay, "high", {}),
+        (SpikeDelay, "spike_low", {}),
+        (SpikeDelay, "spike_high", {}),
+    ],
+)
+def test_delay_models_refuse_non_finite_parameters_naming_class_and_field(cls, field, kwargs, bad):
+    with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} must be finite, got {bad!r}$"):
+        cls(**kwargs, **{field: bad})
 
 
 # --------------------------------------------------------------------- network
