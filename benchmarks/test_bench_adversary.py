@@ -19,6 +19,7 @@ at least 4 usable CPUs; plain CI executions only smoke the code paths.
 """
 
 import statistics
+import struct
 import time
 from heapq import heappop, heappush
 
@@ -32,12 +33,15 @@ from repro.sim.context import BroadcastEffect, RoundLimitExceeded, SendEffect, W
 from repro.sim.events import EVENT_KIND_NAMES, EventKind, describe_entry
 from repro.sim.kernel import (
     _EFFECT_TYPES,
+    _IN_FLIGHT,
     _MSG_ID_MASK,
     _SEQUENCE_STEP,
     RunStatus,
     SimConfig,
     SimulationKernel,
+    _in_flight_message,
     _no_network,
+    _pack_in_flight,
     _tuple_new,
 )
 from repro.sim.process import ProcessState
@@ -76,6 +80,12 @@ def _prehook_run_batch(self, max_events=-1):
     budget = max_events
     queue = self._queue
     inflight = self._inflight
+    origins = self._origins
+    add_origin = origins.append
+    pack = _IN_FLIGHT.pack
+    unpack = _IN_FLIGHT.unpack
+    # The in-flight head last unpacked, and its fields.
+    head = due = None
     trace = self.trace
     # Hoisted once per run: tracing cannot be toggled mid-run (and
     # Trace.record self-guards anyway, so boundary paths stay correct).
@@ -125,18 +135,32 @@ def _prehook_run_batch(self, max_events=-1):
                 # counter); the next call resumes on the same heaps.
                 return None
             if controller is not None:
-                time, sequence, kind, pid, payload = self._controlled_pop(controller)
-            elif inflight and (not queue or inflight[0] < queue[0]):
-                # The delivery is due first.  ``(time, sequence)`` is
-                # unique across both heaps (a delivery's sequence is its
-                # key), so the tuple comparison never reaches the fields
-                # in which the two shapes differ.
-                time, sequence, pid, origin, send_time = heappop(inflight)
-                kind = _DELIVERY
-                sender, payload = origin
-                # The one place a message in flight becomes a ``Message``
-                # (``_in_flight_message``, inlined).
-                payload = _tuple_new(Message, (sender, pid, payload, send_time, sequence & msg_id_mask))
+                entry = self._controlled_pop(controller)
+                if type(entry) is tuple:
+                    time, sequence, kind, pid, payload = entry
+                else:
+                    time, sequence, pid, origin, send_time = unpack(entry)
+                    kind = _DELIVERY
+                    payload = _in_flight_message(entry, origins)
+            elif inflight:
+                entry = inflight[0]
+                if entry is not head:
+                    head = entry
+                    due = unpack(entry)
+                if queue and queue[0] < due:
+                    # ``(time, sequence)`` is unique across both heaps (a
+                    # delivery's sequence is its key), so the tuple
+                    # comparison never reaches the fields in which the
+                    # two shapes differ.
+                    time, sequence, kind, pid, payload = heappop(queue)
+                else:
+                    heappop(inflight)
+                    time, sequence, pid, origin, send_time = due
+                    kind = _DELIVERY
+                    sender, payload = origins[origin]
+                    # The one place a message in flight becomes a
+                    # ``Message`` (``_in_flight_message``, inlined).
+                    payload = _tuple_new(Message, (sender, pid, payload, send_time, sequence & msg_id_mask))
             else:
                 time, sequence, kind, pid, payload = heappop(queue)
             if time > max_time:
@@ -240,11 +264,14 @@ def _prehook_run_batch(self, max_events=-1):
                         # message in flight shares, and the payload's byte
                         # charge, sized once for all of them.
                         payload = effect.payload
-                        broadcast = proc.broadcast = (dests, (pid, payload), size_of(payload))
+                        origin = len(origins)
+                        add_origin((pid, payload))
+                        broadcast = proc.broadcast = (dests, origin, size_of(payload))
                     elif cls is SendEffect:
                         dest = effect.dest
                         payload = effect.payload
-                        origin = (pid, payload)
+                        origin = len(origins)
+                        add_origin((pid, payload))
                         size = size_of(payload)
                     elif cls is WaitEffect:
                         result = effect.predicate(proc.mailbox)
@@ -280,7 +307,7 @@ def _prehook_run_batch(self, max_events=-1):
                 # the public seam and the reference): bounds check, the
                 # counter bump that is the msg_id (refused at its cap),
                 # the byte charge and one draw from the delay cache.
-                # The message stays five fields while in flight.
+                # The message stays one packed entry while in flight.
                 if not (0 <= pid < net_n and 0 <= dest < net_n):
                     network.validate_endpoints(pid, dest)
                 msg_id = net_stats.messages_sent + 1
@@ -295,14 +322,17 @@ def _prehook_run_batch(self, max_events=-1):
                     delay *= self_delay_factor
                 now = self.now
                 if trace_enabled:
-                    trace.record(now, "send", pid, f"to={dest} {origin[1]!r}", {"dest": dest})
+                    trace.record(now, "send", pid, f"to={dest} {origins[origin][1]!r}", {"dest": dest})
                 # One sequence store covers both pushes; the
                 # delivery takes the lower number, exactly as two
-                # bumps would assign.  ``|``, not ``+``: CPython
-                # allocates a sum one digit wider than its operands
-                # and keeps that digit.
+                # bumps would assign.
                 sequence = self._sequence + step
-                heappush(inflight, (now + delay, sequence | msg_id, dest, origin, now))
+                try:
+                    heappush(inflight, pack(now + delay, sequence | msg_id, dest, origin, now))
+                except struct.error:
+                    # Name the field the layout cannot hold.
+                    _pack_in_flight(now + delay, sequence | msg_id, dest, origin, now)
+                    raise
                 sequence += step
                 self._sequence = sequence
                 if jitter > 0:
@@ -319,7 +349,6 @@ def _prehook_run_batch(self, max_events=-1):
         # run, not per event) and flushed on every exit path.
         self.events_processed += processed
     return self._result(self._final_status())
-
 
 def _workload():
     """One deterministic consensus run dominated by kernel event handling."""

@@ -171,8 +171,9 @@ class MessageReordering(LinkFault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.inflation <= 1.0:
-            raise ValueError(f"inflation must be > 1, got {self.inflation}")
+        # NaN fails every comparison and inf turns the reorder into an omission.
+        if not (math.isfinite(self.inflation) and self.inflation > 1.0):
+            raise ValueError(f"MessageReordering.inflation must be finite and > 1, got {self.inflation!r}")
 
 
 @dataclass(frozen=True)

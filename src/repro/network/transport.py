@@ -9,7 +9,8 @@ delivered in send order.  A send is four things: a bounds check, one bump of
 from 1 and stays below :data:`MSG_ID_CAP` (``2**32``): the kernel carries it
 in the low 32 bits of a message in flight's heap key, so the send that would
 reach the cap -- the 4,294,967,296th of a run -- raises ``OverflowError``
-instead.
+instead.  The kernel packs the dest into 16 bits, so ``n`` is at most
+:data:`DEST_CAP` (65,536).
 :meth:`Network.transmit` is that send as one public call, and
 :meth:`Network.prepare` / :meth:`Network.sample_delay` are its two halves;
 the kernel's loop does the same four steps inline on handles it hoists once
@@ -26,6 +27,7 @@ copies it duplicates are accounted here through :meth:`Network.record_fault`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -36,6 +38,11 @@ from .message import Message, payload_size
 #: The bound ``msg_id`` stays below: one run makes at most ``MSG_ID_CAP - 1``
 #: sends (see the module docstring).
 MSG_ID_CAP = 1 << 32
+
+#: The bound ``n`` stays at or below: the kernel packs a message in flight's
+#: dest into 16 bits.  (At this size one all-to-all round would already pass
+#: the ``msg_id`` cap.)
+DEST_CAP = 1 << 16
 
 #: Delay-cache refill sizing: first refill, and the cap the block doubles to.
 _MIN_BATCH = 16
@@ -87,6 +94,17 @@ class Network:
     ) -> None:
         if n < 1:
             raise ValueError("network needs at least one process")
+        if n > DEST_CAP:
+            raise ValueError(
+                f"Network(n={n:,}) exceeds the dest cap: a message in flight addresses "
+                f"at most {DEST_CAP:,} processes"
+            )
+        # A negative factor puts a self-send's due time behind the clock (or
+        # below 0, where the kernel's packed order is wrong), NaN makes it NaN.
+        if not (math.isfinite(self_delay_factor) and self_delay_factor >= 0):
+            raise ValueError(
+                f"Network.self_delay_factor must be finite and >= 0, got {self_delay_factor!r}"
+            )
         self.n = n
         self.delay_model = delay_model or UniformDelay()
         self._rng = (rng or RandomSource(0)).stream("network", "delays")

@@ -1,17 +1,19 @@
 """The event kinds of the discrete-event simulation kernel.
 
-The kernel keeps its pending work as flat tuples and has no other event
-form: process steps and faults as ``(time, sequence, kind, pid, payload)``,
-messages in flight -- in a heap of their own -- as ``(time, key, dest,
-origin, send_time)``, where the key is the sequence number with the
-``msg_id`` in its low 32 bits and the origin is the ``(sender, payload)``
-pair a broadcast shares across its destinations.  Tuple comparison runs in
-C and dispatch is an integer test on ``kind``, one of the
-:class:`EventKind` members.  The sequence number, drawn from one counter for
-both heaps, breaks ties deterministically, so executions are reproducible
-even when several events share a virtual timestamp (and, because sequences
-are unique and a key orders as its sequence, no later field ever takes part
-in a comparison, within a heap or between the two heads).
+The kernel keeps its pending work flat and has no other event form:
+process steps and faults as ``(time, sequence, kind, pid, payload)``
+tuples, messages in flight -- in a heap of their own -- as 30-byte packed
+``(time, key, dest, origin, send_time)`` entries, where the key is the
+sequence number with the ``msg_id`` in its low 32 bits and the origin is an
+index into the kernel's ``(sender, payload)`` pairs, one of which a
+broadcast shares across its destinations.  Tuple and ``bytes`` comparison
+run in C (a packed entry orders bytewise as its ``(time, key)`` would) and
+dispatch is an integer test on ``kind``, one of the :class:`EventKind`
+members.  The sequence number, drawn from one counter for both heaps,
+breaks ties deterministically, so executions are reproducible even when
+several events share a virtual timestamp (and, because sequences are unique
+and a key orders as its sequence, no later field ever takes part in a
+comparison, within a heap or between the two heads).
 
 Whoever looks at a dispatched entry -- the fault-injection adversary, a
 schedule controller, the trace -- sees the same ``(kind, pid, payload)``

@@ -10,28 +10,35 @@ The hot path is deliberately flat (see ``docs/performance.md``).  Pending
 work lives in two heaps that share one sequence counter, which steps by
 ``2**32``: process steps and fault events as ``(time, sequence, kind, pid,
 payload)`` tuples -- never more than one step per live process plus the
-scheduled faults -- and messages in flight as ``(time, key, dest, origin,
-send_time)`` tuples.  A message's ``key`` is its sequence number ``|`` its
-``msg_id`` (which the network caps below ``2**32``), and its ``origin`` is
-the ``(sender, payload)`` pair, built once per send effect and shared by
-every destination of a broadcast.  Keys order exactly as the bare sequence
-numbers do, so the loop dispatches whichever head is smaller under ``(time,
-sequence)``, which is unique, and the order is that of one merged queue.  A
-send therefore costs what is ever read of it: the network's accounting done
-inline, with no call into :class:`~repro.network.transport.Network` (a
-bounds check, one counter bump that is also the ``msg_id`` and is compared
-with its cap, one byte-count add sized once per broadcast, and a pop from
-the network's delay cache), one five-field tuple with a new due-time float
-and key while in flight, and the :class:`~repro.network.message.Message`
-envelope only when the delivery is dispatched -- under the paper's "one for
-all" rule most messages of a large run are still in flight when everybody
-has decided.  The loop body of :meth:`SimulationKernel.run_batch` is the
-one definition of a delivery, a process step (first or resumed) and the
-send, broadcast and wait effects, quiescence is a live counter instead of a
-per-event scan, and trace strings are only built when tracing is enabled.  The flat entry is the kernel's
-only event form: a deferring adversary, a schedule controller, a paused
-process's backlog and the trace all read its ``(kind, pid, payload)``
-fields (see :mod:`repro.sim.events`).
+scheduled faults -- and messages in flight as 30-byte ``bytes`` entries
+packed by :data:`_IN_FLIGHT` (``>dQHId``): the due time, the key, the dest,
+an origin index and the send time.  A message's key is its sequence number
+``|`` its ``msg_id`` (which the network caps below ``2**32``), and its
+origin is an index into the kernel's list of ``(sender, payload)`` pairs,
+which grows once per send effect -- one pair shared by every destination of
+a broadcast -- and once per corrupted payload, never per destination or per
+re-queue.  Big-endian non-negative doubles and unsigned integers compare
+bytewise exactly as the numbers do, so the packed entries order in their
+heap as ``(time, key)`` tuples would; keys order exactly as the bare
+sequence numbers do, so the loop dispatches whichever head is smaller under
+``(time, sequence)``, which is unique, and the order is that of one merged
+queue.  An entry is a 63-byte object with no collector header and no float
+or int objects of its own.  A send therefore costs what is ever read of it:
+the network's accounting done inline, with no call into
+:class:`~repro.network.transport.Network` (a bounds check, one counter bump
+that is also the ``msg_id`` and is compared with its cap, one byte-count add
+sized once per broadcast, and a pop from the network's delay cache), one
+packed entry while in flight, and the
+:class:`~repro.network.message.Message` envelope only when the delivery is
+dispatched -- under the paper's "one for all" rule most messages of a large
+run are still in flight when everybody has decided.  The loop body of
+:meth:`SimulationKernel.run_batch` is the one definition of a delivery, a
+process step (first or resumed) and the send, broadcast and wait effects,
+quiescence is a live counter instead of a per-event scan, and trace strings
+are only built when tracing is enabled.  A dispatched entry is read as
+``(kind, pid, payload)`` fields, a delivery's payload being its ``Message``:
+a deferring adversary, a schedule controller, a paused process's backlog
+and the trace all see that form (see :mod:`repro.sim.events`).
 
 An explicit fault-injection adversary (:mod:`repro.adversary`) can sharpen
 the schedule further: when installed, it is consulted at message-send time
@@ -60,6 +67,7 @@ from __future__ import annotations
 import enum
 import gc
 import math
+import struct
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from dataclasses import dataclass
@@ -67,7 +75,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..network.message import Message
-from ..network.transport import MSG_ID_CAP
+from ..network.transport import DEST_CAP, MSG_ID_CAP
 from .context import (
     BroadcastEffect,
     LocalEffect,
@@ -112,15 +120,51 @@ _MSG_ID_MASK = MSG_ID_CAP - 1
 #: ``Message(sender, dest, payload, send_time, msg_id)``.
 _tuple_new = tuple.__new__
 
+#: A message in flight: due time, key (``sequence | msg_id``), dest, origin
+#: index and send time, big-endian and unpadded (30 bytes).  Bytewise order
+#: is ``(time, key)`` order while the due time is a non-negative double and
+#: the key fits 64 bits; the loop never compares further, keys being unique.
+_IN_FLIGHT = struct.Struct(">dQHId")
+#: The packed key's bound: the sequence counter stays below it, so one run
+#: queues fewer than ``2**32`` entries (steps, faults and messages alike).
+_KEY_CAP = 1 << 64
+#: The packed origin index's bound.
+_ORIGIN_CAP = 1 << 32
 
-def _in_flight_message(entry: Tuple[float, int, int, Tuple[int, Any], float]) -> Message:
+
+def _pack_in_flight(time: float, key: int, dest: int, origin: int, send_time: float) -> bytes:
+    """Pack one message in flight, refusing a field its layout cannot hold.
+
+    The checked packer of the cold paths (re-queues, adversarial sends); the
+    loop packs directly and comes here only to name what ``struct`` refused.
+    A NaN or negative due time would pack, but sort after every other entry.
+    """
+    if not time >= 0.0:
+        raise ValueError(f"a message in flight's due time must be >= 0 and not NaN, got {time!r}")
+    if key >= _KEY_CAP:
+        raise OverflowError(
+            f"sequence counter passed the key cap {_KEY_CAP:,} (2**64): one run queues "
+            f"fewer than {_KEY_CAP // _SEQUENCE_STEP:,} entries"
+        )
+    if not 0 <= dest < DEST_CAP:
+        raise ValueError(f"dest {dest!r} is outside the 0..{DEST_CAP - 1} a message in flight holds")
+    if origin >= _ORIGIN_CAP:
+        raise OverflowError(
+            f"origin #{origin:,} reaches the origin cap: one run keeps fewer than "
+            f"{_ORIGIN_CAP:,} (sender, payload) origins"
+        )
+    return _IN_FLIGHT.pack(time + 0.0, key, dest, origin, send_time)  # + 0.0: no -0.0
+
+
+def _in_flight_message(entry: bytes, origins: List[Tuple[int, Any]]) -> Message:
     """The :class:`Message` an in-flight entry becomes when it is dispatched.
 
-    The entry is ``(time, key, dest, origin, send_time)``.  The loop of
-    :meth:`SimulationKernel.run_batch` inlines this; the controlled pop calls
-    it.
+    ``origins`` is the kernel's origin list the entry indexes.  The loop of
+    :meth:`SimulationKernel.run_batch` inlines this; the controlled pop
+    calls it.
     """
-    _, key, dest, (sender, payload), send_time = entry
+    _, key, dest, origin, send_time = _IN_FLIGHT.unpack(entry)
+    sender, payload = origins[origin]
     return Message(sender, dest, payload, send_time, key & _MSG_ID_MASK)
 
 
@@ -133,12 +177,12 @@ def _no_network(payload: Any) -> int:
 def collector_paused() -> Iterator[None]:
     """Run the body with CPython's cyclic collector off; restore on exit.
 
-    An event loop allocates a tracked container per in-flight message (its
-    heap entry) and one more per delivery (the ``Message``), all acyclic and
-    all freed by reference counting the moment they are consumed -- yet every
-    full collection re-traverses the whole live population (about 40 % of
-    the wall on the ledger's ``wide_n`` workload; see "What the cyclic
-    collector cost" in ``docs/performance.md``).  The outermost loop drivers
+    An event loop allocates a tracked container per queued step and one more
+    per delivery (the ``Message``), all acyclic and all freed by reference
+    counting the moment they are consumed -- yet every full collection
+    re-traverses the whole live population (see "What the cyclic collector
+    cost" in ``docs/performance.md``; a packed message in flight is
+    untracked).  The outermost loop drivers
     therefore run under this pause: :meth:`SimulationKernel.run`,
     :meth:`~repro.sim.multikernel.CooperativeScheduler.run` (whose drivers
     prepare and finalize their runs inside it) and
@@ -206,6 +250,9 @@ class SimConfig:
         rounds = self.max_rounds
         if rounds is not None and (type(rounds) is bool or not isinstance(rounds, int) or rounds < 1):
             raise ValueError(f"SimConfig.max_rounds must be None or an int >= 1, got {rounds!r}")
+        cap = self.trace_max_entries
+        if type(cap) is bool or not isinstance(cap, int) or cap < 0:
+            raise ValueError(f"SimConfig.trace_max_entries must be an int >= 0, got {cap!r}")
 
 
 @dataclass
@@ -265,12 +312,16 @@ class SimulationKernel:
         #: pid, payload)`` tuples: at most one step per live process plus the
         #: scheduled faults, whatever the number of messages in flight.
         self._queue: List[Tuple[float, int, int, int, Any]] = []
-        #: Messages in flight, as ``(time, sequence | msg_id, dest, (sender,
-        #: payload), send_time)`` tuples in a heap of their own.  Both heaps
-        #: draw their sequence numbers from the one counter, which steps by
-        #: ``_SEQUENCE_STEP``, so ``(time, key)`` orders the union (see
-        #: :meth:`run_batch`).
-        self._inflight: List[Tuple[float, int, int, Tuple[int, Any], float]] = []
+        #: Messages in flight, as :data:`_IN_FLIGHT`-packed ``(time, sequence
+        #: | msg_id, dest, origin, send_time)`` entries in a heap of their
+        #: own.  Both heaps draw their sequence numbers from the one counter,
+        #: which steps by ``_SEQUENCE_STEP``, so ``(time, key)`` orders the
+        #: union (see :meth:`run_batch`).
+        self._inflight: List[bytes] = []
+        #: The ``(sender, payload)`` pairs an in-flight entry's origin
+        #: indexes: one per send effect (a broadcast's shared by all of its
+        #: destinations) and one per corrupted payload.
+        self._origins: List[Tuple[int, Any]] = []
         self._sequence = 0
         self._processes: Dict[int, SimProcess] = {}
         #: :attr:`pid_order`, or None until it is read after a registration.
@@ -429,63 +480,67 @@ class SimulationKernel:
         return dict(self._processes)
 
     # ------------------------------------------------------------- scheduling
-    def _schedule(self, time: float, kind: int, pid: int, payload: Any) -> int:
+    def _schedule(
+        self, time: float, kind: int, pid: int, payload: Any, origin: Optional[int] = None
+    ) -> int:
         """Queue an entry under the next sequence number; return its key.
 
-        A delivery's key also carries its message's ``msg_id``.
+        A delivery's payload is its :class:`~repro.network.message.Message`:
+        it goes to the in-flight heap under a key that also carries the
+        ``msg_id``, with ``origin`` as its origin index -- or, when that is
+        None, a new origin built from the message.
         """
         self._sequence = key = self._sequence + _SEQUENCE_STEP
-        if kind == _DELIVERY:
-            key |= payload.msg_id
-        self._push(time, key, kind, pid, payload)
+        if kind != _DELIVERY:
+            heappush(self._queue, (time, key, kind, pid, payload))
+            return key
+        sender, _, content, send_time, msg_id = payload
+        if origin is None:
+            origin = len(self._origins)
+            self._origins.append((sender, content))
+        key |= msg_id
+        heappush(self._inflight, _pack_in_flight(time, key, pid, origin, send_time))
         return key
 
-    def _push(self, time: float, key: int, kind: int, pid: int, payload: Any) -> None:
-        """Queue one ``(time, key, kind, pid, payload)`` entry by kind.
-
-        The boundary form of every entry is this 5-tuple; a delivery (whose
-        payload is the :class:`~repro.network.message.Message` and whose key
-        already carries its ``msg_id``) goes back to the in-flight heap as
-        ``(time, key, dest, origin, send_time)``.
-        """
-        if kind == _DELIVERY:
-            sender, _, content, send_time, _ = payload
-            heappush(self._inflight, (time, key, pid, (sender, content), send_time))
-        else:
-            heappush(self._queue, (time, key, kind, pid, payload))
-
-    def _controlled_pop(self, controller) -> Tuple[float, int, int, int, Any]:
+    def _controlled_pop(self, controller) -> Union[Tuple[float, int, int, int, Any], bytes]:
         """Pop the next entry, letting ``controller`` pick among head ties.
 
         Entries of either heap sharing the earliest virtual timestamp form
         the tie set, offered as ``(time, key, kind, pid, payload)`` tuples
         in key order (the order the uncontrolled kernel would dispatch them;
         a delivery's payload is its ``Message``).  The controller returns
-        the index to dispatch now, and the rest are pushed back with their
-        original keys, so they re-enter later tie sets unchanged.  A
+        the index to dispatch now, and that entry is returned as it was
+        queued (a packed message in flight stays packed); the rest are
+        pushed back untouched, so they re-enter later tie sets unchanged.  A
         single-entry head is never offered -- there is no scheduling freedom
         to exercise.
         """
         queue = self._queue
         inflight = self._inflight
-        time = min(heap[0][0] for heap in (queue, inflight) if heap)
+        unpack = _IN_FLIGHT.unpack
+        heads = [queue[0][0]] if queue else []
+        if inflight:
+            heads.append(unpack(inflight[0])[0])
+        time = min(heads)
         ties = []
         while queue and queue[0][0] == time:
-            ties.append(heappop(queue))
-        while inflight and inflight[0][0] == time:
+            entry = heappop(queue)
+            ties.append((entry, entry))
+        while inflight and unpack(inflight[0])[0] == time:
             entry = heappop(inflight)
-            ties.append((time, entry[1], _DELIVERY, entry[2], _in_flight_message(entry)))
+            _, key, dest, _, _ = unpack(entry)
+            ties.append(((time, key, _DELIVERY, dest, _in_flight_message(entry, self._origins)), entry))
         if len(ties) == 1:
-            return ties[0]
-        ties.sort()  # by key: unique, so no later field is ever compared
-        index = controller.choose(self.now, time, ties)
+            return ties[0][1]
+        ties.sort(key=lambda tie: tie[0][1])  # by key: unique
+        index = controller.choose(self.now, time, [offered for offered, _ in ties])
         if not 0 <= index < len(ties):
             raise ValueError(
                 f"schedule controller chose index {index} among {len(ties)} tied entries"
             )
-        chosen = ties.pop(index)
-        for entry in ties:
-            self._push(*entry)
+        _, chosen = ties.pop(index)
+        for _, entry in ties:
+            heappush(inflight if type(entry) is bytes else queue, entry)
         return chosen
 
     def _resume_later(self, pid: int, value: Any, delay: float) -> None:
@@ -533,7 +588,10 @@ class SimulationKernel:
         Each iteration dispatches the smaller of the two heaps' heads under
         ``(time, sequence)`` -- with ``scheduling_jitter=0`` a step and a
         delivery tie on time and resolve by sequence -- and the run is over,
-        or out of budget with work queued, only with respect to *both*.
+        or out of budget with work queued, only with respect to *both*.  The
+        in-flight head is unpacked once, when it becomes the head, and its
+        fields are kept in a local tuple: picking a heap is then one tuple
+        comparison, which decides on the due times unless they tie.
 
         Message deliveries and process steps -- the first
         (``PROCESS_START``) and every resume, with the send, broadcast and
@@ -558,6 +616,12 @@ class SimulationKernel:
         budget = max_events
         queue = self._queue
         inflight = self._inflight
+        origins = self._origins
+        add_origin = origins.append
+        pack = _IN_FLIGHT.pack
+        unpack = _IN_FLIGHT.unpack
+        # The in-flight head last unpacked, and its fields.
+        head = due = None
         trace = self.trace
         # Hoisted once per run: tracing cannot be toggled mid-run (and
         # Trace.record self-guards anyway, so boundary paths stay correct).
@@ -610,18 +674,32 @@ class SimulationKernel:
                     # counter); the next call resumes on the same heaps.
                     return None
                 if controller is not None:
-                    time, sequence, kind, pid, payload = self._controlled_pop(controller)
-                elif inflight and (not queue or inflight[0] < queue[0]):
-                    # The delivery is due first.  ``(time, sequence)`` is
-                    # unique across both heaps (a delivery's sequence is its
-                    # key), so the tuple comparison never reaches the fields
-                    # in which the two shapes differ.
-                    time, sequence, pid, origin, send_time = heappop(inflight)
-                    kind = _DELIVERY
-                    sender, payload = origin
-                    # The one place a message in flight becomes a ``Message``
-                    # (``_in_flight_message``, inlined).
-                    payload = _tuple_new(Message, (sender, pid, payload, send_time, sequence & msg_id_mask))
+                    entry = self._controlled_pop(controller)
+                    if type(entry) is tuple:
+                        time, sequence, kind, pid, payload = entry
+                    else:
+                        time, sequence, pid, origin, send_time = unpack(entry)
+                        kind = _DELIVERY
+                        payload = _in_flight_message(entry, origins)
+                elif inflight:
+                    entry = inflight[0]
+                    if entry is not head:
+                        head = entry
+                        due = unpack(entry)
+                    if queue and queue[0] < due:
+                        # ``(time, sequence)`` is unique across both heaps (a
+                        # delivery's sequence is its key), so the tuple
+                        # comparison never reaches the fields in which the
+                        # two shapes differ.
+                        time, sequence, kind, pid, payload = heappop(queue)
+                    else:
+                        heappop(inflight)
+                        time, sequence, pid, origin, send_time = due
+                        kind = _DELIVERY
+                        sender, payload = origins[origin]
+                        # The one place a message in flight becomes a
+                        # ``Message`` (``_in_flight_message``, inlined).
+                        payload = _tuple_new(Message, (sender, pid, payload, send_time, sequence & msg_id_mask))
                 else:
                     time, sequence, kind, pid, payload = heappop(queue)
                 if time > max_time:
@@ -654,7 +732,10 @@ class SimulationKernel:
                                     {"at": "dispatch"},
                                 )
                             continue
-                        self._deferred[self._schedule(self.now + extra, kind, pid, payload)] = key
+                        requeued = self._schedule(
+                            self.now + extra, kind, pid, payload, origin if kind == _DELIVERY else None
+                        )
+                        self._deferred[requeued] = key
                         continue
                 processed += 1
                 if trace_enabled:
@@ -674,7 +755,7 @@ class SimulationKernel:
                         self.dropped_deliveries += 1
                         continue
                     if proc.paused:
-                        proc.paused_backlog.append((_DELIVERY, pid, payload))
+                        proc.paused_backlog.append((_DELIVERY, pid, payload, origin))
                         continue
                     proc.mailbox.append(payload)
                     if net_stats is not None:
@@ -758,11 +839,14 @@ class SimulationKernel:
                             # message in flight shares, and the payload's byte
                             # charge, sized once for all of them.
                             payload = effect.payload
-                            broadcast = proc.broadcast = (dests, (pid, payload), size_of(payload))
+                            origin = len(origins)
+                            add_origin((pid, payload))
+                            broadcast = proc.broadcast = (dests, origin, size_of(payload))
                         elif cls is SendEffect:
                             dest = effect.dest
                             payload = effect.payload
-                            origin = (pid, payload)
+                            origin = len(origins)
+                            add_origin((pid, payload))
                             size = size_of(payload)
                         elif cls is WaitEffect:
                             result = effect.predicate(proc.mailbox)
@@ -798,7 +882,7 @@ class SimulationKernel:
                     # the public seam and the reference): bounds check, the
                     # counter bump that is the msg_id (refused at its cap),
                     # the byte charge and one draw from the delay cache.
-                    # The message stays five fields while in flight.
+                    # The message stays one packed entry while in flight.
                     if not (0 <= pid < net_n and 0 <= dest < net_n):
                         network.validate_endpoints(pid, dest)
                     msg_id = net_stats.messages_sent + 1
@@ -813,15 +897,18 @@ class SimulationKernel:
                         delay *= self_delay_factor
                     now = self.now
                     if trace_enabled:
-                        trace.record(now, "send", pid, f"to={dest} {origin[1]!r}", {"dest": dest})
+                        trace.record(now, "send", pid, f"to={dest} {origins[origin][1]!r}", {"dest": dest})
                     if not faults_links:
                         # One sequence store covers both pushes; the
                         # delivery takes the lower number, exactly as two
-                        # bumps would assign.  ``|``, not ``+``: CPython
-                        # allocates a sum one digit wider than its operands
-                        # and keeps that digit.
+                        # bumps would assign.
                         sequence = self._sequence + step
-                        heappush(inflight, (now + delay, sequence | msg_id, dest, origin, now))
+                        try:
+                            heappush(inflight, pack(now + delay, sequence | msg_id, dest, origin, now))
+                        except struct.error:
+                            # Name the field the layout cannot hold.
+                            _pack_in_flight(now + delay, sequence | msg_id, dest, origin, now)
+                            raise
                     else:
                         self._adversarial_send(dest, origin, delay, msg_id)
                         sequence = self._sequence
@@ -883,8 +970,8 @@ class SimulationKernel:
             return
         proc.paused = False
         backlog, proc.paused_backlog = proc.paused_backlog, []
-        for kind, event_pid, event_payload in backlog:
-            self._schedule(self.now, kind, event_pid, event_payload)
+        for entry in backlog:
+            self._schedule(self.now, *entry)
         if self.trace.enabled:
             self.trace.record(
                 self.now,
@@ -894,17 +981,15 @@ class SimulationKernel:
                 {"replayed": len(backlog)},
             )
 
-    def _adversarial_send(
-        self, dest: int, origin: Tuple[int, Any], delay: float, msg_id: int
-    ) -> None:
+    def _adversarial_send(self, dest: int, origin: int, delay: float, msg_id: int) -> None:
         """Turn one send into the adversary's delivery verdict (slow path).
 
         An empty verdict omits the message, extra entries are duplicates
         (in-flight entries of their own, sharing the ``msg_id`` and the
-        ``origin``); the network's fault counters account for both.  A
+        ``origin`` index); the network's fault counters account for both.  A
         corrupted payload gets an origin of its own.
         """
-        sender, payload = origin
+        sender, payload = self._origins[origin]
         adversary = self._adversary
         now = self.now
         delays = adversary.deliveries(sender, dest, now, delay)
@@ -931,12 +1016,16 @@ class SimulationKernel:
                         f"from={sender} payload tampered in transit",
                         {"from": sender},
                     )
-                origin = (sender, mutated)
+                origin = len(self._origins)
+                self._origins.append((sender, mutated))
         for position, one_delay in enumerate(delays):
             if position:
                 self._network.record_fault("duplicated")
             self._sequence += _SEQUENCE_STEP
-            heappush(self._inflight, (now + one_delay, self._sequence | msg_id, dest, origin, now))
+            heappush(
+                self._inflight,
+                _pack_in_flight(now + one_delay, self._sequence | msg_id, dest, origin, now),
+            )
 
     def _do_sm_op(self, proc: SimProcess, effect: SharedMemEffect) -> None:
         result = effect.operation(*effect.args)

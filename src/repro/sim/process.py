@@ -80,10 +80,11 @@ class SimProcess:
         self.mailbox = [] if mailbox is None else mailbox
         self.wait_predicate = wait_predicate
         #: The broadcast in progress, as ``(destinations still owed in
-        #: reverse order, payload, payload byte size)``, or ``None``: while
-        #: set, each step of the process is the send to the next destination
-        #: (see :class:`~repro.sim.context.BroadcastEffect`).
-        self.broadcast: Optional[Tuple[List[int], Any, int]] = None
+        #: reverse order, origin index, payload byte size)``, or ``None``:
+        #: while set, each step of the process is the send to the next
+        #: destination (see :class:`~repro.sim.context.BroadcastEffect`); the
+        #: origin indexes the kernel's ``(sender, payload)`` pairs.
+        self.broadcast: Optional[Tuple[List[int], int, int]] = None
         self.decision = decision
         self.decision_time = decision_time
         self.crash_time = crash_time
@@ -91,8 +92,8 @@ class SimProcess:
         self.started = started
         #: Transient-outage flag (see :class:`~repro.sim.events.EventKind`):
         #: while paused, step and delivery entries are buffered in
-        #: ``paused_backlog`` as ``(kind, pid, payload)`` and replayed at
-        #: recovery.
+        #: ``paused_backlog`` as ``(kind, pid, payload)`` -- a delivery's
+        #: followed by its origin index -- and replayed at recovery.
         self.paused = paused
         self.paused_backlog = [] if paused_backlog is None else paused_backlog
 

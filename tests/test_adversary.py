@@ -112,6 +112,8 @@ class TestPrimitiveValidation:
             pytest.param(lambda: MessageOmission(end=math.nan), id="omission-end-nan"),
             pytest.param(lambda: MessageDuplication(start=math.nan), id="duplication-start-nan"),
             pytest.param(lambda: MessageReordering(start=math.nan), id="reordering-start-nan"),
+            pytest.param(lambda: MessageReordering(inflation=math.nan), id="reordering-inflation-nan"),
+            pytest.param(lambda: MessageReordering(inflation=math.inf), id="reordering-inflation-inf"),
             pytest.param(lambda: MessageCorruption(start=math.nan), id="corruption-start-nan"),
             pytest.param(
                 lambda: PartitionWindow(groups=((0,), (1,)), start=math.nan, end=5.0),
@@ -128,9 +130,11 @@ class TestPrimitiveValidation:
 
         Accepted, the first killed the run at its first deferred start and
         let ``DelayPivotal`` drop messages while reporting liveness kept;
-        NaN silently disabled the primitive or its window.
+        NaN silently disabled the primitive or its window.  A NaN inflation
+        gave NaN due times, and an infinite one made the liveness-preserving
+        reorder an omission.
         """
-        with pytest.raises(ValueError, match="extra_delay|window|start|end"):
+        with pytest.raises(ValueError, match="extra_delay|window|start|end|inflation"):
             build()
 
     def test_crash_recovery_validation(self):

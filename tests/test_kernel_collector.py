@@ -121,8 +121,8 @@ def test_finished_bare_kernel_is_freed_with_its_queue_tail(collector_off):
     delivered = weakref.ref(kernel.process(0).mailbox[0].payload)
     # The origin ``(sender, payload)`` is a tuple, which cannot be weakly
     # referenced; its payload stands for it.
-    in_flight = weakref.ref(_in_flight_message(kernel._inflight[-1]).payload)
-    owed = weakref.ref(kernel.process(7).broadcast[1][1])
+    in_flight = weakref.ref(_in_flight_message(kernel._inflight[-1], kernel._origins).payload)
+    owed = weakref.ref(kernel._origins[kernel.process(7).broadcast[1]][1])
     del kernel
     assert kernel_ref() is None and delivered() is None and in_flight() is None and owed() is None
 

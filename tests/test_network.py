@@ -209,6 +209,23 @@ def test_network_counts_traffic_and_assigns_ids():
     assert net.stats.as_dict()["messages_sent"] == 2
 
 
+def test_network_refuses_more_processes_than_a_message_in_flight_addresses():
+    assert Network(1 << 16).n == 65_536  # the dest field's last value is 65,535
+    with pytest.raises(ValueError, match=r"Network\(n=65,537\) exceeds the dest cap.* 65,536 processes"):
+        Network((1 << 16) + 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_network_refuses_a_nonsense_self_delay_factor_naming_the_field(bad):
+    with pytest.raises(ValueError, match=rf"^Network\.self_delay_factor must be finite and >= 0, got {bad!r}$"):
+        Network(2, self_delay_factor=bad)
+
+
+def test_a_zero_self_delay_factor_stays_legal():
+    net = Network(2, delay_model=ConstantDelay(1.0), rng=RandomSource(0), self_delay_factor=0.0)
+    assert net.sample_delay(1, 1) == 0.0
+
+
 def test_self_messages_are_faster():
     net = Network(2, delay_model=ConstantDelay(1.0), rng=RandomSource(0), self_delay_factor=0.1)
     assert net.sample_delay(0, 0) == pytest.approx(0.1)

@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import math
 import random
 import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from repro.network.message import Message
 from repro.obs.merge import IncrementalMerger
 from repro.sharedmem.consensus_object import CASConsensusObject, LLSCConsensusObject
 from repro.sim.events import EventKind
-from repro.sim.kernel import SimConfig, SimulationKernel
+from repro.sim.kernel import _IN_FLIGHT, SimConfig, SimulationKernel
 from repro.sim.rng import RandomSource
 
 
@@ -509,6 +511,38 @@ def test_controller_is_offered_ties_spanning_both_heaps():
         assert time == 1.0 and (type(payload) is Message) == (kind == _DELIVERY)
     sequences = [entry[1] for entry in first]
     assert sequences == sorted(sequences)
+
+
+#: Non-negative doubles from both ends of the range, with equal times likely.
+_DUE_TIMES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.0, sys.float_info.max, math.inf]),
+    st.floats(min_value=0.0, allow_nan=False),
+)
+#: Messages in flight as ``(time, key, dest, origin, send_time)``, keys unique.
+_PACKABLE = st.lists(
+    st.tuples(
+        _DUE_TIMES,
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**16 - 1),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(allow_nan=False),
+    ),
+    min_size=2,
+    max_size=30,
+    unique_by=lambda entry: entry[1],
+)
+
+
+@given(_PACKABLE)
+@settings(max_examples=300, deadline=None)
+@example([(0.0, 2, 0, 0, 0.0), (0.0, 1, 65535, 7, -1.0), (5e-324, 0, 0, 0, 0.0)])
+@example([(math.inf, 0, 0, 0, 0.0), (sys.float_info.max, 2**64 - 1, 0, 0, 0.0), (math.inf, 1, 0, 0, 0.0)])
+def test_packed_in_flight_order_is_time_then_key_order(entries):
+    """Bytewise order of packed entries is ``(time, key)`` order, ties on time included."""
+    packed = {entry: _IN_FLIGHT.pack(*entry) for entry in entries}
+    assert sorted(entries, key=packed.__getitem__) == sorted(entries, key=lambda entry: entry[:2])
+    for entry in entries:
+        assert _IN_FLIGHT.unpack(packed[entry]) == entry
 
 
 # --------------------------------------------------------- end-to-end (sampled)

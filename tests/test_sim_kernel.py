@@ -42,6 +42,10 @@ def make_kernel(n=2, seed=0, **config_kwargs):
         ("max_rounds", 0),
         ("max_rounds", 2.5),
         ("max_rounds", True),
+        ("trace_max_entries", -5),
+        ("trace_max_entries", True),
+        ("trace_max_entries", 2.5),
+        ("trace_max_entries", None),
     ],
 )
 def test_sim_config_refuses_nonsense_naming_the_field(field, value):
@@ -51,7 +55,12 @@ def test_sim_config_refuses_nonsense_naming_the_field(field, value):
 
 def test_sim_config_edge_values_stay_legal_and_the_repr_is_unchanged():
     SimConfig(
-        local_step_delay=0.0, sm_op_delay=0.0, scheduling_jitter=0.0, max_time=math.inf, max_rounds=None
+        local_step_delay=0.0,
+        sm_op_delay=0.0,
+        scheduling_jitter=0.0,
+        max_time=math.inf,
+        max_rounds=None,
+        trace_max_entries=0,
     )
     assert repr(SimConfig()) == (
         "SimConfig(max_time=1000000000.0, max_rounds=500, local_step_delay=0.0001, "
@@ -495,8 +504,10 @@ def test_messages_in_flight_are_flat_and_become_messages_when_delivered():
     stats = network.stats
     assert len(kernel._inflight) == stats.messages_sent - stats.messages_delivered > 0
     for entry in kernel._inflight:
-        assert len(entry) == 5 and not any(isinstance(field, Message) for field in entry)
-        assert not isinstance(entry[3][1], Message)  # nor in the origin
+        assert type(entry) is bytes and len(entry) == 30
+        fields = kernel_module._IN_FLIGHT.unpack(entry)
+        assert len(fields) == 5 and not any(isinstance(field, Message) for field in fields)
+        assert not isinstance(kernel._origins[fields[3]][1], Message)  # nor in the origin
     mailboxes = [proc.mailbox for proc in kernel.processes.values()]
     assert sum(map(len, mailboxes)) == stats.messages_delivered
     assert all(type(message) is Message for mailbox in mailboxes for message in mailbox)
@@ -507,15 +518,15 @@ def _broadcast_once(ctx):
     return 1
 
 
-def test_a_message_in_flight_costs_at_most_195_bytes():
+def test_a_message_in_flight_costs_at_most_100_bytes():
     """128 processes each broadcast once and decide before any delivery.
 
     The run's traced growth, over its 16,384 undelivered messages, is what
-    one message in flight costs: its five-field tuple, due time, key and
-    heap slot (the broadcast's origin is shared).  Readings of this
-    measurement as a plain script: 176.9 / 176.5 / 171.0 / 171.0 B on
-    CPython 3.9 / 3.10 / 3.11 / 3.12 with the five-field entry, and
-    216.0 / 215.8 / 218.4 / 218.3 B with the seven-field entry it replaced.
+    one message in flight costs: its 63-byte packed entry and heap slot (the
+    broadcast's origin is shared).  Readings of this measurement as a plain
+    script: 80.3 / 79.9 / 74.3 / 74.4 B on CPython 3.9 / 3.10 / 3.11 / 3.12
+    with the packed entry, and 177.0 / 176.6 / 171.0 / 171.1 B with the
+    five-field tuple it replaced.
     """
     n = 128
     kernel, network = make_kernel(n=n, seed=1)
@@ -531,7 +542,7 @@ def test_a_message_in_flight_costs_at_most_195_bytes():
     assert result.status is RunStatus.DECIDED
     assert len(kernel._inflight) == network.stats.messages_sent == n * n
     per_message = (after - before) / (n * n)
-    assert per_message <= 195, f"{per_message:.1f} B per message in flight"
+    assert per_message <= 100, f"{per_message:.1f} B per message in flight"
 
 
 class _CountingGenerator:
@@ -564,7 +575,7 @@ def test_a_broadcast_resumes_its_generator_once():
     assert sender.stats.steps == n + 1 and sender.stats.messages_sent == n
     assert network.stats.messages_sent == n
     # Everybody decided before the first delivery: one message per destination in flight.
-    in_flight = map(kernel_module._in_flight_message, kernel._inflight)
+    in_flight = (kernel_module._in_flight_message(entry, kernel._origins) for entry in kernel._inflight)
     assert sorted((message.sender, message.dest) for message in in_flight) == [(0, pid) for pid in range(n)]
     # Resumed to yield the broadcast, and once more when it is exhausted.
     assert sender.generator.sends == 2
@@ -583,19 +594,23 @@ def test_a_message_in_flight_is_five_fields_and_a_broadcast_shares_one_origin():
     for pid in range(1, n):
         kernel.add_process(pid, _idle)
     kernel.run()
-    entries = sorted(kernel._inflight, key=lambda entry: entry[1])
-    assert len(entries) == network.stats.messages_sent == n + 1
+    packed = sorted(kernel._inflight, key=lambda entry: kernel_module._IN_FLIGHT.unpack(entry)[1])
+    assert len(packed) == network.stats.messages_sent == n + 1
+    assert all(type(entry) is bytes and len(entry) == 30 for entry in packed)
+    entries = [kernel_module._IN_FLIGHT.unpack(entry) for entry in packed]
     assert all(len(entry) == 5 for entry in entries)
     direct, *broadcast = entries
     # One (sender, payload) origin per send effect, the broadcast's shared by
     # all of its destinations.
-    assert direct[3] == (0, "direct") and broadcast[0][3] == (0, "ping")
-    assert all(entry[3] is broadcast[0][3] for entry in broadcast)
+    origins = kernel._origins
+    assert origins[direct[3]] == (0, "direct") and origins[broadcast[0][3]] == (0, "ping")
+    assert all(entry[3] == broadcast[0][3] for entry in broadcast)
+    assert len(origins) == 2
     # The key orders as the sequence number and carries the msg_id below it.
     mask = (1 << 32) - 1
     assert [entry[1] & mask for entry in entries] == list(range(1, n + 2))
     assert len({entry[1] >> 32 for entry in entries}) == n + 1
-    messages = [kernel_module._in_flight_message(entry) for entry in entries]
+    messages = [kernel_module._in_flight_message(entry, origins) for entry in packed]
     assert all(type(message) is Message for message in messages)
     assert [tuple(message) for message in messages] == [
         (0, dest, payload, entry[4], msg_id)
@@ -632,7 +647,53 @@ def test_the_msg_id_cap_is_refused_like_transmit(as_broadcast):
     assert "4,294,967,296 sends" in str(raised.value)
     assert network.stats == reference.stats
     (entry,) = kernel._inflight
-    assert kernel_module._in_flight_message(entry).msg_id == cap - 1
+    assert kernel_module._in_flight_message(entry, kernel._origins).msg_id == cap - 1
+
+
+def test_a_sequence_counter_past_the_key_cap_is_refused_naming_it():
+    """The 64-bit key holds ``sequence | msg_id``: the send past it raises."""
+    kernel, network = make_kernel(n=2)
+
+    def proc(ctx):
+        yield from ctx.send(1, "late")
+
+    kernel.add_process(0, proc)
+    kernel.add_process(1, _idle)
+    kernel._sequence = (1 << 64) - (1 << 32)  # the next sequence number is 2**64
+    cap = r"sequence counter passed the key cap 18,446,744,073,709,551,616 \(2\*\*64\)"
+    with pytest.raises(OverflowError, match=cap):
+        kernel.run()
+    assert not kernel._inflight
+    # A re-queued delivery goes through the same check.
+    message = Message(0, 1, "late", 0.0, 1)
+    with pytest.raises(OverflowError, match=cap):
+        kernel._schedule(1.0, EventKind.MESSAGE_DELIVERY, 1, message)
+
+
+def test_a_dest_past_the_packed_field_is_refused_naming_it():
+    """A network object wider than ``Network`` allows cannot reach ``struct``'s error."""
+    kernel, network = make_kernel(n=2)
+    network.n = 1 << 17  # the Network constructor refuses this size
+
+    def proc(ctx):
+        yield from ctx.send(1 << 16, "far")
+
+    kernel.add_process(0, proc)
+    kernel.add_process(1, _idle)
+    with pytest.raises(ValueError, match=r"dest 65536 is outside the 0\.\.65535 a message in flight holds"):
+        kernel.run()
+
+
+def test_the_origin_cap_and_bad_due_times_are_refused_by_the_checked_packer():
+    pack = kernel_module._pack_in_flight
+    with pytest.raises(OverflowError, match=r"origin #4,294,967,296 reaches the origin cap"):
+        pack(1.0, 1, 0, 1 << 32, 0.0)
+    for bad in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="due time must be >= 0 and not NaN"):
+            pack(bad, 1, 0, 0, 0.0)
+    # A negative zero would sort after every entry: it is packed as 0.0.
+    assert pack(-0.0, 1, 0, 0, 0.0) == pack(0.0, 1, 0, 0, 0.0)
+    assert pack(math.inf, (1 << 64) - 1, (1 << 16) - 1, (1 << 32) - 1, 0.0)  # every field's last value
 
 
 def test_broadcast_effect_without_destinations_is_refused():
