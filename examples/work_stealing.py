@@ -27,12 +27,11 @@ from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds
 from repro.harness.coordinator import (
     merge_stolen,
-    point_checkpoint_path,
     run_work_stealing,
     steal_status,
     try_claim,
 )
-from repro.harness.distributed import run_plan
+from repro.harness.distributed import ShardSpec, checkpoint_path, run_plan
 
 SEEDS = default_seeds(3)
 TTL = 0.2  # tiny lease so the demo does not wait; real fleets use ~60 s
@@ -51,7 +50,7 @@ def main() -> None:
         )
         victim_point = next(
             pi for pi in range(len(plan.points))
-            if not point_checkpoint_path(out_dir, pi).exists()
+            if not checkpoint_path(out_dir, ShardSpec(1, 1), pi).exists()
         )
         lease = try_claim(out_dir, plan, victim_point, "mayfly", TTL)
         assert lease is not None

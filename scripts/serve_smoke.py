@@ -1,8 +1,10 @@
 """End-to-end smoke of the live sweep service (``make serve-smoke``).
 
-Runs a small work-stealing sweep, kills the worker halfway through (the
-same ``run_many`` seam the coordinator tests use), starts the monitoring
-server on an ephemeral port, and drives every endpoint over real HTTP:
+Drives every endpoint over real HTTP, on an ephemeral port, against a
+directory from each kind of writer.
+
+First a small work-stealing sweep whose worker is killed halfway through
+(the same ``run_many`` seam the coordinator tests use):
 
 - ``/status`` must report the half-finished counts and pooled telemetry,
 - ``/progress`` must show exactly the checkpointed points as ``done``,
@@ -12,7 +14,13 @@ server on an ephemeral port, and drives every endpoint over real HTTP:
 
 Then a second worker finishes the directory, ``/aggregate`` flips to
 complete, and the served aggregates are checked bit-identical to the
-batch ``merge_stolen`` fold.  Exits nonzero on any violated expectation.
+batch ``merge_stolen`` fold.
+
+Second, a directory written by static shard 1/2 alone: ``/status``,
+``/progress`` and ``/aggregate`` must report every point pending on shard
+2/2's checkpoints; once shard 2/2 runs, ``/aggregate`` must be complete
+and bit-identical to ``merge_shards``.  Exits nonzero on any violated
+expectation.
 """
 
 import json
@@ -20,6 +28,7 @@ import sys
 import threading
 import time
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -27,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.harness import parallel  # noqa: E402
 from repro.harness.coordinator import merge_stolen, run_work_stealing  # noqa: E402
+from repro.harness.distributed import ShardSpec, merge_shards, run_shard  # noqa: E402
 from repro.obs.serve import aggregate_to_json, make_server, render_status_text  # noqa: E402
 
 KILL_AFTER_POINTS = 2
@@ -65,59 +75,103 @@ def run_killed_worker(plan, out_dir):
         parallel.run_many = real_run_many
 
 
-def main():
+@contextmanager
+def serving(out, plan):
+    """A monitoring server over ``out`` on an ephemeral port; yields the port."""
+    server = make_server(out, plan, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+def smoke_killed_worker(out):
     plan = build_plan()
+    run_killed_worker(plan, out)
+    with serving(out, build_plan()) as port:
+        status = get_json(port, "/status")
+        assert status["shard_count"] == 1 and status["workers"] == 1, status
+        assert status["points_total"] == len(plan.points), status
+        assert status["done"] == KILL_AFTER_POINTS, status
+        fleet = status["telemetry"]["counters"]
+        assert fleet["points_computed"] == KILL_AFTER_POINTS, fleet
+        print(f"/status     ok: {status['done']}/{status['points_total']} done, fleet {fleet}")
+
+        progress = get_json(port, "/progress")
+        done = [point["label"] for point in progress["points"] if point["state"] == "done"]
+        assert len(done) == KILL_AFTER_POINTS, progress
+        print(f"/progress   ok: done={done}")
+
+        workers = get_json(port, "/workers")
+        assert any(row["worker"] == "victim" for row in workers["workers"]), workers
+        print(f"/workers    ok: {len(workers['workers'])} manifest row(s)")
+
+        partial = get_json(port, "/aggregate")
+        assert partial["complete"] is False, partial
+        assert partial["folded"] == KILL_AFTER_POINTS, partial
+        print(f"/aggregate  ok: folded {partial['folded']}, pending {partial['pending']}")
+
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/", timeout=10) as response:
+            page = response.read().decode("utf-8")
+        assert "<pre>" in page and "points done" in page, page[:200]
+        print("/           ok: HTML page renders the shared status text")
+
+        # A second worker drains the orphaned points; the served
+        # aggregate must flip to complete and match the batch merge bit
+        # for bit (modulo the JSON projection).
+        time.sleep(0.2)  # let the victim's abandoned lease expire
+        run_work_stealing(build_plan(), out, worker="finisher", max_workers=1, lease_ttl=0.05)
+        final = get_json(port, "/aggregate")
+        assert final["complete"] is True, final
+        reference = merge_stolen(out, build_plan())
+        for label, aggregate in reference.aggregates.items():
+            assert final["aggregates"][label] == aggregate_to_json(aggregate), label
+        print(f"finish      ok: {final['folded']} folded, bit-identical to merge_stolen")
+    print(render_status_text(out))
+
+
+def smoke_half_of_two_shards(out):
+    plan = build_plan()
+    labels = [point.label for point in plan.points]
+    run_shard(plan, ShardSpec(1, 2), out, max_workers=1)
+    with serving(out, build_plan()) as port:
+        status = get_json(port, "/status")
+        assert status["shard_count"] == 2 and status["workers"] == 1, status
+        assert status["done"] == 0 and status["unclaimed"] == len(labels), status
+        print(f"/status     ok: {status['done']}/{status['points_total']} done of 2 shards")
+
+        progress = get_json(port, "/progress")
+        lacking = [
+            point["label"]
+            for point in progress["points"]
+            if point["state"] == "unclaimed" and point["checkpoints"] == {"1/2": True, "2/2": False}
+        ]
+        assert lacking == labels, progress
+        print(f"/progress   ok: all {len(lacking)} points wait on shard 2/2")
+
+        partial = get_json(port, "/aggregate")
+        assert partial["complete"] is False and partial["folded"] == 0, partial
+        assert partial["pending"] == labels, partial
+        print(f"/aggregate  ok: folded 0, pending {len(partial['pending'])}")
+
+        run_shard(build_plan(), ShardSpec(2, 2), out, max_workers=1)
+        final = get_json(port, "/aggregate")
+        assert final["complete"] is True, final
+        reference = merge_shards(out, build_plan())
+        for label, aggregate in reference.aggregates.items():
+            assert final["aggregates"][label] == aggregate_to_json(aggregate), label
+        print(f"finish      ok: {final['folded']} folded, bit-identical to merge_shards")
+    print(render_status_text(out))
+
+
+def main():
     with TemporaryDirectory(prefix="serve-smoke-") as tmp:
-        out = Path(tmp) / "runs"
-        run_killed_worker(plan, out)
-
-        server = make_server(out, build_plan(), port=0)
-        port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            status = get_json(port, "/status")
-            assert status["mode"] == "steal", status
-            assert status["done"] == KILL_AFTER_POINTS, status
-            fleet = status["telemetry"]["counters"]
-            assert fleet["points_computed"] == KILL_AFTER_POINTS, fleet
-            print(f"/status     ok: {status['done']}/{status['points_total']} done, fleet {fleet}")
-
-            progress = get_json(port, "/progress")
-            done = [point["label"] for point in progress["points"] if point["state"] == "done"]
-            assert len(done) == KILL_AFTER_POINTS, progress
-            print(f"/progress   ok: done={done}")
-
-            workers = get_json(port, "/workers")
-            assert any(row["worker"] == "victim" for row in workers["workers"]), workers
-            print(f"/workers    ok: {len(workers['workers'])} manifest row(s)")
-
-            partial = get_json(port, "/aggregate")
-            assert partial["complete"] is False, partial
-            assert partial["folded"] == KILL_AFTER_POINTS, partial
-            print(f"/aggregate  ok: folded {partial['folded']}, pending {partial['pending']}")
-
-            with urllib.request.urlopen(f"http://127.0.0.1:{port}/", timeout=10) as response:
-                page = response.read().decode("utf-8")
-            assert "<pre>" in page and "points done" in page, page[:200]
-            print("/           ok: HTML page renders the shared status text")
-
-            # A second worker drains the orphaned points; the served
-            # aggregate must flip to complete and match the batch merge bit
-            # for bit (modulo the JSON projection).
-            time.sleep(0.2)  # let the victim's abandoned lease expire
-            run_work_stealing(build_plan(), out, worker="finisher", max_workers=1, lease_ttl=0.05)
-            final = get_json(port, "/aggregate")
-            assert final["complete"] is True, final
-            reference = merge_stolen(out, build_plan())
-            for label, aggregate in reference.aggregates.items():
-                assert final["aggregates"][label] == aggregate_to_json(aggregate), label
-            print(f"finish      ok: {final['folded']} folded, bit-identical to merge_stolen")
-            print(render_status_text(out))
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
+        smoke_killed_worker(Path(tmp) / "steal")
+        smoke_half_of_two_shards(Path(tmp) / "shards")
     print("serve smoke passed")
     return 0
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Optional, Sequence
 
 from .experiments import ALL_EXPERIMENTS
@@ -111,8 +110,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     module, plan = _build_plan(args.experiment, args.seeds, scenarios=scenarios)
     if args.steal and args.shard is not None:
         raise ShardError(
-            "--steal and --shard are mutually exclusive: a directory is scheduled "
-            "either dynamically (leases) or statically (round-robin), never both"
+            "--steal and --shard are mutually exclusive: a --steal worker is always "
+            "shard 1/1, claiming whole points through leases"
         )
     if not args.steal and (
         args.worker is not None
@@ -298,7 +297,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     print(
         format_aggregates(
             merged.aggregates,
-            title=f"{plan.key}: {merged.shard_count} {merged.unit}(s), "
+            title=f"{plan.key}: {merged.shard_count} shard(s), "
             f"{plan.total_runs} runs over {len(plan.points)} points",
         )
     )
@@ -307,73 +306,19 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _telemetry_cell(snapshot: dict) -> str:
-    """One compact table cell from a worker's telemetry snapshot.
-
-    The full snapshot (every counter, gauge and timer) is on the
-    ``/workers`` endpoint of ``python -m repro serve``; the table keeps
-    the load-bearing digest: busy time, collector time, idleness,
-    snapshot age.
-    """
-    parts = []
-    timers = snapshot.get("timers") or {}
-    timer = timers.get("point_seconds")
-    if timer:
-        parts.append(f"busy {timer['total']:.2f}s/{int(timer['count'])}pt")
-    timer = timers.get("gc_seconds")
-    if timer:
-        parts.append(f"gc {timer['total']:.2f}s/{int(timer['count'])}")
-    idle = (snapshot.get("counters") or {}).get("idle_polls")
-    if idle:
-        parts.append(f"{int(idle)} idle polls")
-    stamp = snapshot.get("sampled_at")
-    if stamp:
-        parts.append(f"sampled {max(time.time() - stamp, 0.0):.0f}s ago")
-    return ", ".join(parts) or "-"
-
-
 def _cmd_status(args: argparse.Namespace) -> int:
+    from .obs.serve import render_status_text, watch_status
+
     if args.watch is not None:
         if args.watch <= 0:
             raise ShardError(f"--watch interval must be positive, got {args.watch:g}")
-        from .obs.serve import watch_status
-
         try:
             watch_status(args.out_dir, args.watch)
         except KeyboardInterrupt:
             pass
         return 0
-    directory = RunDirectory(args.out_dir)
-    recorded = directory.recorded()
-    if directory.layout == "steal":
-        status = directory.steal_status()
-        print(
-            f"{status.experiment or status.plan_key or '?'}: "
-            f"{status.done}/{status.points_total} points done "
-            f"({status.stolen} stolen), {status.leased} leased, "
-            f"{status.orphaned} orphaned, {status.unclaimed} unclaimed"
-        )
-        if status.workers:
-            rows = []
-            for row in status.workers:
-                row = dict(row)
-                telemetry = row.pop("telemetry", None)
-                if isinstance(telemetry, dict):
-                    row["telemetry"] = _telemetry_cell(telemetry)
-                rows.append(row)
-            print()
-            print(format_records(rows))
-        return 0
-    rows = [
-        {
-            "shard": row["shard"],
-            "experiment": recorded.get("experiment") or recorded.get("plan_key", "?"),
-            "points_done": f"{row['points_done']}/{row['points_total']}",
-            "runs_done": f"{row['runs_done']}/{row['runs_total']}",
-        }
-        for row in directory.shard_rows
-    ]
-    print(format_records(rows))
+    RunDirectory(args.out_dir).recorded()  # a directory nothing was written to is an error
+    print(render_status_text(args.out_dir))
     return 0
 
 
@@ -552,11 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     status_parser = commands.add_parser(
         "status",
-        help="show progress in DIR: per-shard counts, or for work-stealing runs the "
-        "done/leased/stolen/orphaned point counts and per-worker table",
+        help="show progress in DIR: the done/leased/orphaned/unclaimed point counts, "
+        "checkpoints by shard and one line per writer (the text serve's page shows)",
     )
     status_parser.add_argument(
-        "out_dir", metavar="DIR", help="directory holding shard manifests or a plan header"
+        "out_dir", metavar="DIR", help="run directory (the one holding plan.json)"
     )
     status_parser.add_argument(
         "--watch", type=float, default=None, metavar="SECONDS",
@@ -574,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--out", required=True, metavar="DIR",
-        help="run directory to observe (work-stealing or static shards; read-only)",
+        help="run directory to observe (read-only)",
     )
     serve_parser.add_argument(
         "--port", type=int, default=8321, metavar="P",

@@ -16,7 +16,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "distributed": [
             "MANIFEST_VERSION", "ManifestError", "MergedSweep", "PlanPoint", "ShardError",
             "ShardRunResult", "ShardSpec", "SweepPlan", "grid_points", "merge_shards",
-            "plan_grid", "plan_repeat", "plan_sweep", "read_manifests", "run_plan", "run_shard",
+            "plan_grid", "plan_repeat", "plan_sweep", "run_plan", "run_shard",
             "variation_points",
         ],
         "metrics": ["RunMetrics", "collect_metrics", "numeric_metric_values"],

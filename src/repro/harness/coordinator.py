@@ -1,24 +1,27 @@
-"""Dynamic work stealing for sweep plans, and the one reader of a run directory.
+"""Scheduling a sweep over a shared run directory, and the one reader of it.
 
-Static sharding (:mod:`~repro.harness.distributed`) fixes ownership up
-front: shard ``i/k`` owns every ``k``-th run, forever.  On a homogeneous
-fleet that is perfect -- zero coordination -- but one slow or dead host
-strands its share of the sweep until someone re-runs that exact shard.
-This module adds the coordinator the ROADMAP asked for: workers *claim*
-sweep points through atomic lease files in the shared output directory,
-renew their claims with heartbeats while computing, and **steal** points
-whose leases expire -- so a slow host sheds its un-started points to
-faster ones and a killed host's work is picked up automatically.
+Any number of *writers* fill one run directory with one plan's work, each
+as one shard ``i/k`` of the plan's round-robin covering; two policies
+decide which points a writer computes:
 
-The unit of claiming is one whole sweep point (every seed of one
-parameter combination).  Every run keeps the summary index -- and
-therefore the ``SeedSequence(entropy, spawn_key=(index,))`` sketch
-priority -- it would have had in the unsharded execution, so the merge
+* a **static shard** (``--shard i/k``, a writer named ``shard-IofK``) owns
+  every ``k``-th run of the plan, forever.  On a homogeneous fleet that is
+  perfect -- zero coordination -- but one slow or dead host strands its
+  share of the sweep until someone re-runs that exact shard.
+* a **work-stealing worker** (``--steal``) is shard 1/1: workers *claim*
+  whole sweep points through atomic lease files, renew their claims with
+  heartbeats while computing, and **steal** points whose leases expire --
+  so a slow host sheds its un-started points to faster ones and a killed
+  host's work is picked up automatically.
+
+Every run keeps the summary index -- and therefore the
+``SeedSequence(entropy, spawn_key=(index,))`` sketch priority -- it would
+have had in the unsharded execution, so the merge
 (:func:`~.distributed.merge_directory`, which :func:`merge_stolen` names)
 re-folds per-point checkpoints in run-index order through the exact code
 path the single-host sweep uses, and the merged aggregates are
 *bit-identical* to :func:`~.distributed.run_plan` no matter how many
-workers ran, died, restarted or stole.
+writers ran, died, restarted or stole.
 
 The claim protocol
 ------------------
@@ -51,23 +54,22 @@ time).  See ``docs/distributed.md`` for the full failure-mode table.
 
 On-disk layout (all under the shared ``--out`` directory, all JSON)::
 
-    plan.json                    header: version, fingerprint, seeds, labels
-    leases/point-0003-gen-0001.json   lease provenance, one file per claim/steal
-    point-0003.json              checkpoint: every RunSummary of point 3
-    steal-worker-<name>.json     per-worker manifest: outcomes, lease history
+    plan.json                         header: provenance, seeds, labels, shard count k
+    point-0003-2of4.json              checkpoint: shard 2/4's RunSummary list for point 3
+    worker-<name>.json                one per writer: outcomes, counts, telemetry
+    leases/point-0003-gen-0001.json   --steal only: one file per claim/steal
 
-Static sharding is the degenerate scheduler of the same claim loop:
-:class:`StaticShardScheduler` claims its round-robin-owned points
-unconditionally and never steals, while :class:`WorkStealingScheduler`
-claims through leases.  Both feed :func:`drive_claims`, which is the
-single execute-and-checkpoint loop.
+The first writer of either kind creates the header; a writer whose k
+differs from it is refused.  Both policies feed :func:`drive_claims`, the
+single execute-and-checkpoint loop, and write their checkpoints and
+manifest the same way (:class:`StaticShardScheduler`,
+:class:`WorkStealingScheduler`).
 
 Reading is single, too: :class:`RunDirectory` is the only code that knows
-both this layout and the static one (``shard-IofK.json`` manifests plus
-``shard-IofK-point-NNNN.json`` checkpoints).  It lives here because this
-module already holds or imports everything it reads -- leases, plan header,
-worker manifests, and :mod:`~repro.harness.distributed`'s shard manifests
-and file namings -- so nothing imports backwards to reach it.
+the layout.  It lives here because this module already holds or imports
+everything it reads -- leases, plan header, worker manifests, and
+:mod:`~repro.harness.distributed`'s checkpoint naming -- so nothing
+imports backwards to reach it.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from .aggregate import RunSummary, SummaryReducer
 from .distributed import (
-    MANIFEST_FIELDS,
     MANIFEST_VERSION,
     ManifestError,
     ShardRunResult,
@@ -98,14 +99,12 @@ from .distributed import (
     _atomic_write_bytes,
     _load_checkpoint,
     _write_checkpoint,
-    check_merge_provenance,
     checkpoint_path,
-    find_manifests,
-    manifest_path,
     merge_directory,
+    owned_positions,
     plan_provenance,
     read_artifact,
-    read_manifests,
+    seal,
 )
 from ..obs.telemetry import Telemetry
 
@@ -114,18 +113,27 @@ from ..obs.telemetry import Telemetry
 #: gone, and a too-short TTL turns slow points into duplicated work.
 DEFAULT_LEASE_TTL = 60.0
 
-#: The shared-plan header file marking a directory as a work-stealing run.
+#: The plan header file every writer of a run directory validates against.
 PLAN_HEADER_NAME = "plan.json"
 
 #: Subdirectory of the run directory holding the per-point lease files.
 LEASE_DIR_NAME = "leases"
 
 _LEASE_RE = re.compile(r"^point-(\d+)-gen-(\d+)\.json$")
-_WORKER_MANIFEST_RE = re.compile(r"^steal-worker-(.+)\.json$")
+_WORKER_MANIFEST_RE = re.compile(r"^worker-(.+)\.json$")
 _WORKER_NAME_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
-#: Steal-mode checkpoints cover every seed of a point -- the degenerate
-#: whole-plan shard, which is what keeps their summary indices unsharded.
+#: What the plan header and a worker manifest hold besides their version.
+_HEADER_FIELDS = (
+    "fingerprint", "plan_key", "experiment", "indexing", "delay_models", "scenarios", "seeds",
+    "labels", "runs_total", "shard_count", "sha256",
+)
+_WORKER_FIELDS = (
+    "fingerprint", "worker", "shard", "points", "points_computed", "points_stolen",
+    "points_lost", "runs_executed", "runs_reused", "sha256",
+)
+
+#: A work-stealing worker's place in the covering: it checkpoints whole points.
 _WHOLE = ShardSpec(1, 1)
 
 
@@ -135,36 +143,26 @@ class LeaseError(ManifestError):
 
 # ------------------------------------------------------------------- paths
 def plan_header_path(out_dir: Union[str, Path]) -> Path:
-    """Where the shared plan header of a work-stealing run lives."""
+    """Where the plan header of a run directory lives."""
     return Path(out_dir) / PLAN_HEADER_NAME
 
 
 def lease_dir(out_dir: Union[str, Path]) -> Path:
-    """The lease subdirectory of a work-stealing run directory."""
+    """The lease subdirectory of a run directory."""
     return Path(out_dir) / LEASE_DIR_NAME
 
 
-def point_checkpoint_path(out_dir: Union[str, Path], point_index: int) -> Path:
-    """Where the whole-point checkpoint of a work-stealing run lives."""
-    return Path(out_dir) / f"point-{point_index:04d}.json"
-
-
 def worker_manifest_path(out_dir: Union[str, Path], worker: str) -> Path:
-    """Where one worker's progress manifest lives."""
-    return Path(out_dir) / f"steal-worker-{worker}.json"
+    """Where one writer's manifest lives."""
+    return Path(out_dir) / f"worker-{worker}.json"
 
 
 def find_worker_manifests(out_dir: Union[str, Path]) -> List[Path]:
-    """Every worker manifest in ``out_dir``, sorted by worker name."""
+    """Every worker manifest in ``out_dir``, sorted by writer name."""
     out = Path(out_dir)
     if not out.is_dir():
         raise ManifestError(f"{out} is not a directory")
     return sorted(path for path in out.iterdir() if _WORKER_MANIFEST_RE.match(path.name))
-
-
-def is_steal_dir(out_dir: Union[str, Path]) -> bool:
-    """Whether ``out_dir`` holds (the start of) a work-stealing run."""
-    return plan_header_path(out_dir).is_file()
 
 
 def default_worker_name() -> str:
@@ -186,52 +184,44 @@ def sanitize_worker_name(worker: str) -> str:
 
 
 # ------------------------------------------------------------- plan header
-def write_plan_header(out_dir: Union[str, Path], plan: SweepPlan) -> Path:
-    """Publish (or validate against) the shared plan header of ``out_dir``.
+def write_plan_header(
+    out_dir: Union[str, Path], plan: SweepPlan, shard_count: int = 1
+) -> Path:
+    """Publish (or validate against) the plan header of ``out_dir``.
 
-    The first worker creates ``plan.json`` atomically; every later worker
-    -- and :class:`RunDirectory`, which needs nothing but the directory --
-    validates against it.  A directory already holding
-    static shard artifacts, or a header for a different plan, is refused.
+    The first writer of either kind creates ``plan.json`` atomically and
+    exclusively; every later writer -- and :class:`RunDirectory`, which
+    needs nothing but the directory -- validates against it.  A header for
+    a different plan, or for a covering of another ``shard_count``, is
+    refused by name.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if find_manifests(out):
-        raise ManifestError(
-            f"{out} holds static shard artifacts (shard-IofK.json); a run "
-            f"directory is either statically sharded or work-stealing, never "
-            f"both -- merge or clear it before reusing it"
-        )
     path = plan_header_path(out)
-    payload = {
-        **plan_provenance(plan, "steal"),
-        "seeds": list(plan.seeds),
-        "labels": [point.label for point in plan.points],
-        "runs_total": plan.total_runs,
-    }
-    encoded = json.dumps(payload, indent=2).encode("utf-8")
+    header = seal({**plan_provenance(plan), "shard_count": shard_count})
+    encoded = json.dumps(header, indent=2).encode("utf-8")
     if not path.exists() and _atomic_write_bytes(path, encoded, exclusive=True):
         return path
-    _refuse_foreign(path, read_plan_header(out)["fingerprint"], payload["fingerprint"], "worker")
+    recorded = read_plan_header(out)
+    if recorded["fingerprint"] != header["fingerprint"]:
+        raise ManifestError(
+            f"{path} belongs to a different plan (fingerprint {str(recorded['fingerprint'])[:12]}"
+            f"... != {header['fingerprint'][:12]}...); every writer sharing an output directory "
+            f"must run the same experiment with the same seeds -- merge or clear that directory "
+            f"before reusing it"
+        )
+    if recorded["shard_count"] != shard_count:
+        raise ManifestError(
+            f"{path} splits the plan into {recorded['shard_count']} shard(s) but this writer "
+            f"is a shard of {shard_count} (a --steal worker is shard 1/1); every writer sharing "
+            f"an output directory splits it the same way -- merge or clear it before reusing it"
+        )
     return path
 
 
-def _refuse_foreign(path: Path, recorded: Any, fingerprint: str, writer: str) -> None:
-    """Refuse joining a directory whose artifact ``path`` records another plan."""
-    if recorded != fingerprint:
-        raise ManifestError(
-            f"{path} belongs to a different plan (fingerprint {str(recorded)[:12]}... != "
-            f"{fingerprint[:12]}...); every {writer} sharing an output directory must run "
-            f"the same experiment with the same seeds -- merge or clear that directory "
-            f"before reusing it"
-        )
-
-
 def read_plan_header(out_dir: Union[str, Path]) -> Dict[str, Any]:
-    """Load and structurally validate the plan header of ``out_dir``."""
-    return read_artifact(
-        plan_header_path(out_dir), "plan header", ("fingerprint", "seeds", "labels")
-    )
+    """Load and validate the plan header of ``out_dir`` (it is sealed)."""
+    return read_artifact(plan_header_path(out_dir), "plan header", _HEADER_FIELDS)
 
 
 # ------------------------------------------------------------------ leases
@@ -516,14 +506,15 @@ def drive_claims(
     """Run a scheduler's claim loop to completion and return its result.
 
     The one loop both schedulers share: ask the scheduler for claimed
-    tasks, execute each under the scheduler's hold (a lease heartbeat for
-    work stealing, a no-op for static shards), and hand the summaries back
-    for checkpointing.  Static sharding is the degenerate case where every
-    claim succeeds and nothing is ever stolen.
+    tasks, execute each under the scheduler's hold (a timer, plus a lease
+    heartbeat for work stealing), and hand the summaries back for
+    checkpointing.  Static sharding is the case where every claim succeeds
+    and nothing is ever stolen.  For the whole loop, every pass of the
+    cyclic collector is recorded under the writer's ``gc_seconds`` timer.
     """
     from .parallel import plan_pool
 
-    with plan_pool(plan, max_workers):
+    with scheduler.telemetry.time_collector(), plan_pool(plan, max_workers):
         for task in scheduler.claims():
             with scheduler.hold(task):
                 summaries = execute_point(plan, task, max_workers)
@@ -531,113 +522,145 @@ def drive_claims(
     return scheduler.finish()
 
 
-class StaticShardScheduler:
-    """The degenerate no-steal scheduler: fixed round-robin ownership.
 
-    Reproduces classic ``run_shard`` behaviour through the shared claim
-    loop: every point this shard owns is "claimed" unconditionally, valid
-    checkpoints are resumed, and the shard manifest is rewritten atomically
-    after every point so a killed invocation leaves a resumable prefix.
+class _Writer:
+    """What both scheduling policies share: one shard's checkpoints and manifest.
+
+    A writer is one shard of the header's covering under one name (a
+    work-stealing worker is shard 1/1).  It creates or validates the plan
+    header, resumes its shard's valid checkpoints, writes its own, and keeps
+    one manifest -- ``worker-<name>.json``, the same form for every policy --
+    recording each settled point's outcome and runs plus its telemetry.
     """
 
-    schedule = "static"
-
-    def __init__(self, plan: SweepPlan, shard: ShardSpec, out_dir: Path) -> None:
+    def __init__(self, plan: SweepPlan, out_dir: Path, worker: str, shard: ShardSpec) -> None:
         self.plan = plan
-        self.shard = shard
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
-        if is_steal_dir(self.out):
-            raise ManifestError(
-                f"{self.out} holds a work-stealing run ({PLAN_HEADER_NAME}); a run "
-                f"directory is either statically sharded or work-stealing, never "
-                f"both -- merge or clear it before reusing it"
-            )
-        self._provenance = plan_provenance(plan, self.schedule)
-        fingerprint = self._provenance["fingerprint"]
-        for existing in find_manifests(self.out):
-            recorded = read_artifact(existing, "manifest", MANIFEST_FIELDS)["fingerprint"]
-            _refuse_foreign(existing, recorded, fingerprint, "shard")
-        self.result = ShardRunResult(
-            shard=shard, out_dir=self.out, manifest=manifest_path(self.out, shard)
-        )
-        self._points_record: Dict[str, Dict[str, Any]] = {}
+        self.worker = worker
+        self.shard = shard
+        write_plan_header(self.out, plan, shard.count)
+        self.manifest = worker_manifest_path(self.out, worker)
+        self.telemetry = Telemetry()
+        self._fingerprint = plan.fingerprint()
+        #: Each settled point's ``(outcome, runs)``, by point index.
+        self._recorded: Dict[int, Tuple[str, int]] = {}
 
-    def claims(self) -> Iterator[PointTask]:
-        """Yield every owned, not-yet-checkpointed point, in plan order."""
-        for point_index, point in enumerate(self.plan.points):
-            owned = self.plan.owned_positions(point_index, self.shard)
-            record: Dict[str, Any] = {"label": point.label, "runs": len(owned)}
-            self._points_record[str(point_index)] = record
-            if not owned:
-                self.result.skipped.append(point.label)
-                record["checkpoint"] = None
-                continue
-            cpath = checkpoint_path(self.out, self.shard, point_index)
-            if cpath.exists():
-                try:
-                    summaries = _load_checkpoint(cpath, self.plan, self.shard, point_index)
-                except ManifestError as error:
-                    warnings.warn(
-                        f"recomputing point {point.label!r}: {error}", RuntimeWarning
-                    )
-                else:
-                    self.result.resumed.append(point.label)
-                    self.result.runs_resumed += len(summaries)
-                    record["checkpoint"] = cpath.name
-                    self._write_manifest()
-                    continue
-            yield PointTask(
-                point_index=point_index,
-                label=point.label,
-                positions=owned,
-                start=self.plan.run_index(point_index, owned[0]),
-                step=self.shard.count,
-                checkpoint=cpath,
-            )
+    def _resume(self, point_index: int) -> Optional[List[RunSummary]]:
+        """This shard's valid checkpoint of a point; an unusable one warns and reads as none."""
+        path = checkpoint_path(self.out, self.shard, point_index)
+        if not path.exists():
+            return None
+        try:
+            return _load_checkpoint(path, self.plan, self.shard, point_index)
+        except ManifestError as error:
+            label = self.plan.points[point_index].label
+            warnings.warn(f"recomputing point {label!r}: {error}", RuntimeWarning)
+            return None
+
+    def _task(self, point_index: int, lease: Optional[Lease] = None) -> PointTask:
+        positions = self.plan.owned_positions(point_index, self.shard)
+        return PointTask(
+            point_index=point_index,
+            label=self.plan.points[point_index].label,
+            positions=positions,
+            start=self.plan.run_index(point_index, positions[0]),
+            step=self.shard.count,
+            checkpoint=checkpoint_path(self.out, self.shard, point_index),
+            lease=lease,
+        )
 
     @contextmanager
     def hold(self, task: PointTask) -> Iterator[None]:
-        """No-op: static ownership needs no heartbeat."""
-        yield
+        """Time the point; a static shard holds no lease to renew."""
+        with self.telemetry.timer("point_seconds"):
+            yield
 
-    def complete(self, task: PointTask, summaries: List[RunSummary]) -> None:
-        """Checkpoint one computed point and persist the manifest."""
+    def _checkpoint(self, task: PointTask, summaries: List[RunSummary]) -> None:
         _write_checkpoint(
             task.checkpoint,
             self.plan,
             self.shard,
             task.point_index,
             summaries,
-            provenance={"schedule": self.schedule},
+            provenance={
+                "worker": self.worker,
+                "lease_generation": None if task.lease is None else task.lease.generation,
+            },
         )
-        self.result.executed.append(task.label)
-        self.result.runs_executed += len(summaries)
-        self._points_record[str(task.point_index)]["checkpoint"] = task.checkpoint.name
+        self.telemetry.inc("points_computed")
+        self.telemetry.inc("runs_executed", len(summaries))
+        self.telemetry.set_gauge("last_checkpoint_at", time.time())
+
+    def _settle(self, point_index: int, outcome: str, runs: int) -> None:
+        self._recorded[point_index] = (outcome, runs)
         self._write_manifest()
 
-    def finish(self) -> ShardRunResult:
-        """Write the final manifest and report what this shard did."""
+    def finish(self) -> Any:
+        """Write the final manifest and report what this writer did."""
         self._write_manifest()
         return self.result
 
     def _write_manifest(self) -> None:
+        computed = [runs for outcome, runs in self._recorded.values() if outcome in ("executed", "stolen")]
+        outcomes = [outcome for outcome, _ in self._recorded.values()]
         payload = {
-            **self._provenance,
-            "shard_index": self.shard.index,
-            "shard_count": self.shard.count,
-            "seeds": list(self.plan.seeds),
-            "labels": [point.label for point in self.plan.points],
-            "points": self._points_record,
-            "runs_total": sum(
-                len(self.plan.owned_positions(pi, self.shard))
-                for pi in range(len(self.plan.points))
+            "version": MANIFEST_VERSION,
+            "fingerprint": self._fingerprint,
+            "worker": self.worker,
+            "shard": str(self.shard),
+            "points": {
+                str(point_index): {
+                    "label": self.plan.points[point_index].label,
+                    "outcome": outcome,
+                    "runs": runs,
+                }
+                for point_index, (outcome, runs) in sorted(self._recorded.items())
+            },
+            "points_computed": len(computed),
+            "points_stolen": outcomes.count("stolen"),
+            "points_lost": outcomes.count("lost"),
+            "runs_executed": sum(computed),
+            "runs_reused": sum(
+                runs for outcome, runs in self._recorded.values() if outcome == "already-done"
             ),
-            "runs_done": self.result.runs_executed + self.result.runs_resumed,
+            "telemetry": self.telemetry.snapshot(),
         }
-        _atomic_write_bytes(
-            self.result.manifest, json.dumps(payload, indent=2).encode("utf-8")
-        )
+        _atomic_write_bytes(self.manifest, json.dumps(seal(payload), indent=2).encode("utf-8"))
+
+
+class StaticShardScheduler(_Writer):
+    """The no-lease policy: shard ``i/k``'s fixed round-robin share.
+
+    Every point this shard owns runs of is "claimed" unconditionally, valid
+    checkpoints are resumed, and the manifest is rewritten atomically after
+    every point so a killed invocation leaves a resumable prefix.
+    """
+
+    def __init__(self, plan: SweepPlan, shard: ShardSpec, out_dir: Path) -> None:
+        super().__init__(plan, out_dir, f"shard-{shard.index}of{shard.count}", shard)
+        self.result = ShardRunResult(shard=shard, out_dir=self.out, manifest=self.manifest)
+
+    def claims(self) -> Iterator[PointTask]:
+        """Yield every owned, not-yet-checkpointed point, in plan order."""
+        for point_index, point in enumerate(self.plan.points):
+            if not self.plan.owned_positions(point_index, self.shard):
+                self.result.skipped.append(point.label)
+                self._recorded[point_index] = ("not-mine", 0)
+                continue
+            summaries = self._resume(point_index)
+            if summaries is None:
+                yield self._task(point_index)
+                continue
+            self.result.resumed.append(point.label)
+            self.result.runs_resumed += len(summaries)
+            self._settle(point_index, "already-done", len(summaries))
+
+    def complete(self, task: PointTask, summaries: List[RunSummary]) -> None:
+        """Checkpoint one computed point and persist the manifest."""
+        self._checkpoint(task, summaries)
+        self.result.executed.append(task.label)
+        self.result.runs_executed += len(summaries)
+        self._settle(task.point_index, "executed", len(summaries))
 
 
 # ----------------------------------------------------------- work stealing
@@ -672,8 +695,8 @@ class StealRunResult:
         return self.executed + self.stolen
 
 
-class WorkStealingScheduler:
-    """Lease-based scheduler: claim un-started points, steal expired ones.
+class WorkStealingScheduler(_Writer):
+    """Lease-based policy: claim un-started points, steal expired ones.
 
     Pass one claims never-leased points (scanning from a worker-specific
     rotation offset, so concurrent workers mostly avoid colliding); pass
@@ -685,8 +708,6 @@ class WorkStealingScheduler:
     ``poll_interval`` seconds until the remaining points are checkpointed
     by their holders or their leases expire and become stealable.
     """
-
-    schedule = "steal"
 
     def __init__(
         self,
@@ -703,11 +724,8 @@ class WorkStealingScheduler:
             raise LeaseError(f"max_points must be >= 1, got {max_points}")
         if poll_interval is not None:
             _check_seconds("poll interval", poll_interval)
-        self.plan = plan
-        self.out = Path(out_dir)
-        self.worker = (
-            sanitize_worker_name(worker) if worker is not None else default_worker_name()
-        )
+        name = sanitize_worker_name(worker) if worker is not None else default_worker_name()
+        super().__init__(plan, out_dir, name, _WHOLE)
         self.ttl = float(lease_ttl)
         self.max_points = max_points
         self.wait = wait
@@ -716,20 +734,13 @@ class WorkStealingScheduler:
         self.poll_interval = (
             float(poll_interval) if poll_interval is not None else max(self.ttl / 4.0, 0.01)
         )
-        self.telemetry = Telemetry()
-        header = write_plan_header(self.out, plan)
         lease_dir(self.out).mkdir(parents=True, exist_ok=True)
         self.result = StealRunResult(
             worker=self.worker,
             out_dir=self.out,
-            manifest=worker_manifest_path(self.out, self.worker),
-            plan_header=header,
+            manifest=self.manifest,
+            plan_header=plan_header_path(self.out),
         )
-        #: The worker manifest records the plan, not its named-field lists.
-        self._provenance = plan_provenance(plan, self.schedule)
-        del self._provenance["delay_models"], self._provenance["scenarios"]
-        self._fingerprint = self._provenance["fingerprint"]
-        self._recorded: Dict[int, str] = {}
         self._computed = 0
 
     # ------------------------------------------------------------- claiming
@@ -773,9 +784,8 @@ class WorkStealingScheduler:
                 self.telemetry.inc("idle_polls")
                 time.sleep(self.poll_interval)
         for point_index in self._outstanding():
-            label = self.plan.points[point_index].label
-            self._recorded[point_index] = "left-behind"
-            self.result.left_behind.append(label)
+            self._recorded[point_index] = ("left-behind", 0)
+            self.result.left_behind.append(self.plan.points[point_index].label)
         self._write_manifest()
 
     @contextmanager
@@ -817,41 +827,19 @@ class WorkStealingScheduler:
             # Stolen from us mid-run and the thief finished first.  Its
             # checkpoint is bit-identical to ours, so nothing is wasted but
             # our own time; record the loss and keep going.
-            self._recorded[task.point_index] = "lost"
             self.result.lost.append(task.label)
             self.telemetry.inc("points_lost")
-            self._write_manifest()
+            self._settle(task.point_index, "lost", len(summaries))
             return
-        _write_checkpoint(
-            task.checkpoint,
-            self.plan,
-            _WHOLE,
-            task.point_index,
-            summaries,
-            provenance={
-                "schedule": self.schedule,
-                "worker": self.worker,
-                "lease_generation": task.lease.generation,
-                "stolen": task.lease.generation > 0,
-            },
-        )
+        self._checkpoint(task, summaries)
         self.result.runs_executed += len(summaries)
-        self.telemetry.inc("points_computed")
-        self.telemetry.inc("runs_executed", len(summaries))
-        self.telemetry.set_gauge("last_checkpoint_at", time.time())
         if task.lease.generation > 0:
-            self._recorded[task.point_index] = "stolen"
             self.result.stolen.append(task.label)
             self.telemetry.inc("points_stolen")
+            self._settle(task.point_index, "stolen", len(summaries))
         else:
-            self._recorded[task.point_index] = "executed"
             self.result.executed.append(task.label)
-        self._write_manifest()
-
-    def finish(self) -> StealRunResult:
-        """Write the final worker manifest and report what this worker did."""
-        self._write_manifest()
-        return self.result
+            self._settle(task.point_index, "executed", len(summaries))
 
     # ------------------------------------------------------------ internals
     def _rotation(self) -> List[int]:
@@ -871,22 +859,13 @@ class WorkStealingScheduler:
         """Whether this worker is done considering ``point_index``."""
         if point_index in self._recorded:
             return True
-        cpath = point_checkpoint_path(self.out, point_index)
-        label = self.plan.points[point_index].label
-        if cpath.exists():
-            try:
-                summaries = _load_checkpoint(cpath, self.plan, _WHOLE, point_index)
-            except ManifestError as error:
-                warnings.warn(
-                    f"recomputing point {label!r}: {error}", RuntimeWarning
-                )
-                return False
-            self._recorded[point_index] = "already-done"
-            self.result.already_done.append(label)
-            self.result.runs_reused += len(summaries)
-            self._write_manifest()
-            return True
-        return False
+        summaries = self._resume(point_index)
+        if summaries is None:
+            return False
+        self.result.already_done.append(self.plan.points[point_index].label)
+        self.result.runs_reused += len(summaries)
+        self._settle(point_index, "already-done", len(summaries))
+        return True
 
     def _outstanding(self) -> List[int]:
         """Points neither settled by us nor checkpointed by anyone."""
@@ -894,43 +873,8 @@ class WorkStealingScheduler:
             point_index
             for point_index in range(len(self.plan.points))
             if point_index not in self._recorded
-            and not point_checkpoint_path(self.out, point_index).exists()
+            and not checkpoint_path(self.out, self.shard, point_index).exists()
         ]
-
-    def _task(self, point_index: int, lease: Lease) -> PointTask:
-        return PointTask(
-            point_index=point_index,
-            label=self.plan.points[point_index].label,
-            positions=list(range(len(self.plan.seeds))),
-            start=self.plan.run_index(point_index, 0),
-            step=1,
-            checkpoint=point_checkpoint_path(self.out, point_index),
-            lease=lease,
-        )
-
-    def _write_manifest(self) -> None:
-        outcomes = {
-            str(point_index): {
-                "label": self.plan.points[point_index].label,
-                "outcome": outcome,
-            }
-            for point_index, outcome in sorted(self._recorded.items())
-        }
-        payload = {
-            **self._provenance,
-            "worker": self.worker,
-            "lease_ttl": self.ttl,
-            "points": outcomes,
-            "points_computed": len(self.result.executed) + len(self.result.stolen),
-            "points_stolen": len(self.result.stolen),
-            "points_lost": len(self.result.lost),
-            "runs_executed": self.result.runs_executed,
-            "runs_reused": self.result.runs_reused,
-            "telemetry": self.telemetry.snapshot(),
-        }
-        _atomic_write_bytes(
-            self.result.manifest, json.dumps(payload, indent=2).encode("utf-8")
-        )
 
 
 def run_work_stealing(
@@ -956,8 +900,7 @@ def run_work_stealing(
     ``wait=True`` makes the worker idle (re-polling every ``poll_interval``
     seconds, default ``lease_ttl / 4``) when everything left is live-leased,
     instead of exiting -- so a fleet drains a sweep without a supervisor
-    re-launching stragglers.  For the whole call, every pass of the cyclic
-    collector is recorded under the worker's ``gc_seconds`` telemetry timer.
+    re-launching stragglers.
     """
     scheduler = WorkStealingScheduler(
         plan,
@@ -968,20 +911,19 @@ def run_work_stealing(
         wait=wait,
         poll_interval=poll_interval,
     )
-    with scheduler.telemetry.time_collector():
-        return drive_claims(plan, scheduler, max_workers)
+    return drive_claims(plan, scheduler, max_workers)
 
 
 # ------------------------------------------------------- reading a directory
 @dataclass
 class StealStatus:
-    """Aggregate progress of a work-stealing run directory.
+    """Aggregate progress of a run directory, whichever policies wrote it.
 
+    ``done`` counts points holding every owning shard's checkpoint.
     ``stolen`` counts points whose live lease generation is above zero --
     points that changed hands at least once, completed or not.
-    ``orphaned`` are points whose lease expired with no checkpoint:
-    claimable by the next worker.  ``workers`` holds one row per worker
-    manifest found.
+    ``orphaned`` are pending points whose lease expired: claimable by the
+    next worker.  ``workers`` holds one row per worker manifest found.
     """
 
     points_total: int
@@ -990,6 +932,7 @@ class StealStatus:
     orphaned: int
     unclaimed: int
     stolen: int
+    shard_count: int
     runs_total: int
     experiment: Optional[str]
     plan_key: Optional[str]
@@ -997,114 +940,102 @@ class StealStatus:
 
 
 class RunDirectory:
-    """One read of a sweep directory: the only code that knows its two layouts.
+    """One read of a run directory: the only code that knows its layout.
 
     Everything that consumes a run directory -- the merger, ``status``,
     ``serve``, the CLI -- asks this class instead of the files: what
     provenance was recorded, which checkpoint files together hold a point,
-    what state each point or shard is in, and why a pending point cannot be
-    merged yet.  Construction reads the plan header, or every shard manifest
-    through :func:`~.distributed.read_manifests` (so disagreeing, malformed
-    or wrong-version artifacts raise here, naming the file); a directory
-    nothing has been written to yet reads as ``layout is None``.  Leases,
+    what state each point and writer is in, and why a pending point cannot
+    be merged yet.  Construction reads the plan header (so a malformed,
+    damaged or wrong-version one raises here, naming the file); a directory
+    nothing has been written to yet reads as ``header is None``.  Leases,
     worker manifests and the row views are read on first use and kept: an
     instance is one snapshot, so build a new one to look again.
     """
 
     def __init__(self, out_dir: Union[str, Path]) -> None:
         self.out = Path(out_dir)
-        #: ``"steal"``, ``"static"``, or ``None`` for nothing written (yet).
-        self.layout: Optional[str] = None
-        #: The recorded plan provenance: the plan header, or the first shard
-        #: manifest once all of them have been checked to agree.
-        self.provenance: Optional[Dict[str, Any]] = None
-        #: Every shard manifest, in shard order (static layout only).
-        self.manifests: List[Dict[str, Any]] = []
-        if is_steal_dir(self.out):
-            self.layout, self.provenance = "steal", read_plan_header(self.out)
-        elif self.out.is_dir() and find_manifests(self.out):
-            self.manifests = read_manifests(self.out)
-            self.layout, self.provenance = "static", self.manifests[0]
-        #: What ``shard_count`` counts, and what the artifacts are called.
-        self.unit = "worker" if self.layout == "steal" else "shard"
-        self.what = "work-stealing artifacts" if self.layout == "steal" else "shards"
+        #: The plan header, or ``None`` while nothing has been written.
+        self.header: Optional[Dict[str, Any]] = (
+            read_plan_header(self.out) if plan_header_path(self.out).is_file() else None
+        )
 
     # ------------------------------------------------------------ provenance
     def recorded(self) -> Dict[str, Any]:
-        """The recorded provenance; a directory holding none is refused."""
-        # The strict manifest read words the refusal (not a directory / no
-        # shard manifests) -- or finds what landed since construction.
-        return self.provenance or read_manifests(self.out)[0]
+        """The plan header; a directory holding none is refused."""
+        if self.header is None:
+            raise ManifestError(
+                f"no plan header ({PLAN_HEADER_NAME}) in {self.out}: nothing has been written "
+                f"there yet, or only by a build older than version {MANIFEST_VERSION}"
+            )
+        return self.header
 
     def check(self, plan: SweepPlan) -> None:
-        """Refuse a ``plan`` the recorded provenance contradicts."""
-        check_merge_provenance(self.recorded(), plan, self.out, what=self.what)
+        """Refuse a ``plan`` the header contradicts, naming the header.
+
+        The named fields come first: a delay-model or scenario mismatch
+        would also trip the fingerprint check, but with an anonymous digest
+        -- the named-field error says *what* differs.
+        """
+        recorded, expected = self.recorded(), plan_provenance(plan)
+        path = plan_header_path(self.out)
+        for name in ("delay_models", "scenarios"):
+            if recorded[name] != expected[name]:
+                raise ManifestError(
+                    f"{path} disagrees with the merge plan on {name!r}: the run was produced "
+                    f"under {recorded[name]} but the plan has {expected[name]}; runs produced "
+                    f"under different delay models or fault scenarios cannot be merged"
+                )
+        if recorded["fingerprint"] != expected["fingerprint"]:
+            raise ManifestError(
+                f"{path} belongs to a different plan (fingerprint "
+                f"{str(recorded['fingerprint'])[:12]}... != {expected['fingerprint'][:12]}...); "
+                f"rebuild the merge plan with the same experiment, seeds and parameters"
+            )
 
     @property
     def shard_count(self) -> int:
-        """How many writers are on record: shards of the covering, or workers."""
-        if self.layout == "static":
-            return int(self.provenance["shard_count"])
-        return max(len(find_worker_manifests(self.out)), 1)
+        """The header's k: how many shards cover the plan (1 under work stealing)."""
+        return self.recorded()["shard_count"]
 
     # --------------------------------------------------------------- sources
-    def sources(self, plan: SweepPlan, point_index: int) -> List[Tuple[ShardSpec, Path]]:
+    def sources(self, point_index: int) -> List[Tuple[ShardSpec, Path]]:
         """The ``(shard, checkpoint file)`` pairs that together hold one point.
 
-        Work stealing checkpoints a point whole; static sharding spreads it
-        over every shard owning one of its runs.  A point is complete when
-        each file exists and ``_load_checkpoint`` accepts it for its shard.
+        One per shard of the header's covering that owns a run of the
+        point; a point is complete when each file exists and
+        ``_load_checkpoint`` accepts it for its shard.
         """
-        if self.layout == "steal":
-            return [(_WHOLE, point_checkpoint_path(self.out, point_index))]
-        count = self.shard_count
-        shards = (ShardSpec(index, count) for index in range(1, count + 1))
+        seeds, count = len(self.recorded()["seeds"]), self.shard_count
         return [
             (shard, checkpoint_path(self.out, shard, point_index))
-            for shard in shards
-            if plan.owned_positions(point_index, shard)
+            for shard in (ShardSpec(index, count) for index in range(1, count + 1))
+            if owned_positions(seeds, point_index, shard)
         ]
 
-    def refuse(self, plan: SweepPlan, pending: List[int]) -> None:
-        """Raise why the ``pending`` points cannot merge, if a file is missing.
+    def refuse(self, pending: List[int]) -> None:
+        """Raise why the ``pending`` points cannot merge, if a checkpoint is missing.
 
-        Returns when every source file of every pending point exists: what
-        is wrong then is inside a checkpoint, which only loading it tells.
+        Names each point with the shards whose checkpoint it lacks, and the
+        lease counts.  Returns when every source file of every pending point
+        exists: what is wrong then is inside a checkpoint, which only
+        loading it tells.
         """
-        self.recorded()  # nothing written at all is refused here
-        absent = {
-            point_index: [
-                shard for shard, path in self.sources(plan, point_index) if not path.exists()
-            ]
-            for point_index in pending
-        }
-        if self.layout == "steal":
-            unfinished = [plan.points[pi].label for pi in pending if absent[pi]]
-            if unfinished:
-                status = self.steal_status()
-                raise ManifestError(
-                    f"work-stealing run in {self.out} is incomplete: points {unfinished} "
-                    f"have no checkpoint yet ({status.leased} leased, {status.orphaned} "
-                    f"orphaned, {status.unclaimed} unclaimed); run another worker over "
-                    f"this directory to finish them before merging"
-                )
-            return
-        count = self.shard_count
-        expected = range(1, count + 1)
-        missing = sorted(set(expected) - {manifest["shard_index"] for manifest in self.manifests})
-        if missing:
+        wanted = set(pending)
+        gaps = [
+            f"{row['label']!r} lacks shard "
+            + ", ".join(shard for shard, present in row["checkpoints"].items() if not present)
+            for row in self.point_rows
+            if row["index"] in wanted and row["state"] != "done"
+        ]
+        if gaps:
+            status = self.steal_status()
             raise ManifestError(
-                f"{self.out} does not hold a complete 1..{count} shard covering: "
-                f"missing shards {missing}"
+                f"run in {self.out} is incomplete: {'; '.join(gaps)} ({status.leased} leased, "
+                f"{status.orphaned} orphaned, {status.unclaimed} unclaimed); resume it by "
+                f"re-running each lacking shard's command (a --steal worker for shard 1/1) "
+                f"before merging"
             )
-        for shard in (ShardSpec(index, count) for index in expected):
-            incomplete = [plan.points[pi].label for pi in pending if shard in absent[pi]]
-            if incomplete:
-                raise ManifestError(
-                    f"shard {shard} is incomplete (points {incomplete} have no "
-                    f"checkpoint yet); resume it by re-running its original run "
-                    f"command before merging"
-                )
 
     # ------------------------------------------------------------ state rows
     @cached_property
@@ -1114,17 +1045,20 @@ class RunDirectory:
 
     @cached_property
     def point_rows(self) -> List[Dict[str, Any]]:
-        """Work stealing: each point's index, label, state and live lease holder.
+        """Each point's index, label, state, checkpoints and lease.
 
-        ``state`` is ``done`` (checkpointed), ``leased``, ``orphaned`` (lease
-        expired, no checkpoint) or ``unclaimed``; ``worker`` and
-        ``generation`` appear once the point has ever been leased.
+        ``checkpoints`` maps each owning shard (``"i/k"``) to whether its
+        checkpoint exists.  ``state`` is ``done`` when all of them do, else
+        ``leased``, ``orphaned`` (lease expired) or ``unclaimed``, from the
+        point's live lease.  ``generation`` appears once the point has ever
+        been leased, and ``worker`` -- the holder -- while it is pending.
         """
         leases = {lease.point_index: lease for lease in self.leases}
         rows = []
-        for point_index, label in enumerate(self.provenance["labels"]):
+        for point_index, label in enumerate(self.recorded()["labels"]):
+            checkpoints = {str(shard): path.exists() for shard, path in self.sources(point_index)}
             lease = leases.get(point_index)
-            if point_checkpoint_path(self.out, point_index).exists():
+            if all(checkpoints.values()):
                 state = "done"
             elif lease is None:
                 state = "unclaimed"
@@ -1132,60 +1066,36 @@ class RunDirectory:
                 state = "orphaned"
             else:
                 state = "leased"
-            row = {"index": point_index, "label": label, "state": state}
+            row = {"index": point_index, "label": label, "state": state, "checkpoints": checkpoints}
             if lease is not None:
-                row.update(worker=lease.worker, generation=lease.generation)
+                row["generation"] = lease.generation
+                if state != "done":
+                    row["worker"] = lease.worker
             rows.append(row)
         return rows
 
     @cached_property
     def worker_rows(self) -> List[Dict[str, Any]]:
-        """Work stealing: one row of counts (and telemetry) per worker manifest."""
+        """One row of counts (and telemetry) per worker manifest."""
         rows = []
         for path in find_worker_manifests(self.out):
-            raw = read_artifact(path, "worker manifest", ())
+            raw = read_artifact(path, "worker manifest", _WORKER_FIELDS)
             row = {
-                "worker": raw.get("worker", "?"),
-                "computed": raw.get("points_computed", 0),
-                "stolen": raw.get("points_stolen", 0),
-                "lost": raw.get("points_lost", 0),
-                "runs_executed": raw.get("runs_executed", 0),
+                "worker": raw["worker"],
+                "shard": raw["shard"],
+                "computed": raw["points_computed"],
+                "stolen": raw["points_stolen"],
+                "lost": raw["points_lost"],
+                "runs_executed": raw["runs_executed"],
             }
             if isinstance(raw.get("telemetry"), dict):
                 row["telemetry"] = raw["telemetry"]
             rows.append(row)
         return rows
 
-    @cached_property
-    def shard_rows(self) -> List[Dict[str, Any]]:
-        """Static sharding: each shard's own record of its progress.
-
-        A killed shard's manifest has records only for the points it
-        reached, so the denominator is the whole plan (the labels list).
-        """
-        rows = []
-        for manifest in self.manifests:
-            points = manifest["points"]
-            rows.append(
-                {
-                    "shard": f"{manifest['shard_index']}/{manifest['shard_count']}",
-                    "points_done": sum(
-                        1
-                        for record in points.values()
-                        if not record["runs"] or record.get("checkpoint")
-                    ),
-                    "points_total": len(manifest.get("labels") or points),
-                    "runs_done": manifest.get("runs_done"),
-                    "runs_total": manifest.get("runs_total"),
-                }
-            )
-        return rows
-
     def steal_status(self) -> StealStatus:
-        """The point-state counts and worker rows of a work-stealing run."""
-        if self.layout != "steal":
-            raise ManifestError(f"{self.out} holds no work-stealing run ({PLAN_HEADER_NAME})")
-        rows = self.point_rows
+        """The point-state counts and worker rows of the directory."""
+        header, rows = self.recorded(), self.point_rows
         states = [row["state"] for row in rows]
         return StealStatus(
             points_total=len(rows),
@@ -1194,15 +1104,16 @@ class RunDirectory:
             orphaned=states.count("orphaned"),
             unclaimed=states.count("unclaimed"),
             stolen=sum(1 for row in rows if row.get("generation", 0) > 0),
-            runs_total=self.provenance.get("runs_total", 0),
-            experiment=self.provenance.get("experiment"),
-            plan_key=self.provenance.get("plan_key"),
+            shard_count=header["shard_count"],
+            runs_total=header["runs_total"],
+            experiment=header["experiment"],
+            plan_key=header["plan_key"],
             workers=self.worker_rows,
         )
 
 
 def steal_status(out_dir: Union[str, Path]) -> StealStatus:
-    """Read a work-stealing directory's progress from its artifacts alone."""
+    """Read a run directory's progress from its artifacts alone."""
     return RunDirectory(out_dir).steal_status()
 
 

@@ -4,9 +4,9 @@
 *possible*; this module makes it *practical*.  A :class:`SweepPlan` is the
 deterministic enumeration of every run of a sweep (every point of the sweep
 under every seed).  Any host can execute one :class:`ShardSpec` worth of that
-plan with :func:`run_shard` -- writing a versioned JSON manifest plus one
-JSON checkpoint per completed sweep point, so a killed shard resumes from
-its last checkpoint instead of restarting -- and :func:`merge_directory`
+plan with :func:`run_shard` -- writing one JSON checkpoint per completed
+sweep point, so a killed shard resumes from its last checkpoint instead of
+restarting -- and :func:`merge_directory`
 (:func:`merge_shards` is the same function) folds the per-shard outputs back
 into aggregates *bit-identical* to the single-host execution of the same plan.
 
@@ -29,19 +29,20 @@ Index schemes
 ``indexing="global"`` numbers runs across the whole batch, point-major;
 :func:`plan_sweep` and :func:`plan_grid` use it.
 
-On-disk layout (all under the ``--out`` directory)::
+On-disk layout (all under the ``--out`` directory; :mod:`~repro.harness.coordinator`
+writes the header and the manifests)::
 
-    shard-2of4.json             manifest: version, plan fingerprint, progress
-    shard-2of4-point-0003.json  checkpoint: RunSummary list for point 3
+    plan.json                   header: the plan's provenance and its shard count k
+    point-0003-2of4.json        checkpoint: shard 2/4's RunSummary list for point 3
+    worker-shard-2of4.json      manifest: what that writer did, point by point
 
 Every artifact is JSON that embeds :data:`MANIFEST_VERSION` and the plan's
 fingerprint, written by :func:`_atomic_write_bytes`; nothing is unpickled.
-The merge refuses mixed versions, mixed plans, missing shards, incomplete
-shards and bad summary fields with errors naming the file (and field).
-This module writes and names the files; the one place that *reads* a run
-directory -- this layout or the work-stealing one -- is
-:class:`~repro.harness.coordinator.RunDirectory`, and the one fold over it
-is :class:`~repro.obs.merge.IncrementalMerger`.
+A checkpoint carries the digest of its summaries, so a damaged one is
+refused, naming the file, instead of merging changed numbers.  This module
+writes and names the checkpoints; the one place that *reads* a run
+directory is :class:`~repro.harness.coordinator.RunDirectory`, and the one
+fold over it is :class:`~repro.obs.merge.IncrementalMerger`.
 """
 
 from __future__ import annotations
@@ -66,17 +67,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version stamped into every artifact of a run directory.  Readers reject any
 #: other version, so stale artifacts fail loudly instead of merging garbage;
-#: ``docs/distributed.md`` tables what each version changed (4: checkpoints
-#: became JSON and the priority-backend field went).
-MANIFEST_VERSION = 4
+#: ``docs/distributed.md`` tables what each version changed (5: one layout
+#: for static shards and work stealing, and the checkpoint digest).
+MANIFEST_VERSION = 5
 
 #: The two run-numbering schemes a plan can use (see the module docstring).
 INDEXING_SCHEMES = ("per-point", "global")
-
-_MANIFEST_RE = re.compile(r"^shard-(\d+)of(\d+)\.json$")
-
-#: What a shard manifest must hold besides its version to be read at all.
-MANIFEST_FIELDS = ("fingerprint", "shard_index", "shard_count", "points", "seeds")
 
 
 class ShardError(ValueError):
@@ -119,6 +115,18 @@ class ShardSpec:
 
     def __str__(self) -> str:
         return f"{self.index}/{self.count}"
+
+
+def owned_positions(seed_count: int, point_index: int, shard: ShardSpec) -> List[int]:
+    """The seed positions of ``point_index`` that ``shard`` executes, of ``seed_count``.
+
+    Ownership is round-robin over the *batch* position (point-major
+    enumeration), so shards stay balanced even when one point dominates,
+    and is independent of the indexing scheme.  It needs the seed count
+    alone, so a reader holding only the plan header knows it too.
+    """
+    first = (shard.index - 1 - point_index * seed_count) % shard.count
+    return list(range(first, seed_count, shard.count))
 
 
 # --------------------------------------------------------------------- plans
@@ -212,15 +220,8 @@ class SweepPlan:
         )
 
     def owned_positions(self, point_index: int, shard: ShardSpec) -> List[int]:
-        """The seed positions of ``point_index`` that ``shard`` executes.
-
-        Ownership is round-robin over the *batch* position (point-major
-        enumeration), so shards stay balanced even when one point dominates,
-        and is independent of the indexing scheme.
-        """
-        base = point_index * len(self.seeds)
-        first = (shard.index - 1 - base) % shard.count
-        return list(range(first, len(self.seeds), shard.count))
+        """The seed positions of ``point_index`` that ``shard`` executes (see :func:`owned_positions`)."""
+        return owned_positions(len(self.seeds), point_index, shard)
 
     def fingerprint(self) -> str:
         """A digest pinning everything that affects sharded results.
@@ -405,37 +406,48 @@ def _atomic_write_bytes(path: Path, payload: bytes, exclusive: bool = False) -> 
     return True
 
 
-def manifest_path(out_dir: Union[str, Path], shard: ShardSpec) -> Path:
-    """Where the manifest of ``shard`` lives under ``out_dir``."""
-    return Path(out_dir) / f"shard-{shard.index}of{shard.count}.json"
-
-
 def checkpoint_path(out_dir: Union[str, Path], shard: ShardSpec, point_index: int) -> Path:
-    """Where the checkpoint of one completed sweep point lives."""
-    return Path(out_dir) / f"shard-{shard.index}of{shard.count}-point-{point_index:04d}.json"
+    """Where shard ``shard``'s checkpoint of one completed sweep point lives."""
+    return Path(out_dir) / f"point-{point_index:04d}-{shard.index}of{shard.count}.json"
 
 
-def plan_provenance(plan: SweepPlan, schedule: str) -> Dict[str, Any]:
-    """The provenance block that opens every JSON artifact of a run directory.
+def plan_provenance(plan: SweepPlan) -> Dict[str, Any]:
+    """Everything ``plan`` decides in the plan header of a run directory.
 
-    Written by the plan header and both schedulers' manifests (the worker
-    manifest drops the two named-field lists) and read back, field by
-    field, by :func:`check_merge_provenance`.
+    The header is this plus the shard count; every writer and reader
+    compares what it holds against it (see
+    :class:`~repro.harness.coordinator.RunDirectory`).
     """
     return {
         "version": MANIFEST_VERSION,
-        "schedule": schedule,
         "fingerprint": plan.fingerprint(),
         "plan_key": plan.key,
         "experiment": plan.experiment,
         "indexing": plan.indexing,
         "delay_models": plan.delay_models(),
         "scenarios": plan.scenario_names(),
+        "seeds": list(plan.seeds),
+        "labels": [point.label for point in plan.points],
+        "runs_total": plan.total_runs,
     }
 
 
+def canonical_sha256(value: Any) -> str:
+    """The SHA-256 of ``value``'s canonical JSON (sorted keys, no spaces)."""
+    encoded = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def seal(document: Dict[str, Any]) -> Dict[str, Any]:
+    """``document`` plus a ``sha256`` of itself, which :func:`read_artifact` checks."""
+    return {**document, "sha256": canonical_sha256(document)}
+
+
 def read_artifact(path: Path, noun: str, required: Sequence[str]) -> Dict[str, Any]:
-    """Read and structurally validate one JSON artifact (``noun`` names it)."""
+    """Read and structurally validate one JSON artifact (``noun`` names it).
+
+    A :func:`seal`-ed artifact (one holding ``sha256``) must match its digest.
+    """
     try:
         raw = json.loads(path.read_text())
     except (OSError, ValueError) as error:
@@ -450,6 +462,10 @@ def read_artifact(path: Path, noun: str, required: Sequence[str]) -> Dict[str, A
     missing = [key for key in required if key not in raw]
     if missing:
         raise ManifestError(f"malformed {noun} {path}: missing fields {missing}")
+    if "sha256" in raw and raw["sha256"] != canonical_sha256(
+        {key: value for key, value in raw.items() if key != "sha256"}
+    ):
+        raise ManifestError(f"damaged {noun} {path}: its content does not match its sha256")
     return raw
 
 
@@ -506,7 +522,13 @@ def _summary_from_json(raw: Any, path: Path, position: int) -> RunSummary:
 
 def _load_checkpoint(path: Path, plan: SweepPlan, shard: ShardSpec, point_index: int) -> List[RunSummary]:
     """Read one checkpoint and verify it belongs to ``plan``/``shard``/point."""
-    raw = read_artifact(path, "checkpoint", ("fingerprint", "point_index", "label", "summaries"))
+    raw = read_artifact(
+        path, "checkpoint", ("fingerprint", "point_index", "label", "summaries", "summaries_sha256")
+    )
+    if raw["summaries_sha256"] != canonical_sha256(raw["summaries"]):
+        raise ManifestError(
+            f"damaged checkpoint {path}: its summaries do not match their summaries_sha256"
+        )
     if raw["fingerprint"] != plan.fingerprint():
         raise ManifestError(
             f"checkpoint {path} belongs to a different plan "
@@ -541,6 +563,7 @@ def _write_checkpoint(
     summaries: List[RunSummary],
     provenance: Optional[Mapping[str, Any]] = None,
 ) -> None:
+    encoded = [summary_to_json(summary) for summary in summaries]
     payload = {
         "version": MANIFEST_VERSION,
         "fingerprint": plan.fingerprint(),
@@ -548,7 +571,8 @@ def _write_checkpoint(
         "point_index": point_index,
         "label": plan.points[point_index].label,
         **(provenance or {}),
-        "summaries": [summary_to_json(summary) for summary in summaries],
+        "summaries": encoded,
+        "summaries_sha256": canonical_sha256(encoded),
     }
     _atomic_write_bytes(path, json.dumps(payload).encode("utf-8"))
 
@@ -578,12 +602,13 @@ def run_shard(
 
     Completed points found on disk (from a previous, possibly killed,
     invocation) are validated and reused instead of recomputed; corrupt or
-    foreign checkpoints are recomputed with a warning.  The manifest is
-    rewritten atomically after every point, so at any kill point the
-    directory holds a resumable prefix of the shard's work.
+    foreign checkpoints are recomputed with a warning.  The shard's worker
+    manifest (``worker-shard-IofK.json``) is rewritten atomically after every
+    point, so at any kill point the directory holds a resumable prefix of
+    the shard's work.
 
-    Static sharding is the degenerate scheduler of the work-stealing claim
-    loop (:mod:`~repro.harness.coordinator`): ownership is fixed up front by
+    Static sharding is the no-lease policy of the claim loop
+    (:mod:`~repro.harness.coordinator`): ownership is fixed up front by
     round-robin run index, every claim trivially succeeds, and nothing is
     ever stolen.  For dynamic scheduling on heterogeneous fleets, see
     :func:`~repro.harness.coordinator.run_work_stealing`.
@@ -600,65 +625,9 @@ class MergedSweep:
     """The single-host-equivalent outcome reassembled from shard artifacts."""
 
     plan: SweepPlan
+    #: The plan header's shard count k (1 for a work-stealing run).
     shard_count: int
     aggregates: Dict[str, RunAggregate]
-    #: What ``shard_count`` counts: static shards or work-stealing workers.
-    unit: str = "shard"
-
-
-def find_manifests(out_dir: Union[str, Path]) -> List[Path]:
-    """All shard manifest files under ``out_dir``, in shard order."""
-    out = Path(out_dir)
-    if not out.is_dir():
-        raise ManifestError(f"{out} is not a directory")
-    found = [path for path in out.iterdir() if _MANIFEST_RE.match(path.name)]
-    return sorted(found, key=lambda path: int(_MANIFEST_RE.match(path.name).group(1)))
-
-
-def read_manifests(out_dir: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load and validate every shard manifest in ``out_dir`` (at least one)."""
-    paths = find_manifests(out_dir)
-    if not paths:
-        raise ManifestError(f"no shard manifests (shard-IofK.json) found in {Path(out_dir)}")
-    manifests = [read_artifact(path, "manifest", MANIFEST_FIELDS) for path in paths]
-    first = manifests[0]
-    for manifest, path in zip(manifests, paths):
-        for key in ("fingerprint", "shard_count", "experiment", "indexing", "delay_models", "scenarios"):
-            if manifest.get(key) != first.get(key):
-                raise ManifestError(
-                    f"{path} disagrees with {paths[0]} on {key!r} "
-                    f"({manifest.get(key)!r} != {first.get(key)!r}); "
-                    f"these shards come from different runs"
-                )
-    return manifests
-
-
-def check_merge_provenance(
-    recorded: Mapping[str, Any], plan: SweepPlan, out: Path, what: str = "shards"
-) -> None:
-    """Refuse merging artifacts whose recorded provenance contradicts ``plan``.
-
-    Reads back what :func:`plan_provenance` wrote.  The named fields come
-    first: a delay-model or scenario mismatch would also trip the
-    fingerprint check below, but with an anonymous digest -- the
-    named-field error says *what* differs.
-    """
-    expected = plan_provenance(plan, recorded.get("schedule"))
-    for field_name in ("delay_models", "scenarios"):
-        value = recorded.get(field_name)
-        if value is not None and list(value) != expected[field_name]:
-            raise ManifestError(
-                f"{what} in {out} disagree with the merge plan on {field_name!r}: "
-                f"the {what} were produced under {value} but the plan has "
-                f"{expected[field_name]}; {what} produced under different delay models or "
-                f"fault scenarios cannot be merged"
-            )
-    if recorded["fingerprint"] != expected["fingerprint"]:
-        raise ManifestError(
-            f"{what} in {out} were produced by a different plan (fingerprint "
-            f"{recorded['fingerprint'][:12]}... != {expected['fingerprint'][:12]}...); "
-            f"rebuild the merge plan with the same experiment, seeds and parameters"
-        )
 
 
 def fold_point(
@@ -670,7 +639,7 @@ def fold_point(
     plan's indices for the point, and feed
     :meth:`~repro.harness.aggregate.RunAggregate.from_summaries` in that
     order.  Its one caller is :class:`~repro.obs.merge.IncrementalMerger`,
-    which every merge -- batch or live, either layout -- runs through, so
+    which every merge -- batch or live -- runs through, so
     their aggregates are bit-identical to :func:`run_plan` and to each
     other by construction.
     """
@@ -689,13 +658,13 @@ def fold_point(
 def merge_directory(out_dir: Union[str, Path], plan: SweepPlan) -> MergedSweep:
     """Fold a finished run directory into the single-host aggregates.
 
-    The batch merge of either layout is the incremental one drained once:
-    a single :meth:`~repro.obs.merge.IncrementalMerger.poll`, then
+    The batch merge is the incremental one drained once: a single
+    :meth:`~repro.obs.merge.IncrementalMerger.poll`, then
     :meth:`~repro.obs.merge.IncrementalMerger.merged`, which raises what
-    keeps the directory from merging (provenance from another plan, a
-    missing or unfinished shard, unfinished points with their lease
-    counts, an unusable checkpoint) or returns aggregates bit-identical
-    to :func:`run_plan` of the same plan on one host.
+    keeps the directory from merging (a header from another plan, points
+    lacking a shard's checkpoint with their lease counts, an unusable
+    checkpoint) or returns aggregates bit-identical to :func:`run_plan` of
+    the same plan on one host.
     """
     from ..obs.merge import IncrementalMerger
 

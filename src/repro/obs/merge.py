@@ -20,9 +20,9 @@ aggregates for those points by construction (the tests still sweep k in
 {1, 3, 7} over every completed prefix).
 
 The merger never looks at file names: which checkpoint files hold a point
-(one whole-point file under work stealing, one per owning shard under
-static sharding) is the reader's answer, and a point is complete when every
-one of them exists and ``_load_checkpoint`` accepts it.
+(one per shard of the header's covering that owns a run of it) is the
+reader's answer, and a point is complete when every one of them exists and
+``_load_checkpoint`` accepts it.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class IncrementalMerger:
     Folded aggregates accumulate in :attr:`aggregates`; a point that has
     not finished -- or whose checkpoint is momentarily unreadable -- simply
     stays pending until a later poll, and :meth:`merged` says why.
-    Artifacts that are malformed, disagree with each other or come from a
-    different plan raise :class:`~repro.harness.distributed.ManifestError`
+    A plan header that is malformed, damaged or from a different plan
+    raises :class:`~repro.harness.distributed.ManifestError`
     from ``poll`` itself rather than fold.
     """
 
@@ -60,9 +60,6 @@ class IncrementalMerger:
         self.plan = plan
         #: Folded aggregates by point label, in completion order.
         self.aggregates: Dict[str, RunAggregate] = {}
-        #: ``steal`` or ``static`` as of the last poll (a not-yet-started
-        #: directory has neither).
-        self.mode: Optional[str] = None
         #: Why each loadable-looking pending point did not fold (a corrupt
         #: or torn checkpoint leaves its point pending rather than raising).
         self._errors: Dict[str, ManifestError] = {}
@@ -92,13 +89,13 @@ class IncrementalMerger:
     def merged(self) -> MergedSweep:
         """The fully merged sweep; until :attr:`complete`, raises what is missing.
 
-        The reader's refusal comes first (nothing written, a shard missing
-        from the covering, a shard or point without its checkpoint), then
-        the load error of a checkpoint that exists but cannot be used.
+        The reader's refusal comes first (nothing written, a point lacking a
+        shard's checkpoint), then the load error of a checkpoint that exists
+        but cannot be used.
         """
         directory = RunDirectory(self.out)
         if not self.complete:
-            directory.refuse(self.plan, [point_index for point_index, _ in self._pending()])
+            directory.refuse([point_index for point_index, _ in self._pending()])
             raise next(iter(self._errors.values()), None) or ManifestError(
                 f"run in {self.out} is incomplete: points {self.pending()} have "
                 f"not been folded yet; keep polling (or run more workers)"
@@ -107,20 +104,18 @@ class IncrementalMerger:
             plan=self.plan,
             shard_count=directory.shard_count,
             aggregates={point.label: self.aggregates[point.label] for point in self.plan.points},
-            unit=directory.unit,
         )
 
     # ----------------------------------------------------------------- poll
     def poll(self) -> List[str]:
         """Fold every newly completed point; return their labels."""
         directory = RunDirectory(self.out)
-        self.mode = directory.layout
-        if directory.layout is None:
+        if directory.header is None:
             return []
         directory.check(self.plan)
         folded: List[str] = []
         for point_index, point in self._pending():
-            sources = directory.sources(self.plan, point_index)
+            sources = directory.sources(point_index)
             if not all(path.exists() for _, path in sources):
                 continue
             summaries: List[RunSummary] = []

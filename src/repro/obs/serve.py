@@ -1,7 +1,7 @@
-"""The live sweep service: ``python -m repro serve`` and ``status --watch``.
+"""The live sweep service: ``python -m repro serve`` and ``status``.
 
 A sweep directory already contains everything an observer needs -- the
-plan header or shard manifests, the lease files with their heartbeat
+plan header, the worker manifests, the lease files with their heartbeat
 timestamps and piggybacked telemetry, and the per-point checkpoints.
 This module reads *only* those artifacts, and only through
 :class:`~repro.harness.coordinator.RunDirectory` (it never joins the
@@ -12,7 +12,7 @@ killed.
 Three layers, smallest first:
 
 - :func:`render_status_text` -- one textual snapshot of a run directory;
-  shared verbatim by ``status --watch`` and the HTML page.
+  shared verbatim by ``status`` (with or without ``--watch``) and the HTML page.
 - :class:`SweepMonitor` -- the JSON views behind the four endpoints:
   ``/status`` (counts + fleet telemetry), ``/progress`` (per-point
   states), ``/workers`` (manifest rows + live lease heartbeats), and
@@ -35,7 +35,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Union
+from typing import Any, Callable, Dict, List, Optional, TextIO, Union
 
 from ..harness.aggregate import RunAggregate
 from ..harness.coordinator import RunDirectory
@@ -121,56 +121,53 @@ class SweepMonitor:
         A directory nothing was written to yet says so; a malformed or
         wrong-version artifact raises the reader's error naming the file.
         """
-        directory = RunDirectory(self.out)
-        if directory.layout == "steal":
-            status = directory.steal_status()
-            return {
-                "mode": "steal",
-                "experiment": status.experiment,
-                "plan_key": status.plan_key,
-                "points_total": status.points_total,
-                "done": status.done,
-                "leased": status.leased,
-                "orphaned": status.orphaned,
-                "unclaimed": status.unclaimed,
-                "stolen": status.stolen,
-                "runs_total": status.runs_total,
-                "workers": len(status.workers),
-                "telemetry": merge_snapshots(self._worker_snapshots(directory).values()),
-                "sampled_at": time.time(),
-            }
-        if directory.layout == "static":
-            return {
-                "mode": "static",
-                "experiment": directory.provenance.get("experiment"),
-                "plan_key": directory.provenance.get("plan_key"),
-                "shards": directory.shard_rows,
-                "sampled_at": time.time(),
-            }
-        return {"mode": None, "error": f"{self.out} holds no sweep artifacts (yet)"}
+        return self._view(self._status)
 
     def progress(self) -> Dict[str, Any]:
-        """The ``/progress`` payload: every point's current state."""
+        """The ``/progress`` payload: every point's state and checkpoints."""
+        return self._view(self._progress)
+
+    def workers(self) -> Dict[str, Any]:
+        """The ``/workers`` payload: manifest rows plus live lease heartbeats."""
+        return self._view(self._workers)
+
+    def _view(self, build: Callable[[RunDirectory], Dict[str, Any]]) -> Dict[str, Any]:
+        """One fresh read of the directory through ``build``, unless nothing is written yet."""
         directory = RunDirectory(self.out)
-        if directory.layout != "steal":
-            # Static shards have no per-point lease state; their progress
-            # *is* the per-shard status rows.
-            return self.status()
+        if directory.header is None:
+            return {"error": f"{self.out} holds no sweep artifacts (yet)"}
+        return build(directory)
+
+    def _status(self, directory: RunDirectory) -> Dict[str, Any]:
+        status = directory.steal_status()
+        return {
+            "experiment": status.experiment,
+            "plan_key": status.plan_key,
+            "shard_count": status.shard_count,
+            "points_total": status.points_total,
+            "done": status.done,
+            "leased": status.leased,
+            "orphaned": status.orphaned,
+            "unclaimed": status.unclaimed,
+            "stolen": status.stolen,
+            "runs_total": status.runs_total,
+            "workers": len(status.workers),
+            "telemetry": merge_snapshots(self._worker_snapshots(directory).values()),
+            "sampled_at": time.time(),
+        }
+
+    def _progress(self, directory: RunDirectory) -> Dict[str, Any]:
         points = directory.point_rows
         return {
-            "mode": "steal",
-            "experiment": directory.provenance.get("experiment"),
+            "experiment": directory.header["experiment"],
+            "shard_count": directory.shard_count,
             "done": sum(1 for row in points if row["state"] == "done"),
             "points_total": len(points),
             "points": points,
             "sampled_at": time.time(),
         }
 
-    def workers(self) -> Dict[str, Any]:
-        """The ``/workers`` payload: manifest rows plus live lease heartbeats."""
-        directory = RunDirectory(self.out)
-        if directory.layout != "steal":
-            return self.status()
+    def _workers(self, directory: RunDirectory) -> Dict[str, Any]:
         now = time.time()
         unfinished = {row["index"] for row in directory.point_rows if row["state"] != "done"}
         leases = [
@@ -186,12 +183,7 @@ class SweepMonitor:
             for lease in directory.leases
             if lease.point_index in unfinished
         ]
-        return {
-            "mode": "steal",
-            "workers": directory.worker_rows,
-            "leases": leases,
-            "sampled_at": now,
-        }
+        return {"workers": directory.worker_rows, "leases": leases, "sampled_at": now}
 
     def aggregate(self) -> Dict[str, Any]:
         """The ``/aggregate`` payload: the folded (possibly partial) prefix.
@@ -225,51 +217,54 @@ class SweepMonitor:
 def render_status_text(out_dir: Union[str, Path], plan: Optional[SweepPlan] = None) -> str:
     """One human-readable snapshot of a sweep directory.
 
-    The single renderer behind ``python -m repro status --watch`` and the
-    serve HTML page, so the browser and the terminal always agree.
+    The single renderer behind ``python -m repro status`` (with or without
+    ``--watch``) and the serve HTML page, so the browser and the terminal
+    always agree, whichever policies wrote the directory.  It reads the
+    directory once, through the monitor's own views.
     """
     monitor = SweepMonitor(out_dir, plan)
-    status = monitor.status()
-    lines: List[str] = []
-    if status.get("mode") == "steal":
+    directory = RunDirectory(out_dir)
+    if directory.header is None:
+        return f"{monitor.out} holds no sweep artifacts (yet)"
+    status = monitor._status(directory)
+    lines = [
+        f"{status['experiment'] or status['plan_key'] or '?'}: "
+        f"{status['done']}/{status['points_total']} points done "
+        f"({status['stolen']} stolen), {status['leased']} leased, "
+        f"{status['orphaned']} orphaned, {status['unclaimed']} unclaimed"
+    ]
+    telemetry = status["telemetry"]
+    counters = telemetry.get("counters") or {}
+    if counters:
+        shown = ", ".join(f"{name}={counters[name]:g}" for name in sorted(counters))
+        timers = telemetry.get("timers") or {}
+        for name, unit in (("point_seconds", "busy"), ("gc_seconds", "gc")):
+            timer = timers.get(name)
+            if timer:
+                shown += f", {unit} {timer['total']:.2f}s/{int(timer['count'])}"
+        lines.append(f"fleet: {shown}")
+    owned: Dict[str, List[bool]] = {}
+    for row in directory.point_rows:
+        for shard, present in row["checkpoints"].items():
+            owned.setdefault(shard, []).append(present)
+    lines.append(
+        "checkpoints by shard: "
+        + ", ".join(f"{shard} {sum(found)}/{len(found)}" for shard, found in owned.items())
+    )
+    workers = monitor._workers(directory)
+    for row in workers["workers"]:
         lines.append(
-            f"{status['experiment'] or status['plan_key'] or '?'}: "
-            f"{status['done']}/{status['points_total']} points done "
-            f"({status['stolen']} stolen), {status['leased']} leased, "
-            f"{status['orphaned']} orphaned, {status['unclaimed']} unclaimed"
+            f"  worker {row['worker']} (shard {row['shard']}): {row['computed']} computed "
+            f"({row['stolen']} stolen, {row['lost']} lost), {row['runs_executed']} runs"
         )
-        telemetry = status.get("telemetry") or {}
-        counters = telemetry.get("counters") or {}
-        if counters:
-            shown = ", ".join(f"{name}={counters[name]:g}" for name in sorted(counters))
-            collector = (telemetry.get("timers") or {}).get("gc_seconds")
-            if collector:
-                shown += f", gc {collector['total']:.2f}s/{int(collector['count'])}"
-            lines.append(f"fleet: {shown}")
-        workers = monitor.workers()
-        for row in workers.get("workers", []):
-            lines.append(
-                f"  worker {row['worker']}: {row['computed']} computed "
-                f"({row['stolen']} stolen, {row['lost']} lost), "
-                f"{row['runs_executed']} runs"
-            )
-        for lease in workers.get("leases", []):
-            age = lease["heartbeat_age"]
-            age_text = "?" if age is None else f"{age:.1f}s"
-            state = "EXPIRED" if lease["expired"] else "live"
-            lines.append(
-                f"  lease point {lease['point_index']:04d} gen {lease['generation']} "
-                f"held by {lease['worker']} ({state}, heartbeat {age_text} ago)"
-            )
-    elif status.get("mode") == "static":
-        lines.append(f"{status['experiment'] or status['plan_key'] or '?'}: static shards")
-        for shard in status["shards"]:
-            lines.append(
-                f"  shard {shard['shard']}: {shard['points_done']}/{shard['points_total']} "
-                f"points, {shard['runs_done']}/{shard['runs_total']} runs"
-            )
-    else:
-        lines.append(status.get("error", f"{out_dir}: no sweep artifacts"))
+    for lease in workers["leases"]:
+        age = lease["heartbeat_age"]
+        age_text = "?" if age is None else f"{age:.1f}s"
+        state = "EXPIRED" if lease["expired"] else "live"
+        lines.append(
+            f"  lease point {lease['point_index']:04d} gen {lease['generation']} "
+            f"held by {lease['worker']} ({state}, heartbeat {age_text} ago)"
+        )
     return "\n".join(lines)
 
 

@@ -2,8 +2,8 @@
 
 Every file a sweep leaves in its ``--out`` directory is read by one of four
 readers: :func:`~repro.harness.coordinator.read_plan_header`,
-:func:`~repro.harness.distributed.read_artifact` (shard and worker
-manifests), :func:`~repro.harness.distributed._load_checkpoint` and
+:func:`~repro.harness.distributed.read_artifact` (worker manifests),
+:func:`~repro.harness.distributed._load_checkpoint` and
 :func:`~repro.harness.coordinator.current_lease`.  Each is fed a valid
 artifact cut short at any length, changed in any one byte, replaced by
 any JSON value, or (for the JSON artifacts) holding any JSON value in one
@@ -12,13 +12,21 @@ of its fields.  The three artifact readers either return or raise
 lease reader returns a lease that is corrupt (expired, with a
 ``RuntimeWarning`` naming the file) or whose times are all finite.  No
 other exception may escape.
+
+The same damage, done to any one file of a whole finished directory --
+written by two ``--shard i/2`` writers, or by two ``--steal`` workers --
+must leave the merge bit-identical to ``run_plan`` or refuse it naming
+that file, and likewise leave :class:`~repro.harness.coordinator.RunDirectory`'s
+status rows as they were or refuse them naming that file.
 """
 
 import copy
 import json
 import math
 import shutil
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,23 +35,23 @@ from hypothesis import strategies as st
 from repro.cluster.topology import ClusterTopology
 from repro.experiments.common import default_seeds
 from repro.harness.coordinator import (
+    RunDirectory,
     current_lease,
     lease_dir,
-    plan_header_path,
-    point_checkpoint_path,
     read_plan_header,
     run_work_stealing,
     worker_manifest_path,
 )
 from repro.harness.distributed import (
-    MANIFEST_FIELDS,
     ManifestError,
     ShardSpec,
     _load_checkpoint,
     checkpoint_path,
-    manifest_path,
+    merge_directory,
     plan_repeat,
+    plan_sweep,
     read_artifact,
+    run_plan,
     run_shard,
 )
 from repro.harness.runner import ExperimentConfig
@@ -51,6 +59,7 @@ from repro.harness.runner import ExperimentConfig
 #: Examples per reader: five readers at this count stay well under 5 s.
 EXAMPLES = 120
 SHARD = ShardSpec(1, 2)
+WHOLE = ShardSpec(1, 1)
 
 
 def _plan():
@@ -61,20 +70,20 @@ def _plan():
 
 @pytest.fixture(scope="module")
 def master(tmp_path_factory):
-    """One static and one work-stealing directory, written once."""
+    """One static-shard and one work-stealing directory, written once."""
     root = tmp_path_factory.mktemp("fuzz")
     run_shard(_plan(), SHARD, root / "static", max_workers=1)
     run_work_stealing(_plan(), root / "steal", worker="w", max_workers=1)
     return root
 
 
-#: reader name -> (layout, the file it reads, the call that reads it).
+#: reader name -> (directory, the file it reads, the call that reads it).
 READERS = {
-    "plan-header": ("steal", plan_header_path, read_plan_header),
+    "plan-header": ("static", lambda out: out / "plan.json", read_plan_header),
     "shard-manifest": (
         "static",
-        lambda out: manifest_path(out, SHARD),
-        lambda out: read_artifact(manifest_path(out, SHARD), "manifest", MANIFEST_FIELDS),
+        lambda out: worker_manifest_path(out, "shard-1of2"),
+        lambda out: read_artifact(worker_manifest_path(out, "shard-1of2"), "worker manifest", ()),
     ),
     "worker-manifest": (
         "steal",
@@ -88,8 +97,8 @@ READERS = {
     ),
     "point-checkpoint": (
         "steal",
-        lambda out: point_checkpoint_path(out, 0),
-        lambda out: _load_checkpoint(point_checkpoint_path(out, 0), _plan(), ShardSpec(1, 1), 0),
+        lambda out: checkpoint_path(out, WHOLE, 0),
+        lambda out: _load_checkpoint(checkpoint_path(out, WHOLE, 0), _plan(), WHOLE, 0),
     ),
 }
 
@@ -188,3 +197,63 @@ def test_a_lease_reader_returns_a_corrupt_or_a_finite_lease(master, tmp_path, da
     else:
         assert all(math.isfinite(value) for value in (lease.acquired_at, lease.renewed_at, lease.ttl))
         assert lease.ttl > 0
+
+
+# ------------------------------------------------- damage to a whole directory
+def _sweep():
+    variations = {
+        "local": {"algorithm": "hybrid-local-coin"},
+        "common": {"algorithm": "hybrid-common-coin"},
+    }
+    base = ExperimentConfig(topology=ClusterTopology.figure1_right())
+    return plan_sweep(base, variations, default_seeds(3))
+
+
+def _status_rows(out):
+    directory = RunDirectory(out)
+    return directory.point_rows, directory.worker_rows
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """Two finished directories of one plan, the truth, and their status rows."""
+    root = tmp_path_factory.mktemp("finished")
+    for index in (1, 2):
+        run_shard(_sweep(), ShardSpec(index, 2), root / "shards", max_workers=1)
+    run_work_stealing(_sweep(), root / "steal", worker="a", max_workers=1, max_points=1)
+    run_work_stealing(_sweep(), root / "steal", worker="b", max_workers=1)
+    rows = {name: _status_rows(root / name) for name in ("shards", "steal")}
+    return root, run_plan(_sweep(), max_workers=1), rows
+
+
+@pytest.mark.parametrize("name", ["shards", "steal"])
+@given(data=st.data())
+@settings(
+    max_examples=EXAMPLES,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_a_damaged_file_merges_bit_identically_or_is_named(finished, name, data):
+    root, truth, rows = finished
+    master = root / name
+    files = sorted(str(path.relative_to(master)) for path in master.rglob("*") if path.is_file())
+    relative = data.draw(st.sampled_from(files), label="file")
+    damage = data.draw(damaged((master / relative).read_bytes()), label="damage")
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / name
+        shutil.copytree(master, out)
+        path = out / relative
+        path.write_bytes(damage)
+        try:
+            merged = merge_directory(out, _sweep())
+        except ManifestError as error:
+            assert path.name in str(error)
+        else:
+            assert merged.aggregates == truth
+        try:
+            read = _status_rows(out)
+        except ManifestError as error:
+            assert path.name in str(error)
+        else:
+            assert read == rows[name]

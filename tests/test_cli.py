@@ -65,6 +65,10 @@ def test_status_shows_progress(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "status", out_dir)
     assert code == 0
     assert "1/2" in out and "4/4" in out
+    # Shard 1/2 holds all 4 of its points; no point is done until shard 2/2 lands.
+    assert "checkpoints by shard: 1/2 4/4, 2/2 0/4" in out
+    assert "0/4 points done" in out
+    assert "worker shard-1of2 (shard 1/2): 4 computed" in out
 
 
 def test_status_of_killed_shard_shows_partial_points(tmp_path, capsys, monkeypatch):
@@ -87,6 +91,7 @@ def test_status_of_killed_shard_shows_partial_points(tmp_path, capsys, monkeypat
     code, out, _ = run_cli(capsys, "status", out_dir)
     assert code == 0
     assert "1/4" in out  # 1 of the plan's 4 points done, not "1/1"
+    assert "1/4 points done" in out and "checkpoints by shard: 1/1 1/4" in out
     code, _, err = run_cli(capsys, "merge", out_dir)
     assert code == 2 and "resume it by re-running" in err
 
@@ -186,7 +191,7 @@ def test_bad_shard_spec_is_an_error(capsys, tmp_path):
 def test_merge_of_empty_directory_is_an_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "merge", str(tmp_path))
     assert code == 2
-    assert "no shard manifests" in err
+    assert "no plan header" in err
 
 
 def test_mismatched_shard_seeds_are_rejected_at_merge(tmp_path, capsys):
@@ -230,8 +235,9 @@ def test_steal_status_shows_lease_counts(tmp_path, capsys):
     assert "1/4 points done" in out
     for word in ("stolen", "leased", "orphaned", "unclaimed"):
         assert word in out
-    assert "w1" in out  # the per-worker table
-    assert "busy " in out and ", gc " in out  # the telemetry cell
+    assert "1/4 points done (0 stolen), 0 leased, 0 orphaned, 3 unclaimed" in out
+    assert "w1" in out  # the per-worker lines
+    assert "busy " in out and ", gc " in out  # the fleet telemetry digest
 
 
 def test_steal_worker_reports_already_done_points(tmp_path, capsys):
@@ -312,7 +318,7 @@ def test_steal_directory_refuses_static_shards(tmp_path, capsys):
     run_cli(capsys, "run", "e1", *E1_ARGS, "--shard", "1/2", "--out", out_dir)
     code, _, err = run_cli(capsys, "run", "e1", *STEAL_ARGS, "--out", out_dir)
     assert code == 2
-    assert "static" in err
+    assert "plan.json splits the plan into 2 shard(s)" in err and "shard 1/1" in err
 
 
 def test_python_dash_m_entry_point():

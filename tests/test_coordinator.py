@@ -23,7 +23,6 @@ from repro.harness.coordinator import (
     lease_dir,
     merge_stolen,
     plan_header_path,
-    point_checkpoint_path,
     read_plan_header,
     renew_lease,
     run_work_stealing,
@@ -37,6 +36,7 @@ from repro.harness.coordinator import (
 from repro.harness.distributed import (
     ManifestError,
     ShardSpec,
+    checkpoint_path,
     plan_sweep,
     run_plan,
     run_shard,
@@ -51,6 +51,11 @@ VARIATIONS = {
 }
 TTL = 0.05  # tiny lease, so tests exercise expiry without real waiting
 EXPIRE = 3 * TTL  # sleeping this long guarantees any TTL lease has expired
+
+
+def point_file(out_dir, point_index):
+    """A work-stealing worker's checkpoint of one point: shard 1/1's."""
+    return checkpoint_path(out_dir, ShardSpec(1, 1), point_index)
 
 
 def make_plan():
@@ -214,7 +219,7 @@ def finish_with_workers(plan_builder, out_dir, worker_count, ttl=60.0):
 def merge_ready(plan, out_dir):
     """Whether every point of ``plan`` is checkpointed under ``out_dir``."""
     return all(
-        point_checkpoint_path(out_dir, pi).exists() for pi in range(len(plan.points))
+        point_file(out_dir, pi).exists() for pi in range(len(plan.points))
     )
 
 
@@ -302,7 +307,7 @@ def test_corrupt_lease_blocking_a_point_is_stolen_with_warning(tmp_path):
 def test_corrupt_checkpoint_is_recomputed_after_lease_expiry(tmp_path):
     plan = make_plan()
     run_work_stealing(plan, tmp_path, worker="first", lease_ttl=TTL, max_workers=1)
-    point_checkpoint_path(tmp_path, 0).write_bytes(b"{ torn write")
+    point_file(tmp_path, 0).write_bytes(b"{ torn write")
     time.sleep(EXPIRE)
     with pytest.warns(RuntimeWarning, match="recomputing"):
         again = run_work_stealing(
@@ -333,11 +338,16 @@ def test_checkpoints_record_lease_provenance(tmp_path):
     try_claim(tmp_path, plan, 0, "mayfly", TTL)
     time.sleep(EXPIRE)
     run_work_stealing(make_plan(), tmp_path, worker="prov", lease_ttl=TTL, max_workers=1)
-    stolen = json.loads(point_checkpoint_path(tmp_path, 0).read_text(encoding="utf-8"))
-    assert stolen["schedule"] == "steal" and stolen["worker"] == "prov"
-    assert stolen["stolen"] is True and stolen["lease_generation"] == 1
-    fresh = json.loads(point_checkpoint_path(tmp_path, 1).read_text(encoding="utf-8"))
-    assert fresh["stolen"] is False and fresh["lease_generation"] == 0
+    stolen = json.loads(point_file(tmp_path, 0).read_text(encoding="utf-8"))
+    assert stolen["shard"] == "1/1" and stolen["worker"] == "prov"
+    assert stolen["lease_generation"] == 1
+    fresh = json.loads(point_file(tmp_path, 1).read_text(encoding="utf-8"))
+    assert fresh["worker"] == "prov" and fresh["lease_generation"] == 0
+    run_shard(make_plan(), ShardSpec(1, 1), tmp_path, max_workers=1)  # resumes both points
+    static = tmp_path / "static"
+    run_shard(make_plan(), ShardSpec(1, 2), static, max_workers=1)
+    shard = json.loads(checkpoint_path(static, ShardSpec(1, 2), 0).read_text(encoding="utf-8"))
+    assert shard["worker"] == "shard-1of2" and shard["lease_generation"] is None
 
 
 def test_max_points_bounds_the_work_grant(tmp_path):
@@ -367,16 +377,33 @@ def test_steal_status_counts_each_state(tmp_path):
 
 
 # -------------------------------------------------------------- refusals
-def test_steal_directory_refuses_static_shards_and_vice_versa(tmp_path):
-    plan = make_plan()
+def test_a_writer_of_another_shard_count_is_refused_by_the_header(tmp_path):
+    """One refusal for every mix: k differs from plan.json's, named with both counts."""
     steal_out = tmp_path / "steal"
-    run_work_stealing(plan, steal_out, worker="w", lease_ttl=60.0, max_workers=1)
-    with pytest.raises(ManifestError, match="work-stealing"):
-        run_shard(make_plan(), ShardSpec(1, 1), steal_out, max_workers=1)
+    run_work_stealing(make_plan(), steal_out, worker="w", lease_ttl=60.0, max_workers=1)
+    refusal = r"plan\.json splits the plan into 1 shard\(s\) but this writer is a shard of 2"
+    with pytest.raises(ManifestError, match=refusal):
+        run_shard(make_plan(), ShardSpec(2, 2), steal_out, max_workers=1)
     static_out = tmp_path / "static"
-    run_shard(make_plan(), ShardSpec(1, 1), static_out, max_workers=1)
-    with pytest.raises(ManifestError, match="static"):
+    run_shard(make_plan(), ShardSpec(1, 2), static_out, max_workers=1)
+    refusal = r"plan\.json splits the plan into 2 shard\(s\) but this writer is a shard of 1"
+    with pytest.raises(ManifestError, match=refusal):
         run_work_stealing(make_plan(), static_out, worker="w", lease_ttl=60.0, max_workers=1)
+    with pytest.raises(ManifestError, match="2 shard"):
+        run_shard(make_plan(), ShardSpec(1, 3), static_out, max_workers=1)
+
+
+def test_steal_workers_and_a_whole_shard_share_one_covering(tmp_path):
+    """Shard 1/1 and --steal workers write the same files: each resumes the other's points."""
+    plan = make_plan()
+    run_work_stealing(plan, tmp_path, worker="w", lease_ttl=60.0, max_workers=1, max_points=1)
+    whole = run_shard(make_plan(), ShardSpec(1, 1), tmp_path, max_workers=1)
+    assert len(whole.resumed) == 1 and len(whole.executed) == len(plan.points) - 1
+    again = run_work_stealing(make_plan(), tmp_path, worker="w2", lease_ttl=60.0, max_workers=1)
+    assert sorted(again.already_done) == sorted(point.label for point in plan.points)
+    merged = merge_stolen(tmp_path, make_plan())
+    assert merged.shard_count == 1
+    assert merged.aggregates == run_plan(make_plan(), max_workers=1)
 
 
 def test_foreign_plan_header_is_refused(tmp_path):
@@ -459,8 +486,7 @@ def test_superseded_worker_loses_gracefully(tmp_path):
     summaries = coordinator.execute_point(plan, task, max_workers=1)
     coordinator._write_checkpoint(
         task.checkpoint, plan, coordinator._WHOLE, task.point_index, summaries,
-        provenance={"schedule": "steal", "worker": "thief", "lease_generation": 1,
-                    "stolen": True},
+        provenance={"worker": "thief", "lease_generation": 1},
     )
     scheduler.complete(task, summaries)
     assert scheduler.result.lost == [task.label]

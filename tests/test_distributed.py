@@ -19,7 +19,7 @@ from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds, run_planned
 from repro.harness import parallel
 from repro.harness.aggregate import RunAggregate, RunSummary, SummaryReducer, run_priority
-from repro.harness.coordinator import run_work_stealing
+from repro.harness.coordinator import plan_header_path, run_work_stealing, worker_manifest_path
 from repro.harness.distributed import (
     MANIFEST_VERSION,
     ManifestError,
@@ -29,15 +29,16 @@ from repro.harness.distributed import (
     SweepPlan,
     _load_checkpoint,
     _write_checkpoint,
+    canonical_sha256,
     checkpoint_path,
     grid_points,
-    manifest_path,
     merge_shards,
     plan_grid,
     plan_repeat,
     plan_sweep,
     run_plan,
     run_shard,
+    seal,
     summary_to_json,
     variation_points,
 )
@@ -105,20 +106,21 @@ class TestPlanValidation:
         assert plan_a.fingerprint() != plan_sweep(other_base, VARIATIONS, SEEDS).fingerprint()
 
     def test_fingerprint_is_pinned(self):
-        """The fingerprint moves only with the version (3 -> 4 moved every one)."""
+        """The fingerprint moves only with the version (4 -> 5 moved every one)."""
         assert plan_sweep(BASE, VARIATIONS, SEEDS).fingerprint() == (
-            "999fdbe1a844a6b025a9c7319ce5c0cdbfdb8737bc218c8aec47694967108a10"
+            "f448ca9f21ab3812dcee10c9748f0279fc65de53734b4207ff1ec011bf78143c"
         )
 
-    def test_a_version_3_directory_is_refused_by_version(self, tmp_path):
-        """Pickled checkpoints and the priority-backend field are version 3: refused, by file."""
+    def test_a_version_4_directory_is_refused_by_version(self, tmp_path):
+        """A version-4 header (it held a ``schedule``, no ``shard_count``) is refused, by file."""
         plan = plan_sweep(BASE, VARIATIONS, SEEDS)
         run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
-        path = manifest_path(tmp_path, ShardSpec(1, 1))
-        manifest = json.loads(path.read_text())
-        manifest.update(version=3, priority_backend="numpy-seedsequence")
-        path.write_text(json.dumps(manifest))
-        refusal = rf"manifest {re.escape(str(path))} has version 3 but this build reads version 4"
+        path = plan_header_path(tmp_path)
+        header = json.loads(path.read_text())
+        del header["shard_count"], header["sha256"]
+        header.update(version=4, schedule="static")
+        path.write_text(json.dumps(header))
+        refusal = rf"plan header {re.escape(str(path))} has version 4 but this build reads version 5"
         with pytest.raises(ManifestError, match=refusal):
             merge_shards(tmp_path, plan_sweep(BASE, VARIATIONS, SEEDS))
 
@@ -302,7 +304,7 @@ def test_killed_shard_resumes_from_last_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "run_many", real_run_many)
 
     # The killed invocation left a manifest and one checkpoint behind.
-    assert manifest_path(tmp_path, ShardSpec(1, 1)).exists()
+    assert worker_manifest_path(tmp_path, "shard-1of1").exists()
     resumed = run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
     assert len(resumed.resumed) == 1  # the checkpointed point was not recomputed
     assert len(resumed.executed) == len(plan.points) - 1
@@ -334,25 +336,24 @@ def test_merge_reports_missing_shards(tmp_path):
     plan = plan_sweep(BASE, VARIATIONS, SEEDS)
     run_shard(plan, ShardSpec(1, 3), tmp_path, max_workers=1)
     run_shard(plan, ShardSpec(3, 3), tmp_path, max_workers=1)
-    with pytest.raises(ManifestError, match=r"missing shards \[2\]"):
+    with pytest.raises(ManifestError, match=r"'local' lacks shard 2/3; 'common' lacks shard 2/3 "):
         merge_shards(tmp_path, plan)
 
 
-def test_merge_rejects_malformed_manifest(tmp_path):
+def test_merge_rejects_malformed_header(tmp_path):
     plan = plan_repeat(BASE, SEEDS)
     run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
-    manifest_path(tmp_path, ShardSpec(1, 1)).write_text("{ this is not json")
-    with pytest.raises(ManifestError, match="malformed manifest"):
+    plan_header_path(tmp_path).write_text("{ this is not json")
+    with pytest.raises(ManifestError, match="malformed plan header"):
         merge_shards(tmp_path, plan)
 
 
 def test_merge_rejects_version_mismatch(tmp_path):
     plan = plan_repeat(BASE, SEEDS)
-    shard = ShardSpec(1, 1)
-    run_shard(plan, shard, tmp_path, max_workers=1)
-    payload = json.loads(manifest_path(tmp_path, shard).read_text())
+    run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
+    payload = json.loads(plan_header_path(tmp_path).read_text())
     payload["version"] = MANIFEST_VERSION + 1
-    manifest_path(tmp_path, shard).write_text(json.dumps(payload))
+    plan_header_path(tmp_path).write_text(json.dumps(payload))
     with pytest.raises(ManifestError, match="version"):
         merge_shards(tmp_path, plan)
 
@@ -394,10 +395,10 @@ def test_checkpoint_that_landed_before_its_manifest_record_merges(tmp_path):
     plan = plan_sweep(BASE, VARIATIONS, SEEDS)
     for index in (1, 2):
         run_shard(plan, ShardSpec(index, 2), tmp_path, max_workers=1)
-    path = manifest_path(tmp_path, ShardSpec(1, 2))
+    path = worker_manifest_path(tmp_path, "shard-1of2")
     manifest = json.loads(path.read_text())
-    del manifest["points"]["0"]["checkpoint"]
-    path.write_text(json.dumps(manifest))
+    del manifest["points"]["0"], manifest["sha256"]
+    path.write_text(json.dumps(seal(manifest)))
     merged = merge_shards(tmp_path, plan_sweep(BASE, VARIATIONS, SEEDS))
     assert merged.aggregates == run_plan(plan, max_workers=1)
 
@@ -415,23 +416,38 @@ def test_merge_rejects_checkpoint_from_other_plan(tmp_path):
 
 
 def test_merge_empty_directory_fails_clearly(tmp_path):
-    with pytest.raises(ManifestError, match="no shard manifests"):
+    with pytest.raises(ManifestError, match="no plan header"):
         merge_shards(tmp_path, plan_repeat(BASE, SEEDS))
 
 
 # ------------------------------------------- one reader, one merger, as counts
 def test_a_run_directory_has_one_reader_and_one_fold():
-    """A count, not prose: a second merger or layout reader cannot come back unnoticed."""
+    """A count, not prose: a second merger, layout or layout reader cannot come back unnoticed."""
     sources = sorted(SRC.rglob("*.py"))
     assert sum(count_calls(path, "fold_point") for path in sources) == 1
-    # The merger, and the two schedulers' resume.
-    assert sum(count_calls(path, "_load_checkpoint") for path in sources) == 3
+    # The merger, and the writers' one resume.
+    assert sum(count_calls(path, "_load_checkpoint") for path in sources) == 2
     for consumer in ("cli.py", "obs/merge.py", "obs/serve.py"):
         assert count_calls(
             SRC / consumer,
-            "is_steal_dir", "read_manifests", "find_manifests", "read_plan_header",
-            "checkpoint_path", "point_checkpoint_path",
+            "read_plan_header", "read_artifact", "find_worker_manifests", "live_leases",
+            "checkpoint_path", "worker_manifest_path", "plan_header_path",
         ) == 0, f"{consumer} reads the directory itself instead of asking RunDirectory"
+    # One layout: nothing under src/ reads a ``layout`` or tells a static one apart.
+    branches = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "layout")
+        or (
+            isinstance(node, ast.Compare)
+            and any(
+                isinstance(operand, ast.Constant) and operand.value == "static"
+                for operand in (node.left, *node.comparators)
+            )
+        )
+    ]
+    assert branches == []
 
 
 def test_a_point_runs_in_two_places_and_folds_in_two():
@@ -463,8 +479,8 @@ def _top_level_keys(path):
 
 
 def test_on_disk_format_is_pinned(tmp_path):
-    """File names and key sets as version 4 writes them: every file is JSON."""
-    assert MANIFEST_VERSION == 4
+    """File names and key sets as version 5 writes them: both policies, the same file kinds."""
+    assert MANIFEST_VERSION == 5
     plan = plan_sweep(BASE, VARIATIONS, default_seeds(2))
     static, steal = tmp_path / "static", tmp_path / "steal"
     for index in (1, 2):
@@ -476,39 +492,40 @@ def test_on_disk_format_is_pinned(tmp_path):
         return sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file())
 
     assert names(static) == [
-        "shard-1of2-point-0000.json", "shard-1of2-point-0001.json", "shard-1of2.json",
-        "shard-2of2-point-0000.json", "shard-2of2-point-0001.json", "shard-2of2.json",
+        "plan.json",
+        "point-0000-1of2.json", "point-0000-2of2.json",
+        "point-0001-1of2.json", "point-0001-2of2.json",
+        "worker-shard-1of2.json", "worker-shard-2of2.json",
     ]
     assert names(steal) == [
         "leases/point-0000-gen-0000.json", "leases/point-0001-gen-0000.json", "plan.json",
-        "point-0000.json", "point-0001.json", "steal-worker-a.json", "steal-worker-b.json",
+        "point-0000-1of1.json", "point-0001-1of1.json", "worker-a.json", "worker-b.json",
     ]
-    assert _top_level_keys(static / "shard-1of2.json") == [
-        "delay_models", "experiment", "fingerprint", "indexing", "labels", "plan_key", "points",
-        "runs_done", "runs_total", "scenarios", "schedule", "seeds", "shard_count",
-        "shard_index", "version",
-    ]
-    assert _top_level_keys(steal / "plan.json") == [
+    header_keys = [
         "delay_models", "experiment", "fingerprint", "indexing", "labels", "plan_key",
-        "runs_total", "scenarios", "schedule", "seeds", "version",
+        "runs_total", "scenarios", "seeds", "sha256", "shard_count", "version",
     ]
-    assert _top_level_keys(steal / "steal-worker-a.json") == [
-        "experiment", "fingerprint", "indexing", "lease_ttl", "plan_key", "points",
-        "points_computed", "points_lost", "points_stolen", "runs_executed", "runs_reused",
-        "schedule", "telemetry", "version", "worker",
+    manifest_keys = [
+        "fingerprint", "points", "points_computed", "points_lost", "points_stolen",
+        "runs_executed", "runs_reused", "sha256", "shard", "telemetry", "version", "worker",
     ]
+    checkpoint_keys = [
+        "fingerprint", "label", "lease_generation", "point_index", "shard", "summaries",
+        "summaries_sha256", "version", "worker",
+    ]
+    for out, worker, checkpoint in (
+        (static, "shard-1of2", "point-0000-1of2.json"), (steal, "a", "point-0000-1of1.json"),
+    ):
+        assert _top_level_keys(out / "plan.json") == header_keys
+        assert _top_level_keys(out / f"worker-{worker}.json") == manifest_keys
+        assert _top_level_keys(out / checkpoint) == checkpoint_keys
+    assert json.loads((static / "plan.json").read_text())["shard_count"] == 2
+    assert json.loads((steal / "plan.json").read_text())["shard_count"] == 1
     assert _top_level_keys(steal / "leases" / "point-0000-gen-0000.json") == [
         "acquired_at", "fingerprint", "generation", "point_index", "renewed_at", "ttl",
         "version", "worker",
     ]
-    assert _top_level_keys(static / "shard-1of2-point-0000.json") == [
-        "fingerprint", "label", "point_index", "schedule", "shard", "summaries", "version",
-    ]
-    assert _top_level_keys(steal / "point-0000.json") == [
-        "fingerprint", "label", "lease_generation", "point_index", "schedule", "shard", "stolen",
-        "summaries", "version", "worker",
-    ]
-    (summary, *_) = json.loads((steal / "point-0000.json").read_text(encoding="utf-8"))["summaries"]
+    (summary, *_) = json.loads((steal / "point-0000-1of1.json").read_text(encoding="utf-8"))["summaries"]
     assert sorted(summary) == [
         "algorithm", "decided", "decided_value", "index", "priority", "safety_ok", "seed",
         "terminated", "values",
@@ -568,14 +585,50 @@ def test_a_bad_summary_field_is_refused_by_file_position_and_name(tmp_path, fiel
     run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
     path = checkpoint_path(tmp_path, ShardSpec(1, 1), 1)
     raw = json.loads(path.read_text(encoding="utf-8"))
+
+    def rewrite():
+        """Keep the digest whole, as a writer that recomputed it would."""
+        raw["summaries_sha256"] = canonical_sha256(raw["summaries"])
+        path.write_text(json.dumps(raw), encoding="utf-8")
+
     raw["summaries"][1][field] = value
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    rewrite()
     with pytest.raises(ManifestError, match=rf"{re.escape(str(path))}: summary 1 field '{field}': {why}"):
         _load_checkpoint(path, plan, ShardSpec(1, 1), 1)
     del raw["summaries"][1][field]
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    rewrite()
     with pytest.raises(ManifestError, match=rf"{re.escape(str(path))}: summary 1 has no field '{field}'"):
         _load_checkpoint(path, plan, ShardSpec(1, 1), 1)
+
+
+@pytest.mark.parametrize("edit", ["one more message", "one hex digit"])
+def test_a_changed_summary_is_refused_by_its_digest(tmp_path, edit):
+    """A summary edited in place no longer merges silently: merge names the checkpoint.
+
+    Adding 1.0 to one run's ``messages_sent`` used to move the merged mean
+    with no error; so did changing one digit inside a hex float.
+    """
+    plan = e1_figure1.plan(seeds=default_seeds(2))
+    for index in (1, 2):
+        run_shard(plan, ShardSpec(index, 2), tmp_path, max_workers=1)
+    path = checkpoint_path(tmp_path, ShardSpec(1, 2), 0)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    values = raw["summaries"][0]["values"]
+    if edit == "one more message":
+        values["messages_sent"] = (float.fromhex(values["messages_sent"]) + 1.0).hex()
+    else:
+        text = values["messages_sent"]
+        digit = text.index("p") - 1
+        values["messages_sent"] = text[:digit] + ("1" if text[digit] != "1" else "2") + text[digit + 1:]
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    refusal = rf"damaged checkpoint {re.escape(str(path))}: its summaries do not match"
+    with pytest.raises(ManifestError, match=refusal):
+        merge_shards(tmp_path, e1_figure1.plan(seeds=default_seeds(2)))
+    with pytest.warns(RuntimeWarning, match="recomputing"):
+        again = run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
+    assert again.executed == [plan.points[0].label]
+    merged = merge_shards(tmp_path, e1_figure1.plan(seeds=default_seeds(2)))
+    assert merged.aggregates == run_plan(plan, max_workers=1)
 
 
 def _calls_in(tree):

@@ -16,18 +16,18 @@ from repro.experiments import ALL_EXPERIMENTS
 from tests.helpers import SRC, count_calls
 
 DEFAULT_FINGERPRINTS = {
-    "E1": "44d772647b46c28548f4660d7c7fcb815627fc0f44f5cff2c7c9c174c70fc36c",
-    "E2": "51e9dcae4593c10f5823084a201d9d6aa4c315373157ac43f2fdd5f3bfaf554b",
-    "E3": "8a0281efaef6c7a6ddf8c841802132c56332ac730b5891cef405da86c38f1908",
-    "E4": "63cac1bdf29ac50509fa6f6e53234fefcee703362a2451741725b2e5bcd89cc4",
-    "E5": "329bf9cceb066c2ee668a2db2a4ea58754958efac82273236c9af30c444414ec",
-    "E6": "93a95a93a6e75c1858cbc399cc24a523996965a574bc85d2c00e142f5798ac1d",
-    "E7": "b69b839b6a82d8bc5a160602b8f2c1af37739679b459f46e1b2dacf3a52ef697",
-    "E8": "e6ed16dce2ad802d4668aca8d88965a851bb5b611e300159a7a13c559952993a",
-    "E8L": "db58699d911683216a8d0d46dbb671a238fe3f82cf2972705a327152730d08e2",
-    "E9": "e74965c43d1791c811902e3f001ea1b0b4634b6c97b9e725e589795e84be1513",
-    "E10": "e5d9412ce6049c9a9756dcc7540ee940d574f4ddad13ee6f9d8614815d7e9672",
-    "E11": "caeaa18a8ea3d828a0267fc8354055bc06c3801544c84869af9b0c3940864d64",
+    "E1": "091b2a71299ac355e3c6e6a9a874608016846300d089a4a9f1978d6efcd82161",
+    "E2": "c69e58bd3efc7ba4f0f3989a4885914f4d18a703ea56cf4d2b4dd7f4796a651b",
+    "E3": "242b5cd407326c6c2268864a48890f6df92475d5c7610c0ee8a7024474f7a0e3",
+    "E4": "b7e663da2f69c5ffbd79a409f1add6d530b6c766652b69f3cd221cdaa0d644d3",
+    "E5": "42ddbf6aa5a10c1ddf6847a03db7978558f3e2a7df5195a06894db0f3e64e5f7",
+    "E6": "42448184a9e34ef3096a207e66b5344ca944b380d1eeac7526551b3afd5e34e7",
+    "E7": "60583d985506b53f2d3e8c3d8506eac57343690bfe07683a11a0a5c2b2edd75d",
+    "E8": "0ea77894a04c23cf8c360112588b0c73812d598dae610fc4b3bc6aa203de1f2c",
+    "E8L": "5b6f438d6502411fde1ca8eb77efa669fdfd58f51b954ad3c0c56658cd3147cb",
+    "E9": "97f9ba2f896f0acea59fc588c22a83c048deb9045d32f91ba563caecf0fc1327",
+    "E10": "3885ff60dc9b77bc154c4d3a6e0947735ae0ad0c0692069ef3c6202fcc680660",
+    "E11": "80f803c25cda9429a25f66c3cab08445014bdb75404466dc4cf4740ffdba45c0",
 }
 
 

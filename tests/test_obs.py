@@ -27,16 +27,14 @@ from repro.harness import coordinator, distributed, parallel
 from repro.harness.coordinator import (
     merge_stolen,
     plan_header_path,
-    point_checkpoint_path,
     run_work_stealing,
     steal_status,
     try_claim,
+    write_plan_header,
 )
 from repro.harness.distributed import (
     ShardSpec,
     checkpoint_path,
-    find_manifests,
-    manifest_path,
     merge_shards,
     plan_sweep,
     run_shard,
@@ -65,6 +63,11 @@ VARIATIONS = {
 def make_plan():
     """A fresh four-point plan (rebuilt per use, like real hosts do)."""
     return plan_sweep(BASE, VARIATIONS, SEEDS)
+
+
+def point_file(out_dir, point_index):
+    """A work-stealing worker's checkpoint of one point: shard 1/1's."""
+    return checkpoint_path(out_dir, ShardSpec(1, 1), point_index)
 
 
 def kill_after(monkeypatch, points):
@@ -291,7 +294,7 @@ def _static_prefix_dir(tmp_path, full_dir, plan, shard_count, prefix):
     """A copy of ``full_dir`` holding checkpoints only for points < prefix."""
     out = tmp_path / f"prefix-{shard_count}-{prefix}"
     out.mkdir()
-    for manifest in find_manifests(full_dir):
+    for manifest in [plan_header_path(full_dir), *full_dir.glob("worker-*.json")]:
         shutil.copy(manifest, out / manifest.name)
     for point_index in range(prefix):
         for index in range(1, shard_count + 1):
@@ -328,16 +331,16 @@ class TestIncrementalMerger:
         shutil.copy(plan_header_path(full_dir), plan_header_path(prefix_dir))
         prefix = 2
         for point_index in range(prefix):
-            source = point_checkpoint_path(full_dir, point_index)
-            shutil.copy(source, point_checkpoint_path(prefix_dir, point_index))
+            source = point_file(full_dir, point_index)
+            shutil.copy(source, point_file(prefix_dir, point_index))
         merger = IncrementalMerger(prefix_dir, make_plan())
         assert merger.poll() == [point.label for point in plan.points[:prefix]]
         for label in [point.label for point in plan.points[:prefix]]:
             assert merger.aggregates[label] == reference.aggregates[label]
         # The remaining checkpoints land; the next poll folds exactly them.
         for point_index in range(prefix, len(plan.points)):
-            source = point_checkpoint_path(full_dir, point_index)
-            shutil.copy(source, point_checkpoint_path(prefix_dir, point_index))
+            source = point_file(full_dir, point_index)
+            shutil.copy(source, point_file(prefix_dir, point_index))
         assert merger.poll() == [point.label for point in plan.points[prefix:]]
         assert merger.complete
         assert merger.merged().aggregates == reference.aggregates
@@ -362,24 +365,26 @@ class TestIncrementalMerger:
     def test_empty_directory_stays_pending(self, tmp_path):
         merger = IncrementalMerger(tmp_path / "nothing-yet", make_plan())
         assert merger.poll() == []
-        assert not merger.complete and merger.mode is None
+        assert not merger.complete and merger.pending() == list(VARIATIONS)
+        with pytest.raises(distributed.ManifestError, match="no plan header"):
+            merger.merged()
 
-    def test_merged_counts_the_workers_like_merge_stolen(self, tmp_path):
+    def test_merged_equals_merge_stolen_over_two_workers(self, tmp_path):
         run_work_stealing(make_plan(), tmp_path, worker="a", max_workers=1, max_points=2)
         run_work_stealing(make_plan(), tmp_path, worker="b", max_workers=1)
         merger = IncrementalMerger(tmp_path, make_plan())
         merger.poll()
         batch = merge_stolen(tmp_path, make_plan())
-        assert merger.merged().shard_count == batch.shard_count == 2
+        assert merger.merged().shard_count == batch.shard_count == 1
         assert merger.merged() == batch
 
-    def test_poll_refuses_a_manifest_from_another_plan_like_merge_shards(self, tmp_path):
+    def test_poll_refuses_a_header_from_another_plan_like_merge_shards(self, tmp_path):
         run_shard(make_plan(), ShardSpec(1, 2), tmp_path, max_workers=1)
-        foreign = json.loads(manifest_path(tmp_path, ShardSpec(1, 2)).read_text())
-        foreign.update(shard_index=2, fingerprint="0" * 64)
-        manifest_path(tmp_path, ShardSpec(2, 2)).write_text(json.dumps(foreign))
-        # Both name the file at fault and the field it disagrees on.
-        named = r"shard-2of2\.json disagrees.*'fingerprint'"
+        foreign = tmp_path / "foreign"
+        write_plan_header(foreign, plan_sweep(BASE, VARIATIONS, default_seeds(5)), 2)
+        shutil.copy(plan_header_path(foreign), plan_header_path(tmp_path))
+        # Both name the file at fault.
+        named = r"plan\.json belongs to a different plan"
         with pytest.raises(distributed.ManifestError, match=named):
             IncrementalMerger(tmp_path, make_plan()).poll()
         with pytest.raises(distributed.ManifestError, match=named):
@@ -389,8 +394,8 @@ class TestIncrementalMerger:
         plan = make_plan()
         run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
         merger = IncrementalMerger(tmp_path, make_plan())
-        assert merger.poll() == [] and merger.mode == "static"  # live: shard 2 is just late
-        with pytest.raises(distributed.ManifestError, match=r"missing shards \[2\]"):
+        assert merger.poll() == []  # live: shard 2 is just late
+        with pytest.raises(distributed.ManifestError, match=r"'local' lacks shard 2/2;"):
             merger.merged()  # batch: the covering is checked here, never in poll()
         run_shard(plan, ShardSpec(2, 2), tmp_path, max_workers=1)
         assert merger.poll() == [point.label for point in plan.points]
@@ -399,14 +404,14 @@ class TestIncrementalMerger:
     def test_unusable_checkpoint_stays_pending_and_merged_says_why(self, tmp_path):
         plan = make_plan()
         run_work_stealing(plan, tmp_path, worker="solo", max_workers=1)
-        good = point_checkpoint_path(tmp_path, 1).read_bytes()
-        point_checkpoint_path(tmp_path, 1).write_bytes(b"torn")
+        good = point_file(tmp_path, 1).read_bytes()
+        point_file(tmp_path, 1).write_bytes(b"torn")
         merger = IncrementalMerger(tmp_path, make_plan())
         assert plan.points[1].label not in merger.poll()
         assert "malformed checkpoint" in merger.last_error
         with pytest.raises(distributed.ManifestError, match="malformed checkpoint.*point-0001"):
             merger.merged()
-        point_checkpoint_path(tmp_path, 1).write_bytes(good)
+        point_file(tmp_path, 1).write_bytes(good)
         assert merger.poll() == [plan.points[1].label]
         assert merger.last_error is None and merger.merged().aggregates.keys() == {
             point.label for point in plan.points
@@ -426,14 +431,14 @@ class TestServe:
         done_points = [
             index
             for index in range(len(plan.points))
-            if point_checkpoint_path(tmp_path, index).exists()
+            if point_file(tmp_path, index).exists()
         ]
         assert len(done_points) == 2  # genuinely half-finished
 
         port = server_factory(tmp_path, make_plan())
         code, status = get_json(port, "/status")
         assert code == 200
-        assert status["mode"] == "steal"
+        assert status["shard_count"] == 1 and status["workers"] == 1
         assert status["done"] == 2 and status["points_total"] == 4
         assert status["telemetry"]["counters"]["points_computed"] == 2
         assert status["telemetry"]["timers"]["gc_seconds"]["count"] >= 0
@@ -487,10 +492,10 @@ class TestServe:
     def test_empty_directory_reports_no_artifacts(self, tmp_path, server_factory):
         port = server_factory(tmp_path / "fresh")
         code, status = get_json(port, "/status")
-        assert code == 200 and status["mode"] is None
+        assert code == 200 and status == {"error": f"{tmp_path / 'fresh'} holds no sweep artifacts (yet)"}
 
-    def test_torn_manifest_is_reported_not_hidden(self, tmp_path, server_factory):
-        torn = manifest_path(tmp_path, ShardSpec(1, 1))
+    def test_torn_header_is_reported_not_hidden(self, tmp_path, server_factory):
+        torn = plan_header_path(tmp_path)
         torn.write_text("{ torn")
         port = server_factory(tmp_path)
         for endpoint in ("/status", "/progress", "/workers"):
@@ -498,8 +503,8 @@ class TestServe:
                 get_json(port, endpoint)
             assert excinfo.value.code == 500
             error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
-            assert "malformed manifest" in error and torn.name in error
-        with pytest.raises(distributed.ManifestError, match="malformed manifest"):
+            assert "malformed plan header" in error and torn.name in error
+        with pytest.raises(distributed.ManifestError, match="malformed plan header"):
             render_status_text(tmp_path)
 
     def test_static_directory_is_served_too(self, tmp_path):
@@ -507,7 +512,11 @@ class TestServe:
         out = _complete_static_run(tmp_path, plan, 2)
         monitor = SweepMonitor(out, make_plan())
         status = monitor.status()
-        assert status["mode"] == "static" and len(status["shards"]) == 2
+        assert status["shard_count"] == 2 and status["workers"] == 2
+        assert status["done"] == status["points_total"] == len(plan.points)
+        progress = monitor.progress()
+        assert all(row["checkpoints"] == {"1/2": True, "2/2": True} for row in progress["points"])
+        assert [row["worker"] for row in monitor.workers()["workers"]] == ["shard-1of2", "shard-2of2"]
         aggregate = monitor.aggregate()
         assert aggregate["complete"] is True and aggregate["folded"] == len(plan.points)
 

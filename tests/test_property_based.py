@@ -20,7 +20,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.base import BOT, DecideMessage, PhaseMessage, ProcessEnvironment
 from repro.core.pattern import msg_exchange, scan_mailbox
 from repro.experiments.common import default_seeds
-from repro.harness.coordinator import point_checkpoint_path, run_work_stealing
+from repro.harness.coordinator import run_work_stealing
 from repro.harness.distributed import (
     ManifestError,
     ShardSpec,
@@ -583,7 +583,7 @@ def run_directories(tmp_path_factory):
     """One complete k=3 static directory, one two-worker steal directory, and the truth.
 
     ``files[layout][point_index]`` maps each checkpoint file name of the point
-    to the shard that wrote it, by the *write* side's naming functions.
+    to the shard that wrote it, by the *write* side's naming function.
     """
     plan = _reader_plan()
     static = tmp_path_factory.mktemp("static")
@@ -593,16 +593,16 @@ def run_directories(tmp_path_factory):
     run_work_stealing(plan, steal, worker="a", max_workers=1, max_points=1)
     run_work_stealing(plan, steal, worker="b", max_workers=1)
     files = {"static": [], "steal": []}
-    for point_index in range(len(plan.points)):
-        shards = [ShardSpec(index, _SHARDS) for index in range(1, _SHARDS + 1)]
-        files["static"].append(
-            {
-                checkpoint_path(static, shard, point_index).name: shard
-                for shard in shards
-                if plan.owned_positions(point_index, shard)
-            }
-        )
-        files["steal"].append({point_checkpoint_path(steal, point_index).name: None})
+    for layout, count in (("static", _SHARDS), ("steal", 1)):
+        for point_index in range(len(plan.points)):
+            shards = [ShardSpec(index, count) for index in range(1, count + 1)]
+            files[layout].append(
+                {
+                    checkpoint_path(static, shard, point_index).name: shard
+                    for shard in shards
+                    if plan.owned_positions(point_index, shard)
+                }
+            )
     return {"static": static, "steal": steal}, files, run_plan(plan, max_workers=1)
 
 
@@ -647,17 +647,14 @@ def test_reader_folds_exactly_what_survives_and_says_what_is_missing(
                 # Every file is there; what is wrong is inside one, and it is named.
                 (named,) = set(re.findall(r"[\w-]+\.json", message))
                 assert "checkpoint" in message and fate[named] == "junk"
-            elif layout == "steal":
-                lost = [label for label, by_name in zip(labels, files["steal"]) if set(by_name) & deleted]
-                assert f"points {lost} have no checkpoint yet" in message
             else:
-                (index,) = re.findall(rf"shard (\d)/{_SHARDS} is incomplete", message)
-                lost = [
-                    label
-                    for label, by_name in zip(labels, files["static"])
-                    if any(name in deleted and shard.index == int(index) for name, shard in by_name.items())
-                ]
-                assert lost and f"points {lost} have no checkpoint yet" in message
+                # One wording for every directory: each point short of a file, and the shards it lacks.
+                for label, by_name in zip(labels, files[layout]):
+                    lacking = [str(shard) for name, shard in by_name.items() if name in deleted]
+                    if lacking:
+                        assert f"{label!r} lacks shard {', '.join(lacking)}" in message
+                    else:
+                        assert f"{label!r} lacks" not in message
         # The files come back (a shard resumed, a worker recomputed): the *same*
         # merger finishes, bit-identical to the single-host run.
         for name in fate:
