@@ -21,7 +21,7 @@ at least 4 usable CPUs; plain CI executions only smoke the code paths.
 import statistics
 import struct
 import time
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 import pytest
 
@@ -33,15 +33,16 @@ from repro.sim.context import BroadcastEffect, RoundLimitExceeded, SendEffect, W
 from repro.sim.events import EVENT_KIND_NAMES, EventKind, describe_entry
 from repro.sim.kernel import (
     _EFFECT_TYPES,
-    _IN_FLIGHT,
     _MSG_ID_MASK,
+    _RECORD,
+    _RECORD_SIZE,
     _SEQUENCE_STEP,
     RunStatus,
     SimConfig,
     SimulationKernel,
-    _in_flight_message,
     _no_network,
-    _pack_in_flight,
+    _pack_record,
+    _seal,
     _tuple_new,
 )
 from repro.sim.process import ProcessState
@@ -80,12 +81,9 @@ def _prehook_run_batch(self, max_events=-1):
     budget = max_events
     queue = self._queue
     inflight = self._inflight
-    origins = self._origins
-    add_origin = origins.append
-    pack = _IN_FLIGHT.pack
-    unpack = _IN_FLIGHT.unpack
-    # The in-flight head last unpacked, and its fields.
-    head = due = None
+    pack_into = _RECORD.pack_into
+    unpack_from = _RECORD.unpack_from
+    record_size = _RECORD_SIZE
     trace = self.trace
     # Hoisted once per run: tracing cannot be toggled mid-run (and
     # Trace.record self-guards anyway, so boundary paths stay correct).
@@ -136,30 +134,41 @@ def _prehook_run_batch(self, max_events=-1):
                 return None
             if controller is not None:
                 entry = self._controlled_pop(controller)
-                if type(entry) is tuple:
-                    time, sequence, kind, pid, payload = entry
-                else:
-                    time, sequence, pid, origin, send_time = unpack(entry)
-                    kind = _DELIVERY
-                    payload = _in_flight_message(entry, origins)
+                if entry is None:
+                    continue
+                time, sequence, kind, pid, payload = entry
             elif inflight:
-                entry = inflight[0]
-                if entry is not head:
-                    head = entry
-                    due = unpack(entry)
-                if queue and queue[0] < due:
+                head = inflight[0]
+                if queue and queue[0] < head:
                     # ``(time, sequence)`` is unique across both heaps (a
                     # delivery's sequence is its key), so the tuple
                     # comparison never reaches the fields in which the
                     # two shapes differ.
                     time, sequence, kind, pid, payload = heappop(queue)
                 else:
-                    heappop(inflight)
-                    time, sequence, pid, origin, send_time = due
+                    time, sequence, pid, send_time, at, run = head
+                    records, current, sender, payload, _, end = run
+                    if at != current:
+                        # A head its run has moved past: no event.
+                        heappop(inflight)
+                        continue
+                    if at < 0:
+                        # An open run fell due: what it holds becomes
+                        # one sorted segment, and its broadcast's later
+                        # sends open a new run.
+                        if end > record_size:
+                            records = run[0] = _seal(records, end)
+                        at = 0
+                    at += record_size
+                    run[1] = at
+                    if at < end:
+                        heapreplace(inflight, unpack_from(records, at) + (at, run))
+                    else:
+                        # Drained: the last head lets go of the origin.
+                        heappop(inflight)
                     kind = _DELIVERY
-                    sender, payload = origins[origin]
                     # The one place a message in flight becomes a
-                    # ``Message`` (``_in_flight_message``, inlined).
+                    # ``Message``.
                     payload = _tuple_new(Message, (sender, pid, payload, send_time, sequence & msg_id_mask))
             else:
                 time, sequence, kind, pid, payload = heappop(queue)
@@ -260,19 +269,16 @@ def _prehook_run_batch(self, max_events=-1):
                                 f"process {pid} yielded {effect!r}, which has no destination"
                             )
                         dests.reverse()
-                        # The cursor carries the origin every destination's
-                        # message in flight shares, and the payload's byte
-                        # charge, sized once for all of them.
+                        # The cursor carries the payload's byte charge,
+                        # sized once for every destination, and the open
+                        # run the sends write into, sized for all of them.
                         payload = effect.payload
-                        origin = len(origins)
-                        add_origin((pid, payload))
-                        broadcast = proc.broadcast = (dests, origin, size_of(payload))
+                        run = [bytearray(len(dests) * record_size), -1, pid, payload, 0.0, 0]
+                        broadcast = proc.broadcast = [dests, size_of(payload), run]
                     elif cls is SendEffect:
                         dest = effect.dest
-                        payload = effect.payload
-                        origin = len(origins)
-                        add_origin((pid, payload))
-                        size = size_of(payload)
+                        size = size_of(effect.payload)
+                        run = [bytearray(record_size), -1, pid, effect.payload, 0.0, 0]
                     elif cls is WaitEffect:
                         result = effect.predicate(proc.mailbox)
                         if result is not None:
@@ -297,8 +303,13 @@ def _prehook_run_batch(self, max_events=-1):
                     # A broadcast in progress: this step is the send to its
                     # next destination, accounted like a ``ctx.send``.  The
                     # generator is resumed by the step after the last one.
-                    dests, origin, size = broadcast
+                    dests, size, run = broadcast
                     dest = dests.pop()
+                    if run[1] >= 0:
+                        # Its run fell due mid-broadcast and was sealed:
+                        # the rest of the sends open a new one.
+                        room = bytearray((len(dests) + 1) * record_size)
+                        run = broadcast[2] = [room, -1, pid, run[3], 0.0, 0]
                     if not dests:
                         proc.broadcast = None
                     stats.messages_sent += 1
@@ -307,7 +318,8 @@ def _prehook_run_batch(self, max_events=-1):
                 # the public seam and the reference): bounds check, the
                 # counter bump that is the msg_id (refused at its cap),
                 # the byte charge and one draw from the delay cache.
-                # The message stays one packed entry while in flight.
+                # The message is one record in ``run`` while in flight
+                # (``_put``, inlined).
                 if not (0 <= pid < net_n and 0 <= dest < net_n):
                     network.validate_endpoints(pid, dest)
                 msg_id = net_stats.messages_sent + 1
@@ -322,17 +334,25 @@ def _prehook_run_batch(self, max_events=-1):
                     delay *= self_delay_factor
                 now = self.now
                 if trace_enabled:
-                    trace.record(now, "send", pid, f"to={dest} {origins[origin][1]!r}", {"dest": dest})
+                    trace.record(now, "send", pid, f"to={dest} {run[3]!r}", {"dest": dest})
                 # One sequence store covers both pushes; the
                 # delivery takes the lower number, exactly as two
                 # bumps would assign.
                 sequence = self._sequence + step
+                due = now + delay
+                end = run[5]
                 try:
-                    heappush(inflight, pack(now + delay, sequence | msg_id, dest, origin, now))
+                    pack_into(run[0], end, due, sequence | msg_id, dest, now)
                 except struct.error:
                     # Name the field the layout cannot hold.
-                    _pack_in_flight(now + delay, sequence | msg_id, dest, origin, now)
+                    _pack_record(due, sequence | msg_id, dest, now)
                     raise
+                run[5] = end + record_size
+                if not end or due < run[4]:
+                    # The run's first record, or one due before
+                    # all it holds: a new head.
+                    run[4] = due
+                    heappush(inflight, (due, sequence | msg_id, dest, now, -1, run))
                 sequence += step
                 self._sequence = sequence
                 if jitter > 0:
@@ -349,6 +369,7 @@ def _prehook_run_batch(self, max_events=-1):
         # run, not per event) and flushed on every exit path.
         self.events_processed += processed
     return self._result(self._final_status())
+
 
 def _workload():
     """One deterministic consensus run dominated by kernel event handling."""

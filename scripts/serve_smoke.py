@@ -37,7 +37,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.harness import parallel  # noqa: E402
 from repro.harness.coordinator import merge_stolen, run_work_stealing  # noqa: E402
 from repro.harness.distributed import ShardSpec, merge_shards, run_shard  # noqa: E402
-from repro.obs.serve import aggregate_to_json, make_server, render_status_text  # noqa: E402
+from repro.obs.serve import make_server  # noqa: E402
+from repro.obs.status import aggregate_to_json, render_status_text  # noqa: E402
 
 KILL_AFTER_POINTS = 2
 

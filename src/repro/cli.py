@@ -307,7 +307,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    from .obs.serve import render_status_text, watch_status
+    from .obs.status import render_status_text, watch_status
 
     if args.watch is not None:
         if args.watch <= 0:

@@ -122,6 +122,8 @@ LEASE_DIR_NAME = "leases"
 _LEASE_RE = re.compile(r"^point-(\d+)-gen-(\d+)\.json$")
 _WORKER_MANIFEST_RE = re.compile(r"^worker-(.+)\.json$")
 _WORKER_NAME_RE = re.compile(r"[^A-Za-z0-9._-]+")
+#: The writer names of static shards (``shard-IofK``), reserved for them.
+_STATIC_SHARD_NAME_RE = re.compile(r"shard-\d+of\d+")
 
 #: What the plan header and a worker manifest hold besides their version.
 _HEADER_FIELDS = (
@@ -725,6 +727,12 @@ class WorkStealingScheduler(_Writer):
         if poll_interval is not None:
             _check_seconds("poll interval", poll_interval)
         name = sanitize_worker_name(worker) if worker is not None else default_worker_name()
+        if _STATIC_SHARD_NAME_RE.fullmatch(name):
+            raise LeaseError(
+                f"worker name {name!r} is reserved: names of the form shard-IofK "
+                f"(shard-\\d+of\\d+) belong to --shard i/k writers, whose manifest "
+                f"worker-{name}.json a --steal worker of that name would overwrite"
+            )
         super().__init__(plan, out_dir, name, _WHOLE)
         self.ttl = float(lease_ttl)
         self.max_points = max_points

@@ -10,9 +10,12 @@ workload instead of a batch job:
   which folds per-point checkpoints as they land and guarantees the
   partial aggregate of a completed prefix is bit-identical to
   :func:`~repro.harness.distributed.merge_shards` over the same points.
+- :mod:`repro.obs.status` -- the read-only views of a run directory: the
+  JSON behind serve's endpoints and the text ``python -m repro status``
+  (with or without ``--watch``) prints.
 - :mod:`repro.obs.serve` -- the ``python -m repro serve`` HTTP service
-  (``/status``, ``/progress``, ``/workers``, ``/aggregate``) and the
-  text renderer shared with ``python -m repro status --watch``.
+  (``/status``, ``/progress``, ``/workers``, ``/aggregate``) over those
+  views.
 
 Structured execution tracing (the JSONL trace schema and the kernel's
 ``trace_sink`` option) lives with the kernel in :mod:`repro.sim.trace`;
@@ -20,7 +23,8 @@ Structured execution tracing (the JSONL trace schema and the kernel's
 
 Like every package here the exports load on first use, so the coordinator
 importing :mod:`repro.obs.telemetry` pulls in neither the merger (which
-imports the coordinator back) nor ``serve`` and its ``http.server``.
+imports the coordinator back) nor ``serve`` and its ``http.server``; and
+``status`` loads the views without the server.
 """
 
 from .._lazy import lazy_exports

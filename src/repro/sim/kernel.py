@@ -10,25 +10,35 @@ The hot path is deliberately flat (see ``docs/performance.md``).  Pending
 work lives in two heaps that share one sequence counter, which steps by
 ``2**32``: process steps and fault events as ``(time, sequence, kind, pid,
 payload)`` tuples -- never more than one step per live process plus the
-scheduled faults -- and messages in flight as 30-byte ``bytes`` entries
-packed by :data:`_IN_FLIGHT` (``>dQHId``): the due time, the key, the dest,
-an origin index and the send time.  A message's key is its sequence number
-``|`` its ``msg_id`` (which the network caps below ``2**32``), and its
-origin is an index into the kernel's list of ``(sender, payload)`` pairs,
-which grows once per send effect -- one pair shared by every destination of
-a broadcast -- and once per corrupted payload, never per destination or per
-re-queue.  Big-endian non-negative doubles and unsigned integers compare
-bytewise exactly as the numbers do, so the packed entries order in their
-heap as ``(time, key)`` tuples would; keys order exactly as the bare
-sequence numbers do, so the loop dispatches whichever head is smaller under
-``(time, sequence)``, which is unique, and the order is that of one merged
-queue.  An entry is a 63-byte object with no collector header and no float
-or int objects of its own.  A send therefore costs what is ever read of it:
-the network's accounting done inline, with no call into
-:class:`~repro.network.transport.Network` (a bounds check, one counter bump
-that is also the ``msg_id`` and is compared with its cap, one byte-count add
-sized once per broadcast, and a pop from the network's delay cache), one
-packed entry while in flight, and the
+scheduled faults -- and messages in flight as *runs*.  A run is one origin
+(the sender and the payload) and a ``bytearray`` of 26-byte records packed
+by :data:`_RECORD` (``>dQHd``): the due time, the key, the dest and the send
+time.  A message's key is its sequence number ``|`` its ``msg_id`` (which
+the network caps below ``2**32``), so keys order exactly as the bare
+sequence numbers do.  Each send effect opens a run -- a broadcast's
+destinations write into it -- so a message in flight is one record and no
+Python object of its own; a unicast, a re-queued delivery and a corrupted
+copy are runs of one.  The in-flight heap holds *heads*, ``(time, key,
+dest, send_time, at, run)``: a run's record, decoded, and where it is (the
+layout is set out above :func:`_seal`).  A run is *open* while its send
+effect writes into it, its records unsorted; a record due before everything
+the open run holds pushes a new head, and the head it supersedes stays
+behind, to be skipped as no event when it surfaces.  When an open run's head falls due, the run
+is sealed: its records are sorted bytewise -- big-endian non-negative
+doubles and unsigned integers compare bytewise as the numbers do, so that
+is ``(time, key)`` order -- and each delivery advances it with a
+``heapreplace``; the broadcast's later sends open a new run.  The heap
+therefore pops a k-way merge of sorted runs, which is the ``(time, key)``
+order one heap of messages would pop; the loop dispatches whichever of the
+two heaps' heads is smaller under ``(time, sequence)``, which is unique, and
+the order is that of one merged queue.  A run lets go of its origin when it
+drains.
+
+A send therefore costs what is ever read of it: the network's accounting
+done inline, with no call into :class:`~repro.network.transport.Network`
+(a bounds check, one counter bump that is also the ``msg_id`` and is
+compared with its cap, one byte-count add sized once per broadcast, and a
+pop from the network's delay cache), one record while in flight, and the
 :class:`~repro.network.message.Message` envelope only when the delivery is
 dispatched -- under the paper's "one for all" rule most messages of a large
 run are still in flight when everybody has decided.  The loop body of
@@ -58,8 +68,8 @@ loop drivers -- :meth:`SimulationKernel.run`,
 Ownership runs one way (kernel -> processes -> contexts, kernel ->
 adversary); contexts and the adversary point back at their kernel weakly and
 the dispatch tables of bound methods are built per ``run_batch`` call, never
-stored, so dropping the kernel frees mailboxes, both heaps' tails, broadcasts
-in progress and generators by reference counting, immediately.
+stored, so dropping the kernel frees mailboxes, both heaps' tails, runs,
+broadcasts in progress and generators by reference counting, immediately.
 """
 
 from __future__ import annotations
@@ -67,9 +77,10 @@ from __future__ import annotations
 import enum
 import gc
 import math
+import re
 import struct
 from contextlib import contextmanager
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
@@ -120,24 +131,25 @@ _MSG_ID_MASK = MSG_ID_CAP - 1
 #: ``Message(sender, dest, payload, send_time, msg_id)``.
 _tuple_new = tuple.__new__
 
-#: A message in flight: due time, key (``sequence | msg_id``), dest, origin
-#: index and send time, big-endian and unpadded (30 bytes).  Bytewise order
-#: is ``(time, key)`` order while the due time is a non-negative double and
-#: the key fits 64 bits; the loop never compares further, keys being unique.
-_IN_FLIGHT = struct.Struct(">dQHId")
+#: A message in flight: due time, key (``sequence | msg_id``), dest and send
+#: time, big-endian and unpadded (26 bytes), written into its run.  Bytewise
+#: order is ``(time, key)`` order while the due time is a non-negative double
+#: and the key fits 64 bits; nothing compares further, keys being unique.
+_RECORD = struct.Struct(">dQHd")
+_RECORD_SIZE = _RECORD.size
+#: A run's records as a list of 26-byte ``bytes``, split in one C call.
+_split_records = re.compile(b".{%d}" % _RECORD_SIZE, re.DOTALL).findall
 #: The packed key's bound: the sequence counter stays below it, so one run
 #: queues fewer than ``2**32`` entries (steps, faults and messages alike).
 _KEY_CAP = 1 << 64
-#: The packed origin index's bound.
-_ORIGIN_CAP = 1 << 32
 
 
-def _pack_in_flight(time: float, key: int, dest: int, origin: int, send_time: float) -> bytes:
+def _pack_record(time: float, key: int, dest: int, send_time: float) -> bytes:
     """Pack one message in flight, refusing a field its layout cannot hold.
 
     The checked packer of the cold paths (re-queues, adversarial sends); the
     loop packs directly and comes here only to name what ``struct`` refused.
-    A NaN or negative due time would pack, but sort after every other entry.
+    A NaN or negative due time would pack, but sort after every other record.
     """
     if not time >= 0.0:
         raise ValueError(f"a message in flight's due time must be >= 0 and not NaN, got {time!r}")
@@ -148,24 +160,50 @@ def _pack_in_flight(time: float, key: int, dest: int, origin: int, send_time: fl
         )
     if not 0 <= dest < DEST_CAP:
         raise ValueError(f"dest {dest!r} is outside the 0..{DEST_CAP - 1} a message in flight holds")
-    if origin >= _ORIGIN_CAP:
-        raise OverflowError(
-            f"origin #{origin:,} reaches the origin cap: one run keeps fewer than "
-            f"{_ORIGIN_CAP:,} (sender, payload) origins"
-        )
-    return _IN_FLIGHT.pack(time + 0.0, key, dest, origin, send_time)  # + 0.0: no -0.0
+    return _RECORD.pack(time + 0.0, key, dest, send_time)  # + 0.0: no -0.0
 
 
-def _in_flight_message(entry: bytes, origins: List[Tuple[int, Any]]) -> Message:
-    """The :class:`Message` an in-flight entry becomes when it is dispatched.
+# A run is a six-slot list, ``[records, at, sender, payload, due, end]``.
+# ``records`` holds the run's packed messages in its first ``end`` bytes (a
+# ``bytearray`` sized for every send of its send effect while open, sorted
+# ``bytes`` once sealed); ``at`` is -1 while the run is open, then the byte
+# offset of its next record; ``due`` is the least due time written while
+# open.  A head ``(time, key, dest, send_time, at, run)`` -- a record's
+# fields as ``_RECORD.unpack_from`` returns them, then where it is -- stands
+# for the run's record at offset ``at`` (-1: its least, pushed while open)
+# and is current while its ``at`` equals the run's.  Heads whose ``(time,
+# key)`` tie stand for one record of one run, pushed once while open and
+# once sealed, so their next two fields tie too and ``at`` breaks the tie:
+# two heads never compare their runs, and the open one (-1) pops first and
+# is skipped.  An open run's least head is current: the heads it superseded
+# are due later, so none of them surfaces before the run is sealed.
+def _seal(records: bytearray, end: int) -> bytes:
+    """An open run's first ``end`` bytes of records, sorted bytewise: ``(time, key)`` order."""
+    parts = _split_records(records, 0, end)
+    parts.sort()
+    return b"".join(parts)
 
-    ``origins`` is the kernel's origin list the entry indexes.  The loop of
-    :meth:`SimulationKernel.run_batch` inlines this; the controlled pop
-    calls it.
+
+def _new_run(sender: int, payload: Any, count: int = 1) -> list:
+    """An open run of ``(sender, payload)`` sized for ``count`` messages."""
+    return [bytearray(count * _RECORD_SIZE), -1, sender, payload, 0.0, 0]
+
+
+def _in_flight_messages(kernel: "SimulationKernel") -> List[Tuple[float, int, Message]]:
+    """Every message in flight as ``(due time, key, Message)``, in dispatch order.
+
+    Decodes the runs the in-flight heap's current heads stand for (an open
+    run from its first record, a sealed one from its next); the loop of
+    :meth:`SimulationKernel.run_batch` never builds this list.
     """
-    _, key, dest, origin, send_time = _IN_FLIGHT.unpack(entry)
-    sender, payload = origins[origin]
-    return Message(sender, dest, payload, send_time, key & _MSG_ID_MASK)
+    # By identity: an open run's superseded heads look current too.
+    runs = {id(run): run for *_, at, run in kernel._inflight if at == run[1]}
+    found = []
+    for records, at, sender, payload, _, end in runs.values():
+        for time, key, dest, send_time in _RECORD.iter_unpack(records[max(at, 0) : end]):
+            found.append((time, key, Message(sender, dest, payload, send_time, key & _MSG_ID_MASK)))
+    found.sort(key=lambda item: item[:2])
+    return found
 
 
 def _no_network(payload: Any) -> int:
@@ -181,8 +219,8 @@ def collector_paused() -> Iterator[None]:
     per delivery (the ``Message``), all acyclic and all freed by reference
     counting the moment they are consumed -- yet every full collection
     re-traverses the whole live population (see "What the cyclic collector
-    cost" in ``docs/performance.md``; a packed message in flight is
-    untracked).  The outermost loop drivers
+    cost" in ``docs/performance.md``; a message in flight is a record
+    in an untracked buffer).  The outermost loop drivers
     therefore run under this pause: :meth:`SimulationKernel.run`,
     :meth:`~repro.sim.multikernel.CooperativeScheduler.run` (whose drivers
     prepare and finalize their runs inside it) and
@@ -312,16 +350,11 @@ class SimulationKernel:
         #: pid, payload)`` tuples: at most one step per live process plus the
         #: scheduled faults, whatever the number of messages in flight.
         self._queue: List[Tuple[float, int, int, int, Any]] = []
-        #: Messages in flight, as :data:`_IN_FLIGHT`-packed ``(time, sequence
-        #: | msg_id, dest, origin, send_time)`` entries in a heap of their
-        #: own.  Both heaps draw their sequence numbers from the one counter,
-        #: which steps by ``_SEQUENCE_STEP``, so ``(time, key)`` orders the
-        #: union (see :meth:`run_batch`).
-        self._inflight: List[bytes] = []
-        #: The ``(sender, payload)`` pairs an in-flight entry's origin
-        #: indexes: one per send effect (a broadcast's shared by all of its
-        #: destinations) and one per corrupted payload.
-        self._origins: List[Tuple[int, Any]] = []
+        #: Messages in flight, as one head per run (see :func:`_seal`) in a
+        #: heap of their own.  Both heaps draw their sequence numbers from
+        #: the one counter, which steps by ``_SEQUENCE_STEP``, so ``(time,
+        #: key)`` orders the union (see :meth:`run_batch`).
+        self._inflight: List[Tuple[float, int, int, float, int, list]] = []
         self._sequence = 0
         self._processes: Dict[int, SimProcess] = {}
         #: :attr:`pid_order`, or None until it is read after a registration.
@@ -480,67 +513,97 @@ class SimulationKernel:
         return dict(self._processes)
 
     # ------------------------------------------------------------- scheduling
-    def _schedule(
-        self, time: float, kind: int, pid: int, payload: Any, origin: Optional[int] = None
-    ) -> int:
+    def _schedule(self, time: float, kind: int, pid: int, payload: Any) -> int:
         """Queue an entry under the next sequence number; return its key.
 
         A delivery's payload is its :class:`~repro.network.message.Message`:
-        it goes to the in-flight heap under a key that also carries the
-        ``msg_id``, with ``origin`` as its origin index -- or, when that is
-        None, a new origin built from the message.
+        it goes to the in-flight heap as a run of one, under a key that also
+        carries the ``msg_id``.
         """
         self._sequence = key = self._sequence + _SEQUENCE_STEP
         if kind != _DELIVERY:
             heappush(self._queue, (time, key, kind, pid, payload))
             return key
         sender, _, content, send_time, msg_id = payload
-        if origin is None:
-            origin = len(self._origins)
-            self._origins.append((sender, content))
         key |= msg_id
-        heappush(self._inflight, _pack_in_flight(time, key, pid, origin, send_time))
+        self._put(_new_run(sender, content), time, key, pid, send_time)
         return key
 
-    def _controlled_pop(self, controller) -> Union[Tuple[float, int, int, int, Any], bytes]:
+    def _put(self, run: list, time: float, key: int, dest: int, send_time: float) -> None:
+        """Write one message in flight into the open ``run``.
+
+        The cold paths' send (re-queues, adversarial sends); the loop of
+        :meth:`run_batch` inlines it.  The run's buffer grows if the send
+        effect it was sized for writes more than it planned (duplicates).
+        """
+        record = _pack_record(time, key, dest, send_time)
+        end = run[5]
+        run[0][end : end + _RECORD_SIZE] = record
+        run[5] = end + _RECORD_SIZE
+        if not end or time < run[4]:
+            run[4] = time
+            heappush(self._inflight, (time, key, dest, send_time, -1, run))
+
+    def _controlled_pop(self, controller) -> Optional[Tuple[float, int, int, int, Any]]:
         """Pop the next entry, letting ``controller`` pick among head ties.
 
         Entries of either heap sharing the earliest virtual timestamp form
         the tie set, offered as ``(time, key, kind, pid, payload)`` tuples
         in key order (the order the uncontrolled kernel would dispatch them;
-        a delivery's payload is its ``Message``).  The controller returns
-        the index to dispatch now, and that entry is returned as it was
-        queued (a packed message in flight stays packed); the rest are
-        pushed back untouched, so they re-enter later tie sets unchanged.  A
-        single-entry head is never offered -- there is no scheduling freedom
-        to exercise.
+        a delivery's payload is its ``Message``).  Every message due then is
+        lifted out of its run -- a run's whole equal-time prefix, not just
+        its head -- so the set is the same as one heap of messages would
+        give.  The controller returns the index to dispatch now, and that
+        entry is returned in the offered form; the rest go back, a message
+        as a run of one under its own key, so they re-enter later tie sets
+        unchanged.  A single-entry head is never offered -- there is no
+        scheduling freedom to exercise.  None when only superseded heads
+        were left.
         """
         queue = self._queue
         inflight = self._inflight
-        unpack = _IN_FLIGHT.unpack
+        while inflight and inflight[0][4] != inflight[0][5][1]:
+            heappop(inflight)
+        if not (queue or inflight):
+            return None
         heads = [queue[0][0]] if queue else []
         if inflight:
-            heads.append(unpack(inflight[0])[0])
+            heads.append(inflight[0][0])
         time = min(heads)
         ties = []
         while queue and queue[0][0] == time:
-            entry = heappop(queue)
-            ties.append((entry, entry))
-        while inflight and unpack(inflight[0])[0] == time:
-            entry = heappop(inflight)
-            _, key, dest, _, _ = unpack(entry)
-            ties.append(((time, key, _DELIVERY, dest, _in_flight_message(entry, self._origins)), entry))
+            ties.append(heappop(queue))
+        while inflight and inflight[0][0] == time:
+            # A run's next record due now surfaces in this loop too: its
+            # whole equal-time prefix is lifted.
+            _, key, dest, send_time, at, run = heappop(inflight)
+            records, current, sender, payload, _, end = run
+            if at != current:
+                continue
+            if at < 0:
+                records = run[0] = _seal(records, end)
+                at = 0
+            message = Message(sender, dest, payload, send_time, key & _MSG_ID_MASK)
+            ties.append((time, key, _DELIVERY, dest, message))
+            at += _RECORD_SIZE
+            run[1] = at
+            if at < end:
+                heappush(inflight, _RECORD.unpack_from(records, at) + (at, run))
         if len(ties) == 1:
-            return ties[0][1]
-        ties.sort(key=lambda tie: tie[0][1])  # by key: unique
-        index = controller.choose(self.now, time, [offered for offered, _ in ties])
+            return ties[0]
+        ties.sort(key=lambda entry: entry[1])  # by key: unique
+        index = controller.choose(self.now, time, list(ties))
         if not 0 <= index < len(ties):
             raise ValueError(
                 f"schedule controller chose index {index} among {len(ties)} tied entries"
             )
-        _, chosen = ties.pop(index)
-        for _, entry in ties:
-            heappush(inflight if type(entry) is bytes else queue, entry)
+        chosen = ties.pop(index)
+        for entry in ties:
+            if entry[2] == _DELIVERY:
+                _, key, _, dest, (sender, _, payload, send_time, _) = entry
+                self._put(_new_run(sender, payload), time, key, dest, send_time)
+            else:
+                heappush(queue, entry)
         return chosen
 
     def _resume_later(self, pid: int, value: Any, delay: float) -> None:
@@ -588,10 +651,10 @@ class SimulationKernel:
         Each iteration dispatches the smaller of the two heaps' heads under
         ``(time, sequence)`` -- with ``scheduling_jitter=0`` a step and a
         delivery tie on time and resolve by sequence -- and the run is over,
-        or out of budget with work queued, only with respect to *both*.  The
-        in-flight head is unpacked once, when it becomes the head, and its
-        fields are kept in a local tuple: picking a heap is then one tuple
-        comparison, which decides on the due times unless they tie.
+        or out of budget with work queued, only with respect to *both*.  An
+        in-flight head carries its record's fields decoded, so picking a heap
+        is one tuple comparison, which decides on the due times unless they
+        tie, and a delivery unpacks only the record that replaces its head.
 
         Message deliveries and process steps -- the first
         (``PROCESS_START``) and every resume, with the send, broadcast and
@@ -616,12 +679,9 @@ class SimulationKernel:
         budget = max_events
         queue = self._queue
         inflight = self._inflight
-        origins = self._origins
-        add_origin = origins.append
-        pack = _IN_FLIGHT.pack
-        unpack = _IN_FLIGHT.unpack
-        # The in-flight head last unpacked, and its fields.
-        head = due = None
+        pack_into = _RECORD.pack_into
+        unpack_from = _RECORD.unpack_from
+        record_size = _RECORD_SIZE
         trace = self.trace
         # Hoisted once per run: tracing cannot be toggled mid-run (and
         # Trace.record self-guards anyway, so boundary paths stay correct).
@@ -675,30 +735,41 @@ class SimulationKernel:
                     return None
                 if controller is not None:
                     entry = self._controlled_pop(controller)
-                    if type(entry) is tuple:
-                        time, sequence, kind, pid, payload = entry
-                    else:
-                        time, sequence, pid, origin, send_time = unpack(entry)
-                        kind = _DELIVERY
-                        payload = _in_flight_message(entry, origins)
+                    if entry is None:
+                        continue
+                    time, sequence, kind, pid, payload = entry
                 elif inflight:
-                    entry = inflight[0]
-                    if entry is not head:
-                        head = entry
-                        due = unpack(entry)
-                    if queue and queue[0] < due:
+                    head = inflight[0]
+                    if queue and queue[0] < head:
                         # ``(time, sequence)`` is unique across both heaps (a
                         # delivery's sequence is its key), so the tuple
                         # comparison never reaches the fields in which the
                         # two shapes differ.
                         time, sequence, kind, pid, payload = heappop(queue)
                     else:
-                        heappop(inflight)
-                        time, sequence, pid, origin, send_time = due
+                        time, sequence, pid, send_time, at, run = head
+                        records, current, sender, payload, _, end = run
+                        if at != current:
+                            # A head its run has moved past: no event.
+                            heappop(inflight)
+                            continue
+                        if at < 0:
+                            # An open run fell due: what it holds becomes
+                            # one sorted segment, and its broadcast's later
+                            # sends open a new run.
+                            if end > record_size:
+                                records = run[0] = _seal(records, end)
+                            at = 0
+                        at += record_size
+                        run[1] = at
+                        if at < end:
+                            heapreplace(inflight, unpack_from(records, at) + (at, run))
+                        else:
+                            # Drained: the last head lets go of the origin.
+                            heappop(inflight)
                         kind = _DELIVERY
-                        sender, payload = origins[origin]
                         # The one place a message in flight becomes a
-                        # ``Message`` (``_in_flight_message``, inlined).
+                        # ``Message``.
                         payload = _tuple_new(Message, (sender, pid, payload, send_time, sequence & msg_id_mask))
                 else:
                     time, sequence, kind, pid, payload = heappop(queue)
@@ -732,9 +803,7 @@ class SimulationKernel:
                                     {"at": "dispatch"},
                                 )
                             continue
-                        requeued = self._schedule(
-                            self.now + extra, kind, pid, payload, origin if kind == _DELIVERY else None
-                        )
+                        requeued = self._schedule(self.now + extra, kind, pid, payload)
                         self._deferred[requeued] = key
                         continue
                 processed += 1
@@ -755,7 +824,7 @@ class SimulationKernel:
                         self.dropped_deliveries += 1
                         continue
                     if proc.paused:
-                        proc.paused_backlog.append((_DELIVERY, pid, payload, origin))
+                        proc.paused_backlog.append((_DELIVERY, pid, payload))
                         continue
                     proc.mailbox.append(payload)
                     if net_stats is not None:
@@ -835,19 +904,16 @@ class SimulationKernel:
                                     f"process {pid} yielded {effect!r}, which has no destination"
                                 )
                             dests.reverse()
-                            # The cursor carries the origin every destination's
-                            # message in flight shares, and the payload's byte
-                            # charge, sized once for all of them.
+                            # The cursor carries the payload's byte charge,
+                            # sized once for every destination, and the open
+                            # run the sends write into, sized for all of them.
                             payload = effect.payload
-                            origin = len(origins)
-                            add_origin((pid, payload))
-                            broadcast = proc.broadcast = (dests, origin, size_of(payload))
+                            run = [bytearray(len(dests) * record_size), -1, pid, payload, 0.0, 0]
+                            broadcast = proc.broadcast = [dests, size_of(payload), run]
                         elif cls is SendEffect:
                             dest = effect.dest
-                            payload = effect.payload
-                            origin = len(origins)
-                            add_origin((pid, payload))
-                            size = size_of(payload)
+                            size = size_of(effect.payload)
+                            run = [bytearray(record_size), -1, pid, effect.payload, 0.0, 0]
                         elif cls is WaitEffect:
                             result = effect.predicate(proc.mailbox)
                             if result is not None:
@@ -872,8 +938,13 @@ class SimulationKernel:
                         # A broadcast in progress: this step is the send to its
                         # next destination, accounted like a ``ctx.send``.  The
                         # generator is resumed by the step after the last one.
-                        dests, origin, size = broadcast
+                        dests, size, run = broadcast
                         dest = dests.pop()
+                        if run[1] >= 0:
+                            # Its run fell due mid-broadcast and was sealed:
+                            # the rest of the sends open a new one.
+                            room = bytearray((len(dests) + 1) * record_size)
+                            run = broadcast[2] = [room, -1, pid, run[3], 0.0, 0]
                         if not dests:
                             proc.broadcast = None
                         stats.messages_sent += 1
@@ -882,7 +953,8 @@ class SimulationKernel:
                     # the public seam and the reference): bounds check, the
                     # counter bump that is the msg_id (refused at its cap),
                     # the byte charge and one draw from the delay cache.
-                    # The message stays one packed entry while in flight.
+                    # The message is one record in ``run`` while in flight
+                    # (``_put``, inlined).
                     if not (0 <= pid < net_n and 0 <= dest < net_n):
                         network.validate_endpoints(pid, dest)
                     msg_id = net_stats.messages_sent + 1
@@ -897,20 +969,28 @@ class SimulationKernel:
                         delay *= self_delay_factor
                     now = self.now
                     if trace_enabled:
-                        trace.record(now, "send", pid, f"to={dest} {origins[origin][1]!r}", {"dest": dest})
+                        trace.record(now, "send", pid, f"to={dest} {run[3]!r}", {"dest": dest})
                     if not faults_links:
                         # One sequence store covers both pushes; the
                         # delivery takes the lower number, exactly as two
                         # bumps would assign.
                         sequence = self._sequence + step
+                        due = now + delay
+                        end = run[5]
                         try:
-                            heappush(inflight, pack(now + delay, sequence | msg_id, dest, origin, now))
+                            pack_into(run[0], end, due, sequence | msg_id, dest, now)
                         except struct.error:
                             # Name the field the layout cannot hold.
-                            _pack_in_flight(now + delay, sequence | msg_id, dest, origin, now)
+                            _pack_record(due, sequence | msg_id, dest, now)
                             raise
+                        run[5] = end + record_size
+                        if not end or due < run[4]:
+                            # The run's first record, or one due before
+                            # all it holds: a new head.
+                            run[4] = due
+                            heappush(inflight, (due, sequence | msg_id, dest, now, -1, run))
                     else:
-                        self._adversarial_send(dest, origin, delay, msg_id)
+                        self._adversarial_send(pid, dest, run, delay, msg_id)
                         sequence = self._sequence
                     sequence += step
                     self._sequence = sequence
@@ -981,15 +1061,16 @@ class SimulationKernel:
                 {"replayed": len(backlog)},
             )
 
-    def _adversarial_send(self, dest: int, origin: int, delay: float, msg_id: int) -> None:
+    def _adversarial_send(self, sender: int, dest: int, run: list, delay: float, msg_id: int) -> None:
         """Turn one send into the adversary's delivery verdict (slow path).
 
         An empty verdict omits the message, extra entries are duplicates
-        (in-flight entries of their own, sharing the ``msg_id`` and the
-        ``origin`` index); the network's fault counters account for both.  A
-        corrupted payload gets an origin of its own.
+        (messages in flight of their own, sharing the ``msg_id`` and the
+        open ``run`` the send writes into); the network's fault counters
+        account for both.  The copies of a corrupted payload open a run of
+        their own.
         """
-        sender, payload = self._origins[origin]
+        payload = run[3]
         adversary = self._adversary
         now = self.now
         delays = adversary.deliveries(sender, dest, now, delay)
@@ -1016,16 +1097,12 @@ class SimulationKernel:
                         f"from={sender} payload tampered in transit",
                         {"from": sender},
                     )
-                origin = len(self._origins)
-                self._origins.append((sender, mutated))
+                run = _new_run(sender, mutated, len(delays))
         for position, one_delay in enumerate(delays):
             if position:
                 self._network.record_fault("duplicated")
             self._sequence += _SEQUENCE_STEP
-            heappush(
-                self._inflight,
-                _pack_in_flight(now + one_delay, self._sequence | msg_id, dest, origin, now),
-            )
+            self._put(run, now + one_delay, self._sequence | msg_id, dest, now)
 
     def _do_sm_op(self, proc: SimProcess, effect: SharedMemEffect) -> None:
         result = effect.operation(*effect.args)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from .context import ProcessContext
 
@@ -79,12 +79,13 @@ class SimProcess:
         self.state = state
         self.mailbox = [] if mailbox is None else mailbox
         self.wait_predicate = wait_predicate
-        #: The broadcast in progress, as ``(destinations still owed in
-        #: reverse order, origin index, payload byte size)``, or ``None``:
-        #: while set, each step of the process is the send to the next
-        #: destination (see :class:`~repro.sim.context.BroadcastEffect`); the
-        #: origin indexes the kernel's ``(sender, payload)`` pairs.
-        self.broadcast: Optional[Tuple[List[int], int, int]] = None
+        #: The broadcast in progress, as ``[destinations still owed in
+        #: reverse order, payload byte size, the open run its sends write
+        #: into]``, or ``None``: while set, each step of the process is
+        #: the send to the next destination (see
+        #: :class:`~repro.sim.context.BroadcastEffect` and the run layout in
+        #: :mod:`repro.sim.kernel`).
+        self.broadcast: Optional[List[Any]] = None
         self.decision = decision
         self.decision_time = decision_time
         self.crash_time = crash_time
@@ -93,7 +94,7 @@ class SimProcess:
         #: Transient-outage flag (see :class:`~repro.sim.events.EventKind`):
         #: while paused, step and delivery entries are buffered in
         #: ``paused_backlog`` as ``(kind, pid, payload)`` -- a delivery's
-        #: followed by its origin index -- and replayed at recovery.
+        #: payload being its ``Message`` -- and replayed at recovery.
         self.paused = paused
         self.paused_backlog = [] if paused_backlog is None else paused_backlog
 

@@ -11,6 +11,7 @@ from repro.cli import main
 from repro.harness import parallel
 from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds, run_planned
+from repro.harness.coordinator import WorkStealingScheduler
 
 E1_ARGS = ["--seeds", "2", "--max-workers", "1"]
 
@@ -272,6 +273,36 @@ def test_steal_e9_scenario_merge_equals_direct_run(tmp_path, capsys):
     code, direct_out, _ = run_cli(capsys, "run", "e9", *E9_ARGS)
     assert code == 0
     assert merged_out == direct_out
+
+
+def test_a_steal_worker_may_not_take_a_static_shards_name(tmp_path, capsys):
+    """A ``--steal --worker shard-1of1`` worker and a ``--shard 1/1`` run in one
+    directory would write one manifest, ``worker-shard-1of1.json``, each
+    overwriting the other's counts: the steal worker is refused by name."""
+    out_dir = tmp_path / "runs"
+    code, _, err = run_cli(
+        capsys, "run", "e1", *STEAL_ARGS, "--worker", "shard-1of1",
+        "--max-points", "2", "--out", str(out_dir),
+    )
+    assert code == 2
+    assert "worker name 'shard-1of1' is reserved" in err and "shard-IofK" in err
+    assert not out_dir.exists(), "a refused worker writes nothing"
+    code, _, _ = run_cli(
+        capsys, "run", "e1", "--seeds", "2", "--max-workers", "1",
+        "--shard", "1/1", "--out", str(out_dir),
+    )
+    assert code == 0
+    manifest = (out_dir / "worker-shard-1of1.json").read_bytes()
+    code, _, err = run_cli(
+        capsys, "run", "e1", *STEAL_ARGS, "--worker", "shard 1of1", "--out", str(out_dir),
+    )
+    assert code == 2 and "'shard-1of1' is reserved" in err  # sanitized, then refused
+    assert (out_dir / "worker-shard-1of1.json").read_bytes() == manifest
+    code, out, _ = run_cli(capsys, "status", str(out_dir))
+    assert code == 0 and "4/4 points done" in out
+    plan = e1_figure1.plan(seeds=default_seeds(2))
+    for name in ("shard-1of1x", "my-shard-1of1", "shard-1"):  # only the exact form is reserved
+        assert WorkStealingScheduler(plan, tmp_path / name, worker=name).worker == name
 
 
 def test_steal_with_shard_is_an_error(capsys, tmp_path):

@@ -427,7 +427,7 @@ def test_a_run_directory_has_one_reader_and_one_fold():
     assert sum(count_calls(path, "fold_point") for path in sources) == 1
     # The merger, and the writers' one resume.
     assert sum(count_calls(path, "_load_checkpoint") for path in sources) == 2
-    for consumer in ("cli.py", "obs/merge.py", "obs/serve.py"):
+    for consumer in ("cli.py", "obs/merge.py", "obs/serve.py", "obs/status.py"):
         assert count_calls(
             SRC / consumer,
             "read_plan_header", "read_artifact", "find_worker_manifests", "live_leases",

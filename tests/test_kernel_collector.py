@@ -25,8 +25,10 @@ from repro.cluster.topology import ClusterTopology
 from repro.coins.local import DeterministicCoin
 from repro.harness.parallel import run_many
 from repro.harness.runner import ALGORITHMS, ExperimentConfig, prepare_consensus, run_consensus
+from repro.network.delays import ConstantDelay
 from repro.network.transport import Network
-from repro.sim.kernel import SimulationKernel, _in_flight_message
+from repro.sim.context import BroadcastEffect
+from repro.sim.kernel import SimConfig, SimulationKernel, _in_flight_messages
 from repro.sim.multikernel import CooperativeScheduler, kernel_stepper, run_cooperative
 
 TOPOLOGY = ClusterTopology.figure1_right()
@@ -119,12 +121,77 @@ def test_finished_bare_kernel_is_freed_with_its_queue_tail(collector_off):
     assert kernel._inflight, "the early deciders must leave undelivered messages behind"
     kernel_ref = weakref.ref(kernel)
     delivered = weakref.ref(kernel.process(0).mailbox[0].payload)
-    # The origin ``(sender, payload)`` is a tuple, which cannot be weakly
-    # referenced; its payload stands for it.
-    in_flight = weakref.ref(_in_flight_message(kernel._inflight[-1], kernel._origins).payload)
-    owed = weakref.ref(kernel._origins[kernel.process(7).broadcast[1]][1])
+    # A run holds its origin's payload, which stands for the run (a list
+    # cannot be weakly referenced); the crashed sender's cursor holds the
+    # open run its broadcast still owes sends into.
+    in_flight = weakref.ref(_in_flight_messages(kernel)[-1][2].payload)
+    owed = weakref.ref(kernel.process(7).broadcast[2][3])
     del kernel
     assert kernel_ref() is None and delivered() is None and in_flight() is None and owed() is None
+
+
+def _consumer(ctx):
+    """Drop every message on arrival: a delivered payload is owned by nobody."""
+    yield from ctx.wait_until(lambda mailbox: mailbox.clear())
+
+
+def test_a_payload_dies_with_the_last_delivery_of_its_message(collector_off):
+    """A run lets go of its origin when it drains, while the kernel runs on."""
+    kernel = SimulationKernel(seed=5, config=SimConfig(scheduling_jitter=0.0))
+    kernel.attach_network(Network(4, delay_model=ConstantDelay(1.0), rng=kernel.rng))
+    refs = {}
+
+    def sender(ctx):
+        payload = _Payload()
+        refs["broadcast"] = weakref.ref(payload)
+        yield BroadcastEffect((1, 2, 3), payload)
+        payload = _Payload()
+        refs["unicast"] = weakref.ref(payload)
+        yield from ctx.send(1, payload)
+        del payload
+        for _ in range(4):
+            yield from ctx.local_step(1.0)  # keeps the run going past the deliveries
+        return 1
+
+    kernel.add_process(0, sender)
+    for pid in (1, 2, 3):
+        kernel.add_process(pid, _consumer)
+    # Sent at 0, 1e-4, 2e-4 (the broadcast) and 3e-4 (the unicast), each
+    # due one time unit later; one event per batch, so no loop local holds
+    # a message between checks.
+    stats = kernel.network.stats
+    while kernel.run_batch(1) is None:
+        assert (refs["broadcast"]() is None) == (stats.messages_delivered >= 3)
+        if "unicast" in refs:
+            assert (refs["unicast"]() is None) == (stats.messages_delivered >= 4)
+        if stats.messages_delivered == 4:
+            break
+    assert kernel._queue, "the run is still going"
+    assert refs["broadcast"]() is None and refs["unicast"]() is None
+
+
+def test_a_run_of_unicasts_keeps_origins_only_for_messages_in_flight(collector_off):
+    kernel = SimulationKernel(seed=5)
+    network = Network(2, rng=kernel.rng)
+    kernel.attach_network(network)
+    refs = []
+
+    def sender(ctx):
+        for _ in range(10_000):
+            payload = _Payload()
+            refs.append(weakref.ref(payload))
+            yield from ctx.send(1, payload)
+        return 1
+
+    kernel.add_process(0, sender)
+    kernel.add_process(1, _consumer)
+    checks = 0
+    while kernel.run_batch(1_000) is None:
+        in_flight = network.stats.messages_sent - network.stats.messages_delivered
+        assert sum(ref() is not None for ref in refs) == in_flight
+        checks += in_flight > 0
+    assert checks >= 5 and len(refs) == network.stats.messages_sent == 10_000
+    assert all(ref() is None for ref in refs)
 
 
 def test_context_outliving_its_kernel_raises_reference_error(collector_off):

@@ -13,7 +13,7 @@ destination must fail the same way at the same send.
 
 Delays are at least 1.0 (0.1 for a self-send) and a process step costs
 about 1e-4, so every program here ends before its first delivery: each send
-is still an in-flight entry when the run returns, unpacked back to its due
+is still a record in its run when the run returns, unpacked back to its due
 ``time`` and decoded to the ``Message`` it would be delivered as, and
 ``time`` is exactly ``send_time + delay``.
 """
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.network.delays import DelayModel, UniformDelay
 from repro.network.transport import Network
 from repro.sim.context import BroadcastEffect
-from repro.sim.kernel import _IN_FLIGHT, SimulationKernel, _in_flight_message
+from repro.sim.kernel import SimulationKernel, _in_flight_messages
 from repro.sim.rng import RandomSource
 
 #: Shared payload objects (the size memo sees each many times) and one shape
@@ -92,10 +92,7 @@ def _run(programs, seed):
         error = raised
     assert network.stats.messages_delivered == 0, "a delivery would hide its delay"
     sends = sorted(
-        (
-            (_IN_FLIGHT.unpack(entry)[0], _in_flight_message(entry, kernel._origins))
-            for entry in kernel._inflight
-        ),
+        ((time, message) for time, _, message in _in_flight_messages(kernel)),
         key=lambda sent: sent[1].msg_id,
     )
     return kernel, network, model, sends, samples, error

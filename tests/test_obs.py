@@ -41,13 +41,8 @@ from repro.harness.distributed import (
 )
 from repro.harness.runner import ExperimentConfig
 from repro.obs.merge import IncrementalMerger
-from repro.obs.serve import (
-    SweepMonitor,
-    aggregate_to_json,
-    make_server,
-    render_status_text,
-    watch_status,
-)
+from repro.obs.serve import make_server
+from repro.obs.status import SweepMonitor, aggregate_to_json, render_status_text, watch_status
 from repro.obs.telemetry import Telemetry, merge_snapshots
 
 SEEDS = default_seeds(3)

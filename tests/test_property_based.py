@@ -1,11 +1,11 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import math
+import itertools
 import random
 import re
 import shutil
-import sys
 import tempfile
+from heapq import heappop, heappush
 from pathlib import Path
 
 import pytest
@@ -31,11 +31,14 @@ from repro.harness.distributed import (
 )
 from repro.harness.runner import ExperimentConfig, run_consensus
 from repro.harness.stats import percentile, summarize
+from repro.network.delays import ConstantDelay, ExponentialDelay, UniformDelay
 from repro.network.message import Message
+from repro.network.transport import Network
 from repro.obs.merge import IncrementalMerger
 from repro.sharedmem.consensus_object import CASConsensusObject, LLSCConsensusObject
+from repro.sim import kernel as kernel_module
 from repro.sim.events import EventKind
-from repro.sim.kernel import _IN_FLIGHT, SimConfig, SimulationKernel
+from repro.sim.kernel import _MSG_ID_MASK, SimConfig, SimulationKernel
 from repro.sim.rng import RandomSource
 
 
@@ -513,36 +516,175 @@ def test_controller_is_offered_ties_spanning_both_heaps():
     assert sequences == sorted(sequences)
 
 
-#: Non-negative doubles from both ends of the range, with equal times likely.
-_DUE_TIMES = st.one_of(
-    st.sampled_from([0.0, 5e-324, 1.0, sys.float_info.max, math.inf]),
-    st.floats(min_value=0.0, allow_nan=False),
-)
-#: Messages in flight as ``(time, key, dest, origin, send_time)``, keys unique.
-_PACKABLE = st.lists(
-    st.tuples(
-        _DUE_TIMES,
-        st.integers(min_value=0, max_value=2**64 - 1),
-        st.integers(min_value=0, max_value=2**16 - 1),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.floats(allow_nan=False),
+# ------------------------------------------ the run store pops as one heap would
+#: Constant delays tie a broadcast's due times with other broadcasts'; an
+#: exponential mean of a few steps makes messages due while their broadcast
+#: is still sending, so runs are sealed early and reopened.
+_DELAY_MODELS = {
+    "constant": ConstantDelay(1.0),
+    "uniform": UniformDelay(0.5, 1.5),
+    "exponential": ExponentialDelay(mean=3e-4, floor=0.0),
+}
+_STORE_OPS = st.lists(
+    st.lists(
+        st.one_of(st.just(("broadcast", 0)), st.tuples(st.just("send"), st.integers(0, 4))),
+        max_size=5,
     ),
     min_size=2,
-    max_size=30,
-    unique_by=lambda entry: entry[1],
+    max_size=5,
 )
 
 
-@given(_PACKABLE)
-@settings(max_examples=300, deadline=None)
-@example([(0.0, 2, 0, 0, 0.0), (0.0, 1, 65535, 7, -1.0), (5e-324, 0, 0, 0, 0.0)])
-@example([(math.inf, 0, 0, 0, 0.0), (sys.float_info.max, 2**64 - 1, 0, 0, 0.0), (math.inf, 1, 0, 0, 0.0)])
-def test_packed_in_flight_order_is_time_then_key_order(entries):
-    """Bytewise order of packed entries is ``(time, key)`` order, ties on time included."""
-    packed = {entry: _IN_FLIGHT.pack(*entry) for entry in entries}
-    assert sorted(entries, key=packed.__getitem__) == sorted(entries, key=lambda entry: entry[:2])
-    for entry in entries:
-        assert _IN_FLIGHT.unpack(packed[entry]) == entry
+class _RecordingStruct:
+    """The kernel's record layout, logging every record it packs as a push."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+        self.size = inner.size
+        self.unpack_from = inner.unpack_from
+        self.iter_unpack = inner.iter_unpack
+
+    def pack(self, time, key, dest, send_time):
+        self._log.append(("push", time, key, dest))
+        return self._inner.pack(time, key, dest, send_time)
+
+    def pack_into(self, buffer, offset, time, key, dest, send_time):
+        self._log.append(("push", time, key, dest))
+        self._inner.pack_into(buffer, offset, time, key, dest, send_time)
+
+
+class _StoreProbe:
+    """An adversary stand-in: logs every dispatched delivery as a pop.
+
+    It also makes the store's other writers write: extra copies of a send
+    (duplicates join their broadcast's open run), deferrals (a re-queue is a
+    run of one; each delivery is deferred at most once) and outages (a
+    paused backlog is replayed as runs of one).
+    """
+
+    corrupts = False
+    defers_events = True
+
+    def __init__(self, log, faults_links, copies, deferrals, outages):
+        self._log = log
+        self.faults_links = faults_links
+        self._copies = itertools.cycle(copies or [()])
+        self._deferrals = itertools.cycle(deferrals or [0.0])
+        self._outages = outages
+        self._deferred = set()
+
+    def install(self, kernel):
+        pids = kernel.process_ids()
+        for pid, down_at, length in self._outages:
+            kernel.schedule_pause(pids[pid % len(pids)], down_at, down_at + length)
+
+    def deliveries(self, sender, dest, now, delay):
+        return (delay, *next(self._copies))
+
+    def defer(self, kind, pid, payload, key, now):
+        if kind != _DELIVERY:
+            return 0.0
+        self._log.append(("pop", now, payload.msg_id, pid))
+        extra = next(self._deferrals)
+        if extra and key not in self._deferred:
+            self._deferred.add(key)
+            return extra
+        return 0.0
+
+
+class _TieAuditor:
+    """The index-0 controller, checking that a tie set lifts every message due then."""
+
+    def __init__(self):
+        self.kernel = None
+        self.offered = 0
+
+    def choose(self, now, time, entries):
+        self.offered += 1
+        assert all(due != time for due, _, _ in kernel_module._in_flight_messages(self.kernel))
+        return 0
+
+
+def _store_run(programs, delays, config, probe_args, controller=None):
+    """Run ``programs`` (one per process) and return the push/pop log."""
+    n = len(programs)
+    log = []
+    kernel = SimulationKernel(seed=3, config=config)
+    kernel.attach_network(Network(n, delay_model=_DELAY_MODELS[delays], rng=kernel.rng))
+
+    def program(ops):
+        def run(ctx):
+            for op, dest in ops:
+                if op == "broadcast":
+                    yield from ctx.broadcast(("all", ctx.pid))
+                else:
+                    yield from ctx.send(dest % n, ("one", ctx.pid))
+            yield from ctx.wait_until(lambda mailbox: None)
+
+        return run
+
+    for pid, ops in enumerate(programs):
+        kernel.add_process(pid, program(ops))
+    kernel.install_adversary(_StoreProbe(log, *probe_args))
+    if controller is not None:
+        controller.kernel = kernel
+        kernel.install_schedule_controller(controller)
+    with pytest.MonkeyPatch.context() as patcher:
+        patcher.setattr(kernel_module, "_RECORD", _RecordingStruct(kernel_module._RECORD, log))
+        kernel.run()
+    assert not kernel._inflight, "every message in flight is dispatched"
+    return log
+
+
+@given(
+    _STORE_OPS,
+    st.sampled_from(sorted(_DELAY_MODELS)),
+    st.sampled_from([0.0, 1e-4]),
+    st.sampled_from([0.0, 1e-5]),
+    st.booleans(),
+    st.lists(st.lists(st.sampled_from([0.0, 1e-4, 0.5]), max_size=2).map(tuple), max_size=4),
+    st.lists(st.sampled_from([0.0, 0.0, 0.0, 1e-4, 1.0]), max_size=6),
+    st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from([0.0, 2e-4, 1.0]), st.sampled_from([1e-4, 0.5])),
+        max_size=2,
+    ),
+)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(
+    [[("broadcast", 0)] * 3, [("send", 0), ("broadcast", 0)]], "constant", 0.0, 0.0, True, [(0.0,)], [1e-4], []
+)
+@example(
+    [[("broadcast", 0)] * 2, [("broadcast", 0)]],
+    "exponential", 1e-4, 1e-5, True, [(), (1e-4, 0.5)], [], [(1, 2e-4, 0.5)],
+)
+def test_the_run_store_pops_the_order_of_one_heap_of_messages(
+    programs, delays, step, jitter, faults_links, copies, deferrals, outages
+):
+    """Every dispatched delivery is the least ``(time, key)`` a reference heap holds.
+
+    The reference is one ``heapq`` of ``(time, key, dest)`` tuples, pushed
+    whenever the kernel packs a record (a send, a copy, a re-queue) and
+    popped whenever the kernel dispatches a delivery.  A schedule controller
+    that always picks the first tie dispatches the same deliveries in the
+    same order, though it lifts every message due now out of its run --
+    none is left behind in a run when the tie set is offered.
+    """
+    config = SimConfig(local_step_delay=step, scheduling_jitter=jitter)
+    probe_args = (faults_links, copies, deferrals, outages)
+    log = _store_run(programs, delays, config, probe_args)
+    reference = []
+    for op, time, key, dest in log:
+        if op == "push":
+            heappush(reference, (time, key, dest))
+        else:
+            due, least, to = heappop(reference)
+            assert (due, least & _MSG_ID_MASK, to) == (time, key, dest)
+    assert not reference
+    pops = [entry for entry in log if entry[0] == "pop"]
+    auditor = _TieAuditor()
+    controlled = _store_run(programs, delays, config, probe_args, auditor)
+    assert [entry for entry in controlled if entry[0] == "pop"] == pops
 
 
 # --------------------------------------------------------- end-to-end (sampled)

@@ -502,12 +502,17 @@ def test_messages_in_flight_are_flat_and_become_messages_when_delivered():
         kernel.add_process(pid, _early_decider)
     assert kernel.run().status is RunStatus.DECIDED
     stats = network.stats
-    assert len(kernel._inflight) == stats.messages_sent - stats.messages_delivered > 0
-    for entry in kernel._inflight:
-        assert type(entry) is bytes and len(entry) == 30
-        fields = kernel_module._IN_FLIGHT.unpack(entry)
-        assert len(fields) == 5 and not any(isinstance(field, Message) for field in fields)
-        assert not isinstance(kernel._origins[fields[3]][1], Message)  # nor in the origin
+    in_flight = kernel_module._in_flight_messages(kernel)
+    assert len(in_flight) == stats.messages_sent - stats.messages_delivered > 0
+    assert len(kernel._inflight) < len(in_flight), "one head per run, not per message"
+    for head in kernel._inflight:
+        records, end = head[5][0], head[5][5]
+        assert type(records) in (bytes, bytearray) and end % 26 == 0 and len(records) >= end
+        assert not any(isinstance(field, Message) for field in head)
+        fields = list(kernel_module._RECORD.iter_unpack(records[:end]))
+        assert all(len(record) == 4 for record in fields)
+        assert not any(isinstance(field, Message) for record in fields for field in record)
+        assert not isinstance(head[5][3], Message)  # nor in the origin
     mailboxes = [proc.mailbox for proc in kernel.processes.values()]
     assert sum(map(len, mailboxes)) == stats.messages_delivered
     assert all(type(message) is Message for mailbox in mailboxes for message in mailbox)
@@ -518,15 +523,18 @@ def _broadcast_once(ctx):
     return 1
 
 
-def test_a_message_in_flight_costs_at_most_100_bytes():
+def test_a_message_in_flight_costs_at_most_40_bytes():
     """128 processes each broadcast once and decide before any delivery.
 
     The run's traced growth, over its 16,384 undelivered messages, is what
-    one message in flight costs: its 63-byte packed entry and heap slot (the
-    broadcast's origin is shared).  Readings of this measurement as a plain
-    script: 80.3 / 79.9 / 74.3 / 74.4 B on CPython 3.9 / 3.10 / 3.11 / 3.12
-    with the packed entry, and 177.0 / 176.6 / 171.0 / 171.1 B with the
-    five-field tuple it replaced.
+    one message in flight costs: its 26-byte record in its broadcast's run
+    (sized for all 128 destinations), the run's list and heads shared by
+    its 128 messages, and a few bytes of the processes' own state.
+    Readings of this measurement as a plain script: 39.6 / 39.5 / 34.1 /
+    34.1 B on CPython 3.9 / 3.10 / 3.11 / 3.12 with records in runs,
+    against 81.9 / 81.5 / 76.0 / 76.0 B with the packed 30-byte entry per
+    message they replaced (taken together, on one host); the five-field
+    tuple before that read 177.0 / 176.6 / 171.0 / 171.1 B.
     """
     n = 128
     kernel, network = make_kernel(n=n, seed=1)
@@ -540,9 +548,9 @@ def test_a_message_in_flight_costs_at_most_100_bytes():
     finally:
         tracemalloc.stop()
     assert result.status is RunStatus.DECIDED
-    assert len(kernel._inflight) == network.stats.messages_sent == n * n
+    assert len(kernel_module._in_flight_messages(kernel)) == network.stats.messages_sent == n * n
     per_message = (after - before) / (n * n)
-    assert per_message <= 100, f"{per_message:.1f} B per message in flight"
+    assert per_message <= 40, f"{per_message:.1f} B per message in flight"
 
 
 class _CountingGenerator:
@@ -575,13 +583,13 @@ def test_a_broadcast_resumes_its_generator_once():
     assert sender.stats.steps == n + 1 and sender.stats.messages_sent == n
     assert network.stats.messages_sent == n
     # Everybody decided before the first delivery: one message per destination in flight.
-    in_flight = (kernel_module._in_flight_message(entry, kernel._origins) for entry in kernel._inflight)
+    in_flight = (message for _, _, message in kernel_module._in_flight_messages(kernel))
     assert sorted((message.sender, message.dest) for message in in_flight) == [(0, pid) for pid in range(n)]
     # Resumed to yield the broadcast, and once more when it is exhausted.
     assert sender.generator.sends == 2
 
 
-def test_a_message_in_flight_is_five_fields_and_a_broadcast_shares_one_origin():
+def test_a_message_in_flight_is_four_fields_and_a_broadcast_shares_one_run():
     n = 8
     kernel, network = make_kernel(n=n)
 
@@ -594,26 +602,29 @@ def test_a_message_in_flight_is_five_fields_and_a_broadcast_shares_one_origin():
     for pid in range(1, n):
         kernel.add_process(pid, _idle)
     kernel.run()
-    packed = sorted(kernel._inflight, key=lambda entry: kernel_module._IN_FLIGHT.unpack(entry)[1])
-    assert len(packed) == network.stats.messages_sent == n + 1
-    assert all(type(entry) is bytes and len(entry) == 30 for entry in packed)
-    entries = [kernel_module._IN_FLIGHT.unpack(entry) for entry in packed]
-    assert all(len(entry) == 5 for entry in entries)
-    direct, *broadcast = entries
-    # One (sender, payload) origin per send effect, the broadcast's shared by
-    # all of its destinations.
-    origins = kernel._origins
-    assert origins[direct[3]] == (0, "direct") and origins[broadcast[0][3]] == (0, "ping")
-    assert all(entry[3] == broadcast[0][3] for entry in broadcast)
-    assert len(origins) == 2
+    # One run per send effect, holding its (sender, payload) origin: the
+    # broadcast's shared by all of its destinations.  Nothing fell due, so
+    # both are open and each has one head.
+    runs = [head[5] for head in sorted(kernel._inflight)]
+    assert len(runs) == 2 and runs[0] is not runs[1]
+    direct, broadcast = sorted(runs, key=lambda run: len(run[0]))
+    assert (direct[2], direct[3]) == (0, "direct") and (broadcast[2], broadcast[3]) == (0, "ping")
+    assert all(type(run[0]) is bytearray and run[1] == -1 for run in runs)  # both open
+    assert (len(direct[0]), len(broadcast[0])) == (direct[5], broadcast[5]) == (26, 26 * n)  # sized exactly
+    record = kernel_module._RECORD
+    entries = [*record.iter_unpack(direct[0]), *record.iter_unpack(broadcast[0])]
+    assert len(entries) == network.stats.messages_sent == n + 1
+    assert all(len(entry) == 4 for entry in entries)
     # The key orders as the sequence number and carries the msg_id below it.
     mask = (1 << 32) - 1
     assert [entry[1] & mask for entry in entries] == list(range(1, n + 2))
     assert len({entry[1] >> 32 for entry in entries}) == n + 1
-    messages = [kernel_module._in_flight_message(entry, origins) for entry in packed]
+    in_flight = sorted(kernel_module._in_flight_messages(kernel), key=lambda item: item[1])
+    assert [(time, key) for time, key, _ in in_flight] == [entry[:2] for entry in entries]
+    messages = [message for _, _, message in in_flight]
     assert all(type(message) is Message for message in messages)
     assert [tuple(message) for message in messages] == [
-        (0, dest, payload, entry[4], msg_id)
+        (0, dest, payload, entry[3], msg_id)
         for msg_id, (entry, dest, payload) in enumerate(
             zip(entries, [3, *range(n)], ["direct"] + ["ping"] * n), start=1
         )
@@ -646,8 +657,8 @@ def test_the_msg_id_cap_is_refused_like_transmit(as_broadcast):
     assert str(raised.value) == str(expected.value)
     assert "4,294,967,296 sends" in str(raised.value)
     assert network.stats == reference.stats
-    (entry,) = kernel._inflight
-    assert kernel_module._in_flight_message(entry, kernel._origins).msg_id == cap - 1
+    ((_, _, message),) = kernel_module._in_flight_messages(kernel)
+    assert message.msg_id == cap - 1
 
 
 def test_a_sequence_counter_past_the_key_cap_is_refused_naming_it():
@@ -684,16 +695,14 @@ def test_a_dest_past_the_packed_field_is_refused_naming_it():
         kernel.run()
 
 
-def test_the_origin_cap_and_bad_due_times_are_refused_by_the_checked_packer():
-    pack = kernel_module._pack_in_flight
-    with pytest.raises(OverflowError, match=r"origin #4,294,967,296 reaches the origin cap"):
-        pack(1.0, 1, 0, 1 << 32, 0.0)
+def test_bad_due_times_are_refused_by_the_checked_packer():
+    pack = kernel_module._pack_record
     for bad in (math.nan, -1.0, -math.inf):
         with pytest.raises(ValueError, match="due time must be >= 0 and not NaN"):
-            pack(bad, 1, 0, 0, 0.0)
-    # A negative zero would sort after every entry: it is packed as 0.0.
-    assert pack(-0.0, 1, 0, 0, 0.0) == pack(0.0, 1, 0, 0, 0.0)
-    assert pack(math.inf, (1 << 64) - 1, (1 << 16) - 1, (1 << 32) - 1, 0.0)  # every field's last value
+            pack(bad, 1, 0, 0.0)
+    # A negative zero would sort after every record: it is packed as 0.0.
+    assert pack(-0.0, 1, 0, 0.0) == pack(0.0, 1, 0, 0.0)
+    assert pack(math.inf, (1 << 64) - 1, (1 << 16) - 1, 0.0)  # every field's last value
 
 
 def test_broadcast_effect_without_destinations_is_refused():

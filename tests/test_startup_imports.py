@@ -105,7 +105,9 @@ def test_status_reads_the_directory_without_the_simulator(steal_run):
     out, _ = steal_run
     text, _, modules = cli("status", str(out))
     assert "points done" in text and "solo" in text
+    assert "repro.obs.status" in modules  # the renderer, without the server it feeds
     assert loaded(modules, "repro.sim", "repro.harness.runner", "numpy", *DRIVERS) == []
+    assert loaded(modules, "http.server", "repro.obs.serve") == []
 
 
 def test_in_process_sweep_never_loads_numpy_or_a_pool():
