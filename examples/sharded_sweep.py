@@ -52,10 +52,10 @@ def main() -> None:
 
         # --- 3) re-running the same command resumes, not restarts ----------
         resumed = run_shard(plan, ShardSpec(2, 2), out_dir)
-        print(f"shard 2/2 re-run: {len(resumed.resumed)} points resumed from "
+        print(f"shard 2/2 re-run: {len(resumed.already_done)} points resumed from "
               f"checkpoints, {len(resumed.executed)} recomputed "
               f"({resumed.runs_executed} runs instead of "
-              f"{resumed.runs_executed + resumed.runs_resumed})")
+              f"{resumed.runs_executed + resumed.runs_reused})")
 
         # --- 4) merge == single host, bit for bit --------------------------
         merged = merge_shards(out_dir, e1_figure1.plan(seeds=SEEDS))

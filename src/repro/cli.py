@@ -105,6 +105,13 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+#: What ``run --out`` prints after a point's label, by its outcome.
+_OUTCOME_NOTES = {
+    "lost": "  (a thief checkpointed it first)",
+    "left-behind": "  (leased by a live worker, or out of --max-points)",
+}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenarios = None if args.scenario is None else (args.scenario,)
     module, plan = _build_plan(args.experiment, args.seeds, scenarios=scenarios)
@@ -126,9 +133,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.poll_interval is not None and not args.wait:
         raise ShardError("--poll-interval only applies with --wait")
+    if args.max_workers is not None and args.max_workers < 1:
+        raise ShardError(f"--max-workers must be >= 1, got {args.max_workers}")
+    if args.out is None:
+        if args.steal or args.shard is not None:
+            flag = "--steal" if args.steal else "--shard"
+            raise ShardError(f"{flag} needs --out DIR to hold the checkpoints and the manifest")
+        report = run_planned(plan, module.build_report, max_workers=args.max_workers)
+        print(report.format())
+        return 0
     if args.steal:
-        if args.out is None:
-            raise ShardError("--steal needs --out DIR to hold the leases and checkpoints")
         result = run_work_stealing(
             plan,
             args.out,
@@ -139,44 +153,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
             wait=args.wait,
             poll_interval=args.poll_interval,
         )
-        print(
-            f"worker {result.worker} of {plan.key}: "
-            f"{len(result.computed)} points computed ({result.runs_executed} runs), "
-            f"{len(result.stolen)} stolen, {len(result.already_done)} already done"
-        )
-        for label in result.executed:
-            print(f"  computed  {label}")
-        for label in result.stolen:
-            print(f"  stolen    {label}")
-        for label in result.already_done:
-            print(f"  done      {label}")
-        for label in result.lost:
-            print(f"  lost      {label}  (a thief checkpointed it first)")
-        for label in result.left_behind:
-            print(f"  left      {label}  (leased by a live worker, or out of --max-points)")
-        print(f"worker manifest: {result.manifest}")
-        print(f"progress:  python -m repro status {result.out_dir}")
-        print(f"when every point is done:  python -m repro merge {result.out_dir} --report")
-        return 0
-    if args.shard is not None and args.out is None:
-        raise ShardError("--shard needs --out DIR to hold the manifest and checkpoints")
-    if args.out is not None:
+    else:
         shard = ShardSpec.parse(args.shard) if args.shard is not None else ShardSpec(1, 1)
         result = run_shard(plan, shard, args.out, max_workers=args.max_workers)
-        done = result.runs_executed + result.runs_resumed
-        print(f"shard {shard} of {plan.key}: {done} runs "
-              f"({result.runs_executed} executed, {result.runs_resumed} resumed from checkpoints)")
-        for label in result.executed:
-            print(f"  computed  {label}")
-        for label in result.resumed:
-            print(f"  resumed   {label}")
-        for label in result.skipped:
-            print(f"  not-mine  {label}")
-        print(f"manifest: {result.manifest}")
-        print(f"when all {shard.count} shards are done:  python -m repro merge {result.out_dir} --report")
-        return 0
-    report = run_planned(plan, module.build_report, max_workers=args.max_workers)
-    print(report.format())
+    print(
+        f"worker {result.worker} (shard {result.shard}) of {plan.key}: "
+        f"{len(result.computed)} points computed, {len(result.stolen)} stolen, "
+        f"{len(result.already_done)} already done; "
+        f"{result.runs_executed + result.runs_reused} runs ({result.runs_executed} executed, "
+        f"{result.runs_reused} resumed from checkpoints)"
+    )
+    for _, entry in sorted(result.points.items()):
+        note = _OUTCOME_NOTES.get(entry["outcome"], "")
+        print(f"  {entry['outcome']:<12}  {entry['label']}{note}")
+    print(f"worker manifest: {result.manifest}")
+    print(f"progress:  python -m repro status {result.out_dir}")
+    print(f"when every point is done:  python -m repro merge {result.out_dir} --report")
     return 0
 
 

@@ -10,12 +10,12 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "SummaryReducer", "run_priority",
         ],
         "coordinator": [
-            "DEFAULT_LEASE_TTL", "Lease", "LeaseError", "StealRunResult", "StealStatus",
+            "DEFAULT_LEASE_TTL", "Lease", "LeaseError", "StealStatus", "WriterResult",
             "merge_stolen", "run_work_stealing", "steal_status",
         ],
         "distributed": [
             "MANIFEST_VERSION", "ManifestError", "MergedSweep", "PlanPoint", "ShardError",
-            "ShardRunResult", "ShardSpec", "SweepPlan", "grid_points", "merge_shards",
+            "ShardSpec", "SweepPlan", "grid_points", "merge_shards",
             "plan_grid", "plan_repeat", "plan_sweep", "run_plan", "run_shard",
             "variation_points",
         ],

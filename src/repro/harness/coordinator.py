@@ -1,18 +1,20 @@
 """Scheduling a sweep over a shared run directory, and the one reader of it.
 
 Any number of *writers* fill one run directory with one plan's work, each
-as one shard ``i/k`` of the plan's round-robin covering; two policies
-decide which points a writer computes:
+as one shard ``i/k`` of the plan's round-robin covering.  There is one
+writer, :class:`SweepWriter`, with one claim loop; whether it holds leases
+decides which points it computes:
 
-* a **static shard** (``--shard i/k``, a writer named ``shard-IofK``) owns
-  every ``k``-th run of the plan, forever.  On a homogeneous fleet that is
+* a **static shard** (``--shard i/k``, a writer named ``shard-IofK``) holds
+  none: it claims every point it owns runs of in one pass, every claim
+  succeeds, and nothing is left to steal.  On a homogeneous fleet that is
   perfect -- zero coordination -- but one slow or dead host strands its
   share of the sweep until someone re-runs that exact shard.
-* a **work-stealing worker** (``--steal``) is shard 1/1: workers *claim*
-  whole sweep points through atomic lease files, renew their claims with
-  heartbeats while computing, and **steal** points whose leases expire --
-  so a slow host sheds its un-started points to faster ones and a killed
-  host's work is picked up automatically.
+* a **work-stealing worker** (``--steal``) is shard 1/1 with leases: it
+  *claims* whole sweep points through atomic lease files, renews its
+  claims with heartbeats while computing, and **steals** points whose
+  leases expire -- so a slow host sheds its un-started points to faster
+  ones and a killed host's work is picked up automatically.
 
 Every run keeps the summary index -- and therefore the
 ``SeedSequence(entropy, spawn_key=(index,))`` sketch priority -- it would
@@ -60,10 +62,9 @@ On-disk layout (all under the shared ``--out`` directory, all JSON)::
     leases/point-0003-gen-0001.json   --steal only: one file per claim/steal
 
 The first writer of either kind creates the header; a writer whose k
-differs from it is refused.  Both policies feed :func:`drive_claims`, the
-single execute-and-checkpoint loop, and write their checkpoints and
-manifest the same way (:class:`StaticShardScheduler`,
-:class:`WorkStealingScheduler`).
+differs from it is refused.  A writer records each point it settles once,
+in its manifest's per-point outcome map; the counts in the manifest and
+in the :class:`WriterResult` it returns are read off that map.
 
 Reading is single, too: :class:`RunDirectory` is the only code that knows
 the layout.  It lives here because this module already holds or imports
@@ -87,13 +88,13 @@ from contextlib import contextmanager
 from functools import cached_property
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .aggregate import RunSummary, SummaryReducer
 from .distributed import (
     MANIFEST_VERSION,
     ManifestError,
-    ShardRunResult,
+    ShardError,
     ShardSpec,
     SweepPlan,
     _atomic_write_bytes,
@@ -500,64 +501,216 @@ def execute_point(
     return run_many(configs, max_workers=max_workers, check=point.check, reducer=reducer)
 
 
-def drive_claims(
-    plan: SweepPlan,
-    scheduler: Any,
-    max_workers: Optional[int] = None,
-) -> Any:
-    """Run a scheduler's claim loop to completion and return its result.
+@dataclass
+class WriterResult:
+    """What one writer invocation did, read off its per-point outcome map.
 
-    The one loop both schedulers share: ask the scheduler for claimed
-    tasks, execute each under the scheduler's hold (a timer, plus a lease
-    heartbeat for work stealing), and hand the summaries back for
-    checkpointing.  Static sharding is the case where every claim succeeds
-    and nothing is ever stolen.  For the whole loop, every pass of the
-    cyclic collector is recorded under the writer's ``gc_seconds`` timer.
-    """
-    from .parallel import plan_pool
-
-    with scheduler.telemetry.time_collector(), plan_pool(plan, max_workers):
-        for task in scheduler.claims():
-            with scheduler.hold(task):
-                summaries = execute_point(plan, task, max_workers)
-            scheduler.complete(task, summaries)
-    return scheduler.finish()
-
-
-
-class _Writer:
-    """What both scheduling policies share: one shard's checkpoints and manifest.
-
-    A writer is one shard of the header's covering under one name (a
-    work-stealing worker is shard 1/1).  It creates or validates the plan
-    header, resumes its shard's valid checkpoints, writes its own, and keeps
-    one manifest -- ``worker-<name>.json``, the same form for every policy --
-    recording each settled point's outcome and runs plus its telemetry.
+    ``points`` is the map the writer's manifest records: each settled
+    point's ``label``, ``outcome`` and ``runs``, by point index.  The
+    outcomes are ``executed`` (computed from a fresh claim), ``stolen``
+    (computed from an expired lease taken over), ``already-done`` (a valid
+    checkpoint of this shard's was there first), ``not-mine`` (a static
+    shard owns no run of it), ``left-behind`` (not done when the writer
+    exited: leased by a live worker -- its checkpoint unusable, or missing
+    -- or out of ``max_points``) and ``lost`` (computed here, but a thief
+    checkpointed it first, possible only after this worker stalled past
+    its TTL).  Every label list and run count is read off that map, the
+    lists in plan order.
     """
 
-    def __init__(self, plan: SweepPlan, out_dir: Path, worker: str, shard: ShardSpec) -> None:
+    worker: str
+    shard: ShardSpec
+    out_dir: Path
+    manifest: Path
+    points: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+
+    def entries(self, *outcomes: str) -> List[Dict[str, Any]]:
+        """The entries of the points settled with any of ``outcomes``, in plan order.
+
+        ``sorted`` copies the map in one step, so a heartbeat thread may
+        read it while the claim loop settles a point.
+        """
+        return [entry for _, entry in sorted(self.points.items()) if entry["outcome"] in outcomes]
+
+    def labels(self, *outcomes: str) -> List[str]:
+        """The labels of the points settled with any of ``outcomes``, in plan order."""
+        return [entry["label"] for entry in self.entries(*outcomes)]
+
+    def runs(self, *outcomes: str) -> int:
+        """How many runs the points settled with any of ``outcomes`` hold."""
+        return sum(entry["runs"] for entry in self.entries(*outcomes))
+
+    executed = property(lambda self: self.labels("executed"))
+    stolen = property(lambda self: self.labels("stolen"))
+    #: Every label this writer computed and checkpointed, claimed or stolen.
+    computed = property(lambda self: self.labels("executed", "stolen"))
+    already_done = property(lambda self: self.labels("already-done"))
+    not_mine = property(lambda self: self.labels("not-mine"))
+    left_behind = property(lambda self: self.labels("left-behind"))
+    lost = property(lambda self: self.labels("lost"))
+    runs_executed = property(lambda self: self.runs("executed", "stolen"))
+    runs_reused = property(lambda self: self.runs("already-done"))
+
+    def counts(self) -> Dict[str, int]:
+        """The point and run counts a worker manifest holds next to ``points``."""
+        return {
+            "points_computed": len(self.computed),
+            "points_stolen": len(self.stolen),
+            "points_lost": len(self.lost),
+            "runs_executed": self.runs_executed,
+            "runs_reused": self.runs_reused,
+        }
+
+
+class SweepWriter:
+    """One writer of a run directory: its claim loop, checkpoints and manifest.
+
+    A writer is one shard of the header's covering under one name.  Given
+    ``shard``, it is that static shard: named ``shard-IofK``, it holds no
+    leases, so its first pass claims every point it owns runs of, each
+    claim succeeds, :meth:`hold` starts no heartbeat and nothing is left
+    for the steal pass (``worker`` and the lease options do not apply).
+    Without ``shard`` it is a work-stealing worker, shard 1/1 with leases:
+    the first pass claims never-leased points, scanning from a
+    worker-specific rotation offset so concurrent workers mostly avoid
+    colliding; the steal pass repeatedly steals points whose leases have
+    expired, until every point is settled or everything left is
+    live-leased by someone else -- then it exits (re-run it, or any other
+    worker, to pick up later orphans) or, with ``wait=True``, idles,
+    re-polling every ``poll_interval`` seconds until the holders
+    checkpoint the points or their leases expire.
+
+    Either way the writer resumes its shard's valid checkpoints, writes its
+    own, and keeps one manifest, ``worker-<name>.json``, rewritten after
+    every point it computes or resumes, so a killed invocation leaves a
+    resumable prefix.  Each settled point's outcome is recorded once, in
+    :attr:`result`'s ``points``.
+    """
+
+    def __init__(
+        self,
+        plan: SweepPlan,
+        out_dir: Union[str, Path],
+        worker: Optional[str] = None,
+        lease_ttl: float = DEFAULT_LEASE_TTL,
+        max_points: Optional[int] = None,
+        wait: bool = False,
+        poll_interval: Optional[float] = None,
+        shard: Optional[ShardSpec] = None,
+    ) -> None:
+        if max_points is not None and max_points < 1:
+            raise LeaseError(f"max_points must be >= 1, got {max_points}")
+        #: The lease TTL in seconds; ``None`` for a static shard.
+        self.ttl: Optional[float] = None
+        if shard is None:
+            _check_seconds("lease ttl", lease_ttl)
+            if poll_interval is not None:
+                _check_seconds("poll interval", poll_interval)
+            worker = sanitize_worker_name(worker) if worker is not None else default_worker_name()
+            if _STATIC_SHARD_NAME_RE.fullmatch(worker):
+                raise LeaseError(
+                    f"worker name {worker!r} is reserved: names of the form shard-IofK "
+                    f"(shard-\\d+of\\d+) belong to --shard i/k writers, whose manifest "
+                    f"worker-{worker}.json a --steal worker of that name would overwrite"
+                )
+            self.ttl = float(lease_ttl)
+        else:
+            worker = f"shard-{shard.index}of{shard.count}"
         self.plan = plan
         self.out = Path(out_dir)
         self.worker = worker
-        self.shard = shard
-        write_plan_header(self.out, plan, shard.count)
-        self.manifest = worker_manifest_path(self.out, worker)
+        self.shard = shard or _WHOLE
+        self.max_points = max_points
+        self.wait = wait
+        #: Default idle re-poll cadence tracks the heartbeat cadence: there
+        #: is nothing new to observe between two renewals of a live lease.
+        self.poll_interval = (
+            float(poll_interval) if poll_interval is not None else max(lease_ttl / 4.0, 0.01)
+        )
         self.telemetry = Telemetry()
+        self.result = WriterResult(
+            worker=worker,
+            shard=self.shard,
+            out_dir=self.out,
+            manifest=worker_manifest_path(self.out, worker),
+        )
         self._fingerprint = plan.fingerprint()
-        #: Each settled point's ``(outcome, runs)``, by point index.
-        self._recorded: Dict[int, Tuple[str, int]] = {}
+        #: Points whose unusable checkpoint this invocation has warned about.
+        self._warned: Set[int] = set()
 
-    def _resume(self, point_index: int) -> Optional[List[RunSummary]]:
-        """This shard's valid checkpoint of a point; an unusable one warns and reads as none."""
-        path = checkpoint_path(self.out, self.shard, point_index)
-        if not path.exists():
+    def run(self, max_workers: Optional[int] = None) -> WriterResult:
+        """Run the claim loop to completion and report what this writer did.
+
+        ``max_workers`` below 1 is refused before the directory is touched.
+        Then the plan header is created or validated, and each claimed task
+        executes under :meth:`hold` and is handed to :meth:`complete`.  For
+        the whole loop, every pass of the cyclic collector is recorded under
+        the writer's ``gc_seconds`` timer.
+        """
+        from .parallel import plan_pool
+
+        if max_workers is not None and max_workers < 1:
+            raise ShardError(f"max_workers must be >= 1, got {max_workers}")
+        write_plan_header(self.out, self.plan, self.shard.count)
+        if self.ttl is not None:
+            lease_dir(self.out).mkdir(exist_ok=True)
+        with self.telemetry.time_collector(), plan_pool(self.plan, max_workers):
+            for task in self.claims():
+                with self.hold(task):
+                    summaries = execute_point(self.plan, task, max_workers)
+                self.complete(task, summaries)
+        self._write_manifest()
+        return self.result
+
+    # ------------------------------------------------------------- claiming
+    def claims(self) -> Iterator[PointTask]:
+        """Yield claimed tasks: a pass of fresh claims, then steals of expired leases."""
+        for point_index in self._rotation():
+            if self._exhausted():
+                break
+            if not self._settled(point_index):
+                task = self._claim(point_index)
+                if task is not None:
+                    yield task
+        pending = self._outstanding()
+        while pending and not self._exhausted():
+            progressed = False
+            for point_index in pending:
+                if self._exhausted():
+                    break
+                if not self._settled(point_index):
+                    task = self._claim(point_index, steal=True)
+                    if task is not None:
+                        progressed = True
+                        yield task
+            pending = self._outstanding()
+            if pending and not progressed:
+                if not self.wait:
+                    break
+                # Everything left is live-leased by other workers.  Idle
+                # instead of exiting: their checkpoints will settle the
+                # points, or their leases will expire and become ours.
+                self.telemetry.inc("idle_polls")
+                time.sleep(self.poll_interval)
+        for point_index in self._outstanding():
+            self._record(point_index, "left-behind", 0)
+
+    def _claim(self, point_index: int, steal: bool = False) -> Optional[PointTask]:
+        """Claim one point, or ``None`` when another worker holds it.
+
+        Without leases every claim succeeds.  A fresh claim creates lease
+        generation 0; ``steal`` also takes over the point's expired lease.
+        """
+        if self.ttl is None:
+            return self._task(point_index)
+        current = current_lease(self.out, point_index) if steal else None
+        if current is None:
+            lease = try_claim(self.out, self.plan, point_index, self.worker, self.ttl)
+        elif current.expired():
+            lease = try_steal(self.out, self.plan, point_index, self.worker, self.ttl, current)
+        else:
             return None
-        try:
-            return _load_checkpoint(path, self.plan, self.shard, point_index)
-        except ManifestError as error:
-            label = self.plan.points[point_index].label
-            warnings.warn(f"recomputing point {label!r}: {error}", RuntimeWarning)
-            return None
+        return None if lease is None else self._task(point_index, lease)
 
     def _task(self, point_index: int, lease: Optional[Lease] = None) -> PointTask:
         positions = self.plan.owned_positions(point_index, self.shard)
@@ -573,316 +726,152 @@ class _Writer:
 
     @contextmanager
     def hold(self, task: PointTask) -> Iterator[None]:
-        """Time the point; a static shard holds no lease to renew."""
-        with self.telemetry.timer("point_seconds"):
-            yield
-
-    def _checkpoint(self, task: PointTask, summaries: List[RunSummary]) -> None:
-        _write_checkpoint(
-            task.checkpoint,
-            self.plan,
-            self.shard,
-            task.point_index,
-            summaries,
-            provenance={
-                "worker": self.worker,
-                "lease_generation": None if task.lease is None else task.lease.generation,
-            },
-        )
-        self.telemetry.inc("points_computed")
-        self.telemetry.inc("runs_executed", len(summaries))
-        self.telemetry.set_gauge("last_checkpoint_at", time.time())
-
-    def _settle(self, point_index: int, outcome: str, runs: int) -> None:
-        self._recorded[point_index] = (outcome, runs)
-        self._write_manifest()
-
-    def finish(self) -> Any:
-        """Write the final manifest and report what this writer did."""
-        self._write_manifest()
-        return self.result
-
-    def _write_manifest(self) -> None:
-        computed = [runs for outcome, runs in self._recorded.values() if outcome in ("executed", "stolen")]
-        outcomes = [outcome for outcome, _ in self._recorded.values()]
-        payload = {
-            "version": MANIFEST_VERSION,
-            "fingerprint": self._fingerprint,
-            "worker": self.worker,
-            "shard": str(self.shard),
-            "points": {
-                str(point_index): {
-                    "label": self.plan.points[point_index].label,
-                    "outcome": outcome,
-                    "runs": runs,
-                }
-                for point_index, (outcome, runs) in sorted(self._recorded.items())
-            },
-            "points_computed": len(computed),
-            "points_stolen": outcomes.count("stolen"),
-            "points_lost": outcomes.count("lost"),
-            "runs_executed": sum(computed),
-            "runs_reused": sum(
-                runs for outcome, runs in self._recorded.values() if outcome == "already-done"
-            ),
-            "telemetry": self.telemetry.snapshot(),
-        }
-        _atomic_write_bytes(self.manifest, json.dumps(seal(payload), indent=2).encode("utf-8"))
-
-
-class StaticShardScheduler(_Writer):
-    """The no-lease policy: shard ``i/k``'s fixed round-robin share.
-
-    Every point this shard owns runs of is "claimed" unconditionally, valid
-    checkpoints are resumed, and the manifest is rewritten atomically after
-    every point so a killed invocation leaves a resumable prefix.
-    """
-
-    def __init__(self, plan: SweepPlan, shard: ShardSpec, out_dir: Path) -> None:
-        super().__init__(plan, out_dir, f"shard-{shard.index}of{shard.count}", shard)
-        self.result = ShardRunResult(shard=shard, out_dir=self.out, manifest=self.manifest)
-
-    def claims(self) -> Iterator[PointTask]:
-        """Yield every owned, not-yet-checkpointed point, in plan order."""
-        for point_index, point in enumerate(self.plan.points):
-            if not self.plan.owned_positions(point_index, self.shard):
-                self.result.skipped.append(point.label)
-                self._recorded[point_index] = ("not-mine", 0)
-                continue
-            summaries = self._resume(point_index)
-            if summaries is None:
-                yield self._task(point_index)
-                continue
-            self.result.resumed.append(point.label)
-            self.result.runs_resumed += len(summaries)
-            self._settle(point_index, "already-done", len(summaries))
-
-    def complete(self, task: PointTask, summaries: List[RunSummary]) -> None:
-        """Checkpoint one computed point and persist the manifest."""
-        self._checkpoint(task, summaries)
-        self.result.executed.append(task.label)
-        self.result.runs_executed += len(summaries)
-        self._settle(task.point_index, "executed", len(summaries))
-
-
-# ----------------------------------------------------------- work stealing
-@dataclass
-class StealRunResult:
-    """What one work-stealing worker invocation did, by point label.
-
-    ``executed`` were computed from fresh generation-0 claims, ``stolen``
-    from expired leases taken over; ``already_done`` had a valid checkpoint
-    (any worker's) before this invocation touched them; ``left_behind``
-    were un-done when this worker exited -- live-leased by other workers,
-    or unattempted because ``max_points`` ran out; ``lost`` were computed
-    here but checkpointed by a thief first (possible only after this
-    worker stalled past its TTL).
-    """
-
-    worker: str
-    out_dir: Path
-    manifest: Path
-    plan_header: Path
-    executed: List[str] = field(default_factory=list)
-    stolen: List[str] = field(default_factory=list)
-    already_done: List[str] = field(default_factory=list)
-    left_behind: List[str] = field(default_factory=list)
-    lost: List[str] = field(default_factory=list)
-    runs_executed: int = 0
-    runs_reused: int = 0
-
-    @property
-    def computed(self) -> List[str]:
-        """Every label this worker computed, claimed or stolen."""
-        return self.executed + self.stolen
-
-
-class WorkStealingScheduler(_Writer):
-    """Lease-based policy: claim un-started points, steal expired ones.
-
-    Pass one claims never-leased points (scanning from a worker-specific
-    rotation offset, so concurrent workers mostly avoid colliding); pass
-    two repeatedly steals points whose leases have expired, until every
-    point is checkpointed or everything left is live-leased by someone
-    else -- at which point this worker exits rather than wait (re-run it,
-    or any other worker, to pick up later orphans).  With ``wait=True``
-    the worker idles instead of exiting: it re-polls every
-    ``poll_interval`` seconds until the remaining points are checkpointed
-    by their holders or their leases expire and become stealable.
-    """
-
-    def __init__(
-        self,
-        plan: SweepPlan,
-        out_dir: Path,
-        worker: Optional[str] = None,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-        max_points: Optional[int] = None,
-        wait: bool = False,
-        poll_interval: Optional[float] = None,
-    ) -> None:
-        _check_seconds("lease ttl", lease_ttl)
-        if max_points is not None and max_points < 1:
-            raise LeaseError(f"max_points must be >= 1, got {max_points}")
-        if poll_interval is not None:
-            _check_seconds("poll interval", poll_interval)
-        name = sanitize_worker_name(worker) if worker is not None else default_worker_name()
-        if _STATIC_SHARD_NAME_RE.fullmatch(name):
-            raise LeaseError(
-                f"worker name {name!r} is reserved: names of the form shard-IofK "
-                f"(shard-\\d+of\\d+) belong to --shard i/k writers, whose manifest "
-                f"worker-{name}.json a --steal worker of that name would overwrite"
-            )
-        super().__init__(plan, out_dir, name, _WHOLE)
-        self.ttl = float(lease_ttl)
-        self.max_points = max_points
-        self.wait = wait
-        #: Default idle re-poll cadence tracks the heartbeat cadence: there
-        #: is nothing new to observe between two renewals of a live lease.
-        self.poll_interval = (
-            float(poll_interval) if poll_interval is not None else max(self.ttl / 4.0, 0.01)
-        )
-        lease_dir(self.out).mkdir(parents=True, exist_ok=True)
-        self.result = StealRunResult(
-            worker=self.worker,
-            out_dir=self.out,
-            manifest=self.manifest,
-            plan_header=plan_header_path(self.out),
-        )
-        self._computed = 0
-
-    # ------------------------------------------------------------- claiming
-    def claims(self) -> Iterator[PointTask]:
-        """Yield leased tasks: fresh claims first, then steals of expired leases."""
-        for point_index in self._rotation():
-            if self._exhausted():
-                break
-            if self._settled(point_index):
-                continue
-            lease = try_claim(self.out, self.plan, point_index, self.worker, self.ttl)
-            if lease is not None:
-                yield self._task(point_index, lease)
-        while not self._exhausted():
-            progressed = False
-            for point_index in self._rotation():
-                if self._exhausted():
-                    break
-                if self._settled(point_index):
-                    continue
-                current = current_lease(self.out, point_index)
-                if current is None:
-                    lease = try_claim(self.out, self.plan, point_index, self.worker, self.ttl)
-                elif current.expired():
-                    lease = try_steal(
-                        self.out, self.plan, point_index, self.worker, self.ttl, current
-                    )
-                else:
-                    continue
-                if lease is not None:
-                    progressed = True
-                    yield self._task(point_index, lease)
-            if not self._outstanding():
-                break
-            if not progressed:
-                if not self.wait:
-                    break
-                # Everything left is live-leased by other workers.  Idle
-                # instead of exiting: their checkpoints will settle the
-                # points, or their leases will expire and become ours.
-                self.telemetry.inc("idle_polls")
-                time.sleep(self.poll_interval)
-        for point_index in self._outstanding():
-            self._recorded[point_index] = ("left-behind", 0)
-            self.result.left_behind.append(self.plan.points[point_index].label)
-        self._write_manifest()
-
-    @contextmanager
-    def hold(self, task: PointTask) -> Iterator[None]:
-        """Renew the task's lease from a heartbeat thread while it executes.
+        """Time the point and, if it is leased, renew the lease from a heartbeat thread.
 
         Each renewal carries a fresh telemetry snapshot, so the lease file
         doubles as the worker's live metrics feed while it computes.
         """
         stop = threading.Event()
-        interval = max(self.ttl / 4.0, 0.01)
 
         def beat() -> None:
-            """Renew until stopped, superseded, or the context exits."""
-            while not stop.wait(interval):
-                refreshed = renew_lease(
-                    task.lease, self._fingerprint, telemetry=self.telemetry.snapshot()
-                )
+            """Renew every ``ttl/4`` until stopped, superseded, or the context exits."""
+            while not stop.wait(max(self.ttl / 4.0, 0.01)):
+                refreshed = renew_lease(task.lease, self._fingerprint, telemetry=self._snapshot())
                 if refreshed is None:
                     task.superseded = True
                     return
                 task.lease = refreshed
 
-        keeper = threading.Thread(
-            target=beat, name=f"lease-keeper-point-{task.point_index}", daemon=True
-        )
-        keeper.start()
+        keeper = None
+        if task.lease is not None:
+            keeper = threading.Thread(
+                target=beat, name=f"lease-keeper-point-{task.point_index}", daemon=True
+            )
+            keeper.start()
         try:
             with self.telemetry.timer("point_seconds"):
                 yield
         finally:
             stop.set()
-            keeper.join(timeout=10.0)
+            if keeper is not None:
+                keeper.join(timeout=10.0)
 
     def complete(self, task: PointTask, summaries: List[RunSummary]) -> None:
-        """Checkpoint one computed point, unless a thief beat us to it."""
-        self._computed += 1
+        """Checkpoint one computed point, unless a thief beat us to it, and record it."""
         if task.superseded and task.checkpoint.exists():
             # Stolen from us mid-run and the thief finished first.  Its
             # checkpoint is bit-identical to ours, so nothing is wasted but
             # our own time; record the loss and keep going.
-            self.result.lost.append(task.label)
-            self.telemetry.inc("points_lost")
-            self._settle(task.point_index, "lost", len(summaries))
-            return
-        self._checkpoint(task, summaries)
-        self.result.runs_executed += len(summaries)
-        if task.lease.generation > 0:
-            self.result.stolen.append(task.label)
-            self.telemetry.inc("points_stolen")
-            self._settle(task.point_index, "stolen", len(summaries))
+            outcome = "lost"
         else:
-            self.result.executed.append(task.label)
-            self._settle(task.point_index, "executed", len(summaries))
+            _write_checkpoint(
+                task.checkpoint,
+                self.plan,
+                self.shard,
+                task.point_index,
+                summaries,
+                provenance={
+                    "worker": self.worker,
+                    "lease_generation": None if task.lease is None else task.lease.generation,
+                },
+            )
+            self.telemetry.set_gauge("last_checkpoint_at", time.time())
+            outcome = "executed" if task.lease is None or task.lease.generation == 0 else "stolen"
+        self._record(task.point_index, outcome, len(summaries))
+        self._write_manifest()
 
     # ------------------------------------------------------------ internals
     def _rotation(self) -> List[int]:
-        """Point indices starting at this worker's hash offset.
+        """Point indices in claim order: plan order without leases, else from a hash offset.
 
         Concurrent workers start their scans at different points of the
         plan, so fresh claims mostly avoid fighting over the same lease.
         """
         count = len(self.plan.points)
-        offset = int(hashlib.sha256(self.worker.encode("utf-8")).hexdigest(), 16) % count
+        offset = 0
+        if self.ttl is not None:
+            offset = int(hashlib.sha256(self.worker.encode("utf-8")).hexdigest(), 16) % count
         return list(range(offset, count)) + list(range(offset))
 
     def _exhausted(self) -> bool:
-        return self.max_points is not None and self._computed >= self.max_points
+        return (
+            self.max_points is not None
+            and len(self.result.labels("executed", "stolen", "lost")) >= self.max_points
+        )
 
     def _settled(self, point_index: int) -> bool:
-        """Whether this worker is done considering ``point_index``."""
-        if point_index in self._recorded:
+        """Whether this writer is done with ``point_index``, settling it if it can.
+
+        A point this shard owns no run of is ``not-mine``; one holding this
+        shard's valid checkpoint is ``already-done``.
+        """
+        if point_index in self.result.points:
+            return True
+        if not self.plan.owned_positions(point_index, self.shard):
+            self._record(point_index, "not-mine", 0)
             return True
         summaries = self._resume(point_index)
         if summaries is None:
             return False
-        self.result.already_done.append(self.plan.points[point_index].label)
-        self.result.runs_reused += len(summaries)
-        self._settle(point_index, "already-done", len(summaries))
+        self._record(point_index, "already-done", len(summaries))
+        self._write_manifest()
         return True
 
+    def _resume(self, point_index: int) -> Optional[List[RunSummary]]:
+        """This shard's valid checkpoint of a point; an unusable one reads as none.
+
+        It warns once per point per invocation: a point whose unusable
+        checkpoint sits under another worker's live lease is looked at again
+        on every pass.
+        """
+        path = checkpoint_path(self.out, self.shard, point_index)
+        if not path.exists():
+            return None
+        try:
+            return _load_checkpoint(path, self.plan, self.shard, point_index)
+        except ManifestError as error:
+            if point_index not in self._warned:
+                self._warned.add(point_index)
+                label = self.plan.points[point_index].label
+                warnings.warn(f"recomputing point {label!r}: {error}", RuntimeWarning)
+            return None
+
     def _outstanding(self) -> List[int]:
-        """Points neither settled by us nor checkpointed by anyone."""
-        return [
-            point_index
-            for point_index in range(len(self.plan.points))
-            if point_index not in self._recorded
-            and not checkpoint_path(self.out, self.shard, point_index).exists()
-        ]
+        """Points this writer has not settled, in claim order."""
+        return [point_index for point_index in self._rotation() if not self._settled(point_index)]
+
+    def _record(self, point_index: int, outcome: str, runs: int) -> None:
+        self.result.points[point_index] = {
+            "label": self.plan.points[point_index].label,
+            "outcome": outcome,
+            "runs": runs,
+        }
+
+    def _snapshot(self) -> Dict[str, Any]:
+        """The telemetry snapshot, with the result's nonzero counts as counters."""
+        snapshot = self.telemetry.snapshot()
+        snapshot["counters"].update(
+            (name, count) for name, count in self.result.counts().items() if count
+        )
+        return snapshot
+
+    def _write_manifest(self) -> None:
+        payload = {
+            "version": MANIFEST_VERSION,
+            "fingerprint": self._fingerprint,
+            "worker": self.worker,
+            "shard": str(self.shard),
+            "points": {str(index): entry for index, entry in sorted(self.result.points.items())},
+            **self.result.counts(),
+            "telemetry": self._snapshot(),
+        }
+        _atomic_write_bytes(
+            self.result.manifest, json.dumps(seal(payload), indent=2).encode("utf-8")
+        )
+
+
+#: The name ``bench/spans.py`` times :meth:`SweepWriter.complete` under.
+WorkStealingScheduler = SweepWriter
 
 
 def run_work_stealing(
@@ -894,7 +883,7 @@ def run_work_stealing(
     max_points: Optional[int] = None,
     wait: bool = False,
     poll_interval: Optional[float] = None,
-) -> StealRunResult:
+) -> WriterResult:
     """Execute ``plan`` as one work-stealing worker over ``out_dir``.
 
     Claims un-started sweep points through atomic leases, heartbeats them
@@ -910,16 +899,16 @@ def run_work_stealing(
     instead of exiting -- so a fleet drains a sweep without a supervisor
     re-launching stragglers.
     """
-    scheduler = WorkStealingScheduler(
+    writer = SweepWriter(
         plan,
-        Path(out_dir),
+        out_dir,
         worker=worker,
         lease_ttl=lease_ttl,
         max_points=max_points,
         wait=wait,
         poll_interval=poll_interval,
     )
-    return drive_claims(plan, scheduler, max_workers)
+    return writer.run(max_workers)
 
 
 # ------------------------------------------------------- reading a directory

@@ -29,8 +29,7 @@ Index schemes
 ``indexing="global"`` numbers runs across the whole batch, point-major;
 :func:`plan_sweep` and :func:`plan_grid` use it.
 
-On-disk layout (all under the ``--out`` directory; :mod:`~repro.harness.coordinator`
-writes the header and the manifests)::
+On-disk layout (all under the ``--out`` directory)::
 
     plan.json                   header: the plan's provenance and its shard count k
     point-0003-2of4.json        checkpoint: shard 2/4's RunSummary list for point 3
@@ -40,9 +39,11 @@ Every artifact is JSON that embeds :data:`MANIFEST_VERSION` and the plan's
 fingerprint, written by :func:`_atomic_write_bytes`; nothing is unpickled.
 A checkpoint carries the digest of its summaries, so a damaged one is
 refused, naming the file, instead of merging changed numbers.  This module
-writes and names the checkpoints; the one place that *reads* a run
-directory is :class:`~repro.harness.coordinator.RunDirectory`, and the one
-fold over it is :class:`~repro.obs.merge.IncrementalMerger`.
+names and encodes the checkpoints.  The one *writer* of a run directory --
+a static shard and a work-stealing worker alike -- is
+:class:`~repro.harness.coordinator.SweepWriter`; the one place that *reads*
+one is :class:`~repro.harness.coordinator.RunDirectory`, and the one fold
+over it is :class:`~repro.obs.merge.IncrementalMerger`.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .aggregate import SKETCH_CAPACITY, RunAggregate, RunSummary, SummaryReducer
 # that execute runs: reading manifests, checkpoints and leases -- ``python -m
 # repro status`` -- must not load it.
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .coordinator import WriterResult
     from .runner import ExperimentConfig
 
 #: Version stamped into every artifact of a run directory.  Readers reject any
@@ -578,26 +580,12 @@ def _write_checkpoint(
 
 
 # ------------------------------------------------------------ shard running
-@dataclass
-class ShardRunResult:
-    """What :func:`run_shard` did: which points ran, resumed or were skipped."""
-
-    shard: ShardSpec
-    out_dir: Path
-    manifest: Path
-    executed: List[str] = field(default_factory=list)
-    resumed: List[str] = field(default_factory=list)
-    skipped: List[str] = field(default_factory=list)
-    runs_executed: int = 0
-    runs_resumed: int = 0
-
-
 def run_shard(
     plan: SweepPlan,
     shard: ShardSpec,
     out_dir: Union[str, Path],
     max_workers: Optional[int] = None,
-) -> ShardRunResult:
+) -> WriterResult:
     """Execute this shard's slice of the plan, checkpointing per sweep point.
 
     Completed points found on disk (from a previous, possibly killed,
@@ -607,16 +595,15 @@ def run_shard(
     point, so at any kill point the directory holds a resumable prefix of
     the shard's work.
 
-    Static sharding is the no-lease policy of the claim loop
-    (:mod:`~repro.harness.coordinator`): ownership is fixed up front by
-    round-robin run index, every claim trivially succeeds, and nothing is
-    ever stolen.  For dynamic scheduling on heterogeneous fleets, see
+    A static shard is :class:`~repro.harness.coordinator.SweepWriter`
+    without leases: ownership is fixed up front by round-robin run index,
+    every claim succeeds, and nothing is ever stolen.  For dynamic
+    scheduling on heterogeneous fleets, see
     :func:`~repro.harness.coordinator.run_work_stealing`.
     """
-    from .coordinator import StaticShardScheduler, drive_claims
+    from .coordinator import SweepWriter
 
-    scheduler = StaticShardScheduler(plan, shard, Path(out_dir))
-    return drive_claims(plan, scheduler, max_workers)
+    return SweepWriter(plan, out_dir, shard=shard).run(max_workers)
 
 
 # ----------------------------------------------------------------- merging

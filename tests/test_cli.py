@@ -11,7 +11,8 @@ from repro.cli import main
 from repro.harness import parallel
 from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds, run_planned
-from repro.harness.coordinator import WorkStealingScheduler
+from repro.harness.coordinator import SweepWriter, run_work_stealing
+from repro.harness.distributed import ShardError, ShardSpec, run_shard
 
 E1_ARGS = ["--seeds", "2", "--max-workers", "1"]
 
@@ -57,7 +58,8 @@ def test_rerun_of_a_finished_shard_resumes(tmp_path, capsys):
     assert code == 0 and "resumed" in first
     code, second, _ = run_cli(capsys, "run", "e1", *E1_ARGS, "--shard", "1/2", "--out", out_dir)
     assert code == 0
-    assert "0 executed" in second and "computed" not in second
+    assert "0 executed" in second and "0 points computed" in second
+    assert "  executed " not in second  # no point's line says it was computed again
 
 
 def test_status_shows_progress(tmp_path, capsys):
@@ -175,6 +177,26 @@ def test_shard_without_out_is_an_error(capsys):
     code, _, err = run_cli(capsys, "run", "e1", "--shard", "1/2")
     assert code == 2
     assert "error:" in err and "--out" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--out"], ["--shard", "1/2", "--out"], ["--steal", "--out"]])
+def test_max_workers_below_one_is_refused_before_anything_is_written(capsys, tmp_path, mode):
+    out_dir = tmp_path / "runs"
+    where = [*mode, str(out_dir)] if mode else []
+    code, _, err = run_cli(capsys, "run", "e1", "--seeds", "2", "--max-workers", "0", *where)
+    assert code == 2
+    assert "error:" in err and "--max-workers" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_the_writer_refuses_max_workers_below_one_before_touching_the_directory(tmp_path):
+    plan = e1_figure1.plan(seeds=default_seeds(2))
+    out_dir = tmp_path / "runs"
+    with pytest.raises(ShardError, match="max_workers must be >= 1, got 0"):
+        run_shard(plan, ShardSpec(1, 2), out_dir, max_workers=0)
+    with pytest.raises(ShardError, match="max_workers must be >= 1, got -1"):
+        run_work_stealing(plan, out_dir, worker="w", max_workers=-1)
+    assert not out_dir.exists()
 
 
 def test_unknown_experiment_is_an_error(capsys):
@@ -302,7 +324,7 @@ def test_a_steal_worker_may_not_take_a_static_shards_name(tmp_path, capsys):
     assert code == 0 and "4/4 points done" in out
     plan = e1_figure1.plan(seeds=default_seeds(2))
     for name in ("shard-1of1x", "my-shard-1of1", "shard-1"):  # only the exact form is reserved
-        assert WorkStealingScheduler(plan, tmp_path / name, worker=name).worker == name
+        assert SweepWriter(plan, tmp_path / name, worker=name).worker == name
 
 
 def test_steal_with_shard_is_an_error(capsys, tmp_path):

@@ -320,6 +320,27 @@ def test_corrupt_checkpoint_is_recomputed_after_lease_expiry(tmp_path):
         assert merged.aggregates[label] == aggregate
 
 
+def test_unusable_checkpoint_under_a_live_lease_is_left_behind_with_one_warning(tmp_path):
+    """A torn checkpoint whose lease is still live is neither done nor silently dropped."""
+    plan = make_plan()
+    run_work_stealing(plan, tmp_path, worker="first", lease_ttl=3600.0, max_workers=1)
+    point_file(tmp_path, 0).write_bytes(b"{ torn write")
+    with pytest.warns(RuntimeWarning, match="recomputing") as caught:
+        second = run_work_stealing(
+            make_plan(), tmp_path, worker="second", lease_ttl=3600.0, max_workers=1
+        )
+    # Once, although every pass of the claim loop looks at the point again.
+    assert sum("recomputing point 'local'" in str(warning.message) for warning in caught) == 1
+    assert second.left_behind == [plan.points[0].label]
+    assert not second.computed and second.already_done == [plan.points[1].label]
+    recorded = json.loads(worker_manifest_path(tmp_path, "second").read_text(encoding="utf-8"))
+    assert {index: entry["outcome"] for index, entry in recorded["points"].items()} == {
+        "0": "left-behind", "1": "already-done",
+    }
+    with pytest.raises(ManifestError, match="point-0000-1of1.json"):
+        merge_stolen(tmp_path, make_plan())
+
+
 def test_live_leased_points_are_left_behind_not_fought_over(tmp_path):
     plan = make_plan()
     write_plan_header(tmp_path, plan)
@@ -398,7 +419,7 @@ def test_steal_workers_and_a_whole_shard_share_one_covering(tmp_path):
     plan = make_plan()
     run_work_stealing(plan, tmp_path, worker="w", lease_ttl=60.0, max_workers=1, max_points=1)
     whole = run_shard(make_plan(), ShardSpec(1, 1), tmp_path, max_workers=1)
-    assert len(whole.resumed) == 1 and len(whole.executed) == len(plan.points) - 1
+    assert len(whole.already_done) == 1 and len(whole.executed) == len(plan.points) - 1
     again = run_work_stealing(make_plan(), tmp_path, worker="w2", lease_ttl=60.0, max_workers=1)
     assert sorted(again.already_done) == sorted(point.label for point in plan.points)
     merged = merge_stolen(tmp_path, make_plan())
@@ -476,7 +497,7 @@ def test_e9_steal_merge_is_bit_identical_to_single_host(tmp_path, monkeypatch):
 def test_superseded_worker_loses_gracefully(tmp_path):
     """A worker whose lease was stolen mid-run, thief finishing first, records a loss."""
     plan = make_plan()
-    scheduler = coordinator.WorkStealingScheduler(
+    scheduler = coordinator.SweepWriter(
         plan, tmp_path, worker="slow", lease_ttl=60.0
     )
     claims = scheduler.claims()

@@ -280,11 +280,11 @@ def test_sharded_experiment_reproduces_driver_report(tmp_path):
 def test_rerun_resumes_every_checkpointed_point(tmp_path):
     plan = plan_sweep(BASE, VARIATIONS, SEEDS)
     first = run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
-    assert first.runs_executed > 0 and not first.resumed
+    assert first.runs_executed > 0 and not first.already_done
     again = run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
     assert not again.executed
-    assert again.resumed == first.executed
-    assert again.runs_resumed == first.runs_executed
+    assert again.already_done == first.executed
+    assert again.runs_reused == first.runs_executed
 
 
 def test_killed_shard_resumes_from_last_checkpoint(tmp_path, monkeypatch):
@@ -306,7 +306,7 @@ def test_killed_shard_resumes_from_last_checkpoint(tmp_path, monkeypatch):
     # The killed invocation left a manifest and one checkpoint behind.
     assert worker_manifest_path(tmp_path, "shard-1of1").exists()
     resumed = run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
-    assert len(resumed.resumed) == 1  # the checkpointed point was not recomputed
+    assert len(resumed.already_done) == 1  # the checkpointed point was not recomputed
     assert len(resumed.executed) == len(plan.points) - 1
 
     merged = merge_shards(tmp_path, plan_sweep(BASE, VARIATIONS, SEEDS))
@@ -320,7 +320,7 @@ def test_corrupt_checkpoint_is_recomputed_with_warning(tmp_path):
     checkpoint_path(tmp_path, shard, 0).write_bytes(b"{ torn write")
     with pytest.warns(RuntimeWarning, match="recomputing"):
         again = run_shard(plan, shard, tmp_path, max_workers=1)
-    assert len(again.executed) == 1 and len(again.resumed) == len(plan.points) - 1
+    assert len(again.executed) == 1 and len(again.already_done) == len(plan.points) - 1
     assert merge_shards(tmp_path, plan).aggregates == run_plan(plan, max_workers=1)
 
 
@@ -448,6 +448,36 @@ def test_a_run_directory_has_one_reader_and_one_fold():
         )
     ]
     assert branches == []
+
+
+def test_one_writer_claims_for_every_shard_and_worker():
+    """A count, not prose: a second scheduler or result type cannot come back unnoticed."""
+    sources = sorted(SRC.rglob("*.py"))
+    classes = [
+        (path.relative_to(SRC).as_posix(), node)
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    claimers = [
+        (where, node)
+        for where, node in classes
+        if any(isinstance(item, ast.FunctionDef) and item.name == "claims" for item in node.body)
+    ]
+    assert [(where, node.name) for where, node in claimers] == [
+        ("harness/coordinator.py", "SweepWriter")
+    ]
+    (_, writer), = claimers
+    for name in ("_write_checkpoint", "write_plan_header"):
+        sites = [
+            node
+            for node in ast.walk(writer)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+        ]
+        assert len(sites) == 1, name
+        assert sum(count_calls(path, name) for path in sources) == 1, name
+    for gone in ("StaticShardScheduler", "ShardRunResult", "StealRunResult"):
+        assert [path for path in sources if gone in path.read_text(encoding="utf-8")] == [], gone
 
 
 def test_a_point_runs_in_two_places_and_folds_in_two():

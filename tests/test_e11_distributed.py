@@ -121,7 +121,7 @@ def test_resume_works_for_resilience_shards(tmp_path):
     first = run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
     assert first.runs_executed > 0
     again = run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
-    assert not again.executed and again.resumed == first.executed
+    assert not again.executed and again.already_done == first.executed
 
 
 def test_restricted_plans_normalise_name_order():

@@ -263,7 +263,7 @@ class TestTelemetryChannel:
 
     def test_heartbeat_refreshes_lease_telemetry(self, tmp_path):
         plan = make_plan()
-        scheduler = coordinator.WorkStealingScheduler(
+        scheduler = coordinator.SweepWriter(
             plan, tmp_path, worker="beater", lease_ttl=0.05
         )
         scheduler.telemetry.inc("points_computed", 7)
@@ -573,7 +573,7 @@ class TestWaitPolling:
         def land_checkpoint():
             # The holder finishes its point while the waiting worker idles.
             time.sleep(0.3)
-            scheduler = coordinator.WorkStealingScheduler(
+            scheduler = coordinator.SweepWriter(
                 plan, tmp_path, worker="holder-2", lease_ttl=3600.0
             )
             task = scheduler._task(0, lease)
