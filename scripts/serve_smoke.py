@@ -14,7 +14,11 @@ First a small work-stealing sweep whose worker is killed halfway through
 
 Then a second worker finishes the directory, ``/aggregate`` flips to
 complete, and the served aggregates are checked bit-identical to the
-batch ``merge_stolen`` fold.
+batch ``merge_stolen`` fold.  Last, one checkpoint is torn: ``/progress``
+must show that point ``refused``, naming the file, ``/status`` must count
+one point fewer ``done`` and one ``refused``, and ``merge_stolen`` must
+refuse, naming the file -- one verdict everywhere.  (``/aggregate`` is not
+asked: a point folded from a file the judge accepted stays folded.)
 
 Second, a directory written by static shard 1/2 alone: ``/status``,
 ``/progress`` and ``/aggregate`` must report every point pending on shard
@@ -36,7 +40,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.harness import parallel  # noqa: E402
 from repro.harness.coordinator import merge_stolen, run_work_stealing  # noqa: E402
-from repro.harness.distributed import ShardSpec, merge_shards, run_shard  # noqa: E402
+from repro.harness.distributed import (  # noqa: E402
+    ManifestError,
+    ShardSpec,
+    checkpoint_path,
+    merge_shards,
+    run_shard,
+)
 from repro.obs.serve import make_server  # noqa: E402
 from repro.obs.status import aggregate_to_json, render_status_text  # noqa: E402
 
@@ -132,6 +142,21 @@ def smoke_killed_worker(out):
         for label, aggregate in reference.aggregates.items():
             assert final["aggregates"][label] == aggregate_to_json(aggregate), label
         print(f"finish      ok: {final['folded']} folded, bit-identical to merge_stolen")
+
+        done = get_json(port, "/status")["done"]
+        torn = checkpoint_path(out, ShardSpec(1, 1), 0)
+        torn.write_text("{ torn write")
+        progress = get_json(port, "/progress")
+        refused = [point for point in progress["points"] if point["state"] == "refused"]
+        assert [(point["index"], point["file"]) for point in refused] == [(0, torn.name)], progress
+        status = get_json(port, "/status")
+        assert status["done"] == done - 1 and status["refused"] == 1, status
+        try:
+            merge_stolen(out, build_plan())
+            raise AssertionError("merge_stolen folded a torn checkpoint")
+        except ManifestError as error:
+            assert torn.name in str(error), error
+        print(f"torn        ok: {torn.name} refused by /progress, /status and merge_stolen")
     print(render_status_text(out))
 
 

@@ -302,8 +302,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
     from .obs.status import render_status_text, watch_status
 
     if args.watch is not None:
-        if args.watch <= 0:
-            raise ShardError(f"--watch interval must be positive, got {args.watch:g}")
+        if not 0 < args.watch < float("inf"):  # nan fails both comparisons
+            raise ShardError(f"--watch must be a finite number of seconds > 0, got {args.watch:g}")
         try:
             watch_status(args.out_dir, args.watch)
         except KeyboardInterrupt:

@@ -67,10 +67,10 @@ in its manifest's per-point outcome map; the counts in the manifest and
 in the :class:`WriterResult` it returns are read off that map.
 
 Reading is single, too: :class:`RunDirectory` is the only code that knows
-the layout.  It lives here because this module already holds or imports
-everything it reads -- leases, plan header, worker manifests, and
-:mod:`~repro.harness.distributed`'s checkpoint naming -- so nothing
-imports backwards to reach it.
+the layout and the only judge of a checkpoint.  It lives here because this
+module already holds or imports everything it reads -- leases, plan
+header, worker manifests, and :mod:`~repro.harness.distributed`'s
+checkpoints -- so nothing imports backwards to reach it.
 """
 
 from __future__ import annotations
@@ -817,18 +817,20 @@ class SweepWriter:
         self._write_manifest()
         return True
 
+    @cached_property
+    def _directory(self) -> RunDirectory:
+        """What :meth:`_resume` asks, read once :meth:`run` has written the header."""
+        return RunDirectory(self.out)
+
     def _resume(self, point_index: int) -> Optional[List[RunSummary]]:
-        """This shard's valid checkpoint of a point; an unusable one reads as none.
+        """This shard's checkpoint of a point, read by the directory's judge; a refused one reads as none.
 
         It warns once per point per invocation: a point whose unusable
         checkpoint sits under another worker's live lease is looked at again
         on every pass.
         """
-        path = checkpoint_path(self.out, self.shard, point_index)
-        if not path.exists():
-            return None
         try:
-            return _load_checkpoint(path, self.plan, self.shard, point_index)
+            return self._directory.checkpoint(self.shard, point_index)
         except ManifestError as error:
             if point_index not in self._warned:
                 self._warned.add(point_index)
@@ -916,7 +918,8 @@ def run_work_stealing(
 class StealStatus:
     """Aggregate progress of a run directory, whichever policies wrote it.
 
-    ``done`` counts points holding every owning shard's checkpoint.
+    ``done`` counts points whose every owning shard's checkpoint loads,
+    ``refused`` those with one that does not (neither done nor pending).
     ``stolen`` counts points whose live lease generation is above zero --
     points that changed hands at least once, completed or not.
     ``orphaned`` are pending points whose lease expired: claimable by the
@@ -925,6 +928,7 @@ class StealStatus:
 
     points_total: int
     done: int
+    refused: int
     leased: int
     orphaned: int
     unclaimed: int
@@ -936,18 +940,36 @@ class StealStatus:
     workers: List[Dict[str, Any]] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """What :meth:`RunDirectory.verdict` judged one point: ``done``, ``pending`` or ``refused``.
+
+    A point lacking a file is ``pending`` (``missing`` names the shards),
+    else one with a file the loader refuses is ``refused`` (``path`` and
+    ``reason`` name the first, on a pending point too).  ``checkpoints``
+    maps each owning shard (``"i/k"``) to whether its file was accepted;
+    ``summaries`` holds what loaded (every run, when done).
+    """
+
+    state: str
+    checkpoints: Dict[str, bool]
+    summaries: List[RunSummary]
+    missing: List[str]
+    path: Optional[Path] = None
+    reason: Optional[str] = None
+
+
 class RunDirectory:
     """One read of a run directory: the only code that knows its layout.
 
     Everything that consumes a run directory -- the merger, ``status``,
-    ``serve``, the CLI -- asks this class instead of the files: what
-    provenance was recorded, which checkpoint files together hold a point,
-    what state each point and writer is in, and why a pending point cannot
-    be merged yet.  Construction reads the plan header (so a malformed,
-    damaged or wrong-version one raises here, naming the file); a directory
-    nothing has been written to yet reads as ``header is None``.  Leases,
-    worker manifests and the row views are read on first use and kept: an
-    instance is one snapshot, so build a new one to look again.
+    ``serve``, the CLI, a resuming writer -- asks this class instead of the
+    files: what provenance was recorded, whether a checkpoint loads (the
+    one judge), each point's :meth:`verdict`, and the point and writer
+    rows.  Construction reads the plan header (a malformed, damaged or
+    wrong-version one raises here, naming the file); a directory nothing
+    has been written to yet reads as ``header is None``.  Leases, manifests,
+    verdicts and rows are read once and kept: an instance is one snapshot.
     """
 
     def __init__(self, out_dir: Union[str, Path]) -> None:
@@ -956,6 +978,7 @@ class RunDirectory:
         self.header: Optional[Dict[str, Any]] = (
             read_plan_header(self.out) if plan_header_path(self.out).is_file() else None
         )
+        self._verdicts: Dict[int, Verdict] = {}
 
     # ------------------------------------------------------------ provenance
     def recorded(self) -> Dict[str, Any]:
@@ -995,44 +1018,39 @@ class RunDirectory:
         """The header's k: how many shards cover the plan (1 under work stealing)."""
         return self.recorded()["shard_count"]
 
-    # --------------------------------------------------------------- sources
-    def sources(self, point_index: int) -> List[Tuple[ShardSpec, Path]]:
-        """The ``(shard, checkpoint file)`` pairs that together hold one point.
+    # ------------------------------------------------------------- the judge
+    def checkpoint(self, shard: ShardSpec, point_index: int) -> Optional[List[RunSummary]]:
+        """``shard``'s checkpoint of one point: its summaries, or ``None`` while the file is absent.
 
-        One per shard of the header's covering that owns a run of the
-        point; a point is complete when each file exists and
-        ``_load_checkpoint`` accepts it for its shard.
+        The one caller of ``_load_checkpoint``, which judges the file by the
+        plan header alone; a refused file raises :class:`ManifestError`
+        naming it.  It reads the file on every call (:meth:`verdict` does not).
         """
-        seeds, count = len(self.recorded()["seeds"]), self.shard_count
-        return [
-            (shard, checkpoint_path(self.out, shard, point_index))
-            for shard in (ShardSpec(index, count) for index in range(1, count + 1))
-            if owned_positions(seeds, point_index, shard)
-        ]
+        path = checkpoint_path(self.out, shard, point_index)
+        if not path.exists():
+            return None
+        return _load_checkpoint(path, self.recorded(), shard, point_index)
 
-    def refuse(self, pending: List[int]) -> None:
-        """Raise why the ``pending`` points cannot merge, if a checkpoint is missing.
-
-        Names each point with the shards whose checkpoint it lacks, and the
-        lease counts.  Returns when every source file of every pending point
-        exists: what is wrong then is inside a checkpoint, which only
-        loading it tells.
-        """
-        wanted = set(pending)
-        gaps = [
-            f"{row['label']!r} lacks shard "
-            + ", ".join(shard for shard, present in row["checkpoints"].items() if not present)
-            for row in self.point_rows
-            if row["index"] in wanted and row["state"] != "done"
-        ]
-        if gaps:
-            status = self.steal_status()
-            raise ManifestError(
-                f"run in {self.out} is incomplete: {'; '.join(gaps)} ({status.leased} leased, "
-                f"{status.orphaned} orphaned, {status.unclaimed} unclaimed); resume it by "
-                f"re-running each lacking shard's command (a --steal worker for shard 1/1) "
-                f"before merging"
-            )
+    def verdict(self, point_index: int) -> Verdict:
+        """One point, judged once per instance by its owners' checkpoints: pending, refused or done."""
+        if point_index not in self._verdicts:
+            seeds, count = len(self.recorded()["seeds"]), self.shard_count
+            checkpoints, summaries, missing, path, reason = {}, [], [], None, None
+            for shard in (ShardSpec(index, count) for index in range(1, count + 1)):
+                if owned_positions(seeds, point_index, shard):
+                    try:
+                        loaded = self.checkpoint(shard, point_index)
+                        if loaded is None:
+                            missing.append(str(shard))
+                    except ManifestError as error:
+                        loaded = None
+                        if path is None:
+                            path, reason = checkpoint_path(self.out, shard, point_index), str(error)
+                    checkpoints[str(shard)] = loaded is not None
+                    summaries.extend(loaded or ())
+            state = "pending" if missing else "refused" if path else "done"
+            self._verdicts[point_index] = Verdict(state, checkpoints, summaries, missing, path, reason)
+        return self._verdicts[point_index]
 
     # ------------------------------------------------------------ state rows
     @cached_property
@@ -1044,26 +1062,23 @@ class RunDirectory:
     def point_rows(self) -> List[Dict[str, Any]]:
         """Each point's index, label, state, checkpoints and lease.
 
-        ``checkpoints`` maps each owning shard (``"i/k"``) to whether its
-        checkpoint exists.  ``state`` is ``done`` when all of them do, else
-        ``leased``, ``orphaned`` (lease expired) or ``unclaimed``, from the
-        point's live lease.  ``generation`` appears once the point has ever
-        been leased, and ``worker`` -- the holder -- while it is pending.
+        ``state`` and ``checkpoints`` are the point's :meth:`verdict`, a row
+        with a refused file adding its ``file`` and ``reason``; a ``pending``
+        point is ``leased``, ``orphaned`` (lease expired) or ``unclaimed``
+        instead, from its live lease.  ``generation`` appears once the point
+        has ever been leased, and ``worker`` -- the holder -- while it is
+        not done.
         """
         leases = {lease.point_index: lease for lease in self.leases}
         rows = []
         for point_index, label in enumerate(self.recorded()["labels"]):
-            checkpoints = {str(shard): path.exists() for shard, path in self.sources(point_index)}
-            lease = leases.get(point_index)
-            if all(checkpoints.values()):
-                state = "done"
-            elif lease is None:
-                state = "unclaimed"
-            elif lease.expired():
-                state = "orphaned"
-            else:
-                state = "leased"
-            row = {"index": point_index, "label": label, "state": state, "checkpoints": checkpoints}
+            verdict, lease = self.verdict(point_index), leases.get(point_index)
+            state = verdict.state
+            if state == "pending":
+                state = "unclaimed" if lease is None else "orphaned" if lease.expired() else "leased"
+            row = {"index": point_index, "label": label, "state": state, "checkpoints": verdict.checkpoints}
+            if verdict.path is not None:
+                row.update(file=verdict.path.name, reason=verdict.reason)
             if lease is not None:
                 row["generation"] = lease.generation
                 if state != "done":
@@ -1097,6 +1112,7 @@ class RunDirectory:
         return StealStatus(
             points_total=len(rows),
             done=states.count("done"),
+            refused=states.count("refused"),
             leased=states.count("leased"),
             orphaned=states.count("orphaned"),
             unclaimed=states.count("unclaimed"),

@@ -522,8 +522,8 @@ def _summary_from_json(raw: Any, path: Path, position: int) -> RunSummary:
     return RunSummary(**fields)
 
 
-def _load_checkpoint(path: Path, plan: SweepPlan, shard: ShardSpec, point_index: int) -> List[RunSummary]:
-    """Read one checkpoint and verify it belongs to ``plan``/``shard``/point."""
+def _load_checkpoint(path: Path, header: Mapping, shard: ShardSpec, point_index: int) -> List[RunSummary]:
+    """Read one checkpoint and verify it holds ``shard``'s runs of a point of the plan ``header`` records."""
     raw = read_artifact(
         path, "checkpoint", ("fingerprint", "point_index", "label", "summaries", "summaries_sha256")
     )
@@ -531,7 +531,7 @@ def _load_checkpoint(path: Path, plan: SweepPlan, shard: ShardSpec, point_index:
         raise ManifestError(
             f"damaged checkpoint {path}: its summaries do not match their summaries_sha256"
         )
-    if raw["fingerprint"] != plan.fingerprint():
+    if raw["fingerprint"] != header["fingerprint"]:
         raise ManifestError(
             f"checkpoint {path} belongs to a different plan "
             f"(fingerprint {raw['fingerprint']!r})"
@@ -542,17 +542,17 @@ def _load_checkpoint(path: Path, plan: SweepPlan, shard: ShardSpec, point_index:
         _summary_from_json(entry, path, position)
         for position, entry in enumerate(raw["summaries"])
     ]
-    expected_indices = [
-        plan.run_index(point_index, si) for si in plan.owned_positions(point_index, shard)
-    ]
+    seeds, label = len(header["seeds"]), header["labels"][point_index]
+    first = point_index * seeds if header["indexing"] == "global" else 0
     if (
         raw["point_index"] != point_index
-        or raw["label"] != plan.points[point_index].label
-        or [summary.index for summary in summaries] != expected_indices
+        or raw["label"] != label
+        or [summary.index for summary in summaries]
+        != [first + si for si in owned_positions(seeds, point_index, shard)]
     ):
         raise ManifestError(
             f"checkpoint {path} does not cover the expected runs of point "
-            f"{point_index} ({plan.points[point_index].label!r}) for shard {shard}"
+            f"{point_index} ({label!r}) for shard {shard}"
         )
     return summaries
 

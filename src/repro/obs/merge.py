@@ -19,10 +19,10 @@ so the partial aggregates over any completed subset are the batch merge's
 aggregates for those points by construction (the tests still sweep k in
 {1, 3, 7} over every completed prefix).
 
-The merger never looks at file names: which checkpoint files hold a point
-(one per shard of the header's covering that owns a run of it) is the
-reader's answer, and a point is complete when every one of them exists and
-``_load_checkpoint`` accepts it.
+The merger neither names nor loads a file: a point is complete when its
+:meth:`~repro.harness.coordinator.RunDirectory.verdict` is ``done`` -- every
+owning shard's checkpoint loads -- and it folds the summaries that verdict
+loaded.  A ``refused`` point, the one ``status`` shows, stays pending here.
 """
 
 from __future__ import annotations
@@ -30,16 +30,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..harness.aggregate import RunAggregate, RunSummary
+from ..harness.aggregate import RunAggregate
 from ..harness.coordinator import RunDirectory
-from ..harness.distributed import (
-    ManifestError,
-    MergedSweep,
-    PlanPoint,
-    SweepPlan,
-    _load_checkpoint,
-    fold_point,
-)
+from ..harness.distributed import ManifestError, MergedSweep, PlanPoint, SweepPlan, fold_point
 
 
 class IncrementalMerger:
@@ -48,11 +41,11 @@ class IncrementalMerger:
     Call :meth:`poll` whenever fresher data is wanted (the serve endpoints
     poll on each request); it returns the labels folded *by that call*.
     Folded aggregates accumulate in :attr:`aggregates`; a point that has
-    not finished -- or whose checkpoint is momentarily unreadable -- simply
-    stays pending until a later poll, and :meth:`merged` says why.
-    A plan header that is malformed, damaged or from a different plan
-    raises :class:`~repro.harness.distributed.ManifestError`
-    from ``poll`` itself rather than fold.
+    not finished -- or whose checkpoint the judge refuses -- simply stays
+    pending until a later poll, and :meth:`merged` says why.  A plan header
+    that is malformed, damaged or from a different plan raises
+    :class:`~repro.harness.distributed.ManifestError` from ``poll`` itself
+    rather than fold.
     """
 
     def __init__(self, out_dir: Union[str, Path], plan: SweepPlan) -> None:
@@ -60,9 +53,8 @@ class IncrementalMerger:
         self.plan = plan
         #: Folded aggregates by point label, in completion order.
         self.aggregates: Dict[str, RunAggregate] = {}
-        #: Why each loadable-looking pending point did not fold (a corrupt
-        #: or torn checkpoint leaves its point pending rather than raising).
-        self._errors: Dict[str, ManifestError] = {}
+        #: Why each point the latest poll found refused did not fold, in plan order.
+        self._refusals: List[str] = []
 
     # ---------------------------------------------------------------- state
     @property
@@ -72,8 +64,8 @@ class IncrementalMerger:
 
     @property
     def last_error(self) -> Optional[str]:
-        """The latest per-point load failure still standing, for diagnostics."""
-        return str(next(reversed(self._errors.values()))) if self._errors else None
+        """Why the latest poll's first refused point did not fold, naming its file; else ``None``."""
+        return self._refusals[0] if self._refusals else None
 
     def _pending(self) -> List[Tuple[int, PlanPoint]]:
         return [
@@ -87,17 +79,22 @@ class IncrementalMerger:
         return [point.label for _, point in self._pending()]
 
     def merged(self) -> MergedSweep:
-        """The fully merged sweep; until :attr:`complete`, raises what is missing.
-
-        The reader's refusal comes first (nothing written, a point lacking a
-        shard's checkpoint), then the load error of a checkpoint that exists
-        but cannot be used.
-        """
+        """The merged sweep; until :attr:`complete`, raises why not: missing shards, then a refused file."""
         directory = RunDirectory(self.out)
         if not self.complete:
-            directory.refuse([point_index for point_index, _ in self._pending()])
-            raise next(iter(self._errors.values()), None) or ManifestError(
-                f"run in {self.out} is incomplete: points {self.pending()} have "
+            verdicts = [(point.label, directory.verdict(index)) for index, point in self._pending()]
+            gaps = [f"{label!r} lacks shard {', '.join(v.missing)}" for label, v in verdicts if v.missing]
+            if gaps:
+                status = directory.steal_status()
+                raise ManifestError(
+                    f"run in {self.out} is incomplete: {'; '.join(gaps)} ({status.leased} leased, "
+                    f"{status.orphaned} orphaned, {status.unclaimed} unclaimed); resume it by "
+                    f"re-running each lacking shard's command (a --steal worker for shard 1/1) "
+                    f"before merging"
+                )
+            raise ManifestError(
+                next((verdict.reason for _, verdict in verdicts if verdict.state == "refused"), None)
+                or f"run in {self.out} is incomplete: points {self.pending()} have "
                 f"not been folded yet; keep polling (or run more workers)"
             )
         return MergedSweep(
@@ -108,26 +105,20 @@ class IncrementalMerger:
 
     # ----------------------------------------------------------------- poll
     def poll(self) -> List[str]:
-        """Fold every newly completed point; return their labels."""
+        """Fold every pending point whose verdict is ``done``; return their labels."""
         directory = RunDirectory(self.out)
+        self._refusals = []
         if directory.header is None:
             return []
         directory.check(self.plan)
         folded: List[str] = []
         for point_index, point in self._pending():
-            sources = directory.sources(point_index)
-            if not all(path.exists() for _, path in sources):
-                continue
-            summaries: List[RunSummary] = []
-            try:
-                for shard, path in sources:
-                    summaries.extend(_load_checkpoint(path, self.plan, shard, point_index))
-            except ManifestError as error:
-                self._errors[point.label] = error
-                continue
-            self.aggregates[point.label] = fold_point(
-                self.plan, point_index, ((summary.index, summary) for summary in summaries)
-            )
-            self._errors.pop(point.label, None)
-            folded.append(point.label)
+            verdict = directory.verdict(point_index)
+            if verdict.state == "refused":
+                self._refusals.append(verdict.reason)
+            elif verdict.state == "done":
+                self.aggregates[point.label] = fold_point(
+                    self.plan, point_index, ((summary.index, summary) for summary in verdict.summaries)
+                )
+                folded.append(point.label)
         return folded

@@ -131,16 +131,7 @@ class SweepMonitor:
     def _status(self, directory: RunDirectory) -> Dict[str, Any]:
         status = directory.steal_status()
         return {
-            "experiment": status.experiment,
-            "plan_key": status.plan_key,
-            "shard_count": status.shard_count,
-            "points_total": status.points_total,
-            "done": status.done,
-            "leased": status.leased,
-            "orphaned": status.orphaned,
-            "unclaimed": status.unclaimed,
-            "stolen": status.stolen,
-            "runs_total": status.runs_total,
+            **vars(status),
             "workers": len(status.workers),
             "telemetry": merge_snapshots(self._worker_snapshots(directory).values()),
             "sampled_at": time.time(),
@@ -221,7 +212,7 @@ def render_status_text(out_dir: Union[str, Path], plan: Optional[SweepPlan] = No
         f"{status['experiment'] or status['plan_key'] or '?'}: "
         f"{status['done']}/{status['points_total']} points done "
         f"({status['stolen']} stolen), {status['leased']} leased, "
-        f"{status['orphaned']} orphaned, {status['unclaimed']} unclaimed"
+        f"{status['orphaned']} orphaned, {status['unclaimed']} unclaimed, {status['refused']} refused"
     ]
     telemetry = status["telemetry"]
     counters = telemetry.get("counters") or {}
@@ -235,12 +226,14 @@ def render_status_text(out_dir: Union[str, Path], plan: Optional[SweepPlan] = No
         lines.append(f"fleet: {shown}")
     owned: Dict[str, List[bool]] = {}
     for row in directory.point_rows:
-        for shard, present in row["checkpoints"].items():
-            owned.setdefault(shard, []).append(present)
+        for shard, accepted in row["checkpoints"].items():
+            owned.setdefault(shard, []).append(accepted)
     lines.append(
         "checkpoints by shard: "
         + ", ".join(f"{shard} {sum(found)}/{len(found)}" for shard, found in owned.items())
     )
+    refused = [row for row in directory.point_rows if row["state"] == "refused"]
+    lines += [f"  refused point {row['index']:04d} {row['label']!r}: {row['reason']}" for row in refused]
     workers = monitor._workers(directory)
     for row in workers["workers"]:
         lines.append(

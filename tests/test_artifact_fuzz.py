@@ -16,13 +16,17 @@ other exception may escape.
 The same damage, done to any one file of a whole finished directory --
 written by two ``--shard i/2`` writers, or by two ``--steal`` workers --
 must leave the merge bit-identical to ``run_plan`` or refuse it naming
-that file, and likewise leave :class:`~repro.harness.coordinator.RunDirectory`'s
-status rows as they were or refuse them naming that file.
+that file.  The other readers must agree: a checkpoint the merge refuses
+is the one point :class:`~repro.harness.coordinator.RunDirectory`'s status
+rows show ``refused`` and the incremental merger keeps pending, both
+naming that file, every other row as it was; any other damage leaves the
+status rows as they were or refuses them naming that file.
 """
 
 import copy
 import json
 import math
+import re
 import shutil
 import tempfile
 import warnings
@@ -55,6 +59,7 @@ from repro.harness.distributed import (
     run_shard,
 )
 from repro.harness.runner import ExperimentConfig
+from repro.obs.merge import IncrementalMerger
 
 #: Examples per reader: five readers at this count stay well under 5 s.
 EXAMPLES = 120
@@ -93,12 +98,12 @@ READERS = {
     "shard-checkpoint": (
         "static",
         lambda out: checkpoint_path(out, SHARD, 0),
-        lambda out: _load_checkpoint(checkpoint_path(out, SHARD, 0), _plan(), SHARD, 0),
+        lambda out: _load_checkpoint(checkpoint_path(out, SHARD, 0), read_plan_header(out), SHARD, 0),
     ),
     "point-checkpoint": (
         "steal",
         lambda out: checkpoint_path(out, WHOLE, 0),
-        lambda out: _load_checkpoint(checkpoint_path(out, WHOLE, 0), _plan(), WHOLE, 0),
+        lambda out: _load_checkpoint(checkpoint_path(out, WHOLE, 0), read_plan_header(out), WHOLE, 0),
     ),
 }
 
@@ -249,8 +254,24 @@ def test_a_damaged_file_merges_bit_identically_or_is_named(finished, name, data)
             merged = merge_directory(out, _sweep())
         except ManifestError as error:
             assert path.name in str(error)
+            refused = re.fullmatch(r"point-\d+-\d+of\d+\.json", relative) is not None
         else:
             assert merged.aggregates == truth
+            refused = False
+        if refused:
+            # One verdict: status shows the point refused and the live merger
+            # keeps it pending, both naming the file merge refused.
+            points, workers = _status_rows(out)
+            (row,) = [row for row in points if row["state"] == "refused"]
+            assert row["file"] == path.name and path.name in row["reason"]
+            assert [other for other in points if other is not row] == [
+                other for other in rows[name][0] if other["index"] != row["index"]
+            ]
+            assert workers == rows[name][1]
+            merger = IncrementalMerger(out, _sweep())
+            merger.poll()
+            assert merger.pending() == [row["label"]] and path.name in merger.last_error
+            return
         try:
             read = _status_rows(out)
         except ManifestError as error:

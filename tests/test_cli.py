@@ -366,6 +366,13 @@ def test_steal_refuses_nonfinite_durations(tmp_path, capsys, flags, named):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("interval", ["nan", "inf", "0", "-1"])
+def test_status_watch_refuses_an_interval_that_is_not_finite_and_positive(tmp_path, capsys, interval):
+    code, out, err = run_cli(capsys, "status", str(tmp_path), "--watch", interval)
+    assert code == 2 and out == ""  # refused before the first redraw
+    assert f"error: --watch must be a finite number of seconds > 0, got {interval}" in err
+
+
 def test_steal_directory_refuses_static_shards(tmp_path, capsys):
     out_dir = str(tmp_path / "runs")
     run_cli(capsys, "run", "e1", *E1_ARGS, "--shard", "1/2", "--out", out_dir)

@@ -34,6 +34,7 @@ from repro.harness.distributed import (
     grid_points,
     merge_shards,
     plan_grid,
+    plan_provenance,
     plan_repeat,
     plan_sweep,
     run_plan,
@@ -425,8 +426,8 @@ def test_a_run_directory_has_one_reader_and_one_fold():
     """A count, not prose: a second merger, layout or layout reader cannot come back unnoticed."""
     sources = sorted(SRC.rglob("*.py"))
     assert sum(count_calls(path, "fold_point") for path in sources) == 1
-    # The merger, and the writers' one resume.
-    assert sum(count_calls(path, "_load_checkpoint") for path in sources) == 2
+    # RunDirectory.checkpoint: the one judge the merger, status and the writers' resume ask.
+    assert sum(count_calls(path, "_load_checkpoint") for path in sources) == 1
     for consumer in ("cli.py", "obs/merge.py", "obs/serve.py", "obs/status.py"):
         assert count_calls(
             SRC / consumer,
@@ -589,7 +590,7 @@ def test_checkpoint_round_trips_every_float_to_the_bit(tmp_path, decided_value):
     ]
     path = checkpoint_path(tmp_path, ShardSpec(1, 1), 0)
     _write_checkpoint(path, plan, ShardSpec(1, 1), 0, summaries)
-    back = _load_checkpoint(path, plan, ShardSpec(1, 1), 0)
+    back = _load_checkpoint(path, plan_provenance(plan), ShardSpec(1, 1), 0)
     # Equal encodings: every float has an equal float.hex(), nan and -0.0 included.
     assert [summary_to_json(summary) for summary in back] == [
         summary_to_json(summary) for summary in summaries
@@ -624,11 +625,11 @@ def test_a_bad_summary_field_is_refused_by_file_position_and_name(tmp_path, fiel
     raw["summaries"][1][field] = value
     rewrite()
     with pytest.raises(ManifestError, match=rf"{re.escape(str(path))}: summary 1 field '{field}': {why}"):
-        _load_checkpoint(path, plan, ShardSpec(1, 1), 1)
+        _load_checkpoint(path, plan_provenance(plan), ShardSpec(1, 1), 1)
     del raw["summaries"][1][field]
     rewrite()
     with pytest.raises(ManifestError, match=rf"{re.escape(str(path))}: summary 1 has no field '{field}'"):
-        _load_checkpoint(path, plan, ShardSpec(1, 1), 1)
+        _load_checkpoint(path, plan_provenance(plan), ShardSpec(1, 1), 1)
 
 
 @pytest.mark.parametrize("edit", ["one more message", "one hex digit"])
