@@ -27,8 +27,10 @@ import pytest
 
 from repro.adversary import build_scenario, scenario_names
 from repro.cluster.topology import ClusterTopology
-from repro.harness.runner import ExperimentConfig, run_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import run_consensus
 from repro.network.message import Message
+from repro.sim.config import SimConfig
 from repro.sim.context import BroadcastEffect, RoundLimitExceeded, SendEffect, WaitEffect
 from repro.sim.events import EVENT_KIND_NAMES, EventKind, describe_entry
 from repro.sim.kernel import (
@@ -38,7 +40,6 @@ from repro.sim.kernel import (
     _RECORD_SIZE,
     _SEQUENCE_STEP,
     RunStatus,
-    SimConfig,
     SimulationKernel,
     _no_network,
     _pack_record,

@@ -22,8 +22,9 @@ import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.harness.aggregate import RunAggregate, SummaryReducer
+from repro.harness.config import ExperimentConfig
 from repro.harness.parallel import available_cpus, run_many
-from repro.harness.runner import ExperimentConfig, run_consensus
+from repro.harness.runner import run_consensus
 
 #: The system size the bytes-over-pipe criterion is stated at.
 BYTES_N, BYTES_M = 64, 8

@@ -16,10 +16,12 @@ import pytest
 from benchmarks.legacy_kernel import LegacyKernel, LegacyNetwork
 from repro.cluster.topology import ClusterTopology
 from repro.core.base import PhaseMessage
-from repro.harness.runner import ExperimentConfig, run_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import run_consensus
 from repro.network.transport import Network
 from repro.sharedmem.consensus_object import CASConsensusObject
-from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
+from repro.sim.config import SimConfig
+from repro.sim.kernel import RunStatus, SimulationKernel
 from repro.sim.rng import RandomSource
 
 TOPOLOGY = ClusterTopology.figure1_right()

@@ -22,7 +22,8 @@ import time
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.harness.runner import ExperimentConfig, prepare_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import prepare_consensus
 from repro.sim.multikernel import run_cooperative
 
 # --------------------------------------------------------------- gate knobs

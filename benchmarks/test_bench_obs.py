@@ -30,8 +30,9 @@ import pytest
 from benchmarks.test_bench_micro import FLOOD_N, FLOOD_ROUNDS
 from repro.core.base import PhaseMessage
 from repro.network.transport import Network
+from repro.sim.config import SimConfig
 from repro.sim.context import ProcessContext, RoundLimitExceeded
-from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
+from repro.sim.kernel import RunStatus, SimulationKernel
 from repro.sim.rng import RandomSource
 
 #: Timing-gate knobs: paired interleaved rounds, best round kept per variant.

@@ -9,8 +9,8 @@ the parallel sweep must also be at least 2x faster wall-clock.
 import pytest
 
 from repro.cluster.topology import ClusterTopology
+from repro.harness.config import ExperimentConfig
 from repro.harness.parallel import available_cpus, run_many
-from repro.harness.runner import ExperimentConfig
 
 SEEDS = [1000 + index for index in range(5)]
 SIZES = (4, 8, 12, 16)

@@ -18,8 +18,9 @@ import sys
 
 from repro.adversary import build_scenario
 from repro.cluster.topology import ClusterTopology
-from repro.harness.runner import ExperimentConfig, run_consensus
-from repro.sim.kernel import SimConfig
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import run_consensus
+from repro.sim.config import SimConfig
 
 TOPOLOGY = ClusterTopology.even_split(6, 3)
 SCENARIOS = ("lossy-links", "partition-drop", "crash-recovery")

@@ -177,7 +177,7 @@ def measure(rounds):
 
     from repro.adversary import build_scenario
     from repro.cluster.topology import ClusterTopology
-    from repro.harness.runner import ExperimentConfig
+    from repro.harness.config import ExperimentConfig
 
     topology = ClusterTopology.figure1_right()
     for algorithm in ("hybrid-local-coin", "hybrid-common-coin", "ben-or", "mp-common-coin", "mm-local-coin"):

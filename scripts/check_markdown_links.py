@@ -36,7 +36,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: A markdown file named in a docstring, e.g. ``docs/scaling.md``.
 DOCSTRING_MD_RE = re.compile(r"[\w./-]*\w\.md\b")
 
-#: A fully qualified cross-reference role, e.g. :class:`~repro.sim.kernel.SimConfig`.
+#: A fully qualified cross-reference role, e.g. :class:`~repro.sim.config.SimConfig`.
 ROLE_RE = re.compile(r":(?:class|func|meth|mod|attr|data|exc):`~?(repro(?:\.\w+)+)`")
 
 #: The AST nodes that carry docstrings.

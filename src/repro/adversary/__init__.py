@@ -15,7 +15,7 @@ time (slowdowns, then the adaptive strategies), and scheduled
 pause/recover events (crash-recovery outages).
 
 Scenarios are plain picklable data with stable reprs, so they ride inside
-:class:`~repro.harness.runner.ExperimentConfig`, enter sweep-plan
+:class:`~repro.harness.config.ExperimentConfig`, enter sweep-plan
 fingerprints, and keep sharded adversarial sweeps bit-identical to
 single-host ones.  The named table in :mod:`~repro.adversary.library`
 makes scenarios referencable from the CLI

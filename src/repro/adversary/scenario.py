@@ -3,7 +3,7 @@
 A :class:`Scenario` is pure data -- a named, ordered composition of the
 fault primitives from :mod:`~repro.adversary.faults`, each of an exact type
 in :data:`~repro.adversary.faults.FAULT_TYPES`.  It travels inside an
-:class:`~repro.harness.runner.ExperimentConfig` (pickled to workers, its
+:class:`~repro.harness.config.ExperimentConfig` (pickled to workers, its
 ``repr`` hashed into sweep-plan fingerprints) and runs nothing by itself.
 
 The :class:`Adversary` is the one per-run engine built from a scenario: it

@@ -27,10 +27,12 @@ directory.
 Every invocation is a fresh interpreter, so this module imports per
 subcommand.  The top level holds what every command needs and what costs
 nothing to hold: the plan, manifest and lease layer, none of which imports
-the simulator.  ``run eN`` then loads driver N (and, through it, the
-simulator), ``merge`` the driver the directory recorded, ``status`` no
-driver at all; scenario registries, the search, the delay fitter and the
-HTTP server load inside the commands that use them.  A new top-level import
+the simulator.  ``run eN`` then loads driver N and the simulator that
+executes its plan; ``merge`` loads the driver the directory recorded, to
+rebuild the plan, and no simulator (a plan is data: see
+:mod:`repro.harness.config`); ``status`` loads no driver at all.  Scenario
+registries, the search, the delay fitter and the HTTP server load inside
+the commands that use them.  A new top-level import
 here is a cost every command pays; ``tests/test_startup_imports.py`` holds
 each command's import graph.
 """
@@ -173,7 +175,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from .harness.runner import ALGORITHMS
+    from .harness.config import ALGORITHMS
     from .search import SearchSpec, replay_token, search
 
     if args.replay is not None:

@@ -24,9 +24,9 @@ from ..adversary.adaptive import adaptive_scenario_names, build_adaptive_scenari
 from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
-from ..harness.runner import ExperimentConfig
+from ..harness.config import ExperimentConfig
 from ..search.systemic import detect_systemic_failure
-from ..sim.kernel import SimConfig
+from ..sim.config import SimConfig
 from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (

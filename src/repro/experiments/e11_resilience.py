@@ -28,7 +28,7 @@ from ..adversary.scenario import Scenario
 from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
-from ..harness.runner import ExperimentConfig
+from ..harness.config import ExperimentConfig
 from ..network.delays import DelayModel, UniformDelay
 from ..network.empirical import (
     REFERENCE_RTT_MS,
@@ -36,7 +36,7 @@ from ..network.empirical import (
     ShiftedLogNormalDelay,
     scale_to_unit_mean,
 )
-from ..sim.kernel import SimConfig
+from ..sim.config import SimConfig
 from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (

@@ -16,7 +16,7 @@ from ..cluster.failures import FailurePattern
 from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
-from ..harness.runner import ExperimentConfig
+from ..harness.config import ExperimentConfig
 from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
-from ..harness.runner import ExperimentConfig
+from ..harness.config import ExperimentConfig
 from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
-from ..harness.runner import ExperimentConfig
+from ..harness.config import ExperimentConfig
 from ..harness.stats import mean as _mean
 from ..mm.domain import SharedMemoryDomain
 from .common import ExperimentReport, default_seeds

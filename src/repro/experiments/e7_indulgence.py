@@ -18,8 +18,8 @@ from ..cluster.failures import FailurePattern
 from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
-from ..harness.runner import ExperimentConfig, termination_expected
-from ..sim.kernel import SimConfig
+from ..harness.config import ExperimentConfig, termination_expected
+from ..sim.config import SimConfig
 from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (

@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional, Sequence
 from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
-from ..harness.runner import ExperimentConfig
+from ..harness.config import ExperimentConfig
 from ..mm.domain import SharedMemoryDomain
 from .common import ExperimentReport, default_seeds
 

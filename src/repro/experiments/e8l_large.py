@@ -13,7 +13,7 @@ from typing import Dict, Mapping, Optional, Sequence
 from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
-from ..harness.runner import ExperimentConfig
+from ..harness.config import ExperimentConfig
 from .common import ExperimentReport, default_seeds
 
 #: The large-n curve: the "millions of users" story starts with the simulator

@@ -22,8 +22,8 @@ from ..adversary.library import build_scenario, scenario_names
 from ..cluster.topology import ClusterTopology
 from ..harness.aggregate import RunAggregate
 from ..harness.distributed import PlanPoint, SweepPlan
-from ..harness.runner import ExperimentConfig
-from ..sim.kernel import SimConfig
+from ..harness.config import ExperimentConfig
+from ..sim.config import SimConfig
 from .common import ExperimentReport, default_seeds
 
 PAPER_CLAIM = (

@@ -9,6 +9,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "SKETCH_CAPACITY", "Reducer", "RunAggregate", "RunSummary", "StreamingStats",
             "SummaryReducer", "run_priority",
         ],
+        "config": ["ALGORITHMS", "ExperimentConfig", "termination_expected"],
         "coordinator": [
             "DEFAULT_LEASE_TTL", "Lease", "LeaseError", "StealStatus", "WriterResult",
             "merge_stolen", "run_work_stealing", "steal_status",
@@ -25,9 +26,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "resolve_workers", "run_many", "worker_pool",
         ],
         "report": ["aggregate_records", "format_records", "format_table"],
-        "runner": [
-            "ALGORITHMS", "ExperimentConfig", "RunResult", "run_consensus", "termination_expected",
-        ],
+        "runner": ["RunResult", "run_consensus"],
         "stats": [
             "SummaryStats", "ci95_half_width", "mean", "median", "percentile", "sample_std",
             "summarize",

@@ -758,7 +758,7 @@ class SweepWriter:
 
     def complete(self, task: PointTask, summaries: List[RunSummary]) -> None:
         """Checkpoint one computed point, unless a thief beat us to it, and record it."""
-        if task.superseded and task.checkpoint.exists():
+        if task.superseded and self._thief_finished(task.point_index):
             # Stolen from us mid-run and the thief finished first.  Its
             # checkpoint is bit-identical to ours, so nothing is wasted but
             # our own time; record the loss and keep going.
@@ -837,6 +837,13 @@ class SweepWriter:
                 label = self.plan.points[point_index].label
                 warnings.warn(f"recomputing point {label!r}: {error}", RuntimeWarning)
             return None
+
+    def _thief_finished(self, point_index: int) -> bool:
+        """Whether the judge accepts the checkpoint a thief left; a torn one is overwritten by ours."""
+        try:
+            return self._directory.checkpoint(self.shard, point_index) is not None
+        except ManifestError:
+            return False
 
     def _outstanding(self) -> List[int]:
         """Points this writer has not settled, in claim order."""
@@ -948,7 +955,8 @@ class Verdict:
     else one with a file the loader refuses is ``refused`` (``path`` and
     ``reason`` name the first, on a pending point too).  ``checkpoints``
     maps each owning shard (``"i/k"``) to whether its file was accepted;
-    ``summaries`` holds what loaded (every run, when done).
+    ``summaries`` holds what loaded (every run, when done) on the call that
+    judged the point, and is empty on a memoised verdict.
     """
 
     state: str
@@ -1032,7 +1040,12 @@ class RunDirectory:
         return _load_checkpoint(path, self.recorded(), shard, point_index)
 
     def verdict(self, point_index: int) -> Verdict:
-        """One point, judged once per instance by its owners' checkpoints: pending, refused or done."""
+        """One point, judged once per instance by its owners' checkpoints: pending, refused or done.
+
+        The memo keeps the judgement, not the runs: only the call that loads
+        the files returns their summaries, so a fold over every point holds
+        one point's summaries at a time.
+        """
         if point_index not in self._verdicts:
             seeds, count = len(self.recorded()["seeds"]), self.shard_count
             checkpoints, summaries, missing, path, reason = {}, [], [], None, None
@@ -1049,7 +1062,8 @@ class RunDirectory:
                     checkpoints[str(shard)] = loaded is not None
                     summaries.extend(loaded or ())
             state = "pending" if missing else "refused" if path else "done"
-            self._verdicts[point_index] = Verdict(state, checkpoints, summaries, missing, path, reason)
+            self._verdicts[point_index] = Verdict(state, checkpoints, [], missing, path, reason)
+            return replace(self._verdicts[point_index], summaries=summaries)
         return self._verdicts[point_index]
 
     # ------------------------------------------------------------ state rows

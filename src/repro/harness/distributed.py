@@ -64,8 +64,8 @@ from .aggregate import SKETCH_CAPACITY, RunAggregate, RunSummary, SummaryReducer
 # that execute runs: reading manifests, checkpoints and leases -- ``python -m
 # repro status`` -- must not load it.
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .config import ExperimentConfig
     from .coordinator import WriterResult
-    from .runner import ExperimentConfig
 
 #: Version stamped into every artifact of a run directory.  Readers reject any
 #: other version, so stale artifacts fail loudly instead of merging garbage;
@@ -318,7 +318,7 @@ def plan_sweep(
 ) -> SweepPlan:
     """A plan running every named variation of ``base_config`` under every seed.
 
-    ``variations`` maps a label to the :class:`~.runner.ExperimentConfig`
+    ``variations`` maps a label to the :class:`~.config.ExperimentConfig`
     field overrides that define the point, e.g.
     ``{"hybrid": {"algorithm": "hybrid-local-coin"}, "ben-or": {"algorithm": "ben-or"}}``.
     """

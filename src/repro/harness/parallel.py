@@ -50,9 +50,10 @@ from typing import (
 )
 
 from .aggregate import Reducer
+from .config import ExperimentConfig
 # ``prepare_consensus`` is only re-exported: bench/test_bench_contract.py
 # checks that the tracer leaves this module's binding unwrapped.
-from .runner import ExperimentConfig, prepare_consensus, run_consensus  # noqa: F401
+from .runner import prepare_consensus, run_consensus  # noqa: F401
 
 # ``concurrent.futures.process`` pulls in ``multiprocessing``; it is imported
 # where a pool is built, so a single-worker run loads neither.

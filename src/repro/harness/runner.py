@@ -11,69 +11,26 @@ metrics.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Type
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional
 
-from ..adversary.scenario import Adversary, Scenario
-from ..baselines.ben_or import BenOrConsensus
-from ..baselines.mp_common_coin import MessagePassingCommonCoinConsensus
-from ..baselines.shared_memory_only import SharedMemoryConsensus
-from ..cluster.failures import FailurePattern
-from ..cluster.topology import ClusterTopology
+from ..adversary.scenario import Adversary
 from ..coins.common import CommonCoin
 from ..coins.local import LocalCoin
-from ..core.base import ConsensusProcess, ProcessEnvironment
-from ..core.common_coin import CommonCoinConsensus
-from ..core.local_coin import LocalCoinConsensus
+from ..core.base import ProcessEnvironment
 from ..core.properties import PropertyReport, verify_run
-from ..mm.consensus import MMConsensus
 from ..mm.domain import SharedMemoryDomain
 from ..mm.memory import build_mm_memories
-from ..network.delays import DelayModel, UniformDelay
 from ..network.transport import Network
 from ..sharedmem.memory import ClusterSharedMemory, build_cluster_memories
-from ..sim.kernel import SimConfig, SimulationKernel, SimulationResult, collector_paused
+from ..sim.kernel import SimulationKernel, SimulationResult, collector_paused
 from ..sim.rng import RandomSource
+from .config import ALGORITHM_CLASSES
+# ``ExperimentConfig`` and ``termination_expected`` live in ``.config`` (a plan
+# loads no simulator); bench/workloads.py imports them from here.
+from .config import ExperimentConfig, termination_expected  # noqa: F401
 from .metrics import RunMetrics, collect_metrics
-from .workloads import ProposalSpec, resolve_proposals
-
-#: name -> class of every algorithm runnable through the harness.  Each class
-#: declares what the harness builds for it (shared memory, coin) and its
-#: termination condition; see :class:`~repro.core.base.ConsensusProcess`.
-ALGORITHM_CLASSES: Dict[str, Type[ConsensusProcess]] = {
-    cls.algorithm_name: cls
-    for cls in (LocalCoinConsensus, CommonCoinConsensus, BenOrConsensus,
-                MessagePassingCommonCoinConsensus, SharedMemoryConsensus, MMConsensus)
-}
-ALGORITHMS = tuple(ALGORITHM_CLASSES)
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything needed to reproduce one consensus run."""
-
-    topology: ClusterTopology
-    algorithm: str = LocalCoinConsensus.algorithm_name
-    proposals: ProposalSpec = "split"
-    failure_pattern: FailurePattern = field(default_factory=FailurePattern.none)
-    seed: int = 0
-    delay_model: DelayModel = field(default_factory=UniformDelay)
-    sim: SimConfig = field(default_factory=SimConfig)
-    consensus_kind: str = "cas"
-    mm_domain: Optional[SharedMemoryDomain] = None
-    #: Optional fault-injection scenario (see :mod:`repro.adversary`).  Plain
-    #: declarative data: it is pickled to workers and its repr enters sweep
-    #: plan fingerprints, so adversarial sweeps shard and merge bit-identically.
-    scenario: Optional[Scenario] = None
-    tag: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        """A copy of this configuration with a different master seed."""
-        return replace(self, seed=seed)
+from .workloads import resolve_proposals
 
 
 @dataclass
@@ -96,31 +53,6 @@ class RunResult:
     def terminated(self) -> bool:
         """Whether every correct process decided."""
         return self.metrics.terminated
-
-
-def termination_expected(
-    algorithm: str,
-    topology: ClusterTopology,
-    failure_pattern: FailurePattern,
-    scenario: Optional[Scenario] = None,
-) -> bool:
-    """Whether the algorithm is *expected* to terminate under this pattern.
-
-    Each algorithm's class declares the condition (``termination_holds``).
-    Hybrid algorithms need the paper's cluster condition; pure message-passing
-    algorithms (and the m&m analogue) need a strict majority of correct
-    processes; the single-cluster shared-memory baseline only needs one
-    correct process.  A fault-injection ``scenario`` that can lose messages
-    (omission, dropping partitions) breaks the reliable-channel assumption,
-    so termination stops being expected; liveness-preserving scenarios
-    (delays, duplication, crash-recovery) keep the guarantee.
-    """
-    if scenario is not None and not scenario.liveness_preserving:
-        return False
-    if algorithm not in ALGORITHM_CLASSES:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    correct = failure_pattern.correct(topology.n)
-    return bool(correct) and ALGORITHM_CLASSES[algorithm].termination_holds(topology, correct)
 
 
 @dataclass

@@ -23,7 +23,7 @@ fingerprints and keep sharded merges bit-identical to single-host runs.
 :func:`load_rtt_samples` reads RTT datasets from CSV or JSONL files (a small
 committed fixture lives under ``tests/data/``), and ``python -m repro
 fit-delays`` fits a model from such a file and prints its repr, ready to
-paste into an :class:`~repro.harness.runner.ExperimentConfig`.
+paste into an :class:`~repro.harness.config.ExperimentConfig`.
 """
 
 from __future__ import annotations

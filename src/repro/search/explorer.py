@@ -40,9 +40,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..cluster.topology import ClusterTopology
 from ..core.base import ProtocolInvariantError
 from ..core.properties import verify_run
-from ..harness.runner import ALGORITHMS, ExperimentConfig, prepare_consensus
+from ..harness.config import ALGORITHMS, ExperimentConfig
+from ..harness.runner import prepare_consensus
 from ..network.delays import ConstantDelay
-from ..sim.kernel import SimConfig
+from ..sim.config import SimConfig
 
 #: The non-harness algorithms the search can target (wired by planted.py).
 PLANTED_ALGORITHMS = ("planted-ben-or",)

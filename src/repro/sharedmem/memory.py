@@ -22,7 +22,8 @@ from .rmw import (
     TestAndSetRegister,
 )
 
-_CONSENSUS_FACTORIES = {
+#: consensus object kind -> class; the one list of valid ``consensus_kind`` values.
+CONSENSUS_FACTORIES = {
     "cas": CASConsensusObject,
     "llsc": LLSCConsensusObject,
 }
@@ -41,10 +42,10 @@ class ClusterSharedMemory:
         self.members: Set[int] = {int(pid) for pid in members}
         if not self.members:
             raise ValueError("a cluster memory needs at least one member")
-        if consensus_kind not in _CONSENSUS_FACTORIES:
+        if consensus_kind not in CONSENSUS_FACTORIES:
             raise ValueError(
                 f"unknown consensus object kind {consensus_kind!r}; "
-                f"choose from {sorted(_CONSENSUS_FACTORIES)}"
+                f"choose from {sorted(CONSENSUS_FACTORIES)}"
             )
         self.consensus_kind = consensus_kind
         self._registers: Dict[str, AtomicRegister] = {}
@@ -111,7 +112,7 @@ class ClusterSharedMemory:
         same key gets the very same object.
         """
         if key not in self._consensus_objects:
-            factory = _CONSENSUS_FACTORIES[self.consensus_kind]
+            factory = CONSENSUS_FACTORIES[self.consensus_kind]
             name = self._qualified("CONS[" + ", ".join(repr(part) for part in key) + "]")
             self._consensus_objects[key] = factory(name, members=self.members)
         return self._consensus_objects[key]

@@ -11,12 +11,13 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
+        "config": ["SimConfig"],
         "context": [
             "BroadcastEffect", "Effect", "LocalEffect", "ProcessContext", "ProcessStats",
             "RoundLimitExceeded", "SendEffect", "SharedMemEffect", "WaitEffect",
         ],
         "events": ["EventKind"],
-        "kernel": ["RunStatus", "SimConfig", "SimulationKernel", "SimulationResult"],
+        "kernel": ["RunStatus", "SimulationKernel", "SimulationResult"],
         "multikernel": [
             "DEFAULT_BATCH_EVENTS", "CooperativeScheduler", "kernel_stepper", "run_cooperative",
             "scheduler_rng",

@@ -87,6 +87,9 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Un
 
 from ..network.message import Message
 from ..network.transport import DEST_CAP, MSG_ID_CAP
+# ``SimConfig`` lives in ``.config`` (a plan loads no simulator); bench/workloads.py
+# imports it from here.
+from .config import SimConfig  # noqa: F401
 from .context import (
     BroadcastEffect,
     LocalEffect,
@@ -254,43 +257,6 @@ class RunStatus(enum.Enum):
     def terminated(self) -> bool:
         """True when every correct process decided."""
         return self is RunStatus.DECIDED
-
-
-@dataclass
-class SimConfig:
-    """Tunable parameters of the simulated execution environment.
-
-    The delay constants are in arbitrary virtual-time units.  Their default
-    ratio (shared-memory operation one order of magnitude cheaper than a
-    typical message delay, local steps cheaper still) encodes the paper's
-    efficiency premise: intra-cluster agreement is cheap, inter-cluster
-    message exchange is expensive.
-    """
-
-    max_time: float = 1e9
-    max_rounds: Optional[int] = 500
-    local_step_delay: float = 1e-4
-    sm_op_delay: float = 1e-3
-    scheduling_jitter: float = 1e-5
-    trace: bool = False
-    trace_max_entries: int = 100_000
-
-    def __post_init__(self) -> None:
-        # A negative delay queues steps behind the clock, a NaN one puts NaN
-        # keys in the heap, and a NaN time bound never times out: refuse them
-        # here, naming the field, rather than run a meaningless schedule.
-        for name in ("local_step_delay", "sm_op_delay", "scheduling_jitter"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"SimConfig.{name} must be finite and >= 0, got {value!r}")
-        if not self.max_time > 0:
-            raise ValueError(f"SimConfig.max_time must be > 0 (inf allowed), got {self.max_time!r}")
-        rounds = self.max_rounds
-        if rounds is not None and (type(rounds) is bool or not isinstance(rounds, int) or rounds < 1):
-            raise ValueError(f"SimConfig.max_rounds must be None or an int >= 1, got {rounds!r}")
-        cap = self.trace_max_entries
-        if type(cap) is bool or not isinstance(cap, int) or cap < 0:
-            raise ValueError(f"SimConfig.trace_max_entries must be an int >= 0, got {cap!r}")
 
 
 @dataclass

@@ -39,10 +39,11 @@ from repro.core.base import BOT, PhaseMessage, ProcessEnvironment, ProtocolInvar
 from repro.core.pattern import scan_mailbox
 from repro.experiments import e10_adaptive
 from repro.experiments.common import default_seeds, run_planned
+from repro.harness.config import ExperimentConfig
 from repro.harness.distributed import ShardSpec, merge_shards, run_plan, run_shard
-from repro.harness.runner import ExperimentConfig, prepare_consensus
+from repro.harness.runner import prepare_consensus
+from repro.sim.config import SimConfig
 from repro.sim.events import EventKind
-from repro.sim.kernel import SimConfig
 from repro.sim.process import ProcessState
 
 

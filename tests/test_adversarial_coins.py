@@ -14,8 +14,9 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.coins.common import AdversarialCommonCoin, FixedSequenceCommonCoin
 from repro.coins.local import DeterministicCoin
-from repro.harness.runner import ALGORITHMS, ExperimentConfig, run_consensus
-from repro.sim.kernel import SimConfig
+from repro.harness.config import ALGORITHMS, ExperimentConfig
+from repro.harness.runner import run_consensus
+from repro.sim.config import SimConfig
 
 TOPOLOGY = ClusterTopology.even_split(6, 3)
 CAPPED = SimConfig(max_rounds=15, max_time=5e4)

@@ -31,11 +31,13 @@ from repro.adversary import (
     scenario_names,
 )
 from repro.cluster.topology import ClusterTopology
+from repro.harness.config import ExperimentConfig, termination_expected
 from repro.harness.metrics import numeric_metric_values
-from repro.harness.runner import ExperimentConfig, run_consensus, termination_expected
+from repro.harness.runner import run_consensus
 from repro.network.delays import ConstantDelay
 from repro.network.transport import Network
-from repro.sim.kernel import SimConfig, SimulationKernel
+from repro.sim.config import SimConfig
+from repro.sim.kernel import SimulationKernel
 from repro.sim.rng import RandomSource
 
 

@@ -29,10 +29,12 @@ from repro.adversary.scenario import Adversary, Scenario
 from repro.cluster.topology import ClusterTopology
 from repro.core.base import PhaseMessage
 from repro.harness.aggregate import RunSummary
-from repro.harness.runner import ExperimentConfig, prepare_consensus, run_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import prepare_consensus, run_consensus
 from repro.network.delays import ConstantDelay
 from repro.network.transport import Network
-from repro.sim.kernel import SimConfig, SimulationKernel
+from repro.sim.config import SimConfig
+from repro.sim.kernel import SimulationKernel
 from repro.sim.rng import RandomSource
 
 TOPOLOGY = ClusterTopology.even_split(6, 3)

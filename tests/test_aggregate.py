@@ -17,7 +17,8 @@ from repro.harness.aggregate import (
     _seed_sequence_state,
     run_priority,
 )
-from repro.harness.runner import ExperimentConfig, run_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import run_consensus
 from repro.harness.stats import percentile, summarize
 
 

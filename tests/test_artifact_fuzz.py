@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterTopology
 from repro.experiments.common import default_seeds
+from repro.harness.config import ExperimentConfig
 from repro.harness.coordinator import (
     RunDirectory,
     current_lease,
@@ -58,7 +59,6 @@ from repro.harness.distributed import (
     run_plan,
     run_shard,
 )
-from repro.harness.runner import ExperimentConfig
 from repro.obs.merge import IncrementalMerger
 
 #: Examples per reader: five readers at this count stay well under 5 s.

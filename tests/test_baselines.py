@@ -8,9 +8,10 @@ from repro.core.base import ProcessEnvironment
 from repro.baselines.ben_or import BenOrConsensus
 from repro.baselines.mp_common_coin import MessagePassingCommonCoinConsensus
 from repro.baselines.shared_memory_only import SharedMemoryConsensus
-from repro.harness.runner import ExperimentConfig, run_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import run_consensus
 from repro.sharedmem.memory import ClusterSharedMemory
-from repro.sim.kernel import SimConfig
+from repro.sim.config import SimConfig
 
 MESSAGE_PASSING = ("ben-or", "mp-common-coin")
 

@@ -17,6 +17,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.experiments import e1_figure1, e9_adversary
 from repro.experiments.common import default_seeds
 from repro.harness import coordinator, parallel
+from repro.harness.config import ExperimentConfig
 from repro.harness.coordinator import (
     LeaseError,
     current_lease,
@@ -41,7 +42,6 @@ from repro.harness.distributed import (
     run_plan,
     run_shard,
 )
-from repro.harness.runner import ExperimentConfig
 
 SEEDS = default_seeds(4)
 BASE = ExperimentConfig(topology=ClusterTopology.figure1_right())
@@ -497,6 +497,7 @@ def test_e9_steal_merge_is_bit_identical_to_single_host(tmp_path, monkeypatch):
 def test_superseded_worker_loses_gracefully(tmp_path):
     """A worker whose lease was stolen mid-run, thief finishing first, records a loss."""
     plan = make_plan()
+    write_plan_header(tmp_path, plan)  # as ``run`` does before it claims
     scheduler = coordinator.SweepWriter(
         plan, tmp_path, worker="slow", lease_ttl=60.0
     )
@@ -512,3 +513,19 @@ def test_superseded_worker_loses_gracefully(tmp_path):
     scheduler.complete(task, summaries)
     assert scheduler.result.lost == [task.label]
     assert task.label not in scheduler.result.executed
+
+
+def test_superseded_worker_replaces_a_torn_thief_checkpoint(tmp_path):
+    """A thief's checkpoint the judge refuses is no finish: the superseded writer writes its own."""
+    plan = make_plan()
+    write_plan_header(tmp_path, plan)
+    scheduler = coordinator.SweepWriter(plan, tmp_path, worker="slow", lease_ttl=60.0)
+    task = next(scheduler.claims())
+    task.superseded = True
+    summaries = coordinator.execute_point(plan, task, max_workers=1)
+    task.checkpoint.write_text("{ torn write")  # the thief died mid-publish
+    scheduler.complete(task, summaries)
+    assert scheduler.result.executed == [task.label] and scheduler.result.lost == []
+    assert coordinator.RunDirectory(tmp_path).verdict(task.point_index).state == "done"
+    scheduler.run(max_workers=1)
+    assert merge_stolen(tmp_path, make_plan()).aggregates == run_plan(make_plan(), max_workers=1)

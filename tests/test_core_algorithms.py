@@ -9,10 +9,11 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.base import ProcessEnvironment
 from repro.core.common_coin import CommonCoinConsensus
 from repro.core.local_coin import LocalCoinConsensus
-from repro.harness.runner import ALGORITHMS, ExperimentConfig, run_consensus
+from repro.harness.config import ALGORITHMS, ExperimentConfig
+from repro.harness.runner import run_consensus
 from repro.network.delays import ExponentialDelay, SpikeDelay
 from repro.sharedmem.memory import ClusterSharedMemory
-from repro.sim.kernel import SimConfig
+from repro.sim.config import SimConfig
 from tests.helpers import SRC, count_calls
 
 HYBRID = ("hybrid-local-coin", "hybrid-common-coin")

@@ -21,7 +21,8 @@ from repro.core.base import (
 )
 from repro.core import pattern
 from repro.core.pattern import ExchangeOutcome, scan_mailbox
-from repro.harness.runner import ALGORITHMS, ExperimentConfig, prepare_consensus, run_consensus
+from repro.harness.config import ALGORITHMS, ExperimentConfig
+from repro.harness.runner import prepare_consensus, run_consensus
 from repro.sharedmem.memory import ClusterSharedMemory
 from repro.sim.kernel import SimulationKernel
 

@@ -15,7 +15,8 @@ from itertools import accumulate
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.harness.runner import ExperimentConfig, prepare_consensus, run_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import prepare_consensus, run_consensus
 from repro.network.delays import (
     ConstantDelay,
     DelayModel,

@@ -19,6 +19,7 @@ from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds, run_planned
 from repro.harness import parallel
 from repro.harness.aggregate import RunAggregate, RunSummary, SummaryReducer, run_priority
+from repro.harness.config import ExperimentConfig
 from repro.harness.coordinator import plan_header_path, run_work_stealing, worker_manifest_path
 from repro.harness.distributed import (
     MANIFEST_VERSION,
@@ -43,7 +44,7 @@ from repro.harness.distributed import (
     summary_to_json,
     variation_points,
 )
-from repro.harness.runner import ExperimentConfig, run_consensus
+from repro.harness.runner import run_consensus
 from repro.network.delays import ConstantDelay
 from tests.helpers import SRC, count_calls
 

@@ -13,6 +13,7 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.experiments import e9_adversary
 from repro.experiments.common import default_seeds, run_planned
+from repro.harness.config import ExperimentConfig
 from repro.harness.distributed import (
     ManifestError,
     ShardSpec,
@@ -21,7 +22,6 @@ from repro.harness.distributed import (
     run_plan,
     run_shard,
 )
-from repro.harness.runner import ExperimentConfig
 from repro.network.delays import ConstantDelay
 
 SEEDS = default_seeds(3)

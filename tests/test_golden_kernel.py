@@ -43,9 +43,11 @@ import pytest
 from repro.adversary import DelayPivotal, ProcessSlowdown, Scenario, build_scenario
 from repro.adversary.adaptive import build_adaptive_scenario
 from repro.cluster.topology import ClusterTopology
-from repro.harness.runner import ExperimentConfig, prepare_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import prepare_consensus
 from repro.network.transport import Network
-from repro.sim.kernel import SimConfig, SimulationKernel
+from repro.sim.config import SimConfig
+from repro.sim.kernel import SimulationKernel
 from repro.sim.rng import RandomSource
 from tests.helpers import GOLDEN_EXPERIMENTS, compute_golden_summaries
 

@@ -10,16 +10,11 @@ from repro.cluster.failures import FailurePattern
 from repro.cluster.topology import ClusterTopology
 from repro.coins.local import LocalCoin
 from repro.harness.aggregate import RunSummary
+from repro.harness.config import ALGORITHMS, ExperimentConfig, termination_expected
 from repro.harness.metrics import RunMetrics
 from repro.harness.distributed import plan_sweep, run_plan
 from repro.harness.report import aggregate_records, format_records, format_table
-from repro.harness.runner import (
-    ALGORITHMS,
-    ExperimentConfig,
-    prepare_consensus,
-    run_consensus,
-    termination_expected,
-)
+from repro.harness.runner import prepare_consensus, run_consensus
 from repro.sim.rng import RandomSource
 from repro.harness.stats import mean, median, percentile, sample_std, summarize
 from repro.harness.workloads import crash_scenarios, resolve_proposals, standard_topologies
@@ -77,6 +72,17 @@ def test_crash_scenarios_names_and_consistency():
 def test_experiment_config_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         ExperimentConfig(topology=ClusterTopology.single_cluster(2), algorithm="paxos")
+
+
+@pytest.mark.parametrize("algorithm", ["ben-or", "hybrid-local-coin", "mm-local-coin"])
+def test_experiment_config_rejects_unknown_consensus_kind(algorithm):
+    """Refused when built, for every algorithm: the kind enters the plan fingerprint."""
+    refusal = r"ExperimentConfig\.consensus_kind must be one of \['cas', 'llsc'\], got 'bogus'"
+    with pytest.raises(ValueError, match=refusal):
+        ExperimentConfig(
+            topology=ClusterTopology.single_cluster(2), algorithm=algorithm, consensus_kind="bogus"
+        )
+    assert ExperimentConfig(topology=ClusterTopology.single_cluster(2), consensus_kind="llsc")
 
 
 def test_with_seed_changes_only_the_seed():

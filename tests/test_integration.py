@@ -9,10 +9,11 @@ import pytest
 
 from repro.cluster.failures import FailurePattern
 from repro.cluster.topology import ClusterTopology
-from repro.harness.runner import ExperimentConfig, run_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import run_consensus
 from repro.harness.workloads import crash_scenarios, standard_topologies
 from repro.network.delays import ConstantDelay, ExponentialDelay, UniformDelay
-from repro.sim.kernel import SimConfig
+from repro.sim.config import SimConfig
 
 
 HYBRID = ("hybrid-local-coin", "hybrid-common-coin")

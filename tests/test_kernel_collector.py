@@ -23,12 +23,14 @@ import pytest
 from repro.adversary import build_adaptive_scenario, build_scenario
 from repro.cluster.topology import ClusterTopology
 from repro.coins.local import DeterministicCoin
+from repro.harness.config import ALGORITHMS, ExperimentConfig
 from repro.harness.parallel import run_many
-from repro.harness.runner import ALGORITHMS, ExperimentConfig, prepare_consensus, run_consensus
+from repro.harness.runner import prepare_consensus, run_consensus
 from repro.network.delays import ConstantDelay
 from repro.network.transport import Network
+from repro.sim.config import SimConfig
 from repro.sim.context import BroadcastEffect
-from repro.sim.kernel import SimConfig, SimulationKernel, _in_flight_messages
+from repro.sim.kernel import SimulationKernel, _in_flight_messages
 from repro.sim.multikernel import CooperativeScheduler, kernel_stepper, run_cooperative
 
 TOPOLOGY = ClusterTopology.figure1_right()

@@ -4,10 +4,11 @@ import pytest
 
 from repro.cluster.failures import FailurePattern
 from repro.cluster.topology import ClusterTopology
-from repro.harness.runner import ExperimentConfig, run_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import run_consensus
 from repro.mm.domain import DomainError, SharedMemoryDomain
 from repro.mm.memory import ProcessCentredMemory, build_mm_memories, memories_accessible_by
-from repro.sim.kernel import SimConfig
+from repro.sim.config import SimConfig
 
 
 # ---------------------------------------------------------------------- domain

@@ -11,7 +11,8 @@ neighbours in any order, is bit-identical to the same run in one go.
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.harness.runner import ExperimentConfig, prepare_consensus, run_consensus
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import prepare_consensus, run_consensus
 from repro.sim.kernel import SimulationKernel
 from repro.sim.multikernel import (
     DEFAULT_BATCH_EVENTS,

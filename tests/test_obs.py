@@ -17,6 +17,7 @@ import shutil
 import threading
 import time
 import urllib.request
+import weakref
 from io import StringIO
 
 import pytest
@@ -24,6 +25,7 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.experiments.common import default_seeds
 from repro.harness import coordinator, distributed, parallel
+from repro.harness.config import ExperimentConfig
 from repro.harness.coordinator import (
     merge_stolen,
     plan_header_path,
@@ -39,7 +41,7 @@ from repro.harness.distributed import (
     plan_sweep,
     run_shard,
 )
-from repro.harness.runner import ExperimentConfig
+from repro.obs import merge as obs_merge
 from repro.obs.merge import IncrementalMerger
 from repro.obs.serve import make_server
 from repro.obs.status import SweepMonitor, aggregate_to_json, render_status_text, watch_status
@@ -395,6 +397,23 @@ class TestIncrementalMerger:
         run_shard(plan, ShardSpec(2, 2), tmp_path, max_workers=1)
         assert merger.poll() == [point.label for point in plan.points]
         assert merger.merged() == merge_shards(tmp_path, make_plan())
+
+    def test_a_poll_holds_one_points_summaries_at_a_time(self, tmp_path, monkeypatch):
+        """Folding a point lets go of the summaries of every point folded before it."""
+        run_work_stealing(make_plan(), tmp_path, worker="solo", max_workers=1)
+        loaded, held, real_fold = [], [], obs_merge.fold_point
+
+        def counting_fold(plan, point_index, pairs):
+            pairs = list(pairs)
+            loaded.extend(weakref.ref(summary) for _, summary in pairs)
+            held.append(sum(ref() is not None for ref in loaded))
+            return real_fold(plan, point_index, pairs)
+
+        monkeypatch.setattr(obs_merge, "fold_point", counting_fold)
+        merger = IncrementalMerger(tmp_path, make_plan())
+        assert len(merger.poll()) == len(VARIATIONS)
+        assert held == [len(SEEDS)] * len(VARIATIONS)
+        assert merger.merged() == merge_stolen(tmp_path, make_plan())
 
     def test_unusable_checkpoint_stays_pending_and_merged_says_why(self, tmp_path):
         plan = make_plan()

@@ -30,10 +30,10 @@ from repro.harness.parallel import (
     worker_pool,
 )
 from repro.core.properties import ConsensusViolation
-from repro.harness.runner import ExperimentConfig
+from repro.harness.config import ExperimentConfig
 from repro.harness.stats import summarize
 from repro.network.delays import ConstantDelay
-from repro.sim.kernel import SimConfig
+from repro.sim.config import SimConfig
 from tests.helpers import golden_plans
 
 

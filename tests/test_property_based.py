@@ -20,6 +20,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.base import BOT, DecideMessage, PhaseMessage, ProcessEnvironment
 from repro.core.pattern import msg_exchange, scan_mailbox
 from repro.experiments.common import default_seeds
+from repro.harness.config import ExperimentConfig
 from repro.harness.coordinator import run_work_stealing
 from repro.harness.distributed import (
     ManifestError,
@@ -29,7 +30,7 @@ from repro.harness.distributed import (
     run_plan,
     run_shard,
 )
-from repro.harness.runner import ExperimentConfig, run_consensus
+from repro.harness.runner import run_consensus
 from repro.harness.stats import percentile, summarize
 from repro.network.delays import ConstantDelay, ExponentialDelay, UniformDelay
 from repro.network.message import Message
@@ -37,8 +38,9 @@ from repro.network.transport import Network
 from repro.obs.merge import IncrementalMerger
 from repro.sharedmem.consensus_object import CASConsensusObject, LLSCConsensusObject
 from repro.sim import kernel as kernel_module
+from repro.sim.config import SimConfig
 from repro.sim.events import EventKind
-from repro.sim.kernel import _MSG_ID_MASK, SimConfig, SimulationKernel
+from repro.sim.kernel import _MSG_ID_MASK, SimulationKernel
 from repro.sim.rng import RandomSource
 
 

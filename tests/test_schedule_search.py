@@ -24,7 +24,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from repro.harness.runner import ALGORITHMS
+from repro.harness.config import ALGORITHMS
 from repro.search import (
     ReplayController,
     SearchSpec,

@@ -3,6 +3,7 @@
 
 from repro.network.delays import ConstantDelay
 from repro.network.transport import Network
+from repro.sim.config import SimConfig
 from repro.sim.context import (
     LocalEffect,
     ProcessStats,
@@ -12,7 +13,7 @@ from repro.sim.context import (
     WaitEffect,
 )
 from repro.sim.events import TraceEntry
-from repro.sim.kernel import SimConfig, SimulationKernel
+from repro.sim.kernel import SimulationKernel
 from repro.sim.rng import RandomSource
 from repro.sim.trace import Trace
 

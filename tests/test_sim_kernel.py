@@ -12,9 +12,10 @@ import repro.sim.kernel as kernel_module
 from repro.network.delays import ConstantDelay
 from repro.network.transport import Network, TrafficStats
 from repro.network.message import Message
+from repro.sim.config import SimConfig
 from repro.sim.context import BroadcastEffect, LocalEffect, SendEffect, SharedMemEffect, WaitEffect
 from repro.sim.events import EventKind
-from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
+from repro.sim.kernel import RunStatus, SimulationKernel
 from repro.sim.process import ProcessState
 from repro.sim.rng import RandomSource
 from repro.sharedmem.register import AtomicRegister

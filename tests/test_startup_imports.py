@@ -32,6 +32,8 @@ DRIVERS = {
 NEVER_ON_THE_SWEEP_PATH = ("numpy", "repro.search", "repro.obs.serve", "http.server")
 #: What a single-worker run has no use for: the pool and what it drags in.
 POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+#: The simulator: what executes a run, and what building or merging a plan never needs.
+SIMULATOR = ("repro.sim.kernel", "repro.harness.runner", "repro.network.transport", "repro.harness.metrics")
 
 
 def fresh_python(body, *argv):
@@ -98,7 +100,20 @@ def test_merge_loads_the_recorded_driver_only(steal_run):
     report, _, modules = cli("merge", str(out), "--report")
     assert "reproduction check: PASSED" in report
     assert loaded(modules, *DRIVERS) == ["repro.experiments.e9_adversary"]
-    assert loaded(modules, *NEVER_ON_THE_SWEEP_PATH, *POOL_MODULES) == []
+    assert loaded(modules, *NEVER_ON_THE_SWEEP_PATH, *POOL_MODULES, *SIMULATOR) == []
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_a_plan_loads_no_simulator(driver):
+    """Every driver's ``plan()`` is data: configs, topologies, scenarios, no kernel."""
+    _, _, modules = fresh_python(f"import {driver} as driver\ndriver.plan()")
+    assert loaded(modules, *SIMULATOR) == []
+
+
+def test_the_sim_config_stands_alone():
+    """``SimConfig`` imports only the standard library (and its lazy packages)."""
+    _, _, modules = fresh_python("import repro.sim.config")
+    assert loaded(modules, "repro") == ["repro", "repro._lazy", "repro.sim", "repro.sim.config"]
 
 
 def test_status_reads_the_directory_without_the_simulator(steal_run):
