@@ -1,4 +1,4 @@
-"""Benchmark-session bootstrap (mirrors the top-level conftest).
+"""Benchmark-suite bootstrap, for runs rooted here as well as at the top.
 
 Makes ``repro`` importable from a plain checkout, keeps the benchmark suite
 runnable on its own (``pytest benchmarks/ --benchmark-only``), and hosts the

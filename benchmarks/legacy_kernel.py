@@ -2,7 +2,7 @@
 
 The flat-hot-path refactor (see ``docs/performance.md``) rewrote the
 kernel's event loop in place, so the original code no longer exists in the
-tree to benchmark against.  This module rebuilds it verbatim from the
+tree to benchmark against.  This module is a frozen rebuild of it from the
 pre-refactor sources -- dataclass events wrapped in ``order=True``
 ``LegacyScheduledEvent`` heap entries, frozen-dataclass effects and messages,
 dict-based processes and contexts, type-keyed dict dispatch, a per-event

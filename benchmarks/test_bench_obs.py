@@ -1,20 +1,23 @@
 """The dormant-observability overhead gate on the n=64 kernel flood.
 
-The observability layer (PR: sweep telemetry) touches the simulation side
-in three places: ``SimulationKernel._result`` gained the ``trace_sink``
-dump (one ``is None`` check per *run*), and ``ProcessContext`` gained the
+The observability layer touches the simulation side in three places:
+``SimulationKernel._result`` gained the ``trace_sink`` dump (one ``is
+None`` check per *run*), and ``ProcessContext`` gained the
 ``round``/``phase`` span markers (one ``trace.enabled`` check per call
 when tracing is off).  The worker telemetry registry lives entirely in
 the sweep coordinator -- it is never on the kernel path -- so the kernel
 flood is the whole dormant surface.
 
-The contract mirrors the adversary-hook gate
+The contract is the adversary-hook gate's
 (``benchmarks/test_bench_adversary.py``): a kernel with tracing *off*
 and no sink must regress less than 2% against the pre-observability
-code.  Since that code no longer exists, the gate reconstructs it --
-verbatim copies of ``_result`` and ``mark_round`` minus the obs
-branches, and a bare no-op where ``mark_phase`` did not yet exist -- and
-times both variants on a marker-annotated flood at n=64.
+code.  That code is derived from the live methods by
+:func:`benchmarks.stripped.stripped`, without the branches :data:`PREOBS`
+names, plus a bare no-op where ``mark_phase`` did not yet exist; both
+variants are timed on a marker-annotated flood at n=64.  A renamed check
+changes a count, and the derivation fails naming the pattern;
+``tests/test_dormant_gates.py`` checks that each derived method differs
+from the live one by exactly those branches.
 
 Like every timing gate in this repo, the hard assert is live only in
 dedicated benchmark runs (``make bench``, i.e. ``--benchmark-only``)
@@ -27,11 +30,12 @@ import time
 
 import pytest
 
+from benchmarks.stripped import stripped
 from benchmarks.test_bench_micro import FLOOD_N, FLOOD_ROUNDS
 from repro.core.base import PhaseMessage
 from repro.network.transport import Network
 from repro.sim.config import SimConfig
-from repro.sim.context import ProcessContext, RoundLimitExceeded
+from repro.sim.context import ProcessContext
 from repro.sim.kernel import RunStatus, SimulationKernel
 from repro.sim.rng import RandomSource
 
@@ -42,70 +46,27 @@ OVERHEAD_LIMIT = 1.02
 
 
 # ------------------------------------------------------- pre-obs reconstruction
-def _preobs_result(self, status):
-    """``SimulationKernel._result`` exactly as it was without ``trace_sink``.
-
-    A verbatim copy minus the sink dump check.  Must be kept in sync with
-    the real method: ``test_preobs_reconstruction_is_behaviourally_identical``
-    below and the overhead gate are only meaningful while the two differ by
-    exactly that block.
-    """
-    from repro.sim.kernel import SimulationResult
-
-    decisions = {
-        pid: proc.decision
-        for pid, proc in self._processes.items()
-        if proc.has_decided
-    }
-    decision_times = {
-        pid: proc.decision_time
-        for pid, proc in self._processes.items()
-        if proc.has_decided and proc.decision_time is not None
-    }
-    correct = {pid for pid, proc in self._processes.items() if proc.is_correct}
-    crashed = {pid for pid, proc in self._processes.items() if not proc.is_correct}
-    non_terminated = {pid for pid in correct if pid not in decisions}
-    rounds = {pid: proc.context.stats.rounds for pid, proc in self._processes.items()}
-    stats = {pid: proc.context.stats for pid, proc in self._processes.items()}
-    return SimulationResult(
-        status=status,
-        decisions=decisions,
-        decision_times=decision_times,
-        correct=correct,
-        crashed=crashed,
-        non_terminated=non_terminated,
-        rounds=rounds,
-        end_time=self.now,
-        events_processed=self.events_processed,
-        process_stats=stats,
-    )
-
-
-def _preobs_mark_round(self, round_number):
-    """``ProcessContext.mark_round`` without the span-marker branch."""
-    self.stats.rounds = max(self.stats.rounds, round_number)
-    kernel = self._kernel
-    limit = kernel.config.max_rounds
-    if limit is not None and round_number > limit:
-        raise RoundLimitExceeded(self.pid, round_number, limit)
+#: What the observability layer added to each method the gate strips, as
+#: :func:`~benchmarks.stripped.stripped` patterns and their node counts.
+PREOBS = {
+    (SimulationKernel, "_result"): {"if_false": {"self.trace_sink is not None": 1}},
+    (ProcessContext, "mark_round"): {"if_false": {"kernel.trace.enabled": 1}},
+}
 
 
 def _preobs_mark_phase(self, name):
     """Pre-obs there was no ``mark_phase``; absence costs one bare call."""
 
 
-_PREOBS_KERNEL_PATCHES = {"_result": _preobs_result}
-_PREOBS_CONTEXT_PATCHES = {
-    "mark_round": _preobs_mark_round,
-    "mark_phase": _preobs_mark_phase,
-}
-
-
 def _patch_preobs(patcher):
-    for name, fn in _PREOBS_KERNEL_PATCHES.items():
-        patcher.setattr(SimulationKernel, name, fn)
-    for name, fn in _PREOBS_CONTEXT_PATCHES.items():
-        patcher.setattr(ProcessContext, name, fn)
+    """Patch the pre-obs methods in: the stripped ones, and the no-op ``mark_phase``."""
+    stripped_methods = [
+        (owner, name, stripped(getattr(owner, name), **patterns))
+        for (owner, name), patterns in PREOBS.items()
+    ]
+    for owner, name, method in stripped_methods:
+        patcher.setattr(owner, name, method)
+    patcher.setattr(ProcessContext, "mark_phase", _preobs_mark_phase)
 
 
 # ------------------------------------------------------------------- workload

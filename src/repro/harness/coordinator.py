@@ -637,6 +637,7 @@ class SweepWriter:
         self._fingerprint = plan.fingerprint()
         #: Points whose unusable checkpoint this invocation has warned about.
         self._warned: Set[int] = set()
+        self._run_directory: Optional[RunDirectory] = None
 
     def run(self, max_workers: Optional[int] = None) -> WriterResult:
         """Run the claim loop to completion and report what this writer did.
@@ -817,10 +818,20 @@ class SweepWriter:
         self._write_manifest()
         return True
 
-    @cached_property
+    @property
     def _directory(self) -> RunDirectory:
-        """What :meth:`_resume` asks, read once :meth:`run` has written the header."""
-        return RunDirectory(self.out)
+        """What :meth:`_resume` and :meth:`_thief_finished` ask; kept once it holds the plan header.
+
+        A read taken before the header exists (:meth:`claims` driven ahead of
+        :meth:`run`) is not kept, or every checkpoint would be judged
+        against no header and refused.
+        """
+        directory = self._run_directory
+        if directory is None:
+            directory = RunDirectory(self.out)
+            if directory.header is not None:
+                self._run_directory = directory
+        return directory
 
     def _resume(self, point_index: int) -> Optional[List[RunSummary]]:
         """This shard's checkpoint of a point, read by the directory's judge; a refused one reads as none.

@@ -493,12 +493,6 @@ _SUMMARY_TYPES: Dict[str, Tuple[type, ...]] = {
 }
 
 
-def _from_hex(text: Any) -> float:
-    if type(text) is not str:
-        raise TypeError(f"expected a float.hex() string, got {text!r}")
-    return float.fromhex(text)
-
-
 def _summary_from_json(raw: Any, path: Path, position: int) -> RunSummary:
     """Rebuild one checkpointed summary; a bad field is named, with its file and position."""
     where = f"malformed checkpoint {path}: summary {position}"
@@ -515,7 +509,11 @@ def _summary_from_json(raw: Any, path: Path, position: int) -> RunSummary:
             if name == "priority":
                 value = float.fromhex(value)
             elif name == "values":
-                value = {key: _from_hex(text) for key, text in value.items()}
+                texts = value.values()
+                if set(map(type, texts)) - {str}:
+                    bad = next(text for text in texts if type(text) is not str)
+                    raise TypeError(f"expected a float.hex() string, got {bad!r}")
+                value = dict(zip(value, map(float.fromhex, texts)))
         except (TypeError, ValueError) as error:
             raise ManifestError(f"{where} field {name!r}: {error}") from None
         fields[name] = value

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Type
 
 from ..adversary.scenario import Adversary
 from ..coins.common import CommonCoin
 from ..coins.local import LocalCoin
-from ..core.base import ProcessEnvironment
+from ..core.base import ConsensusProcess, ProcessEnvironment
 from ..core.properties import PropertyReport, verify_run
 from ..mm.domain import SharedMemoryDomain
 from ..mm.memory import build_mm_memories
@@ -110,17 +110,22 @@ def prepare_consensus(
     config: ExperimentConfig,
     local_coin_factory: Optional[Callable[[int], LocalCoin]] = None,
     common_coin: Optional[CommonCoin] = None,
+    algorithm_class: Optional[Type[ConsensusProcess]] = None,
 ) -> PreparedRun:
     """Build one consensus run -- substrates, coins, processes -- without running it.
 
     ``local_coin_factory`` / ``common_coin`` override the seeded default
     coins -- the hook the adversarial-coin robustness tests use to hand the
     algorithms pathological coins (stuck, opposing) while keeping the rest
-    of the harness identical.  They are test-only knobs and deliberately not
-    part of :class:`ExperimentConfig` (they would not belong in a sweep-plan
-    fingerprint).
+    of the harness identical.  ``algorithm_class`` replaces
+    ``ALGORITHM_CLASSES[config.algorithm]`` as the class each process runs,
+    wired by the declarations it inherits or sets (``shared_memory``,
+    ``coin``): the schedule search runs its planted variant
+    (:mod:`repro.search.planted`) this way.  All three are knobs for tests
+    and the search, deliberately not part of :class:`ExperimentConfig`
+    (they would not belong in a sweep-plan fingerprint).
     """
-    cls = ALGORITHM_CLASSES[config.algorithm]
+    cls = algorithm_class or ALGORITHM_CLASSES[config.algorithm]
     topology = config.topology
     rng = RandomSource(config.seed)
     kernel = SimulationKernel(config=config.sim, rng=rng)

@@ -14,8 +14,9 @@ so a violation found by an overnight search becomes a one-line committable
 regression test (see ``tests/schedules/``).
 
 :mod:`~repro.search.explorer` holds the controller, the DFS and the token
-format; :mod:`~repro.search.planted` wires a deliberately broken Ben-Or
-variant used to prove the search actually finds real disagreement;
+format; :mod:`~repro.search.planted` holds a deliberately broken Ben-Or
+variant, wired by the harness like any algorithm, used to prove the
+search actually finds real disagreement;
 :mod:`~repro.search.systemic` post-processes sweep grids (experiment e10)
 into systemic-failure findings.
 """

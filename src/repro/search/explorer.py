@@ -45,7 +45,7 @@ from ..harness.runner import prepare_consensus
 from ..network.delays import ConstantDelay
 from ..sim.config import SimConfig
 
-#: The non-harness algorithms the search can target (wired by planted.py).
+#: The non-harness algorithms the search can target (classes in planted.py).
 PLANTED_ALGORITHMS = ("planted-ben-or",)
 
 _TOKEN_VERSION = "v1"
@@ -221,20 +221,25 @@ def parse_token(token: str) -> Tuple[SearchSpec, Tuple[int, ...]]:
 
 
 def _prepare(spec: SearchSpec):
-    """Wire one un-stepped run: ``(kernel, proposals, topology)``."""
-    if spec.algorithm in PLANTED_ALGORITHMS:
-        from .planted import prepare_planted
+    """Wire one un-stepped run: ``(kernel, proposals, topology)``.
 
-        return prepare_planted(spec)
+    A planted variant is wired as the Ben-Or it breaks: the harness builds
+    the same network, seed streams and coins and runs the variant's class.
+    """
+    algorithm, algorithm_class = spec.algorithm, None
+    if algorithm in PLANTED_ALGORITHMS:
+        from .planted import PlantedBenOrConsensus
+
+        algorithm, algorithm_class = "ben-or", PlantedBenOrConsensus
     config = ExperimentConfig(
         topology=spec.topology(),
-        algorithm=spec.algorithm,
+        algorithm=algorithm,
         proposals=spec.proposals,
         seed=spec.seed,
         delay_model=ConstantDelay(spec.delay),
         sim=spec.sim_config(),
     )
-    prepared = prepare_consensus(config)
+    prepared = prepare_consensus(config, algorithm_class=algorithm_class)
     return prepared.kernel, prepared.proposals, config.topology
 
 

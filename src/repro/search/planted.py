@@ -16,23 +16,20 @@ the system depends entirely on which majority each process's exchange
 happens to see -- i.e. on the dispatch schedule, which is exactly the
 dimension :func:`~repro.search.explorer.search` explores.
 
-Only the search harness and its tests may import this module; the variant
-is deliberately not registered with the experiment harness.
+The module holds the algorithm only.  The search wires it like any other
+run: :func:`~repro.search.explorer.run_schedule` hands the class to
+:func:`~repro.harness.runner.prepare_consensus`, which builds the network,
+seed streams, proposals and local coins that ``ben-or`` gets, so the
+planted run differs from a Ben-Or run in the decision rule alone.  Only the
+search harness and its tests may import this module; the variant is
+deliberately not registered in ``ALGORITHM_CLASSES``, so no experiment or
+sweep can run it.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from ..cluster.topology import ClusterTopology
-from ..coins.local import LocalCoin
-from ..core.base import BOT, ProcessEnvironment
+from ..core.base import BOT
 from ..core.local_coin import DECIDE_SILENTLY, FLIP, LocalCoinRound
-from ..harness.workloads import resolve_proposals
-from ..network.delays import ConstantDelay
-from ..network.transport import Network
-from ..sim.kernel import SimulationKernel
-from ..sim.rng import RandomSource
 
 
 class PlantedBenOrConsensus(LocalCoinRound):
@@ -55,31 +52,4 @@ class PlantedBenOrConsensus(LocalCoinRound):
         return FLIP, None
 
 
-def prepare_planted(spec) -> Tuple[SimulationKernel, dict, ClusterTopology]:
-    """Wire one un-stepped planted run: ``(kernel, proposals, topology)``.
-
-    Mirrors the harness's :func:`~repro.harness.runner.prepare_consensus`
-    wiring for the pure message-passing path (same seed-derived streams for
-    proposals and local coins), but swaps in the broken algorithm -- which
-    is why the variant never touches the harness registry.
-    """
-    topology = spec.topology()
-    rng = RandomSource(spec.seed)
-    kernel = SimulationKernel(config=spec.sim_config(), rng=rng)
-    network = Network(topology.n, delay_model=ConstantDelay(spec.delay), rng=rng)
-    kernel.attach_network(network)
-    proposals = resolve_proposals(spec.proposals, topology.n, rng.lazy_stream("proposals"))
-    for pid in topology.process_ids():
-        env = ProcessEnvironment(
-            pid=pid,
-            proposal=proposals[pid],
-            topology=topology,
-            memory=None,
-            local_coin=LocalCoin(rng.lazy_stream("local-coin", pid)),
-        )
-        algorithm = PlantedBenOrConsensus(env)
-        kernel.add_process(pid, algorithm.run)
-    return kernel, proposals, topology
-
-
-__all__ = ["PlantedBenOrConsensus", "prepare_planted"]
+__all__ = ["PlantedBenOrConsensus"]

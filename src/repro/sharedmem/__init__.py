@@ -17,9 +17,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ],
         "memory": ["ClusterSharedMemory", "build_cluster_memories"],
         "register": ["AtomicRegister", "MemoryAccessError", "RegisterStats"],
-        "rmw": [
-            "CompareAndSwapRegister", "FetchAndAddRegister", "LLSCRegister", "SwapRegister",
-            "TestAndSetRegister",
-        ],
+        "rmw": ["CompareAndSwapRegister", "LLSCRegister"],
     },
 )

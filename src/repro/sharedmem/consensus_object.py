@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Set
 
-from .register import MemoryAccessError
+from .register import AtomicRegister, MemoryAccessError
 from .rmw import CompareAndSwapRegister, LLSCRegister
 
 
@@ -56,6 +56,9 @@ class ConsensusObject:
     them satisfy validity (the decided value was proposed), agreement (every
     ``propose`` returns the same value) and wait-freedom.
     """
+
+    #: The one register the object is built on; its memory counts its operations.
+    _register: AtomicRegister
 
     def __init__(self, name: str, members: Optional[Set[int]] = None) -> None:
         self.name = name

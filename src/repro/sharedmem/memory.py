@@ -1,11 +1,12 @@
 """Per-cluster shared memories (the paper's ``MEM_x``).
 
 A :class:`ClusterSharedMemory` is the memory associated with one cluster
-``P[x]``: only the members of that cluster may access it.  It hands out
-atomic registers, RMW registers and -- most importantly for the consensus
-algorithms -- round-indexed arrays of cluster-limited consensus objects
-(``CONS_x[r, 1]``, ``CONS_x[r, 2]`` for Algorithm 2, ``CONS_x[r]`` for
-Algorithm 3), created lazily on first use.
+``P[x]``: only the members of that cluster may access it.  What the
+consensus algorithms use of it is round-indexed arrays of cluster-limited
+consensus objects (``CONS_x[r, 1]``, ``CONS_x[r, 2]`` for Algorithm 2,
+``CONS_x[r]`` for Algorithm 3), created lazily on first use; each object
+is built on one RMW register (:mod:`.rmw`) whose operations the memory
+counts.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Set, Tuple
 
 from .consensus_object import CASConsensusObject, ConsensusObject, LLSCConsensusObject
-from .register import AtomicRegister, MemoryAccessError
-from .rmw import (
-    CompareAndSwapRegister,
-    FetchAndAddRegister,
-    LLSCRegister,
-    SwapRegister,
-    TestAndSetRegister,
-)
+from .register import MemoryAccessError
 
 #: consensus object kind -> class; the one list of valid ``consensus_kind`` values.
 CONSENSUS_FACTORIES = {
@@ -48,7 +42,6 @@ class ClusterSharedMemory:
                 f"choose from {sorted(CONSENSUS_FACTORIES)}"
             )
         self.consensus_kind = consensus_kind
-        self._registers: Dict[str, AtomicRegister] = {}
         self._consensus_objects: Dict[Tuple[Any, ...], ConsensusObject] = {}
 
     # ------------------------------------------------------------- membership
@@ -59,44 +52,6 @@ class ClusterSharedMemory:
                 f"process {pid} is not a member of cluster {self.cluster_index} "
                 f"(members: {sorted(self.members)})"
             )
-
-    # -------------------------------------------------------------- registers
-    def _new(self, name: str, register: AtomicRegister) -> AtomicRegister:
-        if name in self._registers:
-            raise ValueError(f"register {name!r} already exists in MEM_{self.cluster_index}")
-        self._registers[name] = register
-        return register
-
-    def register(self, name: str, initial: Any = None) -> AtomicRegister:
-        """Allocate (or fetch) a plain atomic register."""
-        if name in self._registers:
-            return self._registers[name]
-        return self._new(name, AtomicRegister(self._qualified(name), initial))
-
-    def cas_register(self, name: str, initial: Any = None) -> CompareAndSwapRegister:
-        if name in self._registers:
-            return self._registers[name]  # type: ignore[return-value]
-        return self._new(name, CompareAndSwapRegister(self._qualified(name), initial))  # type: ignore[return-value]
-
-    def faa_register(self, name: str, initial: int = 0) -> FetchAndAddRegister:
-        if name in self._registers:
-            return self._registers[name]  # type: ignore[return-value]
-        return self._new(name, FetchAndAddRegister(self._qualified(name), initial))  # type: ignore[return-value]
-
-    def tas_register(self, name: str) -> TestAndSetRegister:
-        if name in self._registers:
-            return self._registers[name]  # type: ignore[return-value]
-        return self._new(name, TestAndSetRegister(self._qualified(name)))  # type: ignore[return-value]
-
-    def swap_register(self, name: str, initial: Any = None) -> SwapRegister:
-        if name in self._registers:
-            return self._registers[name]  # type: ignore[return-value]
-        return self._new(name, SwapRegister(self._qualified(name), initial))  # type: ignore[return-value]
-
-    def llsc_register(self, name: str, initial: Any = None) -> LLSCRegister:
-        if name in self._registers:
-            return self._registers[name]  # type: ignore[return-value]
-        return self._new(name, LLSCRegister(self._qualified(name), initial))  # type: ignore[return-value]
 
     def _qualified(self, name: str) -> str:
         return f"MEM_{self.cluster_index}.{name}"
@@ -124,18 +79,9 @@ class ClusterSharedMemory:
     def consensus_invocations(self) -> int:
         return sum(obj.stats.invocations for obj in self._consensus_objects.values())
 
-    def register_operations(self) -> int:
-        """Total primitive operations on registers allocated directly."""
-        return sum(register.stats.total for register in self._registers.values())
-
     def total_operations(self) -> int:
         """All primitive shared-memory operations performed on this memory."""
-        consensus_register_ops = 0
-        for obj in self._consensus_objects.values():
-            inner = getattr(obj, "_register", None)
-            if inner is not None:
-                consensus_register_ops += inner.stats.total
-        return self.register_operations() + consensus_register_ops
+        return sum(obj._register.stats.total for obj in self._consensus_objects.values())
 
     def __repr__(self) -> str:
         return (

@@ -2,10 +2,10 @@
 
 The paper's model (Section II-A) enriches each cluster memory with an
 operation of infinite consensus number, naming ``compare&swap()`` as the
-canonical example.  This module provides compare&swap plus the other
-classic RMW objects (fetch&add, test&set, swap, LL/SC) so the consensus
-hierarchy can be exercised and tested: test&set has consensus number 2,
-whereas compare&swap and LL/SC solve consensus for any number of processes.
+canonical example.  This module provides the two such primitives the
+cluster-limited consensus objects are built on (``consensus_kind``
+``"cas"`` and ``"llsc"``): compare&swap and load-linked/store-conditional,
+both of which solve consensus for any number of processes.
 """
 
 from __future__ import annotations
@@ -29,57 +29,6 @@ class CompareAndSwapRegister(AtomicRegister):
             self._record("cas", new)
             return True
         return False
-
-    def compare_and_exchange(self, expected: Any, new: Any) -> Any:
-        """CAS variant returning the value observed *before* the operation."""
-        self.stats.rmw_ops += 1
-        previous = self._value
-        if previous == expected:
-            self._value = new
-            self._record("cas", new)
-        return previous
-
-
-class FetchAndAddRegister(AtomicRegister):
-    """An integer register with atomic ``fetch&add``."""
-
-    def __init__(self, name: str = "faa", initial: int = 0) -> None:
-        super().__init__(name, initial)
-
-    def fetch_and_add(self, delta: int = 1) -> int:
-        """Add ``delta`` and return the value held *before* the addition."""
-        self.stats.rmw_ops += 1
-        previous = self._value
-        self._value = previous + delta
-        self._record("faa", self._value)
-        return previous
-
-
-class TestAndSetRegister(AtomicRegister):
-    """A one-shot boolean register with atomic ``test&set`` (consensus number 2)."""
-
-    def __init__(self, name: str = "tas") -> None:
-        super().__init__(name, False)
-
-    def test_and_set(self) -> bool:
-        """Set the register to ``True``; return the value it held before."""
-        self.stats.rmw_ops += 1
-        previous = self._value
-        self._value = True
-        self._record("tas", True)
-        return previous
-
-
-class SwapRegister(AtomicRegister):
-    """An atomic register with unconditional ``swap``."""
-
-    def swap(self, new: Any) -> Any:
-        """Store ``new`` and return the previous value."""
-        self.stats.rmw_ops += 1
-        previous = self._value
-        self._value = new
-        self._record("swap", new)
-        return previous
 
 
 class LLSCRegister(AtomicRegister):

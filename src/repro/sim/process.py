@@ -115,20 +115,6 @@ class SimProcess:
         """Whether the process terminated by deciding a value."""
         return self.state is ProcessState.DECIDED
 
-    def deliver(self, message: Any) -> None:
-        """Append a message to the mailbox (messages are never removed)."""
-        self.mailbox.append(message)
-
-    def check_wait(self) -> Any:
-        """Evaluate the pending wait predicate against the mailbox.
-
-        Returns the predicate result (non-``None`` when satisfied) or
-        ``None`` when unsatisfied or when the process is not blocked.
-        """
-        if self.state is not ProcessState.BLOCKED or self.wait_predicate is None:
-            return None
-        return self.wait_predicate(self.mailbox)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"SimProcess(pid={self.pid}, state={self.state.value}, "

@@ -515,6 +515,24 @@ def test_superseded_worker_loses_gracefully(tmp_path):
     assert task.label not in scheduler.result.executed
 
 
+def test_a_writer_claiming_before_the_header_exists_still_sees_the_thief_finish(tmp_path):
+    """The directory read before ``plan.json`` existed is not the one a thief's file is judged by."""
+    plan = make_plan()
+    scheduler = coordinator.SweepWriter(plan, tmp_path, worker="slow", lease_ttl=60.0)
+    task = next(scheduler.claims())  # no plan header yet
+    write_plan_header(tmp_path, plan)
+    task.superseded = True
+    summaries = coordinator.execute_point(plan, task, max_workers=1)
+    coordinator._write_checkpoint(
+        task.checkpoint, plan, coordinator._WHOLE, task.point_index, summaries,
+        provenance={"worker": "thief", "lease_generation": 1},
+    )
+    thief = task.checkpoint.read_bytes()
+    scheduler.complete(task, summaries)
+    assert scheduler.result.lost == [task.label] and scheduler.result.executed == []
+    assert task.checkpoint.read_bytes() == thief
+
+
 def test_superseded_worker_replaces_a_torn_thief_checkpoint(tmp_path):
     """A thief's checkpoint the judge refuses is no finish: the superseded writer writes its own."""
     plan = make_plan()

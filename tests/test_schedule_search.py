@@ -16,6 +16,7 @@ bugs:
   regression test forever.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -260,6 +261,26 @@ def test_search_all_hunts_within_a_wall_budget():
     by_algorithm = {outcome.spec.algorithm: outcome for outcome in outcomes}
     assert not by_algorithm["ben-or"].found
     assert by_algorithm["planted-ben-or"].found
+
+
+def test_the_planted_variant_is_wired_by_the_harness_alone():
+    """``search/planted.py`` holds a class, not a second copy of the run wiring.
+
+    The search hands the class to ``prepare_consensus``; a module that
+    imports the kernel, the transport or the seed source again is building
+    runs of its own, which drift from the harness's.
+    """
+    import repro.search.planted as planted
+
+    tree = ast.parse(Path(planted.__file__).read_text())
+    imported = {
+        alias.name.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"SimulationKernel", "Network", "RandomSource"}, sorted(imported)
+    assert "prepare_planted" not in vars(planted)
 
 
 # ----------------------------------------------------------------- the corpus

@@ -8,7 +8,6 @@ from repro.cluster.topology import ClusterTopology
 from repro.sharedmem.consensus_object import UNSET, CASConsensusObject, LLSCConsensusObject
 from repro.sharedmem.memory import ClusterSharedMemory, build_cluster_memories
 from repro.sharedmem.register import MemoryAccessError
-from repro.sharedmem.rmw import CompareAndSwapRegister
 
 
 # --------------------------------------------------------------- cluster memory
@@ -26,26 +25,14 @@ def test_assert_member_enforced():
         memory.assert_member(5)
 
 
-def test_register_allocation_is_cached_and_qualified():
-    memory = ClusterSharedMemory(2, [0, 1])
-    reg = memory.register("flag", initial=0)
-    assert memory.register("flag") is reg
-    assert "MEM_2" in reg.name
-    cas = memory.cas_register("winner")
-    assert isinstance(cas, CompareAndSwapRegister)
-    assert memory.faa_register("counter", 3).read() == 3
-    assert memory.tas_register("lock").read() is False
-    assert memory.swap_register("slot", "a").read() == "a"
-    assert memory.llsc_register("ll", 1).read() == 1
-
-
 def test_consensus_objects_cached_by_key():
-    memory = ClusterSharedMemory(0, [0, 1])
+    memory = ClusterSharedMemory(2, [0, 1])
     a = memory.consensus_object("alg", 1, 1)
     b = memory.consensus_object("alg", 1, 1)
     c = memory.consensus_object("alg", 1, 2)
     assert a is b and a is not c
     assert memory.consensus_objects_created() == 2
+    assert a.name == "MEM_2.CONS['alg', 1, 1]"
 
 
 def test_memory_operation_counters_include_consensus_objects():
@@ -53,12 +40,8 @@ def test_memory_operation_counters_include_consensus_objects():
     ctx = SyncContext(pid=0)
     cons = memory.consensus_object("alg", 1)
     drive(cons.propose(ctx, 1))
-    reg = memory.register("scratch", 0)
-    reg.write(5)
-    reg.read()
     assert memory.consensus_invocations() == 1
-    assert memory.register_operations() == 2
-    assert memory.total_operations() == 4  # 2 register ops + CAS + read inside the object
+    assert memory.total_operations() == 2  # the CAS and the read inside the object
 
 
 def test_build_cluster_memories_matches_topology():

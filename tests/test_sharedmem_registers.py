@@ -2,13 +2,7 @@
 
 
 from repro.sharedmem.register import AtomicRegister
-from repro.sharedmem.rmw import (
-    CompareAndSwapRegister,
-    FetchAndAddRegister,
-    LLSCRegister,
-    SwapRegister,
-)
-from repro.sharedmem.rmw import TestAndSetRegister as TASRegister
+from repro.sharedmem.rmw import CompareAndSwapRegister, LLSCRegister
 
 
 # -------------------------------------------------------------------- register
@@ -38,45 +32,11 @@ def test_cas_succeeds_only_on_expected_value():
     assert reg.stats.rmw_ops == 2
 
 
-def test_compare_and_exchange_returns_previous_value():
-    reg = CompareAndSwapRegister("c", 1)
-    assert reg.compare_and_exchange(1, 2) == 1
-    assert reg.read() == 2
-    assert reg.compare_and_exchange(1, 3) == 2
-    assert reg.read() == 2
-
-
 def test_cas_first_writer_wins_semantics():
     reg = CompareAndSwapRegister("c", None)
     outcomes = [reg.compare_and_swap(None, value) for value in ("x", "y", "z")]
     assert outcomes == [True, False, False]
     assert reg.read() == "x"
-
-
-# ------------------------------------------------------------------ fetch&add
-def test_fetch_and_add_returns_previous_and_accumulates():
-    reg = FetchAndAddRegister("f", 10)
-    assert reg.fetch_and_add() == 10
-    assert reg.fetch_and_add(5) == 11
-    assert reg.read() == 16
-    assert reg.fetch_and_add(-6) == 16
-    assert reg.read() == 10
-
-
-# ------------------------------------------------------------------- test&set
-def test_test_and_set_returns_false_only_once():
-    reg = TASRegister("t")
-    results = [reg.test_and_set() for _ in range(4)]
-    assert results == [False, True, True, True]
-    assert reg.read() is True
-
-
-# ------------------------------------------------------------------------ swap
-def test_swap_returns_previous_value():
-    reg = SwapRegister("s", "first")
-    assert reg.swap("second") == "first"
-    assert reg.swap("third") == "second"
-    assert reg.read() == "third"
 
 
 # ----------------------------------------------------------------------- LL/SC
